@@ -30,7 +30,7 @@ from .analyzers import (
     parse_profile,
 )
 from .dominancy import report_table, report_to_json, run_dominancy
-from .errors import BaselinesDoNotSeparateError, ConfigParseError, TunerError
+from .errors import ConfigParseError, TunerError
 from .keytree import parse_keytree
 from .orchestrator import TunerSettings, tune
 from .paramspace import (
@@ -239,9 +239,6 @@ def cmd_dominancy(args) -> int:
             timeout=timeout,
             num_process=run.settings.num_process,
         )
-    except BaselinesDoNotSeparateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except TunerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -84,6 +84,3 @@ def value_column(raw_line: str) -> int:
     offset = len(head) + 1
     return offset + (len(tail) - len(tail.lstrip())) + 1
 
-
-def format_keytree(pairs: list[tuple[str, str]]) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in pairs)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Iterator, Mapping, Union
 
 from .distributions import (
+    LAMBDA_CAP,
     Bernoulli,
     BernoulliVector,
     DeltaDistribution,
@@ -363,9 +364,10 @@ def _override_field(spec: ParamSpec, field: str, raw: str) -> ParamSpec:
     if field == "lambda":
         if not isinstance(spec.initial.delta, Poisson):
             raise ValueError(f"{spec.name!r} has no Poisson delta")
-        return dc_replace(
-            spec, initial=ParamDistribution(spec.initial.base, Poisson(float(raw)))
-        )
+        delta = Poisson(float(raw))
+        if delta.lam > LAMBDA_CAP:
+            raise ValueError(f"{spec.name!r} lambda must be at most {LAMBDA_CAP:g}, got {raw}")
+        return dc_replace(spec, initial=ParamDistribution(spec.initial.base, delta))
     if field == "q":
         delta = spec.initial.delta
         if isinstance(delta, Bernoulli):

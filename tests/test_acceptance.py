@@ -193,6 +193,14 @@ def test_criterion_06_poisson_sampler_statistics():
         if lam <= 4.0:
             p_zero = sum(1 for d in draws if d == 0) / n
             assert abs(p_zero - math.exp(-lam)) <= 0.005
+    for lam in (50.0, 1e3, 1e5):
+        stream = RandomStream(0xBEEF).split("acceptance", str(lam))
+        draws = [sample_poisson(lam, stream) for _ in range(n)]
+        mean = sum(draws) / n
+        var = sum((d - mean) ** 2 for d in draws) / (n - 1)
+        assert abs(mean - lam) <= 3.0 * math.sqrt(lam / n)
+        # sample variance of Poisson(lam): sd sqrt((mu4 - lam^2) / n), mu4 = lam + 3 lam^2
+        assert abs(var - lam) <= 3.0 * math.sqrt((lam + 2.0 * lam * lam) / n)
     assert time.perf_counter() - start < 5.0
 
 

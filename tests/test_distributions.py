@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -104,8 +105,8 @@ class TestSamplePoisson:
         zeros = sum(1 for _ in range(n) if sample_poisson(4.0, stream) == 0)
         assert abs(zeros / n - math.exp(-4.0)) <= 0.005
 
-    def test_large_rate_uses_chunking(self):
-        # mean check exercises the >= 30 path
+    def test_large_rate_mean(self):
+        # mean check exercises the >= 30 (PTRS) path
         stream = RandomStream(6).split("p")
         n = 20_000
         mean = sum(sample_poisson(150.0, stream) for _ in range(n)) / n
@@ -114,10 +115,52 @@ class TestSamplePoisson:
     def test_ceiling_cap(self):
         stream = RandomStream(7).split("p")
         assert sample_poisson(50.0, stream, ceiling=3) <= 3
+        assert sample_poisson(LAMBDA_CAP, stream, ceiling=3) <= 3
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             sample_poisson(-1.0, RandomStream(0))
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, lam):
+        # an infinite rate must fail at once rather than loop
+        with pytest.raises(ValueError):
+            sample_poisson(lam, RandomStream(0))
+        with pytest.raises(ValueError):
+            Poisson(lam)
+
+    def test_draw_cost_independent_of_rate(self):
+        # an O(lam) sampler needs about 10 ms a draw at the cap
+        stream = RandomStream(8).split("p")
+        start = time.perf_counter()
+        for _ in range(10_000):
+            sample_poisson(LAMBDA_CAP, stream)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_small_rates_replay_inversion(self, seed):
+        # below 30 every draw must consume the same uniforms as plain
+        # inversion by sequential search, so such runs replay unchanged
+        rates = [0.05, 0.4, 1.0, 2.5, 7.0, 12.5, 20.0, 29.0, 29.999]
+        ours = RandomStream(seed).split("replay")
+        ref = RandomStream(seed).split("replay")
+        for lam in rates:
+            for _ in range(200):
+                assert sample_poisson(lam, ours) == _reference_inversion(lam, ref)
+
+
+def _reference_inversion(lam: float, rng: RandomStream) -> int:
+    """Inversion by sequential search, as the sampler has always done below 30."""
+    u = rng.random()
+    p = math.exp(-lam)
+    cdf = p
+    k = 0
+    limit = int(lam + 40.0 * math.sqrt(lam) + 100.0)
+    while u > cdf and k < limit:
+        k += 1
+        p *= lam / k
+        cdf += p
+    return k
 
 
 class TestRefineDelta:

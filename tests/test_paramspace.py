@@ -28,6 +28,7 @@ from strategy_tuner import (
     render_cli_args,
     serialize_configuration,
 )
+from strategy_tuner.distributions import LAMBDA_CAP
 from strategy_tuner.paramspace import (
     BoolChoice,
     Catalog,
@@ -261,6 +262,18 @@ class TestCatalogOverrides:
     def test_wrong_width_labels_rejected(self, catalog):
         with pytest.raises(ConfigParseError):
             apply_catalog_overrides(catalog, "domains.labels = a,b\n")
+
+    @pytest.mark.parametrize("raw", ["inf", "nan", "1e6"])
+    def test_unusable_lambda_rejected_with_line(self, catalog, raw):
+        # inf would hang the first sample, and a rate above the cap sits
+        # above anything refinement allows
+        with pytest.raises(ConfigParseError) as info:
+            apply_catalog_overrides(catalog, f"slevel.base = 5\nslevel.lambda = {raw}\n")
+        assert info.value.line == 2
+
+    def test_lambda_at_cap_accepted(self, catalog):
+        overridden = apply_catalog_overrides(catalog, "slevel.lambda = 100000\n")
+        assert overridden.spec("slevel").initial.delta == Poisson(LAMBDA_CAP)
 
 
 @given(stx.integers(0, 2**31 - 1))
