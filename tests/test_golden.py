@@ -1,0 +1,80 @@
+"""Golden virtual-clock traces: a refactor must leave them byte-identical.
+
+Each scenario runs ``tune`` on the synthetic backend (virtual clock) and
+writes every record through ``trace.write_record``, exactly as
+``strategy-tuner tune`` writes ``trace.ndjson``. The test compares the
+result byte for byte with a file under ``tests/data/golden/``.
+
+* ``convergence``: ``samples/convergence.profile``, seed 9, 4 samples,
+  4 workers, 20 iterations, budget 1e9 (every analysis completes).
+* ``mixed``: ``tests/data/golden/mixed.profile`` (integer, boolean and
+  bit-vector requirements, a twist, two incompressible alarms), seed 4,
+  6 samples, 2 workers, 12 iterations, budget 1500, under which some
+  analyses time out.
+
+Regenerate both files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Regenerating is allowed only in a change that means to alter the trace
+(different draws, refinement results, outcomes or trace format), and
+that change says so in CHANGES.md. A change that claims to preserve
+behaviour must pass this test with the files as they are.
+"""
+
+from __future__ import annotations
+
+import io
+from pathlib import Path
+
+import pytest
+
+from strategy_tuner.analyzers import SyntheticAnalyzer, parse_profile
+from strategy_tuner.orchestrator import TunerSettings, tune
+from strategy_tuner.paramspace import default_catalog
+from strategy_tuner.trace import write_record
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+
+SCENARIOS = {
+    "convergence": (
+        ROOT / "samples" / "convergence.profile",
+        dict(time_budget=1e9, num_sample=4, num_process=4, seed=9, max_iterations=20),
+    ),
+    "mixed": (
+        GOLDEN / "mixed.profile",
+        dict(time_budget=1500.0, num_sample=6, num_process=2, seed=4, max_iterations=12),
+    ),
+}
+
+
+def render_trace(name: str) -> str:
+    profile_path, settings = SCENARIOS[name]
+    catalog = default_catalog()
+    profile = parse_profile(profile_path.read_text(encoding="utf-8"), catalog)
+    stream = io.StringIO()
+    tune(
+        "synthetic",
+        catalog,
+        TunerSettings(**settings),
+        SyntheticAnalyzer(profile),
+        on_record=lambda record: write_record(stream, record),
+    )
+    return stream.getvalue()
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN / f"{name}.ndjson"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_matches_golden(name):
+    expected = golden_path(name).read_bytes()
+    assert render_trace(name).encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    for scenario in sorted(SCENARIOS):
+        golden_path(scenario).write_bytes(render_trace(scenario).encode("utf-8"))
+        print(f"wrote {golden_path(scenario)}")
