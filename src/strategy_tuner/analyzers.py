@@ -14,12 +14,23 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Union
+from typing import Callable, Mapping, Protocol, Union
 
 from .errors import ConfigParseError, ProfileError
 from .keytree import parse_keytree
-from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, leq, parse_value
-from .paramspace import Catalog, Configuration, config_dominates, config_join
+from .lattice import (
+    BitsVal,
+    BoolVal,
+    IntVal,
+    LatticeValue,
+    OrderKey,
+    key_leq,
+    kind_of,
+    leq,
+    order_key,
+    parse_value,
+)
+from .paramspace import Catalog, Configuration, config_join
 
 
 @dataclass(frozen=True)
@@ -86,12 +97,36 @@ class Twist:
     threshold: LatticeValue
 
 
+#: One requirement entry above bottom: parameter, order key of the
+#: required value, and the order on keys of its kind.
+_Need = tuple[str, OrderKey, Callable[[OrderKey, OrderKey], bool]]
+
+
 @dataclass(frozen=True)
 class SyntheticProfile:
     catalog: Catalog
     alarms: tuple[SyntheticAlarm, ...]
     cost: CostModel = CostModel()
     twists: tuple[Twist, ...] = ()
+    #: The alarm rule compiled once: per alarm, its requirement entries
+    #: above bottom (a bottom entry always holds), or None when the alarm
+    #: is incompressible.
+    rule: tuple[tuple[str, tuple[_Need, ...] | None], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        rule = tuple(
+            (alarm.alarm_id, None if alarm.requirement is None else _needs(alarm.requirement))
+            for alarm in self.alarms
+        )
+        object.__setattr__(self, "rule", rule)
+
+
+def _needs(requirement: Configuration) -> tuple[_Need, ...]:
+    keys = ((name, value, order_key(value)) for name, value in requirement.entries)
+    # bottom is the only value with key 0, in every kind
+    return tuple((name, key, key_leq(kind_of(value))) for name, value, key in keys if key)
 
 
 def precision_contribution(value: LatticeValue) -> float:
@@ -105,26 +140,35 @@ def precision_contribution(value: LatticeValue) -> float:
 
 
 def simulated_cost(profile: SyntheticProfile, config: Configuration) -> float:
+    values = config.as_dict()
     cost = profile.cost.base_cost
     for name, weight in profile.cost.weights.items():
-        cost += weight * precision_contribution(config[name])
+        cost += weight * precision_contribution(values[name])
     return cost
 
 
 def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozenset[str]:
-    """Alarm set reported for a configuration (pure function)."""
+    """Alarm set reported for a configuration (pure function).
+
+    An alarm is suppressed when the configuration dominates its
+    requirement, unless a twist on it fires.
+    """
+    values = config.as_dict()
+    keys = {name: order_key(value) for name, value in values.items()}
     poisoned = {
         twist.alarm_id
         for twist in profile.twists
-        if leq(twist.threshold, config[twist.param])
+        if leq(twist.threshold, values[twist.param])
     }
     produced = set()
-    for alarm in profile.alarms:
-        suppressed = alarm.requirement is not None and config_dominates(
-            config, alarm.requirement
-        )
-        if not suppressed or alarm.alarm_id in poisoned:
-            produced.add(alarm.alarm_id)
+    for alarm_id, needs in profile.rule:
+        if needs is not None and alarm_id not in poisoned:
+            for name, need, holds in needs:
+                if not holds(need, keys[name]):
+                    break
+            else:
+                continue
+        produced.add(alarm_id)
     return frozenset(produced)
 
 

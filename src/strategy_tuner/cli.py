@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import shlex
 import shutil
@@ -30,7 +31,7 @@ from .analyzers import (
     parse_profile,
 )
 from .dominancy import report_table, report_to_json, run_dominancy
-from .errors import ConfigParseError, TunerError
+from .errors import ConfigParseError, InvalidSettingsError, TunerError
 from .keytree import parse_keytree
 from .orchestrator import TunerSettings, tune
 from .paramspace import (
@@ -78,28 +79,51 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigParseError(f"cannot read {what} {path!r}: {exc}")
 
 
+def _read_key(tree, key: str, cast, default):
+    """The file's value for ``key`` through ``cast``; a ValueError names its line."""
+    raw = tree.get(key)
+    if raw is None:
+        return default
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigParseError(f"bad value for {key!r}: {raw!r}", line=tree.line_of(key))
+
+
+def _seconds(raw: str) -> float:
+    """A finite number of seconds, at least 0."""
+    value = float(raw)
+    if not (0.0 <= value < math.inf):
+        raise ValueError(raw)
+    return value
+
+
 def _load_settings(tree, args) -> TunerSettings:
+    from_file: set[str] = set()
+
     def pick(flag_value, key: str, cast, default):
         if flag_value is not None:
             return flag_value
-        raw = tree.get(key)
-        if raw is None:
-            return default
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigParseError(f"bad value for {key!r}: {raw!r}", line=tree.line_of(key))
+        if tree.get(key) is not None:
+            from_file.add(key)
+        return _read_key(tree, key, cast, default)
 
     max_iter = pick(getattr(args, "max_iterations", None), "tuner.max_iterations", int, None)
-    return TunerSettings(
-        time_budget=pick(args.budget, "tuner.time_budget", float, 3600.0),
-        num_sample=pick(args.samples, "tuner.num_sample", int, 4),
-        num_process=pick(args.processes, "tuner.num_process", int, 1),
-        seed=pick(args.seed, "tuner.seed", int, 0),
-        iteration_fraction=pick(None, "tuner.iteration_fraction", float, 0.5),
-        max_iterations=max_iter,
-        min_slice=pick(None, "tuner.min_slice", float, 1.0),
-    )
+    try:
+        return TunerSettings(
+            time_budget=pick(args.budget, "tuner.time_budget", float, 3600.0),
+            num_sample=pick(args.samples, "tuner.num_sample", int, 4),
+            num_process=pick(args.processes, "tuner.num_process", int, 1),
+            seed=pick(args.seed, "tuner.seed", int, 0),
+            iteration_fraction=pick(None, "tuner.iteration_fraction", float, 0.5),
+            max_iterations=max_iter,
+            min_slice=pick(None, "tuner.min_slice", float, 1.0),
+        )
+    except InvalidSettingsError as exc:
+        key = f"tuner.{exc.field}"
+        if key in from_file:
+            raise ConfigParseError(str(exc), line=tree.line_of(key)) from None
+        raise
 
 
 def load_run_config(args) -> RunConfig:
@@ -135,7 +159,7 @@ def load_run_config(args) -> RunConfig:
             pattern=pattern,
             join=tree.get("adapter.join", ":") or ":",
             env_passthrough=tuple(v for v in (env_raw or "").split(",") if v),
-            grace=float(tree.get("adapter.grace", "2") or 2),
+            grace=_read_key(tree, "adapter.grace", _seconds, 2.0),
         )
 
     out = getattr(args, "out", None) or tree.get("out") or "tuner-out"

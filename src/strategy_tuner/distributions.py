@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Union
 
 from .errors import InvalidSettingsError
@@ -226,6 +227,18 @@ class ResultMatrix:
     def num_alarms(self) -> int:
         return len(self.alarms)
 
+    @cached_property
+    def eliminator_sets(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct nonempty sets of rows that eliminated some alarm.
+
+        Each set holds the indices of the rows that did not produce one
+        alarm column; columns with the same set appear once, in order of
+        first appearance.
+        """
+        columns = dict.fromkeys(zip(*(row.produced for row in self.rows)))
+        sets = (tuple(i for i, produced in enumerate(col) if not produced) for col in columns)
+        return tuple(rows for rows in sets if rows)
+
 
 def refine_base(
     matrix: ResultMatrix, param: str, current_base: LatticeValue
@@ -235,22 +248,21 @@ def refine_base(
     For each alarm column, take the meet of the sampled values across all
     rows that did NOT produce the alarm (the least precise setting that
     still eliminated it); join every such meet into the base. Columns
-    where no row eliminated the alarm contribute nothing. The result
-    always dominates ``current_base``; with no completed rows it is
-    returned unchanged.
+    where no row eliminated the alarm contribute nothing, nor does a meet
+    equal to top. Columns sharing their set of eliminating rows share
+    their meet, so it is taken once per distinct set. The result always
+    dominates ``current_base``; with no completed rows it is returned
+    unchanged.
     """
     values = matrix.values_per_param.get(param, ())
     if len(values) != matrix.num_rows:
         raise ValueError(f"no value vector for parameter {param!r}")
     top_elem = top(kind_of(current_base))
     acc = current_base
-    for j in range(matrix.num_alarms):
-        tmp = top_elem
-        for i, row in enumerate(matrix.rows):
-            if not row.produced[j]:
-                tmp = meet(tmp, values[i])
-        if tmp != top_elem:
-            acc = join(acc, tmp)
+    for rows in matrix.eliminator_sets:
+        lowest = reduce(meet, (values[i] for i in rows))
+        if lowest != top_elem:
+            acc = join(acc, lowest)
     return acc
 
 

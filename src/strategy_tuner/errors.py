@@ -32,7 +32,14 @@ class ConfigParseError(TunerError):
 
 
 class InvalidSettingsError(TunerError):
-    """Tuner settings fail validation before any analysis starts."""
+    """Tuner settings fail validation before any analysis starts.
+
+    ``field`` names the rejected setting when there is one.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class RenderError(TunerError):

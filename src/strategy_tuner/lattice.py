@@ -11,12 +11,18 @@ Three variants, each a complete lattice:
 All values are immutable and freely shareable between threads. Binary
 operations require both operands to be the same variant (and width);
 anything else raises :class:`LatticeMismatchError`.
+
+:func:`order_key` encodes a value as a number on which the order is one
+machine comparison (see :func:`key_leq`), for code that compares many
+values against the same few.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .errors import LatticeMismatchError
 
@@ -136,21 +142,41 @@ def _require_compatible(a: LatticeValue, b: LatticeValue) -> None:
         raise LatticeMismatchError(f"bit vector widths differ: {a.width} vs {b.width}")
 
 
+OrderKey = Union[int, float]
+
+
+def order_key(value: LatticeValue) -> OrderKey:
+    """Encode a value so that its order is a plain comparison of keys.
+
+    An integer maps to itself and INFINITY to ``math.inf``; a boolean
+    maps to 0 or 1; a bit vector maps to an int mask with bit i set when
+    entry i is true. Keys of the same kind compare with :func:`key_leq`,
+    and bottom is the only value of its kind whose key is 0.
+    """
+    if isinstance(value, IntVal):
+        return math.inf if value.is_infinite else value.value  # type: ignore[return-value]
+    if isinstance(value, BoolVal):
+        return int(value.value)
+    if isinstance(value, BitsVal):
+        return sum(1 << i for i, bit in enumerate(value.bits) if bit)
+    raise TypeError(f"not a lattice value: {value!r}")
+
+
+def _mask_leq(a: int, b: int) -> bool:
+    return a & ~b == 0
+
+
+def key_leq(kind: Kind) -> Callable[[OrderKey, OrderKey], bool]:
+    """The order on the keys of one kind: ``<=``, or mask inclusion for bit vectors."""
+    return _mask_leq if isinstance(kind, BitsKind) else operator.le  # type: ignore[return-value]
+
+
 def leq(a: LatticeValue, b: LatticeValue) -> bool:
     """Partial order: integer <=, implication, pointwise implication."""
     _require_compatible(a, b)
-    if isinstance(a, IntVal):
-        assert isinstance(b, IntVal)
-        if b.is_infinite:
-            return True
-        if a.is_infinite:
-            return False
-        return a.value <= b.value  # type: ignore[operator]
-    if isinstance(a, BoolVal):
-        assert isinstance(b, BoolVal)
-        return (not a.value) or b.value
-    assert isinstance(a, BitsVal) and isinstance(b, BitsVal)
-    return all((not x) or y for x, y in zip(a.bits, b.bits))
+    if isinstance(a, BitsVal):
+        return _mask_leq(order_key(a), order_key(b))  # type: ignore[arg-type]
+    return order_key(a) <= order_key(b)
 
 
 def join(a: LatticeValue, b: LatticeValue) -> LatticeValue:

@@ -54,22 +54,23 @@ class TunerSettings:
     min_slice: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.time_budget > 0):
-            raise InvalidSettingsError(f"time_budget must be positive, got {self.time_budget!r}")
-        if self.num_sample < 1:
-            raise InvalidSettingsError(f"num_sample must be positive, got {self.num_sample!r}")
-        if self.num_process < 1:
-            raise InvalidSettingsError(f"num_process must be positive, got {self.num_process!r}")
-        if not (0.0 < self.iteration_fraction <= 1.0):
-            raise InvalidSettingsError(
-                f"iteration_fraction must lie in (0, 1], got {self.iteration_fraction!r}"
-            )
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise InvalidSettingsError(
-                f"max_iterations must be nonnegative, got {self.max_iterations!r}"
-            )
-        if not (self.min_slice > 0):
-            raise InvalidSettingsError(f"min_slice must be positive, got {self.min_slice!r}")
+        checks = (
+            ("time_budget", 0 < self.time_budget < math.inf, "positive and finite"),
+            ("num_sample", self.num_sample >= 1, "positive"),
+            ("num_process", self.num_process >= 1, "positive"),
+            ("iteration_fraction", 0.0 < self.iteration_fraction <= 1.0, "in (0, 1]"),
+            (
+                "max_iterations",
+                self.max_iterations is None or self.max_iterations >= 0,
+                "nonnegative",
+            ),
+            ("min_slice", 0 < self.min_slice < math.inf, "positive and finite"),
+        )
+        for name, ok, requirement in checks:
+            if not ok:
+                raise InvalidSettingsError(
+                    f"{name} must be {requirement}, got {getattr(self, name)!r}", field=name
+                )
 
 
 @dataclass(frozen=True)

@@ -360,6 +360,9 @@ def _override_field(spec: ParamSpec, field: str, raw: str) -> ParamSpec:
         return dc_replace(spec, render=dc_replace(rule, labels=labels))
     if field == "base":
         base = parse_value(spec.kind, raw)
+        if isinstance(base, IntVal) and base.is_infinite:
+            # every sample would be infinite, which no analyzer can run
+            raise ValueError(f"{spec.name!r} base must be finite, got {raw}")
         return dc_replace(spec, initial=ParamDistribution(base, spec.initial.delta))
     if field == "lambda":
         if not isinstance(spec.initial.delta, Poisson):

@@ -24,6 +24,7 @@ from strategy_tuner import (
     TimedOut,
     Twist,
     config_dominates,
+    leq,
     parse_profile,
     synthetic_oracle_least_config,
 )
@@ -154,6 +155,71 @@ class TestMonotonicity:
         assert config_dominates(poisoned, ok)
         assert synthetic_alarms(profile, ok) == frozenset()
         assert synthetic_alarms(profile, poisoned) == frozenset({"a"})
+
+
+def _random_value(kind, rng: random.Random):
+    """Any value of a kind, bottom and INFINITY included."""
+    name = kind.__class__.__name__
+    if name == "IntKind":
+        return IntVal(rng.choice((0, INFINITY, rng.randint(0, 12))))
+    if name == "BoolKind":
+        return BoolVal(rng.random() < 0.5)
+    return BitsVal(tuple(rng.random() < 0.5 for _ in range(kind.width)))
+
+
+def _plain_alarms(profile, config):
+    """The alarm rule restated on whole requirements, without compilation."""
+    poisoned = {
+        twist.alarm_id
+        for twist in profile.twists
+        if leq(twist.threshold, config[twist.param])
+    }
+    return frozenset(
+        alarm.alarm_id
+        for alarm in profile.alarms
+        if alarm.requirement is None
+        or not config_dominates(config, alarm.requirement)
+        or alarm.alarm_id in poisoned
+    )
+
+
+class TestCompiledRule:
+    def test_matches_plain_rule(self, catalog):
+        rng = random.Random(90210)
+        specs = list(catalog)
+        for _ in range(60):
+            alarms = []
+            for i in range(rng.randint(0, 12)):
+                if rng.random() < 0.2:
+                    alarms.append(SyntheticAlarm(f"a{i}", None))
+                    continue
+                needed = rng.sample(specs, rng.randint(0, 4))
+                values = {spec.name: _random_value(spec.kind, rng) for spec in needed}
+                alarms.append(
+                    SyntheticAlarm(f"a{i}", catalog.configuration(values, fill_bottom=True))
+                )
+            twists = tuple(
+                Twist(alarm.alarm_id, spec.name, _random_value(spec.kind, rng))
+                for alarm in alarms
+                if rng.random() < 0.3
+                for spec in [rng.choice(specs)]
+            )
+            profile = SyntheticProfile(catalog=catalog, alarms=tuple(alarms), twists=twists)
+            for _ in range(20):
+                config = catalog.configuration(
+                    {spec.name: _random_value(spec.kind, rng) for spec in specs}
+                )
+                assert synthetic_alarms(profile, config) == _plain_alarms(profile, config)
+
+    def test_bottom_requirements_are_dropped(self, catalog):
+        requirement = catalog.configuration({"slevel": IntVal(3)}, fill_bottom=True)
+        profile = SyntheticProfile(
+            catalog=catalog,
+            alarms=(SyntheticAlarm("a", requirement), SyntheticAlarm("stuck", None)),
+        )
+        (_, needs), (_, stuck) = profile.rule
+        assert [name for name, _, _ in needs] == ["slevel"]
+        assert stuck is None
 
 
 class TestOracle:

@@ -147,6 +147,48 @@ class TestTune:
         assert outs[0] == outs[1]
 
 
+class TestRejectedValues:
+    """Unusable values stop ``tune`` with exit 2 before any analysis runs."""
+
+    def _tune_config(self, tmp_path, text: str) -> int:
+        conf = tmp_path / "run.conf"
+        conf.write_text(text, encoding="utf-8")
+        return run_cli("tune", "--config", str(conf), "--out", str(tmp_path / "out"))
+
+    def test_infinite_catalog_base(self, tmp_path, capsys):
+        overrides = tmp_path / "catalog.txt"
+        overrides.write_text("slevel.lambda = 7\nslevel.base = inf\n", encoding="utf-8")
+        text = f"profile = {PROFILE}\ncatalog = {overrides}\ntuner.max_iterations = 3\n"
+        assert self._tune_config(tmp_path, text) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "recommended.conf").exists()
+
+    def test_infinite_budget_flag(self, tmp_path, capsys):
+        status = run_cli(
+            "tune", "--profile", str(PROFILE), "--budget", "inf", "--out", str(tmp_path)
+        )
+        assert status == 2
+        assert "time_budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["tuner.time_budget", "tuner.min_slice"])
+    def test_infinite_settings_key(self, tmp_path, capsys, key):
+        text = f"profile = {PROFILE}\ntuner.max_iterations = 2\n{key} = inf\n"
+        assert self._tune_config(tmp_path, text) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["soon", "-1", "inf", "nan"])
+    def test_bad_adapter_grace(self, tmp_path, capsys, raw):
+        text = (
+            "program = x.c\n"
+            "adapter.command = true {args} {program}\n"
+            "adapter.pattern = warn:(.*)\n"
+            f"adapter.grace = {raw}\n"
+        )
+        assert self._tune_config(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and "adapter.grace" in err
+
+
 class TestDominancy:
     def _write_baselines(self, tmp_path):
         catalog = default_catalog()

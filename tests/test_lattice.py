@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as stx
@@ -23,7 +25,7 @@ from strategy_tuner import (
     parse_value,
     top,
 )
-from strategy_tuner.lattice import kind_of, saturating_add
+from strategy_tuner.lattice import key_leq, kind_of, order_key, saturating_add
 
 ints = stx.integers(0, 1000).map(IntVal) | stx.just(IntVal(INFINITY))
 bools = stx.booleans().map(BoolVal)
@@ -143,6 +145,7 @@ class TestLatticeLaws:
         a, b, _ = triple
         assert leq(a, b) == (join(a, b) == b)
         assert leq(a, b) == (meet(a, b) == a)
+        assert leq(a, b) == key_leq(kind_of(a))(order_key(a), order_key(b))
 
     @given(same_variant_triples)
     def test_bounds(self, triple):
@@ -150,6 +153,26 @@ class TestLatticeLaws:
         kind = kind_of(a)
         assert leq(bottom(kind), a)
         assert leq(a, top(kind))
+
+
+class TestOrderKeys:
+    def test_encodings(self):
+        assert order_key(IntVal(104)) == 104
+        assert order_key(IntVal(INFINITY)) == math.inf
+        assert (order_key(BoolVal(False)), order_key(BoolVal(True))) == (0, 1)
+        # entry i sets bit i: 01100 has entries 1 and 2
+        assert order_key(BitsVal.from_string("01100")) == 0b00110
+
+    @given(same_variant_triples)
+    def test_only_bottom_has_key_zero(self, triple):
+        a, _, _ = triple
+        assert (order_key(a) == 0) == (a == bottom(kind_of(a)))
+
+    def test_masks_are_not_compared_as_numbers(self):
+        # 10000 -> 1 and 01000 -> 2: incomparable, though 1 <= 2
+        a, b = BitsVal.from_string("10000"), BitsVal.from_string("01000")
+        assert not key_leq(BitsKind(5))(order_key(a), order_key(b))
+        assert not leq(a, b)
 
 
 class TestProductStructure:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -103,11 +104,19 @@ class TestSettingsValidation:
             {"time_budget": 60.0, "iteration_fraction": 1.5},
             {"time_budget": 60.0, "min_slice": 0.0},
             {"time_budget": 60.0, "max_iterations": -1},
+            {"time_budget": math.inf},
+            {"time_budget": math.nan},
+            {"time_budget": 60.0, "min_slice": math.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(InvalidSettingsError):
             TunerSettings(**kwargs)
+
+    def test_rejection_names_the_field(self):
+        with pytest.raises(InvalidSettingsError) as info:
+            TunerSettings(time_budget=60.0, min_slice=math.inf)
+        assert info.value.field == "min_slice"
 
 
 class ConcurrencyProbe:

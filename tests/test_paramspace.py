@@ -271,6 +271,12 @@ class TestCatalogOverrides:
             apply_catalog_overrides(catalog, f"slevel.base = 5\nslevel.lambda = {raw}\n")
         assert info.value.line == 2
 
+    def test_infinite_int_base_rejected_with_line(self, catalog):
+        # every sample would be infinite, and recommended.conf unreadable
+        with pytest.raises(ConfigParseError) as info:
+            apply_catalog_overrides(catalog, "slevel.lambda = 7\nslevel.base = inf\n")
+        assert info.value.line == 2
+
     def test_lambda_at_cap_accepted(self, catalog):
         overridden = apply_catalog_overrides(catalog, "slevel.lambda = 100000\n")
         assert overridden.spec("slevel").initial.delta == Poisson(LAMBDA_CAP)

@@ -82,6 +82,20 @@ class TestWorkedExample:
             )
 
 
+class TestEliminatorSets:
+    def test_worked_example(self):
+        # alarm-4 is produced everywhere, so it has no eliminating rows
+        assert slevel_worked_matrix().eliminator_sets == ((0, 1, 2, 3, 4), (0, 1, 2, 3), (2, 3))
+
+    def test_shared_sets_appear_once(self):
+        matrix = ResultMatrix(
+            alarms=("a", "b", "c"),
+            rows=(MatrixRow(0, (False, True, False)), MatrixRow(1, (True, True, True))),
+            values_per_param={"p": (IntVal(3), IntVal(7))},
+        )
+        assert matrix.eliminator_sets == ((0,),)
+
+
 class TestEdgeCases:
     def test_all_alarms_produced_everywhere(self):
         matrix = ResultMatrix(
