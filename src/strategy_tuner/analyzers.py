@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Callable, Mapping, Protocol, Union
 
 from .errors import ConfigParseError, ProfileError
@@ -26,7 +30,6 @@ from .lattice import (
     OrderKey,
     key_leq,
     kind_of,
-    leq,
     order_key,
     parse_value,
 )
@@ -97,9 +100,106 @@ class Twist:
     threshold: LatticeValue
 
 
-#: One requirement entry above bottom: parameter, order key of the
-#: required value, and the order on keys of its kind.
-_Need = tuple[str, OrderKey, Callable[[OrderKey, OrderKey], bool]]
+#: Maps the digits of a binary numeral to the bytes 0 and 1.
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+@dataclass(frozen=True)
+class ThresholdGate:
+    """The alarms an integer or boolean parameter lets through.
+
+    ``keys`` holds the distinct required keys above bottom in ascending
+    order. ``released[i]`` is the mask of the alarms the parameter no
+    longer holds back once its key reaches ``keys[i - 1]``; ``released[0]``
+    holds the alarms that need nothing of it.
+    """
+
+    param: str
+    keys: tuple[OrderKey, ...]
+    released: tuple[int, ...]
+
+    def passes(self, key: OrderKey) -> int:
+        return self.released[bisect_right(self.keys, key)]
+
+
+@dataclass(frozen=True)
+class MaskGate:
+    """The alarms a bit-vector parameter lets through.
+
+    ``groups`` pairs each required mask above bottom with the alarms that
+    require it; ``free`` holds the alarms that need nothing of the
+    parameter.
+    """
+
+    param: str
+    free: int
+    groups: tuple[tuple[int, int], ...]
+
+    def passes(self, key: int) -> int:
+        passed = self.free
+        for need, alarms in self.groups:
+            if need & ~key == 0:
+                passed |= alarms
+        return passed
+
+
+@dataclass(frozen=True)
+class AlarmGates:
+    """The alarm rule compiled into bitmasks; bit i stands for alarm i.
+
+    An alarm is eliminated when it is compressible and every gate passes
+    it, unless a twist on it fires. A bottom requirement constrains
+    nothing, so it adds to no gate.
+    """
+
+    #: Alarm ids, last alarm first: the digit order of a binary numeral.
+    ids: tuple[str, ...]
+    compressible: int
+    #: One gate per parameter that some alarm needs above bottom.
+    params: tuple[ThresholdGate | MaskGate, ...]
+    #: Per twist: parameter, threshold key, the order on keys of its
+    #: kind, and the alarms it poisons.
+    twists: tuple[tuple[str, OrderKey, Callable[[OrderKey, OrderKey], bool], int], ...]
+
+    @classmethod
+    def compile(cls, alarms: tuple[SyntheticAlarm, ...], twists: tuple[Twist, ...]) -> AlarmGates:
+        held: dict[str, dict[OrderKey, int]] = {}  # parameter -> required key -> alarms
+        mask_params: set[str] = set()
+        compressible = 0
+        for bit, alarm in enumerate(alarms):
+            if alarm.requirement is None:
+                continue
+            compressible |= 1 << bit
+            for name, value in alarm.requirement.entries:
+                key = order_key(value)
+                if key:  # bottom is the only key 0
+                    by_key = held.setdefault(name, {})
+                    by_key[key] = by_key.get(key, 0) | 1 << bit
+                    if isinstance(value, BitsVal):
+                        mask_params.add(name)
+        every = (1 << len(alarms)) - 1
+        gates: list[ThresholdGate | MaskGate] = []
+        for name, by_key in held.items():
+            free = every & ~reduce(or_, by_key.values())
+            if name in mask_params:
+                gates.append(MaskGate(name, free, tuple(by_key.items())))
+                continue
+            keys = sorted(by_key)
+            released = [free]
+            for key in keys:
+                released.append(released[-1] | by_key[key])
+            gates.append(ThresholdGate(name, tuple(keys), tuple(released)))
+        compiled_twists = tuple(
+            (
+                twist.param,
+                order_key(twist.threshold),
+                key_leq(kind_of(twist.threshold)),
+                sum(1 << bit for bit, a in enumerate(alarms) if a.alarm_id == twist.alarm_id),
+            )
+            for twist in twists
+        )
+        ids = tuple(alarm.alarm_id for alarm in reversed(alarms))
+        return cls(ids, compressible, tuple(gates), compiled_twists)
 
 
 @dataclass(frozen=True)
@@ -108,25 +208,11 @@ class SyntheticProfile:
     alarms: tuple[SyntheticAlarm, ...]
     cost: CostModel = CostModel()
     twists: tuple[Twist, ...] = ()
-    #: The alarm rule compiled once: per alarm, its requirement entries
-    #: above bottom (a bottom entry always holds), or None when the alarm
-    #: is incompressible.
-    rule: tuple[tuple[str, tuple[_Need, ...] | None], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    #: The alarm rule, compiled once.
+    gates: AlarmGates = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        rule = tuple(
-            (alarm.alarm_id, None if alarm.requirement is None else _needs(alarm.requirement))
-            for alarm in self.alarms
-        )
-        object.__setattr__(self, "rule", rule)
-
-
-def _needs(requirement: Configuration) -> tuple[_Need, ...]:
-    keys = ((name, value, order_key(value)) for name, value in requirement.entries)
-    # bottom is the only value with key 0, in every kind
-    return tuple((name, key, key_leq(kind_of(value))) for name, value, key in keys if key)
+        object.__setattr__(self, "gates", AlarmGates.compile(self.alarms, self.twists))
 
 
 def precision_contribution(value: LatticeValue) -> float:
@@ -153,23 +239,21 @@ def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozen
     An alarm is suppressed when the configuration dominates its
     requirement, unless a twist on it fires.
     """
-    values = config.as_dict()
-    keys = {name: order_key(value) for name, value in values.items()}
-    poisoned = {
-        twist.alarm_id
-        for twist in profile.twists
-        if leq(twist.threshold, values[twist.param])
-    }
-    produced = set()
-    for alarm_id, needs in profile.rule:
-        if needs is not None and alarm_id not in poisoned:
-            for name, need, holds in needs:
-                if not holds(need, keys[name]):
-                    break
-            else:
-                continue
-        produced.add(alarm_id)
-    return frozenset(produced)
+    gates = profile.gates
+    keys = {name: order_key(value) for name, value in config.entries}
+    eliminated = gates.compressible
+    for gate in gates.params:
+        eliminated &= gate.passes(keys[gate.param])
+    for name, threshold, holds, alarms in gates.twists:
+        if holds(threshold, keys[name]):
+            eliminated &= ~alarms
+    ids = gates.ids
+    produced = eliminated ^ ((1 << len(ids)) - 1)
+    # One 0/1 byte per alarm, last alarm first, to select the ids. A set
+    # copied into a frozenset gets a smaller table than one grown from an
+    # iterator.
+    selectors = format(produced, f"0{len(ids)}b").encode().translate(_BINARY_DIGITS)
+    return frozenset(set(compress(ids, selectors)))
 
 
 class SyntheticAnalyzer:

@@ -11,11 +11,11 @@ baseline gap; the argmax is the dominant parameter.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed
+from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed
 from .errors import BaselinesDoNotSeparateError, TunerError
+from .orchestrator import run_batch
 from .paramspace import Catalog, Configuration
 
 
@@ -110,21 +110,16 @@ def run_dominancy(
     from the dominance ranking; failed baselines abort the run.
     """
 
-    def run_one(config: Configuration) -> AnalysisOutcome:
-        task = AnalysisTask(program_ref=program_ref, config=config, timeout=timeout)
-        try:
-            return analyzer.run(task)
-        except Exception as exc:
-            return Crashed(exit_info=f"analyzer raised {exc!r}")
+    def tasks(configs: list[Configuration]) -> list[AnalysisTask]:
+        return [AnalysisTask(program_ref=program_ref, config=c, timeout=timeout) for c in configs]
 
-    low_outcome = run_one(low_config)
-    high_outcome = run_one(high_config)
+    workers = max(1, num_process)
+    low_outcome, high_outcome = run_batch(analyzer, tasks([low_config, high_config]), workers)
     alarms_low = _alarm_count(low_outcome)
     alarms_high = _alarm_count(high_outcome)
     if alarms_low is None or alarms_high is None:
         raise TunerError("baseline analysis did not complete within the timeout")
-    d = alarms_low - alarms_high
-    if d <= 0:
+    if alarms_low <= alarms_high:
         raise BaselinesDoNotSeparateError(
             f"baselines do not separate: low={alarms_low}, high={alarms_high}"
         )
@@ -133,8 +128,7 @@ def run_dominancy(
         _controlled_configs(catalog, low_config, high_config, spec.name) for spec in catalog
     ]
     jobs = [config for selected, excluded in swaps for config in (selected, excluded)]
-    with ThreadPoolExecutor(max_workers=max(1, num_process)) as pool:
-        outcomes = list(pool.map(run_one, jobs))
+    outcomes = run_batch(analyzer, tasks(jobs), workers)
 
     pairs: list[ControlledPair] = []
     scores: list[ParamScore] = []
@@ -148,9 +142,8 @@ def run_dominancy(
             continue
         a = alarms_low - n_selected
         b = n_excluded - alarms_high
-        scores.append(
-            ParamScore(spec.name, n_selected, n_excluded, a, b, (0.5 * a + 0.5 * b) / d)
-        )
+        score = influence_score(alarms_low, alarms_high, n_selected, n_excluded)
+        scores.append(ParamScore(spec.name, n_selected, n_excluded, a, b, score))
 
     dominant: str | None = None
     best: float | None = None

@@ -162,18 +162,26 @@ def _sample_configuration(
     return Configuration(tuple(entries))
 
 
-def _dispatch(state: TunerState, tasks: list[AnalysisTask]) -> list[AnalysisOutcome]:
+def run_batch(
+    analyzer: Analyzer, tasks: list[AnalysisTask], workers: int
+) -> list[AnalysisOutcome]:
+    """Run the tasks on at most ``workers`` threads; outcomes in task order.
+
+    An analyzer that raises yields a ``Crashed`` outcome. Tasks of a
+    virtual-clock analyzer spend no real time and run one after another
+    on the calling thread.
+    """
+
     def guarded(task: AnalysisTask) -> AnalysisOutcome:
         try:
-            return state.analyzer.run(task)
+            return analyzer.run(task)
         except Exception as exc:  # a raising analyzer counts as a crash
             return Crashed(exit_info=f"analyzer raised {exc!r}")
 
-    if state.virtual_clock:
+    if getattr(analyzer, "virtual_clock", False):
         return [guarded(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=state.settings.num_process) as pool:
-        futures = [pool.submit(guarded, task) for task in tasks]
-        return [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(guarded, tasks))
 
 
 def _makespan(durations: list[float], workers: int) -> float:
@@ -211,7 +219,7 @@ def execute_iteration(state: TunerState, rng: RandomStream) -> IterationRecord:
         for c in configs
     ]
 
-    outcomes = _dispatch(state, tasks)
+    outcomes = run_batch(state.analyzer, tasks, settings.num_process)
     matrix = build_result_matrix(outcomes, configs)
     completed = matrix.num_rows
     eta_c = completed / settings.num_sample

@@ -1,27 +1,35 @@
 """Subprocess adapter for real analyzers.
 
 Runs a command template with the rendered configuration arguments,
-enforces the wall-clock deadline by killing the process group, and
-extracts alarm identifiers from captured output with a line-wise regular
-expression. Alarm identity is the join of the pattern's capture groups,
-so distinct report lines that normalize to the same key are deduplicated.
+reads its output and reaps it under the wall-clock deadline, kills the
+process group once the deadline passes, and extracts alarm identifiers
+from the output with a line-wise regular expression. Alarm identity is
+the join of the pattern's capture groups, so distinct report lines that
+normalize to the same key are deduplicated.
 """
 
 from __future__ import annotations
 
+import locale
 import logging
 import os
 import re
+import selectors
 import shlex
 import signal
 import subprocess
 import time
 from dataclasses import dataclass
+from typing import IO
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Completed, Crashed, TimedOut
 from .paramspace import Catalog, render_cli_args
 
 log = logging.getLogger(__name__)
+
+#: Longest single wait for output, in seconds; ``select`` rejects waits
+#: above 2**31 - 1 milliseconds, which a long deadline can exceed.
+_MAX_WAIT = 3600.0
 
 
 @dataclass(frozen=True)
@@ -70,30 +78,32 @@ class SubprocessAnalyzer:
         except Exception as exc:
             return Crashed(exit_info=f"cannot build command: {exc}")
         start = time.monotonic()
+        deadline = start + task.timeout
         try:
             proc = subprocess.Popen(
                 argv,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
-                text=True,
                 env=self._child_env(),
                 start_new_session=True,
             )
         except OSError as exc:
             return Crashed(exit_info=f"spawn failed: {exc}")
         try:
-            output, _ = proc.communicate(timeout=task.timeout)
-        except subprocess.TimeoutExpired:
-            self._kill_group(proc)
-            try:
-                proc.communicate(timeout=self.adapter.grace)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-            return TimedOut(wall_time=time.monotonic() - start)
+            output = _read_until(proc.stdout, deadline)
+            if output is None or not _reap(proc, deadline):
+                self._kill_group(proc)
+                try:
+                    proc.wait(timeout=self.adapter.grace)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                return TimedOut(wall_time=time.monotonic() - start)
+        finally:
+            proc.stdout.close()
         wall = time.monotonic() - start
         if proc.returncode != 0:
             return Crashed(exit_info=f"exit status {proc.returncode}")
-        alarms, anomalies = self.extract_alarms(output or "")
+        alarms, anomalies = self.extract_alarms(_decode(output))
         if anomalies:
             log.warning("%d output line(s) matched the alarm pattern incompletely", anomalies)
         return Completed(alarms=alarms, wall_time=wall)
@@ -120,3 +130,42 @@ class SubprocessAnalyzer:
             else:
                 alarms.add(self.adapter.join.join(groups))
         return frozenset(alarms), anomalies
+
+
+def _read_until(stream: IO[bytes], deadline: float) -> bytes | None:
+    """Everything ``stream`` yields up to end of file, or None at the deadline."""
+    chunks = []
+    fd = stream.fileno()
+    with selectors.DefaultSelector() as selector:
+        selector.register(fd, selectors.EVENT_READ)
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            if selector.select(min(remaining, _MAX_WAIT)):
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
+
+
+def _reap(proc: subprocess.Popen, deadline: float) -> bool:
+    """Wait for the child to exit by the deadline; False if it has not.
+
+    A child usually exits within microseconds of closing its output, so
+    the polls start 50 µs apart and back off to at most 50 ms.
+    """
+    delay = 50e-6
+    while proc.poll() is None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        time.sleep(min(delay, remaining))
+        delay = min(2 * delay, 0.05)
+    return True
+
+
+def _decode(output: bytes) -> str:
+    """Decode as ``subprocess`` text mode does: locale encoding, universal newlines."""
+    text = output.decode(locale.getpreferredencoding(False))
+    return text.replace("\r\n", "\n").replace("\r", "\n")

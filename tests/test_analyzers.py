@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 
@@ -29,6 +30,7 @@ from strategy_tuner import (
     synthetic_oracle_least_config,
 )
 from strategy_tuner.analyzers import precision_contribution, simulated_cost, synthetic_alarms
+from strategy_tuner.lattice import INT_CEILING, bottom, kind_of, top
 
 
 @pytest.fixture
@@ -167,6 +169,27 @@ def _random_value(kind, rng: random.Random):
     return BitsVal(tuple(rng.random() < 0.5 for _ in range(kind.width)))
 
 
+def _required_value(kind, rng: random.Random):
+    """A value above bottom, INFINITY included."""
+    value = _random_value(kind, rng)
+    while value == bottom(kind):
+        value = _random_value(kind, rng)
+    return value
+
+
+def _one_below(value):
+    """The values one step below a value above bottom."""
+    if isinstance(value, BoolVal):
+        return [BoolVal(False)]
+    if isinstance(value, BitsVal):
+        return [
+            BitsVal(tuple(b and j != i for j, b in enumerate(value.bits)))
+            for i, bit in enumerate(value.bits)
+            if bit
+        ]
+    return [IntVal(INT_CEILING if value.is_infinite else value.value - 1)]
+
+
 def _plain_alarms(profile, config):
     """The alarm rule restated on whole requirements, without compilation."""
     poisoned = {
@@ -212,14 +235,96 @@ class TestCompiledRule:
                 assert synthetic_alarms(profile, config) == _plain_alarms(profile, config)
 
     def test_bottom_requirements_are_dropped(self, catalog):
+        # a bottom requirement constrains nothing: only slevel gets a gate,
+        # and an alarm needing nothing above bottom is always eliminated
         requirement = catalog.configuration({"slevel": IntVal(3)}, fill_bottom=True)
         profile = SyntheticProfile(
             catalog=catalog,
-            alarms=(SyntheticAlarm("a", requirement), SyntheticAlarm("stuck", None)),
+            alarms=(
+                SyntheticAlarm("a", requirement),
+                SyntheticAlarm("stuck", None),
+                SyntheticAlarm("free", catalog.bottom_configuration()),
+            ),
         )
-        (_, needs), (_, stuck) = profile.rule
-        assert [name for name, _, _ in needs] == ["slevel"]
-        assert stuck is None
+        (gate,) = profile.gates.params
+        assert (gate.param, gate.keys) == ("slevel", (3,))
+        assert profile.gates.compressible == 0b101
+        assert synthetic_alarms(profile, catalog.bottom_configuration()) == {"a", "stuck"}
+
+    def test_masks_spanning_several_words(self, catalog):
+        rng = random.Random(6174)
+        specs = list(catalog)
+        for count in (65, 128, 200):
+            alarms = []
+            for i in range(count):
+                if rng.random() < 0.1:
+                    alarms.append(SyntheticAlarm(f"a{i}", None))
+                    continue
+                needed = rng.sample(specs, rng.randint(1, 3))
+                values = {spec.name: _random_value(spec.kind, rng) for spec in needed}
+                alarms.append(
+                    SyntheticAlarm(f"a{i}", catalog.configuration(values, fill_bottom=True))
+                )
+            twists = tuple(
+                Twist(alarm.alarm_id, spec.name, _random_value(spec.kind, rng))
+                for alarm in alarms
+                if rng.random() < 0.05
+                for spec in [rng.choice(specs)]
+            )
+            profile = SyntheticProfile(catalog=catalog, alarms=tuple(alarms), twists=twists)
+            assert profile.gates.compressible.bit_length() > 64
+            for _ in range(30):
+                config = catalog.configuration(
+                    {spec.name: _random_value(spec.kind, rng) for spec in specs}
+                )
+                assert synthetic_alarms(profile, config) == _plain_alarms(profile, config)
+
+    def test_configurations_at_and_one_below_each_requirement(self, catalog):
+        rng = random.Random(1729)
+        specs = list(catalog)
+        alarms = []
+        for i in range(90):
+            needed = rng.sample(specs, rng.randint(1, 3))
+            values = {spec.name: _required_value(spec.kind, rng) for spec in needed}
+            alarms.append(SyntheticAlarm(f"a{i}", catalog.configuration(values, fill_bottom=True)))
+        profile = SyntheticProfile(catalog=catalog, alarms=tuple(alarms))
+        highest = catalog.configuration({spec.name: top(spec.kind) for spec in specs})
+        for alarm in alarms:
+            for name, need in alarm.requirement.entries:
+                if need == bottom(kind_of(need)):
+                    continue
+                for below in _one_below(need):
+                    for base in (highest, alarm.requirement):
+                        at, under = base.replace(name, need), base.replace(name, below)
+                        produced_at = synthetic_alarms(profile, at)
+                        produced_under = synthetic_alarms(profile, under)
+                        assert alarm.alarm_id not in produced_at
+                        assert alarm.alarm_id in produced_under
+                        assert produced_at == _plain_alarms(profile, at)
+                        assert produced_under == _plain_alarms(profile, under)
+
+    def test_infinite_requirements_and_values(self, catalog):
+        def needs(value):
+            return catalog.configuration({"slevel": IntVal(value)}, fill_bottom=True)
+
+        profile = SyntheticProfile(
+            catalog=catalog,
+            alarms=(
+                SyntheticAlarm("unbounded", needs(INFINITY)),
+                SyntheticAlarm("ceiling", needs(INT_CEILING)),
+                SyntheticAlarm("small", needs(7)),
+            ),
+            twists=(Twist("small", "slevel", IntVal(INFINITY)),),
+        )
+        (gate,) = profile.gates.params
+        assert gate.keys == (7, INT_CEILING, math.inf)
+        low = catalog.bottom_configuration()
+        assert synthetic_alarms(profile, low) == {"unbounded", "ceiling", "small"}
+        assert synthetic_alarms(profile, low.replace("slevel", IntVal(INT_CEILING))) == {
+            "unbounded"
+        }
+        # only INFINITY reaches an infinite requirement, and it fires the twist
+        assert synthetic_alarms(profile, low.replace("slevel", IntVal(INFINITY))) == {"small"}
 
 
 class TestOracle:

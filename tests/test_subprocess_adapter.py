@@ -76,6 +76,26 @@ class TestEchoFixtures:
         assert alarms == frozenset()
 
 
+class TestOutput:
+    def test_output_larger_than_a_pipe_buffer(self, catalog, base_task):
+        # the command is a format template, so the script has no braces
+        script = "import sys; sys.stdout.writelines('warn:alarm-%d\\n' % i for i in range(8000))"
+        adapter = AdapterConfig(command=f'{sys.executable} -c "{script}"', pattern=r"warn:(.*)")
+        outcome = SubprocessAnalyzer(adapter, catalog).run(base_task)
+        assert isinstance(outcome, Completed)
+        assert outcome.alarms == frozenset(f"alarm-{i}" for i in range(8000))
+
+    def test_crlf_output_gives_the_same_alarms(self, catalog, base_task):
+        alarms = {}
+        for newline in ("\\n", "\\r\\n"):
+            script = f"import sys; sys.stdout.buffer.write(b'warn:a{newline}warn:b{newline}')"
+            adapter = AdapterConfig(command=f'{sys.executable} -c "{script}"', pattern=r"warn:(.*)")
+            outcome = SubprocessAnalyzer(adapter, catalog).run(base_task)
+            assert isinstance(outcome, Completed)
+            alarms[newline] = outcome.alarms
+        assert alarms["\\n"] == alarms["\\r\\n"] == frozenset({"a", "b"})
+
+
 class TestDeadline:
     def test_sleeping_child_times_out_within_grace(self, catalog):
         adapter = AdapterConfig(command="sleep 60", pattern=r".*", grace=2.0)
@@ -85,6 +105,25 @@ class TestDeadline:
         elapsed = time.monotonic() - start
         assert isinstance(outcome, TimedOut)
         assert elapsed <= 3.0
+
+    def test_child_closing_output_then_sleeping_times_out(self, catalog):
+        # end of output is not the end of the analysis: the exit is awaited
+        # under the same deadline
+        script = "import os, time; os.close(1); os.close(2); time.sleep(60)"
+        adapter = AdapterConfig(command=f'{sys.executable} -c "{script}"', pattern=r".*", grace=1.0)
+        task = AnalysisTask("prog.c", catalog.base_configuration(), timeout=1.0)
+        start = time.monotonic()
+        outcome = SubprocessAnalyzer(adapter, catalog).run(task)
+        elapsed = time.monotonic() - start
+        assert isinstance(outcome, TimedOut)
+        assert elapsed <= task.timeout + adapter.grace
+
+    def test_deadline_beyond_the_longest_select_wait(self, catalog):
+        adapter = AdapterConfig(command="echo warn:x", pattern=r"warn:(.*)")
+        task = AnalysisTask("prog.c", catalog.base_configuration(), timeout=5e8)
+        outcome = SubprocessAnalyzer(adapter, catalog).run(task)
+        assert isinstance(outcome, Completed)
+        assert outcome.alarms == frozenset({"x"})
 
     def test_fast_child_completes(self, catalog, base_task):
         adapter = AdapterConfig(command="echo ok", pattern=r"nothing-matches")
