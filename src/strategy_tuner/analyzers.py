@@ -11,28 +11,17 @@ whole tuning runs finish in milliseconds.
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Callable, Mapping, Protocol, Union
+from typing import Mapping, Protocol, Union
 
 from .errors import ConfigParseError, ProfileError
 from .keytree import parse_keytree
-from .lattice import (
-    BitsVal,
-    BoolVal,
-    IntVal,
-    LatticeValue,
-    OrderKey,
-    key_leq,
-    kind_of,
-    order_key,
-    parse_value,
-)
+from .lattice import BitsVal, IntVal, LatticeValue, leq, parse_value
 from .paramspace import Catalog, Configuration, config_join
 
 
@@ -115,10 +104,10 @@ class ThresholdGate:
     """
 
     param: str
-    keys: tuple[OrderKey, ...]
+    keys: tuple[int | float, ...]
     released: tuple[int, ...]
 
-    def passes(self, key: OrderKey) -> int:
+    def passes(self, key: int | float) -> int:
         return self.released[bisect_right(self.keys, key)]
 
 
@@ -157,13 +146,12 @@ class AlarmGates:
     compressible: int
     #: One gate per parameter that some alarm needs above bottom.
     params: tuple[ThresholdGate | MaskGate, ...]
-    #: Per twist: parameter, threshold key, the order on keys of its
-    #: kind, and the alarms it poisons.
-    twists: tuple[tuple[str, OrderKey, Callable[[OrderKey, OrderKey], bool], int], ...]
+    #: Per twist: parameter, threshold and the alarms it poisons.
+    twists: tuple[tuple[str, LatticeValue, int], ...]
 
     @classmethod
     def compile(cls, alarms: tuple[SyntheticAlarm, ...], twists: tuple[Twist, ...]) -> AlarmGates:
-        held: dict[str, dict[OrderKey, int]] = {}  # parameter -> required key -> alarms
+        held: dict[str, dict[int | float, int]] = {}  # parameter -> required key -> alarms
         mask_params: set[str] = set()
         compressible = 0
         for bit, alarm in enumerate(alarms):
@@ -171,7 +159,7 @@ class AlarmGates:
                 continue
             compressible |= 1 << bit
             for name, value in alarm.requirement.entries:
-                key = order_key(value)
+                key = value.value
                 if key:  # bottom is the only key 0
                     by_key = held.setdefault(name, {})
                     by_key[key] = by_key.get(key, 0) | 1 << bit
@@ -192,8 +180,7 @@ class AlarmGates:
         compiled_twists = tuple(
             (
                 twist.param,
-                order_key(twist.threshold),
-                key_leq(kind_of(twist.threshold)),
+                twist.threshold,
                 sum(1 << bit for bit, a in enumerate(alarms) if a.alarm_id == twist.alarm_id),
             )
             for twist in twists
@@ -217,12 +204,9 @@ class SyntheticProfile:
 
 def precision_contribution(value: LatticeValue) -> float:
     """Cost contribution of one value: magnitude, 0/1, or popcount."""
-    if isinstance(value, IntVal):
-        return math.inf if value.is_infinite else float(value.value)
-    if isinstance(value, BoolVal):
-        return 1.0 if value.value else 0.0
-    assert isinstance(value, BitsVal)
-    return float(sum(value.bits))
+    if isinstance(value, BitsVal):
+        return float(value.value.bit_count())
+    return float(value.value)
 
 
 def simulated_cost(profile: SyntheticProfile, config: Configuration) -> float:
@@ -240,12 +224,12 @@ def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozen
     requirement, unless a twist on it fires.
     """
     gates = profile.gates
-    keys = {name: order_key(value) for name, value in config.entries}
+    values = dict(config.entries)
     eliminated = gates.compressible
     for gate in gates.params:
-        eliminated &= gate.passes(keys[gate.param])
-    for name, threshold, holds, alarms in gates.twists:
-        if holds(threshold, keys[name]):
+        eliminated &= gate.passes(values[gate.param].value)
+    for name, threshold, alarms in gates.twists:
+        if leq(threshold, values[name]):
             eliminated &= ~alarms
     ids = gates.ids
     produced = eliminated ^ ((1 << len(ids)) - 1)

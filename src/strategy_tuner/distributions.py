@@ -164,12 +164,13 @@ def _poisson_sequential(lam: float, rng: RandomStream) -> int:
     return k
 
 
-def sample_delta(delta: DeltaDistribution, rng: RandomStream) -> "int | bool | tuple[bool, ...]":
+def sample_delta(delta: DeltaDistribution, rng: RandomStream) -> "int | bool":
+    """A Poisson count, a Bernoulli bool, or a mask with bit i drawn from ``qs[i]``."""
     if isinstance(delta, Poisson):
         return sample_poisson(delta.lam, rng)
     if isinstance(delta, Bernoulli):
         return rng.random() < delta.q
-    return tuple(rng.random() < q for q in delta.qs)
+    return sum(1 << i for i, q in enumerate(delta.qs) if rng.random() < q)
 
 
 def sample_param(dist: ParamDistribution, rng: RandomStream) -> LatticeValue:
@@ -184,7 +185,7 @@ def sample_param(dist: ParamDistribution, rng: RandomStream) -> LatticeValue:
     if isinstance(base, BoolVal):
         return BoolVal(base.value or draw)  # type: ignore[arg-type]
     assert isinstance(base, BitsVal)
-    return BitsVal(tuple(b or d for b, d in zip(base.bits, draw)))  # type: ignore[arg-type]
+    return BitsVal(base.value | draw, base.width)
 
 
 @dataclass(frozen=True)

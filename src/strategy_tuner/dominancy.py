@@ -82,7 +82,7 @@ def influence_score(
 
 
 def _controlled_configs(
-    catalog: Catalog, low: Configuration, high: Configuration, name: str
+    low: Configuration, high: Configuration, name: str
 ) -> tuple[Configuration, Configuration]:
     selected = low.replace(name, high[name])
     excluded = high.replace(name, low[name])
@@ -124,9 +124,7 @@ def run_dominancy(
             f"baselines do not separate: low={alarms_low}, high={alarms_high}"
         )
 
-    swaps = [
-        _controlled_configs(catalog, low_config, high_config, spec.name) for spec in catalog
-    ]
+    swaps = [_controlled_configs(low_config, high_config, spec.name) for spec in catalog]
     jobs = [config for selected, excluded in swaps for config in (selected, excluded)]
     outcomes = run_batch(analyzer, tasks(jobs), workers)
 

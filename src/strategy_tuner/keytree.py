@@ -18,12 +18,6 @@ class KeyTree:
     def __init__(self) -> None:
         self._entries: dict[str, tuple[str, int]] = {}
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def keys(self) -> list[str]:
         return list(self._entries)
 
@@ -33,21 +27,6 @@ class KeyTree:
 
     def line_of(self, key: str) -> int:
         return self._entries[key][1]
-
-    def require(self, key: str) -> str:
-        value = self.get(key)
-        if value is None:
-            raise ConfigParseError(f"missing required key {key!r}")
-        return value
-
-    def subtree(self, prefix: str) -> dict[str, tuple[str, int]]:
-        """Entries under ``prefix.``, keyed by the remaining path."""
-        out: dict[str, tuple[str, int]] = {}
-        lead = prefix + "."
-        for key, (value, line) in self._entries.items():
-            if key.startswith(lead):
-                out[key[len(lead):]] = (value, line)
-        return out
 
     def _insert(self, key: str, value: str, line: int) -> None:
         if key in self._entries:

@@ -8,21 +8,24 @@ Three variants, each a complete lattice:
 * ``BitsVal`` - fixed-width boolean vectors ordered pointwise (the subset
   order on a set of labels); join/meet are pointwise or/and.
 
+Each value stores its own order key in ``value``: a natural, or
+``INFINITY`` (which is ``math.inf``, above every natural); ``False`` or
+``True``; or, for a bit vector, an int mask with bit i set when entry i
+is true. The order is then ``a <= b`` on integers and booleans and mask
+inclusion, ``a & ~b == 0``, on bit vectors, and bottom is the only value
+of its kind whose key is 0.
+
 All values are immutable and freely shareable between threads. Binary
 operations require both operands to be the same variant (and width);
 anything else raises :class:`LatticeMismatchError`.
-
-:func:`order_key` encodes a value as a number on which the order is one
-machine comparison (see :func:`key_leq`), for code that compares many
-values against the same few.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Union
+from operator import attrgetter
+from typing import Union
 
 from .errors import LatticeMismatchError
 
@@ -30,40 +33,24 @@ from .errors import LatticeMismatchError
 #: values clamp here instead of ever producing INFINITY.
 INT_CEILING = 2**31 - 1
 
-
-class _Infinity:
-    """The top of the integer lattice. A lattice element, not a number."""
-
-    _instance: "_Infinity | None" = None
-
-    def __new__(cls) -> "_Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-
-INFINITY = _Infinity()
+#: The top of the integer lattice.
+INFINITY = math.inf
 
 
 @dataclass(frozen=True)
 class IntVal:
     """A natural number or INFINITY."""
 
-    value: "int | _Infinity"
+    value: "int | float"
 
     def __post_init__(self) -> None:
         v = self.value
-        if isinstance(v, _Infinity):
-            return
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not (type(v) is int and v >= 0 or v == INFINITY):
             raise ValueError(f"integer lattice value must be a natural number, got {v!r}")
 
     @property
     def is_infinite(self) -> bool:
-        return isinstance(self.value, _Infinity)
+        return self.value == INFINITY
 
 
 @dataclass(frozen=True)
@@ -77,25 +64,25 @@ class BoolVal:
 
 @dataclass(frozen=True)
 class BitsVal:
-    """A fixed-width vector of booleans; width is immutable."""
+    """A fixed-width vector of booleans; bit i of ``value`` is entry i."""
 
-    bits: tuple[bool, ...]
+    value: int
+    width: int
 
     def __post_init__(self) -> None:
-        if len(self.bits) == 0:
-            raise ValueError("bit vectors must have positive width")
-        if not all(isinstance(b, bool) for b in self.bits):
-            raise ValueError(f"bit vector entries must be bools, got {self.bits!r}")
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
+        if type(self.width) is not int or self.width < 1:
+            raise ValueError(f"bit vectors must have positive width, got {self.width!r}")
+        if type(self.value) is not int or not 0 <= self.value < 1 << self.width:
+            raise ValueError(
+                f"bit vector mask must be an int in [0, 2**{self.width}), got {self.value!r}"
+            )
 
     @staticmethod
     def from_string(text: str) -> "BitsVal":
+        """The vector whose entry i is ``text[i]``."""
         if not text or any(c not in "01" for c in text):
             raise ValueError(f"bit vector literal must be a nonempty string of 0/1, got {text!r}")
-        return BitsVal(tuple(c == "1" for c in text))
+        return BitsVal(int(text[::-1], 2), len(text))
 
 
 LatticeValue = Union[IntVal, BoolVal, BitsVal]
@@ -142,73 +129,31 @@ def _require_compatible(a: LatticeValue, b: LatticeValue) -> None:
         raise LatticeMismatchError(f"bit vector widths differ: {a.width} vs {b.width}")
 
 
-OrderKey = Union[int, float]
-
-
-def order_key(value: LatticeValue) -> OrderKey:
-    """Encode a value so that its order is a plain comparison of keys.
-
-    An integer maps to itself and INFINITY to ``math.inf``; a boolean
-    maps to 0 or 1; a bit vector maps to an int mask with bit i set when
-    entry i is true. Keys of the same kind compare with :func:`key_leq`,
-    and bottom is the only value of its kind whose key is 0.
-    """
-    if isinstance(value, IntVal):
-        return math.inf if value.is_infinite else value.value  # type: ignore[return-value]
-    if isinstance(value, BoolVal):
-        return int(value.value)
-    if isinstance(value, BitsVal):
-        return sum(1 << i for i, bit in enumerate(value.bits) if bit)
-    raise TypeError(f"not a lattice value: {value!r}")
-
-
-def _mask_leq(a: int, b: int) -> bool:
-    return a & ~b == 0
-
-
-def key_leq(kind: Kind) -> Callable[[OrderKey, OrderKey], bool]:
-    """The order on the keys of one kind: ``<=``, or mask inclusion for bit vectors."""
-    return _mask_leq if isinstance(kind, BitsKind) else operator.le  # type: ignore[return-value]
+_key = attrgetter("value")
 
 
 def leq(a: LatticeValue, b: LatticeValue) -> bool:
     """Partial order: integer <=, implication, pointwise implication."""
     _require_compatible(a, b)
     if isinstance(a, BitsVal):
-        return _mask_leq(order_key(a), order_key(b))  # type: ignore[arg-type]
-    return order_key(a) <= order_key(b)
+        return a.value & ~b.value == 0
+    return a.value <= b.value
 
 
 def join(a: LatticeValue, b: LatticeValue) -> LatticeValue:
     """Least upper bound: max, or, pointwise or."""
     _require_compatible(a, b)
-    if isinstance(a, IntVal):
-        assert isinstance(b, IntVal)
-        if a.is_infinite or b.is_infinite:
-            return IntVal(INFINITY)
-        return IntVal(max(a.value, b.value))  # type: ignore[type-var]
-    if isinstance(a, BoolVal):
-        assert isinstance(b, BoolVal)
-        return BoolVal(a.value or b.value)
-    assert isinstance(a, BitsVal) and isinstance(b, BitsVal)
-    return BitsVal(tuple(x or y for x, y in zip(a.bits, b.bits)))
+    if isinstance(a, BitsVal):
+        return BitsVal(a.value | b.value, a.width)
+    return max(a, b, key=_key)
 
 
 def meet(a: LatticeValue, b: LatticeValue) -> LatticeValue:
     """Greatest lower bound: min, and, pointwise and."""
     _require_compatible(a, b)
-    if isinstance(a, IntVal):
-        assert isinstance(b, IntVal)
-        if a.is_infinite:
-            return b
-        if b.is_infinite:
-            return a
-        return IntVal(min(a.value, b.value))  # type: ignore[type-var]
-    if isinstance(a, BoolVal):
-        assert isinstance(b, BoolVal)
-        return BoolVal(a.value and b.value)
-    assert isinstance(a, BitsVal) and isinstance(b, BitsVal)
-    return BitsVal(tuple(x and y for x, y in zip(a.bits, b.bits)))
+    if isinstance(a, BitsVal):
+        return BitsVal(a.value & b.value, a.width)
+    return min(a, b, key=_key)
 
 
 def top(kind: Kind) -> LatticeValue:
@@ -217,7 +162,7 @@ def top(kind: Kind) -> LatticeValue:
         return IntVal(INFINITY)
     if isinstance(kind, BoolKind):
         return BoolVal(True)
-    return BitsVal((True,) * kind.width)
+    return BitsVal((1 << kind.width) - 1, kind.width)
 
 
 def bottom(kind: Kind) -> LatticeValue:
@@ -226,7 +171,7 @@ def bottom(kind: Kind) -> LatticeValue:
         return IntVal(0)
     if isinstance(kind, BoolKind):
         return BoolVal(False)
-    return BitsVal((False,) * kind.width)
+    return BitsVal(0, kind.width)
 
 
 def saturating_add(base: IntVal, amount: int, ceiling: int = INT_CEILING) -> IntVal:
@@ -237,20 +182,18 @@ def saturating_add(base: IntVal, amount: int, ceiling: int = INT_CEILING) -> Int
     """
     if amount < 0:
         raise ValueError(f"saturating_add amount must be nonnegative, got {amount}")
-    if base.is_infinite:
+    if base.value >= ceiling:
         return base
-    if base.value >= ceiling:  # type: ignore[operator]
-        return base
-    return IntVal(min(base.value + amount, ceiling))  # type: ignore[operator]
+    return IntVal(min(base.value + amount, ceiling))
 
 
 def format_value(value: LatticeValue) -> str:
-    """Textual form: decimal or "inf"; "true"/"false"; a 0/1 string."""
-    if isinstance(value, IntVal):
-        return "inf" if value.is_infinite else str(value.value)
+    """Textual form: decimal or "inf"; "true"/"false"; a 0/1 string, entry 0 first."""
     if isinstance(value, BoolVal):
         return "true" if value.value else "false"
-    return "".join("1" if b else "0" for b in value.bits)
+    if isinstance(value, BitsVal):
+        return format(value.value, f"0{value.width}b")[::-1]
+    return str(value.value)
 
 
 def parse_value(kind: Kind, text: str) -> LatticeValue:

@@ -21,7 +21,7 @@ from .distributions import (
     Poisson,
 )
 from .errors import ConfigParseError, RenderError
-from .keytree import parse_keytree
+from .keytree import parse_keytree, value_column
 from .lattice import (
     BitsKind,
     BitsVal,
@@ -33,6 +33,7 @@ from .lattice import (
     LatticeValue,
     bottom,
     format_value,
+    join,
     kind_of,
     leq,
     parse_value,
@@ -188,8 +189,6 @@ def config_dominates(config: Configuration, lower: Configuration) -> bool:
 
 
 def config_join(a: Configuration, b: Configuration) -> Configuration:
-    from .lattice import join
-
     return Configuration(tuple((name, join(value, b[name])) for name, value in a.entries))
 
 
@@ -217,7 +216,7 @@ def _bool_param(name: str, when_false: str, when_true: str) -> ParamSpec:
 def default_catalog() -> Catalog:
     """The built-in Frama-C/Eva catalog: 13 parameters with their
     low-precision starting bases and per-parameter exploration rates."""
-    domains_base = BitsVal((True, False, False, False, False))
+    domains_base = BitsVal.from_string("10000")
     return Catalog(
         (
             _int_param("min-loop-unroll", 0, 0.4),
@@ -264,7 +263,7 @@ def render_cli_args(config: Configuration, catalog: Catalog) -> list[str]:
                 args.extend([rule.flag, chosen])
         else:
             assert isinstance(value, BitsVal)
-            enabled = [label for label, bit in zip(rule.labels, value.bits) if bit]
+            enabled = [label for i, label in enumerate(rule.labels) if value.value >> i & 1]
             args.extend([rule.flag, ",".join(enabled)])
     return args
 
@@ -309,8 +308,6 @@ def parse_configuration(text: str, catalog: Catalog) -> Configuration:
 
 
 def _value_column(lines: list[str], lineno: int) -> int:
-    from .keytree import value_column
-
     if 1 <= lineno <= len(lines):
         return value_column(lines[lineno - 1])
     return 1

@@ -7,9 +7,10 @@ Output is a pure function of the trace, so replotting is byte-identical.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
-from .analyzers import Completed
+from .analyzers import Completed, precision_contribution
 from .distributions import Bernoulli, BernoulliVector, Poisson
 from .lattice import format_value
 from .orchestrator import IterationRecord
@@ -18,13 +19,20 @@ _LEVELS = "▁▂▃▄▅▆▇█"
 
 
 def sparkline(series: list[float]) -> str:
-    if not series:
-        return ""
-    lo, hi = min(series), max(series)
-    if hi == lo:
-        return _LEVELS[3] * len(series)
-    span = hi - lo
-    return "".join(_LEVELS[min(7, int((x - lo) / span * 8))] for x in series)
+    """One level per value, scaled between the finite extremes.
+
+    A non-finite value (an infinite base) is drawn at the top level, and
+    a series whose finite values are all equal at the middle one.
+    """
+    finite = [x for x in series if math.isfinite(x)]
+    lo, hi = min(finite, default=0.0), max(finite, default=0.0)
+
+    def level(x: float) -> int:
+        if not math.isfinite(x):
+            return 7
+        return min(7, int((x - lo) / (hi - lo) * 8)) if hi > lo else 3
+
+    return "".join(_LEVELS[level(x)] for x in series)
 
 
 def _fmt(x: float) -> str:
@@ -32,8 +40,6 @@ def _fmt(x: float) -> str:
 
 
 def _base_magnitude(record: IterationRecord, name: str) -> float:
-    from .analyzers import precision_contribution
-
     return precision_contribution(record.distributions_after[name].base)
 
 

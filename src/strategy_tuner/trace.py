@@ -158,9 +158,11 @@ def read_trace(text: str) -> list[IterationRecord]:
     for index, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
+        # A record or a field of the wrong JSON type fails where it is
+        # used, with an AttributeError or a TypeError.
         try:
             records.append(record_from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError, ConfigParseError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError, ConfigParseError) as exc:
             raise ConfigParseError(f"trace record {index} is malformed: {exc}")
     return records
 

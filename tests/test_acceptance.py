@@ -126,7 +126,8 @@ def _random_value(rng: random.Random, kind):
         return IntVal(rng.randint(0, 1000))
     if isinstance(kind, BoolKind):
         return BoolVal(rng.random() < 0.5)
-    return BitsVal(tuple(rng.random() < 0.5 for _ in range(kind.width)))
+    width = kind.width
+    return BitsVal(sum(1 << i for i in range(width) if rng.random() < 0.5), width)
 
 
 def test_criterion_04_lattice_laws_1000_triples_per_variant():
@@ -161,8 +162,10 @@ def _random_instance(rng: random.Random, kind):
         values = tuple(BoolVal(rng.random() < 0.5) for _ in range(m))
         base = BoolVal(rng.random() < 0.5)
     else:
-        values = tuple(BitsVal(tuple(rng.random() < 0.5 for _ in range(5))) for _ in range(m))
-        base = BitsVal(tuple(rng.random() < 0.5 for _ in range(5)))
+        values = tuple(
+            BitsVal(sum(1 << i for i in range(5) if rng.random() < 0.5), 5) for _ in range(m)
+        )
+        base = BitsVal(sum(1 << i for i in range(5) if rng.random() < 0.5), 5)
     matrix = ResultMatrix(
         alarms=tuple(f"a{j}" for j in range(n)),
         rows=tuple(MatrixRow(i, tuple(rng.random() < 0.5 for _ in range(n))) for i in range(m)),
@@ -257,8 +260,9 @@ def _random_profile(catalog, rng: random.Random) -> SyntheticProfile:
             elif isinstance(spec.kind, BoolKind):
                 requirement[spec.name] = BoolVal(True)
             else:
+                width = spec.kind.width
                 requirement[spec.name] = BitsVal(
-                    tuple(rng.random() < 0.4 for _ in range(spec.kind.width))
+                    sum(1 << i for i in range(width) if rng.random() < 0.4), width
                 )
         alarms.append(
             SyntheticAlarm(f"req-{i}", catalog.configuration(requirement, fill_bottom=True))

@@ -117,7 +117,10 @@ def _random_config(catalog, rng: random.Random):
         elif kind.__class__.__name__ == "BoolKind":
             values[spec.name] = BoolVal(rng.random() < 0.5)
         else:
-            values[spec.name] = BitsVal(tuple(rng.random() < 0.5 for _ in range(kind.width)))
+            width = kind.width
+            values[spec.name] = BitsVal(
+                sum(1 << i for i in range(width) if rng.random() < 0.5), width
+            )
     return catalog.configuration(values)
 
 
@@ -166,7 +169,8 @@ def _random_value(kind, rng: random.Random):
         return IntVal(rng.choice((0, INFINITY, rng.randint(0, 12))))
     if name == "BoolKind":
         return BoolVal(rng.random() < 0.5)
-    return BitsVal(tuple(rng.random() < 0.5 for _ in range(kind.width)))
+    width = kind.width
+    return BitsVal(sum(1 << i for i in range(width) if rng.random() < 0.5), width)
 
 
 def _required_value(kind, rng: random.Random):
@@ -183,9 +187,9 @@ def _one_below(value):
         return [BoolVal(False)]
     if isinstance(value, BitsVal):
         return [
-            BitsVal(tuple(b and j != i for j, b in enumerate(value.bits)))
-            for i, bit in enumerate(value.bits)
-            if bit
+            BitsVal(value.value & ~(1 << i), value.width)
+            for i in range(value.width)
+            if value.value >> i & 1
         ]
     return [IntVal(INT_CEILING if value.is_infinite else value.value - 1)]
 
@@ -419,13 +423,13 @@ class TestOracle:
 
         candidates = []
         for slevel, ilevel, bits in itertools.product(
-            range(8), range(8), itertools.product([False, True], repeat=5)
+            range(8), range(8), range(2**5)
         ):
             config = (
                 catalog.bottom_configuration()
                 .replace("slevel", IntVal(slevel))
                 .replace("ilevel", IntVal(ilevel))
-                .replace("domains", BitsVal(bits))
+                .replace("domains", BitsVal(bits, 5))
             )
             if not (synthetic_alarms(profile, config) & eliminable):
                 candidates.append(config)

@@ -276,10 +276,13 @@ class TestPlot:
 
     def test_malformed_trace_names_record(self, tuned_dir, tmp_path, capsys):
         good = (tuned_dir / "trace.ndjson").read_text(encoding="utf-8").splitlines()
+        wrong_type = json.loads(good[1])
+        wrong_type["distributions_before"] = 5
         bad = tmp_path / "bad.ndjson"
-        bad.write_text(good[0] + "\n{broken\n", encoding="utf-8")
-        assert run_cli("plot", str(bad)) == 2
-        assert "record 1" in capsys.readouterr().err
+        for second in ("{broken", "[]", json.dumps(wrong_type)):
+            bad.write_text(good[0] + "\n" + second + "\n", encoding="utf-8")
+            assert run_cli("plot", str(bad)) == 2
+            assert "trace record 1 is malformed" in capsys.readouterr().err
 
 
 class TestSimulate:

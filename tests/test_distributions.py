@@ -76,7 +76,7 @@ class TestSampleParam:
             stx.builds(ParamDistribution, stx.booleans().map(BoolVal), stx.floats(0, 1).map(Bernoulli)),
             stx.builds(
                 ParamDistribution,
-                stx.lists(stx.booleans(), min_size=5, max_size=5).map(lambda b: BitsVal(tuple(b))),
+                stx.integers(0, 2**5 - 1).map(lambda mask: BitsVal(mask, 5)),
                 stx.lists(stx.floats(0, 1), min_size=5, max_size=5).map(lambda q: BernoulliVector(tuple(q))),
             ),
         ),

@@ -10,6 +10,7 @@ from hypothesis import strategies as stx
 
 from strategy_tuner import (
     INFINITY,
+    INT_CEILING,
     BitsKind,
     BitsVal,
     BoolKind,
@@ -25,11 +26,18 @@ from strategy_tuner import (
     parse_value,
     top,
 )
-from strategy_tuner.lattice import key_leq, kind_of, order_key, saturating_add
+from strategy_tuner.lattice import kind_of, saturating_add
 
 ints = stx.integers(0, 1000).map(IntVal) | stx.just(IntVal(INFINITY))
 bools = stx.booleans().map(BoolVal)
-bits5 = stx.lists(stx.booleans(), min_size=5, max_size=5).map(lambda bs: BitsVal(tuple(bs)))
+bits5 = stx.integers(0, 2**5 - 1).map(lambda mask: BitsVal(mask, 5))
+
+
+
+def _entry(value: BitsVal, i: int) -> bool:
+    """Entry i of a bit vector, read from its mask."""
+    return bool(value.value >> i & 1)
+
 
 same_variant_triples = stx.one_of(
     stx.tuples(ints, ints, ints),
@@ -59,7 +67,7 @@ class TestOrder:
         a = BitsVal.from_string("01100")
         b = BitsVal.from_string("01000")
         # independent check: enumerate the 5 positions
-        expected = all((not x) or y for x, y in zip(a.bits, b.bits))
+        expected = all((not _entry(a, i)) or _entry(b, i) for i in range(5))
         assert expected is False
         assert leq(a, b) is False
         assert leq(b, a) is True
@@ -145,7 +153,6 @@ class TestLatticeLaws:
         a, b, _ = triple
         assert leq(a, b) == (join(a, b) == b)
         assert leq(a, b) == (meet(a, b) == a)
-        assert leq(a, b) == key_leq(kind_of(a))(order_key(a), order_key(b))
 
     @given(same_variant_triples)
     def test_bounds(self, triple):
@@ -157,21 +164,21 @@ class TestLatticeLaws:
 
 class TestOrderKeys:
     def test_encodings(self):
-        assert order_key(IntVal(104)) == 104
-        assert order_key(IntVal(INFINITY)) == math.inf
-        assert (order_key(BoolVal(False)), order_key(BoolVal(True))) == (0, 1)
+        assert IntVal(104).value == 104
+        assert IntVal(INFINITY).value == math.inf
+        assert (BoolVal(False).value, BoolVal(True).value) == (0, 1)
         # entry i sets bit i: 01100 has entries 1 and 2
-        assert order_key(BitsVal.from_string("01100")) == 0b00110
+        assert BitsVal.from_string("01100").value == 0b00110
 
     @given(same_variant_triples)
     def test_only_bottom_has_key_zero(self, triple):
         a, _, _ = triple
-        assert (order_key(a) == 0) == (a == bottom(kind_of(a)))
+        assert (a.value == 0) == (a == bottom(kind_of(a)))
 
     def test_masks_are_not_compared_as_numbers(self):
         # 10000 -> 1 and 01000 -> 2: incomparable, though 1 <= 2
         a, b = BitsVal.from_string("10000"), BitsVal.from_string("01000")
-        assert not key_leq(BitsKind(5))(order_key(a), order_key(b))
+        assert a.value < b.value
         assert not leq(a, b)
 
 
@@ -181,10 +188,10 @@ class TestProductStructure:
         joined = join(a, b)
         met = meet(a, b)
         for i in range(5):
-            assert joined.bits[i] == join(BoolVal(a.bits[i]), BoolVal(b.bits[i])).value
-            assert met.bits[i] == meet(BoolVal(a.bits[i]), BoolVal(b.bits[i])).value
+            assert _entry(joined, i) == join(BoolVal(_entry(a, i)), BoolVal(_entry(b, i))).value
+            assert _entry(met, i) == meet(BoolVal(_entry(a, i)), BoolVal(_entry(b, i))).value
         assert leq(a, b) == all(
-            leq(BoolVal(a.bits[i]), BoolVal(b.bits[i])) for i in range(5)
+            leq(BoolVal(_entry(a, i)), BoolVal(_entry(b, i))) for i in range(5)
         )
 
 
@@ -246,4 +253,35 @@ class TestConstruction:
 
     def test_empty_bits_rejected(self):
         with pytest.raises(ValueError):
-            BitsVal(())
+            BitsVal(0, 0)
+
+    @pytest.mark.parametrize(
+        "mask,width",
+        [(1, 0), (True, 1), (False, 1), (-1, 3), (8, 3), (2**130, 130), (1.0, 3)],
+    )
+    def test_bits_mask_and_width_checked(self, mask, width):
+        with pytest.raises(ValueError):
+            BitsVal(mask, width)
+
+    @given(stx.text("01", min_size=1, max_size=130))
+    def test_from_string_sets_bit_i_for_entry_i(self, text):
+        value = BitsVal.from_string(text)
+        assert value.width == len(text)
+        for i, c in enumerate(text):
+            assert (value.value >> i & 1 == 1) == (c == "1")
+        assert value.value >> len(text) == 0
+
+
+any_value = stx.one_of(
+    stx.integers(0, INT_CEILING).map(IntVal),
+    stx.just(IntVal(INFINITY)),
+    stx.booleans().map(BoolVal),
+    stx.integers(1, 130).flatmap(
+        lambda width: stx.integers(0, 2**width - 1).map(lambda mask: BitsVal(mask, width))
+    ),
+)
+
+
+@given(any_value)
+def test_text_round_trip(value):
+    assert parse_value(kind_of(value), format_value(value)) == value

@@ -150,8 +150,9 @@ def _random_config(catalog: Catalog, rng: random.Random):
         elif isinstance(spec.kind, BoolKind):
             values[spec.name] = BoolVal(rng.random() < 0.5)
         else:
+            width = spec.kind.width
             values[spec.name] = BitsVal(
-                tuple(rng.random() < 0.5 for _ in range(spec.kind.width))
+                sum(1 << i for i in range(width) if rng.random() < 0.5), width
             )
     return catalog.configuration(values)
 

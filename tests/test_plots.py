@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from strategy_tuner import (
@@ -14,6 +16,7 @@ from strategy_tuner import (
     tune,
 )
 from strategy_tuner.plots import sparkline, write_plots
+from strategy_tuner.trace import read_trace, record_to_json
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +51,12 @@ class TestSparkline:
         assert line[-1] == "█"
         assert len(line) == 4
 
+    def test_infinite_values_drawn_at_the_top(self):
+        inf = float("inf")
+        assert sparkline([0.0, 8.0, inf, 4.0]) == "▁██▅"
+        assert sparkline([2.0, inf, 2.0]) == "▄█▄"
+        assert sparkline([inf, inf]) == "██"
+
 
 class TestWritePlots:
     def test_one_file_per_parameter_plus_alarms(self, records, tmp_path):
@@ -74,3 +83,13 @@ class TestWritePlots:
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_plots([], tmp_path)
+
+    def test_trace_with_an_infinite_base(self, records, tmp_path):
+        lines = [json.dumps(record_to_json(r)) for r in records]
+        last = json.loads(lines[-1])
+        last["distributions_after"]["slevel"]["base"] = "inf"
+        lines[-1] = json.dumps(last)
+        write_plots(read_trace("\n".join(lines)), tmp_path)
+        chart = (tmp_path / "param-slevel.txt").read_text(encoding="utf-8").splitlines()
+        assert chart[-4].split()[:2] == [str(records[-1].index), "inf"]
+        assert chart[-2].startswith("base:  ") and chart[-2].endswith("█")

@@ -135,7 +135,7 @@ def _random_matrix(rng: random.Random, kind) -> ResultMatrix:
         values = tuple(BoolVal(rng.random() < 0.5) for _ in range(m))
     else:
         values = tuple(
-            BitsVal(tuple(rng.random() < 0.5 for _ in range(5))) for _ in range(m)
+            BitsVal(sum(1 << i for i in range(5) if rng.random() < 0.5), 5) for _ in range(m)
         )
     rows = tuple(
         MatrixRow(i, tuple(rng.random() < 0.5 for _ in range(n))) for i in range(m)
@@ -148,7 +148,7 @@ def _random_base(rng: random.Random, kind):
         return IntVal(rng.randint(0, 20))
     if isinstance(kind, BoolKind):
         return BoolVal(rng.random() < 0.5)
-    return BitsVal(tuple(rng.random() < 0.5 for _ in range(5)))
+    return BitsVal(sum(1 << i for i in range(5) if rng.random() < 0.5), 5)
 
 
 KINDS = (IntKind(), BoolKind(), BitsKind(5))
