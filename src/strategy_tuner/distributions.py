@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
+from operator import and_, or_
 from typing import Union
 
-from .errors import InvalidSettingsError
+from .errors import InvalidSettingsError, LatticeMismatchError
 from .lattice import (
     INT_CEILING,
     BitsVal,
     BoolVal,
     IntVal,
     LatticeValue,
-    join,
     kind_of,
-    meet,
     saturating_add,
     top,
 )
@@ -258,13 +257,26 @@ def refine_base(
     values = matrix.values_per_param.get(param, ())
     if len(values) != matrix.num_rows:
         raise ValueError(f"no value vector for parameter {param!r}")
-    top_elem = top(kind_of(current_base))
-    acc = current_base
+    variant = type(current_base)
+    bits = variant is BitsVal
+    if any(type(v) is not variant for v in values) or (
+        bits and any(v.width != current_base.width for v in values)  # type: ignore[union-attr]
+    ):
+        raise LatticeMismatchError(
+            f"values of {param!r} do not all match the kind of base {current_base!r}"
+        )
+    keys = [v.value for v in values]
+    meet_keys = partial(reduce, and_) if bits else min
+    join_keys = or_ if bits else max
+    top_key = top(kind_of(current_base)).value
+    acc = current_base.value
     for rows in matrix.eliminator_sets:
-        lowest = reduce(meet, (values[i] for i in rows))
-        if lowest != top_elem:
-            acc = join(acc, lowest)
-    return acc
+        lowest = meet_keys(map(keys.__getitem__, rows))
+        if lowest != top_key:
+            acc = join_keys(acc, lowest)
+    if acc == current_base.value:
+        return current_base
+    return BitsVal(acc, current_base.width) if bits else variant(acc)  # type: ignore[union-attr]
 
 
 def refine_delta(

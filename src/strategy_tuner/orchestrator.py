@@ -120,18 +120,17 @@ def build_result_matrix(
     universe: list[str] = []
     seen: set[str] = set()
     for _, out in completed:
-        for alarm in sorted(out.alarms):
-            if alarm not in seen:
-                seen.add(alarm)
-                universe.append(alarm)
+        new = sorted(out.alarms - seen)
+        universe.extend(new)
+        seen.update(new)
     rows = tuple(
-        MatrixRow(config_index=i, produced=tuple(a in out.alarms for a in universe))
+        MatrixRow(config_index=i, produced=tuple(map(out.alarms.__contains__, universe)))
         for i, out in completed
     )
-    values: dict[str, tuple] = {}
-    if sampled_configs:
-        for name in sampled_configs[0].names():
-            values[name] = tuple(sampled_configs[i][name] for i, _ in completed)
+    names = sampled_configs[0].names() if sampled_configs else ()
+    row_values = [[v for _, v in sampled_configs[i].entries] for i, _ in completed]
+    columns = zip(*row_values) if row_values else [()] * len(names)
+    values = dict(zip(names, columns, strict=True))
     return ResultMatrix(alarms=tuple(universe), rows=rows, values_per_param=values)
 
 
@@ -155,9 +154,10 @@ class TunerState:
 def _sample_configuration(
     state: TunerState, rng: RandomStream, iteration: int, sample_index: int
 ) -> Configuration:
+    sample = rng.split("iter", iteration, "sample", sample_index)
     entries = []
     for spec in state.catalog:
-        stream = rng.split("iter", iteration, "sample", sample_index, "param", spec.name)
+        stream = sample.split("param", spec.name)
         entries.append((spec.name, sample_param(state.distributions[spec.name], stream)))
     return Configuration(tuple(entries))
 

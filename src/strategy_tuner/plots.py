@@ -18,21 +18,24 @@ from .orchestrator import IterationRecord
 _LEVELS = "▁▂▃▄▅▆▇█"
 
 
-def sparkline(series: list[float]) -> str:
+def sparkline(series: list[float | None]) -> str:
     """One level per value, scaled between the finite extremes.
 
-    A non-finite value (an infinite base) is drawn at the top level, and
-    a series whose finite values are all equal at the middle one.
+    A non-finite value (an infinite base) is drawn at the top level, a
+    series whose finite values are all equal at the middle one, and a
+    missing value (None) as a gap.
     """
-    finite = [x for x in series if math.isfinite(x)]
+    finite = [x for x in series if x is not None and math.isfinite(x)]
     lo, hi = min(finite, default=0.0), max(finite, default=0.0)
 
-    def level(x: float) -> int:
+    def glyph(x: float | None) -> str:
+        if x is None:
+            return " "
         if not math.isfinite(x):
-            return 7
-        return min(7, int((x - lo) / (hi - lo) * 8)) if hi > lo else 3
+            return _LEVELS[7]
+        return _LEVELS[min(7, int((x - lo) / (hi - lo) * 8)) if hi > lo else 3]
 
-    return "".join(_LEVELS[level(x)] for x in series)
+    return "".join(map(glyph, series))
 
 
 def _fmt(x: float) -> str:
@@ -73,15 +76,15 @@ def write_param_chart(records: list[IterationRecord], name: str, path: Path) -> 
 def write_alarm_chart(records: list[IterationRecord], path: Path) -> None:
     lines = ["alarms per iteration (best completed analysis)", ""]
     lines.append(f"{'iter':>4}  {'completed':>9}  {'best':>6}")
-    series = []
+    series: list[float | None] = []
     for record in records:
         counts = [len(o.alarms) for o in record.outcomes if isinstance(o, Completed)]
-        best = min(counts) if counts else None
-        series.append(float(best) if best is not None else -1.0)
-        shown = str(best) if best is not None else "-"
+        best = min(counts, default=None)
+        series.append(best)
+        shown = "-" if best is None else str(best)
         lines.append(f"{record.index:>4}  {record.completed:>9}  {shown:>6}")
     lines.append("")
-    lines.append(f"best: {sparkline([x for x in series])}")
+    lines.append(f"best: {sparkline(series)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

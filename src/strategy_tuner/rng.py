@@ -4,43 +4,66 @@ A stream is identified by a root seed plus a path of labels. Equal
 (seed, path) pairs always produce the same draw sequence, so a whole
 tuning run replays from a single seed no matter how work is scheduled.
 Substreams for unrelated labels are statistically independent: each
-stream seeds its own generator from a keyed hash of the full path.
+stream seeds its own generator from a 128-bit blake2b key of the full
+path.
+
+The key is built incrementally. The hash input is the seed's decimal
+digits followed by each label's encoding: a type tag (``i`` for an
+integer, ``s`` for a string), the 4-byte big-endian length of the
+label's UTF-8 text, then that text. Because the input is a plain
+concatenation, a stream keeps the hash state of its own path, and
+``split`` copies it and feeds in only the new labels; so
+``s.split("a", 2).split("b")`` and ``s.split("a", 2, "b")`` are the
+same stream. The generator is seeded on the first draw, so a stream
+that is only split never pays for one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from functools import lru_cache
+
+
+# typed: True == 1 as a cache key, but the two encode differently
+@lru_cache(maxsize=1024, typed=True)
+def _encode_label(label: "str | int") -> bytes:
+    payload = str(label).encode("utf-8")
+    tag = b"i" if isinstance(label, int) else b"s"
+    return b"".join((tag, len(payload).to_bytes(4, "big"), payload))
 
 
 class RandomStream:
     """A named, seedable pseudo-random stream."""
 
-    __slots__ = ("seed", "path", "_rng")
+    __slots__ = ("seed", "path", "_hash", "_rng")
 
     def __init__(self, seed: int, path: tuple["str | int", ...] = ()):
-        self.seed = int(seed)
-        self.path = tuple(path)
-        self._rng = random.Random(self._derive_key())
-
-    def _derive_key(self) -> int:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(str(self.seed).encode("ascii"))
-        for label in self.path:
-            tag = b"i" if isinstance(label, int) else b"s"
-            payload = str(label).encode("utf-8")
-            h.update(tag)
-            h.update(len(payload).to_bytes(4, "big"))
-            h.update(payload)
-        return int.from_bytes(h.digest(), "big")
+        seed = int(seed)
+        hasher = hashlib.blake2b(str(seed).encode("ascii"), digest_size=16)
+        self._extend(seed, (), hasher, tuple(path))
 
     def split(self, *labels: "str | int") -> "RandomStream":
         """Child stream for the given labels; independent of this one."""
-        return RandomStream(self.seed, self.path + labels)
+        child = RandomStream.__new__(RandomStream)
+        child._extend(self.seed, self.path, self._hash.copy(), labels)
+        return child
+
+    def _extend(
+        self, seed: int, path: tuple, hasher: "hashlib.blake2b", labels: tuple
+    ) -> None:
+        hasher.update(b"".join(map(_encode_label, labels)))
+        self.seed = seed
+        self.path = path + labels
+        self._hash = hasher
+        self._rng: random.Random | None = None
 
     def random(self) -> float:
         """Uniform draw in [0, 1)."""
-        return self._rng.random()
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(int.from_bytes(self._hash.digest(), "big"))
+        return rng.random()
 
     def __repr__(self) -> str:
         suffix = "/".join(str(p) for p in self.path)

@@ -65,6 +65,7 @@ class TestBuildResultMatrix:
         matrix = build_result_matrix([TimedOut(1.0), Crashed("boom")], configs)
         assert matrix.num_rows == 0
         assert matrix.num_alarms == 0
+        assert matrix.values_per_param == {name: () for name in catalog.names()}
 
     def test_universe_orders_by_first_appearance_then_lex(self, catalog):
         configs = _configs_with_slevel(catalog, [1, 2])

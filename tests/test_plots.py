@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from strategy_tuner import (
 )
 from strategy_tuner.plots import sparkline, write_plots
 from strategy_tuner.trace import read_trace, record_to_json
+
+MIXED_TRACE = Path(__file__).resolve().parent / "data" / "golden" / "mixed.ndjson"
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +60,11 @@ class TestSparkline:
         assert sparkline([2.0, inf, 2.0]) == "▄█▄"
         assert sparkline([inf, inf]) == "██"
 
+    def test_missing_values_are_gaps(self):
+        assert sparkline([None, 2.0, 4.0, None]) == " ▁█ "
+        assert sparkline([None, 5.0]) == " ▄"
+        assert sparkline([None, None]) == "  "
+
 
 class TestWritePlots:
     def test_one_file_per_parameter_plus_alarms(self, records, tmp_path):
@@ -93,3 +101,15 @@ class TestWritePlots:
         chart = (tmp_path / "param-slevel.txt").read_text(encoding="utf-8").splitlines()
         assert chart[-4].split()[:2] == [str(records[-1].index), "inf"]
         assert chart[-2].startswith("base:  ") and chart[-2].endswith("█")
+
+    def test_alarm_chart_draws_empty_iterations_as_gaps(self, tmp_path):
+        # the golden mixed trace has iterations in which every analysis
+        # timed out; its lowest real count is 2 alarms, at iteration 1
+        records = read_trace(MIXED_TRACE.read_text(encoding="utf-8"))
+        write_plots(records, tmp_path)
+        last = (tmp_path / "alarms.txt").read_text(encoding="utf-8").splitlines()[-1]
+        assert last.startswith("best: ")
+        spark = last[len("best: "):]
+        assert len(spark) == len(records) == 12
+        assert [i for i, c in enumerate(spark) if c == " "] == [4, 6, 7, 8, 9, 10, 11]
+        assert spark[1] == "▁"

@@ -11,9 +11,11 @@ from strategy_tuner import (
     BitsKind,
     BitsVal,
     BoolKind,
+    INFINITY,
     BoolVal,
     IntKind,
     IntVal,
+    LatticeMismatchError,
     MatrixRow,
     ResultMatrix,
     join,
@@ -124,6 +126,59 @@ class TestEdgeCases:
         )
         assert refine_base(matrix, "p", BoolVal(False)) == BoolVal(False)
         assert oracle_refine_base(matrix, "p", BoolVal(False)) == BoolVal(False)
+
+    def test_integer_top_meet_is_skipped(self):
+        # alarm "a" was eliminated only at INFINITY: its meet is top and is
+        # skipped; alarm "b" was also eliminated at 12, which the base takes
+        rows = (
+            MatrixRow(0, (False, False)),
+            MatrixRow(1, (True, False)),
+            MatrixRow(2, (True, True)),
+        )
+        values = {"p": (IntVal(INFINITY), IntVal(12), IntVal(3))}
+        only_top = ResultMatrix(
+            alarms=("a",),
+            rows=tuple(MatrixRow(r.config_index, r.produced[:1]) for r in rows),
+            values_per_param=values,
+        )
+        assert only_top.eliminator_sets == ((0,),)
+        assert refine_base(only_top, "p", IntVal(0)) == IntVal(0)
+        both = ResultMatrix(alarms=("a", "b"), rows=rows, values_per_param=values)
+        assert both.eliminator_sets == ((0,), (0, 1))
+        assert refine_base(both, "p", IntVal(0)) == IntVal(12)
+        assert refine_base(both, "p", IntVal(0)) == oracle_refine_base(both, "p", IntVal(0))
+
+
+class TestKindChecks:
+    @staticmethod
+    def _matrix(values) -> ResultMatrix:
+        # row 0 eliminates alarm "a"; alarm "b" is produced everywhere
+        return ResultMatrix(
+            alarms=("a", "b"),
+            rows=(MatrixRow(0, (False, True)), MatrixRow(1, (True, True))),
+            values_per_param={"p": values},
+        )
+
+    def test_integer_column_on_boolean_base(self):
+        with pytest.raises(LatticeMismatchError):
+            refine_base(self._matrix((IntVal(3), IntVal(0))), "p", BoolVal(False))
+
+    def test_four_bit_column_on_five_bit_base(self):
+        with pytest.raises(LatticeMismatchError):
+            refine_base(self._matrix((BitsVal(0b0101, 4), BitsVal(0, 4))), "p", BitsVal(0, 5))
+
+    def test_checked_even_when_nothing_is_eliminated(self):
+        matrix = ResultMatrix(
+            alarms=("b",),
+            rows=(MatrixRow(0, (True,)),),
+            values_per_param={"p": (BitsVal(0b0101, 4),)},
+        )
+        with pytest.raises(LatticeMismatchError):
+            refine_base(matrix, "p", BitsVal(0, 5))
+
+    def test_one_mismatched_value_in_the_column(self):
+        with pytest.raises(LatticeMismatchError):
+            refine_base(self._matrix((IntVal(3), BoolVal(True))), "p", IntVal(0))
 
 
 def _random_matrix(rng: random.Random, kind) -> ResultMatrix:

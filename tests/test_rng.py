@@ -58,3 +58,41 @@ def test_draws_in_unit_interval():
     for _ in range(1000):
         u = stream.random()
         assert 0.0 <= u < 1.0
+
+
+# Draws captured from the stream implementation that hashed the whole
+# path on every split; an incremental key must reproduce them exactly.
+def test_root_stream_draws_pinned():
+    stream = RandomStream(7)
+    assert [stream.random() for _ in range(3)] == [
+        0.4254510630752716,
+        0.5512901665030351,
+        0.524689257031257,
+    ]
+
+
+def test_split_stream_draws_pinned():
+    stream = RandomStream(7).split("iter", 3, "sample", 1, "param", "slevel")
+    assert [stream.random() for _ in range(3)] == [
+        0.5213876165967912,
+        0.8915875140815948,
+        0.3106537849606229,
+    ]
+
+
+def test_look_alike_labels_draws_pinned():
+    stream = RandomStream(0).split(1, "1")
+    assert [stream.random() for _ in range(3)] == [
+        0.24316518328073056,
+        0.025362001099558884,
+        0.2999960571901342,
+    ]
+
+
+def test_chained_splits_equal_one_split():
+    root = RandomStream(11)
+    chained = root.split("a", 2).split("b")
+    direct = root.split("a", 2, "b")
+    assert chained.path == direct.path
+    assert [chained.random() for _ in range(5)] == [direct.random() for _ in range(5)]
+
