@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import os
-import shlex
 import shutil
 import sys
 from dataclasses import dataclass
@@ -154,13 +153,19 @@ def load_run_config(args) -> RunConfig:
                 "subprocess backend requires 'adapter.command' and 'adapter.pattern'"
             )
         env_raw = tree.get("adapter.env", "")
-        adapter = AdapterConfig(
-            command=command,
-            pattern=pattern,
-            join=tree.get("adapter.join", ":") or ":",
-            env_passthrough=tuple(v for v in (env_raw or "").split(",") if v),
-            grace=_read_key(tree, "adapter.grace", _seconds, 2.0),
-        )
+        grace = _read_key(tree, "adapter.grace", _seconds, 2.0)
+        try:
+            adapter = AdapterConfig(
+                command=command,
+                pattern=pattern,
+                join=tree.get("adapter.join", ":") or ":",
+                env_passthrough=tuple(v for v in (env_raw or "").split(",") if v),
+                grace=grace,
+            )
+        except ValueError as exc:
+            raise ConfigParseError(
+                f"bad value for 'adapter.command': {exc}", line=tree.line_of("adapter.command")
+            ) from None
 
     out = getattr(args, "out", None) or tree.get("out") or "tuner-out"
     return RunConfig(
@@ -174,11 +179,7 @@ def load_run_config(args) -> RunConfig:
 
 
 def _adapter_available(adapter: AdapterConfig) -> bool:
-    try:
-        argv = shlex.split(adapter.command.format(program="x", args=""))
-    except (KeyError, IndexError, ValueError):
-        return False
-    return bool(argv) and shutil.which(argv[0]) is not None
+    return shutil.which(adapter.words[0]) is not None
 
 
 def _prepare_out_dir(out_dir: Path) -> None:

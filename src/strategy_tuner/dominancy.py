@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed
 from .errors import BaselinesDoNotSeparateError, TunerError
-from .orchestrator import run_batch
+from .orchestrator import run_batch, worker_pool
 from .paramspace import Catalog, Configuration
 
 
@@ -107,26 +107,28 @@ def run_dominancy(
     """Run the 2 baselines plus 2 analyses per parameter and score them.
 
     Failed controlled analyses are recorded as unavailable and excluded
-    from the dominance ranking; failed baselines abort the run.
+    from the dominance ranking; failed baselines abort the run. Both
+    batches run on one worker pool.
     """
 
     def tasks(configs: list[Configuration]) -> list[AnalysisTask]:
         return [AnalysisTask(program_ref=program_ref, config=c, timeout=timeout) for c in configs]
 
-    workers = max(1, num_process)
-    low_outcome, high_outcome = run_batch(analyzer, tasks([low_config, high_config]), workers)
-    alarms_low = _alarm_count(low_outcome)
-    alarms_high = _alarm_count(high_outcome)
-    if alarms_low is None or alarms_high is None:
-        raise TunerError("baseline analysis did not complete within the timeout")
-    if alarms_low <= alarms_high:
-        raise BaselinesDoNotSeparateError(
-            f"baselines do not separate: low={alarms_low}, high={alarms_high}"
+    with worker_pool(analyzer, max(1, num_process)) as pool:
+        low_outcome, high_outcome = run_batch(
+            analyzer, tasks([low_config, high_config]), pool
         )
-
-    swaps = [_controlled_configs(low_config, high_config, spec.name) for spec in catalog]
-    jobs = [config for selected, excluded in swaps for config in (selected, excluded)]
-    outcomes = run_batch(analyzer, tasks(jobs), workers)
+        alarms_low = _alarm_count(low_outcome)
+        alarms_high = _alarm_count(high_outcome)
+        if alarms_low is None or alarms_high is None:
+            raise TunerError("baseline analysis did not complete within the timeout")
+        if alarms_low <= alarms_high:
+            raise BaselinesDoNotSeparateError(
+                f"baselines do not separate: low={alarms_low}, high={alarms_high}"
+            )
+        swaps = [_controlled_configs(low_config, high_config, spec.name) for spec in catalog]
+        jobs = [config for selected, excluded in swaps for config in (selected, excluded)]
+        outcomes = run_batch(analyzer, tasks(jobs), pool)
 
     pairs: list[ControlledPair] = []
     scores: list[ParamScore] = []

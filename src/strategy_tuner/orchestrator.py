@@ -1,7 +1,7 @@
 """The sample-analyze-refine loop.
 
 Each iteration draws ``num_sample`` configurations from the current
-distributions, dispatches the analyses on a bounded worker pool, builds
+distributions, dispatches the analyses on the run's worker pool, builds
 the result matrix from whatever completed, and refines every parameter's
 base (meet-and-join over alarm columns) and delta (completion-rate
 scaling). The loop stops when the remaining budget drops below a minimum
@@ -17,16 +17,17 @@ total can never overshoot the budget.
 Analyzers exposing a true ``virtual_clock`` attribute are charged
 simulated time (the makespan of their reported wall times on the pool)
 instead of real time; runs against them are bit-reproducible from the
-seed alone.
+seed alone. Their analyses run on the calling thread, with no pool.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
 from .distributions import (
@@ -162,14 +163,28 @@ def _sample_configuration(
     return Configuration(tuple(entries))
 
 
-def run_batch(
-    analyzer: Analyzer, tasks: list[AnalysisTask], workers: int
-) -> list[AnalysisOutcome]:
-    """Run the tasks on at most ``workers`` threads; outcomes in task order.
+@contextmanager
+def worker_pool(analyzer: Analyzer, workers: int) -> Iterator[Executor | None]:
+    """One pool of at most ``workers`` threads for all of a run's batches.
 
-    An analyzer that raises yields a ``Crashed`` outcome. Tasks of a
-    virtual-clock analyzer spend no real time and run one after another
-    on the calling thread.
+    The pool is shut down when the block exits, however it exits. A
+    virtual-clock analyzer spends no real time, so it gets no pool
+    (None) and its tasks run on the calling thread.
+    """
+    if getattr(analyzer, "virtual_clock", False):
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
+def run_batch(
+    analyzer: Analyzer, tasks: list[AnalysisTask], pool: Executor | None
+) -> list[AnalysisOutcome]:
+    """Run the tasks on ``pool``; outcomes in task order.
+
+    An analyzer that raises yields a ``Crashed`` outcome. With no pool
+    the tasks run one after another on the calling thread.
     """
 
     def guarded(task: AnalysisTask) -> AnalysisOutcome:
@@ -178,10 +193,9 @@ def run_batch(
         except Exception as exc:  # a raising analyzer counts as a crash
             return Crashed(exit_info=f"analyzer raised {exc!r}")
 
-    if getattr(analyzer, "virtual_clock", False):
+    if pool is None:
         return [guarded(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, tasks))
+    return list(pool.map(guarded, tasks))
 
 
 def _makespan(durations: list[float], workers: int) -> float:
@@ -201,8 +215,10 @@ def _outcome_duration(outcome: AnalysisOutcome) -> float:
     return 0.0
 
 
-def execute_iteration(state: TunerState, rng: RandomStream) -> IterationRecord:
-    """Run one sample-analyze-refine round and advance the state."""
+def execute_iteration(
+    state: TunerState, rng: RandomStream, pool: Executor | None
+) -> IterationRecord:
+    """Run one sample-analyze-refine round on ``pool`` and advance the state."""
     settings = state.settings
     started = time.monotonic()
     waves = math.ceil(settings.num_sample / settings.num_process)
@@ -219,7 +235,7 @@ def execute_iteration(state: TunerState, rng: RandomStream) -> IterationRecord:
         for c in configs
     ]
 
-    outcomes = run_batch(state.analyzer, tasks, settings.num_process)
+    outcomes = run_batch(state.analyzer, tasks, pool)
     matrix = build_result_matrix(outcomes, configs)
     completed = matrix.num_rows
     eta_c = completed / settings.num_sample
@@ -267,7 +283,8 @@ def tune(
     """Drive iterations until the budget or iteration cap runs out.
 
     ``on_record`` is invoked after each iteration (e.g. to append and
-    flush a trace file), before the next one starts.
+    flush a trace file), before the next one starts. All iterations share
+    one worker pool, which is shut down before ``tune`` returns or raises.
     """
     state = TunerState(
         program_ref=program_ref,
@@ -282,22 +299,23 @@ def tune(
     best: BestSample | None = None
     started = time.monotonic()
 
-    while state.remaining >= settings.min_slice:
-        if settings.max_iterations is not None and state.iteration >= settings.max_iterations:
-            break
-        record = execute_iteration(state, rng)
-        records.append(record)
-        for config, outcome in zip(record.sampled_configs, record.outcomes):
-            if isinstance(outcome, Completed):
-                count = len(outcome.alarms)
-                if best is None or count < best.alarm_count:
-                    best = BestSample(
-                        config=config,
-                        alarm_count=count,
-                        alarms=tuple(sorted(outcome.alarms)),
-                    )
-        if on_record is not None:
-            on_record(record)
+    with worker_pool(analyzer, settings.num_process) as pool:
+        while state.remaining >= settings.min_slice:
+            if settings.max_iterations is not None and state.iteration >= settings.max_iterations:
+                break
+            record = execute_iteration(state, rng, pool)
+            records.append(record)
+            for config, outcome in zip(record.sampled_configs, record.outcomes):
+                if isinstance(outcome, Completed):
+                    count = len(outcome.alarms)
+                    if best is None or count < best.alarm_count:
+                        best = BestSample(
+                            config=config,
+                            alarm_count=count,
+                            alarms=tuple(sorted(outcome.alarms)),
+                        )
+            if on_record is not None:
+                on_record(record)
 
     if state.virtual_clock:
         wall_total = settings.time_budget - state.remaining

@@ -1,6 +1,7 @@
 """Subprocess adapter for real analyzers.
 
-Runs a command template with the rendered configuration arguments,
+Splits a command template into words once, fills in each analysis's
+program and rendered configuration arguments word by word, runs it,
 reads its output and reaps it under the wall-clock deadline, kills the
 process group once the deadline passes, and extracts alarm identifiers
 from the output with a line-wise regular expression. Alarm identity is
@@ -17,15 +18,19 @@ import re
 import selectors
 import shlex
 import signal
+import string
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Completed, Crashed, TimedOut
 from .paramspace import Catalog, render_cli_args
 
 log = logging.getLogger(__name__)
+
+#: The placeholders a command template may use.
+_PLACEHOLDERS = ("program", "args")
 
 #: Longest single wait for output, in seconds; ``select`` rejects waits
 #: above 2**31 - 1 milliseconds, which a long deadline can exceed.
@@ -37,9 +42,11 @@ class AdapterConfig:
     """How to invoke one external analyzer.
 
     ``command`` is a template with ``{program}`` and ``{args}``
-    placeholders. ``pattern`` is applied to each output line; a match
-    yields one alarm whose id is the capture groups joined by ``join``
-    (the whole match if there are no groups). With an empty
+    placeholders, split once into ``words`` as a POSIX shell would; a
+    malformed template raises ``ValueError`` here. ``pattern`` is
+    applied to each output line; a match yields one alarm whose id is
+    the capture groups joined by ``join`` (the whole match if there are
+    no groups). With an empty
     ``env_passthrough`` the child inherits the full environment;
     otherwise only the named variables plus PATH are forwarded.
     """
@@ -49,6 +56,33 @@ class AdapterConfig:
     join: str = ":"
     env_passthrough: tuple[str, ...] = ()
     grace: float = 2.0
+    words: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "words", _split_command(self.command))
+
+
+def _split_command(command: str) -> tuple[str, ...]:
+    """The words of a command template; ValueError if it is malformed.
+
+    A template is malformed if it has an unbalanced quote or no words,
+    or if a word has a stray brace or a placeholder other than
+    ``{program}`` and ``{args}``.
+    """
+    words = tuple(shlex.split(command))
+    if not words:
+        raise ValueError("command has no words")
+    for word in words:
+        for _, name, _, _ in string.Formatter().parse(word):
+            if name is not None and name not in _PLACEHOLDERS:
+                raise ValueError(
+                    f"placeholder {{{name}}} in {word!r} is neither {{program}} nor {{args}}"
+                )
+        try:
+            word.format(program="", args="")
+        except (KeyError, IndexError, ValueError) as exc:  # a field in a format spec
+            raise ValueError(f"bad placeholder in {word!r}: {exc}") from None
+    return words
 
 
 class SubprocessAnalyzer:
@@ -58,11 +92,21 @@ class SubprocessAnalyzer:
         self._pattern = re.compile(adapter.pattern)
 
     def command_argv(self, task: AnalysisTask) -> list[str]:
+        """The template's words with the placeholders filled in.
+
+        A word that is exactly ``{args}`` becomes the rendered arguments,
+        one word each; elsewhere ``{args}`` is their ``shlex.join`` text.
+        ``{program}`` always stays inside its word.
+        """
         args = render_cli_args(task.config, self.catalog)
-        cmdline = self.adapter.command.format(
-            program=task.program_ref, args=shlex.join(args)
-        )
-        return shlex.split(cmdline)
+        joined = shlex.join(args)
+        argv: list[str] = []
+        for word in self.adapter.words:
+            if word == "{args}":
+                argv.extend(args)
+            else:
+                argv.append(word.format(program=task.program_ref, args=joined))
+        return argv
 
     def _child_env(self) -> dict[str, str] | None:
         names = self.adapter.env_passthrough

@@ -9,7 +9,7 @@ round-trips losslessly into an IterationRecord without a catalog.
 from __future__ import annotations
 
 import json
-from typing import Any, TextIO
+from typing import Any, Sequence, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
 from .distributions import Bernoulli, BernoulliVector, DeltaDistribution, ParamDistribution, Poisson
@@ -79,11 +79,20 @@ def _config_from_json(obj: dict[str, str], kinds: dict[str, Kind]) -> Configurat
     return Configuration(tuple(entries))
 
 
-def outcome_to_json(outcome: AnalysisOutcome) -> dict[str, Any]:
+def outcome_to_json(outcome: AnalysisOutcome, universe: Sequence[str] = ()) -> dict[str, Any]:
+    """A completed outcome lists its alarms sorted.
+
+    ``universe`` is an optional sorted sequence of alarms; when it holds
+    all of the outcome's alarms they are taken from it in order, which
+    is cheaper than sorting each outcome's set.
+    """
     if isinstance(outcome, Completed):
+        alarms = list(filter(outcome.alarms.__contains__, universe))
+        if len(alarms) != len(outcome.alarms):
+            alarms = sorted(outcome.alarms)
         return {
             "status": "completed",
-            "alarms": sorted(outcome.alarms),
+            "alarms": alarms,
             "wall_time": outcome.wall_time,
         }
     if isinstance(outcome, TimedOut):
@@ -103,11 +112,13 @@ def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
 
 
 def record_to_json(record: IterationRecord) -> dict[str, Any]:
+    # Every completed outcome's alarms are in the universe: sort it once.
+    universe = sorted(record.alarm_universe)
     return {
         "schema": SCHEMA_VERSION,
         "index": record.index,
         "sampled_configs": [_config_to_json(c) for c in record.sampled_configs],
-        "outcomes": [outcome_to_json(o) for o in record.outcomes],
+        "outcomes": [outcome_to_json(o, universe) for o in record.outcomes],
         "alarm_universe": list(record.alarm_universe),
         "completed": record.completed,
         "eta_c": record.eta_c,

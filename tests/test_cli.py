@@ -189,6 +189,26 @@ class TestRejectedValues:
         assert "line 4" in err and "adapter.grace" in err
 
 
+    @pytest.mark.parametrize(
+        "command, reason",
+        [
+            ('sh -c "echo {args}', "No closing quotation"),
+            ("true {prog}", "{prog}"),
+            ("true {0} {program}", "{0}"),
+        ],
+    )
+    def test_malformed_adapter_command(self, tmp_path, capsys, command, reason):
+        text = (
+            "program = x.c\n"
+            "adapter.pattern = warn:(.*)\n"
+            f"adapter.command = {command}\n"
+        )
+        assert self._tune_config(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "adapter.command" in err and reason in err
+        assert "not found" not in err
+        assert not (tmp_path / "out" / "trace.ndjson").exists()
+
 class TestDominancy:
     def _write_baselines(self, tmp_path):
         catalog = default_catalog()

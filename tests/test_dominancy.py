@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as stx
@@ -117,6 +119,28 @@ class TestRunDominancy:
         high = low.replace("slevel", IntVal(50))
         run_dominancy("synthetic", low, high, catalog, Counting(), timeout=10.0)
         assert len(calls) == 2 * len(catalog) + 2
+
+    def test_both_batches_share_one_pool(self, catalog, slevel_only_profile):
+        inner = SyntheticAnalyzer(slevel_only_profile)
+        threads = []
+
+        class RealClock:  # not virtual-clock, so the batches use a pool
+            def run(self, task):
+                threads.append(threading.current_thread())
+                return inner.run(task)
+
+        low = catalog.bottom_configuration()
+        high = low.replace("slevel", IntVal(50))
+        before = threading.active_count()
+        report = run_dominancy(
+            "synthetic", low, high, catalog, RealClock(), timeout=10.0, num_process=1
+        )
+        assert report.dominant == "slevel"
+        assert len(threads) == 2 * len(catalog) + 2
+        # One worker serves the baselines and every controlled pair; a
+        # pool per batch would have started a second thread.
+        assert len(set(threads)) == 1
+        assert threading.active_count() == before
 
     def test_identical_baselines_error(self, catalog, slevel_only_profile):
         low = catalog.bottom_configuration()

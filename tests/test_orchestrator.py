@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -26,6 +27,7 @@ from strategy_tuner import (
     leq,
     tune,
 )
+from strategy_tuner import orchestrator
 from strategy_tuner.paramspace import Configuration
 
 
@@ -169,6 +171,90 @@ class TestDispatch:
         record = result.iteration_trace[0]
         assert all(isinstance(o, Crashed) for o in record.outcomes)
         assert record.completed == 0
+
+
+class ThreadRecorder:
+    """A real-clock analyzer noting the thread each analysis runs on.
+
+    It keeps the thread objects, so a thread that has exited is never
+    confused with a later one that reuses its identifier.
+    """
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self._lock = threading.Lock()
+        self.threads: list[threading.Thread] = []
+
+    def run(self, task: AnalysisTask):
+        with self._lock:
+            self.threads.append(threading.current_thread())
+        if self.inner is not None:
+            return self.inner.run(task)
+        return Completed(frozenset(), 0.0)
+
+    def distinct(self) -> int:
+        return len(set(self.threads))
+
+
+class TestWorkerPool:
+    def test_one_pool_for_the_whole_run(self, catalog):
+        recorder = ThreadRecorder()
+        settings = TunerSettings(
+            time_budget=30.0, num_sample=4, num_process=2, seed=0, max_iterations=5
+        )
+        result = tune("prog", catalog, settings, recorder)
+        assert len(result.iteration_trace) == 5
+        assert len(recorder.threads) == 20
+        assert 1 <= recorder.distinct() <= 2
+        assert threading.main_thread() not in recorder.threads
+
+    def test_threads_end_when_tune_returns(self, catalog):
+        before = threading.active_count()
+        settings = TunerSettings(
+            time_budget=30.0, num_sample=4, num_process=3, seed=0, max_iterations=3
+        )
+        tune("prog", catalog, settings, ThreadRecorder())
+        assert threading.active_count() == before
+
+    def test_threads_end_when_on_record_raises(self, catalog):
+        before = threading.active_count()
+        settings = TunerSettings(
+            time_budget=30.0, num_sample=4, num_process=3, seed=0, max_iterations=5
+        )
+
+        def on_record(record):
+            if record.index == 1:
+                raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            tune("prog", catalog, settings, ThreadRecorder(), on_record=on_record)
+        assert threading.active_count() == before
+
+    def test_virtual_clock_runs_on_the_calling_thread(
+        self, catalog, incompressible_profile, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a virtual-clock run created a thread pool")
+
+        monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", no_pool)
+        recorder = ThreadRecorder(SyntheticAnalyzer(incompressible_profile))
+        recorder.virtual_clock = True
+        settings = TunerSettings(
+            time_budget=100.0, num_sample=4, num_process=2, seed=0, max_iterations=3
+        )
+        tune("synthetic", catalog, settings, recorder)
+        assert set(recorder.threads) == {threading.current_thread()}
+
+    def test_run_batch_uses_the_given_pool(self, catalog, monkeypatch):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", None)
+            recorder = ThreadRecorder()
+            tasks = [AnalysisTask("prog", catalog.base_configuration(), 1.0)] * 3
+            for _ in range(2):
+                outcomes = orchestrator.run_batch(recorder, tasks, pool)
+                assert all(isinstance(o, Completed) for o in outcomes)
+        assert len(recorder.threads) == 6
+        assert recorder.distinct() == 1
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shlex
 import sys
 import time
 
@@ -14,6 +15,7 @@ from strategy_tuner import (
     Crashed,
     SubprocessAnalyzer,
     TimedOut,
+    render_cli_args,
 )
 
 
@@ -74,6 +76,65 @@ class TestEchoFixtures:
         alarms, anomalies = analyzer.extract_alarms("warn good\noops bad\n")
         assert anomalies == 2
         assert alarms == frozenset()
+
+
+class TestTemplate:
+    """A template is split once; placeholders are filled in word by word."""
+
+    def _run(self, catalog, command: str, program: str):
+        adapter = AdapterConfig(command=command, pattern=r"^(.*)$")
+        task = AnalysisTask(program, catalog.base_configuration(), timeout=5.0)
+        return SubprocessAnalyzer(adapter, catalog).run(task)
+
+    @pytest.mark.parametrize("program", ["my dir/a.c", "it's.c", 'say "hi".c', "a;b $x.c"])
+    def test_program_is_one_word(self, catalog, program):
+        outcome = self._run(catalog, "printf '%s\\n' {program}", program)
+        assert isinstance(outcome, Completed)
+        assert outcome.alarms == frozenset({program})
+
+    def test_program_inside_a_word(self, catalog):
+        outcome = self._run(catalog, "printf '%s\\n' --file={program}", "my dir/it's.c")
+        assert outcome.alarms == frozenset({"--file=my dir/it's.c"})
+
+    def test_args_alone_expand_to_one_word_each(self, catalog, base_task):
+        adapter = AdapterConfig(command="echo {args} {program}", pattern=r".*")
+        args = render_cli_args(base_task.config, catalog)
+        argv = SubprocessAnalyzer(adapter, catalog).command_argv(base_task)
+        assert argv == ["echo", *args, "prog.c"]
+
+    def test_args_inside_a_word_are_the_joined_text(self, catalog, base_task):
+        adapter = AdapterConfig(command='sh -c "echo {args}" --opts={args}', pattern=r".*")
+        joined = shlex.join(render_cli_args(base_task.config, catalog))
+        argv = SubprocessAnalyzer(adapter, catalog).command_argv(base_task)
+        assert argv == ["sh", "-c", f"echo {joined}", f"--opts={joined}"]
+
+    def test_doubled_braces_are_literal(self, catalog, base_task):
+        adapter = AdapterConfig(command="echo {{args}} {{program}}x", pattern=r".*")
+        argv = SubprocessAnalyzer(adapter, catalog).command_argv(base_task)
+        assert argv == ["echo", "{args}", "{program}x"]
+
+    def test_words_split_once(self):
+        adapter = AdapterConfig(command="frama-c -eva '{args}' \"{program}\"", pattern=r".*")
+        assert adapter.words == ("frama-c", "-eva", "{args}", "{program}")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            'sh -c "echo {args}',  # unbalanced quote
+            "frama-c {prog}",  # unknown placeholder
+            "frama-c {0}",  # positional placeholders
+            "frama-c {}",
+            "frama-c {program.upper}",  # attribute and index lookups
+            "frama-c {args[0]}",
+            "frama-c {program:{width}}",  # a placeholder in a format spec
+            "frama-c {program",  # stray braces
+            "frama-c program}",
+            "   ",  # no words
+        ],
+    )
+    def test_malformed_template_rejected(self, command):
+        with pytest.raises(ValueError):
+            AdapterConfig(command=command, pattern=r".*")
 
 
 class TestOutput:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
 import pytest
 
 from strategy_tuner import (
+    Completed,
     ConfigParseError,
     SyntheticAnalyzer,
     TunerSettings,
@@ -15,6 +17,7 @@ from strategy_tuner import (
 )
 from strategy_tuner.trace import (
     SCHEMA_VERSION,
+    outcome_to_json,
     read_trace,
     record_from_json,
     record_to_json,
@@ -77,6 +80,29 @@ class TestRoundTrip:
             short_run.recommended_config.names()
         )
         assert obj["best_sampled"]["alarm_count"] == short_run.best_sampled.alarm_count
+
+
+class TestAlarmOrder:
+    def test_completed_alarms_sorted(self, short_run):
+        for record in short_run.iteration_trace:
+            obj = record_to_json(record)
+            for out, written in zip(record.outcomes, obj["outcomes"]):
+                if isinstance(out, Completed):
+                    assert written["alarms"] == sorted(out.alarms)
+
+    def test_universe_missing_an_alarm(self):
+        outcome = Completed(frozenset({"b", "a", "c"}), 1.0)
+        assert outcome_to_json(outcome, ["a", "c"])["alarms"] == ["a", "b", "c"]
+        assert outcome_to_json(outcome, ["a", "b", "c", "d"])["alarms"] == ["a", "b", "c"]
+        assert outcome_to_json(outcome)["alarms"] == ["a", "b", "c"]
+
+    def test_record_whose_universe_lacks_its_alarms(self, short_run):
+        record = dataclasses.replace(
+            short_run.iteration_trace[0],
+            outcomes=(Completed(frozenset({"z", "y"}), 0.5),) * 3,
+            alarm_universe=("y",),
+        )
+        assert record_to_json(record)["outcomes"][0]["alarms"] == ["y", "z"]
 
 
 class TestMalformedTraces:
