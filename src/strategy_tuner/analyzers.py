@@ -158,7 +158,7 @@ class AlarmGates:
             if alarm.requirement is None:
                 continue
             compressible |= 1 << bit
-            for name, value in alarm.requirement.entries:
+            for name, value in zip(alarm.requirement.names, alarm.requirement.values):
                 key = value.value
                 if key:  # bottom is the only key 0
                     by_key = held.setdefault(name, {})
@@ -210,7 +210,7 @@ def precision_contribution(value: LatticeValue) -> float:
 
 
 def simulated_cost(profile: SyntheticProfile, config: Configuration) -> float:
-    values = config.as_dict()
+    values = dict(zip(config.names, config.values))
     cost = profile.cost.base_cost
     for name, weight in profile.cost.weights.items():
         cost += weight * precision_contribution(values[name])
@@ -224,7 +224,7 @@ def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozen
     requirement, unless a twist on it fires.
     """
     gates = profile.gates
-    values = dict(config.entries)
+    values = dict(zip(config.names, config.values))
     eliminated = gates.compressible
     for gate in gates.params:
         eliminated &= gate.passes(values[gate.param].value)
@@ -276,7 +276,7 @@ def synthetic_oracle_least_config(profile: SyntheticProfile) -> Configuration:
     for alarm in profile.alarms:
         if alarm.requirement is None:
             continue
-        for name, value in alarm.requirement.entries:
+        for name, value in zip(alarm.requirement.names, alarm.requirement.values):
             if isinstance(value, IntVal) and value.is_infinite:
                 raise ProfileError(
                     f"requirement for {alarm.alarm_id!r} is unbounded in {name!r}"
@@ -358,6 +358,6 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
 
 
 def _known_param(catalog: Catalog, name: str) -> str:
-    if name not in catalog.names():
+    if name not in catalog.names:
         raise ValueError(f"unknown parameter {name!r}")
     return name

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import sys
 from dataclasses import dataclass
@@ -162,9 +163,10 @@ def load_run_config(args) -> RunConfig:
                 env_passthrough=tuple(v for v in (env_raw or "").split(",") if v),
                 grace=grace,
             )
-        except ValueError as exc:
+        except (ValueError, re.error) as exc:
+            key = "adapter.pattern" if isinstance(exc, re.error) else "adapter.command"
             raise ConfigParseError(
-                f"bad value for 'adapter.command': {exc}", line=tree.line_of("adapter.command")
+                f"bad value for {key!r}: {exc}", line=tree.line_of(key)
             ) from None
 
     out = getattr(args, "out", None) or tree.get("out") or "tuner-out"
@@ -241,6 +243,9 @@ def _summary(result) -> str:
 
 
 def cmd_dominancy(args) -> int:
+    if args.timeout is not None and not args.timeout > 0:
+        print(f"error: --timeout must be positive, got {args.timeout!r}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         run = load_run_config(args)
         _prepare_out_dir(run.out_dir)

@@ -128,8 +128,8 @@ def build_result_matrix(
         MatrixRow(config_index=i, produced=tuple(map(out.alarms.__contains__, universe)))
         for i, out in completed
     )
-    names = sampled_configs[0].names() if sampled_configs else ()
-    row_values = [[v for _, v in sampled_configs[i].entries] for i, _ in completed]
+    names = sampled_configs[0].names if sampled_configs else ()
+    row_values = [sampled_configs[i].values for i, _ in completed]
     columns = zip(*row_values) if row_values else [()] * len(names)
     values = dict(zip(names, columns, strict=True))
     return ResultMatrix(alarms=tuple(universe), rows=rows, values_per_param=values)
@@ -156,11 +156,11 @@ def _sample_configuration(
     state: TunerState, rng: RandomStream, iteration: int, sample_index: int
 ) -> Configuration:
     sample = rng.split("iter", iteration, "sample", sample_index)
-    entries = []
-    for spec in state.catalog:
-        stream = sample.split("param", spec.name)
-        entries.append((spec.name, sample_param(state.distributions[spec.name], stream)))
-    return Configuration(tuple(entries))
+    names = state.catalog.names
+    return Configuration(
+        names,
+        tuple(sample_param(state.distributions[n], sample.split("param", n)) for n in names),
+    )
 
 
 @contextmanager
@@ -321,11 +321,10 @@ def tune(
         wall_total = settings.time_budget - state.remaining
     else:
         wall_total = time.monotonic() - started
-    recommended = Configuration(
-        tuple((spec.name, state.distributions[spec.name].base) for spec in catalog)
-    )
     return TuneResult(
-        recommended_config=recommended,
+        recommended_config=Configuration(
+            catalog.names, tuple(state.distributions[n].base for n in catalog.names)
+        ),
         best_sampled=best,
         final_distributions=dict(state.distributions),
         iteration_trace=tuple(records),

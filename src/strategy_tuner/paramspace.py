@@ -9,7 +9,7 @@ catalog data, overridable from a file, never hardcoded elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import Iterator, Mapping, Union
 
 from .distributions import (
@@ -91,43 +91,43 @@ class ParamSpec:
             raise ValueError(f"render rule of {self.name!r} does not match its kind")
 
 
+def _index(names: tuple[str, ...], name: str) -> int:
+    """The position of ``name`` in ``names``; KeyError if it is absent."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise KeyError(name) from None
+
+
 @dataclass(frozen=True)
 class Configuration:
-    """A concrete value for every catalog parameter, in catalog order."""
+    """A concrete value for every catalog parameter: ``values[i]`` for ``names[i]``."""
 
-    entries: tuple[tuple[str, LatticeValue], ...]
+    names: tuple[str, ...]
+    values: tuple[LatticeValue, ...]
 
     def __getitem__(self, name: str) -> LatticeValue:
-        for key, value in self.entries:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(key for key, _ in self.entries)
-
-    def as_dict(self) -> dict[str, LatticeValue]:
-        return dict(self.entries)
+        return self.values[_index(self.names, name)]
 
     def replace(self, name: str, value: LatticeValue) -> "Configuration":
-        if name not in self.names():
-            raise KeyError(name)
-        old = self[name]
-        if kind_of(old) != kind_of(value):
+        i = _index(self.names, name)
+        if kind_of(self.values[i]) != kind_of(value):
             raise ValueError(f"replacement for {name!r} has the wrong kind")
-        return Configuration(
-            tuple((k, value if k == name else v) for k, v in self.entries)
-        )
+        return Configuration(self.names, self.values[:i] + (value,) + self.values[i + 1 :])
 
 
 @dataclass(frozen=True)
 class Catalog:
     params: tuple[ParamSpec, ...]
+    #: Parameter names in catalog order, computed once and shared by every
+    #: configuration the catalog builds.
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        names = [p.name for p in self.params]
+        names = tuple(p.name for p in self.params)
         if len(set(names)) != len(names):
             raise ValueError("catalog parameter names must be unique")
+        object.__setattr__(self, "names", names)
 
     def __len__(self) -> int:
         return len(self.params)
@@ -138,23 +138,17 @@ class Catalog:
     def __getitem__(self, index: int) -> ParamSpec:
         return self.params[index]
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
     def spec(self, name: str) -> ParamSpec:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+        return self.params[_index(self.names, name)]
 
     def initial_distributions(self) -> dict[str, ParamDistribution]:
         return {p.name: p.initial for p in self.params}
 
     def base_configuration(self) -> Configuration:
-        return Configuration(tuple((p.name, p.initial.base) for p in self.params))
+        return Configuration(self.names, tuple(p.initial.base for p in self.params))
 
     def bottom_configuration(self) -> Configuration:
-        return Configuration(tuple((p.name, bottom(p.kind)) for p in self.params))
+        return Configuration(self.names, tuple(bottom(p.kind) for p in self.params))
 
     def configuration(
         self, values: Mapping[str, LatticeValue], fill_bottom: bool = False
@@ -165,11 +159,10 @@ class Catalog:
         ``fill_bottom`` missing parameters default to the lattice bottom;
         otherwise the mapping must cover the whole catalog.
         """
-        known = self.names()
         for name in values:
-            if name not in known:
+            if name not in self.names:
                 raise KeyError(f"unknown parameter {name!r}")
-        entries: list[tuple[str, LatticeValue]] = []
+        chosen: list[LatticeValue] = []
         for spec in self.params:
             if spec.name in values:
                 value = values[spec.name]
@@ -179,17 +172,17 @@ class Catalog:
                 value = bottom(spec.kind)
             else:
                 raise ValueError(f"missing value for parameter {spec.name!r}")
-            entries.append((spec.name, value))
-        return Configuration(tuple(entries))
+            chosen.append(value)
+        return Configuration(self.names, tuple(chosen))
 
 
 def config_dominates(config: Configuration, lower: Configuration) -> bool:
     """Pointwise domination over all parameters."""
-    return all(leq(low, config[name]) for name, low in lower.entries)
+    return all(map(leq, lower.values, map(config.__getitem__, lower.names)))
 
 
 def config_join(a: Configuration, b: Configuration) -> Configuration:
-    return Configuration(tuple((name, join(value, b[name])) for name, value in a.entries))
+    return Configuration(a.names, tuple(map(join, a.values, map(b.__getitem__, a.names))))
 
 
 _DOMAIN_LABELS = ("cvalues", "octagon", "equality", "gauges", "symbolic-locations")
@@ -269,7 +262,7 @@ def render_cli_args(config: Configuration, catalog: Catalog) -> list[str]:
 
 
 def serialize_configuration(config: Configuration) -> str:
-    return "".join(f"{name} = {format_value(value)}\n" for name, value in config.entries)
+    return "".join(f"{n} = {format_value(v)}\n" for n, v in zip(config.names, config.values))
 
 
 def parse_configuration(text: str, catalog: Catalog) -> Configuration:

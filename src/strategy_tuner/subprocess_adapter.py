@@ -44,9 +44,10 @@ class AdapterConfig:
     ``command`` is a template with ``{program}`` and ``{args}``
     placeholders, split once into ``words`` as a POSIX shell would; a
     malformed template raises ``ValueError`` here. ``pattern`` is
-    applied to each output line; a match yields one alarm whose id is
-    the capture groups joined by ``join`` (the whole match if there are
-    no groups). With an empty
+    compiled once into ``regex``, and a malformed one raises
+    ``re.error`` here. It is applied to each output line; a match yields
+    one alarm whose id is the capture groups joined by ``join`` (the
+    whole match if there are no groups). With an empty
     ``env_passthrough`` the child inherits the full environment;
     otherwise only the named variables plus PATH are forwarded.
     """
@@ -57,9 +58,11 @@ class AdapterConfig:
     env_passthrough: tuple[str, ...] = ()
     grace: float = 2.0
     words: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    regex: re.Pattern[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", _split_command(self.command))
+        object.__setattr__(self, "regex", re.compile(self.pattern))
 
 
 def _split_command(command: str) -> tuple[str, ...]:
@@ -89,7 +92,6 @@ class SubprocessAnalyzer:
     def __init__(self, adapter: AdapterConfig, catalog: Catalog):
         self.adapter = adapter
         self.catalog = catalog
-        self._pattern = re.compile(adapter.pattern)
 
     def command_argv(self, task: AnalysisTask) -> list[str]:
         """The template's words with the placeholders filled in.
@@ -163,7 +165,7 @@ class SubprocessAnalyzer:
         alarms: set[str] = set()
         anomalies = 0
         for line in output.splitlines():
-            match = self._pattern.search(line)
+            match = self.adapter.regex.search(line)
             if match is None:
                 continue
             groups = match.groups()

@@ -19,7 +19,6 @@ from .lattice import (
     BoolKind,
     IntKind,
     Kind,
-    LatticeValue,
     format_value,
     parse_value,
 )
@@ -67,16 +66,14 @@ def distribution_from_json(obj: dict[str, Any]) -> ParamDistribution:
 
 
 def _config_to_json(config: Configuration) -> dict[str, str]:
-    return {name: format_value(value) for name, value in config.entries}
+    return dict(zip(config.names, map(format_value, config.values)))
 
 
 def _config_from_json(obj: dict[str, str], kinds: dict[str, Kind]) -> Configuration:
-    entries: list[tuple[str, LatticeValue]] = []
-    for name, literal in obj.items():
+    for name in obj:
         if name not in kinds:
             raise ConfigParseError(f"configuration names unknown parameter {name!r}")
-        entries.append((name, parse_value(kinds[name], literal)))
-    return Configuration(tuple(entries))
+    return Configuration(tuple(obj), tuple(parse_value(kinds[n], v) for n, v in obj.items()))
 
 
 def outcome_to_json(outcome: AnalysisOutcome, universe: Sequence[str] = ()) -> dict[str, Any]:

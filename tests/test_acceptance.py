@@ -240,7 +240,7 @@ def _check_trace_properties(records, names):
                 record.distributions_after[name].base,
             )
         base_config = Configuration(
-            tuple((name, record.distributions_before[name].base) for name in names)
+            names, tuple(record.distributions_before[name].base for name in names)
         )
         for config in record.sampled_configs:
             assert config_dominates(config, base_config)
@@ -278,7 +278,7 @@ def _random_profile(catalog, rng: random.Random) -> SyntheticProfile:
 
 def test_criterion_08_incrementality_and_dominance(catalog, convergence_run):
     result, _ = convergence_run
-    _check_trace_properties(result.iteration_trace, catalog.names())
+    _check_trace_properties(result.iteration_trace, catalog.names)
 
     rng = random.Random(0xD1CE)
     for run_index in range(5):
@@ -293,7 +293,7 @@ def test_criterion_08_incrementality_and_dominance(catalog, convergence_run):
         )
         result = tune("synthetic", catalog, settings, SyntheticAnalyzer(profile))
         assert result.iteration_trace
-        _check_trace_properties(result.iteration_trace, catalog.names())
+        _check_trace_properties(result.iteration_trace, catalog.names)
 
 
 # --- criterion 9: reproducibility ----------------------------------------------

@@ -294,7 +294,7 @@ class TestCompiledRule:
         profile = SyntheticProfile(catalog=catalog, alarms=tuple(alarms))
         highest = catalog.configuration({spec.name: top(spec.kind) for spec in specs})
         for alarm in alarms:
-            for name, need in alarm.requirement.entries:
+            for name, need in zip(alarm.requirement.names, alarm.requirement.values):
                 if need == bottom(kind_of(need)):
                     continue
                 for below in _one_below(need):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from strategy_tuner import IntVal, default_catalog, parse_configuration
+from strategy_tuner import IntVal, default_catalog, parse_configuration, serialize_configuration
 from strategy_tuner.cli import main
 
 SAMPLES = Path(__file__).parent.parent / "samples"
@@ -17,6 +20,17 @@ PROFILE = SAMPLES / "synthetic_slevel.profile"
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
+
+
+def write_baselines(directory: Path) -> tuple[Path, Path]:
+    """A low and a high baseline that differ in slevel only."""
+    low = default_catalog().bottom_configuration()
+    high = low.replace("slevel", IntVal(104))
+    low_path = directory / "low.conf"
+    high_path = directory / "high.conf"
+    low_path.write_text(serialize_configuration(low), encoding="utf-8")
+    high_path.write_text(serialize_configuration(high), encoding="utf-8")
+    return low_path, high_path
 
 
 @pytest.fixture(scope="module")
@@ -209,21 +223,27 @@ class TestRejectedValues:
         assert "not found" not in err
         assert not (tmp_path / "out" / "trace.ndjson").exists()
 
+    @pytest.mark.parametrize("command", ["tune", "dominancy"])
+    def test_malformed_adapter_pattern(self, tmp_path, capsys, command):
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            "program = x.c\n"
+            "adapter.command = true {args} {program}\n"
+            "adapter.pattern = (\n",
+            encoding="utf-8",
+        )
+        baselines = write_baselines(tmp_path) if command == "dominancy" else ()
+        out = str(tmp_path / "out")
+        status = run_cli(command, "--config", str(conf), "--out", out, *map(str, baselines))
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "adapter.pattern" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestDominancy:
-    def _write_baselines(self, tmp_path):
-        catalog = default_catalog()
-        from strategy_tuner import serialize_configuration
-
-        low = catalog.bottom_configuration()
-        high = low.replace("slevel", IntVal(104))
-        low_path = tmp_path / "low.conf"
-        high_path = tmp_path / "high.conf"
-        low_path.write_text(serialize_configuration(low), encoding="utf-8")
-        high_path.write_text(serialize_configuration(high), encoding="utf-8")
-        return low_path, high_path
-
     def test_report_written(self, tmp_path):
-        low, high = self._write_baselines(tmp_path)
+        low, high = write_baselines(tmp_path)
         out = tmp_path / "dom"
         status = run_cli(
             "dominancy",
@@ -244,7 +264,7 @@ class TestDominancy:
         assert report["dominant"] == "slevel"
 
     def test_equal_baselines_exit_2(self, tmp_path, capsys):
-        low, _ = self._write_baselines(tmp_path)
+        low, _ = write_baselines(tmp_path)
         status = run_cli(
             "dominancy",
             "--profile",
@@ -259,8 +279,28 @@ class TestDominancy:
         assert status == 2
         assert "do not separate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_bad_timeout_exit_2(self, tmp_path, capsys, timeout):
+        low, high = write_baselines(tmp_path)
+        status = run_cli(
+            "dominancy",
+            "--profile",
+            str(PROFILE),
+            "--out",
+            str(tmp_path / "dom"),
+            "--timeout",
+            timeout,
+            str(low),
+            str(high),
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "timeout" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "dom").exists()
+
     def test_bad_baseline_file_exit_2(self, tmp_path):
-        low, high = self._write_baselines(tmp_path)
+        low, high = write_baselines(tmp_path)
         low.write_text("slevel = banana\n", encoding="utf-8")
         status = run_cli(
             "dominancy",
@@ -338,3 +378,22 @@ class TestLogging:
         logging.getLogger().handlers.clear()
         run_cli("simulate", str(PROFILE))
         assert logging.getLogger().level == logging.DEBUG
+
+
+class TestModuleEntry:
+    def test_config_error_exits_2(self, tmp_path):
+        # runs cli.entrypoint, the function the console script calls
+        env = dict(os.environ)
+        src = str(Path(__file__).parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "strategy_tuner.cli", "tune", "--program", "x.c",
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr

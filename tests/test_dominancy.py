@@ -162,10 +162,10 @@ class TestRunDominancy:
         report = run_dominancy(
             "synthetic", low, high, catalog, SyntheticAnalyzer(slevel_only_profile), timeout=10.0
         )
-        assert tuple(p.param_name for p in report.pairs) == catalog.names()
+        assert tuple(p.param_name for p in report.pairs) == catalog.names
         for pair in report.pairs:
-            diff_sel = [n for n in catalog.names() if pair.selected_config[n] != low[n]]
-            diff_exc = [n for n in catalog.names() if pair.excluded_config[n] != high[n]]
+            diff_sel = [n for n in catalog.names if pair.selected_config[n] != low[n]]
+            diff_exc = [n for n in catalog.names if pair.excluded_config[n] != high[n]]
             assert diff_sel in ([], [pair.param_name])
             assert diff_exc in ([], [pair.param_name])
             assert pair.alarms_selected is not None

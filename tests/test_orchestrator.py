@@ -67,7 +67,7 @@ class TestBuildResultMatrix:
         matrix = build_result_matrix([TimedOut(1.0), Crashed("boom")], configs)
         assert matrix.num_rows == 0
         assert matrix.num_alarms == 0
-        assert matrix.values_per_param == {name: () for name in catalog.names()}
+        assert matrix.values_per_param == {name: () for name in catalog.names}
 
     def test_universe_orders_by_first_appearance_then_lex(self, catalog):
         configs = _configs_with_slevel(catalog, [1, 2])
@@ -370,7 +370,7 @@ class TestStateEvolution:
             "synthetic", catalog, settings, SyntheticAnalyzer(convergence_profile)
         )
         for record in result.iteration_trace:
-            for name in catalog.names():
+            for name in catalog.names:
                 assert leq(
                     record.distributions_before[name].base,
                     record.distributions_after[name].base,
@@ -385,10 +385,8 @@ class TestStateEvolution:
         )
         for record in result.iteration_trace:
             base_config = Configuration(
-                tuple(
-                    (name, record.distributions_before[name].base)
-                    for name in catalog.names()
-                )
+                catalog.names,
+                tuple(record.distributions_before[name].base for name in catalog.names),
             )
             for config in record.sampled_configs:
                 assert config_dominates(config, base_config)
@@ -423,7 +421,7 @@ class TestStateEvolution:
         result = tune(
             "synthetic", catalog, settings, SyntheticAnalyzer(convergence_profile)
         )
-        for name in catalog.names():
+        for name in catalog.names:
             assert result.recommended_config[name] == result.final_distributions[name].base
 
     def test_best_sampled_consistency(self, catalog, convergence_profile):

@@ -223,6 +223,35 @@ class TestConfigurationFiles:
             parse_configuration(text, catalog)
 
 
+class TestLookupErrors:
+    """An unknown name raises KeyError; a missing value or one of the wrong kind, ValueError."""
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda c: c.base_configuration()["nope"], KeyError),
+            (lambda c: c.base_configuration().replace("nope", IntVal(1)), KeyError),
+            (lambda c: c.base_configuration().replace("slevel", BoolVal(True)), ValueError),
+            (lambda c: c.spec("nope"), KeyError),
+            (lambda c: c.configuration({"nope": IntVal(1)}, fill_bottom=True), KeyError),
+            (lambda c: c.configuration({"slevel": IntVal(1)}), ValueError),
+            (lambda c: c.configuration({"slevel": BoolVal(True)}, fill_bottom=True), ValueError),
+        ],
+        ids=[
+            "getitem-unknown",
+            "replace-unknown",
+            "replace-wrong-kind",
+            "spec-unknown",
+            "configuration-unknown",
+            "configuration-missing",
+            "configuration-wrong-kind",
+        ],
+    )
+    def test_error(self, catalog, call, error):
+        with pytest.raises(error):
+            call(catalog)
+
+
 class TestDomination:
     def test_base_dominates_bottom(self, catalog):
         assert config_dominates(catalog.base_configuration(), catalog.bottom_configuration())

@@ -73,12 +73,17 @@ class TestRoundTrip:
         parsed = read_trace(buffer.getvalue())
         assert tuple(parsed) == short_run.iteration_trace
 
+    def test_read_back_configs_equal_and_hash_equal(self, short_run):
+        for record in short_run.iteration_trace:
+            back = record_from_json(json.loads(json.dumps(record_to_json(record))))
+            for produced, read in zip(record.sampled_configs, back.sampled_configs):
+                assert read == produced
+                assert hash(read) == hash(produced)
+
     def test_result_json_shape(self, short_run):
         obj = result_to_json(short_run)
         assert obj["iterations"] == len(short_run.iteration_trace)
-        assert set(obj["recommended_config"]) == set(
-            short_run.recommended_config.names()
-        )
+        assert set(obj["recommended_config"]) == set(short_run.recommended_config.names)
         assert obj["best_sampled"]["alarm_count"] == short_run.best_sampled.alarm_count
 
 
