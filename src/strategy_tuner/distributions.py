@@ -163,28 +163,49 @@ def _poisson_sequential(lam: float, rng: RandomStream) -> int:
     return k
 
 
+#: Bernoulli parameters whose outcome needs no draw.
+_FIXED_Q = (0.0, 1.0)
+
+
 def sample_delta(delta: DeltaDistribution, rng: RandomStream) -> "int | bool":
-    """A Poisson count, a Bernoulli bool, or a mask with bit i drawn from ``qs[i]``."""
+    """A Poisson count, a Bernoulli bool, or a mask with bit i drawn from ``qs[i]``.
+
+    A draw ``u`` lies in [0, 1), so ``u < 1.0`` always holds and ``u < 0.0``
+    never does: a Bernoulli with q of 0 or 1, or a vector whose every q is
+    0 or 1, is fixed and takes no draw. A vector with any other q draws
+    every bit, so bit i always takes draw i.
+    """
     if isinstance(delta, Poisson):
         return sample_poisson(delta.lam, rng)
     if isinstance(delta, Bernoulli):
-        return rng.random() < delta.q
-    return sum(1 << i for i, q in enumerate(delta.qs) if rng.random() < q)
+        q = delta.q
+        return q == 1.0 if q in _FIXED_Q else rng.random() < q
+    qs = delta.qs
+    if all(q in _FIXED_Q for q in qs):
+        return sum(1 << i for i, q in enumerate(qs) if q == 1.0)
+    return sum(1 << i for i, q in enumerate(qs) if rng.random() < q)
 
 
 def sample_param(dist: ParamDistribution, rng: RandomStream) -> LatticeValue:
     """Draw base (+) delta: saturating add, or, pointwise or.
 
-    The result always dominates the base point.
+    The result always dominates the base point. A base that is already
+    top (an integer at the saturation ceiling or above, ``true``, all
+    ones) absorbs every delta, so it is returned without a draw.
     """
-    draw = sample_delta(dist.delta, rng)
     base = dist.base
     if isinstance(base, IntVal):
-        return saturating_add(base, draw)  # type: ignore[arg-type]
+        if base.value >= INT_CEILING:
+            return base
+        return saturating_add(base, sample_delta(dist.delta, rng))  # type: ignore[arg-type]
     if isinstance(base, BoolVal):
-        return BoolVal(base.value or draw)  # type: ignore[arg-type]
+        if base.value:
+            return base
+        return BoolVal(sample_delta(dist.delta, rng))  # type: ignore[arg-type]
     assert isinstance(base, BitsVal)
-    return BitsVal(base.value | draw, base.width)
+    if base.value == (1 << base.width) - 1:
+        return base
+    return BitsVal(base.value | sample_delta(dist.delta, rng), base.width)
 
 
 @dataclass(frozen=True)

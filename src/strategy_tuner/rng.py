@@ -15,13 +15,16 @@ concatenation, a stream keeps the hash state of its own path, and
 ``split`` copies it and feeds in only the new labels; so
 ``s.split("a", 2).split("b")`` and ``s.split("a", 2, "b")`` are the
 same stream. The generator is seeded on the first draw, so a stream
-that is only split never pays for one.
+that is only split never pays for one. It is ``_random.Random``, the C
+type that ``random.Random`` subclasses: seeded from an int, the two draw
+the same sequence, and the C type skips ``random.Random``'s Python-level
+``__init__`` and ``seed``.
 """
 
 from __future__ import annotations
 
+import _random
 import hashlib
-import random
 from functools import lru_cache
 
 
@@ -56,13 +59,13 @@ class RandomStream:
         self.seed = seed
         self.path = path + labels
         self._hash = hasher
-        self._rng: random.Random | None = None
+        self._rng: _random.Random | None = None
 
     def random(self) -> float:
         """Uniform draw in [0, 1)."""
         rng = self._rng
         if rng is None:
-            rng = self._rng = random.Random(int.from_bytes(self._hash.digest(), "big"))
+            rng = self._rng = _random.Random(int.from_bytes(self._hash.digest(), "big"))
         return rng.random()
 
     def __repr__(self) -> str:

@@ -69,11 +69,19 @@ def _config_to_json(config: Configuration) -> dict[str, str]:
     return dict(zip(config.names, map(format_value, config.values)))
 
 
-def _config_from_json(obj: dict[str, str], kinds: dict[str, Kind]) -> Configuration:
-    for name in obj:
-        if name not in kinds:
-            raise ConfigParseError(f"configuration names unknown parameter {name!r}")
-    return Configuration(tuple(obj), tuple(parse_value(kinds[n], v) for n, v in obj.items()))
+def _config_from_json(
+    obj: dict[str, str], names: tuple[str, ...], kinds: tuple[Kind, ...]
+) -> Configuration:
+    """A configuration of exactly ``names``, in that order, with ``kinds[i]`` for ``names[i]``.
+
+    The tuner reads sampled values by position, so a configuration that
+    lacks a parameter or lists them in another order is rejected.
+    """
+    if tuple(obj) != names:
+        raise ConfigParseError(
+            f"configuration names {list(obj)}, not the record's parameters {list(names)} in order"
+        )
+    return Configuration(names, tuple(map(parse_value, kinds, obj.values())))
 
 
 def outcome_to_json(outcome: AnalysisOutcome, universe: Sequence[str] = ()) -> dict[str, Any]:
@@ -139,10 +147,11 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
     after = {
         name: distribution_from_json(d) for name, d in obj["distributions_after"].items()
     }
-    kinds = {name: _kind_for_delta(dist.delta) for name, dist in before.items()}
+    names = tuple(before)
+    kinds = tuple(_kind_for_delta(dist.delta) for dist in before.values())
     return IterationRecord(
         index=int(obj["index"]),
-        sampled_configs=tuple(_config_from_json(c, kinds) for c in obj["sampled_configs"]),
+        sampled_configs=tuple(_config_from_json(c, names, kinds) for c in obj["sampled_configs"]),
         outcomes=tuple(outcome_from_json(o) for o in obj["outcomes"]),
         alarm_universe=tuple(obj["alarm_universe"]),
         completed=int(obj["completed"]),

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as stx
 
 from strategy_tuner import (
+    INFINITY,
+    INT_CEILING,
     Bernoulli,
     BernoulliVector,
     BitsVal,
@@ -26,6 +28,7 @@ from strategy_tuner import (
     scaling_factor,
 )
 from strategy_tuner.distributions import LAMBDA_CAP
+from strategy_tuner.lattice import saturating_add
 
 
 class TestPairing:
@@ -86,6 +89,105 @@ class TestSampleParam:
     def test_sample_dominates_base(self, dist, seed):
         stream = RandomStream(seed).split("s")
         assert leq(dist.base, sample_param(dist, stream))
+
+
+class _NoDraws:
+    """A stream that fails the test if it is drawn from."""
+
+    def random(self) -> float:
+        raise AssertionError("a draw was taken")
+
+
+class _ScriptedDraws:
+    """A stream that returns the given draws in order and counts them."""
+
+    def __init__(self, draws):
+        self.draws = draws
+        self.taken = 0
+
+    def random(self) -> float:
+        self.taken += 1
+        return self.draws[self.taken - 1]
+
+
+def _old_sample_param(dist: ParamDistribution, rng: RandomStream):
+    """The rule before draws were skipped: draw the delta, then join it into the base."""
+    delta, base = dist.delta, dist.base
+    if isinstance(delta, Poisson):
+        draw = sample_poisson(delta.lam, rng)
+    elif isinstance(delta, Bernoulli):
+        draw = rng.random() < delta.q
+    else:
+        draw = sum(1 << i for i, q in enumerate(delta.qs) if rng.random() < q)
+    if isinstance(base, IntVal):
+        return saturating_add(base, draw)
+    if isinstance(base, BoolVal):
+        return BoolVal(base.value or draw)
+    return BitsVal(base.value | draw, base.width)
+
+
+_QS = stx.one_of(stx.sampled_from([0.0, 1.0]), stx.floats(0, 1))
+_DISTRIBUTIONS = stx.one_of(
+    stx.builds(
+        ParamDistribution,
+        stx.one_of(stx.integers(0, 50), stx.sampled_from([INT_CEILING, INFINITY])).map(IntVal),
+        stx.floats(0, 60).map(Poisson),
+    ),
+    stx.builds(ParamDistribution, stx.booleans().map(BoolVal), _QS.map(Bernoulli)),
+    stx.builds(
+        ParamDistribution,
+        stx.one_of(stx.integers(0, 2**5 - 1), stx.just(2**5 - 1)).map(
+            lambda mask: BitsVal(mask, 5)
+        ),
+        stx.lists(_QS, min_size=5, max_size=5).map(lambda q: BernoulliVector(tuple(q))),
+    ),
+)
+
+
+class TestFixedDraws:
+    """A sample the distribution already fixes takes no draw."""
+
+    @pytest.mark.parametrize(
+        "dist, expected",
+        [
+            (ParamDistribution(IntVal(INT_CEILING), Poisson(5.0)), IntVal(INT_CEILING)),
+            (ParamDistribution(IntVal(INT_CEILING + 7), Poisson(50.0)), IntVal(INT_CEILING + 7)),
+            (ParamDistribution(IntVal(INFINITY), Poisson(5.0)), IntVal(INFINITY)),
+            (ParamDistribution(BoolVal(True), Bernoulli(0.5)), BoolVal(True)),
+            (
+                ParamDistribution(BitsVal.from_string("11111"), BernoulliVector((0.5,) * 5)),
+                BitsVal.from_string("11111"),
+            ),
+            (ParamDistribution(BoolVal(False), Bernoulli(0.0)), BoolVal(False)),
+            (ParamDistribution(BoolVal(False), Bernoulli(1.0)), BoolVal(True)),
+            (
+                ParamDistribution(
+                    BitsVal.from_string("10000"), BernoulliVector((0.0, 1.0, 0.0, 1.0, 0.0))
+                ),
+                BitsVal.from_string("11010"),
+            ),
+        ],
+        ids=["ceiling", "above-ceiling", "infinity", "true", "all-ones", "q0", "q1", "trivial-vector"],
+    )
+    def test_no_draw(self, dist, expected):
+        assert sample_param(dist, _NoDraws()) == expected
+
+    def test_partly_trivial_vector_draws_every_bit(self):
+        # bit i takes draw i: were bit 0 (q = 0) skipped, bit 1 would
+        # take 0.1 and be set
+        dist = ParamDistribution(
+            BitsVal.from_string("0000"), BernoulliVector((0.0, 0.5, 1.0, 0.5))
+        )
+        stream = _ScriptedDraws([0.1, 0.9, 0.1, 0.1])
+        assert sample_param(dist, stream) == BitsVal.from_string("0011")
+        assert stream.taken == 4
+
+    @given(_DISTRIBUTIONS, stx.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_same_sample_as_drawing_first(self, dist, seed):
+        ours = RandomStream(seed).split("s")
+        old = RandomStream(seed).split("s")
+        assert sample_param(dist, ours) == _old_sample_param(dist, old)
 
 
 class TestSamplePoisson:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from strategy_tuner.trace import (
     result_to_json,
     write_record,
 )
+
+MIXED_TRACE = Path(__file__).resolve().parent / "data" / "golden" / "mixed.ndjson"
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +140,21 @@ class TestMalformedTraces:
         write_record(buffer, short_run.iteration_trace[0])
         text = "\n" + buffer.getvalue() + "\n"
         assert len(read_trace(text)) == 1
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda configs: configs[0].pop("slevel"),
+            lambda configs: configs.__setitem__(1, dict(reversed(configs[1].items()))),
+        ],
+        ids=["config-lacks-a-parameter", "config-in-another-order"],
+    )
+    def test_config_must_list_the_record_parameters_in_order(self, mutate):
+        # values are read by position, so a reordered config would put its
+        # values in other parameters' columns
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        mutate(first["sampled_configs"])
+        lines[0] = json.dumps(first)
+        with pytest.raises(ConfigParseError, match="trace record 0 is malformed"):
+            read_trace("\n".join(lines))
