@@ -217,13 +217,8 @@ def simulated_cost(profile: SyntheticProfile, config: Configuration) -> float:
     return cost
 
 
-def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozenset[str]:
-    """Alarm set reported for a configuration (pure function).
-
-    An alarm is suppressed when the configuration dominates its
-    requirement, unless a twist on it fires.
-    """
-    gates = profile.gates
+def _eliminated(gates: AlarmGates, config: Configuration) -> int:
+    """The mask of the alarms the configuration eliminates."""
     values = dict(zip(config.names, config.values))
     eliminated = gates.compressible
     for gate in gates.params:
@@ -231,6 +226,11 @@ def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozen
     for name, threshold, alarms in gates.twists:
         if leq(threshold, values[name]):
             eliminated &= ~alarms
+    return eliminated
+
+
+def _alarm_names(gates: AlarmGates, eliminated: int) -> frozenset[str]:
+    """The ids of the alarms not in the eliminated mask."""
     ids = gates.ids
     produced = eliminated ^ ((1 << len(ids)) - 1)
     # One 0/1 byte per alarm, last alarm first, to select the ids. A set
@@ -240,17 +240,33 @@ def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozen
     return frozenset(set(compress(ids, selectors)))
 
 
+def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozenset[str]:
+    """Alarm set reported for a configuration (pure function).
+
+    An alarm is suppressed when the configuration dominates its
+    requirement, unless a twist on it fires.
+    """
+    return _alarm_names(profile.gates, _eliminated(profile.gates, config))
+
+
 class SyntheticAnalyzer:
     """Deterministic in-process analyzer driven by a profile.
 
     With ``virtual_clock`` (the default) the cost model is compared to
     the deadline arithmetically and no wall time passes; otherwise the
     run sleeps for the simulated duration.
+
+    Configurations that eliminate the same alarms get the same frozenset
+    object, built once per analyzer: a run reports few distinct alarm
+    sets, and every set kept is one that some outcome holds.
     """
 
     def __init__(self, profile: SyntheticProfile, virtual_clock: bool = True):
         self.profile = profile
         self.virtual_clock = virtual_clock
+        # eliminated mask -> alarm set. Threads of a real-clock run may
+        # race to fill one entry; each builds an equal set, so any wins.
+        self._alarm_sets: dict[int, frozenset[str]] = {}
 
     def run(self, task: AnalysisTask) -> AnalysisOutcome:
         cost = simulated_cost(self.profile, task.config)
@@ -260,7 +276,12 @@ class SyntheticAnalyzer:
             return TimedOut(wall_time=task.timeout)
         if not self.virtual_clock:
             time.sleep(cost)
-        return Completed(alarms=synthetic_alarms(self.profile, task.config), wall_time=cost)
+        gates = self.profile.gates
+        eliminated = _eliminated(gates, task.config)
+        alarms = self._alarm_sets.get(eliminated)
+        if alarms is None:
+            alarms = self._alarm_sets[eliminated] = _alarm_names(gates, eliminated)
+        return Completed(alarms=alarms, wall_time=cost)
 
 
 def synthetic_oracle_least_config(profile: SyntheticProfile) -> Configuration:

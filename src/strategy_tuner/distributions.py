@@ -4,7 +4,9 @@ Each parameter is a pair of random variables combined as base (+) delta:
 the base is a Dirac point holding everything learned so far, the delta is
 the stochastic exploration component (Poisson for integers, Bernoulli for
 booleans, an independent Bernoulli per bit for vectors). Sampling never
-falls below the base, so accumulated knowledge is preserved.
+falls below the base, so accumulated knowledge is preserved. A
+distribution is compiled once into a ``Sampler`` (``compile_sampler``)
+that every sample drawn from it reuses.
 
 Refinement has two halves:
 
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from operator import and_, or_
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import InvalidSettingsError, LatticeMismatchError
 from .lattice import (
@@ -31,7 +33,6 @@ from .lattice import (
     IntVal,
     LatticeValue,
     kind_of,
-    saturating_add,
     top,
 )
 from .rng import RandomStream
@@ -104,8 +105,82 @@ class ParamDistribution:
         _check_pairing(self.base, self.delta)
 
 
+#: A source of uniform draws in [0, 1), such as ``RandomStream.random``.
+DrawSource = Callable[[], float]
+
+
+class Sampler(NamedTuple):
+    """One parameter's distribution compiled for repeated sampling.
+
+    Exactly one field is set. ``fixed`` is the sample when the
+    distribution fixes it, so it takes no draw; otherwise ``draw`` maps a
+    draw source to one sample, with the distribution's constants already
+    computed.
+    """
+
+    fixed: LatticeValue | None
+    draw: Callable[[DrawSource], LatticeValue] | None
+
+
+#: Bernoulli parameters whose outcome needs no draw.
+_FIXED_Q = (0.0, 1.0)
+
+#: The two boolean values, indexed by a bool.
+_BOOLS = (BoolVal(False), BoolVal(True))
+
+
+def compile_sampler(dist: ParamDistribution) -> Sampler:
+    """Compile base (+) delta: saturating add, or, pointwise or.
+
+    Every sample dominates the base. A sample is fixed, and takes no
+    draw, when the base is already top (an integer at the saturation
+    ceiling or above, ``true``, all ones), when the rate is 0, or when
+    every Bernoulli q is 0 or 1: a draw ``u`` lies in [0, 1), so
+    ``u < 1.0`` always holds and ``u < 0.0`` never does. A vector with
+    any other q draws every bit, so bit i always takes draw i.
+    """
+    base, delta = dist.base, dist.delta
+    if isinstance(base, IntVal):
+        start, lam = base.value, delta.lam  # type: ignore[union-attr]
+        if start >= INT_CEILING or lam == 0:
+            return Sampler(base, None)
+        count = _poisson_counter(lam)
+        return Sampler(None, lambda random: IntVal(min(start + count(random), INT_CEILING)))
+    if isinstance(base, BoolVal):
+        q = delta.q  # type: ignore[union-attr]
+        if base.value or q in _FIXED_Q:
+            return Sampler(_BOOLS[base.value or q == 1.0], None)
+        return Sampler(None, lambda random: _BOOLS[random() < q])
+    assert isinstance(base, BitsVal)
+    mask, width, qs = base.value, base.width, delta.qs  # type: ignore[union-attr]
+    if mask == (1 << width) - 1:
+        return Sampler(base, None)
+    if all(q in _FIXED_Q for q in qs):
+        ones = sum(1 << i for i, q in enumerate(qs) if q == 1.0)
+        return Sampler(BitsVal(mask | ones, width), None)
+    bits = tuple((1 << i, q) for i, q in enumerate(qs))
+    return Sampler(
+        None, lambda random: BitsVal(mask | sum([bit for bit, q in bits if random() < q]), width)
+    )
+
+
+def sample_param(dist: ParamDistribution, rng: RandomStream) -> LatticeValue:
+    """One draw of base (+) delta; see :func:`compile_sampler`."""
+    fixed, draw = compile_sampler(dist)
+    return fixed if draw is None else draw(rng.random)  # type: ignore[return-value]
+
+
 def sample_poisson(lam: float, rng: RandomStream, ceiling: int = INT_CEILING) -> int:
-    """Draw from Poisson(lam), capped at the saturation ceiling.
+    """Draw from Poisson(lam), capped at the saturation ceiling."""
+    if not (0.0 <= lam < math.inf):
+        raise ValueError(f"Poisson rate must be finite and nonnegative, got {lam!r}")
+    if lam == 0:
+        return 0
+    return min(_poisson_counter(lam)(rng.random), ceiling)
+
+
+def _poisson_counter(lam: float) -> Callable[[DrawSource], int]:
+    """A sampler of Poisson(lam), lam > 0, with the rate's constants computed once.
 
     Rates below 30 use inversion by sequential search. Rates of 30 and
     above use PTRS, the transformed rejection with squeeze of W. Hörmann,
@@ -113,99 +188,52 @@ def sample_poisson(lam: float, rng: RandomStream, ceiling: int = INT_CEILING) ->
     variables" (1993), which costs O(1) expected per draw at any rate;
     inversion costs O(lam), bounded because lam < 30.
     """
-    if not (0.0 <= lam < math.inf):
-        raise ValueError(f"Poisson rate must be finite and nonnegative, got {lam!r}")
-    if lam == 0:
-        return 0
-    draw = _poisson_sequential(lam, rng) if lam < 30.0 else _poisson_ptrs(lam, rng)
-    return min(draw, ceiling)
+    if lam < 30.0:
+        p0 = math.exp(-lam)
+        # The cdf accumulates to 1 - epsilon; the hard bound guards
+        # against a float plateau below u once p underflows.
+        limit = int(lam + 40.0 * math.sqrt(lam) + 100.0)
 
+        def inversion(random: DrawSource) -> int:
+            u = random()
+            p = cdf = p0
+            k = 0
+            while u > cdf and k < limit:
+                k += 1
+                p *= lam / k
+                cdf += p
+            return k
 
-def _poisson_ptrs(lam: float, rng: RandomStream) -> int:
+        return inversion
+
     slam = math.sqrt(lam)
     log_lam = math.log(lam)
     b = 0.931 + 2.53 * slam
     a = -0.059 + 0.02483 * b
     log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
     v_r = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = rng.random() - 0.5
-        v = 1.0 - rng.random()
-        us = 0.5 - abs(u)
-        # Squeeze reject, tested before k is formed because us may be 0.
-        # It cannot overlap the fast accept (us >= 0.07), so the order
-        # changes no draw.
-        if us < 0.013 and v > us:
-            continue
-        k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
-        if us >= 0.07 and v <= v_r:
-            return k
-        if k < 0:
-            continue
-        if math.log(v) + log_inv_alpha - math.log(a / (us * us) + b) <= (
-            -lam + k * log_lam - math.lgamma(k + 1)
-        ):
-            return k
 
+    def ptrs(random: DrawSource) -> int:
+        while True:
+            u = random() - 0.5
+            v = 1.0 - random()
+            us = 0.5 - abs(u)
+            # Squeeze reject, tested before k is formed because us may be
+            # 0. It cannot overlap the fast accept (us >= 0.07), so the
+            # order changes no draw.
+            if us < 0.013 and v > us:
+                continue
+            k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
+            if us >= 0.07 and v <= v_r:
+                return k
+            if k < 0:
+                continue
+            if math.log(v) + log_inv_alpha - math.log(a / (us * us) + b) <= (
+                -lam + k * log_lam - math.lgamma(k + 1)
+            ):
+                return k
 
-def _poisson_sequential(lam: float, rng: RandomStream) -> int:
-    u = rng.random()
-    p = math.exp(-lam)
-    cdf = p
-    k = 0
-    # The cdf accumulates to 1 - epsilon; the hard bound guards against
-    # a float plateau below u once p underflows.
-    limit = int(lam + 40.0 * math.sqrt(lam) + 100.0)
-    while u > cdf and k < limit:
-        k += 1
-        p *= lam / k
-        cdf += p
-    return k
-
-
-#: Bernoulli parameters whose outcome needs no draw.
-_FIXED_Q = (0.0, 1.0)
-
-
-def sample_delta(delta: DeltaDistribution, rng: RandomStream) -> "int | bool":
-    """A Poisson count, a Bernoulli bool, or a mask with bit i drawn from ``qs[i]``.
-
-    A draw ``u`` lies in [0, 1), so ``u < 1.0`` always holds and ``u < 0.0``
-    never does: a Bernoulli with q of 0 or 1, or a vector whose every q is
-    0 or 1, is fixed and takes no draw. A vector with any other q draws
-    every bit, so bit i always takes draw i.
-    """
-    if isinstance(delta, Poisson):
-        return sample_poisson(delta.lam, rng)
-    if isinstance(delta, Bernoulli):
-        q = delta.q
-        return q == 1.0 if q in _FIXED_Q else rng.random() < q
-    qs = delta.qs
-    if all(q in _FIXED_Q for q in qs):
-        return sum(1 << i for i, q in enumerate(qs) if q == 1.0)
-    return sum(1 << i for i, q in enumerate(qs) if rng.random() < q)
-
-
-def sample_param(dist: ParamDistribution, rng: RandomStream) -> LatticeValue:
-    """Draw base (+) delta: saturating add, or, pointwise or.
-
-    The result always dominates the base point. A base that is already
-    top (an integer at the saturation ceiling or above, ``true``, all
-    ones) absorbs every delta, so it is returned without a draw.
-    """
-    base = dist.base
-    if isinstance(base, IntVal):
-        if base.value >= INT_CEILING:
-            return base
-        return saturating_add(base, sample_delta(dist.delta, rng))  # type: ignore[arg-type]
-    if isinstance(base, BoolVal):
-        if base.value:
-            return base
-        return BoolVal(sample_delta(dist.delta, rng))  # type: ignore[arg-type]
-    assert isinstance(base, BitsVal)
-    if base.value == (1 << base.width) - 1:
-        return base
-    return BitsVal(base.value | sample_delta(dist.delta, rng), base.width)
+    return ptrs
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,12 @@ from typing import Callable, Iterator
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
 from .distributions import (
+    MatrixRow,
     ParamDistribution,
     ResultMatrix,
-    MatrixRow,
+    compile_sampler,
     refine_base,
     refine_delta,
-    sample_param,
     scaling_factor,
 )
 from .errors import InvalidSettingsError
@@ -116,17 +116,20 @@ def build_result_matrix(
     if len(outcomes) != len(sampled_configs):
         raise ValueError("outcomes and sampled_configs must align")
     completed = [
-        (i, out) for i, out in enumerate(outcomes) if isinstance(out, Completed)
+        (i, out.alarms) for i, out in enumerate(outcomes) if isinstance(out, Completed)
     ]
+    # Analyses often report equal alarm sets, and a repeat adds nothing to
+    # the universe: each distinct set is handled once, in first-seen order.
+    distinct = dict.fromkeys(alarms for _, alarms in completed)
     universe: list[str] = []
     seen: set[str] = set()
-    for _, out in completed:
-        new = sorted(out.alarms - seen)
+    for alarms in distinct:
+        new = sorted(alarms - seen)
         universe.extend(new)
         seen.update(new)
+    produced = {alarms: tuple(map(alarms.__contains__, universe)) for alarms in distinct}
     rows = tuple(
-        MatrixRow(config_index=i, produced=tuple(map(out.alarms.__contains__, universe)))
-        for i, out in completed
+        MatrixRow(config_index=i, produced=produced[alarms]) for i, alarms in completed
     )
     names = sampled_configs[0].names if sampled_configs else ()
     row_values = [sampled_configs[i].values for i, _ in completed]
@@ -152,15 +155,26 @@ class TunerState:
         self.virtual_clock = bool(getattr(self.analyzer, "virtual_clock", False))
 
 
-def _sample_configuration(
-    state: TunerState, rng: RandomStream, iteration: int, sample_index: int
-) -> Configuration:
-    sample = rng.split("iter", iteration, "sample", sample_index)
+def _sample_configurations(
+    state: TunerState, rng: RandomStream, iteration: int
+) -> list[Configuration]:
+    """The iteration's ``num_sample`` configurations, from one compiled plan.
+
+    Sample i's value of parameter n draws from the stream labelled
+    ``iter, iteration, sample, i, param, n``; a parameter whose value the
+    plan fixes takes no generator.
+    """
     names = state.catalog.names
-    return Configuration(
-        names,
-        tuple(sample_param(state.distributions[n], sample.split("param", n)) for n in names),
-    )
+    plan = [(name, *compile_sampler(state.distributions[name])) for name in names]
+    configs = []
+    for i in range(state.settings.num_sample):
+        sample = rng.split("iter", iteration, "sample", i)
+        values = tuple(
+            fixed if draw is None else draw(sample.generator("param", name))
+            for name, fixed, draw in plan
+        )
+        configs.append(Configuration(names, values))
+    return configs
 
 
 @contextmanager
@@ -202,7 +216,8 @@ def _makespan(durations: list[float], workers: int) -> float:
     """Greedy earliest-free-worker schedule, matching pool dispatch order."""
     if not durations:
         return 0.0
-    free = [0.0] * max(1, workers)
+    # A worker beyond the task count never takes a task.
+    free = [0.0] * max(1, min(workers, len(durations)))
     for d in durations:
         idx = min(range(len(free)), key=free.__getitem__)
         free[idx] += d
@@ -226,10 +241,7 @@ def execute_iteration(
 
     # Sampling is serial and precedes dispatch, so completion order
     # cannot perturb the stream.
-    configs = [
-        _sample_configuration(state, rng, state.iteration, i)
-        for i in range(settings.num_sample)
-    ]
+    configs = _sample_configurations(state, rng, state.iteration)
     tasks = [
         AnalysisTask(program_ref=state.program_ref, config=c, timeout=per_analysis_timeout)
         for c in configs

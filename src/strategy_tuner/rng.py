@@ -18,7 +18,9 @@ same stream. The generator is seeded on the first draw, so a stream
 that is only split never pays for one. It is ``_random.Random``, the C
 type that ``random.Random`` subclasses: seeded from an int, the two draw
 the same sequence, and the C type skips ``random.Random``'s Python-level
-``__init__`` and ``seed``.
+``__init__`` and ``seed``. ``generator`` hands out the draw function of a
+child stream without building the child, for a caller that draws from
+many children of one stream once each.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import _random
 import hashlib
 from functools import lru_cache
+from typing import Callable
 
 
 # typed: True == 1 as a cache key, but the two encode differently
@@ -61,13 +64,28 @@ class RandomStream:
         self._hash = hasher
         self._rng: _random.Random | None = None
 
+    def generator(self, *labels: "str | int") -> Callable[[], float]:
+        """The ``random`` method of ``self.split(*labels)``, without the stream.
+
+        Its draws are exactly the child stream's; the generator is seeded
+        at once.
+        """
+        hasher = self._hash.copy()
+        hasher.update(b"".join(map(_encode_label, labels)))
+        return _seeded(hasher).random
+
     def random(self) -> float:
         """Uniform draw in [0, 1)."""
         rng = self._rng
         if rng is None:
-            rng = self._rng = _random.Random(int.from_bytes(self._hash.digest(), "big"))
+            rng = self._rng = _seeded(self._hash)
         return rng.random()
 
     def __repr__(self) -> str:
         suffix = "/".join(str(p) for p in self.path)
         return f"RandomStream(seed={self.seed}, path={suffix!r})"
+
+
+def _seeded(hasher: "hashlib.blake2b") -> _random.Random:
+    """A generator seeded with the 128-bit key of a stream's hash state."""
+    return _random.Random(int.from_bytes(hasher.digest(), "big"))

@@ -92,17 +92,19 @@ def outcome_to_json(outcome: AnalysisOutcome, universe: Sequence[str] = ()) -> d
     is cheaper than sorting each outcome's set.
     """
     if isinstance(outcome, Completed):
-        alarms = list(filter(outcome.alarms.__contains__, universe))
-        if len(alarms) != len(outcome.alarms):
-            alarms = sorted(outcome.alarms)
-        return {
-            "status": "completed",
-            "alarms": alarms,
-            "wall_time": outcome.wall_time,
-        }
+        return _completed_to_json(outcome, _sorted_alarms(outcome.alarms, universe))
     if isinstance(outcome, TimedOut):
         return {"status": "timed_out", "wall_time": outcome.wall_time}
     return {"status": "crashed", "exit_info": outcome.exit_info}
+
+
+def _sorted_alarms(alarms: frozenset[str], universe: Sequence[str]) -> list[str]:
+    listed = list(filter(alarms.__contains__, universe))
+    return listed if len(listed) == len(alarms) else sorted(alarms)
+
+
+def _completed_to_json(outcome: Completed, alarms: list[str]) -> dict[str, Any]:
+    return {"status": "completed", "alarms": alarms, "wall_time": outcome.wall_time}
 
 
 def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
@@ -117,13 +119,20 @@ def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
 
 
 def record_to_json(record: IterationRecord) -> dict[str, Any]:
-    # Every completed outcome's alarms are in the universe: sort it once.
+    # Every completed outcome's alarms are in the universe: sort it once,
+    # and list each distinct alarm set once, however many outcomes hold it.
     universe = sorted(record.alarm_universe)
+    sets = dict.fromkeys(o.alarms for o in record.outcomes if isinstance(o, Completed))
+    listed = {alarms: _sorted_alarms(alarms, universe) for alarms in sets}
     return {
         "schema": SCHEMA_VERSION,
         "index": record.index,
         "sampled_configs": [_config_to_json(c) for c in record.sampled_configs],
-        "outcomes": [outcome_to_json(o, universe) for o in record.outcomes],
+        "outcomes": [
+            _completed_to_json(o, listed[o.alarms]) if isinstance(o, Completed)
+            else outcome_to_json(o)
+            for o in record.outcomes
+        ],
         "alarm_universe": list(record.alarm_universe),
         "completed": record.completed,
         "eta_c": record.eta_c,

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -87,6 +89,50 @@ class TestRunContract:
     def test_nonpositive_timeout_rejected(self, catalog):
         with pytest.raises(ValueError):
             AnalysisTask("synthetic", catalog.base_configuration(), timeout=0.0)
+
+    def test_equal_masks_share_one_alarm_set(self, catalog):
+        # 200 random configurations of one analyzer: each outcome's set is
+        # the pure function's, and configurations that eliminate the same
+        # alarms get one object, built once
+        rng = random.Random(2718)
+        needs = {
+            "slevel": IntVal(12),
+            "domains": BitsVal.from_string("01010"),
+            "octagon-through-calls": BoolVal(True),
+        }
+        profile = SyntheticProfile(
+            catalog=catalog,
+            alarms=tuple(
+                SyntheticAlarm(f"a{i}", catalog.configuration({name: value}, fill_bottom=True))
+                for i, (name, value) in enumerate(needs.items())
+            )
+            + (SyntheticAlarm("stuck", None),),
+        )
+        analyzer = SyntheticAnalyzer(profile)
+        configs = [_random_config(catalog, rng) for _ in range(200)]
+        outcomes = [analyzer.run(AnalysisTask("synthetic", c, timeout=10.0)) for c in configs]
+        for config, outcome in zip(configs, outcomes):
+            assert outcome.alarms == synthetic_alarms(profile, config)
+        distinct = {outcome.alarms for outcome in outcomes}
+        assert len(distinct) > 1
+        assert len({id(outcome.alarms) for outcome in outcomes}) == len(distinct)
+        # a fresh analyzer builds its own sets
+        again = SyntheticAnalyzer(profile).run(AnalysisTask("synthetic", configs[0], timeout=10.0))
+        assert again.alarms == outcomes[0].alarms and again.alarms is not outcomes[0].alarms
+
+        # threads of a real-clock run share the dict; a race on one entry
+        # may build a set twice, never a wrong one
+        threaded = SyntheticAnalyzer(profile, virtual_clock=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                tasks = [AnalysisTask("synthetic", c, timeout=10.0) for c in configs * 3]
+                results = list(pool.map(threaded.run, tasks, timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        for task, outcome in zip(tasks, results):
+            assert outcome.alarms == synthetic_alarms(profile, task.config)
 
 
 class TestCostModel:

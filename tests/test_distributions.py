@@ -21,14 +21,18 @@ from strategy_tuner import (
     ParamDistribution,
     Poisson,
     RandomStream,
+    TunerSettings,
+    default_catalog,
     leq,
     refine_delta,
     sample_param,
     sample_poisson,
     scaling_factor,
 )
+from strategy_tuner import orchestrator
+from strategy_tuner import rng as rng_module
 from strategy_tuner.distributions import LAMBDA_CAP
-from strategy_tuner.lattice import saturating_add
+from strategy_tuner.lattice import BoolKind, IntKind, saturating_add
 
 
 class TestPairing:
@@ -114,7 +118,7 @@ def _old_sample_param(dist: ParamDistribution, rng: RandomStream):
     """The rule before draws were skipped: draw the delta, then join it into the base."""
     delta, base = dist.delta, dist.base
     if isinstance(delta, Poisson):
-        draw = sample_poisson(delta.lam, rng)
+        draw = _reference_poisson(delta.lam, rng)
     elif isinstance(delta, Bernoulli):
         draw = rng.random() < delta.q
     else:
@@ -190,6 +194,110 @@ class TestFixedDraws:
         assert sample_param(dist, ours) == _old_sample_param(dist, old)
 
 
+_CATALOG = default_catalog()
+
+_RATES = stx.one_of(
+    stx.sampled_from([0.0, LAMBDA_CAP]),
+    stx.floats(0, 30, exclude_max=True),
+    stx.floats(30, 1000),
+).map(Poisson)
+
+
+def _distribution_of(kind):
+    """Distributions of one kind: every case that fixes a sample, and every sampler."""
+    if isinstance(kind, IntKind):
+        bases = stx.one_of(
+            stx.integers(0, 50), stx.sampled_from([INT_CEILING, INT_CEILING + 7, INFINITY])
+        )
+        return stx.builds(ParamDistribution, bases.map(IntVal), _RATES)
+    if isinstance(kind, BoolKind):
+        return stx.builds(ParamDistribution, stx.booleans().map(BoolVal), _QS.map(Bernoulli))
+    width, ones = kind.width, (1 << kind.width) - 1
+    qs = stx.one_of(
+        stx.lists(_QS, min_size=width, max_size=width),
+        stx.lists(stx.sampled_from([0.0, 1.0]), min_size=width, max_size=width),
+    )
+    return stx.builds(
+        ParamDistribution,
+        stx.one_of(stx.integers(0, ones), stx.just(ones)).map(lambda mask: BitsVal(mask, width)),
+        qs.map(lambda q: BernoulliVector(tuple(q))),
+    )
+
+
+_CATALOG_DISTRIBUTIONS = stx.fixed_dictionaries(
+    {spec.name: _distribution_of(spec.kind) for spec in _CATALOG}
+)
+
+
+def _state(distributions, num_sample):
+    settings = TunerSettings(time_budget=1.0, num_sample=num_sample)
+    return orchestrator.TunerState("prog", _CATALOG, settings, object(), distributions, 1.0)
+
+
+class TestCompiledPlan:
+    """An iteration's samples come from one plan compiled from its distributions."""
+
+    @given(_CATALOG_DISTRIBUTIONS, stx.integers(0, 2**32), stx.integers(0, 30), stx.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_plan_matches_reference_sampler(self, distributions, seed, iteration, num_sample):
+        rng = RandomStream(seed)
+        configs = orchestrator._sample_configurations(
+            _state(distributions, num_sample), rng, iteration
+        )
+        assert len(configs) == num_sample
+        for i, config in enumerate(configs):
+            sample = rng.split("iter", iteration, "sample", i)
+            assert config.names == _CATALOG.names
+            for name, value in zip(config.names, config.values):
+                dist = distributions[name]
+                assert value == sample_param(dist, sample.split("param", name))
+                assert value == _old_sample_param(dist, sample.split("param", name))
+
+    def test_fixed_parameters_seed_no_generator(self, monkeypatch):
+        seeded = []
+        seed_generator = rng_module._seeded
+        monkeypatch.setattr(
+            rng_module, "_seeded", lambda hasher: seeded.append(1) or seed_generator(hasher)
+        )
+        asked = []
+        generator = RandomStream.generator
+
+        def recording_generator(self, *labels):
+            asked.append((self.path, labels))
+            return generator(self, *labels)
+
+        monkeypatch.setattr(RandomStream, "generator", recording_generator)
+        distributions = _CATALOG.initial_distributions()
+        fixed = {
+            "min-loop-unroll": ParamDistribution(IntVal(3), Poisson(0.0)),
+            "slevel": ParamDistribution(IntVal(INT_CEILING), Poisson(20.0)),
+            "plevel": ParamDistribution(IntVal(INFINITY), Poisson(LAMBDA_CAP)),
+            "split-return": ParamDistribution(BoolVal(False), Bernoulli(0.0)),
+            "remove-redundant-alarms": ParamDistribution(BoolVal(False), Bernoulli(1.0)),
+            "octagon-through-calls": ParamDistribution(BoolVal(True), Bernoulli(0.5)),
+            "domains": ParamDistribution(
+                BitsVal.from_string("10000"), BernoulliVector((0.0, 1.0, 0.0, 1.0, 0.0))
+            ),
+        }
+        distributions.update(fixed)
+        configs = orchestrator._sample_configurations(
+            _state(distributions, 3), RandomStream(5), 2
+        )
+        drawn = [name for name in _CATALOG.names if name not in fixed]
+        assert asked == [
+            (("iter", 2, "sample", i), ("param", name)) for i in range(3) for name in drawn
+        ]
+        assert len(seeded) == len(asked)
+        for config in configs:
+            assert config["min-loop-unroll"] == IntVal(3)
+            assert config["slevel"] == IntVal(INT_CEILING)
+            assert config["plevel"] == IntVal(INFINITY)
+            assert config["split-return"] == BoolVal(False)
+            assert config["remove-redundant-alarms"] == BoolVal(True)
+            assert config["octagon-through-calls"] == BoolVal(True)
+            assert config["domains"] == BitsVal.from_string("11010")
+
+
 class TestSamplePoisson:
     def test_rate_zero(self):
         stream = RandomStream(0).split("p")
@@ -249,6 +357,49 @@ class TestSamplePoisson:
         for lam in rates:
             for _ in range(200):
                 assert sample_poisson(lam, ours) == _reference_inversion(lam, ref)
+
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_rates_replay_ptrs(self, seed):
+        rates = [30.0, 45.5, 150.0, 1e4, LAMBDA_CAP]
+        ours = RandomStream(seed).split("replay")
+        ref = RandomStream(seed).split("replay")
+        for lam in rates:
+            for _ in range(200):
+                assert sample_poisson(lam, ours) == _reference_ptrs(lam, ref)
+
+
+def _reference_poisson(lam: float, rng: RandomStream) -> int:
+    """Poisson(lam) capped at the ceiling, as the sampler has always drawn it."""
+    if lam == 0:
+        return 0
+    draw = _reference_inversion(lam, rng) if lam < 30.0 else _reference_ptrs(lam, rng)
+    return min(draw, INT_CEILING)
+
+
+def _reference_ptrs(lam: float, rng: RandomStream) -> int:
+    """Hörmann's PTRS (1993), restated with every constant computed per draw."""
+    slam = math.sqrt(lam)
+    log_lam = math.log(lam)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = rng.random() - 0.5
+        v = 1.0 - rng.random()
+        us = 0.5 - abs(u)
+        if us < 0.013 and v > us:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return k
+        if k < 0:
+            continue
+        if math.log(v) + log_inv_alpha - math.log(a / (us * us) + b) <= (
+            -lam + k * log_lam - math.lgamma(k + 1)
+        ):
+            return k
 
 
 def _reference_inversion(lam: float, rng: RandomStream) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -90,6 +91,55 @@ class TestBuildResultMatrix:
     def test_misaligned_inputs_rejected(self, catalog):
         with pytest.raises(ValueError):
             build_result_matrix([TimedOut(1.0)], [])
+
+    def test_shared_and_copied_alarm_sets_agree(self, catalog):
+        # an analyzer may hand out one object per distinct alarm set, or a
+        # fresh copy per analysis; the matrix is the same either way
+        configs = _configs_with_slevel(catalog, [1, 2, 3, 4, 5, 6])
+        sets = [("b", "a"), ("c",), ("b", "a"), (), None, ("c",)]
+        one_each = {s: frozenset(s) for s in sets if s is not None}
+        shared = [TimedOut(1.0) if s is None else Completed(one_each[s], 1.0) for s in sets]
+        copies = [TimedOut(1.0) if s is None else Completed(frozenset(s), 1.0) for s in sets]
+        assert shared[0].alarms is shared[2].alarms
+        assert copies[0].alarms is not copies[2].alarms
+        matrix = build_result_matrix(shared, configs)
+        assert matrix == build_result_matrix(copies, configs)
+        assert matrix.alarms == ("a", "b", "c")
+        assert [row.config_index for row in matrix.rows] == [0, 1, 2, 3, 5]
+        assert [row.produced for row in matrix.rows] == [
+            (True, True, False),
+            (False, False, True),
+            (True, True, False),
+            (False, False, False),
+            (False, False, True),
+        ]
+
+
+def _makespan_one_slot_per_worker(durations, workers):
+    """The schedule as it was: one slot for every worker, however few tasks."""
+    if not durations:
+        return 0.0
+    free = [0.0] * max(1, workers)
+    for d in durations:
+        idx = min(range(len(free)), key=free.__getitem__)
+        free[idx] += d
+    return max(free)
+
+
+class TestMakespan:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_as_one_slot_per_worker(self, seed):
+        rng = random.Random(seed)
+        durations = [
+            rng.choice((0.0, 1.5, rng.uniform(0.0, 10.0))) for _ in range(rng.randint(1, 16))
+        ]
+        for workers in [*range(1, 2 * len(durations) + 1), 100_000]:
+            assert orchestrator._makespan(durations, workers) == _makespan_one_slot_per_worker(
+                durations, workers
+            )
+
+    def test_no_tasks(self):
+        assert orchestrator._makespan([], 100_000) == 0.0
 
 
 class TestSettingsValidation:

@@ -80,6 +80,17 @@ def test_split_stream_draws_pinned():
     ]
 
 
+def test_generator_draws_as_the_split_stream():
+    sample = RandomStream(7).split("iter", 3, "sample", 1)
+    draw = sample.generator("param", "slevel")
+    assert [draw() for _ in range(3)] == [
+        0.5213876165967912,
+        0.8915875140815948,
+        0.3106537849606229,
+    ]
+    assert sample.path == ("iter", 3, "sample", 1)
+
+
 def test_look_alike_labels_draws_pinned():
     stream = RandomStream(0).split(1, "1")
     assert [stream.random() for _ in range(3)] == [

@@ -13,6 +13,7 @@ from strategy_tuner import (
     Completed,
     ConfigParseError,
     SyntheticAnalyzer,
+    TimedOut,
     TunerSettings,
     tune,
 )
@@ -111,6 +112,30 @@ class TestAlarmOrder:
             alarm_universe=("y",),
         )
         assert record_to_json(record)["outcomes"][0]["alarms"] == ["y", "z"]
+
+    @pytest.mark.parametrize(
+        "universe", [("c", "a", "b"), ("b",)], ids=["universe-holds-all", "universe-lacks-some"]
+    )
+    def test_shared_and_copied_alarm_sets_agree(self, short_run, universe):
+        # one object per distinct alarm set, or a fresh copy per outcome:
+        # the record serializes the same either way
+        sets = [("c", "a"), ("b",), ("c", "a"), (), ("b",)]
+        one_each = {s: frozenset(s) for s in sets}
+        timed_out = (TimedOut(2.0),)
+        base = dataclasses.replace(short_run.iteration_trace[0], alarm_universe=universe)
+        shared = dataclasses.replace(
+            base, outcomes=tuple(Completed(one_each[s], 0.5) for s in sets) + timed_out
+        )
+        copies = dataclasses.replace(
+            base, outcomes=tuple(Completed(frozenset(s), 0.5) for s in sets) + timed_out
+        )
+        assert shared.outcomes[0].alarms is shared.outcomes[2].alarms
+        assert copies.outcomes[0].alarms is not copies.outcomes[2].alarms
+        obj = record_to_json(shared)
+        assert json.dumps(obj) == json.dumps(record_to_json(copies))
+        assert [o.get("alarms") for o in obj["outcomes"]] == [
+            ["a", "c"], ["b"], ["a", "c"], [], ["b"], None
+        ]
 
 
 class TestMalformedTraces:
