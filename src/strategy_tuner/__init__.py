@@ -36,13 +36,13 @@ from .distributions import (
     scaling_factor,
 )
 from .dominancy import (
-    ControlledPair,
     DominancyReport,
     ParamScore,
     influence_score,
     run_dominancy,
 )
 from .errors import (
+    AnalyzerUnavailableError,
     BaselinesDoNotSeparateError,
     ConfigParseError,
     InvalidSettingsError,

@@ -5,13 +5,12 @@ configuration, wall-clock timeout) and report either the alarm set it
 completed with, a timeout, or a crash. The synthetic analyzer in this
 module makes end-to-end runs reproducible: alarms are suppressed exactly
 when the configuration dominates their per-alarm requirement, runtime is
-an arithmetic cost model, and a virtual clock mode skips real sleeping so
+an arithmetic cost model, and its virtual clock spends no real time, so
 whole tuning runs finish in milliseconds.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
@@ -252,30 +251,26 @@ def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozen
 class SyntheticAnalyzer:
     """Deterministic in-process analyzer driven by a profile.
 
-    With ``virtual_clock`` (the default) the cost model is compared to
-    the deadline arithmetically and no wall time passes; otherwise the
-    run sleeps for the simulated duration.
+    Its clock is virtual: the cost model is compared to the deadline
+    arithmetically and no wall time passes.
 
     Configurations that eliminate the same alarms get the same frozenset
     object, built once per analyzer: a run reports few distinct alarm
     sets, and every set kept is one that some outcome holds.
     """
 
-    def __init__(self, profile: SyntheticProfile, virtual_clock: bool = True):
+    virtual_clock = True
+
+    def __init__(self, profile: SyntheticProfile):
         self.profile = profile
-        self.virtual_clock = virtual_clock
-        # eliminated mask -> alarm set. Threads of a real-clock run may
+        # eliminated mask -> alarm set. Threads sharing one analyzer may
         # race to fill one entry; each builds an equal set, so any wins.
         self._alarm_sets: dict[int, frozenset[str]] = {}
 
     def run(self, task: AnalysisTask) -> AnalysisOutcome:
         cost = simulated_cost(self.profile, task.config)
         if cost > task.timeout:
-            if not self.virtual_clock:
-                time.sleep(task.timeout)
             return TimedOut(wall_time=task.timeout)
-        if not self.virtual_clock:
-            time.sleep(cost)
         gates = self.profile.gates
         eliminated = _eliminated(gates, task.config)
         alarms = self._alarm_sets.get(eliminated)

@@ -31,7 +31,13 @@ from .analyzers import (
     parse_profile,
 )
 from .dominancy import report_table, report_to_json, run_dominancy
-from .errors import ConfigParseError, InvalidSettingsError, TunerError
+from .errors import (
+    AnalyzerUnavailableError,
+    ConfigParseError,
+    InvalidSettingsError,
+    LatticeMismatchError,
+    TunerError,
+)
 from .keytree import parse_keytree
 from .orchestrator import TunerSettings, tune
 from .paramspace import (
@@ -180,28 +186,20 @@ def load_run_config(args) -> RunConfig:
     )
 
 
-def _adapter_available(adapter: AdapterConfig) -> bool:
-    return shutil.which(adapter.words[0]) is not None
-
-
-def _prepare_out_dir(out_dir: Path) -> None:
+def _open_run(args) -> RunConfig:
+    """The run's config, with its output directory made and its analyzer on PATH."""
+    run = load_run_config(args)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        run.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigParseError(f"output directory {str(out_dir)!r} is not writable: {exc}")
+        raise ConfigParseError(f"output directory {str(run.out_dir)!r} is not writable: {exc}")
+    if run.adapter is not None and shutil.which(run.adapter.words[0]) is None:
+        raise AnalyzerUnavailableError(f"adapter command not found: {run.adapter.command!r}")
+    return run
 
 
 def cmd_tune(args) -> int:
-    try:
-        run = load_run_config(args)
-        _prepare_out_dir(run.out_dir)
-    except TunerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if run.adapter is not None and not _adapter_available(run.adapter):
-        print(f"error: adapter command not found: {run.adapter.command!r}", file=sys.stderr)
-        return EXIT_ANALYZER_UNAVAILABLE
-
+    run = _open_run(args)
     trace_path = run.out_dir / "trace.ndjson"
     with trace_path.open("w", encoding="utf-8") as stream:
         result = tune(
@@ -244,34 +242,20 @@ def _summary(result) -> str:
 
 def cmd_dominancy(args) -> int:
     if args.timeout is not None and not args.timeout > 0:
-        print(f"error: --timeout must be positive, got {args.timeout!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        run = load_run_config(args)
-        _prepare_out_dir(run.out_dir)
-        low = parse_configuration(_read_text(args.low, "baseline"), run.catalog)
-        high = parse_configuration(_read_text(args.high, "baseline"), run.catalog)
-    except TunerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if run.adapter is not None and not _adapter_available(run.adapter):
-        print(f"error: adapter command not found: {run.adapter.command!r}", file=sys.stderr)
-        return EXIT_ANALYZER_UNAVAILABLE
-
+        raise ConfigParseError(f"--timeout must be positive, got {args.timeout!r}")
+    run = _open_run(args)
+    low = parse_configuration(_read_text(args.low, "baseline"), run.catalog)
+    high = parse_configuration(_read_text(args.high, "baseline"), run.catalog)
     timeout = args.timeout if args.timeout is not None else run.settings.time_budget
-    try:
-        report = run_dominancy(
-            run.program_ref(),
-            low,
-            high,
-            run.catalog,
-            run.analyzer(),
-            timeout=timeout,
-            num_process=run.settings.num_process,
-        )
-    except TunerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = run_dominancy(
+        run.program_ref(),
+        low,
+        high,
+        run.catalog,
+        run.analyzer(),
+        timeout=timeout,
+        num_process=run.settings.num_process,
+    )
 
     table = report_table(report)
     (run.out_dir / "dominancy.txt").write_text(table, encoding="utf-8")
@@ -283,42 +267,28 @@ def cmd_dominancy(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        records = read_trace(_read_text(args.trace, "trace"))
-    except TunerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    records = read_trace(_read_text(args.trace, "trace"))
     if not records:
-        print("error: trace is empty", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigParseError("trace is empty")
     out_dir = Path(args.out) if args.out else Path(args.trace).parent / "plots"
     try:
         written = write_plots(records, out_dir)
     except OSError as exc:
-        print(f"error: cannot write charts to {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigParseError(f"cannot write charts to {out_dir}: {exc}")
     print(f"wrote {len(written)} chart file(s) to {out_dir}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        catalog = default_catalog()
-        profile = parse_profile(_read_text(args.profile, "profile"), catalog)
-        if args.configuration:
-            config = parse_configuration(
-                _read_text(args.configuration, "configuration"), catalog
-            )
-        else:
-            config = catalog.base_configuration()
-    except TunerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        task = AnalysisTask(program_ref="synthetic", config=config, timeout=args.timeout)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if not args.timeout > 0:
+        raise ConfigParseError(f"--timeout must be positive, got {args.timeout!r}")
+    catalog = default_catalog()
+    profile = parse_profile(_read_text(args.profile, "profile"), catalog)
+    if args.configuration:
+        config = parse_configuration(_read_text(args.configuration, "configuration"), catalog)
+    else:
+        config = catalog.base_configuration()
+    task = AnalysisTask(program_ref="synthetic", config=config, timeout=args.timeout)
     outcome = SyntheticAnalyzer(profile).run(task)
     if isinstance(outcome, Completed):
         print(f"completed in {outcome.wall_time:.3f} s, {len(outcome.alarms)} alarm(s):")
@@ -382,7 +352,15 @@ def _setup_logging() -> None:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:  # the one place where an error becomes an exit code
+        return args.func(args)
+    except LatticeMismatchError:
+        raise  # a programming bug: keep its traceback
+    except TunerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, AnalyzerUnavailableError):
+            return EXIT_ANALYZER_UNAVAILABLE
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -13,31 +13,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed
+from .analyzers import AnalysisOutcome, Analyzer, Completed
 from .errors import BaselinesDoNotSeparateError, TunerError
 from .orchestrator import run_batch, worker_pool
 from .paramspace import Catalog, Configuration
 
 
 @dataclass(frozen=True)
-class ControlledPair:
-    """Both single-parameter swaps for one parameter.
+class ParamScore:
+    """Both single-parameter swaps for one parameter, and their score.
 
     The selected config takes this parameter from the high baseline and
     the other parameters from the low one; the excluded config is the
     reverse. Counts are None when the analysis failed.
     """
 
-    param_name: str
+    name: str
     selected_config: Configuration
     excluded_config: Configuration
-    alarms_selected: int | None
-    alarms_excluded: int | None
-
-
-@dataclass(frozen=True)
-class ParamScore:
-    name: str
     alarms_selected: int | None
     alarms_excluded: int | None
     a: int | None
@@ -49,7 +42,6 @@ class ParamScore:
 class DominancyReport:
     alarms_low: int
     alarms_high: int
-    pairs: tuple[ControlledPair, ...]
     scores: tuple[ParamScore, ...]
     dominant: str | None
     tie: bool
@@ -110,13 +102,9 @@ def run_dominancy(
     from the dominance ranking; failed baselines abort the run. Both
     batches run on one worker pool.
     """
-
-    def tasks(configs: list[Configuration]) -> list[AnalysisTask]:
-        return [AnalysisTask(program_ref=program_ref, config=c, timeout=timeout) for c in configs]
-
     with worker_pool(analyzer, max(1, num_process)) as pool:
         low_outcome, high_outcome = run_batch(
-            analyzer, tasks([low_config, high_config]), pool
+            analyzer, program_ref, [low_config, high_config], timeout, pool
         )
         alarms_low = _alarm_count(low_outcome)
         alarms_high = _alarm_count(high_outcome)
@@ -128,22 +116,18 @@ def run_dominancy(
             )
         swaps = [_controlled_configs(low_config, high_config, spec.name) for spec in catalog]
         jobs = [config for selected, excluded in swaps for config in (selected, excluded)]
-        outcomes = run_batch(analyzer, tasks(jobs), pool)
+        outcomes = run_batch(analyzer, program_ref, jobs, timeout, pool)
 
-    pairs: list[ControlledPair] = []
     scores: list[ParamScore] = []
     for i, spec in enumerate(catalog):
-        selected, excluded = swaps[i]
         n_selected = _alarm_count(outcomes[2 * i])
         n_excluded = _alarm_count(outcomes[2 * i + 1])
-        pairs.append(ControlledPair(spec.name, selected, excluded, n_selected, n_excluded))
-        if n_selected is None or n_excluded is None:
-            scores.append(ParamScore(spec.name, n_selected, n_excluded, None, None, None))
-            continue
-        a = alarms_low - n_selected
-        b = n_excluded - alarms_high
-        score = influence_score(alarms_low, alarms_high, n_selected, n_excluded)
-        scores.append(ParamScore(spec.name, n_selected, n_excluded, a, b, score))
+        a = b = score = None
+        if n_selected is not None and n_excluded is not None:
+            a = alarms_low - n_selected
+            b = n_excluded - alarms_high
+            score = influence_score(alarms_low, alarms_high, n_selected, n_excluded)
+        scores.append(ParamScore(spec.name, *swaps[i], n_selected, n_excluded, a, b, score))
 
     dominant: str | None = None
     best: float | None = None
@@ -158,7 +142,6 @@ def run_dominancy(
     return DominancyReport(
         alarms_low=alarms_low,
         alarms_high=alarms_high,
-        pairs=tuple(pairs),
         scores=tuple(scores),
         dominant=dominant,
         tie=tie,

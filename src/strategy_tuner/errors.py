@@ -11,7 +11,8 @@ class LatticeMismatchError(TunerError):
     """Binary lattice operation applied to incompatible operands.
 
     Raised on variant or width mismatches. This always signals a
-    programming bug in the caller, never bad user data.
+    programming bug in the caller, never bad user data, so the command
+    line lets it through with its traceback.
     """
 
 
@@ -48,6 +49,10 @@ class RenderError(TunerError):
 
 class ProfileError(TunerError):
     """A synthetic analyzer profile violates an operation's precondition."""
+
+
+class AnalyzerUnavailableError(TunerError):
+    """The analyzer a run needs cannot be started (the command exits 3)."""
 
 
 class BaselinesDoNotSeparateError(TunerError):

@@ -14,10 +14,10 @@ parallelism that is exactly ``remaining * iteration_fraction``, and at
 any parallelism the analyze phase fits in one geometric slice, so the
 total can never overshoot the budget.
 
-Analyzers exposing a true ``virtual_clock`` attribute are charged
-simulated time (the makespan of their reported wall times on the pool)
-instead of real time; runs against them are bit-reproducible from the
-seed alone. Their analyses run on the calling thread, with no pool.
+Analyzers exposing a true ``virtual_clock`` attribute get no worker pool,
+and a run with no pool is charged simulated time (the makespan of the
+reported wall times on ``num_process`` workers) instead of real time;
+such runs are bit-reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
@@ -149,10 +149,6 @@ class TunerState:
     distributions: dict[str, ParamDistribution]
     remaining: float
     iteration: int = 0
-    virtual_clock: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.virtual_clock = bool(getattr(self.analyzer, "virtual_clock", False))
 
 
 def _sample_configurations(
@@ -183,7 +179,8 @@ def worker_pool(analyzer: Analyzer, workers: int) -> Iterator[Executor | None]:
 
     The pool is shut down when the block exits, however it exits. A
     virtual-clock analyzer spends no real time, so it gets no pool
-    (None) and its tasks run on the calling thread.
+    (None): its tasks run on the calling thread, and the run charges
+    simulated time.
     """
     if getattr(analyzer, "virtual_clock", False):
         yield None
@@ -193,13 +190,19 @@ def worker_pool(analyzer: Analyzer, workers: int) -> Iterator[Executor | None]:
 
 
 def run_batch(
-    analyzer: Analyzer, tasks: list[AnalysisTask], pool: Executor | None
+    analyzer: Analyzer,
+    program_ref: str,
+    configs: list[Configuration],
+    timeout: float,
+    pool: Executor | None,
 ) -> list[AnalysisOutcome]:
-    """Run the tasks on ``pool``; outcomes in task order.
+    """Analyze each configuration of ``program_ref`` within ``timeout`` on ``pool``.
 
-    An analyzer that raises yields a ``Crashed`` outcome. With no pool
-    the tasks run one after another on the calling thread.
+    Outcomes come in configuration order. An analyzer that raises yields
+    a ``Crashed`` outcome. With no pool the analyses run one after
+    another on the calling thread.
     """
+    tasks = [AnalysisTask(program_ref=program_ref, config=c, timeout=timeout) for c in configs]
 
     def guarded(task: AnalysisTask) -> AnalysisOutcome:
         try:
@@ -242,12 +245,7 @@ def execute_iteration(
     # Sampling is serial and precedes dispatch, so completion order
     # cannot perturb the stream.
     configs = _sample_configurations(state, rng, state.iteration)
-    tasks = [
-        AnalysisTask(program_ref=state.program_ref, config=c, timeout=per_analysis_timeout)
-        for c in configs
-    ]
-
-    outcomes = run_batch(state.analyzer, tasks, pool)
+    outcomes = run_batch(state.analyzer, state.program_ref, configs, per_analysis_timeout, pool)
     matrix = build_result_matrix(outcomes, configs)
     completed = matrix.num_rows
     eta_c = completed / settings.num_sample
@@ -261,7 +259,7 @@ def execute_iteration(
         new_delta = refine_delta(dist.delta, eta)
         after[spec.name] = ParamDistribution(new_base, new_delta)
 
-    if state.virtual_clock:
+    if pool is None:
         # charge the simulated makespan of the analyze phase
         elapsed = _makespan([_outcome_duration(o) for o in outcomes], settings.num_process)
     else:
@@ -329,7 +327,7 @@ def tune(
             if on_record is not None:
                 on_record(record)
 
-    if state.virtual_clock:
+    if pool is None:
         wall_total = settings.time_budget - state.remaining
     else:
         wall_total = time.monotonic() - started

@@ -70,13 +70,14 @@ RenderRule = Union[IntFlag, BoolChoice, BitsLabels]
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
-    kind: Kind
     initial: ParamDistribution
     render: RenderRule
 
+    @property
+    def kind(self) -> Kind:
+        return kind_of(self.initial.base)
+
     def __post_init__(self) -> None:
-        if kind_of(self.initial.base) != self.kind:
-            raise ValueError(f"initial distribution of {self.name!r} does not match its kind")
         rule = self.render
         ok = (
             (isinstance(self.kind, IntKind) and isinstance(rule, IntFlag))
@@ -191,7 +192,6 @@ _DOMAIN_LABELS = ("cvalues", "octagon", "equality", "gauges", "symbolic-location
 def _int_param(name: str, base: int, lam: float) -> ParamSpec:
     return ParamSpec(
         name=name,
-        kind=IntKind(),
         initial=ParamDistribution(IntVal(base), Poisson(lam)),
         render=IntFlag(f"-eva-{name}"),
     )
@@ -200,7 +200,6 @@ def _int_param(name: str, base: int, lam: float) -> ParamSpec:
 def _bool_param(name: str, when_false: str, when_true: str) -> ParamSpec:
     return ParamSpec(
         name=name,
-        kind=BoolKind(),
         initial=ParamDistribution(BoolVal(False), Bernoulli(0.5)),
         render=BoolChoice(f"-eva-{name}", when_false, when_true),
     )
@@ -226,7 +225,6 @@ def default_catalog() -> Catalog:
             _bool_param("equality-through-calls", "none", "formals"),
             ParamSpec(
                 name="domains",
-                kind=BitsKind(5),
                 initial=ParamDistribution(domains_base, BernoulliVector((0.5,) * 5)),
                 render=BitsLabels("-eva-domains", _DOMAIN_LABELS),
             ),

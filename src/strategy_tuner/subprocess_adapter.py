@@ -212,6 +212,5 @@ def _reap(proc: subprocess.Popen, deadline: float) -> bool:
 
 
 def _decode(output: bytes) -> str:
-    """Decode as ``subprocess`` text mode does: locale encoding, universal newlines."""
-    text = output.decode(locale.getpreferredencoding(False))
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    """Decode in the locale encoding; ``str.splitlines`` ends lines at \\r\\n, \\r and \\n."""
+    return output.decode(locale.getpreferredencoding(False))

@@ -84,15 +84,11 @@ def _config_from_json(
     return Configuration(names, tuple(map(parse_value, kinds, obj.values())))
 
 
-def outcome_to_json(outcome: AnalysisOutcome, universe: Sequence[str] = ()) -> dict[str, Any]:
-    """A completed outcome lists its alarms sorted.
-
-    ``universe`` is an optional sorted sequence of alarms; when it holds
-    all of the outcome's alarms they are taken from it in order, which
-    is cheaper than sorting each outcome's set.
-    """
+def outcome_to_json(outcome: AnalysisOutcome, alarms: list[str] | None = None) -> dict[str, Any]:
+    """A completed outcome lists its alarms sorted: ``alarms`` if given, else sorted here."""
     if isinstance(outcome, Completed):
-        return _completed_to_json(outcome, _sorted_alarms(outcome.alarms, universe))
+        listed = sorted(outcome.alarms) if alarms is None else alarms
+        return {"status": "completed", "alarms": listed, "wall_time": outcome.wall_time}
     if isinstance(outcome, TimedOut):
         return {"status": "timed_out", "wall_time": outcome.wall_time}
     return {"status": "crashed", "exit_info": outcome.exit_info}
@@ -101,10 +97,6 @@ def outcome_to_json(outcome: AnalysisOutcome, universe: Sequence[str] = ()) -> d
 def _sorted_alarms(alarms: frozenset[str], universe: Sequence[str]) -> list[str]:
     listed = list(filter(alarms.__contains__, universe))
     return listed if len(listed) == len(alarms) else sorted(alarms)
-
-
-def _completed_to_json(outcome: Completed, alarms: list[str]) -> dict[str, Any]:
-    return {"status": "completed", "alarms": alarms, "wall_time": outcome.wall_time}
 
 
 def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
@@ -129,8 +121,7 @@ def record_to_json(record: IterationRecord) -> dict[str, Any]:
         "index": record.index,
         "sampled_configs": [_config_to_json(c) for c in record.sampled_configs],
         "outcomes": [
-            _completed_to_json(o, listed[o.alarms]) if isinstance(o, Completed)
-            else outcome_to_json(o)
+            outcome_to_json(o, listed[o.alarms] if isinstance(o, Completed) else None)
             for o in record.outcomes
         ],
         "alarm_universe": list(record.alarm_universe),

@@ -120,9 +120,9 @@ class TestRunContract:
         again = SyntheticAnalyzer(profile).run(AnalysisTask("synthetic", configs[0], timeout=10.0))
         assert again.alarms == outcomes[0].alarms and again.alarms is not outcomes[0].alarms
 
-        # threads of a real-clock run share the dict; a race on one entry
+        # threads sharing one analyzer share the dict; a race on one entry
         # may build a set twice, never a wrong one
-        threaded = SyntheticAnalyzer(profile, virtual_clock=False)
+        threaded = SyntheticAnalyzer(profile)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

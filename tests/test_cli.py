@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from strategy_tuner import IntVal, default_catalog, parse_configuration, serialize_configuration
+from strategy_tuner import (
+    IntVal,
+    LatticeMismatchError,
+    default_catalog,
+    parse_configuration,
+    serialize_configuration,
+)
+from strategy_tuner import cli
 from strategy_tuner.cli import main
 
 SAMPLES = Path(__file__).parent.parent / "samples"
@@ -126,7 +133,8 @@ class TestTune:
         assert status == 2
         assert "not writable" in capsys.readouterr().err
 
-    def test_unknown_adapter_command_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["tune", "dominancy"])
+    def test_unknown_adapter_command_exits_3(self, tmp_path, capsys, command):
         conf = tmp_path / "run.conf"
         conf.write_text(
             "program = x.c\n"
@@ -134,8 +142,21 @@ class TestTune:
             "adapter.pattern = warn:(.*)\n",
             encoding="utf-8",
         )
-        assert run_cli("tune", "--config", str(conf), "--out", str(tmp_path / "o")) == 3
-        assert "not found" in capsys.readouterr().err
+        baselines = write_baselines(tmp_path) if command == "dominancy" else ()
+        out = str(tmp_path / "o")
+        assert run_cli(command, "--config", str(conf), "--out", out, *map(str, baselines)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: adapter command not found") and "Traceback" not in err
+
+    def test_programming_bug_keeps_its_traceback(self, tmp_path, monkeypatch):
+        # a LatticeMismatchError is a bug in the tool, not a bad input:
+        # it is not reported as a configuration error
+        def broken_tune(*args, **kwargs):
+            raise LatticeMismatchError("meet of int and bool")
+
+        monkeypatch.setattr(cli, "tune", broken_tune)
+        with pytest.raises(LatticeMismatchError, match="meet of int and bool"):
+            run_cli("tune", "--profile", str(PROFILE), "--out", str(tmp_path / "o"))
 
     def test_reproducible_trace_bytes(self, tmp_path):
         outs = []
@@ -328,6 +349,17 @@ class TestPlot:
         for path in out1.iterdir():
             assert path.read_bytes() == (out2 / path.name).read_bytes()
 
+    def test_missing_trace_exit_2(self, tmp_path, capsys):
+        assert run_cli("plot", str(tmp_path / "nope.ndjson")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trace") and "Traceback" not in err
+
+    def test_unwritable_chart_dir_exit_2(self, tuned_dir, tmp_path, capsys):
+        blocker = tmp_path / "occupied"
+        blocker.write_text("", encoding="utf-8")
+        assert run_cli("plot", str(tuned_dir / "trace.ndjson"), "--out", str(blocker)) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write charts to")
+
     def test_empty_trace_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "empty.ndjson"
         trace.write_text("", encoding="utf-8")
@@ -368,6 +400,13 @@ class TestSimulate:
 
     def test_missing_profile_exit_2(self, tmp_path):
         assert run_cli("simulate", str(tmp_path / "nope.profile")) == 2
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_bad_timeout_exit_2(self, capsys, timeout):
+        assert run_cli("simulate", str(PROFILE), "--timeout", timeout) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "timeout" in err
+        assert "Traceback" not in err
 
 
 class TestLogging:

@@ -162,12 +162,12 @@ class TestRunDominancy:
         report = run_dominancy(
             "synthetic", low, high, catalog, SyntheticAnalyzer(slevel_only_profile), timeout=10.0
         )
-        assert tuple(p.param_name for p in report.pairs) == catalog.names
-        for pair in report.pairs:
+        assert tuple(p.name for p in report.scores) == catalog.names
+        for pair in report.scores:
             diff_sel = [n for n in catalog.names if pair.selected_config[n] != low[n]]
             diff_exc = [n for n in catalog.names if pair.excluded_config[n] != high[n]]
-            assert diff_sel in ([], [pair.param_name])
-            assert diff_exc in ([], [pair.param_name])
+            assert diff_sel in ([], [pair.name])
+            assert diff_exc in ([], [pair.name])
             assert pair.alarms_selected is not None
             assert pair.alarms_excluded is not None
 

@@ -299,9 +299,9 @@ class TestWorkerPool:
         with ThreadPoolExecutor(max_workers=1) as pool:
             monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", None)
             recorder = ThreadRecorder()
-            tasks = [AnalysisTask("prog", catalog.base_configuration(), 1.0)] * 3
+            configs = [catalog.base_configuration()] * 3
             for _ in range(2):
-                outcomes = orchestrator.run_batch(recorder, tasks, pool)
+                outcomes = orchestrator.run_batch(recorder, "prog", configs, 1.0, pool)
                 assert all(isinstance(o, Completed) for o in outcomes)
         assert len(recorder.threads) == 6
         assert recorder.distinct() == 1

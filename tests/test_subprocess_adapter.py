@@ -147,14 +147,16 @@ class TestOutput:
         assert outcome.alarms == frozenset(f"alarm-{i}" for i in range(8000))
 
     def test_crlf_output_gives_the_same_alarms(self, catalog, base_task):
+        # "." matches a carriage return, so a line that kept its \r
+        # would report "a\r"; every line end gives the same alarms
         alarms = {}
-        for newline in ("\\n", "\\r\\n"):
+        for newline in ("\\n", "\\r\\n", "\\r"):
             script = f"import sys; sys.stdout.buffer.write(b'warn:a{newline}warn:b{newline}')"
             adapter = AdapterConfig(command=f'{sys.executable} -c "{script}"', pattern=r"warn:(.*)")
             outcome = SubprocessAnalyzer(adapter, catalog).run(base_task)
             assert isinstance(outcome, Completed)
             alarms[newline] = outcome.alarms
-        assert alarms["\\n"] == alarms["\\r\\n"] == frozenset({"a", "b"})
+        assert alarms["\\n"] == alarms["\\r\\n"] == alarms["\\r"] == frozenset({"a", "b"})
 
 
 class TestDeadline:
