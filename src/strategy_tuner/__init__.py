@@ -74,7 +74,6 @@ from .orchestrator import (
     TuneResult,
     TunerSettings,
     build_result_matrix,
-    execute_iteration,
     tune,
 )
 from .paramspace import (

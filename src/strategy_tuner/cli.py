@@ -55,6 +55,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ANALYZER_UNAVAILABLE = 3
 
+# Every key a run config may set; any other key is rejected at load time.
+RUN_CONFIG_KEYS = frozenset(
+    """program profile out catalog
+    tuner.time_budget tuner.num_sample tuner.num_process tuner.seed
+    tuner.iteration_fraction tuner.max_iterations tuner.min_slice
+    adapter.command adapter.pattern adapter.join adapter.env adapter.grace""".split()
+)
+
 
 @dataclass
 class RunConfig:
@@ -134,6 +142,9 @@ def _load_settings(tree, args) -> TunerSettings:
 
 def load_run_config(args) -> RunConfig:
     tree = parse_keytree(_read_text(args.config, "config file") if args.config else "")
+    for key in tree.keys():
+        if key not in RUN_CONFIG_KEYS:
+            raise ConfigParseError(f"unknown key {key!r}", line=tree.line_of(key))
 
     catalog = default_catalog()
     catalog_path = tree.get("catalog")
@@ -187,14 +198,14 @@ def load_run_config(args) -> RunConfig:
 
 
 def _open_run(args) -> RunConfig:
-    """The run's config, with its output directory made and its analyzer on PATH."""
+    """The run's config, with its analyzer on PATH and then its output directory made."""
     run = load_run_config(args)
+    if run.adapter is not None and shutil.which(run.adapter.words[0]) is None:
+        raise AnalyzerUnavailableError(f"adapter command not found: {run.adapter.command!r}")
     try:
         run.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigParseError(f"output directory {str(run.out_dir)!r} is not writable: {exc}")
-    if run.adapter is not None and shutil.which(run.adapter.words[0]) is None:
-        raise AnalyzerUnavailableError(f"adapter command not found: {run.adapter.command!r}")
     return run
 
 

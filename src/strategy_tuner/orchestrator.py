@@ -1,11 +1,13 @@
 """The sample-analyze-refine loop.
 
-Each iteration draws ``num_sample`` configurations from the current
-distributions, dispatches the analyses on the run's worker pool, builds
-the result matrix from whatever completed, and refines every parameter's
-base (meet-and-join over alarm columns) and delta (completion-rate
-scaling). The loop stops when the remaining budget drops below a minimum
-slice or an iteration cap is reached.
+``tune`` runs the loop itself and keeps its state (the distributions,
+the remaining budget and the iteration index) in locals. Each iteration
+draws ``num_sample`` configurations from the current distributions,
+dispatches the analyses on the run's worker pool, builds the result
+matrix from whatever completed, refines every parameter's base
+(meet-and-join over alarm columns) and delta (completion-rate scaling),
+and charges its time to the budget. The loop stops when the remaining
+budget drops below a minimum slice or an iteration cap is reached.
 
 Budget policy: every analysis of an iteration gets the same deadline,
 ``remaining * iteration_fraction / waves`` where ``waves`` is the number
@@ -22,6 +24,7 @@ such runs are bit-reproducible from the seed alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -138,21 +141,12 @@ def build_result_matrix(
     return ResultMatrix(alarms=tuple(universe), rows=rows, values_per_param=values)
 
 
-@dataclass
-class TunerState:
-    """Coordinator-owned, mutated only between phases."""
-
-    program_ref: str
-    catalog: Catalog
-    settings: TunerSettings
-    analyzer: Analyzer
-    distributions: dict[str, ParamDistribution]
-    remaining: float
-    iteration: int = 0
-
-
 def _sample_configurations(
-    state: TunerState, rng: RandomStream, iteration: int
+    catalog: Catalog,
+    distributions: dict[str, ParamDistribution],
+    num_sample: int,
+    rng: RandomStream,
+    iteration: int,
 ) -> list[Configuration]:
     """The iteration's ``num_sample`` configurations, from one compiled plan.
 
@@ -160,10 +154,10 @@ def _sample_configurations(
     ``iter, iteration, sample, i, param, n``; a parameter whose value the
     plan fixes takes no generator.
     """
-    names = state.catalog.names
-    plan = [(name, *compile_sampler(state.distributions[name])) for name in names]
+    names = catalog.names
+    plan = [(name, *compile_sampler(distributions[name])) for name in names]
     configs = []
-    for i in range(state.settings.num_sample):
+    for i in range(num_sample):
         sample = rng.split("iter", iteration, "sample", i)
         values = tuple(
             fixed if draw is None else draw(sample.generator("param", name))
@@ -227,62 +221,6 @@ def _makespan(durations: list[float], workers: int) -> float:
     return max(free)
 
 
-def _outcome_duration(outcome: AnalysisOutcome) -> float:
-    if isinstance(outcome, (Completed, TimedOut)):
-        return outcome.wall_time
-    return 0.0
-
-
-def execute_iteration(
-    state: TunerState, rng: RandomStream, pool: Executor | None
-) -> IterationRecord:
-    """Run one sample-analyze-refine round on ``pool`` and advance the state."""
-    settings = state.settings
-    started = time.monotonic()
-    waves = math.ceil(settings.num_sample / settings.num_process)
-    per_analysis_timeout = state.remaining * settings.iteration_fraction / waves
-
-    # Sampling is serial and precedes dispatch, so completion order
-    # cannot perturb the stream.
-    configs = _sample_configurations(state, rng, state.iteration)
-    outcomes = run_batch(state.analyzer, state.program_ref, configs, per_analysis_timeout, pool)
-    matrix = build_result_matrix(outcomes, configs)
-    completed = matrix.num_rows
-    eta_c = completed / settings.num_sample
-    eta = scaling_factor(completed, settings.num_sample)
-
-    before = dict(state.distributions)
-    after: dict[str, ParamDistribution] = {}
-    for spec in state.catalog:
-        dist = state.distributions[spec.name]
-        new_base = refine_base(matrix, spec.name, dist.base)
-        new_delta = refine_delta(dist.delta, eta)
-        after[spec.name] = ParamDistribution(new_base, new_delta)
-
-    if pool is None:
-        # charge the simulated makespan of the analyze phase
-        elapsed = _makespan([_outcome_duration(o) for o in outcomes], settings.num_process)
-    else:
-        elapsed = time.monotonic() - started
-
-    record = IterationRecord(
-        index=state.iteration,
-        sampled_configs=tuple(configs),
-        outcomes=tuple(outcomes),
-        alarm_universe=matrix.alarms,
-        completed=completed,
-        eta_c=eta_c,
-        eta=eta,
-        distributions_before=before,
-        distributions_after=after,
-        elapsed=elapsed,
-    )
-    state.distributions = after
-    state.remaining -= elapsed
-    state.iteration += 1
-    return record
-
-
 def tune(
     program_ref: str,
     catalog: Catalog,
@@ -296,47 +234,78 @@ def tune(
     flush a trace file), before the next one starts. All iterations share
     one worker pool, which is shut down before ``tune`` returns or raises.
     """
-    state = TunerState(
-        program_ref=program_ref,
-        catalog=catalog,
-        settings=settings,
-        analyzer=analyzer,
-        distributions=catalog.initial_distributions(),
-        remaining=settings.time_budget,
-    )
+    distributions = catalog.initial_distributions()
+    remaining = settings.time_budget
     rng = RandomStream(settings.seed)
+    waves = math.ceil(settings.num_sample / settings.num_process)
     records: list[IterationRecord] = []
     best: BestSample | None = None
     started = time.monotonic()
 
     with worker_pool(analyzer, settings.num_process) as pool:
-        while state.remaining >= settings.min_slice:
-            if settings.max_iterations is not None and state.iteration >= settings.max_iterations:
+        for index in itertools.count():
+            if remaining < settings.min_slice or index == settings.max_iterations:
                 break
-            record = execute_iteration(state, rng, pool)
+            iteration_started = time.monotonic()
+            timeout = remaining * settings.iteration_fraction / waves
+            # Sampling is serial and precedes dispatch, so completion order
+            # cannot perturb the stream.
+            configs = _sample_configurations(
+                catalog, distributions, settings.num_sample, rng, index
+            )
+            outcomes = run_batch(analyzer, program_ref, configs, timeout, pool)
+            matrix = build_result_matrix(outcomes, configs)
+            eta = scaling_factor(matrix.num_rows, settings.num_sample)
+            after = {
+                name: ParamDistribution(
+                    refine_base(matrix, name, distributions[name].base),
+                    refine_delta(distributions[name].delta, eta),
+                )
+                for name in catalog.names
+            }
+            if pool is None:
+                # charge the simulated makespan of the analyze phase
+                durations = [
+                    o.wall_time if isinstance(o, (Completed, TimedOut)) else 0.0 for o in outcomes
+                ]
+                elapsed = _makespan(durations, settings.num_process)
+            else:
+                elapsed = time.monotonic() - iteration_started
+
+            record = IterationRecord(
+                index=index,
+                sampled_configs=tuple(configs),
+                outcomes=tuple(outcomes),
+                alarm_universe=matrix.alarms,
+                completed=matrix.num_rows,
+                eta_c=matrix.num_rows / settings.num_sample,
+                eta=eta,
+                distributions_before=dict(distributions),
+                distributions_after=after,
+                elapsed=elapsed,
+            )
             records.append(record)
-            for config, outcome in zip(record.sampled_configs, record.outcomes):
-                if isinstance(outcome, Completed):
-                    count = len(outcome.alarms)
-                    if best is None or count < best.alarm_count:
-                        best = BestSample(
-                            config=config,
-                            alarm_count=count,
-                            alarms=tuple(sorted(outcome.alarms)),
-                        )
+            del matrix  # an iteration's largest object: free it before the next is built
+            for config, outcome in zip(configs, outcomes):
+                if isinstance(outcome, Completed) and (
+                    best is None or len(outcome.alarms) < best.alarm_count
+                ):
+                    best = BestSample(config, len(outcome.alarms), tuple(sorted(outcome.alarms)))
+            distributions = after
+            remaining -= elapsed
             if on_record is not None:
                 on_record(record)
 
     if pool is None:
-        wall_total = settings.time_budget - state.remaining
+        wall_total = settings.time_budget - remaining
     else:
         wall_total = time.monotonic() - started
     return TuneResult(
         recommended_config=Configuration(
-            catalog.names, tuple(state.distributions[n].base for n in catalog.names)
+            catalog.names, tuple(distributions[n].base for n in catalog.names)
         ),
         best_sampled=best,
-        final_distributions=dict(state.distributions),
+        final_distributions=dict(distributions),
         iteration_trace=tuple(records),
         wall_time_total=wall_total,
     )

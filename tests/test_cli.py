@@ -19,6 +19,7 @@ from strategy_tuner import (
 )
 from strategy_tuner import cli
 from strategy_tuner.cli import main
+from strategy_tuner.keytree import parse_keytree
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 
@@ -147,6 +148,7 @@ class TestTune:
         assert run_cli(command, "--config", str(conf), "--out", out, *map(str, baselines)) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: adapter command not found") and "Traceback" not in err
+        assert not Path(out).exists()
 
     def test_programming_bug_keeps_its_traceback(self, tmp_path, monkeypatch):
         # a LatticeMismatchError is a bug in the tool, not a bad input:
@@ -210,6 +212,22 @@ class TestRejectedValues:
         text = f"profile = {PROFILE}\ntuner.max_iterations = 2\n{key} = inf\n"
         assert self._tune_config(tmp_path, text) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["tuner.num_samples = 8", "tuner.budjet = 5", "adapter.comand = foo"]
+    )
+    def test_unknown_key(self, tmp_path, capsys, line):
+        text = f"profile = {PROFILE}\ntuner.max_iterations = 1\n{line}\n"
+        assert self._tune_config(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert err == f"error: line 3: unknown key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sample_configs_use_known_keys(self):
+        for path in SAMPLES.glob("*.conf"):
+            keys = parse_keytree(path.read_text(encoding="utf-8")).keys()
+            assert set(keys) <= cli.RUN_CONFIG_KEYS, path.name
 
     @pytest.mark.parametrize("raw", ["soon", "-1", "inf", "nan"])
     def test_bad_adapter_grace(self, tmp_path, capsys, raw):

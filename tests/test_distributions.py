@@ -21,7 +21,6 @@ from strategy_tuner import (
     ParamDistribution,
     Poisson,
     RandomStream,
-    TunerSettings,
     default_catalog,
     leq,
     refine_delta,
@@ -229,11 +228,6 @@ _CATALOG_DISTRIBUTIONS = stx.fixed_dictionaries(
 )
 
 
-def _state(distributions, num_sample):
-    settings = TunerSettings(time_budget=1.0, num_sample=num_sample)
-    return orchestrator.TunerState("prog", _CATALOG, settings, object(), distributions, 1.0)
-
-
 class TestCompiledPlan:
     """An iteration's samples come from one plan compiled from its distributions."""
 
@@ -242,7 +236,7 @@ class TestCompiledPlan:
     def test_plan_matches_reference_sampler(self, distributions, seed, iteration, num_sample):
         rng = RandomStream(seed)
         configs = orchestrator._sample_configurations(
-            _state(distributions, num_sample), rng, iteration
+            _CATALOG, distributions, num_sample, rng, iteration
         )
         assert len(configs) == num_sample
         for i, config in enumerate(configs):
@@ -281,7 +275,7 @@ class TestCompiledPlan:
         }
         distributions.update(fixed)
         configs = orchestrator._sample_configurations(
-            _state(distributions, 3), RandomStream(5), 2
+            _CATALOG, distributions, 3, RandomStream(5), 2
         )
         drawn = [name for name in _CATALOG.names if name not in fixed]
         assert asked == [
