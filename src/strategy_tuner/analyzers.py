@@ -21,7 +21,7 @@ from typing import Mapping, Protocol, Union
 from .errors import ConfigParseError, ProfileError
 from .keytree import parse_keytree
 from .lattice import BitsVal, IntVal, LatticeValue, leq, parse_value
-from .paramspace import Catalog, Configuration, config_join
+from .paramspace import Catalog, Configuration, config_join, nonnegative
 
 
 @dataclass(frozen=True)
@@ -311,25 +311,22 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
       ``alarm.<id>.incompressible = true``
       ``twist.<id>.<param> = <lattice literal>``
 
-    Unnamed requirement parameters default to the lattice bottom.
+    Cost values must be finite and at least 0. Unnamed requirement
+    parameters default to the lattice bottom.
     """
-    tree = parse_keytree(text)
     base_cost = 0.0
     weights: dict[str, float] = {}
     requirements: dict[str, dict[str, LatticeValue]] = {}
     incompressible: dict[str, bool] = {}
     twists: list[Twist] = []
 
-    for key in tree.keys():
-        lineno = tree.line_of(key)
-        raw = tree.get(key, "")
-        assert raw is not None
+    for key, (raw, lineno, _) in parse_keytree(text).items():
         parts = key.split(".")
         try:
             if parts == ["cost", "base"]:
-                base_cost = float(raw)
+                base_cost = nonnegative(raw)
             elif len(parts) == 3 and parts[:2] == ["cost", "weight"]:
-                weights[_known_param(catalog, parts[2])] = float(raw)
+                weights[_known_param(catalog, parts[2])] = nonnegative(raw)
             elif len(parts) == 4 and parts[0] == "alarm" and parts[2] == "requires":
                 name = _known_param(catalog, parts[3])
                 spec = catalog.spec(name)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import re
 import shutil
@@ -38,12 +37,13 @@ from .errors import (
     LatticeMismatchError,
     TunerError,
 )
-from .keytree import parse_keytree
+from .keytree import Entry, parse_keytree
 from .orchestrator import TunerSettings, tune
 from .paramspace import (
     Catalog,
     apply_catalog_overrides,
     default_catalog,
+    nonnegative,
     parse_configuration,
     serialize_configuration,
 )
@@ -93,66 +93,63 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigParseError(f"cannot read {what} {path!r}: {exc}")
 
 
-def _read_key(tree, key: str, cast, default):
+def _read_key(entries: dict[str, Entry], key: str, cast):
     """The file's value for ``key`` through ``cast``; a ValueError names its line."""
-    raw = tree.get(key)
-    if raw is None:
-        return default
+    raw, line, _ = entries[key]
     try:
         return cast(raw)
     except ValueError:
-        raise ConfigParseError(f"bad value for {key!r}: {raw!r}", line=tree.line_of(key))
+        raise ConfigParseError(f"bad value for {key!r}: {raw!r}", line=line)
 
 
-def _seconds(raw: str) -> float:
-    """A finite number of seconds, at least 0."""
-    value = float(raw)
-    if not (0.0 <= value < math.inf):
-        raise ValueError(raw)
-    return value
+# Each TunerSettings field a run config may set, the flag that overrides
+# it, and its type; a file's bad values are reported in this order.
+_SETTINGS = (
+    ("max_iterations", "max_iterations", int),
+    ("time_budget", "budget", float),
+    ("num_sample", "samples", int),
+    ("num_process", "processes", int),
+    ("seed", "seed", int),
+    ("iteration_fraction", None, float),
+    ("min_slice", None, float),
+)
 
 
-def _load_settings(tree, args) -> TunerSettings:
+def _load_settings(entries: dict[str, Entry], args) -> TunerSettings:
+    """The settings a flag or the file gives, a flag first; the budget defaults to 3600 s."""
+    given: dict = {"time_budget": 3600.0}
     from_file: set[str] = set()
-
-    def pick(flag_value, key: str, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if tree.get(key) is not None:
+    for name, flag, cast in _SETTINGS:
+        key = f"tuner.{name}"
+        value = getattr(args, flag, None) if flag else None
+        if value is None and key in entries:
+            value = _read_key(entries, key, cast)
             from_file.add(key)
-        return _read_key(tree, key, cast, default)
-
-    max_iter = pick(getattr(args, "max_iterations", None), "tuner.max_iterations", int, None)
+        if value is not None:
+            given[name] = value
     try:
-        return TunerSettings(
-            time_budget=pick(args.budget, "tuner.time_budget", float, 3600.0),
-            num_sample=pick(args.samples, "tuner.num_sample", int, 4),
-            num_process=pick(args.processes, "tuner.num_process", int, 1),
-            seed=pick(args.seed, "tuner.seed", int, 0),
-            iteration_fraction=pick(None, "tuner.iteration_fraction", float, 0.5),
-            max_iterations=max_iter,
-            min_slice=pick(None, "tuner.min_slice", float, 1.0),
-        )
+        return TunerSettings(**given)
     except InvalidSettingsError as exc:
         key = f"tuner.{exc.field}"
         if key in from_file:
-            raise ConfigParseError(str(exc), line=tree.line_of(key)) from None
+            raise ConfigParseError(str(exc), line=entries[key].line) from None
         raise
 
 
 def load_run_config(args) -> RunConfig:
-    tree = parse_keytree(_read_text(args.config, "config file") if args.config else "")
-    for key in tree.keys():
+    entries = parse_keytree(_read_text(args.config, "config file") if args.config else "")
+    for key, entry in entries.items():
         if key not in RUN_CONFIG_KEYS:
-            raise ConfigParseError(f"unknown key {key!r}", line=tree.line_of(key))
+            raise ConfigParseError(f"unknown key {key!r}", line=entry.line)
+    values = {key: entry.value for key, entry in entries.items()}
 
     catalog = default_catalog()
-    catalog_path = tree.get("catalog")
+    catalog_path = values.get("catalog")
     if catalog_path:
         catalog = apply_catalog_overrides(catalog, _read_text(catalog_path, "catalog override"))
 
-    program = getattr(args, "program", None) or tree.get("program")
-    profile_path = getattr(args, "profile", None) or tree.get("profile")
+    program = getattr(args, "program", None) or values.get("program")
+    profile_path = getattr(args, "profile", None) or values.get("profile")
     if bool(program) == bool(profile_path):
         raise ConfigParseError(
             "exactly one analyzer backend required: set 'program' (subprocess) "
@@ -164,32 +161,31 @@ def load_run_config(args) -> RunConfig:
     if profile_path:
         profile = parse_profile(_read_text(profile_path, "profile"), catalog)
     else:
-        command = tree.get("adapter.command")
-        pattern = tree.get("adapter.pattern")
+        command = values.get("adapter.command")
+        pattern = values.get("adapter.pattern")
         if not command or not pattern:
             raise ConfigParseError(
                 "subprocess backend requires 'adapter.command' and 'adapter.pattern'"
             )
-        env_raw = tree.get("adapter.env", "")
-        grace = _read_key(tree, "adapter.grace", _seconds, 2.0)
+        options: dict = {}
+        if values.get("adapter.join"):  # empty means the default
+            options["join"] = values["adapter.join"]
+        if values.get("adapter.env"):
+            options["env_passthrough"] = tuple(v for v in values["adapter.env"].split(",") if v)
+        if "adapter.grace" in entries:
+            options["grace"] = _read_key(entries, "adapter.grace", nonnegative)
         try:
-            adapter = AdapterConfig(
-                command=command,
-                pattern=pattern,
-                join=tree.get("adapter.join", ":") or ":",
-                env_passthrough=tuple(v for v in (env_raw or "").split(",") if v),
-                grace=grace,
-            )
+            adapter = AdapterConfig(command=command, pattern=pattern, **options)
         except (ValueError, re.error) as exc:
             key = "adapter.pattern" if isinstance(exc, re.error) else "adapter.command"
             raise ConfigParseError(
-                f"bad value for {key!r}: {exc}", line=tree.line_of(key)
+                f"bad value for {key!r}: {exc}", line=entries[key].line
             ) from None
 
-    out = getattr(args, "out", None) or tree.get("out") or "tuner-out"
+    out = getattr(args, "out", None) or values.get("out") or "tuner-out"
     return RunConfig(
         catalog=catalog,
-        settings=_load_settings(tree, args),
+        settings=_load_settings(entries, args),
         out_dir=Path(out),
         program=program,
         profile=profile,

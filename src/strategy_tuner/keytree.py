@@ -1,65 +1,45 @@
 """Line-oriented "key = value" text format.
 
-One grammar serves every file the tool reads or writes: configuration
-files, catalog overrides, synthetic profiles, and the run config. Keys
-are dotted paths; values are raw strings ending at end of line. Lines
-whose first non-blank character is '#' are comments. Duplicate keys are
-rejected.
+One grammar serves every file the tool reads: configuration files,
+catalog overrides, synthetic profiles, and the run config. Keys are
+dotted paths; a value is the rest of its line, stripped. A line whose
+first non-blank character is '#' is a comment; a duplicate key is
+rejected. Each key's Entry holds its value, its line, and the 1-based
+column where the value starts, so an error can point at the value.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import ConfigParseError
 
 
-class KeyTree:
-    """Parsed key/value pairs with their source line numbers."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, tuple[str, int]] = {}
-
-    def keys(self) -> list[str]:
-        return list(self._entries)
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        entry = self._entries.get(key)
-        return entry[0] if entry is not None else default
-
-    def line_of(self, key: str) -> int:
-        return self._entries[key][1]
-
-    def _insert(self, key: str, value: str, line: int) -> None:
-        if key in self._entries:
-            raise ConfigParseError(
-                f"duplicate key {key!r} (first defined on line {self._entries[key][1]})",
-                line=line,
-            )
-        self._entries[key] = (value, line)
+class Entry(NamedTuple):
+    value: str
+    line: int
+    column: int
 
 
-def parse_keytree(text: str) -> KeyTree:
-    tree = KeyTree()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigParseError("expected 'key = value'", line=lineno, column=1)
-        key, _, value = raw.partition("=")
+def parse_keytree(text: str) -> dict[str, Entry]:
+    """The file's entries by key, in file order."""
+    entries: dict[str, Entry] = {}
+    for line, raw in enumerate(text.splitlines(), start=1):
+        key, sep, tail = raw.partition("=")
         key = key.strip()
+        if key.startswith("#") or not (key or sep):
+            continue  # a comment or a blank line
+        if not sep:
+            raise ConfigParseError("expected 'key = value'", line=line, column=1)
         if not key:
-            raise ConfigParseError("empty key before '='", line=lineno, column=1)
+            raise ConfigParseError("empty key before '='", line=line, column=1)
         if any(c.isspace() for c in key):
-            raise ConfigParseError(f"key {key!r} must not contain spaces", line=lineno, column=1)
-        tree._insert(key, value.strip(), lineno)
-    return tree
-
-
-def value_column(raw_line: str) -> int:
-    """1-based column where the value of a 'key = value' line starts."""
-    head, sep, tail = raw_line.partition("=")
-    if not sep:
-        return 1
-    offset = len(head) + 1
-    return offset + (len(tail) - len(tail.lstrip())) + 1
+            raise ConfigParseError(f"key {key!r} must not contain spaces", line=line, column=1)
+        if key in entries:
+            raise ConfigParseError(
+                f"duplicate key {key!r} (first defined on line {entries[key].line})", line=line
+            )
+        value = tail.lstrip()
+        entries[key] = Entry(value.rstrip(), line, len(raw) - len(value) + 1)
+    return entries
 

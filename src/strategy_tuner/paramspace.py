@@ -9,6 +9,7 @@ catalog data, overridable from a file, never hardcoded elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Iterator, Mapping, Union
 
@@ -21,7 +22,7 @@ from .distributions import (
     Poisson,
 )
 from .errors import ConfigParseError, RenderError
-from .keytree import parse_keytree, value_column
+from .keytree import parse_keytree
 from .lattice import (
     BitsKind,
     BitsVal,
@@ -270,19 +271,13 @@ def parse_configuration(text: str, catalog: Catalog) -> Configuration:
     lattice textual form, except that infinity is rejected (concrete
     configurations must be runnable).
     """
-    tree = parse_keytree(text)
-    lines = text.splitlines()
     values: dict[str, LatticeValue] = {}
-    for key in tree.keys():
-        lineno = tree.line_of(key)
-        column = _value_column(lines, lineno)
+    for key, (raw, lineno, column) in parse_keytree(text).items():
         try:
             spec = catalog.spec(key)
         except KeyError:
             raise ConfigParseError(f"unknown parameter {key!r}", line=lineno, column=1)
-        raw = tree.get(key, "")
-        assert raw is not None
-        if isinstance(spec.kind, IntKind) and raw.strip() == "inf":
+        if isinstance(spec.kind, IntKind) and raw == "inf":
             raise ConfigParseError(
                 "infinity not allowed in concrete configurations",
                 line=lineno,
@@ -298,10 +293,12 @@ def parse_configuration(text: str, catalog: Catalog) -> Configuration:
         raise ConfigParseError(str(exc))
 
 
-def _value_column(lines: list[str], lineno: int) -> int:
-    if 1 <= lineno <= len(lines):
-        return value_column(lines[lineno - 1])
-    return 1
+def nonnegative(raw: str) -> float:
+    """A finite number, at least 0, such as a number of seconds."""
+    value = float(raw)
+    if not (0.0 <= value < math.inf):
+        raise ValueError(f"expected a finite number at least 0, got {raw!r}")
+    return value
 
 
 def apply_catalog_overrides(catalog: Catalog, text: str) -> Catalog:
@@ -314,15 +311,11 @@ def apply_catalog_overrides(catalog: Catalog, text: str) -> Catalog:
       ``<name>.base``    initial base point, lattice textual form
       ``<name>.lambda`` / ``<name>.q``    initial exploration parameter
     """
-    tree = parse_keytree(text)
     specs = {spec.name: spec for spec in catalog}
-    for key in tree.keys():
-        lineno = tree.line_of(key)
+    for key, (raw, lineno, _) in parse_keytree(text).items():
         name, _, field = key.rpartition(".")
         if not name or name not in specs:
             raise ConfigParseError(f"unknown parameter in override key {key!r}", line=lineno)
-        raw = tree.get(key, "")
-        assert raw is not None
         try:
             specs[name] = _override_field(specs[name], field, raw)
         except ValueError as exc:

@@ -148,13 +148,24 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
         name: distribution_from_json(d) for name, d in obj["distributions_after"].items()
     }
     names = tuple(before)
+    if tuple(after) != names:
+        raise ConfigParseError(
+            f"distributions_after names {list(after)}, not the record's parameters {list(names)}"
+        )
     kinds = tuple(_kind_for_delta(dist.delta) for dist in before.values())
+    configs = tuple(_config_from_json(c, names, kinds) for c in obj["sampled_configs"])
+    outcomes = tuple(outcome_from_json(o) for o in obj["outcomes"])
+    if len(outcomes) != len(configs):
+        raise ConfigParseError(f"{len(outcomes)} outcomes for {len(configs)} sampled configs")
+    completed = int(obj["completed"])
+    if completed != sum(isinstance(o, Completed) for o in outcomes):
+        raise ConfigParseError(f"completed is {completed}, not the number of completed outcomes")
     return IterationRecord(
         index=int(obj["index"]),
-        sampled_configs=tuple(_config_from_json(c, names, kinds) for c in obj["sampled_configs"]),
-        outcomes=tuple(outcome_from_json(o) for o in obj["outcomes"]),
+        sampled_configs=configs,
+        outcomes=outcomes,
         alarm_universe=tuple(obj["alarm_universe"]),
-        completed=int(obj["completed"]),
+        completed=completed,
         eta_c=float(obj["eta_c"]),
         eta=float(obj["eta"]),
         distributions_before=before,
@@ -170,7 +181,10 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
 
 
 def read_trace(text: str) -> list[IterationRecord]:
-    """Parse a trace; errors name the first offending record index."""
+    """Parse a trace; errors name the first offending record index.
+
+    Every record must have the parameters of the first, in its order.
+    """
     records: list[IterationRecord] = []
     for index, line in enumerate(text.splitlines()):
         if not line.strip():
@@ -178,9 +192,13 @@ def read_trace(text: str) -> list[IterationRecord]:
         # A record or a field of the wrong JSON type fails where it is
         # used, with an AttributeError or a TypeError.
         try:
-            records.append(record_from_json(json.loads(line)))
+            record = record_from_json(json.loads(line))
+            names = list(record.distributions_before)
+            if records and names != list(records[0].distributions_before):
+                raise ConfigParseError(f"parameters {names}, not the first record's")
         except (KeyError, ValueError, TypeError, AttributeError, ConfigParseError) as exc:
             raise ConfigParseError(f"trace record {index} is malformed: {exc}")
+        records.append(record)
     return records
 
 

@@ -528,3 +528,18 @@ class TestProfileParsing:
     def test_twist_for_unknown_alarm(self, catalog):
         with pytest.raises(ConfigParseError):
             parse_profile("twist.ghost.slevel = 3\n", catalog)
+
+    @pytest.mark.parametrize("raw", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("key", ["cost.base", "cost.weight.slevel"])
+    def test_cost_must_be_finite_and_nonnegative(self, catalog, key, raw):
+        # a negative cost grows the remaining budget, nan fails every task's
+        # timeout check, and inf times out every analysis
+        text = f"alarm.a.requires.slevel = 3\n{key} = {raw}\n"
+        with pytest.raises(ConfigParseError) as err:
+            parse_profile(text, catalog)
+        assert err.value.line == 2
+
+    def test_zero_cost_accepted(self, catalog):
+        profile = parse_profile("cost.base = 0\ncost.weight.slevel = 0.0\n", catalog)
+        assert profile.cost.base_cost == 0.0
+        assert profile.cost.weights == {"slevel": 0.0}

@@ -279,6 +279,50 @@ class TestRejectedValues:
         assert "line 3" in err and "adapter.pattern" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["tune", "dominancy", "simulate"])
+    def test_negative_profile_cost(self, tmp_path, capsys, command):
+        text = PROFILE.read_text(encoding="utf-8")
+        profile = tmp_path / "bad.profile"
+        profile.write_text(text.replace("cost.base = 0.05", "cost.base = -1"), encoding="utf-8")
+        out = str(tmp_path / "out")
+        if command == "simulate":
+            argv = ["simulate", str(profile)]
+        else:
+            # one iteration, so that an accepted negative cost cannot run forever
+            extra = write_baselines(tmp_path) if command == "dominancy" else ("--max-iterations", 1)
+            argv = [command, "--profile", str(profile), "--out", out, *map(str, extra)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: ") and "'-1'" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestRunConfigDefaults:
+    """Values that neither a flag nor the file gives keep their dataclass defaults."""
+
+    def _load(self, tmp_path, text: str, *flags: str) -> cli.RunConfig:
+        conf = tmp_path / "run.conf"
+        conf.write_text(text, encoding="utf-8")
+        return cli.load_run_config(
+            cli.build_parser().parse_args(["tune", "--config", str(conf), *flags])
+        )
+
+    def test_empty_config(self, tmp_path):
+        run = self._load(tmp_path, "", "--profile", str(PROFILE))
+        assert run.settings == cli.TunerSettings(time_budget=3600.0)
+
+    @pytest.mark.parametrize("extra", ["", "adapter.join =\n", "adapter.env =\n"])
+    def test_minimal_adapter(self, tmp_path, extra):
+        command, pattern = "true {args} {program}", "warn:(.*)"
+        text = f"program = x.c\nadapter.command = {command}\nadapter.pattern = {pattern}\n"
+        run = self._load(tmp_path, text + extra)
+        assert run.adapter == cli.AdapterConfig(command, pattern)
+
+    def test_flag_wins_over_file(self, tmp_path):
+        text = f"profile = {PROFILE}\ntuner.seed = 3\ntuner.min_slice = 2\n"
+        run = self._load(tmp_path, text, "--seed", "5")
+        assert run.settings == cli.TunerSettings(time_budget=3600.0, seed=5, min_slice=2.0)
+
 
 class TestDominancy:
     def test_report_written(self, tmp_path):
@@ -393,6 +437,16 @@ class TestPlot:
             bad.write_text(good[0] + "\n" + second + "\n", encoding="utf-8")
             assert run_cli("plot", str(bad)) == 2
             assert "trace record 1 is malformed" in capsys.readouterr().err
+
+    def test_record_lacking_an_after_distribution_exit_2(self, tuned_dir, tmp_path, capsys):
+        lines = (tuned_dir / "trace.ndjson").read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        del first["distributions_after"]["slevel"]
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
+        assert run_cli("plot", str(bad), "--out", str(tmp_path / "plots")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace record 0 is malformed") and "Traceback" not in err
 
 
 class TestSimulate:

@@ -1,0 +1,66 @@
+"""The key = value grammar: each entry's value, line and value column."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as stx
+
+from strategy_tuner import ConfigParseError
+from strategy_tuner.keytree import Entry, parse_keytree
+
+blanks = stx.text(" \t", max_size=3)
+keys = stx.text("abz019.-_", min_size=1, max_size=8)
+values = stx.text("ab 9.=#\t", max_size=8)
+
+
+@stx.composite
+def files(draw):
+    """A file's text and the (key, value, line) of each entry, in file order."""
+    lines: list[str] = []
+    expected: list[tuple[str, str, int]] = []
+    for key in draw(stx.lists(keys, unique=True, max_size=6)):
+        filler = draw(stx.lists(blanks | blanks.map(lambda b: b + "#" + "x = y"), max_size=2))
+        lines.extend(filler)
+        value = draw(values)
+        lines.append(draw(blanks) + key + draw(blanks) + "=" + value)
+        expected.append((key, value.strip(), len(lines)))
+    return "\n".join(lines) + draw(stx.sampled_from(["", "\n"])), expected
+
+
+@given(files())
+def test_entries_carry_value_line_and_column(generated):
+    text, expected = generated
+    entries = parse_keytree(text)
+    assert [(key, e.value, e.line) for key, e in entries.items()] == expected
+    lines = text.splitlines()
+    for e in entries.values():
+        assert lines[e.line - 1][e.column - 1 :].strip() == e.value
+        if e.value:
+            assert lines[e.line - 1][e.column - 1] == e.value[0]
+
+
+def test_column_counts_tabs_and_indentation():
+    entries = parse_keytree("  slevel\t=\t 104  \n# c = d\n\nempty =\np = a=b = c\n")
+    assert entries == {
+        "slevel": Entry("104", 1, 13),
+        "empty": Entry("", 4, 8),
+        "p": Entry("a=b = c", 5, 5),
+    }
+
+
+def test_duplicate_key_names_first_line():
+    with pytest.raises(ConfigParseError) as err:
+        parse_keytree("a = 1\n\nb = 2\na = 3\n")
+    assert err.value.line == 4
+    assert "duplicate key 'a' (first defined on line 1)" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("no equals sign", "expected 'key = value'"), ("  = 3", "empty key"), ("a b = 3", "spaces")],
+)
+def test_malformed_line_points_at_column_1(text, message):
+    with pytest.raises(ConfigParseError, match=message) as err:
+        parse_keytree("ok = 1\n" + text + "\n")
+    assert (err.value.line, err.value.column) == (2, 1)

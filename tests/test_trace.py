@@ -181,3 +181,36 @@ class TestMalformedTraces:
         lines[0] = json.dumps(first)
         with pytest.raises(ConfigParseError, match="trace record 0 is malformed"):
             read_trace("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "index, mutate, reason",
+        [
+            (0, lambda r: r["distributions_after"].pop("slevel"), "distributions_after names"),
+            (1, lambda r: _drop_parameter(r, "domains"), "first record's"),
+            (0, lambda r: r["outcomes"].pop(), "5 outcomes for 6 sampled configs"),
+            (0, lambda r: r.__setitem__("completed", 5), "completed is 5"),
+        ],
+        ids=["after-lacks-a-parameter", "parameters-differ-from-record-0",
+             "an-outcome-per-config", "completed-count"],
+    )
+    def test_record_must_agree_with_itself_and_record_0(self, index, mutate, reason):
+        # each of these made ``plot`` or ``build_result_matrix`` fail on read-back
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[index])
+        mutate(record)
+        lines[index] = json.dumps(record)
+        with pytest.raises(ConfigParseError, match=f"trace record {index} is malformed: .*{reason}"):
+            read_trace("\n".join(lines))
+
+    @pytest.mark.parametrize("name", ["mixed.ndjson", "convergence.ndjson"])
+    def test_golden_traces_read_back(self, name):
+        text = (MIXED_TRACE.parent / name).read_text(encoding="utf-8")
+        assert len(read_trace(text)) == len(text.splitlines())
+
+
+def _drop_parameter(record: dict, name: str) -> None:
+    """Remove a parameter from every part of a record, which stays self-consistent."""
+    for part in (record["distributions_before"], record["distributions_after"]):
+        del part[name]
+    for config in record["sampled_configs"]:
+        del config[name]
