@@ -54,11 +54,8 @@ from .errors import (
 from .lattice import (
     INFINITY,
     INT_CEILING,
-    BitsKind,
     BitsVal,
-    BoolKind,
     BoolVal,
-    IntKind,
     IntVal,
     bottom,
     format_value,

@@ -11,6 +11,7 @@ whole tuning runs finish in milliseconds.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
@@ -20,7 +21,7 @@ from typing import Mapping, Protocol, Union
 
 from .errors import ConfigParseError, ProfileError
 from .keytree import parse_keytree
-from .lattice import BitsVal, IntVal, LatticeValue, leq, parse_value
+from .lattice import BitsVal, IntVal, LatticeValue, leq, parse_value, same_kind
 from .paramspace import Catalog, Configuration, config_join, nonnegative
 
 
@@ -76,6 +77,11 @@ class CostModel:
 
     base_cost: float = 0.0
     weights: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for cost in (self.base_cost, *self.weights.values()):
+            if not (0.0 <= cost < math.inf):
+                raise ValueError(f"costs must be finite and at least 0, got {cost!r}")
 
 
 @dataclass(frozen=True)
@@ -198,6 +204,12 @@ class SyntheticProfile:
     gates: AlarmGates = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in (*self.cost.weights, *(twist.param for twist in self.twists)):
+            if name not in self.catalog.names:
+                raise ValueError(f"unknown parameter {name!r}")
+        for twist in self.twists:
+            if not same_kind(twist.threshold, self.catalog.spec(twist.param).initial.base):
+                raise ValueError(f"twist on {twist.param!r} has a threshold of the wrong kind")
         object.__setattr__(self, "gates", AlarmGates.compile(self.alarms, self.twists))
 
 
@@ -329,16 +341,16 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
                 weights[_known_param(catalog, parts[2])] = nonnegative(raw)
             elif len(parts) == 4 and parts[0] == "alarm" and parts[2] == "requires":
                 name = _known_param(catalog, parts[3])
-                spec = catalog.spec(name)
-                requirements.setdefault(parts[1], {})[name] = parse_value(spec.kind, raw)
+                value = parse_value(catalog.spec(name).initial.base, raw)
+                requirements.setdefault(parts[1], {})[name] = value
             elif len(parts) == 3 and parts[0] == "alarm" and parts[2] == "incompressible":
                 if raw not in ("true", "false"):
                     raise ValueError(f"expected 'true' or 'false', got {raw!r}")
                 incompressible[parts[1]] = raw == "true"
             elif len(parts) == 3 and parts[0] == "twist":
                 name = _known_param(catalog, parts[2])
-                spec = catalog.spec(name)
-                twists.append(Twist(parts[1], name, parse_value(spec.kind, raw)))
+                value = parse_value(catalog.spec(name).initial.base, raw)
+                twists.append(Twist(parts[1], name, value))
             else:
                 raise ValueError(f"unrecognized profile key {key!r}")
         except ValueError as exc:

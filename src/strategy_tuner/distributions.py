@@ -32,7 +32,7 @@ from .lattice import (
     BoolVal,
     IntVal,
     LatticeValue,
-    kind_of,
+    same_kind,
     top,
 )
 from .rng import RandomStream
@@ -78,20 +78,13 @@ class BernoulliVector:
 DeltaDistribution = Union[Poisson, Bernoulli, BernoulliVector]
 
 
-def _check_pairing(base: LatticeValue, delta: DeltaDistribution) -> None:
-    ok = (
-        (isinstance(base, IntVal) and isinstance(delta, Poisson))
-        or (isinstance(base, BoolVal) and isinstance(delta, Bernoulli))
-        or (
-            isinstance(base, BitsVal)
-            and isinstance(delta, BernoulliVector)
-            and base.width == delta.width
-        )
-    )
-    if not ok:
-        raise ValueError(
-            f"base {type(base).__name__} does not pair with delta {type(delta).__name__}"
-        )
+def delta_bottom(delta: DeltaDistribution) -> LatticeValue:
+    """The bottom of the lattice a delta explores: 0, false or all zeros."""
+    if isinstance(delta, Poisson):
+        return IntVal(0)
+    if isinstance(delta, Bernoulli):
+        return BoolVal(False)
+    return BitsVal(0, delta.width)
 
 
 @dataclass(frozen=True)
@@ -102,7 +95,11 @@ class ParamDistribution:
     delta: DeltaDistribution
 
     def __post_init__(self) -> None:
-        _check_pairing(self.base, self.delta)
+        if not same_kind(self.base, delta_bottom(self.delta)):
+            raise ValueError(
+                f"base {type(self.base).__name__} does not pair with "
+                f"delta {type(self.delta).__name__}"
+            )
 
 
 #: A source of uniform draws in [0, 1), such as ``RandomStream.random``.
@@ -317,7 +314,7 @@ def refine_base(
     keys = [v.value for v in values]
     meet_keys = partial(reduce, and_) if bits else min
     join_keys = or_ if bits else max
-    top_key = top(kind_of(current_base)).value
+    top_key = top(current_base).value
     acc = current_base.value
     for rows in matrix.eliminator_sets:
         lowest = meet_keys(map(keys.__getitem__, rows))

@@ -13,11 +13,15 @@ Each value stores its own order key in ``value``: a natural, or
 ``True``; or, for a bit vector, an int mask with bit i set when entry i
 is true. The order is then ``a <= b`` on integers and booleans and mask
 inclusion, ``a & ~b == 0``, on bit vectors, and bottom is the only value
-of its kind whose key is 0.
+of its lattice whose key is 0.
+
+A value stands for its own lattice, its kind: one variant and, for bit
+vectors, one width (:func:`same_kind`). ``top``, ``bottom`` and
+``parse_value`` take any value of the lattice they work in.
 
 All values are immutable and freely shareable between threads. Binary
-operations require both operands to be the same variant (and width);
-anything else raises :class:`LatticeMismatchError`.
+operations require both operands to be of the same kind; anything else
+raises :class:`LatticeMismatchError`.
 """
 
 from __future__ import annotations
@@ -88,45 +92,18 @@ class BitsVal:
 LatticeValue = Union[IntVal, BoolVal, BitsVal]
 
 
-@dataclass(frozen=True)
-class IntKind:
-    pass
-
-
-@dataclass(frozen=True)
-class BoolKind:
-    pass
-
-
-@dataclass(frozen=True)
-class BitsKind:
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError("bit vector kinds must have positive width")
-
-
-Kind = Union[IntKind, BoolKind, BitsKind]
-
-
-def kind_of(value: LatticeValue) -> Kind:
-    if isinstance(value, IntVal):
-        return IntKind()
-    if isinstance(value, BoolVal):
-        return BoolKind()
-    if isinstance(value, BitsVal):
-        return BitsKind(value.width)
-    raise TypeError(f"not a lattice value: {value!r}")
+def same_kind(a: LatticeValue, b: LatticeValue) -> bool:
+    """Whether a and b lie in one lattice: one variant and, for bit vectors, one width."""
+    return type(a) is type(b) and (type(a) is not BitsVal or a.width == b.width)  # type: ignore
 
 
 def _require_compatible(a: LatticeValue, b: LatticeValue) -> None:
-    if type(a) is not type(b):
+    if not same_kind(a, b):
         raise LatticeMismatchError(
-            f"mixed lattice variants: {type(a).__name__} vs {type(b).__name__}"
+            f"bit vector widths differ: {a.width} vs {b.width}"  # type: ignore[union-attr]
+            if type(a) is type(b)
+            else f"mixed lattice variants: {type(a).__name__} vs {type(b).__name__}"
         )
-    if isinstance(a, BitsVal) and a.width != b.width:  # type: ignore[union-attr]
-        raise LatticeMismatchError(f"bit vector widths differ: {a.width} vs {b.width}")
 
 
 _key = attrgetter("value")
@@ -156,22 +133,22 @@ def meet(a: LatticeValue, b: LatticeValue) -> LatticeValue:
     return min(a, b, key=_key)
 
 
-def top(kind: Kind) -> LatticeValue:
-    """Greatest element: INFINITY / true / all-ones."""
-    if isinstance(kind, IntKind):
+def top(like: LatticeValue) -> LatticeValue:
+    """Greatest element of the lattice of ``like``: INFINITY / true / all-ones."""
+    if isinstance(like, IntVal):
         return IntVal(INFINITY)
-    if isinstance(kind, BoolKind):
+    if isinstance(like, BoolVal):
         return BoolVal(True)
-    return BitsVal((1 << kind.width) - 1, kind.width)
+    return BitsVal((1 << like.width) - 1, like.width)
 
 
-def bottom(kind: Kind) -> LatticeValue:
-    """Least element: 0 / false / all-zeros."""
-    if isinstance(kind, IntKind):
+def bottom(like: LatticeValue) -> LatticeValue:
+    """Least element of the lattice of ``like``: 0 / false / all-zeros."""
+    if isinstance(like, IntVal):
         return IntVal(0)
-    if isinstance(kind, BoolKind):
+    if isinstance(like, BoolVal):
         return BoolVal(False)
-    return BitsVal(0, kind.width)
+    return BitsVal(0, like.width)
 
 
 def saturating_add(base: IntVal, amount: int, ceiling: int = INT_CEILING) -> IntVal:
@@ -196,24 +173,24 @@ def format_value(value: LatticeValue) -> str:
     return str(value.value)
 
 
-def parse_value(kind: Kind, text: str) -> LatticeValue:
-    """Inverse of :func:`format_value` for a known kind.
+def parse_value(like: LatticeValue, text: str) -> LatticeValue:
+    """Inverse of :func:`format_value` in the lattice of ``like``.
 
     Raises ValueError with a human-readable reason on malformed input.
     """
     text = text.strip()
-    if isinstance(kind, IntKind):
+    if isinstance(like, IntVal):
         if text == "inf":
             return IntVal(INFINITY)
         if not text.isdigit():
             raise ValueError(f"expected a natural number or 'inf', got {text!r}")
         return IntVal(int(text))
-    if isinstance(kind, BoolKind):
+    if isinstance(like, BoolVal):
         if text == "true":
             return BoolVal(True)
         if text == "false":
             return BoolVal(False)
         raise ValueError(f"expected 'true' or 'false', got {text!r}")
-    if len(text) != kind.width or any(c not in "01" for c in text):
-        raise ValueError(f"expected {kind.width} binary digits, got {text!r}")
+    if len(text) != like.width or any(c not in "01" for c in text):
+        raise ValueError(f"expected {like.width} binary digits, got {text!r}")
     return BitsVal.from_string(text)

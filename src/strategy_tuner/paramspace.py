@@ -24,20 +24,16 @@ from .distributions import (
 from .errors import ConfigParseError, RenderError
 from .keytree import parse_keytree
 from .lattice import (
-    BitsKind,
     BitsVal,
-    BoolKind,
     BoolVal,
-    IntKind,
     IntVal,
-    Kind,
     LatticeValue,
     bottom,
     format_value,
     join,
-    kind_of,
     leq,
     parse_value,
+    same_kind,
 )
 
 
@@ -74,19 +70,15 @@ class ParamSpec:
     initial: ParamDistribution
     render: RenderRule
 
-    @property
-    def kind(self) -> Kind:
-        return kind_of(self.initial.base)
-
     def __post_init__(self) -> None:
-        rule = self.render
+        base, rule = self.initial.base, self.render
         ok = (
-            (isinstance(self.kind, IntKind) and isinstance(rule, IntFlag))
-            or (isinstance(self.kind, BoolKind) and isinstance(rule, BoolChoice))
+            (isinstance(base, IntVal) and isinstance(rule, IntFlag))
+            or (isinstance(base, BoolVal) and isinstance(rule, BoolChoice))
             or (
-                isinstance(self.kind, BitsKind)
+                isinstance(base, BitsVal)
                 and isinstance(rule, BitsLabels)
-                and len(rule.labels) == self.kind.width
+                and len(rule.labels) == base.width
             )
         )
         if not ok:
@@ -113,7 +105,7 @@ class Configuration:
 
     def replace(self, name: str, value: LatticeValue) -> "Configuration":
         i = _index(self.names, name)
-        if kind_of(self.values[i]) != kind_of(value):
+        if not same_kind(self.values[i], value):
             raise ValueError(f"replacement for {name!r} has the wrong kind")
         return Configuration(self.names, self.values[:i] + (value,) + self.values[i + 1 :])
 
@@ -150,7 +142,7 @@ class Catalog:
         return Configuration(self.names, tuple(p.initial.base for p in self.params))
 
     def bottom_configuration(self) -> Configuration:
-        return Configuration(self.names, tuple(bottom(p.kind) for p in self.params))
+        return Configuration(self.names, tuple(bottom(p.initial.base) for p in self.params))
 
     def configuration(
         self, values: Mapping[str, LatticeValue], fill_bottom: bool = False
@@ -168,10 +160,10 @@ class Catalog:
         for spec in self.params:
             if spec.name in values:
                 value = values[spec.name]
-                if kind_of(value) != spec.kind:
+                if not same_kind(value, spec.initial.base):
                     raise ValueError(f"value for {spec.name!r} has the wrong kind")
             elif fill_bottom:
-                value = bottom(spec.kind)
+                value = bottom(spec.initial.base)
             else:
                 raise ValueError(f"missing value for parameter {spec.name!r}")
             chosen.append(value)
@@ -277,14 +269,14 @@ def parse_configuration(text: str, catalog: Catalog) -> Configuration:
             spec = catalog.spec(key)
         except KeyError:
             raise ConfigParseError(f"unknown parameter {key!r}", line=lineno, column=1)
-        if isinstance(spec.kind, IntKind) and raw == "inf":
+        if isinstance(spec.initial.base, IntVal) and raw == "inf":
             raise ConfigParseError(
                 "infinity not allowed in concrete configurations",
                 line=lineno,
                 column=column,
             )
         try:
-            values[key] = parse_value(spec.kind, raw)
+            values[key] = parse_value(spec.initial.base, raw)
         except ValueError as exc:
             raise ConfigParseError(str(exc), line=lineno, column=column)
     try:
@@ -305,9 +297,9 @@ def apply_catalog_overrides(catalog: Catalog, text: str) -> Catalog:
     """Apply a catalog override file to a base catalog.
 
     Supported keys, all per parameter name:
-      ``<name>.flag``    replacement flag spelling (any kind)
+      ``<name>.flag``    replacement flag spelling (any kind, nonempty)
       ``<name>.false`` / ``<name>.true``  boolean value pair (may be empty)
-      ``<name>.labels``  comma-separated bit labels (width must match)
+      ``<name>.labels``  comma-separated nonempty bit labels (width must match)
       ``<name>.base``    initial base point, lattice textual form
       ``<name>.lambda`` / ``<name>.q``    initial exploration parameter
     """
@@ -326,6 +318,8 @@ def apply_catalog_overrides(catalog: Catalog, text: str) -> Catalog:
 def _override_field(spec: ParamSpec, field: str, raw: str) -> ParamSpec:
     rule = spec.render
     if field == "flag":
+        if not raw:
+            raise ValueError(f"{spec.name!r} flag must be nonempty")
         return dc_replace(spec, render=dc_replace(rule, flag=raw))
     if field in ("false", "true"):
         if not isinstance(rule, BoolChoice):
@@ -338,9 +332,11 @@ def _override_field(spec: ParamSpec, field: str, raw: str) -> ParamSpec:
         labels = tuple(part.strip() for part in raw.split(","))
         if len(labels) != len(rule.labels):
             raise ValueError(f"{spec.name!r} needs {len(rule.labels)} labels, got {len(labels)}")
+        if "" in labels:
+            raise ValueError(f"{spec.name!r} labels must be nonempty, got {raw!r}")
         return dc_replace(spec, render=dc_replace(rule, labels=labels))
     if field == "base":
-        base = parse_value(spec.kind, raw)
+        base = parse_value(spec.initial.base, raw)
         if isinstance(base, IntVal) and base.is_infinite:
             # every sample would be infinite, which no analyzer can run
             raise ValueError(f"{spec.name!r} base must be finite, got {raw}")

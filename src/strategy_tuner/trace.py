@@ -12,16 +12,16 @@ import json
 from typing import Any, Sequence, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
-from .distributions import Bernoulli, BernoulliVector, DeltaDistribution, ParamDistribution, Poisson
-from .errors import ConfigParseError
-from .lattice import (
-    BitsKind,
-    BoolKind,
-    IntKind,
-    Kind,
-    format_value,
-    parse_value,
+from .distributions import (
+    Bernoulli,
+    BernoulliVector,
+    DeltaDistribution,
+    ParamDistribution,
+    Poisson,
+    delta_bottom,
 )
+from .errors import ConfigParseError
+from .lattice import LatticeValue, format_value, parse_value
 from .orchestrator import IterationRecord, TuneResult
 from .paramspace import Configuration
 
@@ -47,21 +47,13 @@ def delta_from_json(obj: dict[str, Any]) -> DeltaDistribution:
     raise ConfigParseError(f"unknown delta kind {kind!r}")
 
 
-def _kind_for_delta(delta: DeltaDistribution) -> Kind:
-    if isinstance(delta, Poisson):
-        return IntKind()
-    if isinstance(delta, Bernoulli):
-        return BoolKind()
-    return BitsKind(delta.width)
-
-
 def distribution_to_json(dist: ParamDistribution) -> dict[str, Any]:
     return {"base": format_value(dist.base), "delta": delta_to_json(dist.delta)}
 
 
 def distribution_from_json(obj: dict[str, Any]) -> ParamDistribution:
     delta = delta_from_json(obj["delta"])
-    base = parse_value(_kind_for_delta(delta), obj["base"])
+    base = parse_value(delta_bottom(delta), obj["base"])
     return ParamDistribution(base, delta)
 
 
@@ -70,9 +62,9 @@ def _config_to_json(config: Configuration) -> dict[str, str]:
 
 
 def _config_from_json(
-    obj: dict[str, str], names: tuple[str, ...], kinds: tuple[Kind, ...]
+    obj: dict[str, str], names: tuple[str, ...], kinds: tuple[LatticeValue, ...]
 ) -> Configuration:
-    """A configuration of exactly ``names``, in that order, with ``kinds[i]`` for ``names[i]``.
+    """A configuration of exactly ``names``, in that order, ``names[i]`` of kind ``kinds[i]``.
 
     The tuner reads sampled values by position, so a configuration that
     lacks a parameter or lists them in another order is rejected.
@@ -152,7 +144,7 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
         raise ConfigParseError(
             f"distributions_after names {list(after)}, not the record's parameters {list(names)}"
         )
-    kinds = tuple(_kind_for_delta(dist.delta) for dist in before.values())
+    kinds = tuple(dist.base for dist in before.values())
     configs = tuple(_config_from_json(c, names, kinds) for c in obj["sampled_configs"])
     outcomes = tuple(outcome_from_json(o) for o in obj["outcomes"])
     if len(outcomes) != len(configs):

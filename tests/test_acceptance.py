@@ -15,14 +15,11 @@ from strategy_tuner import (
     AdapterConfig,
     AnalysisTask,
     Bernoulli,
-    BitsKind,
     BitsVal,
-    BoolKind,
     BoolVal,
     Completed,
     CostModel,
     Crashed,
-    IntKind,
     IntVal,
     MatrixRow,
     Poisson,
@@ -122,9 +119,9 @@ def test_criterion_03_influence_score_worked_example():
 
 
 def _random_value(rng: random.Random, kind):
-    if isinstance(kind, IntKind):
+    if isinstance(kind, IntVal):
         return IntVal(rng.randint(0, 1000))
-    if isinstance(kind, BoolKind):
+    if isinstance(kind, BoolVal):
         return BoolVal(rng.random() < 0.5)
     width = kind.width
     return BitsVal(sum(1 << i for i in range(width) if rng.random() < 0.5), width)
@@ -133,7 +130,7 @@ def _random_value(rng: random.Random, kind):
 def test_criterion_04_lattice_laws_1000_triples_per_variant():
     rng = random.Random(0xACCE55)
     start = time.perf_counter()
-    for kind in (IntKind(), BoolKind(), BitsKind(5)):
+    for kind in (IntVal(0), BoolVal(False), BitsVal(0, 5)):
         for _ in range(1000):
             a, b, c = (_random_value(rng, kind) for _ in range(3))
             assert join(a, b) == join(b, a)
@@ -155,10 +152,10 @@ def test_criterion_04_lattice_laws_1000_triples_per_variant():
 def _random_instance(rng: random.Random, kind):
     m = rng.randint(0, 6)
     n = rng.randint(0, 5)
-    if isinstance(kind, IntKind):
+    if isinstance(kind, IntVal):
         values = tuple(IntVal(rng.randint(0, 20)) for _ in range(m))
         base = IntVal(rng.randint(0, 20))
-    elif isinstance(kind, BoolKind):
+    elif isinstance(kind, BoolVal):
         values = tuple(BoolVal(rng.random() < 0.5) for _ in range(m))
         base = BoolVal(rng.random() < 0.5)
     else:
@@ -176,7 +173,7 @@ def _random_instance(rng: random.Random, kind):
 
 def test_criterion_05_refine_base_matches_oracle_500_instances():
     rng = random.Random(0x5EED)
-    kinds = (IntKind(), BoolKind(), BitsKind(5))
+    kinds = (IntVal(0), BoolVal(False), BitsVal(0, 5))
     for trial in range(500):
         matrix, base = _random_instance(rng, kinds[trial % 3])
         assert refine_base(matrix, "p", base) == oracle_refine_base(matrix, "p", base)
@@ -255,12 +252,12 @@ def _random_profile(catalog, rng: random.Random) -> SyntheticProfile:
             continue
         requirement = {}
         for spec in rng.sample(list(catalog), rng.randint(1, 3)):
-            if isinstance(spec.kind, IntKind):
+            if isinstance(spec.initial.base, IntVal):
                 requirement[spec.name] = IntVal(rng.randint(1, 40))
-            elif isinstance(spec.kind, BoolKind):
+            elif isinstance(spec.initial.base, BoolVal):
                 requirement[spec.name] = BoolVal(True)
             else:
-                width = spec.kind.width
+                width = spec.initial.base.width
                 requirement[spec.name] = BitsVal(
                     sum(1 << i for i in range(width) if rng.random() < 0.4), width
                 )

@@ -32,7 +32,7 @@ from strategy_tuner import (
     synthetic_oracle_least_config,
 )
 from strategy_tuner.analyzers import precision_contribution, simulated_cost, synthetic_alarms
-from strategy_tuner.lattice import INT_CEILING, bottom, kind_of, top
+from strategy_tuner.lattice import INT_CEILING, bottom, top
 
 
 @pytest.fixture
@@ -135,6 +135,17 @@ class TestRunContract:
             assert outcome.alarms == synthetic_alarms(profile, task.config)
 
 
+_BAD_PROFILES = {
+    "negative-base": ({"base_cost": -1.0}, ()),
+    "nan-base": ({"base_cost": float("nan")}, ()),
+    "infinite-base": ({"base_cost": float("inf")}, ()),
+    "negative-weight": ({"weights": {"slevel": -1.0}}, ()),
+    "unknown-weight": ({"weights": {"slevl": 1.0}}, ()),
+    "unknown-twist-param": ({}, (Twist("a", "slevl", IntVal(3)),)),
+    "twist-of-wrong-kind": ({}, (Twist("a", "slevel", BoolVal(True)),)),
+}
+
+
 class TestCostModel:
     def test_contributions(self):
         assert precision_contribution(IntVal(7)) == 7.0
@@ -153,14 +164,21 @@ class TestCostModel:
         # base 1.0 + 0.5*10 + 2.0*popcount(10000)
         assert simulated_cost(profile, config) == pytest.approx(1.0 + 5.0 + 2.0)
 
+    @pytest.mark.parametrize("cost,twists", _BAD_PROFILES.values(), ids=list(_BAD_PROFILES))
+    def test_bad_profile_rejected_at_construction(self, catalog, cost, twists):
+        # accepted, each ran to a negative total time, died mid-run on a
+        # nan timeout, or crashed every analysis
+        with pytest.raises(ValueError):
+            SyntheticProfile(catalog, (), CostModel(**cost), twists)
+
 
 def _random_config(catalog, rng: random.Random):
     values = {}
     for spec in catalog:
-        kind = spec.kind
-        if kind.__class__.__name__ == "IntKind":
+        kind = spec.initial.base
+        if kind.__class__.__name__ == "IntVal":
             values[spec.name] = IntVal(rng.randint(0, 30))
-        elif kind.__class__.__name__ == "BoolKind":
+        elif kind.__class__.__name__ == "BoolVal":
             values[spec.name] = BoolVal(rng.random() < 0.5)
         else:
             width = kind.width
@@ -211,9 +229,9 @@ class TestMonotonicity:
 def _random_value(kind, rng: random.Random):
     """Any value of a kind, bottom and INFINITY included."""
     name = kind.__class__.__name__
-    if name == "IntKind":
+    if name == "IntVal":
         return IntVal(rng.choice((0, INFINITY, rng.randint(0, 12))))
-    if name == "BoolKind":
+    if name == "BoolVal":
         return BoolVal(rng.random() < 0.5)
     width = kind.width
     return BitsVal(sum(1 << i for i in range(width) if rng.random() < 0.5), width)
@@ -267,12 +285,12 @@ class TestCompiledRule:
                     alarms.append(SyntheticAlarm(f"a{i}", None))
                     continue
                 needed = rng.sample(specs, rng.randint(0, 4))
-                values = {spec.name: _random_value(spec.kind, rng) for spec in needed}
+                values = {spec.name: _random_value(spec.initial.base, rng) for spec in needed}
                 alarms.append(
                     SyntheticAlarm(f"a{i}", catalog.configuration(values, fill_bottom=True))
                 )
             twists = tuple(
-                Twist(alarm.alarm_id, spec.name, _random_value(spec.kind, rng))
+                Twist(alarm.alarm_id, spec.name, _random_value(spec.initial.base, rng))
                 for alarm in alarms
                 if rng.random() < 0.3
                 for spec in [rng.choice(specs)]
@@ -280,7 +298,7 @@ class TestCompiledRule:
             profile = SyntheticProfile(catalog=catalog, alarms=tuple(alarms), twists=twists)
             for _ in range(20):
                 config = catalog.configuration(
-                    {spec.name: _random_value(spec.kind, rng) for spec in specs}
+                    {spec.name: _random_value(spec.initial.base, rng) for spec in specs}
                 )
                 assert synthetic_alarms(profile, config) == _plain_alarms(profile, config)
 
@@ -311,12 +329,12 @@ class TestCompiledRule:
                     alarms.append(SyntheticAlarm(f"a{i}", None))
                     continue
                 needed = rng.sample(specs, rng.randint(1, 3))
-                values = {spec.name: _random_value(spec.kind, rng) for spec in needed}
+                values = {spec.name: _random_value(spec.initial.base, rng) for spec in needed}
                 alarms.append(
                     SyntheticAlarm(f"a{i}", catalog.configuration(values, fill_bottom=True))
                 )
             twists = tuple(
-                Twist(alarm.alarm_id, spec.name, _random_value(spec.kind, rng))
+                Twist(alarm.alarm_id, spec.name, _random_value(spec.initial.base, rng))
                 for alarm in alarms
                 if rng.random() < 0.05
                 for spec in [rng.choice(specs)]
@@ -325,7 +343,7 @@ class TestCompiledRule:
             assert profile.gates.compressible.bit_length() > 64
             for _ in range(30):
                 config = catalog.configuration(
-                    {spec.name: _random_value(spec.kind, rng) for spec in specs}
+                    {spec.name: _random_value(spec.initial.base, rng) for spec in specs}
                 )
                 assert synthetic_alarms(profile, config) == _plain_alarms(profile, config)
 
@@ -335,13 +353,13 @@ class TestCompiledRule:
         alarms = []
         for i in range(90):
             needed = rng.sample(specs, rng.randint(1, 3))
-            values = {spec.name: _required_value(spec.kind, rng) for spec in needed}
+            values = {spec.name: _required_value(spec.initial.base, rng) for spec in needed}
             alarms.append(SyntheticAlarm(f"a{i}", catalog.configuration(values, fill_bottom=True)))
         profile = SyntheticProfile(catalog=catalog, alarms=tuple(alarms))
-        highest = catalog.configuration({spec.name: top(spec.kind) for spec in specs})
+        highest = catalog.configuration({spec.name: top(spec.initial.base) for spec in specs})
         for alarm in alarms:
             for name, need in zip(alarm.requirement.names, alarm.requirement.values):
-                if need == bottom(kind_of(need)):
+                if need == bottom(need):
                     continue
                 for below in _one_below(need):
                     for base in (highest, alarm.requirement):

@@ -31,7 +31,7 @@ from strategy_tuner import (
 from strategy_tuner import orchestrator
 from strategy_tuner import rng as rng_module
 from strategy_tuner.distributions import LAMBDA_CAP
-from strategy_tuner.lattice import BoolKind, IntKind, saturating_add
+from strategy_tuner.lattice import saturating_add
 
 
 class TestPairing:
@@ -204,12 +204,12 @@ _RATES = stx.one_of(
 
 def _distribution_of(kind):
     """Distributions of one kind: every case that fixes a sample, and every sampler."""
-    if isinstance(kind, IntKind):
+    if isinstance(kind, IntVal):
         bases = stx.one_of(
             stx.integers(0, 50), stx.sampled_from([INT_CEILING, INT_CEILING + 7, INFINITY])
         )
         return stx.builds(ParamDistribution, bases.map(IntVal), _RATES)
-    if isinstance(kind, BoolKind):
+    if isinstance(kind, BoolVal):
         return stx.builds(ParamDistribution, stx.booleans().map(BoolVal), _QS.map(Bernoulli))
     width, ones = kind.width, (1 << kind.width) - 1
     qs = stx.one_of(
@@ -224,7 +224,7 @@ def _distribution_of(kind):
 
 
 _CATALOG_DISTRIBUTIONS = stx.fixed_dictionaries(
-    {spec.name: _distribution_of(spec.kind) for spec in _CATALOG}
+    {spec.name: _distribution_of(spec.initial.base) for spec in _CATALOG}
 )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -11,11 +12,8 @@ from hypothesis import strategies as stx
 from strategy_tuner import (
     INFINITY,
     INT_CEILING,
-    BitsKind,
     BitsVal,
-    BoolKind,
     BoolVal,
-    IntKind,
     IntVal,
     LatticeMismatchError,
     bottom,
@@ -26,7 +24,7 @@ from strategy_tuner import (
     parse_value,
     top,
 )
-from strategy_tuner.lattice import kind_of, saturating_add
+from strategy_tuner.lattice import same_kind, saturating_add
 
 ints = stx.integers(0, 1000).map(IntVal) | stx.just(IntVal(INFINITY))
 bools = stx.booleans().map(BoolVal)
@@ -99,16 +97,16 @@ class TestJoinMeet:
 
 class TestBounds:
     def test_top_int(self):
-        assert top(IntKind()) == IntVal(INFINITY)
+        assert top(IntVal(0)) == IntVal(INFINITY)
 
     def test_bottom_bool(self):
-        assert bottom(BoolKind()) == BoolVal(False)
+        assert bottom(BoolVal(False)) == BoolVal(False)
 
     def test_top_bits(self):
-        assert top(BitsKind(5)) == BitsVal.from_string("11111")
+        assert top(BitsVal(0, 5)) == BitsVal.from_string("11111")
 
     def test_bottom_bits(self):
-        assert bottom(BitsKind(5)) == BitsVal.from_string("00000")
+        assert bottom(BitsVal(0, 5)) == BitsVal.from_string("00000")
 
 
 class TestMismatch:
@@ -121,6 +119,27 @@ class TestMismatch:
     def test_width_mismatch(self):
         with pytest.raises(LatticeMismatchError):
             meet(BitsVal.from_string("01"), BitsVal.from_string("011"))
+
+    def test_same_kind_exactly_when_join_accepts(self):
+        rng = random.Random(0x5A3E)
+
+        def value():
+            variant = rng.randrange(3)
+            if variant == 0:
+                return IntVal(rng.choice((0, 7, INFINITY)))
+            if variant == 1:
+                return BoolVal(rng.random() < 0.5)
+            width = rng.randint(1, 6)
+            return BitsVal(rng.randrange(1 << width), width)
+
+        for _ in range(2000):
+            a, b = value(), value()
+            try:
+                join(a, b)
+                accepted = True
+            except LatticeMismatchError:
+                accepted = False
+            assert same_kind(a, b) == accepted, (a, b)
 
 
 class TestLatticeLaws:
@@ -157,9 +176,8 @@ class TestLatticeLaws:
     @given(same_variant_triples)
     def test_bounds(self, triple):
         a, _, _ = triple
-        kind = kind_of(a)
-        assert leq(bottom(kind), a)
-        assert leq(a, top(kind))
+        assert leq(bottom(a), a)
+        assert leq(a, top(a))
 
 
 class TestOrderKeys:
@@ -173,7 +191,7 @@ class TestOrderKeys:
     @given(same_variant_triples)
     def test_only_bottom_has_key_zero(self, triple):
         a, _, _ = triple
-        assert (a.value == 0) == (a == bottom(kind_of(a)))
+        assert (a.value == 0) == (a == bottom(a))
 
     def test_masks_are_not_compared_as_numbers(self):
         # 10000 -> 1 and 01000 -> 2: incomparable, though 1 <= 2
@@ -227,23 +245,23 @@ class TestTextualForm:
     )
     def test_round_trip(self, value, text):
         assert format_value(value) == text
-        assert parse_value(kind_of(value), text) == value
+        assert parse_value(value, text) == value
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            parse_value(IntKind(), "-3")
+            parse_value(IntVal(0), "-3")
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
-            parse_value(BitsKind(5), "0110")
+            parse_value(BitsVal(0, 5), "0110")
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            parse_value(BitsKind(5), "01102")
+            parse_value(BitsVal(0, 5), "01102")
 
     def test_rejects_bad_bool(self):
         with pytest.raises(ValueError):
-            parse_value(BoolKind(), "yes")
+            parse_value(BoolVal(False), "yes")
 
 
 class TestConstruction:
@@ -284,4 +302,4 @@ any_value = stx.one_of(
 
 @given(any_value)
 def test_text_round_trip(value):
-    assert parse_value(kind_of(value), format_value(value)) == value
+    assert parse_value(value, format_value(value)) == value

@@ -12,13 +12,10 @@ from hypothesis import strategies as stx
 from strategy_tuner import (
     Bernoulli,
     BernoulliVector,
-    BitsKind,
     BitsVal,
-    BoolKind,
     BoolVal,
     ConfigParseError,
     INFINITY,
-    IntKind,
     IntVal,
     Poisson,
     RenderError,
@@ -29,6 +26,7 @@ from strategy_tuner import (
     serialize_configuration,
 )
 from strategy_tuner.distributions import LAMBDA_CAP
+from strategy_tuner.lattice import same_kind
 from strategy_tuner.paramspace import (
     BoolChoice,
     Catalog,
@@ -44,12 +42,12 @@ def describe(catalog: Catalog) -> str:
     """Canonical one-line-per-parameter rendering for the golden check."""
     lines = []
     for spec in catalog:
-        if isinstance(spec.kind, IntKind):
+        if isinstance(spec.initial.base, IntVal):
             kind = "int"
-        elif isinstance(spec.kind, BoolKind):
+        elif isinstance(spec.initial.base, BoolVal):
             kind = "bool"
         else:
-            kind = f"bits({spec.kind.width})"
+            kind = f"bits({spec.initial.base.width})"
         base = f"base={format_value(spec.initial.base)}"
         delta = spec.initial.delta
         if isinstance(delta, Poisson):
@@ -81,7 +79,7 @@ class TestDefaultCatalog:
 
     def test_domains_row(self, catalog):
         spec = catalog[12]
-        assert spec.kind == BitsKind(5)
+        assert same_kind(spec.initial.base, BitsVal(0, 5))
         assert spec.initial.base == BitsVal.from_string("10000")
         assert spec.initial.delta == BernoulliVector((0.5,) * 5)
 
@@ -145,12 +143,12 @@ class TestRendering:
 def _random_config(catalog: Catalog, rng: random.Random):
     values = {}
     for spec in catalog:
-        if isinstance(spec.kind, IntKind):
+        if isinstance(spec.initial.base, IntVal):
             values[spec.name] = IntVal(rng.randint(0, 300))
-        elif isinstance(spec.kind, BoolKind):
+        elif isinstance(spec.initial.base, BoolVal):
             values[spec.name] = BoolVal(rng.random() < 0.5)
         else:
-            width = spec.kind.width
+            width = spec.initial.base.width
             values[spec.name] = BitsVal(
                 sum(1 << i for i in range(width) if rng.random() < 0.5), width
             )
@@ -236,6 +234,8 @@ class TestLookupErrors:
             (lambda c: c.configuration({"nope": IntVal(1)}, fill_bottom=True), KeyError),
             (lambda c: c.configuration({"slevel": IntVal(1)}), ValueError),
             (lambda c: c.configuration({"slevel": BoolVal(True)}, fill_bottom=True), ValueError),
+            (lambda c: c.base_configuration().replace("domains", BitsVal(1, 4)), ValueError),
+            (lambda c: c.configuration({"domains": BitsVal(1, 4)}, fill_bottom=True), ValueError),
         ],
         ids=[
             "getitem-unknown",
@@ -245,6 +245,8 @@ class TestLookupErrors:
             "configuration-unknown",
             "configuration-missing",
             "configuration-wrong-kind",
+            "replace-wrong-width",
+            "configuration-wrong-width",
         ],
     )
     def test_error(self, catalog, call, error):
@@ -292,6 +294,14 @@ class TestCatalogOverrides:
     def test_wrong_width_labels_rejected(self, catalog):
         with pytest.raises(ConfigParseError):
             apply_catalog_overrides(catalog, "domains.labels = a,b\n")
+
+    @pytest.mark.parametrize("line", ["slevel.flag =", "domains.labels = a,b,,d,e"])
+    def test_empty_flag_or_label_rejected_with_line(self, catalog, line):
+        # an empty flag renders as an empty argument word, an empty label
+        # as an empty item of the label list
+        with pytest.raises(ConfigParseError) as info:
+            apply_catalog_overrides(catalog, f"slevel.base = 5\n{line}\n")
+        assert info.value.line == 2
 
     @pytest.mark.parametrize("raw", ["inf", "nan", "1e6"])
     def test_unusable_lambda_rejected_with_line(self, catalog, raw):

@@ -8,12 +8,9 @@ from functools import reduce
 import pytest
 
 from strategy_tuner import (
-    BitsKind,
     BitsVal,
-    BoolKind,
     INFINITY,
     BoolVal,
-    IntKind,
     IntVal,
     LatticeMismatchError,
     MatrixRow,
@@ -24,7 +21,6 @@ from strategy_tuner import (
     refine_base,
     top,
 )
-from strategy_tuner.lattice import kind_of
 
 
 def oracle_refine_base(matrix: ResultMatrix, param: str, current_base):
@@ -36,7 +32,7 @@ def oracle_refine_base(matrix: ResultMatrix, param: str, current_base):
     seeded with the current base.
     """
     values = matrix.values_per_param[param]
-    top_elem = top(kind_of(current_base))
+    top_elem = top(current_base)
     contributions = []
     for j in range(len(matrix.alarms)):
         eliminators = [values[i] for i, row in enumerate(matrix.rows) if not row.produced[j]]
@@ -184,9 +180,9 @@ class TestKindChecks:
 def _random_matrix(rng: random.Random, kind) -> ResultMatrix:
     m = rng.randint(0, 6)
     n = rng.randint(0, 5)
-    if isinstance(kind, IntKind):
+    if isinstance(kind, IntVal):
         values = tuple(IntVal(rng.randint(0, 20)) for _ in range(m))
-    elif isinstance(kind, BoolKind):
+    elif isinstance(kind, BoolVal):
         values = tuple(BoolVal(rng.random() < 0.5) for _ in range(m))
     else:
         values = tuple(
@@ -199,14 +195,14 @@ def _random_matrix(rng: random.Random, kind) -> ResultMatrix:
 
 
 def _random_base(rng: random.Random, kind):
-    if isinstance(kind, IntKind):
+    if isinstance(kind, IntVal):
         return IntVal(rng.randint(0, 20))
-    if isinstance(kind, BoolKind):
+    if isinstance(kind, BoolVal):
         return BoolVal(rng.random() < 0.5)
     return BitsVal(sum(1 << i for i in range(5) if rng.random() < 0.5), 5)
 
 
-KINDS = (IntKind(), BoolKind(), BitsKind(5))
+KINDS = (IntVal(0), BoolVal(False), BitsVal(0, 5))
 
 
 class TestRandomizedOracleEquivalence:
