@@ -109,6 +109,7 @@ class ThresholdGate:
     """
 
     param: str
+    index: int
     keys: tuple[int | float, ...]
     released: tuple[int, ...]
 
@@ -126,6 +127,7 @@ class MaskGate:
     """
 
     param: str
+    index: int
     free: int
     groups: tuple[tuple[int, int], ...]
 
@@ -151,44 +153,45 @@ class AlarmGates:
     compressible: int
     #: One gate per parameter that some alarm needs above bottom.
     params: tuple[ThresholdGate | MaskGate, ...]
-    #: Per twist: parameter, threshold and the alarms it poisons.
-    twists: tuple[tuple[str, LatticeValue, int], ...]
+    #: Per twist: parameter position, threshold and the alarms it poisons.
+    twists: tuple[tuple[int, LatticeValue, int], ...]
 
     @classmethod
-    def compile(cls, alarms: tuple[SyntheticAlarm, ...], twists: tuple[Twist, ...]) -> AlarmGates:
-        held: dict[str, dict[int | float, int]] = {}  # parameter -> required key -> alarms
-        mask_params: set[str] = set()
+    def compile(cls, profile: SyntheticProfile) -> AlarmGates:
+        alarms, names = profile.alarms, profile.catalog.names
+        held: dict[int, dict[int | float, int]] = {}  # position -> required key -> alarms
+        mask_params: set[int] = set()
         compressible = 0
         for bit, alarm in enumerate(alarms):
             if alarm.requirement is None:
                 continue
             compressible |= 1 << bit
-            for name, value in zip(alarm.requirement.names, alarm.requirement.values):
+            for index, value in enumerate(alarm.requirement.values):
                 key = value.value
                 if key:  # bottom is the only key 0
-                    by_key = held.setdefault(name, {})
+                    by_key = held.setdefault(index, {})
                     by_key[key] = by_key.get(key, 0) | 1 << bit
                     if isinstance(value, BitsVal):
-                        mask_params.add(name)
+                        mask_params.add(index)
         every = (1 << len(alarms)) - 1
         gates: list[ThresholdGate | MaskGate] = []
-        for name, by_key in held.items():
+        for index, by_key in held.items():
             free = every & ~reduce(or_, by_key.values())
-            if name in mask_params:
-                gates.append(MaskGate(name, free, tuple(by_key.items())))
+            if index in mask_params:
+                gates.append(MaskGate(names[index], index, free, tuple(by_key.items())))
                 continue
             keys = sorted(by_key)
             released = [free]
             for key in keys:
                 released.append(released[-1] | by_key[key])
-            gates.append(ThresholdGate(name, tuple(keys), tuple(released)))
+            gates.append(ThresholdGate(names[index], index, tuple(keys), tuple(released)))
         compiled_twists = tuple(
             (
-                twist.param,
+                names.index(twist.param),
                 twist.threshold,
                 sum(1 << bit for bit, a in enumerate(alarms) if a.alarm_id == twist.alarm_id),
             )
-            for twist in twists
+            for twist in profile.twists
         )
         ids = tuple(alarm.alarm_id for alarm in reversed(alarms))
         return cls(ids, compressible, tuple(gates), compiled_twists)
@@ -202,15 +205,29 @@ class SyntheticProfile:
     twists: tuple[Twist, ...] = ()
     #: The alarm rule, compiled once.
     gates: AlarmGates = field(init=False, compare=False, repr=False)
+    #: Each cost weight's parameter position in the catalog, and the weight.
+    weighted: tuple[tuple[int, float], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        names = self.catalog.names
         for name in (*self.cost.weights, *(twist.param for twist in self.twists)):
-            if name not in self.catalog.names:
+            if name not in names:
                 raise ValueError(f"unknown parameter {name!r}")
         for twist in self.twists:
             if not same_kind(twist.threshold, self.catalog.spec(twist.param).initial.base):
                 raise ValueError(f"twist on {twist.param!r} has a threshold of the wrong kind")
-        object.__setattr__(self, "gates", AlarmGates.compile(self.alarms, self.twists))
+        for alarm in self.alarms:
+            if alarm.requirement is not None:
+                self.values_of(alarm.requirement)
+        weighted = tuple((names.index(name), w) for name, w in self.cost.weights.items())
+        object.__setattr__(self, "weighted", weighted)
+        object.__setattr__(self, "gates", AlarmGates.compile(self))
+
+    def values_of(self, config: Configuration) -> tuple[LatticeValue, ...]:
+        """The values by catalog position; ValueError if the names differ from the catalog's."""
+        if config.names != self.catalog.names:
+            raise ValueError(f"configuration of {list(config.names)}, not the profile's catalog")
+        return config.values
 
 
 def precision_contribution(value: LatticeValue) -> float:
@@ -221,21 +238,20 @@ def precision_contribution(value: LatticeValue) -> float:
 
 
 def simulated_cost(profile: SyntheticProfile, config: Configuration) -> float:
-    values = dict(zip(config.names, config.values))
+    values = profile.values_of(config)
     cost = profile.cost.base_cost
-    for name, weight in profile.cost.weights.items():
-        cost += weight * precision_contribution(values[name])
+    for index, weight in profile.weighted:
+        cost += weight * precision_contribution(values[index])
     return cost
 
 
-def _eliminated(gates: AlarmGates, config: Configuration) -> int:
-    """The mask of the alarms the configuration eliminates."""
-    values = dict(zip(config.names, config.values))
+def _eliminated(gates: AlarmGates, values: tuple[LatticeValue, ...]) -> int:
+    """The mask of the alarms the values, in catalog order, eliminate."""
     eliminated = gates.compressible
     for gate in gates.params:
-        eliminated &= gate.passes(values[gate.param].value)
-    for name, threshold, alarms in gates.twists:
-        if leq(threshold, values[name]):
+        eliminated &= gate.passes(values[gate.index].value)
+    for index, threshold, alarms in gates.twists:
+        if leq(threshold, values[index]):
             eliminated &= ~alarms
     return eliminated
 
@@ -257,7 +273,7 @@ def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozen
     An alarm is suppressed when the configuration dominates its
     requirement, unless a twist on it fires.
     """
-    return _alarm_names(profile.gates, _eliminated(profile.gates, config))
+    return _alarm_names(profile.gates, _eliminated(profile.gates, profile.values_of(config)))
 
 
 class SyntheticAnalyzer:
@@ -280,11 +296,11 @@ class SyntheticAnalyzer:
         self._alarm_sets: dict[int, frozenset[str]] = {}
 
     def run(self, task: AnalysisTask) -> AnalysisOutcome:
-        cost = simulated_cost(self.profile, task.config)
+        cost = simulated_cost(self.profile, task.config)  # checks the parameter names
         if cost > task.timeout:
             return TimedOut(wall_time=task.timeout)
         gates = self.profile.gates
-        eliminated = _eliminated(gates, task.config)
+        eliminated = _eliminated(gates, task.config.values)
         alarms = self._alarm_sets.get(eliminated)
         if alarms is None:
             alarms = self._alarm_sets[eliminated] = _alarm_names(gates, eliminated)

@@ -192,17 +192,29 @@ def run_batch(
 ) -> list[AnalysisOutcome]:
     """Analyze each configuration of ``program_ref`` within ``timeout`` on ``pool``.
 
-    Outcomes come in configuration order. An analyzer that raises yields
-    a ``Crashed`` outcome. With no pool the analyses run one after
-    another on the calling thread.
+    Outcomes come in configuration order. An analyzer that raises, or
+    returns a malformed outcome, yields a ``Crashed`` outcome; one that
+    reports more time than ``timeout`` yields a ``TimedOut`` at
+    ``timeout``. With no pool the analyses run one after another on the
+    calling thread.
     """
     tasks = [AnalysisTask(program_ref=program_ref, config=c, timeout=timeout) for c in configs]
 
     def guarded(task: AnalysisTask) -> AnalysisOutcome:
         try:
-            return analyzer.run(task)
+            outcome = analyzer.run(task)
         except Exception as exc:  # a raising analyzer counts as a crash
             return Crashed(exit_info=f"analyzer raised {exc!r}")
+        if isinstance(outcome, Crashed):
+            return outcome
+        if not isinstance(outcome, (Completed, TimedOut)):
+            return Crashed(exit_info=f"analyzer returned {type(outcome).__name__}, not an outcome")
+        if isinstance(outcome, Completed) and not isinstance(outcome.alarms, frozenset):
+            return Crashed(exit_info=f"analyzer reported alarms as {type(outcome.alarms).__name__}")
+        wall = outcome.wall_time
+        if not (isinstance(wall, (int, float)) and 0.0 <= wall < math.inf):
+            return Crashed(exit_info=f"analyzer reported wall time {wall!r}")
+        return outcome if wall <= timeout else TimedOut(wall_time=timeout)
 
     if pool is None:
         return [guarded(task) for task in tasks]

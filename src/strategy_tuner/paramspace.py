@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 from .distributions import (
     LAMBDA_CAP,
@@ -38,51 +38,31 @@ from .lattice import (
 
 
 @dataclass(frozen=True)
-class IntFlag:
-    """Render an integer value as [flag, decimal]."""
-
-    flag: str
-
-
-@dataclass(frozen=True)
-class BoolChoice:
-    """Render a boolean through a value pair; an empty side omits the flag."""
-
-    flag: str
-    when_false: str
-    when_true: str
-
-
-@dataclass(frozen=True)
-class BitsLabels:
-    """Render a bit vector as [flag, comma-joined enabled labels]."""
-
-    flag: str
-    labels: tuple[str, ...]
-
-
-RenderRule = Union[IntFlag, BoolChoice, BitsLabels]
-
-
-@dataclass(frozen=True)
 class ParamSpec:
+    """One catalog parameter: its name, its initial distribution, and how
+    a value renders as ``[flag, word]``.
+
+    ``labels`` depends on the kind of ``initial.base``: ``()`` for an
+    integer, which renders in decimal; ``(when_false, when_true)`` for a
+    boolean, where an empty word omits the flag; and one nonempty label
+    per bit for a bit vector, which renders its set bits' labels
+    comma-joined.
+    """
+
     name: str
     initial: ParamDistribution
-    render: RenderRule
+    flag: str
+    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        base, rule = self.initial.base, self.render
-        ok = (
-            (isinstance(base, IntVal) and isinstance(rule, IntFlag))
-            or (isinstance(base, BoolVal) and isinstance(rule, BoolChoice))
-            or (
-                isinstance(base, BitsVal)
-                and isinstance(rule, BitsLabels)
-                and len(rule.labels) == base.width
-            )
-        )
-        if not ok:
-            raise ValueError(f"render rule of {self.name!r} does not match its kind")
+        base = self.initial.base
+        if not self.flag:
+            raise ValueError(f"{self.name!r} flag must be nonempty")
+        need = 2 if isinstance(base, BoolVal) else base.width if isinstance(base, BitsVal) else 0
+        if len(self.labels) != need:
+            raise ValueError(f"{self.name!r} needs {need} labels, got {len(self.labels)}")
+        if isinstance(base, BitsVal) and "" in self.labels:
+            raise ValueError(f"{self.name!r} labels must be nonempty, got {self.labels!r}")
 
 
 def _index(names: tuple[str, ...], name: str) -> int:
@@ -186,7 +166,7 @@ def _int_param(name: str, base: int, lam: float) -> ParamSpec:
     return ParamSpec(
         name=name,
         initial=ParamDistribution(IntVal(base), Poisson(lam)),
-        render=IntFlag(f"-eva-{name}"),
+        flag=f"-eva-{name}",
     )
 
 
@@ -194,7 +174,8 @@ def _bool_param(name: str, when_false: str, when_true: str) -> ParamSpec:
     return ParamSpec(
         name=name,
         initial=ParamDistribution(BoolVal(False), Bernoulli(0.5)),
-        render=BoolChoice(f"-eva-{name}", when_false, when_true),
+        flag=f"-eva-{name}",
+        labels=(when_false, when_true),
     )
 
 
@@ -219,7 +200,8 @@ def default_catalog() -> Catalog:
             ParamSpec(
                 name="domains",
                 initial=ParamDistribution(domains_base, BernoulliVector((0.5,) * 5)),
-                render=BitsLabels("-eva-domains", _DOMAIN_LABELS),
+                flag="-eva-domains",
+                labels=_DOMAIN_LABELS,
             ),
         )
     )
@@ -234,21 +216,17 @@ def render_cli_args(config: Configuration, catalog: Catalog) -> list[str]:
     args: list[str] = []
     for spec in catalog:
         value = config[spec.name]
-        rule = spec.render
-        if isinstance(rule, IntFlag):
-            assert isinstance(value, IntVal)
+        if isinstance(value, IntVal):
             if value.is_infinite:
                 raise RenderError(f"infinity is not renderable (parameter {spec.name!r})")
-            args.extend([rule.flag, str(value.value)])
-        elif isinstance(rule, BoolChoice):
-            assert isinstance(value, BoolVal)
-            chosen = rule.when_true if value.value else rule.when_false
+            args.extend([spec.flag, str(value.value)])
+        elif isinstance(value, BoolVal):
+            chosen = spec.labels[value.value]
             if chosen != "":
-                args.extend([rule.flag, chosen])
+                args.extend([spec.flag, chosen])
         else:
-            assert isinstance(value, BitsVal)
-            enabled = [label for i, label in enumerate(rule.labels) if value.value >> i & 1]
-            args.extend([rule.flag, ",".join(enabled)])
+            enabled = [label for i, label in enumerate(spec.labels) if value.value >> i & 1]
+            args.extend([spec.flag, ",".join(enabled)])
     return args
 
 
@@ -285,7 +263,7 @@ def parse_configuration(text: str, catalog: Catalog) -> Configuration:
         raise ConfigParseError(str(exc))
 
 
-def nonnegative(raw: str) -> float:
+def nonnegative(raw: str | float) -> float:
     """A finite number, at least 0, such as a number of seconds."""
     value = float(raw)
     if not (0.0 <= value < math.inf):
@@ -316,25 +294,17 @@ def apply_catalog_overrides(catalog: Catalog, text: str) -> Catalog:
 
 
 def _override_field(spec: ParamSpec, field: str, raw: str) -> ParamSpec:
-    rule = spec.render
     if field == "flag":
-        if not raw:
-            raise ValueError(f"{spec.name!r} flag must be nonempty")
-        return dc_replace(spec, render=dc_replace(rule, flag=raw))
+        return dc_replace(spec, flag=raw)
     if field in ("false", "true"):
-        if not isinstance(rule, BoolChoice):
+        if not isinstance(spec.initial.base, BoolVal):
             raise ValueError(f"{spec.name!r} is not boolean, cannot set {field!r}")
-        key = "when_false" if field == "false" else "when_true"
-        return dc_replace(spec, render=dc_replace(rule, **{key: raw}))
+        pair = (raw, spec.labels[1]) if field == "false" else (spec.labels[0], raw)
+        return dc_replace(spec, labels=pair)
     if field == "labels":
-        if not isinstance(rule, BitsLabels):
+        if not isinstance(spec.initial.base, BitsVal):
             raise ValueError(f"{spec.name!r} is not a bit vector, cannot set labels")
-        labels = tuple(part.strip() for part in raw.split(","))
-        if len(labels) != len(rule.labels):
-            raise ValueError(f"{spec.name!r} needs {len(rule.labels)} labels, got {len(labels)}")
-        if "" in labels:
-            raise ValueError(f"{spec.name!r} labels must be nonempty, got {raw!r}")
-        return dc_replace(spec, render=dc_replace(rule, labels=labels))
+        return dc_replace(spec, labels=tuple(part.strip() for part in raw.split(",")))
     if field == "base":
         base = parse_value(spec.initial.base, raw)
         if isinstance(base, IntVal) and base.is_infinite:

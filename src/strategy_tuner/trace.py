@@ -23,7 +23,7 @@ from .distributions import (
 from .errors import ConfigParseError
 from .lattice import LatticeValue, format_value, parse_value
 from .orchestrator import IterationRecord, TuneResult
-from .paramspace import Configuration
+from .paramspace import Configuration, nonnegative
 
 SCHEMA_VERSION = 1
 
@@ -94,9 +94,9 @@ def _sorted_alarms(alarms: frozenset[str], universe: Sequence[str]) -> list[str]
 def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
     status = obj.get("status")
     if status == "completed":
-        return Completed(alarms=frozenset(obj["alarms"]), wall_time=float(obj["wall_time"]))
+        return Completed(alarms=frozenset(obj["alarms"]), wall_time=nonnegative(obj["wall_time"]))
     if status == "timed_out":
-        return TimedOut(wall_time=float(obj["wall_time"]))
+        return TimedOut(wall_time=nonnegative(obj["wall_time"]))
     if status == "crashed":
         return Crashed(exit_info=str(obj["exit_info"]))
     raise ConfigParseError(f"unknown outcome status {status!r}")
@@ -162,7 +162,7 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
         eta=float(obj["eta"]),
         distributions_before=before,
         distributions_after=after,
-        elapsed=float(obj["elapsed"]),
+        elapsed=nonnegative(obj["elapsed"]),
     )
 
 

@@ -18,6 +18,7 @@ from strategy_tuner import (
     Completed,
     ConfigParseError,
     CostModel,
+    Crashed,
     IntVal,
     INFINITY,
     ProfileError,
@@ -33,6 +34,8 @@ from strategy_tuner import (
 )
 from strategy_tuner.analyzers import precision_contribution, simulated_cost, synthetic_alarms
 from strategy_tuner.lattice import INT_CEILING, bottom, top
+from strategy_tuner.orchestrator import run_batch
+from strategy_tuner.paramspace import Configuration
 
 
 @pytest.fixture
@@ -133,6 +136,50 @@ class TestRunContract:
             sys.setswitchinterval(interval)
         for task, outcome in zip(tasks, results):
             assert outcome.alarms == synthetic_alarms(profile, task.config)
+
+
+class TestCatalogPositions:
+    """The synthetic analyzer reads a configuration's values by catalog position."""
+
+    def test_configuration_of_other_names_is_a_crash(self, catalog):
+        # read by name, a reordered configuration completed as if in order
+        requirement = catalog.configuration({"slevel": IntVal(3)}, fill_bottom=True)
+        profile = SyntheticProfile(
+            catalog=catalog,
+            alarms=(SyntheticAlarm("a", requirement),),
+            cost=CostModel(base_cost=1.0, weights={"slevel": 0.5}),
+        )
+        base = catalog.base_configuration()
+        reordered = Configuration(base.names[::-1], base.values[::-1])
+        partial = Configuration(base.names[:-1], base.values[:-1])
+        for config in (reordered, partial):
+            for read in (simulated_cost, synthetic_alarms):
+                with pytest.raises(ValueError, match="not the profile's catalog"):
+                    read(profile, config)
+            (outcome,) = run_batch(SyntheticAnalyzer(profile), "p", [config], 10.0, None)
+            assert isinstance(outcome, Crashed)
+            assert "not the profile's catalog" in outcome.exit_info
+
+    def test_requirement_of_other_names_rejected(self, catalog):
+        base = catalog.base_configuration()
+        reordered = Configuration(base.names[::-1], base.values[::-1])
+        with pytest.raises(ValueError, match="not the profile's catalog"):
+            SyntheticProfile(catalog=catalog, alarms=(SyntheticAlarm("a", reordered),))
+
+    def test_gates_hold_catalog_positions(self, catalog):
+        requirement = catalog.configuration(
+            {"slevel": IntVal(3), "domains": BitsVal.from_string("01000")}, fill_bottom=True
+        )
+        profile = SyntheticProfile(
+            catalog=catalog,
+            alarms=(SyntheticAlarm("a", requirement),),
+            cost=CostModel(weights={"domains": 2.0, "ilevel": 1.0}),
+            twists=(Twist("a", "plevel", IntVal(50)),),
+        )
+        positions = {gate.param: gate.index for gate in profile.gates.params}
+        assert positions == {"slevel": 4, "domains": 12}
+        assert [twist[0] for twist in profile.gates.twists] == [6]
+        assert profile.weighted == ((12, 2.0), (5, 1.0))
 
 
 _BAD_PROFILES = {

@@ -6,11 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stx
 
 from strategy_tuner import (
+    Configuration,
     IntVal,
     LatticeMismatchError,
     default_catalog,
@@ -20,6 +24,7 @@ from strategy_tuner import (
 from strategy_tuner import cli
 from strategy_tuner.cli import main
 from strategy_tuner.keytree import parse_keytree
+from strategy_tuner.trace import read_trace
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 
@@ -182,6 +187,54 @@ class TestTune:
             )
             outs.append((out / "trace.ndjson").read_bytes())
         assert outs[0] == outs[1]
+
+
+# Small profiles over one parameter of each kind: each alarm needs one
+# value, or nothing can eliminate it.
+_REQUIREMENT = stx.one_of(
+    stx.integers(1, 60).map(lambda n: f"requires.slevel = {n}"),
+    stx.just("requires.split-return = true"),
+    stx.integers(1, 31).map(lambda m: f"requires.domains = {m:05b}"),
+    stx.just("incompressible = true"),
+)
+
+
+class TestReadBack:
+    @given(
+        requirements=stx.lists(_REQUIREMENT, min_size=1, max_size=4),
+        weight=stx.sampled_from(["0", "0.5", "3"]),
+        seed=stx.integers(0, 2**16),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_every_file_tune_writes_reads_back(self, requirements, weight, seed):
+        catalog = default_catalog()
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch)
+            profile = root / "run.profile"
+            costs = "cost.base = 0.5\n" + "".join(
+                f"cost.weight.{name} = {weight}\n" for name in ("slevel", "domains")
+            )
+            alarms = "".join(f"alarm.a{i}.{req}\n" for i, req in enumerate(requirements))
+            profile.write_text(costs + alarms, encoding="utf-8")
+            out = root / "run"
+            flags = f"--seed {seed} --budget 60 --max-iterations 6".split()
+            assert run_cli("tune", "--profile", str(profile), *flags, "--out", str(out)) == 0
+            records = read_trace((out / "trace.ndjson").read_text(encoding="utf-8"))
+            result = json.loads((out / "result.json").read_text(encoding="utf-8"))
+            assert len(records) == result["iterations"] >= 1
+            recommended = parse_configuration(
+                (out / "recommended.conf").read_text(encoding="utf-8"), catalog
+            )
+            after = records[-1].distributions_after
+            bases = tuple(after[name].base for name in catalog.names)
+            assert recommended == Configuration(catalog.names, bases)
+            best = result["best_sampled"]
+            assert (out / "best_sampled.conf").exists() == (best is not None)
+            if best is not None:
+                from_json = "".join(f"{n} = {v}\n" for n, v in best["config"].items())
+                assert parse_configuration(
+                    (out / "best_sampled.conf").read_text(encoding="utf-8"), catalog
+                ) == parse_configuration(from_json, catalog)
 
 
 class TestRejectedValues:

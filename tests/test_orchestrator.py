@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import threading
@@ -224,6 +225,78 @@ class TestDispatch:
         record = result.iteration_trace[0]
         assert all(isinstance(o, Crashed) for o in record.outcomes)
         assert record.completed == 0
+
+
+class Returning:
+    """A virtual-clock analyzer that returns ``make(task)`` for every task."""
+
+    virtual_clock = True
+
+    def __init__(self, make):
+        self.make = make
+
+    def run(self, task):
+        return self.make(task)
+
+
+def _contract_run(catalog, make):
+    settings = TunerSettings(time_budget=100.0, max_iterations=5)
+    return tune("prog", catalog, settings, Returning(make))
+
+
+class TestAnalyzerContract:
+    """``run_batch`` turns what an analyzer must not return into a crash or a timeout."""
+
+    @pytest.mark.parametrize("wall", [-10.0, math.nan, math.inf, "1"])
+    def test_bad_wall_time_is_a_crash(self, catalog, wall):
+        # a wall time of -10 gave a total of -200.0 s: the budget grew
+        for make in (lambda t: Completed(frozenset(), wall), lambda t: TimedOut(wall)):
+            result = _contract_run(catalog, make)
+            for record in result.iteration_trace:
+                assert all(isinstance(o, Crashed) for o in record.outcomes)
+            assert result.wall_time_total == 0.0
+
+    @pytest.mark.parametrize("status", [Completed, TimedOut])
+    def test_overshoot_is_a_timeout_at_the_deadline(self, catalog, status):
+        # ten times the deadline charged 500 s of a 100 s budget
+        def make(task):
+            wall = 10 * task.timeout
+            return Completed(frozenset(), wall) if status is Completed else TimedOut(wall)
+
+        result = _contract_run(catalog, make)
+        for record in result.iteration_trace:
+            assert all(isinstance(o, TimedOut) for o in record.outcomes)
+        deadlines = [o.wall_time for r in result.iteration_trace for o in r.outcomes]
+        assert deadlines[0] == 100.0 * 0.5 / 4
+        assert sum(r.elapsed for r in result.iteration_trace) <= 100.0
+        assert result.wall_time_total <= 100.0
+
+    def test_alarms_not_a_frozenset_is_a_crash(self, catalog):
+        # a list raised TypeError (unhashable) out of tune
+        result = _contract_run(catalog, lambda t: Completed(["a", "a"], 1.0))
+        record = result.iteration_trace[0]
+        assert all(isinstance(o, Crashed) for o in record.outcomes)
+        assert "list" in record.outcomes[0].exit_info
+
+    def test_not_an_outcome_is_a_crash(self, catalog):
+        # None ran at no charge, and writing the trace raised AttributeError
+        from strategy_tuner.trace import read_trace, write_record
+
+        buffer = io.StringIO()
+        settings = TunerSettings(time_budget=100.0, max_iterations=5)
+        write = lambda record: write_record(buffer, record)  # noqa: E731
+        result = tune("prog", catalog, settings, Returning(lambda t: None), on_record=write)
+        assert len(result.iteration_trace) == 5
+        for record in result.iteration_trace:
+            assert all(isinstance(o, Crashed) for o in record.outcomes)
+        assert "NoneType" in result.iteration_trace[0].outcomes[0].exit_info
+        assert tuple(read_trace(buffer.getvalue())) == result.iteration_trace
+
+    def test_valid_outcomes_pass_through(self, catalog):
+        kept = [Completed(frozenset({"a"}), 1.0), TimedOut(12.5), Crashed("exit status 1")]
+        for outcome in kept:
+            result = _contract_run(catalog, lambda t: outcome)
+            assert result.iteration_trace[0].outcomes[0] is outcome
 
 
 class ThreadRecorder:

@@ -17,6 +17,8 @@ from strategy_tuner import (
     ConfigParseError,
     INFINITY,
     IntVal,
+    ParamDistribution,
+    ParamSpec,
     Poisson,
     RenderError,
     default_catalog,
@@ -27,13 +29,7 @@ from strategy_tuner import (
 )
 from strategy_tuner.distributions import LAMBDA_CAP
 from strategy_tuner.lattice import same_kind
-from strategy_tuner.paramspace import (
-    BoolChoice,
-    Catalog,
-    IntFlag,
-    apply_catalog_overrides,
-    config_dominates,
-)
+from strategy_tuner.paramspace import Catalog, apply_catalog_overrides, config_dominates
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,13 +52,12 @@ def describe(catalog: Catalog) -> str:
             d = f"bernoulli({delta.q:g})"
         else:
             d = "bernoulli(" + ",".join(f"{q:g}" for q in delta.qs) + ")"
-        rule = spec.render
-        if isinstance(rule, IntFlag):
-            render = f"flag={rule.flag}"
-        elif isinstance(rule, BoolChoice):
-            render = f"flag={rule.flag} false='{rule.when_false}' true='{rule.when_true}'"
+        if isinstance(spec.initial.base, IntVal):
+            render = f"flag={spec.flag}"
+        elif isinstance(spec.initial.base, BoolVal):
+            render = f"flag={spec.flag} false='{spec.labels[0]}' true='{spec.labels[1]}'"
         else:
-            render = f"flag={rule.flag} labels=" + ",".join(rule.labels)
+            render = f"flag={spec.flag} labels=" + ",".join(spec.labels)
         lines.append(f"{spec.name} | {kind} | {base} | {d} | {render}")
     return "\n".join(lines) + "\n"
 
@@ -90,6 +85,30 @@ class TestDefaultCatalog:
     def test_duplicate_names_rejected(self, catalog):
         with pytest.raises(ValueError):
             Catalog(tuple(catalog) + (catalog[0],))
+
+
+class TestParamSpec:
+    @pytest.mark.parametrize(
+        "base, delta, flag, labels",
+        [
+            (IntVal(0), Poisson(1.0), "", ()),
+            (IntVal(0), Poisson(1.0), "-x", ("a",)),
+            (BoolVal(False), Bernoulli(0.5), "-x", ("off",)),
+            (BitsVal(0, 2), BernoulliVector((0.5, 0.5)), "-x", ("a", "b", "c")),
+            (BitsVal(0, 2), BernoulliVector((0.5, 0.5)), "-x", ("a", "")),
+        ],
+        ids=[
+            "empty-flag", "int-with-labels", "bool-with-one-word", "bits-wrong-count",
+            "empty-bit-label",
+        ],
+    )
+    def test_malformed_entry_rejected(self, base, delta, flag, labels):
+        with pytest.raises(ValueError):
+            ParamSpec("x", ParamDistribution(base, delta), flag, labels)
+
+    def test_empty_boolean_word_accepted(self):
+        spec = ParamSpec("x", ParamDistribution(BoolVal(False), Bernoulli(0.5)), "-x", ("", "on"))
+        assert spec.labels == ("", "on")
 
 
 class TestRendering:
@@ -285,7 +304,7 @@ class TestCatalogOverrides:
     def test_labels_override(self, catalog):
         text = "domains.labels = a,b,c,d,e\n"
         overridden = apply_catalog_overrides(catalog, text)
-        assert overridden.spec("domains").render.labels == ("a", "b", "c", "d", "e")
+        assert overridden.spec("domains").labels == ("a", "b", "c", "d", "e")
 
     def test_unknown_parameter_rejected(self, catalog):
         with pytest.raises(ConfigParseError):
@@ -299,6 +318,17 @@ class TestCatalogOverrides:
     def test_empty_flag_or_label_rejected_with_line(self, catalog, line):
         # an empty flag renders as an empty argument word, an empty label
         # as an empty item of the label list
+        with pytest.raises(ConfigParseError) as info:
+            apply_catalog_overrides(catalog, f"slevel.base = 5\n{line}\n")
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize(
+        "line",
+        ["slevel.true = x", "slevel.labels = a", "split-return.labels = a,b", "domains.false = x"],
+    )
+    def test_field_of_another_kind_rejected_with_line(self, catalog, line):
+        # a boolean's pair and a bit vector's labels are both ``labels``:
+        # the field must match the parameter's kind
         with pytest.raises(ConfigParseError) as info:
             apply_catalog_overrides(catalog, f"slevel.base = 5\n{line}\n")
         assert info.value.line == 2

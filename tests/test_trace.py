@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,24 @@ class TestMalformedTraces:
         mutate(record)
         lines[index] = json.dumps(record)
         with pytest.raises(ConfigParseError, match=f"trace record {index} is malformed: .*{reason}"):
+            read_trace("\n".join(lines))
+
+    @pytest.mark.parametrize("value", [-3.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "index, field",
+        [(3, "elapsed"), (3, "completed wall_time"), (4, "timed_out wall_time")],
+        ids=["elapsed", "completed", "timed-out"],
+    )
+    def test_times_must_be_finite_and_nonnegative(self, index, field, value):
+        # read back before: a negative or nan elapsed would replay as budget
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[index])
+        if field == "elapsed":
+            record["elapsed"] = value
+        else:
+            record["outcomes"][0]["wall_time"] = value
+        lines[index] = json.dumps(record)
+        with pytest.raises(ConfigParseError, match=f"trace record {index} is malformed"):
             read_trace("\n".join(lines))
 
     @pytest.mark.parametrize("name", ["mixed.ndjson", "convergence.ndjson"])
