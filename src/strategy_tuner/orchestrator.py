@@ -206,7 +206,10 @@ def run_batch(
         except Exception as exc:  # a raising analyzer counts as a crash
             return Crashed(exit_info=f"analyzer raised {exc!r}")
         if isinstance(outcome, Crashed):
-            return outcome
+            info = outcome.exit_info
+            if isinstance(info, str):
+                return outcome
+            return Crashed(exit_info=f"analyzer reported exit info as {type(info).__name__}")
         if not isinstance(outcome, (Completed, TimedOut)):
             return Crashed(exit_info=f"analyzer returned {type(outcome).__name__}, not an outcome")
         if isinstance(outcome, Completed) and not isinstance(outcome.alarms, frozenset):

@@ -20,13 +20,15 @@ type that ``random.Random`` subclasses: seeded from an int, the two draw
 the same sequence, and the C type skips ``random.Random``'s Python-level
 ``__init__`` and ``seed``. ``generator`` hands out the draw function of a
 child stream without building the child, for a caller that draws from
-many children of one stream once each.
+many children of one stream once each. The hash comes from ``_blake2``,
+the module ``hashlib.blake2b`` resolves to, because ``import hashlib``
+would also load OpenSSL's libcrypto (3.5 MB of peak memory) for nothing.
 """
 
 from __future__ import annotations
 
 import _random
-import hashlib
+from _blake2 import blake2b
 from functools import lru_cache
 from typing import Callable
 
@@ -46,7 +48,7 @@ class RandomStream:
 
     def __init__(self, seed: int, path: tuple["str | int", ...] = ()):
         seed = int(seed)
-        hasher = hashlib.blake2b(str(seed).encode("ascii"), digest_size=16)
+        hasher = blake2b(str(seed).encode("ascii"), digest_size=16)
         self._extend(seed, (), hasher, tuple(path))
 
     def split(self, *labels: "str | int") -> "RandomStream":
@@ -56,7 +58,7 @@ class RandomStream:
         return child
 
     def _extend(
-        self, seed: int, path: tuple, hasher: "hashlib.blake2b", labels: tuple
+        self, seed: int, path: tuple, hasher: blake2b, labels: tuple
     ) -> None:
         hasher.update(b"".join(map(_encode_label, labels)))
         self.seed = seed
@@ -86,6 +88,6 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, path={suffix!r})"
 
 
-def _seeded(hasher: "hashlib.blake2b") -> _random.Random:
+def _seeded(hasher: blake2b) -> _random.Random:
     """A generator seeded with the 128-bit key of a stream's hash state."""
     return _random.Random(int.from_bytes(hasher.digest(), "big"))

@@ -292,6 +292,22 @@ class TestAnalyzerContract:
         assert "NoneType" in result.iteration_trace[0].outcomes[0].exit_info
         assert tuple(read_trace(buffer.getvalue())) == result.iteration_trace
 
+    @pytest.mark.parametrize("info", [None, object()], ids=["None", "object"])
+    def test_exit_info_not_a_str_is_a_crash(self, catalog, info):
+        # None was written as null and read back as 'None'; an object made
+        # writing the trace raise TypeError out of tune
+        from strategy_tuner.trace import read_trace, write_record
+
+        buffer = io.StringIO()
+        settings = TunerSettings(time_budget=100.0, max_iterations=2)
+        write = lambda record: write_record(buffer, record)  # noqa: E731
+        analyzer = Returning(lambda t: Crashed(info))
+        result = tune("prog", catalog, settings, analyzer, on_record=write)
+        assert len(result.iteration_trace) == 2
+        infos = {o.exit_info for r in result.iteration_trace for o in r.outcomes}
+        assert infos == {f"analyzer reported exit info as {type(info).__name__}"}
+        assert tuple(read_trace(buffer.getvalue())) == result.iteration_trace
+
     def test_valid_outcomes_pass_through(self, catalog):
         kept = [Completed(frozenset({"a"}), 1.0), TimedOut(12.5), Crashed("exit status 1")]
         for outcome in kept:

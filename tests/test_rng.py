@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from strategy_tuner import RandomStream
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_same_seed_same_sequence():
@@ -107,3 +114,29 @@ def test_chained_splits_equal_one_split():
     assert chained.path == direct.path
     assert [chained.random() for _ in range(5)] == [direct.random() for _ in range(5)]
 
+
+
+# pytest and hypothesis import hashlib themselves, so only a fresh
+# interpreter can show what the package loads.
+FOOTPRINT_CHILD = """
+import sys
+from strategy_tuner import cli
+status = cli.main(["tune", "--profile", sys.argv[1], "--max-iterations", "2", "--out", sys.argv[2]])
+assert status == 0, status
+print(sorted({"_hashlib", "hashlib"} & set(sys.modules)))
+"""
+
+
+def test_package_does_not_load_openssl(tmp_path):
+    # hashlib.blake2b is _blake2.blake2b, but importing hashlib loads libcrypto
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_CHILD,
+         str(ROOT / "samples" / "synthetic_slevel.profile"), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
