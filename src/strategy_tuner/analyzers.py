@@ -340,13 +340,21 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
       ``twist.<id>.<param> = <lattice literal>``
 
     Cost values must be finite and at least 0. Unnamed requirement
-    parameters default to the lattice bottom.
+    parameters default to the catalog's shared bottoms; each distinct
+    literal of a parameter is parsed once, into one shared value.
     """
     base_cost = 0.0
     weights: dict[str, float] = {}
-    requirements: dict[str, dict[str, LatticeValue]] = {}
+    requirements: dict[str, list[LatticeValue]] = {}  # values in catalog order
     incompressible: dict[str, bool] = {}
     twists: list[Twist] = []
+    literals: dict[tuple[str, str], LatticeValue] = {}
+
+    def literal(name: str, raw: str) -> LatticeValue:
+        if (name, raw) not in literals:
+            spec = catalog.spec(_known_param(catalog, name))
+            literals[name, raw] = parse_value(spec.initial.base, raw)
+        return literals[name, raw]
 
     for key, (raw, lineno, _) in parse_keytree(text).items():
         parts = key.split(".")
@@ -356,17 +364,15 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
             elif len(parts) == 3 and parts[:2] == ["cost", "weight"]:
                 weights[_known_param(catalog, parts[2])] = nonnegative(raw)
             elif len(parts) == 4 and parts[0] == "alarm" and parts[2] == "requires":
-                name = _known_param(catalog, parts[3])
-                value = parse_value(catalog.spec(name).initial.base, raw)
-                requirements.setdefault(parts[1], {})[name] = value
+                value = literal(parts[3], raw)
+                values = requirements.setdefault(parts[1], list(catalog.bottoms))
+                values[catalog.names.index(parts[3])] = value
             elif len(parts) == 3 and parts[0] == "alarm" and parts[2] == "incompressible":
                 if raw not in ("true", "false"):
                     raise ValueError(f"expected 'true' or 'false', got {raw!r}")
                 incompressible[parts[1]] = raw == "true"
             elif len(parts) == 3 and parts[0] == "twist":
-                name = _known_param(catalog, parts[2])
-                value = parse_value(catalog.spec(name).initial.base, raw)
-                twists.append(Twist(parts[1], name, value))
+                twists.append(Twist(parts[1], parts[2], literal(parts[2], raw)))
             else:
                 raise ValueError(f"unrecognized profile key {key!r}")
         except ValueError as exc:
@@ -382,7 +388,7 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
                 )
             alarms.append(SyntheticAlarm(alarm_id, None))
         else:
-            requirement = catalog.configuration(requirements[alarm_id], fill_bottom=True)
+            requirement = Configuration(catalog.names, tuple(requirements[alarm_id]))
             alarms.append(SyntheticAlarm(alarm_id, requirement))
 
     known_alarms = {a.alarm_id for a in alarms}

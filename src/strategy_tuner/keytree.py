@@ -33,7 +33,7 @@ def parse_keytree(text: str) -> dict[str, Entry]:
             raise ConfigParseError("expected 'key = value'", line=line, column=1)
         if not key:
             raise ConfigParseError("empty key before '='", line=line, column=1)
-        if any(c.isspace() for c in key):
+        if len(key.split()) != 1:
             raise ConfigParseError(f"key {key!r} must not contain spaces", line=line, column=1)
         if key in entries:
             raise ConfigParseError(

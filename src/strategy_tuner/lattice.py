@@ -182,7 +182,7 @@ def parse_value(like: LatticeValue, text: str) -> LatticeValue:
     if isinstance(like, IntVal):
         if text == "inf":
             return IntVal(INFINITY)
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):
             raise ValueError(f"expected a natural number or 'inf', got {text!r}")
         return IntVal(int(text))
     if isinstance(like, BoolVal):

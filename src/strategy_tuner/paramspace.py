@@ -96,12 +96,16 @@ class Catalog:
     #: Parameter names in catalog order, computed once and shared by every
     #: configuration the catalog builds.
     names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    #: Each parameter's lattice bottom, built once and shared by every
+    #: configuration that leaves the parameter unset.
+    bottoms: tuple[LatticeValue, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         names = tuple(p.name for p in self.params)
         if len(set(names)) != len(names):
             raise ValueError("catalog parameter names must be unique")
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "bottoms", tuple(bottom(p.initial.base) for p in self.params))
 
     def __len__(self) -> int:
         return len(self.params)
@@ -122,7 +126,7 @@ class Catalog:
         return Configuration(self.names, tuple(p.initial.base for p in self.params))
 
     def bottom_configuration(self) -> Configuration:
-        return Configuration(self.names, tuple(bottom(p.initial.base) for p in self.params))
+        return Configuration(self.names, self.bottoms)
 
     def configuration(
         self, values: Mapping[str, LatticeValue], fill_bottom: bool = False
@@ -137,15 +141,15 @@ class Catalog:
             if name not in self.names:
                 raise KeyError(f"unknown parameter {name!r}")
         chosen: list[LatticeValue] = []
-        for spec in self.params:
-            if spec.name in values:
-                value = values[spec.name]
-                if not same_kind(value, spec.initial.base):
-                    raise ValueError(f"value for {spec.name!r} has the wrong kind")
+        for name, least in zip(self.names, self.bottoms):
+            if name in values:
+                value = values[name]
+                if not same_kind(value, least):
+                    raise ValueError(f"value for {name!r} has the wrong kind")
             elif fill_bottom:
-                value = bottom(spec.initial.base)
+                value = least
             else:
-                raise ValueError(f"missing value for parameter {spec.name!r}")
+                raise ValueError(f"missing value for parameter {name!r}")
             chosen.append(value)
         return Configuration(self.names, tuple(chosen))
 

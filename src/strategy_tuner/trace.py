@@ -91,10 +91,18 @@ def _sorted_alarms(alarms: frozenset[str], universe: Sequence[str]) -> list[str]
     return listed if len(listed) == len(alarms) else sorted(alarms)
 
 
+def _strings(value: Any, field: str) -> tuple[str, ...]:
+    """A JSON array of strings, as a tuple; a string or a number is not one."""
+    if type(value) is not list or not set(map(type, value)) <= {str}:
+        raise ConfigParseError(f"{field} must be an array of strings")
+    return tuple(value)
+
+
 def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
     status = obj.get("status")
     if status == "completed":
-        return Completed(alarms=frozenset(obj["alarms"]), wall_time=nonnegative(obj["wall_time"]))
+        alarms = frozenset(_strings(obj["alarms"], "alarms"))
+        return Completed(alarms=alarms, wall_time=nonnegative(obj["wall_time"]))
     if status == "timed_out":
         return TimedOut(wall_time=nonnegative(obj["wall_time"]))
     if status == "crashed":
@@ -156,7 +164,7 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
         index=int(obj["index"]),
         sampled_configs=configs,
         outcomes=outcomes,
-        alarm_universe=tuple(obj["alarm_universe"]),
+        alarm_universe=_strings(obj["alarm_universe"], "alarm_universe"),
         completed=completed,
         eta_c=float(obj["eta_c"]),
         eta=float(obj["eta"]),

@@ -577,6 +577,28 @@ class TestProfileParsing:
         assert leak.requirement is None
         assert profile.twists == (Twist("overflow", "partition-history", IntVal(2)),)
 
+    def test_values_are_shared(self, catalog):
+        # lattice values are immutable, so a profile holds one object per
+        # distinct literal of a parameter, and the catalog's own bottoms
+        literals = [("slevel", "3"), ("slevel", "0"), ("ilevel", "12"), ("slevel", "3")]
+        text = "".join(
+            f"alarm.a{i}.requires.{name} = {raw}\nalarm.a{i}.requires.domains = 11000\n"
+            f"twist.a{i}.{name} = {raw}\n"
+            for i, (name, raw) in enumerate(literals)
+        )
+        profile = parse_profile(text, catalog)
+        shared: dict[tuple[str, str], object] = {}
+        for alarm, twist, (name, raw) in zip(profile.alarms, profile.twists, literals):
+            requirement = alarm.requirement
+            first = shared.setdefault((name, raw), twist.threshold)
+            assert requirement[name] is twist.threshold is first
+            domains = requirement["domains"]
+            assert domains is shared.setdefault(("domains", "11000"), domains)
+            for param, value, least in zip(requirement.names, requirement.values, catalog.bottoms):
+                if param not in (name, "domains"):
+                    assert value is least
+        assert len(shared) == 4
+
     def test_unknown_parameter(self, catalog):
         with pytest.raises(ConfigParseError):
             parse_profile("alarm.a.requires.bogus = 3\n", catalog)

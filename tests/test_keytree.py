@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as stx
@@ -63,4 +65,20 @@ def test_duplicate_key_names_first_line():
 def test_malformed_line_points_at_column_1(text, message):
     with pytest.raises(ConfigParseError, match=message) as err:
         parse_keytree("ok = 1\n" + text + "\n")
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
+# Every code point for which str.isspace() holds, the set str.split()
+# splits on, except the line breaks at which str.splitlines() ends a line.
+SPACES = [
+    space
+    for space in map(chr, range(sys.maxunicode + 1))
+    if space.isspace() and len(f"a{space}b".splitlines()) == 1
+]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda space: f"U+{ord(space):04X}")
+def test_every_space_inside_a_key_is_rejected(space):
+    with pytest.raises(ConfigParseError, match="must not contain spaces") as err:
+        parse_keytree(f"ok = 1\na{space}b = 3\n")
     assert (err.value.line, err.value.column) == (2, 1)

@@ -251,6 +251,17 @@ class TestTextualForm:
         with pytest.raises(ValueError):
             parse_value(IntVal(0), "-3")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0663", "\uff10", "\u00b2", "1\u0663"],
+        ids=["arabic-indic-3", "fullwidth-0", "superscript-2", "mixed"],
+    )
+    def test_naturals_are_ascii_digits(self, text):
+        # str.isdigit() is true for these: the first two read as 3 and 0, and
+        # "²" reached int(), whose message did not say what a natural is
+        with pytest.raises(ValueError, match="expected a natural number or 'inf'"):
+            parse_value(IntVal(0), text)
+
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
             parse_value(BitsVal(0, 5), "0110")

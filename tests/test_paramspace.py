@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from strategy_tuner import (
     serialize_configuration,
 )
 from strategy_tuner.distributions import LAMBDA_CAP
-from strategy_tuner.lattice import same_kind
+from strategy_tuner.lattice import bottom, same_kind
 from strategy_tuner.paramspace import Catalog, apply_catalog_overrides, config_dominates
 
 DATA = Path(__file__).parent / "data"
@@ -271,6 +272,18 @@ class TestLookupErrors:
     def test_error(self, catalog, call, error):
         with pytest.raises(error):
             call(catalog)
+
+
+def test_unset_parameters_share_the_catalog_bottoms(catalog):
+    # lattice values are immutable: one bottom per parameter serves every configuration
+    assert catalog.bottoms == tuple(bottom(spec.initial.base) for spec in catalog)
+    assert all(map(operator.is_, catalog.bottom_configuration().values, catalog.bottoms))
+    filled = catalog.configuration({"slevel": IntVal(3)}, fill_bottom=True)
+    slevel = catalog.names.index("slevel")
+    assert filled.values[slevel] == IntVal(3)
+    unset = filled.values[:slevel] + filled.values[slevel + 1 :]
+    bottoms = catalog.bottoms[:slevel] + catalog.bottoms[slevel + 1 :]
+    assert all(map(operator.is_, unset, bottoms))
 
 
 class TestDomination:

@@ -221,6 +221,25 @@ class TestMalformedTraces:
         with pytest.raises(ConfigParseError, match=f"trace record {index} is malformed"):
             read_trace("\n".join(lines))
 
+    @pytest.mark.parametrize(
+        "mutate, reason",
+        [
+            (lambda r: r["outcomes"][0].__setitem__("alarms", "abc"), "alarms must be"),
+            (lambda r: r["outcomes"][0].__setitem__("alarms", [1, 2]), "alarms must be"),
+            (lambda r: r.__setitem__("alarm_universe", "xyz"), "alarm_universe must be"),
+        ],
+        ids=["alarms-a-string", "alarms-not-strings", "universe-a-string"],
+    )
+    def test_alarm_fields_must_be_arrays_of_strings(self, mutate, reason):
+        # read back before: a string spelled one alarm per character, and
+        # ints became alarms no analyzer reports
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        mutate(record)
+        lines[0] = json.dumps(record)
+        with pytest.raises(ConfigParseError, match=f"trace record 0 is malformed: {reason}"):
+            read_trace("\n".join(lines))
+
     @pytest.mark.parametrize("name", ["mixed.ndjson", "convergence.ndjson"])
     def test_golden_traces_read_back(self, name):
         text = (MIXED_TRACE.parent / name).read_text(encoding="utf-8")
