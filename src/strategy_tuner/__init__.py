@@ -23,11 +23,8 @@ from .analyzers import (
     synthetic_oracle_least_config,
 )
 from .distributions import (
-    Bernoulli,
-    BernoulliVector,
     MatrixRow,
     ParamDistribution,
-    Poisson,
     ResultMatrix,
     refine_base,
     refine_delta,

@@ -55,14 +55,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ANALYZER_UNAVAILABLE = 3
 
-# Every key a run config may set; any other key is rejected at load time.
-RUN_CONFIG_KEYS = frozenset(
-    """program profile out catalog
-    tuner.time_budget tuner.num_sample tuner.num_process tuner.seed
-    tuner.iteration_fraction tuner.max_iterations tuner.min_slice
-    adapter.command adapter.pattern adapter.join adapter.env adapter.grace""".split()
-)
-
 
 @dataclass
 class RunConfig:
@@ -112,6 +104,13 @@ _SETTINGS = (
     ("seed", "seed", int),
     ("iteration_fraction", None, float),
     ("min_slice", None, float),
+)
+
+# Every key a run config may set; any other key is rejected at load time.
+RUN_CONFIG_KEYS = frozenset(
+    """program profile out catalog
+    adapter.command adapter.pattern adapter.join adapter.env adapter.grace""".split()
+    + [f"tuner.{name}" for name, _, _ in _SETTINGS]
 )
 
 

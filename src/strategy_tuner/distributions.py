@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from operator import and_, or_
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from .errors import InvalidSettingsError, LatticeMismatchError
 from .lattice import (
@@ -32,7 +32,6 @@ from .lattice import (
     BoolVal,
     IntVal,
     LatticeValue,
-    same_kind,
     top,
 )
 from .rng import RandomStream
@@ -43,63 +42,32 @@ LAMBDA_CAP = 100_000.0
 
 
 @dataclass(frozen=True)
-class Poisson:
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lam < math.inf):
-            raise ValueError(f"Poisson rate must be finite and nonnegative, got {self.lam!r}")
-
-
-@dataclass(frozen=True)
-class Bernoulli:
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {self.q!r}")
-
-
-@dataclass(frozen=True)
-class BernoulliVector:
-    qs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.qs) == 0:
-            raise ValueError("Bernoulli vectors must have positive width")
-        if not all(0.0 <= q <= 1.0 for q in self.qs):
-            raise ValueError(f"Bernoulli parameters must lie in [0, 1], got {self.qs!r}")
-
-    @property
-    def width(self) -> int:
-        return len(self.qs)
-
-
-DeltaDistribution = Union[Poisson, Bernoulli, BernoulliVector]
-
-
-def delta_bottom(delta: DeltaDistribution) -> LatticeValue:
-    """The bottom of the lattice a delta explores: 0, false or all zeros."""
-    if isinstance(delta, Poisson):
-        return IntVal(0)
-    if isinstance(delta, Bernoulli):
-        return BoolVal(False)
-    return BitsVal(0, delta.width)
-
-
-@dataclass(frozen=True)
 class ParamDistribution:
-    """Dirac base point plus exploration delta for one parameter."""
+    """Dirac base point plus exploration delta for one parameter.
+
+    The base's lattice names the delta's family, and ``delta`` holds that
+    family's parameters: ``(lam,)``, a Poisson rate, for an integer base;
+    ``(q,)``, a Bernoulli parameter, for a boolean base; and one q per bit,
+    entry i for bit i, for a bit-vector base.
+    """
 
     base: LatticeValue
-    delta: DeltaDistribution
+    delta: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not same_kind(self.base, delta_bottom(self.delta)):
+        base, delta = self.base, self.delta
+        width = base.width if isinstance(base, BitsVal) else 1
+        if type(delta) is not tuple or len(delta) != width:
             raise ValueError(
-                f"base {type(self.base).__name__} does not pair with "
-                f"delta {type(self.delta).__name__}"
+                f"{type(base).__name__} needs a delta tuple of {width} parameters, got {delta!r}"
             )
+        if isinstance(base, IntVal):
+            if not (0.0 <= delta[0] < math.inf):
+                raise ValueError(f"Poisson rate must be finite and nonnegative, got {delta[0]!r}")
+        elif not all(0.0 <= q <= 1.0 for q in delta):
+            if isinstance(base, BoolVal):
+                raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {delta[0]!r}")
+            raise ValueError(f"Bernoulli parameters must lie in [0, 1], got {delta!r}")
 
 
 #: A source of uniform draws in [0, 1), such as ``RandomStream.random``.
@@ -138,18 +106,18 @@ def compile_sampler(dist: ParamDistribution) -> Sampler:
     """
     base, delta = dist.base, dist.delta
     if isinstance(base, IntVal):
-        start, lam = base.value, delta.lam  # type: ignore[union-attr]
+        start, (lam,) = base.value, delta
         if start >= INT_CEILING or lam == 0:
             return Sampler(base, None)
         count = _poisson_counter(lam)
         return Sampler(None, lambda random: IntVal(min(start + count(random), INT_CEILING)))
     if isinstance(base, BoolVal):
-        q = delta.q  # type: ignore[union-attr]
+        (q,) = delta
         if base.value or q in _FIXED_Q:
             return Sampler(_BOOLS[base.value or q == 1.0], None)
         return Sampler(None, lambda random: _BOOLS[random() < q])
     assert isinstance(base, BitsVal)
-    mask, width, qs = base.value, base.width, delta.qs  # type: ignore[union-attr]
+    mask, width, qs = base.value, base.width, delta
     if mask == (1 << width) - 1:
         return Sampler(base, None)
     if all(q in _FIXED_Q for q in qs):
@@ -326,16 +294,14 @@ def refine_base(
 
 
 def refine_delta(
-    delta: DeltaDistribution, eta: float, lam_cap: float = LAMBDA_CAP
-) -> DeltaDistribution:
-    """Scale exploration by eta: lam * eta (capped), q -> 1 - (1-q)^eta."""
+    dist: ParamDistribution, eta: float, lam_cap: float = LAMBDA_CAP
+) -> tuple[float, ...]:
+    """Scale exploration by eta: lam * eta (capped), q -> 1 - (1-q)^eta per q."""
     if not (eta > 0.0):
         raise ValueError(f"scaling factor must be positive, got {eta!r}")
-    if isinstance(delta, Poisson):
-        return Poisson(min(delta.lam * eta, lam_cap))
-    if isinstance(delta, Bernoulli):
-        return Bernoulli(_scale_q(delta.q, eta))
-    return BernoulliVector(tuple(_scale_q(q, eta) for q in delta.qs))
+    if isinstance(dist.base, IntVal):
+        return (min(dist.delta[0] * eta, lam_cap),)
+    return tuple(_scale_q(q, eta) for q in dist.delta)
 
 
 def _scale_q(q: float, eta: float) -> float:

@@ -151,19 +151,6 @@ def bottom(like: LatticeValue) -> LatticeValue:
     return BitsVal(0, like.width)
 
 
-def saturating_add(base: IntVal, amount: int, ceiling: int = INT_CEILING) -> IntVal:
-    """Add a nonnegative amount to an integer value, clamping at ceiling.
-
-    Finite arithmetic never produces INFINITY; an infinite base stays
-    infinite (the sum of infinity and anything is infinity).
-    """
-    if amount < 0:
-        raise ValueError(f"saturating_add amount must be nonnegative, got {amount}")
-    if base.value >= ceiling:
-        return base
-    return IntVal(min(base.value + amount, ceiling))
-
-
 def format_value(value: LatticeValue) -> str:
     """Textual form: decimal or "inf"; "true"/"false"; a 0/1 string, entry 0 first."""
     if isinstance(value, BoolVal):

@@ -274,7 +274,7 @@ def tune(
             after = {
                 name: ParamDistribution(
                     refine_base(matrix, name, distributions[name].base),
-                    refine_delta(distributions[name].delta, eta),
+                    refine_delta(distributions[name], eta),
                 )
                 for name in catalog.names
             }

@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Iterator, Mapping
 
-from .distributions import (
-    LAMBDA_CAP,
-    Bernoulli,
-    BernoulliVector,
-    DeltaDistribution,
-    ParamDistribution,
-    Poisson,
-)
+from .distributions import LAMBDA_CAP, ParamDistribution
 from .errors import ConfigParseError, RenderError
 from .keytree import parse_keytree
 from .lattice import (
@@ -169,7 +162,7 @@ _DOMAIN_LABELS = ("cvalues", "octagon", "equality", "gauges", "symbolic-location
 def _int_param(name: str, base: int, lam: float) -> ParamSpec:
     return ParamSpec(
         name=name,
-        initial=ParamDistribution(IntVal(base), Poisson(lam)),
+        initial=ParamDistribution(IntVal(base), (lam,)),
         flag=f"-eva-{name}",
     )
 
@@ -177,7 +170,7 @@ def _int_param(name: str, base: int, lam: float) -> ParamSpec:
 def _bool_param(name: str, when_false: str, when_true: str) -> ParamSpec:
     return ParamSpec(
         name=name,
-        initial=ParamDistribution(BoolVal(False), Bernoulli(0.5)),
+        initial=ParamDistribution(BoolVal(False), (0.5,)),
         flag=f"-eva-{name}",
         labels=(when_false, when_true),
     )
@@ -203,7 +196,7 @@ def default_catalog() -> Catalog:
             _bool_param("equality-through-calls", "none", "formals"),
             ParamSpec(
                 name="domains",
-                initial=ParamDistribution(domains_base, BernoulliVector((0.5,) * 5)),
+                initial=ParamDistribution(domains_base, (0.5,) * 5),
                 flag="-eva-domains",
                 labels=_DOMAIN_LABELS,
             ),
@@ -316,22 +309,19 @@ def _override_field(spec: ParamSpec, field: str, raw: str) -> ParamSpec:
             raise ValueError(f"{spec.name!r} base must be finite, got {raw}")
         return dc_replace(spec, initial=ParamDistribution(base, spec.initial.delta))
     if field == "lambda":
-        if not isinstance(spec.initial.delta, Poisson):
+        if not isinstance(spec.initial.base, IntVal):
             raise ValueError(f"{spec.name!r} has no Poisson delta")
-        delta = Poisson(float(raw))
-        if delta.lam > LAMBDA_CAP:
+        initial = ParamDistribution(spec.initial.base, (float(raw),))
+        if initial.delta[0] > LAMBDA_CAP:
             raise ValueError(f"{spec.name!r} lambda must be at most {LAMBDA_CAP:g}, got {raw}")
-        return dc_replace(spec, initial=ParamDistribution(spec.initial.base, delta))
+        return dc_replace(spec, initial=initial)
     if field == "q":
-        delta = spec.initial.delta
-        if isinstance(delta, Bernoulli):
-            new_delta: DeltaDistribution = Bernoulli(float(raw))
-        elif isinstance(delta, BernoulliVector):
-            parts = tuple(float(p) for p in raw.split(","))
-            if len(parts) != delta.width:
-                raise ValueError(f"{spec.name!r} needs {delta.width} q values, got {len(parts)}")
-            new_delta = BernoulliVector(parts)
-        else:
+        # one comma-separated q per bit of a vector, one q for a boolean
+        base, width = spec.initial.base, len(spec.initial.delta)
+        if isinstance(base, IntVal):
             raise ValueError(f"{spec.name!r} has no Bernoulli delta")
-        return dc_replace(spec, initial=ParamDistribution(spec.initial.base, new_delta))
+        qs = tuple(float(part) for part in raw.split(","))
+        if len(qs) != width:
+            raise ValueError(f"{spec.name!r} needs {width} q values, got {len(qs)}")
+        return dc_replace(spec, initial=ParamDistribution(base, qs))
     raise ValueError(f"unknown override field {field!r}")

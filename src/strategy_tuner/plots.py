@@ -11,8 +11,7 @@ import math
 from pathlib import Path
 
 from .analyzers import Completed, precision_contribution
-from .distributions import Bernoulli, BernoulliVector, Poisson
-from .lattice import format_value
+from .lattice import BoolVal, IntVal, format_value
 from .orchestrator import IterationRecord
 
 _LEVELS = "▁▂▃▄▅▆▇█"
@@ -47,13 +46,12 @@ def _base_magnitude(record: IterationRecord, name: str) -> float:
 
 
 def _delta_summary(record: IterationRecord, name: str) -> tuple[str, float]:
-    delta = record.distributions_after[name].delta
-    if isinstance(delta, Poisson):
-        return "lambda", delta.lam
-    if isinstance(delta, Bernoulli):
-        return "q", delta.q
-    assert isinstance(delta, BernoulliVector)
-    return "mean_q", sum(delta.qs) / delta.width
+    dist = record.distributions_after[name]
+    if isinstance(dist.base, IntVal):
+        return "lambda", dist.delta[0]
+    if isinstance(dist.base, BoolVal):
+        return "q", dist.delta[0]
+    return "mean_q", sum(dist.delta) / len(dist.delta)
 
 
 def write_param_chart(records: list[IterationRecord], name: str, path: Path) -> None:

@@ -12,49 +12,42 @@ import json
 from typing import Any, Sequence, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
-from .distributions import (
-    Bernoulli,
-    BernoulliVector,
-    DeltaDistribution,
-    ParamDistribution,
-    Poisson,
-    delta_bottom,
-)
+from .distributions import ParamDistribution
 from .errors import ConfigParseError
-from .lattice import LatticeValue, format_value, parse_value
+from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value
 from .orchestrator import IterationRecord, TuneResult
 from .paramspace import Configuration, nonnegative
 
 SCHEMA_VERSION = 1
 
 
-def delta_to_json(delta: DeltaDistribution) -> dict[str, Any]:
-    if isinstance(delta, Poisson):
-        return {"kind": "poisson", "lambda": delta.lam}
-    if isinstance(delta, Bernoulli):
-        return {"kind": "bernoulli", "q": delta.q}
-    return {"kind": "bernoulli_vector", "qs": list(delta.qs)}
-
-
-def delta_from_json(obj: dict[str, Any]) -> DeltaDistribution:
-    kind = obj.get("kind")
-    if kind == "poisson":
-        return Poisson(float(obj["lambda"]))
-    if kind == "bernoulli":
-        return Bernoulli(float(obj["q"]))
-    if kind == "bernoulli_vector":
-        return BernoulliVector(tuple(float(q) for q in obj["qs"]))
-    raise ConfigParseError(f"unknown delta kind {kind!r}")
-
-
 def distribution_to_json(dist: ParamDistribution) -> dict[str, Any]:
-    return {"base": format_value(dist.base), "delta": delta_to_json(dist.delta)}
+    """The base's textual form and its delta, whose JSON kind the base's lattice names."""
+    base, params = dist.base, dist.delta
+    if isinstance(base, IntVal):
+        delta: dict[str, Any] = {"kind": "poisson", "lambda": params[0]}
+    elif isinstance(base, BoolVal):
+        delta = {"kind": "bernoulli", "q": params[0]}
+    else:
+        delta = {"kind": "bernoulli_vector", "qs": list(params)}
+    return {"base": format_value(base), "delta": delta}
 
 
 def distribution_from_json(obj: dict[str, Any]) -> ParamDistribution:
-    delta = delta_from_json(obj["delta"])
-    base = parse_value(delta_bottom(delta), obj["base"])
-    return ParamDistribution(base, delta)
+    """Inverse of :func:`distribution_to_json`: the delta's kind names the base's lattice."""
+    delta = obj["delta"]
+    kind = delta.get("kind")
+    if kind == "poisson":
+        like: LatticeValue = IntVal(0)
+        params: tuple[float, ...] = (float(delta["lambda"]),)
+    elif kind == "bernoulli":
+        like, params = BoolVal(False), (float(delta["q"]),)
+    elif kind == "bernoulli_vector":
+        params = tuple(float(q) for q in delta["qs"])
+        like = BitsVal(0, len(params))
+    else:
+        raise ConfigParseError(f"unknown delta kind {kind!r}")
+    return ParamDistribution(parse_value(like, obj["base"]), params)
 
 
 def _config_to_json(config: Configuration) -> dict[str, str]:
@@ -106,7 +99,9 @@ def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
     if status == "timed_out":
         return TimedOut(wall_time=nonnegative(obj["wall_time"]))
     if status == "crashed":
-        return Crashed(exit_info=str(obj["exit_info"]))
+        if type(obj["exit_info"]) is not str:
+            raise ConfigParseError("exit_info must be a string")
+        return Crashed(exit_info=obj["exit_info"])
     raise ConfigParseError(f"unknown outcome status {status!r}")
 
 

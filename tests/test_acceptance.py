@@ -14,7 +14,6 @@ import pytest
 from strategy_tuner import (
     AdapterConfig,
     AnalysisTask,
-    Bernoulli,
     BitsVal,
     BoolVal,
     Completed,
@@ -22,7 +21,7 @@ from strategy_tuner import (
     Crashed,
     IntVal,
     MatrixRow,
-    Poisson,
+    ParamDistribution,
     RandomStream,
     ResultMatrix,
     SubprocessAnalyzer,
@@ -102,10 +101,10 @@ def test_criterion_01_refine_base_worked_example():
 
 def test_criterion_02_eta_and_delta_formulas():
     assert scaling_factor(4, 4) == 2.25
-    refined_q = refine_delta(Bernoulli(0.5), 2.25)
-    assert abs(refined_q.q - (1.0 - 0.5**2.25)) <= 1e-12
-    refined_lam = refine_delta(Poisson(20.0), 2.25)
-    assert abs(refined_lam.lam - 45.0) <= 1e-12
+    (refined_q,) = refine_delta(ParamDistribution(BoolVal(False), (0.5,)), 2.25)
+    assert abs(refined_q - (1.0 - 0.5**2.25)) <= 1e-12
+    (refined_lam,) = refine_delta(ParamDistribution(IntVal(0), (20.0,)), 2.25)
+    assert abs(refined_lam - 45.0) <= 1e-12
 
 
 # --- criterion 3: dominancy worked example -----------------------------------

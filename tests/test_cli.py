@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from strategy_tuner import (
     Configuration,
     IntVal,
     LatticeMismatchError,
+    TunerSettings,
     default_catalog,
     parse_configuration,
     serialize_configuration,
@@ -276,6 +278,10 @@ class TestRejectedValues:
         key = line.split(" = ")[0]
         assert err == f"error: line 3: unknown key {key!r}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_every_setting_is_a_run_config_key(self):
+        keys = {f"tuner.{field.name}" for field in dataclasses.fields(TunerSettings)}
+        assert keys <= cli.RUN_CONFIG_KEYS
 
     def test_sample_configs_use_known_keys(self):
         for path in SAMPLES.glob("*.conf"):

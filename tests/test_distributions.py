@@ -12,14 +12,11 @@ from hypothesis import strategies as stx
 from strategy_tuner import (
     INFINITY,
     INT_CEILING,
-    Bernoulli,
-    BernoulliVector,
     BitsVal,
     BoolVal,
     IntVal,
     InvalidSettingsError,
     ParamDistribution,
-    Poisson,
     RandomStream,
     default_catalog,
     leq,
@@ -31,46 +28,88 @@ from strategy_tuner import (
 from strategy_tuner import orchestrator
 from strategy_tuner import rng as rng_module
 from strategy_tuner.distributions import LAMBDA_CAP
-from strategy_tuner.lattice import saturating_add
+
+
+def _rate(lam):
+    """An integer distribution from base 0 with Poisson rate lam."""
+    return ParamDistribution(IntVal(0), (lam,))
+
+
+def _coin(q):
+    """A boolean distribution from base false with Bernoulli parameter q."""
+    return ParamDistribution(BoolVal(False), (q,))
 
 
 class TestPairing:
     def test_valid_pairings(self):
-        ParamDistribution(IntVal(0), Poisson(1.0))
-        ParamDistribution(BoolVal(False), Bernoulli(0.5))
-        ParamDistribution(BitsVal.from_string("10000"), BernoulliVector((0.5,) * 5))
+        ParamDistribution(IntVal(0), (1.0,))
+        ParamDistribution(BoolVal(False), (0.5,))
+        ParamDistribution(BitsVal.from_string("10000"), (0.5,) * 5)
 
     def test_variant_mismatch_rejected(self):
+        # a vector's qs on an integer, a rate above 1 on a boolean
         with pytest.raises(ValueError):
-            ParamDistribution(IntVal(0), Bernoulli(0.5))
+            ParamDistribution(IntVal(0), (0.5, 0.5))
+        with pytest.raises(ValueError):
+            ParamDistribution(BoolVal(False), (20.0,))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ParamDistribution(BitsVal.from_string("101"), BernoulliVector((0.5,) * 5))
+            ParamDistribution(BitsVal.from_string("101"), (0.5,) * 5)
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
-            Poisson(-0.1)
+            ParamDistribution(IntVal(0), (-0.1,))
         with pytest.raises(ValueError):
-            Bernoulli(1.5)
+            ParamDistribution(BoolVal(False), (1.5,))
         with pytest.raises(ValueError):
-            BernoulliVector((0.5, -0.2))
+            ParamDistribution(BitsVal(0, 2), (0.5, -0.2))
+
+    @pytest.mark.parametrize(
+        "base, delta",
+        [
+            (IntVal(0), ()),
+            (IntVal(0), (1.0, 1.0)),
+            (BoolVal(False), ()),
+            (BoolVal(False), (0.5, 0.5)),
+            (BitsVal(0, 1), ()),
+            (BitsVal(0, 3), (0.5, 0.5)),
+            (BitsVal(0, 3), (0.5,) * 4),
+            (IntVal(0), [1.0]),
+            (BoolVal(False), [0.5]),
+            (BitsVal(0, 2), [0.5, 0.5]),
+        ],
+        ids=[
+            "int-empty", "int-two", "bool-empty", "bool-two", "bits-empty", "bits-short",
+            "bits-long", "int-list", "bool-list", "bits-list",
+        ],
+    )
+    def test_wrong_length_or_list_rejected(self, base, delta):
+        # a list would make the distribution mutable and unhashable
+        with pytest.raises(ValueError, match="delta tuple"):
+            ParamDistribution(base, delta)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, lam):
+        # an infinite rate would hang the first sample
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            _rate(lam)
 
 
 class TestSampleParam:
     def test_zero_rate_is_dirac(self):
-        dist = ParamDistribution(IntVal(0), Poisson(0.0))
+        dist = _rate(0.0)
         stream = RandomStream(1).split("t")
         assert all(sample_param(dist, stream) == IntVal(0) for _ in range(100))
 
     def test_true_base_absorbs(self):
-        dist = ParamDistribution(BoolVal(True), Bernoulli(0.9))
+        dist = ParamDistribution(BoolVal(True), (0.9,))
         stream = RandomStream(2).split("t")
         assert all(sample_param(dist, stream) == BoolVal(True) for _ in range(100))
 
     def test_poisson_offset_mean(self):
         # mean of base 10 + Poisson(10) over 1e5 draws: 20 +/- 0.1
-        dist = ParamDistribution(IntVal(10), Poisson(10.0))
+        dist = ParamDistribution(IntVal(10), (10.0,))
         stream = RandomStream(3).split("t")
         n = 100_000
         total = sum(sample_param(dist, stream).value for _ in range(n))
@@ -78,12 +117,12 @@ class TestSampleParam:
 
     @given(
         stx.one_of(
-            stx.builds(ParamDistribution, stx.integers(0, 50).map(IntVal), stx.floats(0, 20).map(Poisson)),
-            stx.builds(ParamDistribution, stx.booleans().map(BoolVal), stx.floats(0, 1).map(Bernoulli)),
+            stx.builds(ParamDistribution, stx.integers(0, 50).map(IntVal), stx.tuples(stx.floats(0, 20))),
+            stx.builds(ParamDistribution, stx.booleans().map(BoolVal), stx.tuples(stx.floats(0, 1))),
             stx.builds(
                 ParamDistribution,
                 stx.integers(0, 2**5 - 1).map(lambda mask: BitsVal(mask, 5)),
-                stx.lists(stx.floats(0, 1), min_size=5, max_size=5).map(lambda q: BernoulliVector(tuple(q))),
+                stx.lists(stx.floats(0, 1), min_size=5, max_size=5).map(tuple),
             ),
         ),
         stx.integers(0, 2**32),
@@ -116,16 +155,13 @@ class _ScriptedDraws:
 def _old_sample_param(dist: ParamDistribution, rng: RandomStream):
     """The rule before draws were skipped: draw the delta, then join it into the base."""
     delta, base = dist.delta, dist.base
-    if isinstance(delta, Poisson):
-        draw = _reference_poisson(delta.lam, rng)
-    elif isinstance(delta, Bernoulli):
-        draw = rng.random() < delta.q
-    else:
-        draw = sum(1 << i for i, q in enumerate(delta.qs) if rng.random() < q)
     if isinstance(base, IntVal):
-        return saturating_add(base, draw)
+        draw = _reference_poisson(delta[0], rng)
+        # saturating addition: an infinite base, or one at the ceiling or above, stays put
+        return base if base.value >= INT_CEILING else IntVal(min(base.value + draw, INT_CEILING))
     if isinstance(base, BoolVal):
-        return BoolVal(base.value or draw)
+        return BoolVal(base.value or rng.random() < delta[0])
+    draw = sum(1 << i for i, q in enumerate(delta) if rng.random() < q)
     return BitsVal(base.value | draw, base.width)
 
 
@@ -134,15 +170,15 @@ _DISTRIBUTIONS = stx.one_of(
     stx.builds(
         ParamDistribution,
         stx.one_of(stx.integers(0, 50), stx.sampled_from([INT_CEILING, INFINITY])).map(IntVal),
-        stx.floats(0, 60).map(Poisson),
+        stx.tuples(stx.floats(0, 60)),
     ),
-    stx.builds(ParamDistribution, stx.booleans().map(BoolVal), _QS.map(Bernoulli)),
+    stx.builds(ParamDistribution, stx.booleans().map(BoolVal), stx.tuples(_QS)),
     stx.builds(
         ParamDistribution,
         stx.one_of(stx.integers(0, 2**5 - 1), stx.just(2**5 - 1)).map(
             lambda mask: BitsVal(mask, 5)
         ),
-        stx.lists(_QS, min_size=5, max_size=5).map(lambda q: BernoulliVector(tuple(q))),
+        stx.lists(_QS, min_size=5, max_size=5).map(tuple),
     ),
 )
 
@@ -153,20 +189,18 @@ class TestFixedDraws:
     @pytest.mark.parametrize(
         "dist, expected",
         [
-            (ParamDistribution(IntVal(INT_CEILING), Poisson(5.0)), IntVal(INT_CEILING)),
-            (ParamDistribution(IntVal(INT_CEILING + 7), Poisson(50.0)), IntVal(INT_CEILING + 7)),
-            (ParamDistribution(IntVal(INFINITY), Poisson(5.0)), IntVal(INFINITY)),
-            (ParamDistribution(BoolVal(True), Bernoulli(0.5)), BoolVal(True)),
+            (ParamDistribution(IntVal(INT_CEILING), (5.0,)), IntVal(INT_CEILING)),
+            (ParamDistribution(IntVal(INT_CEILING + 7), (50.0,)), IntVal(INT_CEILING + 7)),
+            (ParamDistribution(IntVal(INFINITY), (5.0,)), IntVal(INFINITY)),
+            (ParamDistribution(BoolVal(True), (0.5,)), BoolVal(True)),
             (
-                ParamDistribution(BitsVal.from_string("11111"), BernoulliVector((0.5,) * 5)),
+                ParamDistribution(BitsVal.from_string("11111"), (0.5,) * 5),
                 BitsVal.from_string("11111"),
             ),
-            (ParamDistribution(BoolVal(False), Bernoulli(0.0)), BoolVal(False)),
-            (ParamDistribution(BoolVal(False), Bernoulli(1.0)), BoolVal(True)),
+            (_coin(0.0), BoolVal(False)),
+            (_coin(1.0), BoolVal(True)),
             (
-                ParamDistribution(
-                    BitsVal.from_string("10000"), BernoulliVector((0.0, 1.0, 0.0, 1.0, 0.0))
-                ),
+                ParamDistribution(BitsVal.from_string("10000"), (0.0, 1.0, 0.0, 1.0, 0.0)),
                 BitsVal.from_string("11010"),
             ),
         ],
@@ -178,9 +212,7 @@ class TestFixedDraws:
     def test_partly_trivial_vector_draws_every_bit(self):
         # bit i takes draw i: were bit 0 (q = 0) skipped, bit 1 would
         # take 0.1 and be set
-        dist = ParamDistribution(
-            BitsVal.from_string("0000"), BernoulliVector((0.0, 0.5, 1.0, 0.5))
-        )
+        dist = ParamDistribution(BitsVal.from_string("0000"), (0.0, 0.5, 1.0, 0.5))
         stream = _ScriptedDraws([0.1, 0.9, 0.1, 0.1])
         assert sample_param(dist, stream) == BitsVal.from_string("0011")
         assert stream.taken == 4
@@ -193,13 +225,43 @@ class TestFixedDraws:
         assert sample_param(dist, ours) == _old_sample_param(dist, old)
 
 
+class TestSaturation:
+    """An integer sample is its base plus a Poisson draw, clamped at INT_CEILING."""
+
+    def test_plain_addition(self):
+        dist = ParamDistribution(IntVal(10), (5.0,))
+        for seed in range(20):
+            draw = sample_poisson(5.0, RandomStream(seed).split("s"))
+            assert sample_param(dist, RandomStream(seed).split("s")) == IntVal(10 + draw)
+
+    def test_clamps_at_ceiling(self):
+        dist = ParamDistribution(IntVal(INT_CEILING - 2), (100.0,))
+        stream = RandomStream(0).split("s")
+        assert all(sample_param(dist, stream) == IntVal(INT_CEILING) for _ in range(100))
+
+    def test_infinite_base_stays_infinite(self):
+        dist = ParamDistribution(IntVal(INFINITY), (5.0,))
+        stream = RandomStream(0).split("s")
+        assert all(sample_param(dist, stream) == IntVal(INFINITY) for _ in range(100))
+
+    @given(
+        stx.sampled_from([0, 50, INT_CEILING - 1, INT_CEILING]),
+        stx.sampled_from([1.0, 50.0, LAMBDA_CAP]),
+        stx.integers(0, 2**32),
+    )
+    @settings(max_examples=50)
+    def test_never_produces_infinity(self, base, lam, seed):
+        sample = sample_param(ParamDistribution(IntVal(base), (lam,)), RandomStream(seed).split("s"))
+        assert not sample.is_infinite and sample.value <= INT_CEILING
+
+
 _CATALOG = default_catalog()
 
 _RATES = stx.one_of(
     stx.sampled_from([0.0, LAMBDA_CAP]),
     stx.floats(0, 30, exclude_max=True),
     stx.floats(30, 1000),
-).map(Poisson)
+).map(lambda lam: (lam,))
 
 
 def _distribution_of(kind):
@@ -210,7 +272,7 @@ def _distribution_of(kind):
         )
         return stx.builds(ParamDistribution, bases.map(IntVal), _RATES)
     if isinstance(kind, BoolVal):
-        return stx.builds(ParamDistribution, stx.booleans().map(BoolVal), _QS.map(Bernoulli))
+        return stx.builds(ParamDistribution, stx.booleans().map(BoolVal), stx.tuples(_QS))
     width, ones = kind.width, (1 << kind.width) - 1
     qs = stx.one_of(
         stx.lists(_QS, min_size=width, max_size=width),
@@ -219,7 +281,7 @@ def _distribution_of(kind):
     return stx.builds(
         ParamDistribution,
         stx.one_of(stx.integers(0, ones), stx.just(ones)).map(lambda mask: BitsVal(mask, width)),
-        qs.map(lambda q: BernoulliVector(tuple(q))),
+        qs.map(tuple),
     )
 
 
@@ -263,15 +325,13 @@ class TestCompiledPlan:
         monkeypatch.setattr(RandomStream, "generator", recording_generator)
         distributions = _CATALOG.initial_distributions()
         fixed = {
-            "min-loop-unroll": ParamDistribution(IntVal(3), Poisson(0.0)),
-            "slevel": ParamDistribution(IntVal(INT_CEILING), Poisson(20.0)),
-            "plevel": ParamDistribution(IntVal(INFINITY), Poisson(LAMBDA_CAP)),
-            "split-return": ParamDistribution(BoolVal(False), Bernoulli(0.0)),
-            "remove-redundant-alarms": ParamDistribution(BoolVal(False), Bernoulli(1.0)),
-            "octagon-through-calls": ParamDistribution(BoolVal(True), Bernoulli(0.5)),
-            "domains": ParamDistribution(
-                BitsVal.from_string("10000"), BernoulliVector((0.0, 1.0, 0.0, 1.0, 0.0))
-            ),
+            "min-loop-unroll": ParamDistribution(IntVal(3), (0.0,)),
+            "slevel": ParamDistribution(IntVal(INT_CEILING), (20.0,)),
+            "plevel": ParamDistribution(IntVal(INFINITY), (LAMBDA_CAP,)),
+            "split-return": _coin(0.0),
+            "remove-redundant-alarms": _coin(1.0),
+            "octagon-through-calls": ParamDistribution(BoolVal(True), (0.5,)),
+            "domains": ParamDistribution(BitsVal.from_string("10000"), (0.0, 1.0, 0.0, 1.0, 0.0)),
         }
         distributions.update(fixed)
         configs = orchestrator._sample_configurations(
@@ -330,8 +390,6 @@ class TestSamplePoisson:
         # an infinite rate must fail at once rather than loop
         with pytest.raises(ValueError):
             sample_poisson(lam, RandomStream(0))
-        with pytest.raises(ValueError):
-            Poisson(lam)
 
     def test_draw_cost_independent_of_rate(self):
         # an O(lam) sampler needs about 10 ms a draw at the cap
@@ -412,42 +470,42 @@ def _reference_inversion(lam: float, rng: RandomStream) -> int:
 
 class TestRefineDelta:
     def test_poisson_scaling(self):
-        assert refine_delta(Poisson(20.0), 2.25) == Poisson(45.0)
+        assert refine_delta(_rate(20.0), 2.25) == (45.0,)
 
     def test_bernoulli_identity_at_one(self):
-        assert refine_delta(Bernoulli(0.5), 1.0) == Bernoulli(0.5)
+        assert refine_delta(_coin(0.5), 1.0) == (0.5,)
 
     def test_poisson_identity_at_one(self):
-        assert refine_delta(Poisson(12.5), 1.0) == Poisson(12.5)
+        assert refine_delta(_rate(12.5), 1.0) == (12.5,)
 
     def test_bernoulli_at_two(self):
         # 1 - (1 - 0.5)^2 = 0.75
-        refined = refine_delta(Bernoulli(0.5), 2.0)
-        assert refined.q == pytest.approx(0.75, abs=1e-12)
+        (q,) = refine_delta(_coin(0.5), 2.0)
+        assert q == pytest.approx(0.75, abs=1e-12)
 
     def test_vector_pointwise(self):
-        refined = refine_delta(BernoulliVector((0.5, 0.2)), 2.0)
-        assert refined.qs[0] == pytest.approx(0.75, abs=1e-12)
-        assert refined.qs[1] == pytest.approx(1.0 - 0.8**2, abs=1e-12)
+        refined = refine_delta(ParamDistribution(BitsVal(0, 2), (0.5, 0.2)), 2.0)
+        assert refined[0] == pytest.approx(0.75, abs=1e-12)
+        assert refined[1] == pytest.approx(1.0 - 0.8**2, abs=1e-12)
 
     def test_lambda_cap(self):
-        assert refine_delta(Poisson(LAMBDA_CAP), 2.25) == Poisson(LAMBDA_CAP)
-        assert refine_delta(Poisson(1.0), 2.0, lam_cap=1.5) == Poisson(1.5)
+        assert refine_delta(_rate(LAMBDA_CAP), 2.25) == (LAMBDA_CAP,)
+        assert refine_delta(_rate(1.0), 2.0, lam_cap=1.5) == (1.5,)
 
     @given(stx.floats(0, 1), stx.floats(0.01, 10))
     def test_bernoulli_stays_in_unit_interval(self, q, eta):
-        refined = refine_delta(Bernoulli(q), eta)
-        assert 0.0 <= refined.q <= 1.0
+        (refined,) = refine_delta(_coin(q), eta)
+        assert 0.0 <= refined <= 1.0
 
     @given(stx.floats(0, 1), stx.floats(0.01, 5), stx.floats(0.01, 5))
     def test_monotone_in_eta(self, q, eta1, eta2):
         lo, hi = sorted((eta1, eta2))
-        assert refine_delta(Bernoulli(q), lo).q <= refine_delta(Bernoulli(q), hi).q + 1e-15
-        assert refine_delta(Poisson(q * 10), lo).lam <= refine_delta(Poisson(q * 10), hi).lam
+        assert refine_delta(_coin(q), lo)[0] <= refine_delta(_coin(q), hi)[0] + 1e-15
+        assert refine_delta(_rate(q * 10), lo) <= refine_delta(_rate(q * 10), hi)
 
     def test_nonpositive_eta_rejected(self):
         with pytest.raises(ValueError):
-            refine_delta(Poisson(1.0), 0.0)
+            refine_delta(_rate(1.0), 0.0)
 
 
 class TestScalingFactor:

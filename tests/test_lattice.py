@@ -24,7 +24,7 @@ from strategy_tuner import (
     parse_value,
     top,
 )
-from strategy_tuner.lattice import same_kind, saturating_add
+from strategy_tuner.lattice import same_kind
 
 ints = stx.integers(0, 1000).map(IntVal) | stx.just(IntVal(INFINITY))
 bools = stx.booleans().map(BoolVal)
@@ -211,24 +211,6 @@ class TestProductStructure:
         assert leq(a, b) == all(
             leq(BoolVal(_entry(a, i)), BoolVal(_entry(b, i))) for i in range(5)
         )
-
-
-class TestSaturation:
-    def test_plain_addition(self):
-        assert saturating_add(IntVal(10), 5) == IntVal(15)
-
-    def test_clamps_at_ceiling(self):
-        assert saturating_add(IntVal(2**31 - 2), 100) == IntVal(2**31 - 1)
-
-    def test_never_produces_infinity(self):
-        result = saturating_add(IntVal(2**31 - 1), 10**12)
-        assert not result.is_infinite
-
-    def test_infinite_base_stays_infinite(self):
-        assert saturating_add(IntVal(INFINITY), 3) == IntVal(INFINITY)
-
-    def test_custom_ceiling(self):
-        assert saturating_add(IntVal(5), 100, ceiling=50) == IntVal(50)
 
 
 class TestTextualForm:

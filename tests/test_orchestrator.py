@@ -20,7 +20,6 @@ from strategy_tuner import (
     Crashed,
     IntVal,
     InvalidSettingsError,
-    Poisson,
     SyntheticAlarm,
     SyntheticAnalyzer,
     SyntheticProfile,
@@ -422,10 +421,10 @@ class TestEtaScaling:
         assert record.eta == 0.25
         before = record.distributions_before["slevel"]
         after = record.distributions_after["slevel"]
-        assert after.delta == Poisson(before.delta.lam * 0.25)
+        assert after.delta == (before.delta[0] * 0.25,)
         assert after.base == before.base
-        q_before = record.distributions_before["split-return"].delta.q
-        q_after = record.distributions_after["split-return"].delta.q
+        (q_before,) = record.distributions_before["split-return"].delta
+        (q_after,) = record.distributions_after["split-return"].delta
         assert q_after == pytest.approx(1.0 - (1.0 - q_before) ** 0.25)
 
     def test_all_completed_scales_up(self, catalog, incompressible_profile):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as stx
 
 from strategy_tuner import (
-    Bernoulli,
-    BernoulliVector,
     BitsVal,
     BoolVal,
     ConfigParseError,
@@ -20,7 +19,6 @@ from strategy_tuner import (
     IntVal,
     ParamDistribution,
     ParamSpec,
-    Poisson,
     RenderError,
     default_catalog,
     format_value,
@@ -39,27 +37,17 @@ def describe(catalog: Catalog) -> str:
     """Canonical one-line-per-parameter rendering for the golden check."""
     lines = []
     for spec in catalog:
-        if isinstance(spec.initial.base, IntVal):
-            kind = "int"
-        elif isinstance(spec.initial.base, BoolVal):
-            kind = "bool"
-        else:
-            kind = f"bits({spec.initial.base.width})"
-        base = f"base={format_value(spec.initial.base)}"
-        delta = spec.initial.delta
-        if isinstance(delta, Poisson):
-            d = f"poisson({delta.lam:g})"
-        elif isinstance(delta, Bernoulli):
-            d = f"bernoulli({delta.q:g})"
-        else:
-            d = "bernoulli(" + ",".join(f"{q:g}" for q in delta.qs) + ")"
-        if isinstance(spec.initial.base, IntVal):
+        base, delta = spec.initial.base, spec.initial.delta
+        if isinstance(base, IntVal):
+            kind, d = "int", f"poisson({delta[0]:g})"
             render = f"flag={spec.flag}"
-        elif isinstance(spec.initial.base, BoolVal):
+        elif isinstance(base, BoolVal):
+            kind, d = "bool", f"bernoulli({delta[0]:g})"
             render = f"flag={spec.flag} false='{spec.labels[0]}' true='{spec.labels[1]}'"
         else:
+            kind, d = f"bits({base.width})", "bernoulli(" + ",".join(f"{q:g}" for q in delta) + ")"
             render = f"flag={spec.flag} labels=" + ",".join(spec.labels)
-        lines.append(f"{spec.name} | {kind} | {base} | {d} | {render}")
+        lines.append(f"{spec.name} | {kind} | base={format_value(base)} | {d} | {render}")
     return "\n".join(lines) + "\n"
 
 
@@ -71,13 +59,13 @@ class TestDefaultCatalog:
         spec = catalog[4]
         assert spec.name == "slevel"
         assert spec.initial.base == IntVal(0)
-        assert spec.initial.delta == Poisson(20.0)
+        assert spec.initial.delta == (20.0,)
 
     def test_domains_row(self, catalog):
         spec = catalog[12]
         assert same_kind(spec.initial.base, BitsVal(0, 5))
         assert spec.initial.base == BitsVal.from_string("10000")
-        assert spec.initial.delta == BernoulliVector((0.5,) * 5)
+        assert spec.initial.delta == (0.5,) * 5
 
     def test_golden_fixture(self, catalog):
         expected = (DATA / "default_catalog.txt").read_bytes()
@@ -92,11 +80,11 @@ class TestParamSpec:
     @pytest.mark.parametrize(
         "base, delta, flag, labels",
         [
-            (IntVal(0), Poisson(1.0), "", ()),
-            (IntVal(0), Poisson(1.0), "-x", ("a",)),
-            (BoolVal(False), Bernoulli(0.5), "-x", ("off",)),
-            (BitsVal(0, 2), BernoulliVector((0.5, 0.5)), "-x", ("a", "b", "c")),
-            (BitsVal(0, 2), BernoulliVector((0.5, 0.5)), "-x", ("a", "")),
+            (IntVal(0), (1.0,), "", ()),
+            (IntVal(0), (1.0,), "-x", ("a",)),
+            (BoolVal(False), (0.5,), "-x", ("off",)),
+            (BitsVal(0, 2), (0.5, 0.5), "-x", ("a", "b", "c")),
+            (BitsVal(0, 2), (0.5, 0.5), "-x", ("a", "")),
         ],
         ids=[
             "empty-flag", "int-with-labels", "bool-with-one-word", "bits-wrong-count",
@@ -108,7 +96,7 @@ class TestParamSpec:
             ParamSpec("x", ParamDistribution(base, delta), flag, labels)
 
     def test_empty_boolean_word_accepted(self):
-        spec = ParamSpec("x", ParamDistribution(BoolVal(False), Bernoulli(0.5)), "-x", ("", "on"))
+        spec = ParamSpec("x", ParamDistribution(BoolVal(False), (0.5,)), "-x", ("", "on"))
         assert spec.labels == ("", "on")
 
 
@@ -312,7 +300,7 @@ class TestCatalogOverrides:
         text = "slevel.base = 50\nslevel.lambda = 7\n"
         overridden = apply_catalog_overrides(catalog, text)
         assert overridden.spec("slevel").initial.base == IntVal(50)
-        assert overridden.spec("slevel").initial.delta == Poisson(7.0)
+        assert overridden.spec("slevel").initial.delta == (7.0,)
 
     def test_labels_override(self, catalog):
         text = "domains.labels = a,b,c,d,e\n"
@@ -362,7 +350,29 @@ class TestCatalogOverrides:
 
     def test_lambda_at_cap_accepted(self, catalog):
         overridden = apply_catalog_overrides(catalog, "slevel.lambda = 100000\n")
-        assert overridden.spec("slevel").initial.delta == Poisson(LAMBDA_CAP)
+        assert overridden.spec("slevel").initial.delta == (LAMBDA_CAP,)
+
+    def test_q_override_of_a_boolean_and_a_vector(self, catalog):
+        text = "split-return.q = 0.9\ndomains.q = 0.1, 0.2,0.3,0.4,0.5\n"
+        overridden = apply_catalog_overrides(catalog, text)
+        assert overridden.spec("split-return").initial.delta == (0.9,)
+        assert overridden.spec("domains").initial.delta == (0.1, 0.2, 0.3, 0.4, 0.5)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("split-return.q = 0.5,0.5", "needs 1 q values, got 2"),
+            ("domains.q = 0.5,0.5", "needs 5 q values, got 2"),
+            ("split-return.q = 1.5", "must lie in [0, 1]"),
+            ("domains.q = 0.5,0.5,0.5,0.5,-0.2", "must lie in [0, 1]"),
+            ("slevel.q = 0.5", "has no Bernoulli delta"),
+            ("split-return.lambda = 5", "has no Poisson delta"),
+        ],
+    )
+    def test_unusable_delta_rejected_with_line(self, catalog, line, message):
+        with pytest.raises(ConfigParseError, match=re.escape(message)) as info:
+            apply_catalog_overrides(catalog, f"slevel.base = 5\n{line}\n")
+        assert info.value.line == 2
 
 
 @given(stx.integers(0, 2**31 - 1))

@@ -11,13 +11,19 @@ from pathlib import Path
 import pytest
 
 from strategy_tuner import (
+    BitsVal,
+    BoolVal,
     Completed,
     ConfigParseError,
+    Crashed,
+    IterationRecord,
+    ParamDistribution,
     SyntheticAnalyzer,
     TimedOut,
     TunerSettings,
     tune,
 )
+from strategy_tuner.paramspace import Configuration
 from strategy_tuner.trace import (
     SCHEMA_VERSION,
     outcome_to_json,
@@ -84,6 +90,39 @@ class TestRoundTrip:
             for produced, read in zip(record.sampled_configs, back.sampled_configs):
                 assert read == produced
                 assert hash(read) == hash(produced)
+
+    def test_width_one_vector_keeps_its_kind(self):
+        # the base, not the delta's length, names the delta's family: a
+        # width-1 vector and a boolean both hold one q
+        before = {
+            "flag": ParamDistribution(BoolVal(False), (0.25,)),
+            "bits": ParamDistribution(BitsVal(0, 1), (0.25,)),
+        }
+        after = {
+            "flag": ParamDistribution(BoolVal(True), (0.5,)),
+            "bits": ParamDistribution(BitsVal(1, 1), (0.5,)),
+        }
+        record = IterationRecord(
+            index=0,
+            sampled_configs=(Configuration(("flag", "bits"), (BoolVal(True), BitsVal(1, 1))),),
+            outcomes=(Crashed("exit 1"),),
+            alarm_universe=(),
+            completed=0,
+            eta_c=0.0,
+            eta=1.0,
+            distributions_before=before,
+            distributions_after=after,
+            elapsed=0.0,
+        )
+        buffer = io.StringIO()
+        write_record(buffer, record)
+        written = json.loads(buffer.getvalue())["distributions_before"]
+        assert written["flag"] == {"base": "false", "delta": {"kind": "bernoulli", "q": 0.25}}
+        assert written["bits"] == {"base": "0", "delta": {"kind": "bernoulli_vector", "qs": [0.25]}}
+        (back,) = read_trace(buffer.getvalue())
+        assert back == record
+        assert type(back.distributions_after["bits"].base) is BitsVal
+        assert type(back.distributions_after["flag"].base) is BoolVal
 
     def test_result_json_shape(self, short_run):
         obj = result_to_json(short_run)
@@ -238,6 +277,21 @@ class TestMalformedTraces:
         mutate(record)
         lines[0] = json.dumps(record)
         with pytest.raises(ConfigParseError, match=f"trace record 0 is malformed: {reason}"):
+            read_trace("\n".join(lines))
+
+    @pytest.mark.parametrize("exit_info", [None, [1], 3], ids=["null", "array", "number"])
+    def test_exit_info_must_be_a_string(self, exit_info):
+        # read back before as Crashed('None'), Crashed('[1]') and Crashed('3')
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        if record["outcomes"][0]["status"] == "completed":
+            record["completed"] -= 1
+        record["outcomes"][0] = {"status": "crashed", "exit_info": "killed"}
+        lines[0] = json.dumps(record)
+        assert read_trace("\n".join(lines))[0].outcomes[0] == Crashed("killed")
+        record["outcomes"][0]["exit_info"] = exit_info
+        lines[0] = json.dumps(record)
+        with pytest.raises(ConfigParseError, match="trace record 0 is malformed: exit_info must be"):
             read_trace("\n".join(lines))
 
     @pytest.mark.parametrize("name", ["mixed.ndjson", "convergence.ndjson"])
