@@ -28,8 +28,6 @@ from .distributions import (
     ResultMatrix,
     refine_base,
     refine_delta,
-    sample_param,
-    sample_poisson,
     scaling_factor,
 )
 from .dominancy import (

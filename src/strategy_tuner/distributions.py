@@ -34,7 +34,6 @@ from .lattice import (
     LatticeValue,
     top,
 )
-from .rng import RandomStream
 
 #: Cap applied to Poisson rates during refinement so repeated eta > 1
 #: scaling cannot diverge.
@@ -127,21 +126,6 @@ def compile_sampler(dist: ParamDistribution) -> Sampler:
     return Sampler(
         None, lambda random: BitsVal(mask | sum([bit for bit, q in bits if random() < q]), width)
     )
-
-
-def sample_param(dist: ParamDistribution, rng: RandomStream) -> LatticeValue:
-    """One draw of base (+) delta; see :func:`compile_sampler`."""
-    fixed, draw = compile_sampler(dist)
-    return fixed if draw is None else draw(rng.random)  # type: ignore[return-value]
-
-
-def sample_poisson(lam: float, rng: RandomStream, ceiling: int = INT_CEILING) -> int:
-    """Draw from Poisson(lam), capped at the saturation ceiling."""
-    if not (0.0 <= lam < math.inf):
-        raise ValueError(f"Poisson rate must be finite and nonnegative, got {lam!r}")
-    if lam == 0:
-        return 0
-    return min(_poisson_counter(lam)(rng.random), ceiling)
 
 
 def _poisson_counter(lam: float) -> Callable[[DrawSource], int]:
@@ -293,14 +277,12 @@ def refine_base(
     return BitsVal(acc, current_base.width) if bits else variant(acc)  # type: ignore[union-attr]
 
 
-def refine_delta(
-    dist: ParamDistribution, eta: float, lam_cap: float = LAMBDA_CAP
-) -> tuple[float, ...]:
-    """Scale exploration by eta: lam * eta (capped), q -> 1 - (1-q)^eta per q."""
+def refine_delta(dist: ParamDistribution, eta: float) -> tuple[float, ...]:
+    """Scale exploration by eta: lam * eta (capped at LAMBDA_CAP), q -> 1 - (1-q)^eta per q."""
     if not (eta > 0.0):
         raise ValueError(f"scaling factor must be positive, got {eta!r}")
     if isinstance(dist.base, IntVal):
-        return (min(dist.delta[0] * eta, lam_cap),)
+        return (min(dist.delta[0] * eta, LAMBDA_CAP),)
     return tuple(_scale_q(q, eta) for q in dist.delta)
 
 

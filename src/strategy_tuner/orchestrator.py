@@ -58,15 +58,18 @@ class TunerSettings:
     min_slice: float = 1.0
 
     def __post_init__(self) -> None:
+        # A count is an int itself: neither a float with an integral value nor a bool.
         checks = (
             ("time_budget", 0 < self.time_budget < math.inf, "positive and finite"),
-            ("num_sample", self.num_sample >= 1, "positive"),
-            ("num_process", self.num_process >= 1, "positive"),
+            ("num_sample", type(self.num_sample) is int and self.num_sample >= 1, "an int >= 1"),
+            ("num_process", type(self.num_process) is int and self.num_process >= 1, "an int >= 1"),
+            ("seed", type(self.seed) is int, "an int"),
             ("iteration_fraction", 0.0 < self.iteration_fraction <= 1.0, "in (0, 1]"),
             (
                 "max_iterations",
-                self.max_iterations is None or self.max_iterations >= 0,
-                "nonnegative",
+                self.max_iterations is None
+                or (type(self.max_iterations) is int and self.max_iterations >= 0),
+                "an int >= 0",
             ),
             ("min_slice", 0 < self.min_slice < math.inf, "positive and finite"),
         )

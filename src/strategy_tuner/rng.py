@@ -46,10 +46,9 @@ class RandomStream:
 
     __slots__ = ("seed", "path", "_hash", "_rng")
 
-    def __init__(self, seed: int, path: tuple["str | int", ...] = ()):
+    def __init__(self, seed: int):
         seed = int(seed)
-        hasher = blake2b(str(seed).encode("ascii"), digest_size=16)
-        self._extend(seed, (), hasher, tuple(path))
+        self._extend(seed, (), blake2b(str(seed).encode("ascii"), digest_size=16), ())
 
     def split(self, *labels: "str | int") -> "RandomStream":
         """Child stream for the given labels; independent of this one."""

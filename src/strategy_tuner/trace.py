@@ -12,7 +12,7 @@ import json
 from typing import Any, Sequence, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
-from .distributions import ParamDistribution
+from .distributions import ParamDistribution, scaling_factor
 from .errors import ConfigParseError
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value
 from .orchestrator import IterationRecord, TuneResult
@@ -69,11 +69,10 @@ def _config_from_json(
     return Configuration(names, tuple(map(parse_value, kinds, obj.values())))
 
 
-def outcome_to_json(outcome: AnalysisOutcome, alarms: list[str] | None = None) -> dict[str, Any]:
-    """A completed outcome lists its alarms sorted: ``alarms`` if given, else sorted here."""
+def outcome_to_json(outcome: AnalysisOutcome, alarms: list[str] | None) -> dict[str, Any]:
+    """``alarms`` is a completed outcome's alarm set, sorted; other outcomes pass None."""
     if isinstance(outcome, Completed):
-        listed = sorted(outcome.alarms) if alarms is None else alarms
-        return {"status": "completed", "alarms": listed, "wall_time": outcome.wall_time}
+        return {"status": "completed", "alarms": alarms, "wall_time": outcome.wall_time}
     if isinstance(outcome, TimedOut):
         return {"status": "timed_out", "wall_time": outcome.wall_time}
     return {"status": "crashed", "exit_info": outcome.exit_info}
@@ -150,19 +149,30 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
     kinds = tuple(dist.base for dist in before.values())
     configs = tuple(_config_from_json(c, names, kinds) for c in obj["sampled_configs"])
     outcomes = tuple(outcome_from_json(o) for o in obj["outcomes"])
+    if not outcomes:
+        raise ConfigParseError("a record needs at least one outcome")
     if len(outcomes) != len(configs):
         raise ConfigParseError(f"{len(outcomes)} outcomes for {len(configs)} sampled configs")
-    completed = int(obj["completed"])
+    for name in ("index", "completed"):
+        if type(obj[name]) is not int:
+            raise ConfigParseError(f"{name} must be an integer, got {obj[name]!r}")
+    completed = obj["completed"]
     if completed != sum(isinstance(o, Completed) for o in outcomes):
         raise ConfigParseError(f"completed is {completed}, not the number of completed outcomes")
+    # eta_c and eta follow from the counts; a record must agree with them exactly.
+    eta_c, eta = completed / len(outcomes), scaling_factor(completed, len(outcomes))
+    if (obj["eta_c"], obj["eta"]) != (eta_c, eta):
+        raise ConfigParseError(
+            f"eta_c and eta are {obj['eta_c']!r} and {obj['eta']!r}, not {eta_c!r} and {eta!r}"
+        )
     return IterationRecord(
-        index=int(obj["index"]),
+        index=obj["index"],
         sampled_configs=configs,
         outcomes=outcomes,
         alarm_universe=_strings(obj["alarm_universe"], "alarm_universe"),
         completed=completed,
-        eta_c=float(obj["eta_c"]),
-        eta=float(obj["eta"]),
+        eta_c=eta_c,
+        eta=eta,
         distributions_before=before,
         distributions_after=after,
         elapsed=nonnegative(obj["elapsed"]),

@@ -38,13 +38,13 @@ from strategy_tuner import (
     meet,
     refine_base,
     refine_delta,
-    sample_poisson,
     scaling_factor,
     synthetic_oracle_least_config,
     top,
     tune,
 )
 from strategy_tuner.analyzers import synthetic_alarms
+from strategy_tuner.distributions import compile_sampler
 from strategy_tuner.paramspace import Configuration
 
 from test_refine_base import oracle_refine_base
@@ -186,7 +186,8 @@ def test_criterion_06_poisson_sampler_statistics():
     n = 100_000
     for lam in (0.4, 2.0, 10.0, 20.0):
         stream = RandomStream(0xBEEF).split("acceptance", str(lam))
-        draws = [sample_poisson(lam, stream) for _ in range(n)]
+        _, draw = compile_sampler(ParamDistribution(IntVal(0), (lam,)))
+        draws = [draw(stream.random).value for _ in range(n)]
         mean = sum(draws) / n
         assert abs(mean - lam) <= 3.0 * math.sqrt(lam / n)
         if lam <= 4.0:
@@ -194,7 +195,8 @@ def test_criterion_06_poisson_sampler_statistics():
             assert abs(p_zero - math.exp(-lam)) <= 0.005
     for lam in (50.0, 1e3, 1e5):
         stream = RandomStream(0xBEEF).split("acceptance", str(lam))
-        draws = [sample_poisson(lam, stream) for _ in range(n)]
+        _, draw = compile_sampler(ParamDistribution(IntVal(0), (lam,)))
+        draws = [draw(stream.random).value for _ in range(n)]
         mean = sum(draws) / n
         var = sum((d - mean) ** 2 for d in draws) / (n - 1)
         assert abs(mean - lam) <= 3.0 * math.sqrt(lam / n)

@@ -21,13 +21,11 @@ from strategy_tuner import (
     default_catalog,
     leq,
     refine_delta,
-    sample_param,
-    sample_poisson,
     scaling_factor,
 )
 from strategy_tuner import orchestrator
 from strategy_tuner import rng as rng_module
-from strategy_tuner.distributions import LAMBDA_CAP
+from strategy_tuner.distributions import LAMBDA_CAP, compile_sampler
 
 
 def _rate(lam):
@@ -96,23 +94,27 @@ class TestPairing:
             _rate(lam)
 
 
+def _counts(lam, stream, n):
+    """n draws of Poisson(lam), lam > 0, through the compiled sampler of rate lam from base 0."""
+    _, draw = compile_sampler(_rate(lam))
+    return [draw(stream.random).value for _ in range(n)]
+
+
 class TestSampleParam:
+    """A compiled sampler, one distribution at a time."""
+
     def test_zero_rate_is_dirac(self):
-        dist = _rate(0.0)
-        stream = RandomStream(1).split("t")
-        assert all(sample_param(dist, stream) == IntVal(0) for _ in range(100))
+        assert compile_sampler(_rate(0.0)) == (IntVal(0), None)
 
     def test_true_base_absorbs(self):
-        dist = ParamDistribution(BoolVal(True), (0.9,))
-        stream = RandomStream(2).split("t")
-        assert all(sample_param(dist, stream) == BoolVal(True) for _ in range(100))
+        assert compile_sampler(ParamDistribution(BoolVal(True), (0.9,))) == (BoolVal(True), None)
 
     def test_poisson_offset_mean(self):
         # mean of base 10 + Poisson(10) over 1e5 draws: 20 +/- 0.1
-        dist = ParamDistribution(IntVal(10), (10.0,))
+        _, draw = compile_sampler(ParamDistribution(IntVal(10), (10.0,)))
         stream = RandomStream(3).split("t")
         n = 100_000
-        total = sum(sample_param(dist, stream).value for _ in range(n))
+        total = sum(draw(stream.random).value for _ in range(n))
         assert 19.9 <= total / n <= 20.1
 
     @given(
@@ -129,15 +131,9 @@ class TestSampleParam:
     )
     @settings(max_examples=200)
     def test_sample_dominates_base(self, dist, seed):
-        stream = RandomStream(seed).split("s")
-        assert leq(dist.base, sample_param(dist, stream))
-
-
-class _NoDraws:
-    """A stream that fails the test if it is drawn from."""
-
-    def random(self) -> float:
-        raise AssertionError("a draw was taken")
+        fixed, draw = compile_sampler(dist)
+        sample = fixed if draw is None else draw(RandomStream(seed).split("s").random)
+        assert leq(dist.base, sample)
 
 
 class _ScriptedDraws:
@@ -207,42 +203,43 @@ class TestFixedDraws:
         ids=["ceiling", "above-ceiling", "infinity", "true", "all-ones", "q0", "q1", "trivial-vector"],
     )
     def test_no_draw(self, dist, expected):
-        assert sample_param(dist, _NoDraws()) == expected
+        fixed, draw = compile_sampler(dist)
+        assert draw is None and fixed == expected
 
     def test_partly_trivial_vector_draws_every_bit(self):
         # bit i takes draw i: were bit 0 (q = 0) skipped, bit 1 would
         # take 0.1 and be set
         dist = ParamDistribution(BitsVal.from_string("0000"), (0.0, 0.5, 1.0, 0.5))
         stream = _ScriptedDraws([0.1, 0.9, 0.1, 0.1])
-        assert sample_param(dist, stream) == BitsVal.from_string("0011")
+        _, draw = compile_sampler(dist)
+        assert draw(stream.random) == BitsVal.from_string("0011")
         assert stream.taken == 4
 
     @given(_DISTRIBUTIONS, stx.integers(0, 2**32))
     @settings(max_examples=300)
     def test_same_sample_as_drawing_first(self, dist, seed):
-        ours = RandomStream(seed).split("s")
-        old = RandomStream(seed).split("s")
-        assert sample_param(dist, ours) == _old_sample_param(dist, old)
+        fixed, draw = compile_sampler(dist)
+        ours = fixed if draw is None else draw(RandomStream(seed).split("s").random)
+        assert ours == _old_sample_param(dist, RandomStream(seed).split("s"))
 
 
 class TestSaturation:
     """An integer sample is its base plus a Poisson draw, clamped at INT_CEILING."""
 
     def test_plain_addition(self):
-        dist = ParamDistribution(IntVal(10), (5.0,))
+        _, draw = compile_sampler(ParamDistribution(IntVal(10), (5.0,)))
         for seed in range(20):
-            draw = sample_poisson(5.0, RandomStream(seed).split("s"))
-            assert sample_param(dist, RandomStream(seed).split("s")) == IntVal(10 + draw)
+            (count,) = _counts(5.0, RandomStream(seed).split("s"), 1)
+            assert draw(RandomStream(seed).split("s").random) == IntVal(10 + count)
 
     def test_clamps_at_ceiling(self):
-        dist = ParamDistribution(IntVal(INT_CEILING - 2), (100.0,))
+        _, draw = compile_sampler(ParamDistribution(IntVal(INT_CEILING - 2), (100.0,)))
         stream = RandomStream(0).split("s")
-        assert all(sample_param(dist, stream) == IntVal(INT_CEILING) for _ in range(100))
+        assert all(draw(stream.random) == IntVal(INT_CEILING) for _ in range(100))
 
     def test_infinite_base_stays_infinite(self):
         dist = ParamDistribution(IntVal(INFINITY), (5.0,))
-        stream = RandomStream(0).split("s")
-        assert all(sample_param(dist, stream) == IntVal(INFINITY) for _ in range(100))
+        assert compile_sampler(dist) == (IntVal(INFINITY), None)
 
     @given(
         stx.sampled_from([0, 50, INT_CEILING - 1, INT_CEILING]),
@@ -251,7 +248,8 @@ class TestSaturation:
     )
     @settings(max_examples=50)
     def test_never_produces_infinity(self, base, lam, seed):
-        sample = sample_param(ParamDistribution(IntVal(base), (lam,)), RandomStream(seed).split("s"))
+        fixed, draw = compile_sampler(ParamDistribution(IntVal(base), (lam,)))
+        sample = fixed if draw is None else draw(RandomStream(seed).split("s").random)
         assert not sample.is_infinite and sample.value <= INT_CEILING
 
 
@@ -306,7 +304,9 @@ class TestCompiledPlan:
             assert config.names == _CATALOG.names
             for name, value in zip(config.names, config.values):
                 dist = distributions[name]
-                assert value == sample_param(dist, sample.split("param", name))
+                fixed, draw = compile_sampler(dist)
+                stream = sample.split("param", name)
+                assert value == (fixed if draw is None else draw(stream.random))
                 assert value == _old_sample_param(dist, sample.split("param", name))
 
     def test_fixed_parameters_seed_no_generator(self, monkeypatch):
@@ -353,50 +353,52 @@ class TestCompiledPlan:
 
 
 class TestSamplePoisson:
+    """The Poisson draw of an integer sampler from base 0."""
+
     def test_rate_zero(self):
-        stream = RandomStream(0).split("p")
-        assert sample_poisson(0.0, stream) == 0
+        assert compile_sampler(_rate(0.0)) == (IntVal(0), None)
 
     def test_mean_at_rate_20(self):
         stream = RandomStream(4).split("p")
         n = 100_000
-        mean = sum(sample_poisson(20.0, stream) for _ in range(n)) / n
+        mean = sum(_counts(20.0, stream, n)) / n
         assert abs(mean - 20.0) <= 3.0 * math.sqrt(20.0 / n)
 
     def test_mass_at_zero_rate_4(self):
         stream = RandomStream(5).split("p")
         n = 100_000
-        zeros = sum(1 for _ in range(n) if sample_poisson(4.0, stream) == 0)
+        zeros = _counts(4.0, stream, n).count(0)
         assert abs(zeros / n - math.exp(-4.0)) <= 0.005
 
     def test_large_rate_mean(self):
         # mean check exercises the >= 30 (PTRS) path
         stream = RandomStream(6).split("p")
         n = 20_000
-        mean = sum(sample_poisson(150.0, stream) for _ in range(n)) / n
+        mean = sum(_counts(150.0, stream, n)) / n
         assert abs(mean - 150.0) <= 4.0 * math.sqrt(150.0 / n)
 
     def test_ceiling_cap(self):
+        # three below the ceiling, a draw adds at most 3
         stream = RandomStream(7).split("p")
-        assert sample_poisson(50.0, stream, ceiling=3) <= 3
-        assert sample_poisson(LAMBDA_CAP, stream, ceiling=3) <= 3
+        for lam in (50.0, LAMBDA_CAP):
+            _, draw = compile_sampler(ParamDistribution(IntVal(INT_CEILING - 3), (lam,)))
+            assert draw(stream.random).value - (INT_CEILING - 3) <= 3
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            sample_poisson(-1.0, RandomStream(0))
+            _rate(-1.0)
 
     @pytest.mark.parametrize("lam", [math.inf, math.nan])
     def test_non_finite_rate_rejected(self, lam):
         # an infinite rate must fail at once rather than loop
         with pytest.raises(ValueError):
-            sample_poisson(lam, RandomStream(0))
+            _rate(lam)
 
     def test_draw_cost_independent_of_rate(self):
         # an O(lam) sampler needs about 10 ms a draw at the cap
         stream = RandomStream(8).split("p")
         start = time.perf_counter()
-        for _ in range(10_000):
-            sample_poisson(LAMBDA_CAP, stream)
+        _counts(LAMBDA_CAP, stream, 10_000)
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -407,8 +409,8 @@ class TestSamplePoisson:
         ours = RandomStream(seed).split("replay")
         ref = RandomStream(seed).split("replay")
         for lam in rates:
-            for _ in range(200):
-                assert sample_poisson(lam, ours) == _reference_inversion(lam, ref)
+            for count in _counts(lam, ours, 200):
+                assert count == _reference_inversion(lam, ref)
 
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -417,8 +419,8 @@ class TestSamplePoisson:
         ours = RandomStream(seed).split("replay")
         ref = RandomStream(seed).split("replay")
         for lam in rates:
-            for _ in range(200):
-                assert sample_poisson(lam, ours) == _reference_ptrs(lam, ref)
+            for count in _counts(lam, ours, 200):
+                assert count == _reference_ptrs(lam, ref)
 
 
 def _reference_poisson(lam: float, rng: RandomStream) -> int:
@@ -490,7 +492,7 @@ class TestRefineDelta:
 
     def test_lambda_cap(self):
         assert refine_delta(_rate(LAMBDA_CAP), 2.25) == (LAMBDA_CAP,)
-        assert refine_delta(_rate(1.0), 2.0, lam_cap=1.5) == (1.5,)
+        assert refine_delta(_rate(LAMBDA_CAP / 2), 2.25) == (LAMBDA_CAP,)
 
     @given(stx.floats(0, 1), stx.floats(0.01, 10))
     def test_bernoulli_stays_in_unit_interval(self, q, eta):

@@ -174,6 +174,26 @@ class TestSettingsValidation:
             TunerSettings(time_budget=60.0, min_slice=math.inf)
         assert info.value.field == "min_slice"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_sample", 2.5),
+            ("num_sample", 4.0),
+            ("num_process", 2.0),
+            ("seed", 1.5),
+            ("seed", "1"),
+            ("max_iterations", 2.5),
+            ("num_sample", True),
+            ("seed", False),
+        ],
+    )
+    def test_counts_must_be_ints(self, field, value):
+        # before: max_iterations 2.5 ran past its cap, seed 1.5 became
+        # seed 1 and num_sample 2.5 raised a TypeError out of tune
+        with pytest.raises(InvalidSettingsError, match=f"{field} must be an int") as info:
+            TunerSettings(time_budget=60.0, **{field: value})
+        assert info.value.field == field
+
 
 class ConcurrencyProbe:
     """Records peak concurrent run() calls; completes with no alarms."""

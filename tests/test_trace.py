@@ -21,12 +21,12 @@ from strategy_tuner import (
     SyntheticAnalyzer,
     TimedOut,
     TunerSettings,
+    scaling_factor,
     tune,
 )
 from strategy_tuner.paramspace import Configuration
 from strategy_tuner.trace import (
     SCHEMA_VERSION,
-    outcome_to_json,
     read_trace,
     record_from_json,
     record_to_json,
@@ -139,9 +139,13 @@ class TestAlarmOrder:
                 if isinstance(out, Completed):
                     assert written["alarms"] == sorted(out.alarms)
 
-    def test_universe_missing_an_alarm(self):
-        outcome = Completed(frozenset({"b", "a", "c"}), 1.0)
-        assert outcome_to_json(outcome)["alarms"] == ["a", "b", "c"]
+    def test_universe_missing_an_alarm(self, short_run):
+        record = dataclasses.replace(
+            short_run.iteration_trace[0],
+            outcomes=(Completed(frozenset({"b", "a", "c"}), 1.0),) * 3,
+            alarm_universe=(),
+        )
+        assert record_to_json(record)["outcomes"][0]["alarms"] == ["a", "b", "c"]
 
     def test_record_whose_universe_lacks_its_alarms(self, short_run):
         record = dataclasses.replace(
@@ -229,12 +233,26 @@ class TestMalformedTraces:
             (1, lambda r: _drop_parameter(r, "domains"), "first record's"),
             (0, lambda r: r["outcomes"].pop(), "5 outcomes for 6 sampled configs"),
             (0, lambda r: r.__setitem__("completed", 5), "completed is 5"),
+            # the rest read back before: a record of no analyses; an index
+            # or a count of int(value), 6 passing the count check of
+            # record 0's 6 completed outcomes; and eta_c or eta as written
+            (0, lambda r: r.update(sampled_configs=[], outcomes=[], completed=0), "one outcome"),
+            (0, lambda r: r.__setitem__("index", 2.5), "index must be an integer"),
+            (0, lambda r: r.__setitem__("index", "3"), "index must be an integer"),
+            (0, lambda r: r.__setitem__("index", True), "index must be an integer"),
+            (0, lambda r: r.__setitem__("completed", 6.9), "completed must be an integer"),
+            (1, lambda r: r.__setitem__("eta", 99.0), "eta_c and eta are"),
+            (1, lambda r: r.__setitem__("eta_c", -1.0), "eta_c and eta are"),
+            (1, lambda r: r.__setitem__("eta_c", "1.0"), "eta_c and eta are"),
+            (1, lambda r: r.__setitem__("eta", math.nan), "eta_c and eta are"),
         ],
         ids=["after-lacks-a-parameter", "parameters-differ-from-record-0",
-             "an-outcome-per-config", "completed-count"],
+             "an-outcome-per-config", "completed-count", "no-outcome", "index-float",
+             "index-string", "index-bool", "completed-float", "eta-wrong", "eta_c-negative",
+             "eta_c-string", "eta-nan"],
     )
     def test_record_must_agree_with_itself_and_record_0(self, index, mutate, reason):
-        # each of these made ``plot`` or ``build_result_matrix`` fail on read-back
+        # the first four made ``plot`` or ``build_result_matrix`` fail on read-back
         lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[index])
         mutate(record)
@@ -287,6 +305,8 @@ class TestMalformedTraces:
         if record["outcomes"][0]["status"] == "completed":
             record["completed"] -= 1
         record["outcomes"][0] = {"status": "crashed", "exit_info": "killed"}
+        completed, n = record["completed"], len(record["outcomes"])
+        record["eta_c"], record["eta"] = completed / n, scaling_factor(completed, n)
         lines[0] = json.dumps(record)
         assert read_trace("\n".join(lines))[0].outcomes[0] == Crashed("killed")
         record["outcomes"][0]["exit_info"] = exit_info
@@ -306,3 +326,4 @@ def _drop_parameter(record: dict, name: str) -> None:
         del part[name]
     for config in record["sampled_configs"]:
         del config[name]
+
