@@ -30,12 +30,6 @@ from .distributions import (
     refine_delta,
     scaling_factor,
 )
-from .dominancy import (
-    DominancyReport,
-    ParamScore,
-    influence_score,
-    run_dominancy,
-)
 from .errors import (
     AnalyzerUnavailableError,
     BaselinesDoNotSeparateError,
@@ -79,6 +73,30 @@ from .paramspace import (
     serialize_configuration,
 )
 from .rng import RandomStream
-from .subprocess_adapter import AdapterConfig, SubprocessAnalyzer
 
 __version__ = "0.1.0"
+
+# Names whose module a synthetic tune does not need: each loads on first
+# use (PEP 562), so importing the package leaves its module unloaded.
+_LAZY = {
+    "DominancyReport": "dominancy",
+    "ParamScore": "dominancy",
+    "influence_score": "dominancy",
+    "run_dominancy": "dominancy",
+    "AdapterConfig": "subprocess_adapter",
+    "SubprocessAnalyzer": "subprocess_adapter",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

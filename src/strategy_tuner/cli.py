@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import re
 import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .analyzers import (
     AnalysisTask,
@@ -29,7 +29,6 @@ from .analyzers import (
     SyntheticProfile,
     parse_profile,
 )
-from .dominancy import report_table, report_to_json, run_dominancy
 from .errors import (
     AnalyzerUnavailableError,
     ConfigParseError,
@@ -47,9 +46,12 @@ from .paramspace import (
     parse_configuration,
     serialize_configuration,
 )
-from .plots import write_plots
-from .subprocess_adapter import AdapterConfig, SubprocessAnalyzer
 from .trace import read_trace, result_to_json, write_record
+
+# Importing this module loads none of dominancy, plots, subprocess_adapter
+# and logging: the command or backend that uses one imports it.
+if TYPE_CHECKING:
+    from .subprocess_adapter import AdapterConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,6 +71,8 @@ class RunConfig:
         if self.profile is not None:
             return SyntheticAnalyzer(self.profile)
         assert self.adapter is not None
+        from .subprocess_adapter import SubprocessAnalyzer
+
         return SubprocessAnalyzer(self.adapter, self.catalog)
 
     def program_ref(self) -> str:
@@ -160,6 +164,8 @@ def load_run_config(args) -> RunConfig:
     if profile_path:
         profile = parse_profile(_read_text(profile_path, "profile"), catalog)
     else:
+        from .subprocess_adapter import AdapterConfig
+
         command = values.get("adapter.command")
         pattern = values.get("adapter.pattern")
         if not command or not pattern:
@@ -247,6 +253,8 @@ def _summary(result) -> str:
 
 
 def cmd_dominancy(args) -> int:
+    from .dominancy import report_table, report_to_json, run_dominancy
+
     if args.timeout is not None and not args.timeout > 0:
         raise ConfigParseError(f"--timeout must be positive, got {args.timeout!r}")
     run = _open_run(args)
@@ -273,6 +281,8 @@ def cmd_dominancy(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .plots import write_plots
+
     records = read_trace(_read_text(args.trace, "trace"))
     if not records:
         raise ConfigParseError("trace is empty")
@@ -348,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging() -> None:
+    import logging
+
     level_name = os.environ.get("STRATEGY_TUNER_LOG", "warning").lower()
     level = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING}.get(
         level_name, logging.WARNING

@@ -27,10 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
 from .distributions import (
@@ -46,6 +45,9 @@ from .errors import InvalidSettingsError
 from .paramspace import Catalog, Configuration
 from .rng import RandomStream
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
 
 @dataclass(frozen=True)
 class TunerSettings:
@@ -58,20 +60,34 @@ class TunerSettings:
     min_slice: float = 1.0
 
     def __post_init__(self) -> None:
-        # A count is an int itself: neither a float with an integral value nor a bool.
+        # A count is an int itself: neither a float with an integral value nor
+        # a bool. A number is an int or a float; a bool or a string is neither.
+        number = (int, float)
         checks = (
-            ("time_budget", 0 < self.time_budget < math.inf, "positive and finite"),
+            (
+                "time_budget",
+                type(self.time_budget) in number and 0 < self.time_budget < math.inf,
+                "a positive finite number",
+            ),
             ("num_sample", type(self.num_sample) is int and self.num_sample >= 1, "an int >= 1"),
             ("num_process", type(self.num_process) is int and self.num_process >= 1, "an int >= 1"),
             ("seed", type(self.seed) is int, "an int"),
-            ("iteration_fraction", 0.0 < self.iteration_fraction <= 1.0, "in (0, 1]"),
+            (
+                "iteration_fraction",
+                type(self.iteration_fraction) in number and 0.0 < self.iteration_fraction <= 1.0,
+                "a number in (0, 1]",
+            ),
             (
                 "max_iterations",
                 self.max_iterations is None
                 or (type(self.max_iterations) is int and self.max_iterations >= 0),
                 "an int >= 0",
             ),
-            ("min_slice", 0 < self.min_slice < math.inf, "positive and finite"),
+            (
+                "min_slice",
+                type(self.min_slice) in number and 0 < self.min_slice < math.inf,
+                "a positive finite number",
+            ),
         )
         for name, ok, requirement in checks:
             if not ok:
@@ -182,6 +198,8 @@ def worker_pool(analyzer: Analyzer, workers: int) -> Iterator[Executor | None]:
     if getattr(analyzer, "virtual_clock", False):
         yield None
         return
+    from concurrent.futures import ThreadPoolExecutor  # only a real-clock run loads it
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield pool
 

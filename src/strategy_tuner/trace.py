@@ -33,17 +33,26 @@ def distribution_to_json(dist: ParamDistribution) -> dict[str, Any]:
     return {"base": format_value(base), "delta": delta}
 
 
+def _number(value: Any, field: str) -> float:
+    """A JSON number as a float; a string or a bool is not one."""
+    if type(value) not in (int, float):
+        raise ConfigParseError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def distribution_from_json(obj: dict[str, Any]) -> ParamDistribution:
     """Inverse of :func:`distribution_to_json`: the delta's kind names the base's lattice."""
     delta = obj["delta"]
     kind = delta.get("kind")
     if kind == "poisson":
         like: LatticeValue = IntVal(0)
-        params: tuple[float, ...] = (float(delta["lambda"]),)
+        params: tuple[float, ...] = (_number(delta["lambda"], "lambda"),)
     elif kind == "bernoulli":
-        like, params = BoolVal(False), (float(delta["q"]),)
+        like, params = BoolVal(False), (_number(delta["q"], "q"),)
     elif kind == "bernoulli_vector":
-        params = tuple(float(q) for q in delta["qs"])
+        if type(delta["qs"]) is not list:
+            raise ConfigParseError("qs must be an array of numbers")
+        params = tuple(_number(q, "qs") for q in delta["qs"])
         like = BitsVal(0, len(params))
     else:
         raise ConfigParseError(f"unknown delta kind {kind!r}")

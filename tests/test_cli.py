@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as stx
 
 from strategy_tuner import (
+    AdapterConfig,
     Configuration,
     IntVal,
     LatticeMismatchError,
@@ -375,7 +376,7 @@ class TestRunConfigDefaults:
         command, pattern = "true {args} {program}", "warn:(.*)"
         text = f"program = x.c\nadapter.command = {command}\nadapter.pattern = {pattern}\n"
         run = self._load(tmp_path, text + extra)
-        assert run.adapter == cli.AdapterConfig(command, pattern)
+        assert run.adapter == AdapterConfig(command, pattern)
 
     def test_flag_wins_over_file(self, tmp_path):
         text = f"profile = {PROFILE}\ntuner.seed = 3\ntuner.min_slice = 2\n"
@@ -567,3 +568,53 @@ class TestModuleEntry:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+# Each name the package serves on first use, and the module it comes from.
+LAZY_NAMES = {
+    "DominancyReport": "dominancy",
+    "ParamScore": "dominancy",
+    "influence_score": "dominancy",
+    "run_dominancy": "dominancy",
+    "AdapterConfig": "subprocess_adapter",
+    "SubprocessAnalyzer": "subprocess_adapter",
+}
+
+# pytest loads concurrent.futures itself, so only a fresh interpreter can
+# show what a run loads.
+SURFACE_CHILD = """
+import importlib, json, sys
+from strategy_tuner import cli
+status = cli.main(["tune", "--profile", sys.argv[1], "--max-iterations", "2", "--out", sys.argv[2]])
+assert status == 0, status
+unused = ["strategy_tuner.dominancy", "strategy_tuner.plots",
+          "strategy_tuner.subprocess_adapter", "concurrent.futures"]
+loaded = sorted(set(unused) & set(sys.modules))
+import strategy_tuner
+listed = dir(strategy_tuner)
+names = json.loads(sys.argv[3])
+served = {
+    name: name in listed and getattr(strategy_tuner, name)
+    is getattr(importlib.import_module("strategy_tuner." + module), name)
+    for name, module in names.items()
+}
+print(json.dumps({"loaded": loaded, "served": served}))
+"""
+
+
+def test_synthetic_tune_loads_only_what_it_uses(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SURFACE_CHILD, str(PROFILE), str(tmp_path / "out"),
+         json.dumps(LAZY_NAMES)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["loaded"] == []
+    assert report["served"] == dict.fromkeys(LAZY_NAMES, True)

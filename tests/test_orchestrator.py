@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import io
 import math
 import random
@@ -193,6 +194,28 @@ class TestSettingsValidation:
         with pytest.raises(InvalidSettingsError, match=f"{field} must be an int") as info:
             TunerSettings(time_budget=60.0, **{field: value})
         assert info.value.field == field
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time_budget", "5"),
+            ("time_budget", True),
+            ("iteration_fraction", "0.5"),
+            ("iteration_fraction", True),
+            ("min_slice", "1"),
+            ("min_slice", True),
+        ],
+    )
+    def test_numbers_must_be_ints_or_floats(self, field, value):
+        # before: a string raised a bare TypeError out of the range check,
+        # and True passed it as 1
+        with pytest.raises(InvalidSettingsError, match=f"{field} must be a") as info:
+            TunerSettings(**{"time_budget": 60.0, field: value})
+        assert info.value.field == field
+
+    def test_numbers_may_be_ints(self):
+        settings = TunerSettings(time_budget=5, iteration_fraction=1, min_slice=2)
+        assert (settings.time_budget, settings.iteration_fraction, settings.min_slice) == (5, 1, 2)
 
 
 class ConcurrencyProbe:
@@ -397,7 +420,7 @@ class TestWorkerPool:
         def no_pool(*args, **kwargs):
             raise AssertionError("a virtual-clock run created a thread pool")
 
-        monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         recorder = ThreadRecorder(SyntheticAnalyzer(incompressible_profile))
         recorder.virtual_clock = True
         settings = TunerSettings(
@@ -408,7 +431,7 @@ class TestWorkerPool:
 
     def test_run_batch_uses_the_given_pool(self, catalog, monkeypatch):
         with ThreadPoolExecutor(max_workers=1) as pool:
-            monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", None)
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
             recorder = ThreadRecorder()
             configs = [catalog.base_configuration()] * 3
             for _ in range(2):

@@ -314,6 +314,37 @@ class TestMalformedTraces:
         with pytest.raises(ConfigParseError, match="trace record 0 is malformed: exit_info must be"):
             read_trace("\n".join(lines))
 
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("slevel", "lambda", "5"),
+            ("slevel", "lambda", True),
+            ("split-return", "q", "0.5"),
+            ("split-return", "q", True),
+            ("domains", "qs", ["0.5"] * 5),
+            ("domains", "qs", [True] * 5),
+            ("domains", "qs", "00000"),
+        ],
+        ids=["lambda-string", "lambda-bool", "q-string", "q-bool", "qs-strings", "qs-bools",
+             "qs-a-string"],
+    )
+    def test_deltas_must_be_json_numbers(self, name, field, value):
+        # read back before as 5.0, 1.0, 0.5, 1.0, five 0.5s, five 1.0s and
+        # one 0.0 per character: a distribution the run never had
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["distributions_before"][name]["delta"][field] = value
+        lines[0] = json.dumps(record)
+        with pytest.raises(ConfigParseError, match=f"trace record 0 is malformed: {field} must"):
+            read_trace("\n".join(lines))
+
+    def test_integral_delta_reads_back_as_a_float(self):
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["distributions_before"]["slevel"]["delta"]["lambda"] = 20
+        lines[0] = json.dumps(record)
+        assert read_trace("\n".join(lines))[0].distributions_before["slevel"].delta == (20.0,)
+
     @pytest.mark.parametrize("name", ["mixed.ndjson", "convergence.ndjson"])
     def test_golden_traces_read_back(self, name):
         text = (MIXED_TRACE.parent / name).read_text(encoding="utf-8")
