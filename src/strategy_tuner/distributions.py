@@ -69,7 +69,7 @@ class ParamDistribution:
             raise ValueError(f"Bernoulli parameters must lie in [0, 1], got {delta!r}")
 
 
-#: A source of uniform draws in [0, 1), such as ``RandomStream.random``.
+#: A source of uniform draws in [0, 1), such as one ``RandomStream.generator`` gives.
 DrawSource = Callable[[], float]
 
 

@@ -12,7 +12,6 @@ normalize to the same key are deduplicated.
 from __future__ import annotations
 
 import locale
-import logging
 import os
 import re
 import selectors
@@ -26,8 +25,6 @@ from typing import IO
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Completed, Crashed, TimedOut
 from .paramspace import Catalog, render_cli_args
-
-log = logging.getLogger(__name__)
 
 #: The placeholders a command template may use.
 _PLACEHOLDERS = ("program", "args")
@@ -151,7 +148,12 @@ class SubprocessAnalyzer:
             return Crashed(exit_info=f"exit status {proc.returncode}")
         alarms, anomalies = self.extract_alarms(_decode(output))
         if anomalies:
-            log.warning("%d output line(s) matched the alarm pattern incompletely", anomalies)
+            # logging is loaded only by a run that has something to report
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "%d output line(s) matched the alarm pattern incompletely", anomalies
+            )
         return Completed(alarms=alarms, wall_time=wall)
 
     @staticmethod

@@ -185,18 +185,18 @@ def test_criterion_06_poisson_sampler_statistics():
     start = time.perf_counter()
     n = 100_000
     for lam in (0.4, 2.0, 10.0, 20.0):
-        stream = RandomStream(0xBEEF).split("acceptance", str(lam))
+        random = RandomStream(0xBEEF).generator("acceptance", str(lam))
         _, draw = compile_sampler(ParamDistribution(IntVal(0), (lam,)))
-        draws = [draw(stream.random).value for _ in range(n)]
+        draws = [draw(random).value for _ in range(n)]
         mean = sum(draws) / n
         assert abs(mean - lam) <= 3.0 * math.sqrt(lam / n)
         if lam <= 4.0:
             p_zero = sum(1 for d in draws if d == 0) / n
             assert abs(p_zero - math.exp(-lam)) <= 0.005
     for lam in (50.0, 1e3, 1e5):
-        stream = RandomStream(0xBEEF).split("acceptance", str(lam))
+        random = RandomStream(0xBEEF).generator("acceptance", str(lam))
         _, draw = compile_sampler(ParamDistribution(IntVal(0), (lam,)))
-        draws = [draw(stream.random).value for _ in range(n)]
+        draws = [draw(random).value for _ in range(n)]
         mean = sum(draws) / n
         var = sum((d - mean) ** 2 for d in draws) / (n - 1)
         assert abs(mean - lam) <= 3.0 * math.sqrt(lam / n)

@@ -508,6 +508,19 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.startswith("error: trace record 0 is malformed") and "Traceback" not in err
 
+    def test_number_too_large_for_a_float_exit_2(self, tmp_path, capsys):
+        # a 401-digit elapsed ended plot in an OverflowError traceback
+        golden = Path(__file__).parent / "data" / "golden" / "mixed.ndjson"
+        lines = golden.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[3])
+        record["elapsed"] = 10**400
+        lines[3] = json.dumps(record)
+        bad = tmp_path / "huge.ndjson"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("plot", str(bad), "--out", str(tmp_path / "plots")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace record 3 is malformed") and "Traceback" not in err
+
 
 class TestSimulate:
     def test_prints_alarms_for_base_config(self, capsys):

@@ -25,7 +25,7 @@ from strategy_tuner import (
 )
 from strategy_tuner import orchestrator
 from strategy_tuner import rng as rng_module
-from strategy_tuner.distributions import LAMBDA_CAP, compile_sampler
+from strategy_tuner.distributions import LAMBDA_CAP, DrawSource, compile_sampler
 
 
 def _rate(lam):
@@ -94,10 +94,10 @@ class TestPairing:
             _rate(lam)
 
 
-def _counts(lam, stream, n):
+def _counts(lam, random, n):
     """n draws of Poisson(lam), lam > 0, through the compiled sampler of rate lam from base 0."""
     _, draw = compile_sampler(_rate(lam))
-    return [draw(stream.random).value for _ in range(n)]
+    return [draw(random).value for _ in range(n)]
 
 
 class TestSampleParam:
@@ -112,9 +112,9 @@ class TestSampleParam:
     def test_poisson_offset_mean(self):
         # mean of base 10 + Poisson(10) over 1e5 draws: 20 +/- 0.1
         _, draw = compile_sampler(ParamDistribution(IntVal(10), (10.0,)))
-        stream = RandomStream(3).split("t")
+        random = RandomStream(3).generator("t")
         n = 100_000
-        total = sum(draw(stream.random).value for _ in range(n))
+        total = sum(draw(random).value for _ in range(n))
         assert 19.9 <= total / n <= 20.1
 
     @given(
@@ -132,32 +132,32 @@ class TestSampleParam:
     @settings(max_examples=200)
     def test_sample_dominates_base(self, dist, seed):
         fixed, draw = compile_sampler(dist)
-        sample = fixed if draw is None else draw(RandomStream(seed).split("s").random)
+        sample = fixed if draw is None else draw(RandomStream(seed).generator("s"))
         assert leq(dist.base, sample)
 
 
 class _ScriptedDraws:
-    """A stream that returns the given draws in order and counts them."""
+    """A draw source that returns the given draws in order and counts them."""
 
     def __init__(self, draws):
         self.draws = draws
         self.taken = 0
 
-    def random(self) -> float:
+    def __call__(self) -> float:
         self.taken += 1
         return self.draws[self.taken - 1]
 
 
-def _old_sample_param(dist: ParamDistribution, rng: RandomStream):
+def _old_sample_param(dist: ParamDistribution, random: DrawSource):
     """The rule before draws were skipped: draw the delta, then join it into the base."""
     delta, base = dist.delta, dist.base
     if isinstance(base, IntVal):
-        draw = _reference_poisson(delta[0], rng)
+        draw = _reference_poisson(delta[0], random)
         # saturating addition: an infinite base, or one at the ceiling or above, stays put
         return base if base.value >= INT_CEILING else IntVal(min(base.value + draw, INT_CEILING))
     if isinstance(base, BoolVal):
-        return BoolVal(base.value or rng.random() < delta[0])
-    draw = sum(1 << i for i, q in enumerate(delta) if rng.random() < q)
+        return BoolVal(base.value or random() < delta[0])
+    draw = sum(1 << i for i, q in enumerate(delta) if random() < q)
     return BitsVal(base.value | draw, base.width)
 
 
@@ -210,17 +210,17 @@ class TestFixedDraws:
         # bit i takes draw i: were bit 0 (q = 0) skipped, bit 1 would
         # take 0.1 and be set
         dist = ParamDistribution(BitsVal.from_string("0000"), (0.0, 0.5, 1.0, 0.5))
-        stream = _ScriptedDraws([0.1, 0.9, 0.1, 0.1])
+        random = _ScriptedDraws([0.1, 0.9, 0.1, 0.1])
         _, draw = compile_sampler(dist)
-        assert draw(stream.random) == BitsVal.from_string("0011")
-        assert stream.taken == 4
+        assert draw(random) == BitsVal.from_string("0011")
+        assert random.taken == 4
 
     @given(_DISTRIBUTIONS, stx.integers(0, 2**32))
     @settings(max_examples=300)
     def test_same_sample_as_drawing_first(self, dist, seed):
         fixed, draw = compile_sampler(dist)
-        ours = fixed if draw is None else draw(RandomStream(seed).split("s").random)
-        assert ours == _old_sample_param(dist, RandomStream(seed).split("s"))
+        ours = fixed if draw is None else draw(RandomStream(seed).generator("s"))
+        assert ours == _old_sample_param(dist, RandomStream(seed).generator("s"))
 
 
 class TestSaturation:
@@ -229,13 +229,13 @@ class TestSaturation:
     def test_plain_addition(self):
         _, draw = compile_sampler(ParamDistribution(IntVal(10), (5.0,)))
         for seed in range(20):
-            (count,) = _counts(5.0, RandomStream(seed).split("s"), 1)
-            assert draw(RandomStream(seed).split("s").random) == IntVal(10 + count)
+            (count,) = _counts(5.0, RandomStream(seed).generator("s"), 1)
+            assert draw(RandomStream(seed).generator("s")) == IntVal(10 + count)
 
     def test_clamps_at_ceiling(self):
         _, draw = compile_sampler(ParamDistribution(IntVal(INT_CEILING - 2), (100.0,)))
-        stream = RandomStream(0).split("s")
-        assert all(draw(stream.random) == IntVal(INT_CEILING) for _ in range(100))
+        random = RandomStream(0).generator("s")
+        assert all(draw(random) == IntVal(INT_CEILING) for _ in range(100))
 
     def test_infinite_base_stays_infinite(self):
         dist = ParamDistribution(IntVal(INFINITY), (5.0,))
@@ -249,7 +249,7 @@ class TestSaturation:
     @settings(max_examples=50)
     def test_never_produces_infinity(self, base, lam, seed):
         fixed, draw = compile_sampler(ParamDistribution(IntVal(base), (lam,)))
-        sample = fixed if draw is None else draw(RandomStream(seed).split("s").random)
+        sample = fixed if draw is None else draw(RandomStream(seed).generator("s"))
         assert not sample.is_infinite and sample.value <= INT_CEILING
 
 
@@ -305,9 +305,9 @@ class TestCompiledPlan:
             for name, value in zip(config.names, config.values):
                 dist = distributions[name]
                 fixed, draw = compile_sampler(dist)
-                stream = sample.split("param", name)
-                assert value == (fixed if draw is None else draw(stream.random))
-                assert value == _old_sample_param(dist, sample.split("param", name))
+                random = sample.generator("param", name)
+                assert value == (fixed if draw is None else draw(random))
+                assert value == _old_sample_param(dist, sample.generator("param", name))
 
     def test_fixed_parameters_seed_no_generator(self, monkeypatch):
         seeded = []
@@ -315,13 +315,24 @@ class TestCompiledPlan:
         monkeypatch.setattr(
             rng_module, "_seeded", lambda hasher: seeded.append(1) or seed_generator(hasher)
         )
+        # the labels of each stream the orchestrator splits off, by identity;
+        # the stream is kept so that no other object takes its id
+        split_off = {}
+        split = RandomStream.split
+
+        def recording_split(self, *labels):
+            child = split(self, *labels)
+            split_off[id(child)] = (child, labels)
+            return child
+
         asked = []
         generator = RandomStream.generator
 
         def recording_generator(self, *labels):
-            asked.append((self.path, labels))
+            asked.append((split_off[id(self)][1], labels))
             return generator(self, *labels)
 
+        monkeypatch.setattr(RandomStream, "split", recording_split)
         monkeypatch.setattr(RandomStream, "generator", recording_generator)
         distributions = _CATALOG.initial_distributions()
         fixed = {
@@ -359,30 +370,30 @@ class TestSamplePoisson:
         assert compile_sampler(_rate(0.0)) == (IntVal(0), None)
 
     def test_mean_at_rate_20(self):
-        stream = RandomStream(4).split("p")
+        random = RandomStream(4).generator("p")
         n = 100_000
-        mean = sum(_counts(20.0, stream, n)) / n
+        mean = sum(_counts(20.0, random, n)) / n
         assert abs(mean - 20.0) <= 3.0 * math.sqrt(20.0 / n)
 
     def test_mass_at_zero_rate_4(self):
-        stream = RandomStream(5).split("p")
+        random = RandomStream(5).generator("p")
         n = 100_000
-        zeros = _counts(4.0, stream, n).count(0)
+        zeros = _counts(4.0, random, n).count(0)
         assert abs(zeros / n - math.exp(-4.0)) <= 0.005
 
     def test_large_rate_mean(self):
         # mean check exercises the >= 30 (PTRS) path
-        stream = RandomStream(6).split("p")
+        random = RandomStream(6).generator("p")
         n = 20_000
-        mean = sum(_counts(150.0, stream, n)) / n
+        mean = sum(_counts(150.0, random, n)) / n
         assert abs(mean - 150.0) <= 4.0 * math.sqrt(150.0 / n)
 
     def test_ceiling_cap(self):
         # three below the ceiling, a draw adds at most 3
-        stream = RandomStream(7).split("p")
+        random = RandomStream(7).generator("p")
         for lam in (50.0, LAMBDA_CAP):
             _, draw = compile_sampler(ParamDistribution(IntVal(INT_CEILING - 3), (lam,)))
-            assert draw(stream.random).value - (INT_CEILING - 3) <= 3
+            assert draw(random).value - (INT_CEILING - 3) <= 3
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -396,9 +407,9 @@ class TestSamplePoisson:
 
     def test_draw_cost_independent_of_rate(self):
         # an O(lam) sampler needs about 10 ms a draw at the cap
-        stream = RandomStream(8).split("p")
+        random = RandomStream(8).generator("p")
         start = time.perf_counter()
-        _counts(LAMBDA_CAP, stream, 10_000)
+        _counts(LAMBDA_CAP, random, 10_000)
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -406,8 +417,8 @@ class TestSamplePoisson:
         # below 30 every draw must consume the same uniforms as plain
         # inversion by sequential search, so such runs replay unchanged
         rates = [0.05, 0.4, 1.0, 2.5, 7.0, 12.5, 20.0, 29.0, 29.999]
-        ours = RandomStream(seed).split("replay")
-        ref = RandomStream(seed).split("replay")
+        ours = RandomStream(seed).generator("replay")
+        ref = RandomStream(seed).generator("replay")
         for lam in rates:
             for count in _counts(lam, ours, 200):
                 assert count == _reference_inversion(lam, ref)
@@ -416,22 +427,22 @@ class TestSamplePoisson:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_large_rates_replay_ptrs(self, seed):
         rates = [30.0, 45.5, 150.0, 1e4, LAMBDA_CAP]
-        ours = RandomStream(seed).split("replay")
-        ref = RandomStream(seed).split("replay")
+        ours = RandomStream(seed).generator("replay")
+        ref = RandomStream(seed).generator("replay")
         for lam in rates:
             for count in _counts(lam, ours, 200):
                 assert count == _reference_ptrs(lam, ref)
 
 
-def _reference_poisson(lam: float, rng: RandomStream) -> int:
+def _reference_poisson(lam: float, random: DrawSource) -> int:
     """Poisson(lam) capped at the ceiling, as the sampler has always drawn it."""
     if lam == 0:
         return 0
-    draw = _reference_inversion(lam, rng) if lam < 30.0 else _reference_ptrs(lam, rng)
+    draw = _reference_inversion(lam, random) if lam < 30.0 else _reference_ptrs(lam, random)
     return min(draw, INT_CEILING)
 
 
-def _reference_ptrs(lam: float, rng: RandomStream) -> int:
+def _reference_ptrs(lam: float, random: DrawSource) -> int:
     """Hörmann's PTRS (1993), restated with every constant computed per draw."""
     slam = math.sqrt(lam)
     log_lam = math.log(lam)
@@ -440,8 +451,8 @@ def _reference_ptrs(lam: float, rng: RandomStream) -> int:
     log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     while True:
-        u = rng.random() - 0.5
-        v = 1.0 - rng.random()
+        u = random() - 0.5
+        v = 1.0 - random()
         us = 0.5 - abs(u)
         if us < 0.013 and v > us:
             continue
@@ -456,9 +467,9 @@ def _reference_ptrs(lam: float, rng: RandomStream) -> int:
             return k
 
 
-def _reference_inversion(lam: float, rng: RandomStream) -> int:
+def _reference_inversion(lam: float, random: DrawSource) -> int:
     """Inversion by sequential search, as the sampler has always done below 30."""
-    u = rng.random()
+    u = random()
     p = math.exp(-lam)
     cdf = p
     k = 0

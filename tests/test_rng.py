@@ -12,22 +12,27 @@ from strategy_tuner import RandomStream
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _draws(stream: RandomStream, n: int) -> list[float]:
+    draw = stream.generator()
+    return [draw() for _ in range(n)]
+
+
 def test_same_seed_same_sequence():
     a = RandomStream(42)
     b = RandomStream(42)
-    assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
+    assert _draws(a, 10) == _draws(b, 10)
 
 
 def test_different_seeds_differ():
     a = RandomStream(1)
     b = RandomStream(2)
-    assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
+    assert _draws(a, 5) != _draws(b, 5)
 
 
 def test_split_is_deterministic():
     a = RandomStream(7).split("iter", 3, "sample", 1, "param", "slevel")
     b = RandomStream(7).split("iter", 3, "sample", 1, "param", "slevel")
-    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
+    assert _draws(a, 5) == _draws(b, 5)
 
 
 def test_sibling_substreams_differ():
@@ -35,43 +40,46 @@ def test_sibling_substreams_differ():
     a = root.split("iter", 0, "sample", 0, "param", "slevel")
     b = root.split("iter", 0, "sample", 0, "param", "ilevel")
     c = root.split("iter", 0, "sample", 1, "param", "slevel")
-    seq_a = [a.random() for _ in range(5)]
-    seq_b = [b.random() for _ in range(5)]
-    seq_c = [c.random() for _ in range(5)]
+    seq_a = _draws(a, 5)
+    seq_b = _draws(b, 5)
+    seq_c = _draws(c, 5)
     assert seq_a != seq_b
     assert seq_a != seq_c
 
 
 def test_split_does_not_disturb_parent():
     root = RandomStream(5)
-    before = root.random()
+    before = _draws(root, 2)
     root.split("child")
-    root2 = RandomStream(5)
-    root2.random()
-    root2.split("other-child")
-    assert before == RandomStream(5).random()
-    assert root.random() == root2.random()
+    root.generator("other-child")
+    assert _draws(root, 2) == before == _draws(RandomStream(5), 2)
+
+
+def test_each_generator_starts_at_the_first_draw():
+    stream = RandomStream(5).split("p")
+    used = stream.generator()
+    first, second = used(), used()
+    assert stream.generator()() == first != second
 
 
 def test_label_types_distinguished():
     # integer 1 and string "1" must address different streams
     a = RandomStream(0).split(1)
     b = RandomStream(0).split("1")
-    assert [a.random() for _ in range(3)] != [b.random() for _ in range(3)]
+    assert _draws(a, 3) != _draws(b, 3)
 
 
 def test_draws_in_unit_interval():
-    stream = RandomStream(9).split("x")
+    draw = RandomStream(9).generator("x")
     for _ in range(1000):
-        u = stream.random()
+        u = draw()
         assert 0.0 <= u < 1.0
 
 
 # Draws captured from the stream implementation that hashed the whole
 # path on every split; an incremental key must reproduce them exactly.
 def test_root_stream_draws_pinned():
-    stream = RandomStream(7)
-    assert [stream.random() for _ in range(3)] == [
+    assert _draws(RandomStream(7), 3) == [
         0.4254510630752716,
         0.5512901665030351,
         0.524689257031257,
@@ -80,7 +88,7 @@ def test_root_stream_draws_pinned():
 
 def test_split_stream_draws_pinned():
     stream = RandomStream(7).split("iter", 3, "sample", 1, "param", "slevel")
-    assert [stream.random() for _ in range(3)] == [
+    assert _draws(stream, 3) == [
         0.5213876165967912,
         0.8915875140815948,
         0.3106537849606229,
@@ -95,12 +103,13 @@ def test_generator_draws_as_the_split_stream():
         0.8915875140815948,
         0.3106537849606229,
     ]
-    assert sample.path == ("iter", 3, "sample", 1)
+    # a generator for a child leaves the stream's own draws alone
+    assert _draws(sample, 3) == _draws(RandomStream(7).split("iter", 3, "sample", 1), 3)
 
 
 def test_look_alike_labels_draws_pinned():
     stream = RandomStream(0).split(1, "1")
-    assert [stream.random() for _ in range(3)] == [
+    assert _draws(stream, 3) == [
         0.24316518328073056,
         0.025362001099558884,
         0.2999960571901342,
@@ -111,9 +120,7 @@ def test_chained_splits_equal_one_split():
     root = RandomStream(11)
     chained = root.split("a", 2).split("b")
     direct = root.split("a", 2, "b")
-    assert chained.path == direct.path
-    assert [chained.random() for _ in range(5)] == [direct.random() for _ in range(5)]
-
+    assert _draws(chained, 5) == _draws(direct, 5)
 
 
 # pytest and hypothesis import hashlib themselves, so only a fresh

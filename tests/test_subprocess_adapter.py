@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import shlex
 import sys
 import time
@@ -76,6 +77,23 @@ class TestEchoFixtures:
         alarms, anomalies = analyzer.extract_alarms("warn good\noops bad\n")
         assert anomalies == 2
         assert alarms == frozenset()
+
+    def test_incomplete_matches_log_one_warning(self, catalog, base_task, caplog):
+        script = "print('warn good'); print('oops bad')"
+        adapter = AdapterConfig(
+            command=f'{sys.executable} -c "{script}"',
+            pattern=r"warn (\S+)|oops (\S+)",
+        )
+        with caplog.at_level(logging.WARNING, logger="strategy_tuner.subprocess_adapter"):
+            outcome = SubprocessAnalyzer(adapter, catalog).run(base_task)
+        assert outcome == Completed(alarms=frozenset(), wall_time=outcome.wall_time)
+        assert caplog.record_tuples == [
+            (
+                "strategy_tuner.subprocess_adapter",
+                logging.WARNING,
+                "2 output line(s) matched the alarm pattern incompletely",
+            )
+        ]
 
 
 class TestTemplate:

@@ -260,14 +260,19 @@ class TestMalformedTraces:
         with pytest.raises(ConfigParseError, match=f"trace record {index} is malformed: .*{reason}"):
             read_trace("\n".join(lines))
 
-    @pytest.mark.parametrize("value", [-3.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "value",
+        [-3.0, math.nan, math.inf, "5", True, 10**400],
+        ids=["negative", "nan", "inf", "string", "bool", "too-large"],
+    )
     @pytest.mark.parametrize(
         "index, field",
         [(3, "elapsed"), (3, "completed wall_time"), (4, "timed_out wall_time")],
         ids=["elapsed", "completed", "timed-out"],
     )
     def test_times_must_be_finite_and_nonnegative(self, index, field, value):
-        # read back before: a negative or nan elapsed would replay as budget
+        # read back before: a negative or nan elapsed would replay as budget,
+        # "5" and true as 5.0 and 1.0, and 10**400 raised OverflowError
         lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[index])
         if field == "elapsed":
@@ -324,13 +329,15 @@ class TestMalformedTraces:
             ("domains", "qs", ["0.5"] * 5),
             ("domains", "qs", [True] * 5),
             ("domains", "qs", "00000"),
+            ("slevel", "lambda", 10**400),
         ],
         ids=["lambda-string", "lambda-bool", "q-string", "q-bool", "qs-strings", "qs-bools",
-             "qs-a-string"],
+             "qs-a-string", "lambda-too-large"],
     )
     def test_deltas_must_be_json_numbers(self, name, field, value):
         # read back before as 5.0, 1.0, 0.5, 1.0, five 0.5s, five 1.0s and
-        # one 0.0 per character: a distribution the run never had
+        # one 0.0 per character: a distribution the run never had; 10**400
+        # raised OverflowError
         lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[0])
         record["distributions_before"][name]["delta"][field] = value
