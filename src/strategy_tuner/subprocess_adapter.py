@@ -12,6 +12,7 @@ normalize to the same key are deduplicated.
 from __future__ import annotations
 
 import locale
+import logging
 import os
 import re
 import selectors
@@ -25,6 +26,8 @@ from typing import IO
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Completed, Crashed, TimedOut
 from .paramspace import Catalog, render_cli_args
+
+log = logging.getLogger(__name__)
 
 #: The placeholders a command template may use.
 _PLACEHOLDERS = ("program", "args")
@@ -148,12 +151,7 @@ class SubprocessAnalyzer:
             return Crashed(exit_info=f"exit status {proc.returncode}")
         alarms, anomalies = self.extract_alarms(_decode(output))
         if anomalies:
-            # logging is loaded only by a run that has something to report
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "%d output line(s) matched the alarm pattern incompletely", anomalies
-            )
+            log.warning("%d output line(s) matched the alarm pattern incompletely", anomalies)
         return Completed(alarms=alarms, wall_time=wall)
 
     @staticmethod

@@ -9,7 +9,6 @@ round-trips losslessly into an IterationRecord without a catalog.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Sequence, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
@@ -17,7 +16,7 @@ from .distributions import ParamDistribution, scaling_factor
 from .errors import ConfigParseError
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value
 from .orchestrator import IterationRecord, TuneResult
-from .paramspace import Configuration
+from .paramspace import Configuration, nonnegative
 
 SCHEMA_VERSION = 1
 
@@ -42,14 +41,6 @@ def _number(value: Any, field: str) -> float:
         return float(value)
     except OverflowError:
         raise ConfigParseError(f"{field} must fit in a float") from None
-
-
-def _seconds(value: Any, field: str) -> float:
-    """A JSON number of seconds: finite and at least 0."""
-    seconds = _number(value, field)
-    if not 0.0 <= seconds < math.inf:
-        raise ConfigParseError(f"{field} must be finite and at least 0, got {value!r}")
-    return seconds
 
 
 def distribution_from_json(obj: dict[str, Any]) -> ParamDistribution:
@@ -115,9 +106,9 @@ def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
     status = obj.get("status")
     if status == "completed":
         alarms = frozenset(_strings(obj["alarms"], "alarms"))
-        return Completed(alarms=alarms, wall_time=_seconds(obj["wall_time"], "wall_time"))
+        return Completed(alarms=alarms, wall_time=nonnegative(_number(obj["wall_time"], "wall_time")))
     if status == "timed_out":
-        return TimedOut(wall_time=_seconds(obj["wall_time"], "wall_time"))
+        return TimedOut(wall_time=nonnegative(_number(obj["wall_time"], "wall_time")))
     if status == "crashed":
         if type(obj["exit_info"]) is not str:
             raise ConfigParseError("exit_info must be a string")
@@ -196,7 +187,7 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
         eta=eta,
         distributions_before=before,
         distributions_after=after,
-        elapsed=_seconds(obj["elapsed"], "elapsed"),
+        elapsed=nonnegative(_number(obj["elapsed"], "elapsed")),
     )
 
 
