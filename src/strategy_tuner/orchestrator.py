@@ -220,6 +220,10 @@ def run_batch(
     calling thread.
     """
     tasks = [AnalysisTask(program_ref=program_ref, config=c, timeout=timeout) for c in configs]
+    # The alarm sets found to hold only strings, by identity: an analyzer
+    # that shares one set among its outcomes has it checked once a batch.
+    # Holding the set keeps its id from being reused within the batch.
+    all_strings: dict[int, frozenset[str]] = {}
 
     def guarded(task: AnalysisTask) -> AnalysisOutcome:
         try:
@@ -233,8 +237,15 @@ def run_batch(
             return Crashed(exit_info=f"analyzer reported exit info as {type(info).__name__}")
         if not isinstance(outcome, (Completed, TimedOut)):
             return Crashed(exit_info=f"analyzer returned {type(outcome).__name__}, not an outcome")
-        if isinstance(outcome, Completed) and not isinstance(outcome.alarms, frozenset):
-            return Crashed(exit_info=f"analyzer reported alarms as {type(outcome.alarms).__name__}")
+        if isinstance(outcome, Completed):
+            alarms = outcome.alarms
+            if not isinstance(alarms, frozenset):
+                return Crashed(exit_info=f"analyzer reported alarms as {type(alarms).__name__}")
+            if all_strings.get(id(alarms)) is not alarms:
+                if not all(map(isinstance, alarms, itertools.repeat(str))):
+                    kinds = sorted({type(a).__name__ for a in alarms if not isinstance(a, str)})
+                    return Crashed(exit_info=f"analyzer reported alarm ids as {', '.join(kinds)}")
+                all_strings[id(alarms)] = alarms
         wall = outcome.wall_time
         if not (isinstance(wall, (int, float)) and 0.0 <= wall < math.inf):
             return Crashed(exit_info=f"analyzer reported wall time {wall!r}")

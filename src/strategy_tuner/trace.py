@@ -9,6 +9,7 @@ round-trips losslessly into an IterationRecord without a catalog.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
@@ -191,9 +192,48 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
     )
 
 
+class _EscapedIds(dict):
+    """Alarm id -> its JSON string, as json.dumps escapes a str; an id not
+    given up front is escaped on first use."""
+
+    def __missing__(self, alarm: str) -> str:
+        escaped = self[alarm] = encode_basestring_ascii(alarm)
+        return escaped
+
+
 def write_record(stream: TextIO, record: IterationRecord) -> None:
-    """Append one record and flush, keeping partial traces readable."""
-    stream.write(json.dumps(record_to_json(record)) + "\n")
+    """Append one record and flush, keeping partial traces readable.
+
+    The line is ``json.dumps(record_to_json(record))``, byte for byte.
+    json.dumps would build one escaped string per alarm occurrence and
+    hold them all until the line is joined; here each alarm id is escaped
+    once per record, and each alarm list (``record_to_json`` shares one
+    among the outcomes that hold equal sets) is laid out once. The record
+    is dumped with every outcome's alarms as null, and the lists are
+    spliced in where ``"alarms": null`` stands. Nothing else is written
+    so: a parameter named ``alarms`` holds a string or an object, and a
+    string's quotes are escaped.
+    """
+    obj = record_to_json(record)
+    completed = [outcome for outcome in obj["outcomes"] if "alarms" in outcome]
+    # A record from tune lists every alarm its outcomes report in its universe.
+    universe = record.alarm_universe
+    escaped = _EscapedIds(zip(universe, map(encode_basestring_ascii, universe)))
+    texts: dict[int, str] = {}  # id of an alarm list -> its items' text
+    spliced = []
+    for outcome in completed:
+        alarms = outcome["alarms"]
+        if id(alarms) not in texts:
+            texts[id(alarms)] = ", ".join(map(escaped.__getitem__, alarms))
+        spliced.append(texts[id(alarms)])
+    for outcome in completed:
+        outcome["alarms"] = None
+    chunks = json.dumps(obj).split('"alarms": null')
+    parts = [chunks[0]]
+    for items, chunk in zip(spliced, chunks[1:], strict=True):
+        parts += ('"alarms": [', items, "]", chunk)
+    parts.append("\n")
+    stream.write("".join(parts))
     stream.flush()
 
 

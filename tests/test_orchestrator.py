@@ -320,6 +320,45 @@ class TestAnalyzerContract:
         assert all(isinstance(o, Crashed) for o in record.outcomes)
         assert "list" in record.outcomes[0].exit_info
 
+    @pytest.mark.parametrize(
+        "alarms, kinds",
+        [
+            (frozenset({1, "a"}), "int"),
+            (frozenset({1, 2}), "int"),
+            (frozenset({b"x", 2.5}), "bytes, float"),
+        ],
+        ids=["int-and-str", "ints", "bytes-and-float"],
+    )
+    def test_alarm_ids_not_all_strings_is_a_crash(self, catalog, alarms, kinds):
+        # {1, "a"} made tune raise TypeError from the result matrix's sort;
+        # {1, 2} wrote a trace that read_trace rejected at record 0
+        from strategy_tuner.trace import read_trace, write_record
+
+        buffer = io.StringIO()
+        settings = TunerSettings(time_budget=100.0, max_iterations=3)
+        write = lambda record: write_record(buffer, record)  # noqa: E731
+        analyzer = Returning(lambda t: Completed(alarms, 1.0))
+        result = tune("prog", catalog, settings, analyzer, on_record=write)
+        infos = {o.exit_info for r in result.iteration_trace for o in r.outcomes}
+        assert infos == {f"analyzer reported alarm ids as {kinds}"}
+        assert tuple(read_trace(buffer.getvalue())) == result.iteration_trace
+
+    def test_a_shared_alarm_set_is_checked_once_a_batch(self, catalog):
+        class CountingSet(frozenset):
+            iterations = 0
+
+            def __iter__(self):
+                CountingSet.iterations += 1
+                return super().__iter__()
+
+        shared = CountingSet({"a", "b"})
+        configs = [catalog.base_configuration()] * 4
+        analyzer = Returning(lambda t: Completed(shared, 1.0))
+        for batch in range(1, 3):
+            outcomes = orchestrator.run_batch(analyzer, "prog", configs, 10.0, None)
+            assert all(o.alarms is shared for o in outcomes)
+            assert CountingSet.iterations == batch
+
     def test_not_an_outcome_is_a_crash(self, catalog):
         # None ran at no charge, and writing the trace raised AttributeError
         from strategy_tuner.trace import read_trace, write_record

@@ -9,6 +9,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as stx
 
 from strategy_tuner import (
     BitsVal,
@@ -178,6 +180,71 @@ class TestAlarmOrder:
         assert [o.get("alarms") for o in obj["outcomes"]] == [
             ["a", "c"], ["b"], ["a", "c"], [], ["b"], None
         ]
+
+
+#: Alarm ids that JSON must escape: a quote, a backslash, a tab, a
+#: non-ASCII letter, an astral code point, and the empty id.
+ESCAPED_IDS = ('say "hi"', "back\\slash", "tab\there", "naïve", "astral \U0001F600", "", "plain")
+
+
+class CyclingAnalyzer:
+    """A virtual-clock analyzer that returns its outcomes in turn, one a task."""
+
+    virtual_clock = True
+
+    def __init__(self, make):
+        self.make = make
+        self.calls = 0
+
+    def run(self, task):
+        outcome = self.make[self.calls % len(self.make)](task)
+        self.calls += 1
+        return outcome
+
+
+class TestWriter:
+    def test_lines_are_json_dumps_of_the_record(self, catalog_module):
+        # each alarm id is escaped once per record, each alarm list laid out
+        # once: the bytes are json.dumps's all the same
+        shared = frozenset(ESCAPED_IDS)
+        analyzer = CyclingAnalyzer([
+            lambda t: Completed(shared, 1.5),
+            lambda t: TimedOut(t.timeout),
+            lambda t: Completed(frozenset(ESCAPED_IDS[:3]), 2),
+            lambda t: Crashed('exit "2": \'quoted\' and \\ "more"'),
+            lambda t: Completed(shared, 0.25),
+            lambda t: Completed(frozenset({""}), 0.0),
+            lambda t: Completed(frozenset(), 1.0),
+        ])
+        settings = TunerSettings(time_budget=100.0, num_sample=5, max_iterations=4)
+        buffer = io.StringIO()
+        result = tune(
+            "prog", catalog_module, settings, analyzer,
+            on_record=lambda record: write_record(buffer, record),
+        )
+        statuses = {type(o) for r in result.iteration_trace for o in r.outcomes}
+        assert statuses == {Completed, TimedOut, Crashed}
+        lines = buffer.getvalue().splitlines()
+        assert lines == [json.dumps(record_to_json(r)) for r in result.iteration_trace]
+        assert tuple(read_trace(buffer.getvalue())) == result.iteration_trace
+
+    @given(
+        stx.lists(stx.frozensets(stx.text(), max_size=6), min_size=1, max_size=6),
+        stx.lists(stx.integers(0, 5), max_size=6),
+    )
+    def test_any_alarm_ids_write_as_json_dumps(self, short_run, sets, repeats):
+        # a set held by two outcomes is one shared object, as the synthetic
+        # analyzer reports it; the universe may lack some of the ids
+        outcomes = [Completed(s, 0.5) for s in sets]
+        outcomes += [outcomes[i % len(sets)] for i in repeats]
+        record = dataclasses.replace(
+            short_run.iteration_trace[0],
+            outcomes=(*outcomes, TimedOut(1.0), Crashed('"')),
+            alarm_universe=tuple(sets[0]),
+        )
+        buffer = io.StringIO()
+        write_record(buffer, record)
+        assert buffer.getvalue() == json.dumps(record_to_json(record)) + "\n"
 
 
 class TestMalformedTraces:
