@@ -21,12 +21,14 @@ from typing import Mapping, Protocol, Union
 
 from .errors import ConfigParseError, ProfileError
 from .keytree import parse_keytree
-from .lattice import BitsVal, IntVal, LatticeValue, leq, parse_value, same_kind
+from .lattice import BitsVal, IntVal, LatticeValue, leq, parse_value, reduce_by_fields, same_kind
 from .paramspace import Catalog, Configuration, config_join, nonnegative
 
 
 @dataclass(frozen=True)
 class AnalysisTask:
+    __slots__ = ("program_ref", "config", "timeout")
+    __reduce__ = reduce_by_fields
     program_ref: str
     config: Configuration
     timeout: float
@@ -38,17 +40,23 @@ class AnalysisTask:
 
 @dataclass(frozen=True)
 class Completed:
+    __slots__ = ("alarms", "wall_time")
+    __reduce__ = reduce_by_fields
     alarms: frozenset[str]
     wall_time: float
 
 
 @dataclass(frozen=True)
 class TimedOut:
+    __slots__ = ("wall_time",)
+    __reduce__ = reduce_by_fields
     wall_time: float
 
 
 @dataclass(frozen=True)
 class Crashed:
+    __slots__ = ("exit_info",)
+    __reduce__ = reduce_by_fields
     exit_info: str
 
 

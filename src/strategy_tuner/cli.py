@@ -108,6 +108,7 @@ _SETTINGS = (
     ("seed", "seed", int),
     ("iteration_fraction", None, float),
     ("min_slice", None, float),
+    ("refinement", None, str),
 )
 
 # Every key a run config may set; any other key is rejected at load time.

@@ -11,7 +11,8 @@ that every sample drawn from it reuses.
 Refinement has two halves:
 
 * the base moves up the lattice by joining, per alarm, the meet of all
-  sampled values whose analysis eliminated that alarm (``refine_base``);
+  sampled values whose analysis eliminated that alarm, when the
+  refinement rule admits it (``refine_base``);
 * the delta is scaled by the completion-rate factor eta, growing
   exploration when analyses finish and shrinking it when they time out
   (``refine_delta`` / ``scaling_factor``).
@@ -22,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
-from operator import and_, or_
+from itertools import compress
+from operator import and_, ge, not_, or_
 from typing import Callable, NamedTuple
 
 from .errors import InvalidSettingsError, LatticeMismatchError
@@ -32,12 +34,17 @@ from .lattice import (
     BoolVal,
     IntVal,
     LatticeValue,
+    reduce_by_fields,
     top,
 )
 
 #: Cap applied to Poisson rates during refinement so repeated eta > 1
 #: scaling cannot diverge.
 LAMBDA_CAP = 100_000.0
+
+#: The rules by which ``refine_base`` admits a column's meet: the paper's,
+#: and the contrast rule (``tuner.refinement``).
+REFINEMENT_RULES = ("paper", "evidence")
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,8 @@ class ParamDistribution:
     entry i for bit i, for a bit-vector base.
     """
 
+    __slots__ = ("base", "delta")
+    __reduce__ = reduce_by_fields
     base: LatticeValue
     delta: tuple[float, ...]
 
@@ -226,32 +235,43 @@ class ResultMatrix:
         return len(self.alarms)
 
     @cached_property
-    def eliminator_sets(self) -> tuple[tuple[int, ...], ...]:
-        """The distinct nonempty sets of rows that eliminated some alarm.
+    def columns(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """One ``(eliminators, producers)`` pair of row indices per distinct alarm column.
 
-        Each set holds the indices of the rows that did not produce one
-        alarm column; columns with the same set appear once, in order of
-        first appearance.
+        ``eliminators`` holds the rows that did not produce the column's
+        alarm, ``producers`` the rows that did. Columns with the same cells
+        appear once, in order of first appearance.
         """
-        columns = dict.fromkeys(zip(*(row.produced for row in self.rows)))
-        sets = (tuple(i for i, produced in enumerate(col) if not produced) for col in columns)
-        return tuple(rows for rows in sets if rows)
+        indices = range(len(self.rows))
+        distinct = dict.fromkeys(zip(*(row.produced for row in self.rows)))
+        return tuple(
+            (tuple(compress(indices, map(not_, col))), tuple(compress(indices, col)))
+            for col in distinct
+        )
 
 
 def refine_base(
-    matrix: ResultMatrix, param: str, current_base: LatticeValue
+    matrix: ResultMatrix, param: str, current_base: LatticeValue, rule: str = "paper"
 ) -> LatticeValue:
     """Move the base point up to cover every alarm eliminated this round.
 
     For each alarm column, take the meet of the sampled values across all
     rows that did NOT produce the alarm (the least precise setting that
-    still eliminated it); join every such meet into the base. Columns
-    where no row eliminated the alarm contribute nothing, nor does a meet
-    equal to top. Columns sharing their set of eliminating rows share
-    their meet, so it is taken once per distinct set. The result always
-    dominates ``current_base``; with no completed rows it is returned
-    unchanged.
+    still eliminated it), and join it into the base if the rule admits
+    it. Columns where no row eliminated the alarm contribute nothing.
+
+    * ``"paper"``: every meet except one equal to top.
+    * ``"evidence"``: a meet that some row producing the alarm does not
+      reach, so that the column contrasts the values that eliminated the
+      alarm with one that did not. A column that every row eliminated, or
+      whose producers all lie at or above the meet, contributes nothing.
+
+    Columns with the same cells share their meet, so it is taken once per
+    distinct column. The result always dominates ``current_base``; with
+    no completed rows it is returned unchanged.
     """
+    if rule not in REFINEMENT_RULES:
+        raise ValueError(f"refinement rule must be one of {REFINEMENT_RULES}, got {rule!r}")
     values = matrix.values_per_param.get(param, ())
     if len(values) != matrix.num_rows:
         raise ValueError(f"no value vector for parameter {param!r}")
@@ -266,11 +286,19 @@ def refine_base(
     keys = [v.value for v in values]
     meet_keys = partial(reduce, and_) if bits else min
     join_keys = or_ if bits else max
+    at_least = (lambda k, m: k & m == m) if bits else ge
+    evidence = rule == "evidence"
     top_key = top(current_base).value
     acc = current_base.value
-    for rows in matrix.eliminator_sets:
-        lowest = meet_keys(map(keys.__getitem__, rows))
-        if lowest != top_key:
+    for eliminators, producers in matrix.columns:
+        if not eliminators:
+            continue
+        lowest = meet_keys(map(keys.__getitem__, eliminators))
+        if evidence:
+            # some producer is not >= the meet exactly when the producers' meet is not
+            if producers and not at_least(meet_keys(map(keys.__getitem__, producers)), lowest):
+                acc = join_keys(acc, lowest)
+        elif lowest != top_key:
             acc = join_keys(acc, lowest)
     if acc == current_base.value:
         return current_base

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
 from .distributions import (
+    REFINEMENT_RULES,
     MatrixRow,
     ParamDistribution,
     ResultMatrix,
@@ -58,6 +59,7 @@ class TunerSettings:
     iteration_fraction: float = 0.5
     max_iterations: int | None = None
     min_slice: float = 1.0
+    refinement: str = "paper"
 
     def __post_init__(self) -> None:
         # A count is an int itself: neither a float with an integral value nor
@@ -87,6 +89,11 @@ class TunerSettings:
                 "min_slice",
                 type(self.min_slice) in number and 0 < self.min_slice < math.inf,
                 "a positive finite number",
+            ),
+            (
+                "refinement",
+                type(self.refinement) is str and self.refinement in REFINEMENT_RULES,
+                " or ".join(map(repr, REFINEMENT_RULES)),
             ),
         )
         for name, ok, requirement in checks:
@@ -247,7 +254,7 @@ def run_batch(
                     return Crashed(exit_info=f"analyzer reported alarm ids as {', '.join(kinds)}")
                 all_strings[id(alarms)] = alarms
         wall = outcome.wall_time
-        if not (isinstance(wall, (int, float)) and 0.0 <= wall < math.inf):
+        if not (type(wall) in (int, float) and 0.0 <= wall < math.inf):  # a bool is no time
             return Crashed(exit_info=f"analyzer reported wall time {wall!r}")
         return outcome if wall <= timeout else TimedOut(wall_time=timeout)
 
@@ -305,7 +312,7 @@ def tune(
             eta = scaling_factor(matrix.num_rows, settings.num_sample)
             after = {
                 name: ParamDistribution(
-                    refine_base(matrix, name, distributions[name].base),
+                    refine_base(matrix, name, distributions[name].base, settings.refinement),
                     refine_delta(distributions[name], eta),
                 )
                 for name in catalog.names

@@ -26,6 +26,7 @@ from .lattice import (
     join,
     leq,
     parse_value,
+    reduce_by_fields,
     same_kind,
 )
 
@@ -70,6 +71,8 @@ def _index(names: tuple[str, ...], name: str) -> int:
 class Configuration:
     """A concrete value for every catalog parameter: ``values[i]`` for ``names[i]``."""
 
+    __slots__ = ("names", "values")
+    __reduce__ = reduce_by_fields
     names: tuple[str, ...]
     values: tuple[LatticeValue, ...]
 

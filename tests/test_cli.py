@@ -19,10 +19,13 @@ from strategy_tuner import (
     Configuration,
     IntVal,
     LatticeMismatchError,
+    SyntheticAnalyzer,
     TunerSettings,
     default_catalog,
     parse_configuration,
+    parse_profile,
     serialize_configuration,
+    tune,
 )
 from strategy_tuner import cli
 from strategy_tuner.cli import main
@@ -114,6 +117,23 @@ class TestTune:
         )
         assert run_cli("tune", "--config", str(conf)) == 0
         assert (out / "trace.ndjson").exists()
+
+    @pytest.mark.parametrize("rule", ["paper", "evidence"])
+    def test_refinement_key_reaches_the_tuner(self, tmp_path, rule):
+        profile = SAMPLES / "convergence.profile"
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            f"profile = {profile}\ntuner.time_budget = 1000000000\n"
+            f"tuner.max_iterations = 14\ntuner.refinement = {rule}\n",
+            encoding="utf-8",
+        )
+        assert run_cli("tune", "--config", str(conf), "--out", str(tmp_path / "run")) == 0
+        catalog = default_catalog()
+        analyzer = SyntheticAnalyzer(parse_profile(profile.read_text(encoding="utf-8"), catalog))
+        settings = TunerSettings(time_budget=1e9, max_iterations=14, refinement=rule)
+        expected = tune("synthetic", catalog, settings, analyzer).recommended_config
+        written = (tmp_path / "run" / "recommended.conf").read_text(encoding="utf-8")
+        assert written == serialize_configuration(expected)
 
     def test_missing_program_is_config_error(self, capsys):
         assert run_cli("tune") == 2
@@ -268,6 +288,14 @@ class TestRejectedValues:
         text = f"profile = {PROFILE}\ntuner.max_iterations = 2\n{key} = inf\n"
         assert self._tune_config(tmp_path, text) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", ["contrast", "Evidence", ""])
+    def test_unknown_refinement_rule(self, tmp_path, capsys, rule):
+        text = f"profile = {PROFILE}\ntuner.max_iterations = 1\ntuner.refinement = {rule}\n"
+        assert self._tune_config(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: refinement must be 'paper' or 'evidence'")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "line", ["tuner.num_samples = 8", "tuner.budjet = 5", "adapter.comand = foo"]

@@ -11,8 +11,10 @@ result byte for byte with a file under ``tests/data/golden/``.
   bit-vector requirements, a twist, two incompressible alarms), seed 4,
   6 samples, 2 workers, 12 iterations, budget 1500, under which some
   analyses time out.
+* ``mixed-evidence``: the ``mixed`` scenario under ``refinement =
+  "evidence"``, the contrast rule.
 
-Regenerate both files with
+Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -37,15 +39,15 @@ from strategy_tuner.trace import write_record
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
 
+_MIXED = dict(time_budget=1500.0, num_sample=6, num_process=2, seed=4, max_iterations=12)
+
 SCENARIOS = {
     "convergence": (
         ROOT / "samples" / "convergence.profile",
         dict(time_budget=1e9, num_sample=4, num_process=4, seed=9, max_iterations=20),
     ),
-    "mixed": (
-        GOLDEN / "mixed.profile",
-        dict(time_budget=1500.0, num_sample=6, num_process=2, seed=4, max_iterations=12),
-    ),
+    "mixed": (GOLDEN / "mixed.profile", _MIXED),
+    "mixed-evidence": (GOLDEN / "mixed.profile", {**_MIXED, "refinement": "evidence"}),
 }
 
 

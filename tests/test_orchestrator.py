@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import io
+import json
 import math
 import random
 import threading
@@ -12,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stx
 
 from strategy_tuner import (
     AnalysisTask,
@@ -28,11 +31,15 @@ from strategy_tuner import (
     TunerSettings,
     build_result_matrix,
     config_dominates,
+    default_catalog,
     leq,
+    parse_configuration,
     parse_profile,
+    refine_delta,
     tune,
 )
 from strategy_tuner import orchestrator
+from strategy_tuner.analyzers import synthetic_alarms
 from strategy_tuner.paramspace import Configuration
 
 
@@ -213,6 +220,16 @@ class TestSettingsValidation:
             TunerSettings(**{"time_budget": 60.0, field: value})
         assert info.value.field == field
 
+    def test_refinement_defaults_to_the_paper(self):
+        assert TunerSettings(time_budget=60.0).refinement == "paper"
+        assert TunerSettings(time_budget=60.0, refinement="evidence").refinement == "evidence"
+
+    @pytest.mark.parametrize("value", ["contrast", "Paper", " evidence", "", 1, None])
+    def test_refinement_must_be_a_rule(self, value):
+        with pytest.raises(InvalidSettingsError, match="refinement must be 'paper' or") as info:
+            TunerSettings(time_budget=60.0, refinement=value)
+        assert info.value.field == "refinement"
+
     def test_numbers_may_be_ints(self):
         settings = TunerSettings(time_budget=5, iteration_fraction=1, min_slice=2)
         assert (settings.time_budget, settings.iteration_fraction, settings.min_slice) == (5, 1, 2)
@@ -297,6 +314,24 @@ class TestAnalyzerContract:
             for record in result.iteration_trace:
                 assert all(isinstance(o, Crashed) for o in record.outcomes)
             assert result.wall_time_total == 0.0
+
+    @pytest.mark.parametrize("wall", [True, False])
+    @pytest.mark.parametrize("status", [Completed, TimedOut])
+    def test_bool_wall_time_is_a_crash(self, catalog, status, wall):
+        # True passed as a time of 1: the trace held "wall_time": true,
+        # which read_trace rejected at record 0
+        from strategy_tuner.trace import read_trace, write_record
+
+        buffer = io.StringIO()
+        settings = TunerSettings(time_budget=100.0, max_iterations=1)
+        write = lambda record: write_record(buffer, record)  # noqa: E731
+        make = (lambda t: Completed(frozenset({"a"}), wall)) if status is Completed else (
+            lambda t: TimedOut(wall)
+        )
+        result = tune("prog", catalog, settings, Returning(make), on_record=write)
+        infos = {o.exit_info for r in result.iteration_trace for o in r.outcomes}
+        assert infos == {f"analyzer reported wall time {wall!r}"}
+        assert tuple(read_trace(buffer.getvalue())) == result.iteration_trace
 
     @pytest.mark.parametrize("status", [Completed, TimedOut])
     def test_overshoot_is_a_timeout_at_the_deadline(self, catalog, status):
@@ -741,3 +776,176 @@ class TestReproducibility:
             SyntheticAnalyzer(convergence_profile),
         )
         assert r1.iteration_trace[0].sampled_configs != r2.iteration_trace[0].sampled_configs
+
+
+CONVERGENCE_PROFILE = Path(__file__).parent.parent / "samples" / "convergence.profile"
+
+
+class TestRefinementRules:
+    """Both rules over the benchmark's ``converge`` settings and its 48 seed-0 tuner seeds."""
+
+    @staticmethod
+    def _eliminated(catalog, rule: str) -> list[int]:
+        profile = parse_profile(CONVERGENCE_PROFILE.read_text(encoding="utf-8"), catalog)
+        eliminable = {a.alarm_id for a in profile.alarms if a.requirement is not None}
+        counts = []
+        for seed in range(48):
+            settings = TunerSettings(
+                time_budget=1e9,
+                num_sample=4,
+                num_process=2,
+                seed=seed,
+                max_iterations=14,
+                refinement=rule,
+            )
+            result = tune("synthetic", catalog, settings, SyntheticAnalyzer(profile))
+            counts.append(len(eliminable - synthetic_alarms(profile, result.recommended_config)))
+        return counts
+
+    def test_paper_recommendation_is_pinned(self, catalog):
+        # a mean of 1.5417 of 3 eliminable alarms
+        assert sum(self._eliminated(catalog, "paper")) == 74
+
+    def test_evidence_recommendation_eliminates_more(self, catalog):
+        counts = self._eliminated(catalog, "evidence")
+        assert sum(counts) / len(counts) >= 1.9
+
+
+# An adversarial analyzer's script: each step is a valid outcome (its wall
+# time a fraction of the deadline, past 1 an overshoot), a malformed
+# outcome, or _RAISE. The analyzer plays the steps in turn, cycling.
+_RAISE = object()
+_VALID_STEP = stx.one_of(
+    stx.tuples(
+        stx.just("completed"),
+        stx.frozensets(stx.sampled_from("abcde")),
+        stx.floats(0.0, 2.0),
+    ),
+    stx.tuples(stx.just("timed-out"), stx.floats(0.0, 2.0)),
+    stx.tuples(stx.just("crashed"), stx.text(max_size=8)),
+)
+_MALFORMED_STEP = stx.sampled_from(
+    [
+        Completed(frozenset({"a"}), True),
+        Completed(frozenset(), False),
+        TimedOut(True),
+        Completed(["a"], 1.0),
+        Completed(frozenset({1, "a"}), 1.0),
+        Completed(frozenset(), -1.0),
+        TimedOut(math.nan),
+        Completed(frozenset({"b"}), math.inf),
+        TimedOut("1"),
+        Crashed(None),
+        None,
+        "completed",
+        _RAISE,
+    ]
+)
+
+
+class Adversary:
+    """A virtual-clock analyzer that plays its script and notes each deadline."""
+
+    virtual_clock = True
+
+    def __init__(self, script):
+        self.script = script
+        self.deadlines: list[float] = []
+
+    def run(self, task):
+        step = self.script[len(self.deadlines) % len(self.script)]
+        self.deadlines.append(task.timeout)
+        if step is _RAISE:
+            raise RuntimeError("adversary")
+        if not isinstance(step, tuple):
+            return step
+        kind, *args = step
+        if kind == "completed":
+            return Completed(args[0], args[1] * task.timeout)
+        if kind == "timed-out":
+            return TimedOut(args[0] * task.timeout)
+        return Crashed(args[0])
+
+
+class TestAdversarialAnalyzer:
+    """The paper's invariants hold whatever an analyzer returns or raises."""
+
+    @given(
+        script=stx.lists(stx.one_of(_VALID_STEP, _MALFORMED_STEP), min_size=1, max_size=24),
+        budget=stx.floats(1.0, 1e4),
+        num_sample=stx.integers(1, 6),
+        num_process=stx.integers(1, 3),
+        fraction=stx.floats(0.05, 1.0),
+        iterations=stx.integers(1, 5),
+        seed=stx.integers(0, 2**16),
+        rule=stx.sampled_from(["paper", "evidence"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_invariants_and_read_back(
+        self, script, budget, num_sample, num_process, fraction, iterations, seed, rule
+    ):
+        from strategy_tuner.trace import (
+            distribution_from_json,
+            read_trace,
+            result_to_json,
+            write_record,
+        )
+
+        catalog = default_catalog()
+        names = catalog.names
+        settings = TunerSettings(
+            time_budget=budget,
+            num_sample=num_sample,
+            num_process=num_process,
+            seed=seed,
+            iteration_fraction=fraction,
+            max_iterations=iterations,
+            refinement=rule,
+        )
+        analyzer = Adversary(script)
+        buffer = io.StringIO()
+        write = lambda record: write_record(buffer, record)  # noqa: E731
+        result = tune("prog", catalog, settings, analyzer, on_record=write)
+        records = result.iteration_trace
+
+        assert records
+        assert sum(r.elapsed for r in records) <= budget
+        assert result.wall_time_total <= budget
+        outcomes = [o for r in records for o in r.outcomes]
+        assert len(outcomes) == len(analyzer.deadlines)
+        for outcome, deadline in zip(outcomes, analyzer.deadlines):
+            if isinstance(outcome, Crashed):
+                assert type(outcome.exit_info) is str
+                continue
+            assert type(outcome.wall_time) in (int, float)
+            assert 0.0 <= outcome.wall_time <= deadline
+            if isinstance(outcome, Completed):
+                assert all(type(a) is str for a in outcome.alarms)
+        for previous, record in zip((None, *records), records):
+            before, after = record.distributions_before, record.distributions_after
+            if previous is not None:
+                assert before == previous.distributions_after
+            base = Configuration(names, tuple(before[n].base for n in names))
+            assert all(config_dominates(c, base) for c in record.sampled_configs)
+            assert all(leq(before[n].base, after[n].base) for n in names)
+            completed = sum(isinstance(o, Completed) for o in record.outcomes)
+            assert record.completed == completed
+            assert record.eta_c == completed / num_sample
+            assert record.eta == 2.0 * (completed / num_sample) + 1.0 / num_sample
+            assert all(after[n].delta == refine_delta(before[n], record.eta) for n in names)
+
+        assert tuple(read_trace(buffer.getvalue())) == records
+        written = json.loads(json.dumps(result_to_json(result)))
+        assert written["iterations"] == len(records)
+        assert written["wall_time_total"] == result.wall_time_total
+        final = {n: distribution_from_json(d) for n, d in written["final_distributions"].items()}
+        assert final == result.final_distributions == records[-1].distributions_after
+        recommended = "".join(f"{n} = {v}\n" for n, v in written["recommended_config"].items())
+        assert parse_configuration(recommended, catalog) == result.recommended_config
+        best = written["best_sampled"]
+        assert (best is None) == (result.best_sampled is None)
+        if best is not None:
+            config = "".join(f"{n} = {v}\n" for n, v in best["config"].items())
+            assert parse_configuration(config, catalog) == result.best_sampled.config
+            assert tuple(best["alarms"]) == result.best_sampled.alarms
+            assert best["alarm_count"] == result.best_sampled.alarm_count

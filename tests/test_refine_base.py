@@ -44,6 +44,25 @@ def oracle_refine_base(matrix: ResultMatrix, param: str, current_base):
     return reduce(join, contributions, current_base)
 
 
+def oracle_refine_base_evidence(matrix: ResultMatrix, param: str, current_base):
+    """Re-derivation of the contrast rule in the same functional style.
+
+    A column contributes the meet of its eliminating values only if some
+    value whose analysis produced the alarm is not at least that meet.
+    """
+    values = matrix.values_per_param[param]
+    contributions = []
+    for j in range(len(matrix.alarms)):
+        eliminators = [values[i] for i, row in enumerate(matrix.rows) if not row.produced[j]]
+        producers = [values[i] for i, row in enumerate(matrix.rows) if row.produced[j]]
+        if not eliminators:
+            continue
+        lowest = reduce(meet, eliminators)
+        if any(not leq(lowest, value) for value in producers):
+            contributions.append(lowest)
+    return reduce(join, contributions, current_base)
+
+
 def slevel_worked_matrix() -> ResultMatrix:
     """Five completed analyses over four alarms; the sixth analysis
     failed and is excluded. True marks a produced alarm."""
@@ -81,9 +100,16 @@ class TestWorkedExample:
 
 
 class TestEliminatorSets:
+    """Each distinct column's eliminating rows, paired with its producing rows."""
+
     def test_worked_example(self):
         # alarm-4 is produced everywhere, so it has no eliminating rows
-        assert slevel_worked_matrix().eliminator_sets == ((0, 1, 2, 3, 4), (0, 1, 2, 3), (2, 3))
+        assert slevel_worked_matrix().columns == (
+            ((0, 1, 2, 3, 4), ()),
+            ((0, 1, 2, 3), (4,)),
+            ((2, 3), (0, 1, 4)),
+            ((), (0, 1, 2, 3, 4)),
+        )
 
     def test_shared_sets_appear_once(self):
         matrix = ResultMatrix(
@@ -91,7 +117,7 @@ class TestEliminatorSets:
             rows=(MatrixRow(0, (False, True, False)), MatrixRow(1, (True, True, True))),
             values_per_param={"p": (IntVal(3), IntVal(7))},
         )
-        assert matrix.eliminator_sets == ((0,),)
+        assert matrix.columns == (((0,), (1,)), ((), (0, 1)))
 
 
 class TestEdgeCases:
@@ -137,10 +163,10 @@ class TestEdgeCases:
             rows=tuple(MatrixRow(r.config_index, r.produced[:1]) for r in rows),
             values_per_param=values,
         )
-        assert only_top.eliminator_sets == ((0,),)
+        assert only_top.columns == (((0,), (1, 2)),)
         assert refine_base(only_top, "p", IntVal(0)) == IntVal(0)
         both = ResultMatrix(alarms=("a", "b"), rows=rows, values_per_param=values)
-        assert both.eliminator_sets == ((0,), (0, 1))
+        assert both.columns == (((0,), (1, 2)), ((0, 1), (2,)))
         assert refine_base(both, "p", IntVal(0)) == IntVal(12)
         assert refine_base(both, "p", IntVal(0)) == oracle_refine_base(both, "p", IntVal(0))
 
@@ -247,6 +273,69 @@ class TestRandomizedOracleEquivalence:
                 values_per_param={"p": tuple(values[i] for i in row_order)},
             )
             assert refine_base(shuffled, "p", base) == expected
+
+
+class TestEvidenceRule:
+    def test_worked_example(self):
+        # alarm-1 has no producer and alarm-4 no eliminator; alarm-2's
+        # eliminators meet at 58 and its producer holds 9; alarm-3's meet
+        # at 104, producers 58, 103 and 9
+        matrix = slevel_worked_matrix()
+        assert refine_base(matrix, "slevel", IntVal(0), "evidence") == IntVal(104)
+        assert refine_base(matrix, "slevel", IntVal(200), "evidence") == IntVal(200)
+
+    def test_boolean_top_meet_with_contrast_is_joined(self):
+        # the same matrix as test_boolean_top_meet_is_skipped: the row at
+        # false produced the alarm, so true is what eliminated it
+        matrix = ResultMatrix(
+            alarms=("a",),
+            rows=(MatrixRow(0, (False,)), MatrixRow(1, (True,))),
+            values_per_param={"p": (BoolVal(True), BoolVal(False))},
+        )
+        assert refine_base(matrix, "p", BoolVal(False), "evidence") == BoolVal(True)
+
+    def test_no_contrast_no_join(self):
+        # alarm "a" was eliminated by every row; alarm "b" was produced at
+        # 9 and 12, both above its eliminators' meet of 3
+        matrix = ResultMatrix(
+            alarms=("a", "b"),
+            rows=(
+                MatrixRow(0, (False, False)),
+                MatrixRow(1, (False, True)),
+                MatrixRow(2, (False, True)),
+            ),
+            values_per_param={"p": (IntVal(3), IntVal(9), IntVal(12))},
+        )
+        assert refine_base(matrix, "p", IntVal(1), "evidence") == IntVal(1)
+        assert refine_base(matrix, "p", IntVal(1), "paper") == IntVal(3)
+
+    def test_vector_contrast_is_bitwise(self):
+        # the producer 0b110 is neither below nor above the meet 0b011
+        matrix = ResultMatrix(
+            alarms=("a",),
+            rows=(MatrixRow(0, (False,)), MatrixRow(1, (True,))),
+            values_per_param={"p": (BitsVal(0b011, 3), BitsVal(0b110, 3))},
+        )
+        assert refine_base(matrix, "p", BitsVal(0, 3), "evidence") == BitsVal(0b011, 3)
+
+    def test_matches_brute_force_500_instances(self):
+        rng = random.Random(0xE1DE)
+        for trial in range(500):
+            kind = KINDS[trial % 3]
+            matrix = _random_matrix(rng, kind)
+            if isinstance(kind, IntVal) and matrix.num_rows and rng.random() < 0.3:
+                values = list(matrix.values_per_param["p"])
+                values[rng.randrange(len(values))] = IntVal(INFINITY)
+                matrix = ResultMatrix(matrix.alarms, matrix.rows, {"p": tuple(values)})
+            base = _random_base(rng, kind)
+            refined = refine_base(matrix, "p", base, "evidence")
+            assert refined == oracle_refine_base_evidence(matrix, "p", base)
+            assert leq(base, refined)
+
+    @pytest.mark.parametrize("rule", ["contrast", "Paper", None])
+    def test_unknown_rule_rejected(self, rule):
+        with pytest.raises(ValueError, match="refinement rule"):
+            refine_base(slevel_worked_matrix(), "slevel", IntVal(0), rule)
 
 
 class TestMatrixValidation:
