@@ -23,10 +23,9 @@ from .analyzers import (
     synthetic_oracle_least_config,
 )
 from .distributions import (
-    MatrixRow,
     ParamDistribution,
     ResultMatrix,
-    refine_base,
+    refine_bases,
     refine_delta,
     scaling_factor,
 )

@@ -12,7 +12,8 @@ Refinement has two halves:
 
 * the base moves up the lattice by joining, per alarm, the meet of all
   sampled values whose analysis eliminated that alarm, when the
-  refinement rule admits it (``refine_base``);
+  refinement rule admits it (``refine_bases``, every parameter in one
+  call against one shared result matrix);
 * the delta is scaled by the completion-rate factor eta, growing
   exploration when analyses finish and shrinking it when they time out
   (``refine_delta`` / ``scaling_factor``).
@@ -21,11 +22,11 @@ Refinement has two halves:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress
 from operator import and_, ge, not_, or_
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InvalidSettingsError, LatticeMismatchError
 from .lattice import (
@@ -42,7 +43,7 @@ from .lattice import (
 #: scaling cannot diverge.
 LAMBDA_CAP = 100_000.0
 
-#: The rules by which ``refine_base`` admits a column's meet: the paper's,
+#: The rules by which ``refine_bases`` admits a column's meet: the paper's,
 #: and the contrast rule (``tuner.refinement``).
 REFINEMENT_RULES = ("paper", "evidence")
 
@@ -195,44 +196,26 @@ def _poisson_counter(lam: float) -> Callable[[DrawSource], int]:
 
 
 @dataclass(frozen=True)
-class MatrixRow:
-    """One completed analysis: which alarms of the universe it produced."""
-
-    config_index: int
-    produced: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
 class ResultMatrix:
     """Per-iteration intermediate results over the alarm universe.
 
-    Rows cover only analyses that completed; ``values_per_param`` holds,
-    for each parameter, the sampled value used by each row.
+    ``produced`` holds one row per completed analysis: which alarms of
+    the universe it produced. ``values`` holds one column per parameter,
+    in catalog order: the value each row's analysis used.
     """
 
     alarms: tuple[str, ...]
-    rows: tuple[MatrixRow, ...]
-    values_per_param: dict[str, tuple[LatticeValue, ...]] = field(default_factory=dict)
+    produced: tuple[tuple[bool, ...], ...]
+    values: tuple[tuple[LatticeValue, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.alarms)
-        for row in self.rows:
-            if len(row.produced) != n:
-                raise ValueError(
-                    f"row for config {row.config_index} has {len(row.produced)} cells, expected {n}"
-                )
-        m = len(self.rows)
-        for name, values in self.values_per_param.items():
-            if len(values) != m:
-                raise ValueError(f"value vector for {name!r} has {len(values)} entries, expected {m}")
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def num_alarms(self) -> int:
-        return len(self.alarms)
+        n, m = len(self.alarms), len(self.produced)
+        for i, row in enumerate(self.produced):
+            if len(row) != n:
+                raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
+        for p, column in enumerate(self.values):
+            if len(column) != m:
+                raise ValueError(f"value column {p} has {len(column)} entries, expected {m}")
 
     @cached_property
     def columns(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -242,23 +225,24 @@ class ResultMatrix:
         alarm, ``producers`` the rows that did. Columns with the same cells
         appear once, in order of first appearance.
         """
-        indices = range(len(self.rows))
-        distinct = dict.fromkeys(zip(*(row.produced for row in self.rows)))
+        indices = range(len(self.produced))
+        distinct = dict.fromkeys(zip(*self.produced))
         return tuple(
             (tuple(compress(indices, map(not_, col))), tuple(compress(indices, col)))
             for col in distinct
         )
 
 
-def refine_base(
-    matrix: ResultMatrix, param: str, current_base: LatticeValue, rule: str = "paper"
-) -> LatticeValue:
-    """Move the base point up to cover every alarm eliminated this round.
+def refine_bases(
+    matrix: ResultMatrix, bases: Sequence[LatticeValue], rule: str = "paper"
+) -> tuple[LatticeValue, ...]:
+    """Move every base point up to cover the alarms eliminated this round.
 
-    For each alarm column, take the meet of the sampled values across all
-    rows that did NOT produce the alarm (the least precise setting that
-    still eliminated it), and join it into the base if the rule admits
-    it. Columns where no row eliminated the alarm contribute nothing.
+    ``bases[p]`` is refined against value column ``p``. For each alarm
+    column, take the meet of the sampled values across all rows that did
+    NOT produce the alarm (the least precise setting that still
+    eliminated it), and join it into the base if the rule admits it.
+    Columns where no row eliminated the alarm contribute nothing.
 
     * ``"paper"``: every meet except one equal to top.
     * ``"evidence"``: a meet that some row producing the alarm does not
@@ -267,42 +251,44 @@ def refine_base(
       whose producers all lie at or above the meet, contributes nothing.
 
     Columns with the same cells share their meet, so it is taken once per
-    distinct column. The result always dominates ``current_base``; with
-    no completed rows it is returned unchanged.
+    distinct column. Each result dominates its base; with no completed
+    rows the bases are returned unchanged.
     """
     if rule not in REFINEMENT_RULES:
         raise ValueError(f"refinement rule must be one of {REFINEMENT_RULES}, got {rule!r}")
-    values = matrix.values_per_param.get(param, ())
-    if len(values) != matrix.num_rows:
-        raise ValueError(f"no value vector for parameter {param!r}")
-    variant = type(current_base)
-    bits = variant is BitsVal
-    if any(type(v) is not variant for v in values) or (
-        bits and any(v.width != current_base.width for v in values)  # type: ignore[union-attr]
-    ):
-        raise LatticeMismatchError(
-            f"values of {param!r} do not all match the kind of base {current_base!r}"
-        )
-    keys = [v.value for v in values]
-    meet_keys = partial(reduce, and_) if bits else min
-    join_keys = or_ if bits else max
-    at_least = (lambda k, m: k & m == m) if bits else ge
+    if len(bases) != len(matrix.values):
+        raise ValueError(f"{len(bases)} bases for {len(matrix.values)} value columns")
     evidence = rule == "evidence"
-    top_key = top(current_base).value
-    acc = current_base.value
-    for eliminators, producers in matrix.columns:
-        if not eliminators:
-            continue
-        lowest = meet_keys(map(keys.__getitem__, eliminators))
-        if evidence:
-            # some producer is not >= the meet exactly when the producers' meet is not
-            if producers and not at_least(meet_keys(map(keys.__getitem__, producers)), lowest):
+    refined = []
+    for p, (base, values) in enumerate(zip(bases, matrix.values)):
+        variant = type(base)
+        bits = variant is BitsVal
+        if any(type(v) is not variant for v in values) or (
+            bits and any(v.width != base.width for v in values)  # type: ignore[union-attr]
+        ):
+            raise LatticeMismatchError(
+                f"values of column {p} do not all match the kind of base {base!r}"
+            )
+        keys = [v.value for v in values]
+        meet_keys = partial(reduce, and_) if bits else min
+        join_keys = or_ if bits else max
+        at_least = (lambda k, m: k & m == m) if bits else ge
+        top_key = top(base).value
+        acc = base.value
+        for eliminators, producers in matrix.columns:
+            if not eliminators:
+                continue
+            lowest = meet_keys(map(keys.__getitem__, eliminators))
+            if evidence:
+                # some producer is not >= the meet exactly when the producers' meet is not
+                if producers and not at_least(meet_keys(map(keys.__getitem__, producers)), lowest):
+                    acc = join_keys(acc, lowest)
+            elif lowest != top_key:
                 acc = join_keys(acc, lowest)
-        elif lowest != top_key:
-            acc = join_keys(acc, lowest)
-    if acc == current_base.value:
-        return current_base
-    return BitsVal(acc, current_base.width) if bits else variant(acc)  # type: ignore[union-attr]
+        if acc != base.value:
+            base = BitsVal(acc, base.width) if bits else variant(acc)  # type: ignore[union-attr]
+        refined.append(base)
+    return tuple(refined)
 
 
 def refine_delta(dist: ParamDistribution, eta: float) -> tuple[float, ...]:

@@ -4,10 +4,12 @@
 the remaining budget and the iteration index) in locals. Each iteration
 draws ``num_sample`` configurations from the current distributions,
 dispatches the analyses on the run's worker pool, builds the result
-matrix from whatever completed, refines every parameter's base
-(meet-and-join over alarm columns) and delta (completion-rate scaling),
-and charges its time to the budget. The loop stops when the remaining
-budget drops below a minimum slice or an iteration cap is reached.
+matrix from whatever completed (one row of produced alarms per completed
+analysis, one value column per parameter), refines every parameter's
+base in one ``refine_bases`` call (meet-and-join over alarm columns) and
+its delta (completion-rate scaling), and charges its time to the
+budget. The loop stops when the remaining budget drops below a minimum
+slice or an iteration cap is reached.
 
 Budget policy: every analysis of an iteration gets the same deadline,
 ``remaining * iteration_fraction / waves`` where ``waves`` is the number
@@ -34,11 +36,10 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
 from .distributions import (
     REFINEMENT_RULES,
-    MatrixRow,
     ParamDistribution,
     ResultMatrix,
     compile_sampler,
-    refine_base,
+    refine_bases,
     refine_delta,
     scaling_factor,
 )
@@ -157,14 +158,13 @@ def build_result_matrix(
         universe.extend(new)
         seen.update(new)
     produced = {alarms: tuple(map(alarms.__contains__, universe)) for alarms in distinct}
-    rows = tuple(
-        MatrixRow(config_index=i, produced=produced[alarms]) for i, alarms in completed
-    )
     names = sampled_configs[0].names if sampled_configs else ()
     row_values = [sampled_configs[i].values for i, _ in completed]
-    columns = zip(*row_values) if row_values else [()] * len(names)
-    values = dict(zip(names, columns, strict=True))
-    return ResultMatrix(alarms=tuple(universe), rows=rows, values_per_param=values)
+    return ResultMatrix(
+        alarms=tuple(universe),
+        produced=tuple(produced[alarms] for _, alarms in completed),
+        values=tuple(zip(*row_values)) if row_values else ((),) * len(names),
+    )
 
 
 def _sample_configurations(
@@ -309,13 +309,14 @@ def tune(
             )
             outcomes = run_batch(analyzer, program_ref, configs, timeout, pool)
             matrix = build_result_matrix(outcomes, configs)
-            eta = scaling_factor(matrix.num_rows, settings.num_sample)
+            completed = len(matrix.produced)
+            eta = scaling_factor(completed, settings.num_sample)
+            bases = refine_bases(
+                matrix, [distributions[n].base for n in catalog.names], settings.refinement
+            )
             after = {
-                name: ParamDistribution(
-                    refine_base(matrix, name, distributions[name].base, settings.refinement),
-                    refine_delta(distributions[name], eta),
-                )
-                for name in catalog.names
+                name: ParamDistribution(base, refine_delta(distributions[name], eta))
+                for name, base in zip(catalog.names, bases)
             }
             if pool is None:
                 # charge the simulated makespan of the analyze phase
@@ -331,8 +332,8 @@ def tune(
                 sampled_configs=tuple(configs),
                 outcomes=tuple(outcomes),
                 alarm_universe=matrix.alarms,
-                completed=matrix.num_rows,
-                eta_c=matrix.num_rows / settings.num_sample,
+                completed=completed,
+                eta_c=completed / settings.num_sample,
                 eta=eta,
                 distributions_before=dict(distributions),
                 distributions_after=after,

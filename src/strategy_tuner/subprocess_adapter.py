@@ -212,5 +212,9 @@ def _reap(proc: subprocess.Popen, deadline: float) -> bool:
 
 
 def _decode(output: bytes) -> str:
-    """Decode in the locale encoding; ``str.splitlines`` ends lines at \\r\\n, \\r and \\n."""
-    return output.decode(locale.getpreferredencoding(False))
+    """Decode in the locale encoding; ``str.splitlines`` ends lines at \\r\\n, \\r and \\n.
+
+    A byte the encoding cannot decode becomes a lone surrogate escape, so
+    distinct bytes stay distinct alarm ids and one stray byte fails nothing.
+    """
+    return output.decode(locale.getpreferredencoding(False), "surrogateescape")

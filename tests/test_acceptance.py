@@ -20,7 +20,6 @@ from strategy_tuner import (
     CostModel,
     Crashed,
     IntVal,
-    MatrixRow,
     ParamDistribution,
     RandomStream,
     ResultMatrix,
@@ -36,7 +35,7 @@ from strategy_tuner import (
     join,
     leq,
     meet,
-    refine_base,
+    refine_bases,
     refine_delta,
     scaling_factor,
     synthetic_oracle_least_config,
@@ -78,18 +77,16 @@ def worked_refinement_matrix() -> ResultMatrix:
     ]
     return ResultMatrix(
         alarms=("alarm-1", "alarm-2", "alarm-3", "alarm-4"),
-        rows=tuple(MatrixRow(i, p) for i, p in enumerate(produced)),
-        values_per_param={
-            "slevel": (IntVal(58), IntVal(103), IntVal(104), IntVal(1000), IntVal(9))
-        },
+        produced=tuple(produced),
+        values=((IntVal(58), IntVal(103), IntVal(104), IntVal(1000), IntVal(9)),),
     )
 
 
 def test_criterion_01_refine_base_worked_example():
     matrix = worked_refinement_matrix()
     start = time.perf_counter()
-    from_zero = refine_base(matrix, "slevel", IntVal(0))
-    from_two_hundred = refine_base(matrix, "slevel", IntVal(200))
+    (from_zero,) = refine_bases(matrix, (IntVal(0),))
+    (from_two_hundred,) = refine_bases(matrix, (IntVal(200),))
     elapsed = time.perf_counter() - start
     assert from_zero == IntVal(104)
     assert from_two_hundred == IntVal(200)
@@ -164,8 +161,8 @@ def _random_instance(rng: random.Random, kind):
         base = BitsVal(sum(1 << i for i in range(5) if rng.random() < 0.5), 5)
     matrix = ResultMatrix(
         alarms=tuple(f"a{j}" for j in range(n)),
-        rows=tuple(MatrixRow(i, tuple(rng.random() < 0.5 for _ in range(n))) for i in range(m)),
-        values_per_param={"p": values},
+        produced=tuple(tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(m)),
+        values=(values,),
     )
     return matrix, base
 
@@ -175,7 +172,7 @@ def test_criterion_05_refine_base_matches_oracle_500_instances():
     kinds = (IntVal(0), BoolVal(False), BitsVal(0, 5))
     for trial in range(500):
         matrix, base = _random_instance(rng, kinds[trial % 3])
-        assert refine_base(matrix, "p", base) == oracle_refine_base(matrix, "p", base)
+        assert refine_bases(matrix, (base,)) == (oracle_refine_base(matrix, 0, base),)
 
 
 # --- criterion 6: sampler statistics ------------------------------------------

@@ -62,24 +62,24 @@ class TestBuildResultMatrix:
         ]
         outcomes = [Completed(frozenset(s), 1.0) for s in alarm_sets] + [TimedOut(5.0)]
         matrix = build_result_matrix(outcomes, configs)
-        assert matrix.num_rows == 5
+        assert len(matrix.produced) == 5
         assert set(matrix.alarms) == {"alarm-2", "alarm-3", "alarm-4"}
-        assert matrix.values_per_param["slevel"] == (
+        assert matrix.values[catalog.names.index("slevel")] == (
             IntVal(58),
             IntVal(103),
             IntVal(104),
             IntVal(1000),
             IntVal(9),
         )
-        for j in range(matrix.num_alarms):
-            assert any(row.produced[j] for row in matrix.rows)
+        for j in range(len(matrix.alarms)):
+            assert any(row[j] for row in matrix.produced)
 
     def test_zero_completed(self, catalog):
         configs = _configs_with_slevel(catalog, [1, 2])
         matrix = build_result_matrix([TimedOut(1.0), Crashed("boom")], configs)
-        assert matrix.num_rows == 0
-        assert matrix.num_alarms == 0
-        assert matrix.values_per_param == {name: () for name in catalog.names}
+        assert len(matrix.produced) == 0
+        assert len(matrix.alarms) == 0
+        assert matrix.values == ((),) * len(catalog.names)
 
     def test_universe_orders_by_first_appearance_then_lex(self, catalog):
         configs = _configs_with_slevel(catalog, [1, 2])
@@ -97,7 +97,7 @@ class TestBuildResultMatrix:
             Completed(frozenset({"a", "b"}), 1.0),
         ]
         matrix = build_result_matrix(outcomes, configs)
-        assert matrix.num_alarms == 2
+        assert len(matrix.alarms) == 2
 
     def test_misaligned_inputs_rejected(self, catalog):
         with pytest.raises(ValueError):
@@ -116,8 +116,8 @@ class TestBuildResultMatrix:
         matrix = build_result_matrix(shared, configs)
         assert matrix == build_result_matrix(copies, configs)
         assert matrix.alarms == ("a", "b", "c")
-        assert [row.config_index for row in matrix.rows] == [0, 1, 2, 3, 5]
-        assert [row.produced for row in matrix.rows] == [
+        assert matrix.values == tuple(zip(*(configs[i].values for i in (0, 1, 2, 3, 5))))
+        assert list(matrix.produced) == [
             (True, True, False),
             (False, False, True),
             (True, True, False),
@@ -601,6 +601,10 @@ class TestBudget:
         elapsed = time.monotonic() - start
         assert result.iteration_trace
         assert elapsed <= settings.time_budget * 1.1 + 2.0
+        # the run's total is the real time from its start, which covers
+        # every iteration's and lies within the time measured around it
+        iterations = sum(r.elapsed for r in result.iteration_trace)
+        assert iterations <= result.wall_time_total <= elapsed
 
     def test_analyze_phase_fits_one_slice(self, catalog, incompressible_profile):
         # num_process < num_sample: per-analysis deadline shrinks by the

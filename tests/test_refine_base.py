@@ -13,17 +13,21 @@ from strategy_tuner import (
     BoolVal,
     IntVal,
     LatticeMismatchError,
-    MatrixRow,
     ResultMatrix,
     join,
     leq,
     meet,
-    refine_base,
+    refine_bases,
     top,
 )
 
 
-def oracle_refine_base(matrix: ResultMatrix, param: str, current_base):
+def refine_base(matrix: ResultMatrix, current_base, rule: str = "paper"):
+    """The refinement of a one-parameter matrix's only base."""
+    return refine_bases(matrix, (current_base,), rule)[0]
+
+
+def oracle_refine_base(matrix: ResultMatrix, column: int, current_base):
     """Re-derivation of the meet-and-join rule in a functional style.
 
     For each alarm, the set of sampled values whose analysis eliminated
@@ -31,11 +35,11 @@ def oracle_refine_base(matrix: ResultMatrix, param: str, current_base):
     the meet equals top. The result folds join over the contributions,
     seeded with the current base.
     """
-    values = matrix.values_per_param[param]
+    values = matrix.values[column]
     top_elem = top(current_base)
     contributions = []
     for j in range(len(matrix.alarms)):
-        eliminators = [values[i] for i, row in enumerate(matrix.rows) if not row.produced[j]]
+        eliminators = [values[i] for i, row in enumerate(matrix.produced) if not row[j]]
         if not eliminators:
             continue
         lowest = reduce(meet, eliminators)
@@ -44,17 +48,17 @@ def oracle_refine_base(matrix: ResultMatrix, param: str, current_base):
     return reduce(join, contributions, current_base)
 
 
-def oracle_refine_base_evidence(matrix: ResultMatrix, param: str, current_base):
+def oracle_refine_base_evidence(matrix: ResultMatrix, column: int, current_base):
     """Re-derivation of the contrast rule in the same functional style.
 
     A column contributes the meet of its eliminating values only if some
     value whose analysis produced the alarm is not at least that meet.
     """
-    values = matrix.values_per_param[param]
+    values = matrix.values[column]
     contributions = []
     for j in range(len(matrix.alarms)):
-        eliminators = [values[i] for i, row in enumerate(matrix.rows) if not row.produced[j]]
-        producers = [values[i] for i, row in enumerate(matrix.rows) if row.produced[j]]
+        eliminators = [values[i] for i, row in enumerate(matrix.produced) if not row[j]]
+        producers = [values[i] for i, row in enumerate(matrix.produced) if row[j]]
         if not eliminators:
             continue
         lowest = reduce(meet, eliminators)
@@ -75,28 +79,24 @@ def slevel_worked_matrix() -> ResultMatrix:
     ]
     return ResultMatrix(
         alarms=("alarm-1", "alarm-2", "alarm-3", "alarm-4"),
-        rows=tuple(MatrixRow(i, row) for i, row in enumerate(produced)),
-        values_per_param={
-            "slevel": (IntVal(58), IntVal(103), IntVal(104), IntVal(1000), IntVal(9))
-        },
+        produced=tuple(produced),
+        values=((IntVal(58), IntVal(103), IntVal(104), IntVal(1000), IntVal(9)),),
     )
 
 
 class TestWorkedExample:
     def test_refines_zero_to_104(self):
         matrix = slevel_worked_matrix()
-        assert refine_base(matrix, "slevel", IntVal(0)) == IntVal(104)
+        assert refine_base(matrix, IntVal(0)) == IntVal(104)
 
     def test_high_base_retained(self):
         matrix = slevel_worked_matrix()
-        assert refine_base(matrix, "slevel", IntVal(200)) == IntVal(200)
+        assert refine_base(matrix, IntVal(200)) == IntVal(200)
 
     def test_matches_oracle(self):
         matrix = slevel_worked_matrix()
         for base in (IntVal(0), IntVal(60), IntVal(200)):
-            assert refine_base(matrix, "slevel", base) == oracle_refine_base(
-                matrix, "slevel", base
-            )
+            assert refine_base(matrix, base) == oracle_refine_base(matrix, 0, base)
 
 
 class TestEliminatorSets:
@@ -114,8 +114,8 @@ class TestEliminatorSets:
     def test_shared_sets_appear_once(self):
         matrix = ResultMatrix(
             alarms=("a", "b", "c"),
-            rows=(MatrixRow(0, (False, True, False)), MatrixRow(1, (True, True, True))),
-            values_per_param={"p": (IntVal(3), IntVal(7))},
+            produced=((False, True, False), (True, True, True)),
+            values=((IntVal(3), IntVal(7)),),
         )
         assert matrix.columns == (((0,), (1,)), ((), (0, 1)))
 
@@ -124,51 +124,51 @@ class TestEdgeCases:
     def test_all_alarms_produced_everywhere(self):
         matrix = ResultMatrix(
             alarms=("a", "b"),
-            rows=(MatrixRow(0, (True, True)), MatrixRow(1, (True, True))),
-            values_per_param={"p": (IntVal(3), IntVal(7))},
+            produced=((True, True), (True, True)),
+            values=((IntVal(3), IntVal(7)),),
         )
-        assert refine_base(matrix, "p", IntVal(1)) == IntVal(1)
+        assert refine_base(matrix, IntVal(1)) == IntVal(1)
 
     def test_no_completed_analyses(self):
-        matrix = ResultMatrix(alarms=(), rows=(), values_per_param={"p": ()})
-        assert refine_base(matrix, "p", IntVal(5)) == IntVal(5)
+        matrix = ResultMatrix(alarms=(), produced=(), values=((),))
+        assert refine_base(matrix, IntVal(5)) == IntVal(5)
 
-    def test_missing_value_vector(self):
+    def test_bases_and_value_columns_differ_in_number(self):
         matrix = slevel_worked_matrix()
         with pytest.raises(ValueError):
-            refine_base(matrix, "nonexistent", IntVal(0))
+            refine_bases(matrix, (IntVal(0), IntVal(0)))
+        with pytest.raises(ValueError):
+            refine_bases(matrix, ())
 
     def test_boolean_top_meet_is_skipped(self):
         # the only eliminating analysis used the top value; the rule must
         # not snap the base to top
         matrix = ResultMatrix(
             alarms=("a",),
-            rows=(MatrixRow(0, (False,)), MatrixRow(1, (True,))),
-            values_per_param={"p": (BoolVal(True), BoolVal(False))},
+            produced=((False,), (True,)),
+            values=((BoolVal(True), BoolVal(False)),),
         )
-        assert refine_base(matrix, "p", BoolVal(False)) == BoolVal(False)
-        assert oracle_refine_base(matrix, "p", BoolVal(False)) == BoolVal(False)
+        assert refine_base(matrix, BoolVal(False)) == BoolVal(False)
+        assert oracle_refine_base(matrix, 0, BoolVal(False)) == BoolVal(False)
 
     def test_integer_top_meet_is_skipped(self):
         # alarm "a" was eliminated only at INFINITY: its meet is top and is
         # skipped; alarm "b" was also eliminated at 12, which the base takes
         rows = (
-            MatrixRow(0, (False, False)),
-            MatrixRow(1, (True, False)),
-            MatrixRow(2, (True, True)),
+            (False, False),
+            (True, False),
+            (True, True),
         )
-        values = {"p": (IntVal(INFINITY), IntVal(12), IntVal(3))}
+        values = ((IntVal(INFINITY), IntVal(12), IntVal(3)),)
         only_top = ResultMatrix(
-            alarms=("a",),
-            rows=tuple(MatrixRow(r.config_index, r.produced[:1]) for r in rows),
-            values_per_param=values,
+            alarms=("a",), produced=tuple(row[:1] for row in rows), values=values
         )
         assert only_top.columns == (((0,), (1, 2)),)
-        assert refine_base(only_top, "p", IntVal(0)) == IntVal(0)
-        both = ResultMatrix(alarms=("a", "b"), rows=rows, values_per_param=values)
+        assert refine_base(only_top, IntVal(0)) == IntVal(0)
+        both = ResultMatrix(alarms=("a", "b"), produced=rows, values=values)
         assert both.columns == (((0,), (1, 2)), ((0, 1), (2,)))
-        assert refine_base(both, "p", IntVal(0)) == IntVal(12)
-        assert refine_base(both, "p", IntVal(0)) == oracle_refine_base(both, "p", IntVal(0))
+        assert refine_base(both, IntVal(0)) == IntVal(12)
+        assert refine_base(both, IntVal(0)) == oracle_refine_base(both, 0, IntVal(0))
 
 
 class TestKindChecks:
@@ -177,30 +177,30 @@ class TestKindChecks:
         # row 0 eliminates alarm "a"; alarm "b" is produced everywhere
         return ResultMatrix(
             alarms=("a", "b"),
-            rows=(MatrixRow(0, (False, True)), MatrixRow(1, (True, True))),
-            values_per_param={"p": values},
+            produced=((False, True), (True, True)),
+            values=(values,),
         )
 
     def test_integer_column_on_boolean_base(self):
         with pytest.raises(LatticeMismatchError):
-            refine_base(self._matrix((IntVal(3), IntVal(0))), "p", BoolVal(False))
+            refine_base(self._matrix((IntVal(3), IntVal(0))), BoolVal(False))
 
     def test_four_bit_column_on_five_bit_base(self):
         with pytest.raises(LatticeMismatchError):
-            refine_base(self._matrix((BitsVal(0b0101, 4), BitsVal(0, 4))), "p", BitsVal(0, 5))
+            refine_base(self._matrix((BitsVal(0b0101, 4), BitsVal(0, 4))), BitsVal(0, 5))
 
     def test_checked_even_when_nothing_is_eliminated(self):
         matrix = ResultMatrix(
             alarms=("b",),
-            rows=(MatrixRow(0, (True,)),),
-            values_per_param={"p": (BitsVal(0b0101, 4),)},
+            produced=((True,),),
+            values=((BitsVal(0b0101, 4),),),
         )
         with pytest.raises(LatticeMismatchError):
-            refine_base(matrix, "p", BitsVal(0, 5))
+            refine_base(matrix, BitsVal(0, 5))
 
     def test_one_mismatched_value_in_the_column(self):
         with pytest.raises(LatticeMismatchError):
-            refine_base(self._matrix((IntVal(3), BoolVal(True))), "p", IntVal(0))
+            refine_base(self._matrix((IntVal(3), BoolVal(True))), IntVal(0))
 
 
 def _random_matrix(rng: random.Random, kind) -> ResultMatrix:
@@ -214,10 +214,8 @@ def _random_matrix(rng: random.Random, kind) -> ResultMatrix:
         values = tuple(
             BitsVal(sum(1 << i for i in range(5) if rng.random() < 0.5), 5) for _ in range(m)
         )
-    rows = tuple(
-        MatrixRow(i, tuple(rng.random() < 0.5 for _ in range(n))) for i in range(m)
-    )
-    return ResultMatrix(alarms=tuple(f"a{j}" for j in range(n)), rows=rows, values_per_param={"p": values})
+    produced = tuple(tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(m))
+    return ResultMatrix(tuple(f"a{j}" for j in range(n)), produced, (values,))
 
 
 def _random_base(rng: random.Random, kind):
@@ -238,7 +236,25 @@ class TestRandomizedOracleEquivalence:
             kind = KINDS[trial % 3]
             matrix = _random_matrix(rng, kind)
             base = _random_base(rng, kind)
-            assert refine_base(matrix, "p", base) == oracle_refine_base(matrix, "p", base)
+            assert refine_base(matrix, base) == oracle_refine_base(matrix, 0, base)
+
+    def test_every_column_in_one_call(self):
+        # one matrix, one column per kind: each base is refined against its
+        # own column, as if it were the only one
+        rng = random.Random(31)
+        for _ in range(100):
+            m, n = rng.randint(0, 6), rng.randint(0, 5)
+            produced = tuple(tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(m))
+            values = tuple(tuple(_random_base(rng, kind) for _ in range(m)) for kind in KINDS)
+            bases = tuple(_random_base(rng, kind) for kind in KINDS)
+            matrix = ResultMatrix(tuple(f"a{j}" for j in range(n)), produced, values)
+            for rule, oracle in (
+                ("paper", oracle_refine_base),
+                ("evidence", oracle_refine_base_evidence),
+            ):
+                assert refine_bases(matrix, bases, rule) == tuple(
+                    oracle(matrix, p, base) for p, base in enumerate(bases)
+                )
 
     def test_monotone_in_base(self):
         rng = random.Random(77)
@@ -246,7 +262,7 @@ class TestRandomizedOracleEquivalence:
             kind = KINDS[trial % 3]
             matrix = _random_matrix(rng, kind)
             base = _random_base(rng, kind)
-            assert leq(base, refine_base(matrix, "p", base))
+            assert leq(base, refine_base(matrix, base))
 
     def test_row_and_column_permutation_invariance(self):
         rng = random.Random(123)
@@ -254,25 +270,21 @@ class TestRandomizedOracleEquivalence:
             kind = KINDS[trial % 3]
             matrix = _random_matrix(rng, kind)
             base = _random_base(rng, kind)
-            expected = refine_base(matrix, "p", base)
+            expected = refine_base(matrix, base)
 
-            row_order = list(range(matrix.num_rows))
-            col_order = list(range(matrix.num_alarms))
+            row_order = list(range(len(matrix.produced)))
+            col_order = list(range(len(matrix.alarms)))
             rng.shuffle(row_order)
             rng.shuffle(col_order)
-            values = matrix.values_per_param["p"]
+            (values,) = matrix.values
             shuffled = ResultMatrix(
                 alarms=tuple(matrix.alarms[j] for j in col_order),
-                rows=tuple(
-                    MatrixRow(
-                        matrix.rows[i].config_index,
-                        tuple(matrix.rows[i].produced[j] for j in col_order),
-                    )
-                    for i in row_order
+                produced=tuple(
+                    tuple(matrix.produced[i][j] for j in col_order) for i in row_order
                 ),
-                values_per_param={"p": tuple(values[i] for i in row_order)},
+                values=(tuple(values[i] for i in row_order),),
             )
-            assert refine_base(shuffled, "p", base) == expected
+            assert refine_base(shuffled, base) == expected
 
 
 class TestEvidenceRule:
@@ -281,61 +293,61 @@ class TestEvidenceRule:
         # eliminators meet at 58 and its producer holds 9; alarm-3's meet
         # at 104, producers 58, 103 and 9
         matrix = slevel_worked_matrix()
-        assert refine_base(matrix, "slevel", IntVal(0), "evidence") == IntVal(104)
-        assert refine_base(matrix, "slevel", IntVal(200), "evidence") == IntVal(200)
+        assert refine_base(matrix, IntVal(0), "evidence") == IntVal(104)
+        assert refine_base(matrix, IntVal(200), "evidence") == IntVal(200)
 
     def test_boolean_top_meet_with_contrast_is_joined(self):
         # the same matrix as test_boolean_top_meet_is_skipped: the row at
         # false produced the alarm, so true is what eliminated it
         matrix = ResultMatrix(
             alarms=("a",),
-            rows=(MatrixRow(0, (False,)), MatrixRow(1, (True,))),
-            values_per_param={"p": (BoolVal(True), BoolVal(False))},
+            produced=((False,), (True,)),
+            values=((BoolVal(True), BoolVal(False)),),
         )
-        assert refine_base(matrix, "p", BoolVal(False), "evidence") == BoolVal(True)
+        assert refine_base(matrix, BoolVal(False), "evidence") == BoolVal(True)
 
     def test_no_contrast_no_join(self):
         # alarm "a" was eliminated by every row; alarm "b" was produced at
         # 9 and 12, both above its eliminators' meet of 3
         matrix = ResultMatrix(
             alarms=("a", "b"),
-            rows=(
-                MatrixRow(0, (False, False)),
-                MatrixRow(1, (False, True)),
-                MatrixRow(2, (False, True)),
+            produced=(
+                (False, False),
+                (False, True),
+                (False, True),
             ),
-            values_per_param={"p": (IntVal(3), IntVal(9), IntVal(12))},
+            values=((IntVal(3), IntVal(9), IntVal(12)),),
         )
-        assert refine_base(matrix, "p", IntVal(1), "evidence") == IntVal(1)
-        assert refine_base(matrix, "p", IntVal(1), "paper") == IntVal(3)
+        assert refine_base(matrix, IntVal(1), "evidence") == IntVal(1)
+        assert refine_base(matrix, IntVal(1), "paper") == IntVal(3)
 
     def test_vector_contrast_is_bitwise(self):
         # the producer 0b110 is neither below nor above the meet 0b011
         matrix = ResultMatrix(
             alarms=("a",),
-            rows=(MatrixRow(0, (False,)), MatrixRow(1, (True,))),
-            values_per_param={"p": (BitsVal(0b011, 3), BitsVal(0b110, 3))},
+            produced=((False,), (True,)),
+            values=((BitsVal(0b011, 3), BitsVal(0b110, 3)),),
         )
-        assert refine_base(matrix, "p", BitsVal(0, 3), "evidence") == BitsVal(0b011, 3)
+        assert refine_base(matrix, BitsVal(0, 3), "evidence") == BitsVal(0b011, 3)
 
     def test_matches_brute_force_500_instances(self):
         rng = random.Random(0xE1DE)
         for trial in range(500):
             kind = KINDS[trial % 3]
             matrix = _random_matrix(rng, kind)
-            if isinstance(kind, IntVal) and matrix.num_rows and rng.random() < 0.3:
-                values = list(matrix.values_per_param["p"])
+            if isinstance(kind, IntVal) and matrix.produced and rng.random() < 0.3:
+                values = list(matrix.values[0])
                 values[rng.randrange(len(values))] = IntVal(INFINITY)
-                matrix = ResultMatrix(matrix.alarms, matrix.rows, {"p": tuple(values)})
+                matrix = ResultMatrix(matrix.alarms, matrix.produced, (tuple(values),))
             base = _random_base(rng, kind)
-            refined = refine_base(matrix, "p", base, "evidence")
-            assert refined == oracle_refine_base_evidence(matrix, "p", base)
+            refined = refine_base(matrix, base, "evidence")
+            assert refined == oracle_refine_base_evidence(matrix, 0, base)
             assert leq(base, refined)
 
     @pytest.mark.parametrize("rule", ["contrast", "Paper", None])
     def test_unknown_rule_rejected(self, rule):
         with pytest.raises(ValueError, match="refinement rule"):
-            refine_base(slevel_worked_matrix(), "slevel", IntVal(0), rule)
+            refine_base(slevel_worked_matrix(), IntVal(0), rule)
 
 
 class TestMatrixValidation:
@@ -343,14 +355,14 @@ class TestMatrixValidation:
         with pytest.raises(ValueError):
             ResultMatrix(
                 alarms=("a", "b"),
-                rows=(MatrixRow(0, (True,)),),
-                values_per_param={},
+                produced=((True,),),
+                values=(),
             )
 
     def test_value_vector_length_mismatch(self):
         with pytest.raises(ValueError):
             ResultMatrix(
                 alarms=("a",),
-                rows=(MatrixRow(0, (True,)),),
-                values_per_param={"p": ()},
+                produced=((True,),),
+                values=((),),
             )

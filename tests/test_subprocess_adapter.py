@@ -16,8 +16,11 @@ from strategy_tuner import (
     Crashed,
     SubprocessAnalyzer,
     TimedOut,
+    TunerSettings,
     render_cli_args,
+    tune,
 )
+from strategy_tuner.trace import read_trace, write_record
 
 
 @pytest.fixture
@@ -175,6 +178,24 @@ class TestOutput:
             assert isinstance(outcome, Completed)
             alarms[newline] = outcome.alarms
         assert alarms["\\n"] == alarms["\\r\\n"] == alarms["\\r"] == frozenset({"a", "b"})
+
+    def test_undecodable_byte_is_kept_as_a_surrogate_escape(self, catalog, base_task, tmp_path):
+        # the \351 bytes are Latin-1 e-acute, which UTF-8 cannot decode
+        command = "printf 'caf\\351 in a comment\\nwarn:a\\351\\n'"
+        adapter = AdapterConfig(command=command, pattern=r"warn:(.*)")
+        outcome = SubprocessAnalyzer(adapter, catalog).run(base_task)
+        assert outcome == Completed(alarms=frozenset({"a\udce9"}), wall_time=outcome.wall_time)
+
+        settings = TunerSettings(time_budget=60.0, num_sample=2, max_iterations=2)
+        with (tmp_path / "trace.ndjson").open("w", encoding="utf-8") as stream:
+            result = tune(
+                "prog.c", catalog, settings, SubprocessAnalyzer(adapter, catalog),
+                on_record=lambda record: write_record(stream, record),
+            )
+        assert result.best_sampled is not None
+        assert result.best_sampled.alarms == ("a\udce9",)
+        text = (tmp_path / "trace.ndjson").read_text(encoding="utf-8")
+        assert read_trace(text) == list(result.iteration_trace)
 
 
 class TestDeadline:
