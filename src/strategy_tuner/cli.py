@@ -226,10 +226,11 @@ def cmd_tune(args) -> int:
     (run.out_dir / "recommended.conf").write_text(
         serialize_configuration(result.recommended_config), encoding="utf-8"
     )
+    best_path = run.out_dir / "best_sampled.conf"
     if result.best_sampled is not None:
-        (run.out_dir / "best_sampled.conf").write_text(
-            serialize_configuration(result.best_sampled.config), encoding="utf-8"
-        )
+        best_path.write_text(serialize_configuration(result.best_sampled.config), encoding="utf-8")
+    else:  # an earlier run's file would contradict result.json
+        best_path.unlink(missing_ok=True)
     (run.out_dir / "result.json").write_text(
         json.dumps(result_to_json(result), indent=2) + "\n", encoding="utf-8"
     )
@@ -244,7 +245,7 @@ def _summary(result) -> str:
         f"wall time total: {result.wall_time_total:.3f} s",
     ]
     if result.best_sampled is not None:
-        lines.append(f"best sampled:    {result.best_sampled.alarm_count} alarm(s)")
+        lines.append(f"best sampled:    {len(result.best_sampled.alarms)} alarm(s)")
     else:
         lines.append("best sampled:    none (no analysis completed)")
     lines.append("")

@@ -1,7 +1,7 @@
 """The sample-analyze-refine loop.
 
 ``tune`` runs the loop itself and keeps its state (the distributions,
-the remaining budget and the iteration index) in locals. Each iteration
+the remaining budget and the records) in locals. Each iteration
 draws ``num_sample`` configurations from the current distributions,
 dispatches the analyses on the run's worker pool, builds the result
 matrix from whatever completed (one row of produced alarms per completed
@@ -9,7 +9,8 @@ analysis, one value column per parameter), refines every parameter's
 base in one ``refine_bases`` call (meet-and-join over alarm columns) and
 its delta (completion-rate scaling), and charges its time to the
 budget. The loop stops when the remaining budget drops below a minimum
-slice or an iteration cap is reached.
+slice or an iteration cap is reached. The records hold every outcome, so
+the best sample is taken from them once the loop is done.
 
 Budget policy: every analysis of an iteration gets the same deadline,
 ``remaining * iteration_fraction / waves`` where ``waves`` is the number
@@ -110,9 +111,6 @@ class IterationRecord:
     sampled_configs: tuple[Configuration, ...]
     outcomes: tuple[AnalysisOutcome, ...]
     alarm_universe: tuple[str, ...]
-    completed: int
-    eta_c: float
-    eta: float
     distributions_before: dict[str, ParamDistribution]
     distributions_after: dict[str, ParamDistribution]
     elapsed: float
@@ -121,7 +119,6 @@ class IterationRecord:
 @dataclass(frozen=True)
 class BestSample:
     config: Configuration
-    alarm_count: int
     alarms: tuple[str, ...]
 
 
@@ -293,7 +290,6 @@ def tune(
     rng = RandomStream(settings.seed)
     waves = math.ceil(settings.num_sample / settings.num_process)
     records: list[IterationRecord] = []
-    best: BestSample | None = None
     started = time.monotonic()
 
     with worker_pool(analyzer, settings.num_process) as pool:
@@ -309,8 +305,7 @@ def tune(
             )
             outcomes = run_batch(analyzer, program_ref, configs, timeout, pool)
             matrix = build_result_matrix(outcomes, configs)
-            completed = len(matrix.produced)
-            eta = scaling_factor(completed, settings.num_sample)
+            eta = scaling_factor(len(matrix.produced), settings.num_sample)
             bases = refine_bases(
                 matrix, [distributions[n].base for n in catalog.names], settings.refinement
             )
@@ -332,20 +327,12 @@ def tune(
                 sampled_configs=tuple(configs),
                 outcomes=tuple(outcomes),
                 alarm_universe=matrix.alarms,
-                completed=completed,
-                eta_c=completed / settings.num_sample,
-                eta=eta,
                 distributions_before=dict(distributions),
                 distributions_after=after,
                 elapsed=elapsed,
             )
             records.append(record)
             del matrix  # an iteration's largest object: free it before the next is built
-            for config, outcome in zip(configs, outcomes):
-                if isinstance(outcome, Completed) and (
-                    best is None or len(outcome.alarms) < best.alarm_count
-                ):
-                    best = BestSample(config, len(outcome.alarms), tuple(sorted(outcome.alarms)))
             distributions = after
             remaining -= elapsed
             if on_record is not None:
@@ -355,11 +342,19 @@ def tune(
         wall_total = settings.time_budget - remaining
     else:
         wall_total = time.monotonic() - started
+    # The first completed sample with the fewest alarms; min keeps the first of equals.
+    samples = (
+        (config, outcome.alarms)
+        for record in records
+        for config, outcome in zip(record.sampled_configs, record.outcomes)
+        if isinstance(outcome, Completed)
+    )
+    best = min(samples, key=lambda sample: len(sample[1]), default=None)
     return TuneResult(
         recommended_config=Configuration(
             catalog.names, tuple(distributions[n].base for n in catalog.names)
         ),
-        best_sampled=best,
+        best_sampled=None if best is None else BestSample(best[0], tuple(sorted(best[1]))),
         final_distributions=dict(distributions),
         iteration_trace=tuple(records),
         wall_time_total=wall_total,

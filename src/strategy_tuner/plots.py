@@ -80,7 +80,7 @@ def write_alarm_chart(records: list[IterationRecord], path: Path) -> None:
         best = min(counts, default=None)
         series.append(best)
         shown = "-" if best is None else str(best)
-        lines.append(f"{record.index:>4}  {record.completed:>9}  {shown:>6}")
+        lines.append(f"{record.index:>4}  {len(counts):>9}  {shown:>6}")
     lines.append("")
     lines.append(f"best: {sparkline(series)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

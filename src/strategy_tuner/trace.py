@@ -3,14 +3,15 @@
 One JSON record per iteration, self-describing: every record carries a
 schema version and the full before/after distributions, whose delta kind
 fixes how the lattice literals in the same record parse back. A record
-round-trips losslessly into an IterationRecord without a catalog.
+round-trips losslessly into an IterationRecord without a catalog; its
+``completed``, ``eta_c`` and ``eta`` are derived from its outcomes.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence, TextIO
+from typing import Any, Iterable, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
 from .distributions import ParamDistribution, scaling_factor
@@ -91,11 +92,6 @@ def outcome_to_json(outcome: AnalysisOutcome, alarms: list[str] | None) -> dict[
     return {"status": "crashed", "exit_info": outcome.exit_info}
 
 
-def _sorted_alarms(alarms: frozenset[str], universe: Sequence[str]) -> list[str]:
-    listed = list(filter(alarms.__contains__, universe))
-    return listed if len(listed) == len(alarms) else sorted(alarms)
-
-
 def _strings(value: Any, field: str) -> tuple[str, ...]:
     """A JSON array of strings, as a tuple; a string or a number is not one."""
     if type(value) is not list or not set(map(type, value)) <= {str}:
@@ -117,12 +113,27 @@ def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
     raise ConfigParseError(f"unknown outcome status {status!r}")
 
 
+def _counts(outcomes: tuple[AnalysisOutcome, ...]) -> tuple[int, float, float]:
+    """A record's completed outcomes, their share eta_c, and the delta's scaling factor eta."""
+    completed = sum(isinstance(o, Completed) for o in outcomes)
+    return completed, completed / len(outcomes), scaling_factor(completed, len(outcomes))
+
+
+def _check_universe(universe: tuple[str, ...], sets: Iterable[frozenset[str]]) -> None:
+    """The universe rule: ``universe`` holds exactly the alarms of ``sets``, each once."""
+    reported = set().union(*sets)
+    if len(universe) != len(reported) or set(universe) != reported:
+        raise ValueError("alarm_universe is not the completed outcomes' alarms, each once")
+
+
 def record_to_json(record: IterationRecord) -> dict[str, Any]:
-    # Every completed outcome's alarms are in the universe: sort it once,
-    # and list each distinct alarm set once, however many outcomes hold it.
-    universe = sorted(record.alarm_universe)
+    # Check the universe, sort it once, and list each distinct alarm set
+    # once, however many outcomes hold it.
     sets = dict.fromkeys(o.alarms for o in record.outcomes if isinstance(o, Completed))
-    listed = {alarms: _sorted_alarms(alarms, universe) for alarms in sets}
+    _check_universe(record.alarm_universe, sets)
+    universe = sorted(record.alarm_universe)
+    listed = {alarms: list(filter(alarms.__contains__, universe)) for alarms in sets}
+    completed, eta_c, eta = _counts(record.outcomes)
     return {
         "schema": SCHEMA_VERSION,
         "index": record.index,
@@ -132,9 +143,9 @@ def record_to_json(record: IterationRecord) -> dict[str, Any]:
             for o in record.outcomes
         ],
         "alarm_universe": list(record.alarm_universe),
-        "completed": record.completed,
-        "eta_c": record.eta_c,
-        "eta": record.eta,
+        "completed": completed,
+        "eta_c": eta_c,
+        "eta": eta,
         "distributions_before": {
             name: distribution_to_json(d) for name, d in record.distributions_before.items()
         },
@@ -169,36 +180,25 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
     for name in ("index", "completed"):
         if type(obj[name]) is not int:
             raise ConfigParseError(f"{name} must be an integer, got {obj[name]!r}")
-    completed = obj["completed"]
-    if completed != sum(isinstance(o, Completed) for o in outcomes):
-        raise ConfigParseError(f"completed is {completed}, not the number of completed outcomes")
-    # eta_c and eta follow from the counts; a record must agree with them exactly.
-    eta_c, eta = completed / len(outcomes), scaling_factor(completed, len(outcomes))
+    # The counts follow from the outcomes; a record must agree with them exactly.
+    completed, eta_c, eta = _counts(outcomes)
+    if obj["completed"] != completed:
+        raise ConfigParseError(f"completed is {obj['completed']}, not {completed}")
     if (obj["eta_c"], obj["eta"]) != (eta_c, eta):
         raise ConfigParseError(
             f"eta_c and eta are {obj['eta_c']!r} and {obj['eta']!r}, not {eta_c!r} and {eta!r}"
         )
+    universe = _strings(obj["alarm_universe"], "alarm_universe")
+    _check_universe(universe, (o.alarms for o in outcomes if isinstance(o, Completed)))
     return IterationRecord(
         index=obj["index"],
         sampled_configs=configs,
         outcomes=outcomes,
-        alarm_universe=_strings(obj["alarm_universe"], "alarm_universe"),
-        completed=completed,
-        eta_c=eta_c,
-        eta=eta,
+        alarm_universe=universe,
         distributions_before=before,
         distributions_after=after,
         elapsed=nonnegative(_number(obj["elapsed"], "elapsed")),
     )
-
-
-class _EscapedIds(dict):
-    """Alarm id -> its JSON string, as json.dumps escapes a str; an id not
-    given up front is escaped on first use."""
-
-    def __missing__(self, alarm: str) -> str:
-        escaped = self[alarm] = encode_basestring_ascii(alarm)
-        return escaped
 
 
 def write_record(stream: TextIO, record: IterationRecord) -> None:
@@ -214,11 +214,9 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
     so: a parameter named ``alarms`` holds a string or an object, and a
     string's quotes are escaped.
     """
-    obj = record_to_json(record)
+    obj = record_to_json(record)  # which checks that the universe holds every alarm
     completed = [outcome for outcome in obj["outcomes"] if "alarms" in outcome]
-    # A record from tune lists every alarm its outcomes report in its universe.
-    universe = record.alarm_universe
-    escaped = _EscapedIds(zip(universe, map(encode_basestring_ascii, universe)))
+    escaped = {alarm: encode_basestring_ascii(alarm) for alarm in record.alarm_universe}
     texts: dict[int, str] = {}  # id of an alarm list -> its items' text
     spliced = []
     for outcome in completed:
@@ -238,23 +236,28 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
 
 
 def read_trace(text: str) -> list[IterationRecord]:
-    """Parse a trace; errors name the first offending record index.
+    """Parse the trace of one run; errors name the first offending record.
 
-    Every record must have the parameters of the first, in its order.
+    Record N (blank lines are not records) has index N, the parameters of
+    record 0 in its order, and record N-1's after as its before.
     """
     records: list[IterationRecord] = []
-    for index, line in enumerate(text.splitlines()):
+    for line in text.splitlines():
         if not line.strip():
             continue
         # A record or a field of the wrong JSON type fails where it is
         # used, with an AttributeError or a TypeError.
         try:
             record = record_from_json(json.loads(line))
+            if record.index != len(records):
+                raise ConfigParseError(f"index {record.index}, not {len(records)}")
             names = list(record.distributions_before)
             if records and names != list(records[0].distributions_before):
                 raise ConfigParseError(f"parameters {names}, not the first record's")
+            if records and record.distributions_before != records[-1].distributions_after:
+                raise ConfigParseError("distributions_before are not the previous record's after")
         except (KeyError, ValueError, TypeError, AttributeError, ConfigParseError) as exc:
-            raise ConfigParseError(f"trace record {index} is malformed: {exc}")
+            raise ConfigParseError(f"trace record {len(records)} is malformed: {exc}")
         records.append(record)
     return records
 
@@ -264,7 +267,7 @@ def result_to_json(result: TuneResult) -> dict[str, Any]:
     if result.best_sampled is not None:
         best = {
             "config": _config_to_json(result.best_sampled.config),
-            "alarm_count": result.best_sampled.alarm_count,
+            "alarm_count": len(result.best_sampled.alarms),
             "alarms": list(result.best_sampled.alarms),
         }
     return {

@@ -188,6 +188,27 @@ class TestTune:
         with pytest.raises(LatticeMismatchError, match="meet of int and bool"):
             run_cli("tune", "--profile", str(PROFILE), "--out", str(tmp_path / "o"))
 
+    @pytest.mark.parametrize("rerun", ["no-iteration", "all-timed-out"])
+    def test_rerun_with_no_best_sample_leaves_no_best_sampled_conf(self, tmp_path, rerun):
+        # the first run's file stayed behind, beside a result.json whose
+        # best sample is null
+        out = tmp_path / "run"
+        flags = ("--profile", str(PROFILE), "--max-iterations", "2", "--out", str(out))
+        assert run_cli("tune", *flags) == 0
+        assert (out / "best_sampled.conf").exists()
+        if rerun == "no-iteration":
+            flags = ("--profile", str(PROFILE), "--max-iterations", "0")
+        else:
+            slow = tmp_path / "slow.profile"
+            text = PROFILE.read_text(encoding="utf-8")
+            slow.write_text(text.replace("cost.base = 0.05", "cost.base = 100"), encoding="utf-8")
+            flags = ("--profile", str(slow), "--budget", "10", "--max-iterations", "2")
+        assert run_cli("tune", *flags, "--out", str(out)) == 0
+        result = json.loads((out / "result.json").read_text(encoding="utf-8"))
+        assert result["iterations"] == (0 if rerun == "no-iteration" else 2)
+        assert result["best_sampled"] is None
+        assert not (out / "best_sampled.conf").exists()
+
     def test_reproducible_trace_bytes(self, tmp_path):
         outs = []
         for name in ("a", "b"):

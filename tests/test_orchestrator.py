@@ -41,6 +41,7 @@ from strategy_tuner import (
 from strategy_tuner import orchestrator
 from strategy_tuner.analyzers import synthetic_alarms
 from strategy_tuner.paramspace import Configuration
+from strategy_tuner.trace import record_to_json
 
 
 def _configs_with_slevel(catalog, values):
@@ -283,7 +284,7 @@ class TestDispatch:
         result = tune("prog", catalog, settings, Exploding())
         record = result.iteration_trace[0]
         assert all(isinstance(o, Crashed) for o in record.outcomes)
-        assert record.completed == 0
+        assert record_to_json(record)["completed"] == 0
 
 
 class Returning:
@@ -535,7 +536,7 @@ class TestEtaScaling:
         result = tune("synthetic", catalog, settings, SyntheticAnalyzer(profile))
         record = result.iteration_trace[0]
         assert all(isinstance(o, TimedOut) for o in record.outcomes)
-        assert record.eta == 0.25
+        assert record_to_json(record)["eta"] == 0.25
         before = record.distributions_before["slevel"]
         after = record.distributions_after["slevel"]
         assert after.delta == (before.delta[0] * 0.25,)
@@ -552,8 +553,9 @@ class TestEtaScaling:
             "synthetic", catalog, settings, SyntheticAnalyzer(incompressible_profile)
         )
         record = result.iteration_trace[0]
-        assert record.completed == 4
-        assert record.eta == 2.25
+        written = record_to_json(record)
+        assert written["completed"] == 4
+        assert written["eta"] == 2.25
 
     def test_loop_continues_after_zero_completions(self, catalog):
         profile = SyntheticProfile(
@@ -694,7 +696,6 @@ class TestStateEvolution:
             "synthetic", catalog, settings, SyntheticAnalyzer(convergence_profile)
         )
         assert result.best_sampled is not None
-        assert result.best_sampled.alarm_count == len(result.best_sampled.alarms)
 
 
 MIXED_PROFILE = Path(__file__).parent / "data" / "golden" / "mixed.profile"
@@ -745,9 +746,8 @@ class TestLoopRecords:
         ]
         count, k, i = min(completed)
         alarms = trace[k].outcomes[i].alarms
-        assert result.best_sampled == BestSample(
-            trace[k].sampled_configs[i], count, tuple(sorted(alarms))
-        )
+        best = BestSample(trace[k].sampled_configs[i], tuple(sorted(alarms)))
+        assert result.best_sampled == best
         # Under seed 3 (seed 4 is the golden run) later analyses tie the
         # fewest alarms with other configurations, so keeping a later one
         # would differ.
@@ -933,10 +933,11 @@ class TestAdversarialAnalyzer:
             assert all(config_dominates(c, base) for c in record.sampled_configs)
             assert all(leq(before[n].base, after[n].base) for n in names)
             completed = sum(isinstance(o, Completed) for o in record.outcomes)
-            assert record.completed == completed
-            assert record.eta_c == completed / num_sample
-            assert record.eta == 2.0 * (completed / num_sample) + 1.0 / num_sample
-            assert all(after[n].delta == refine_delta(before[n], record.eta) for n in names)
+            counts = record_to_json(record)
+            assert counts["completed"] == completed
+            assert counts["eta_c"] == completed / num_sample
+            assert counts["eta"] == 2.0 * (completed / num_sample) + 1.0 / num_sample
+            assert all(after[n].delta == refine_delta(before[n], counts["eta"]) for n in names)
 
         assert tuple(read_trace(buffer.getvalue())) == records
         written = json.loads(json.dumps(result_to_json(result)))
@@ -952,4 +953,4 @@ class TestAdversarialAnalyzer:
             config = "".join(f"{n} = {v}\n" for n, v in best["config"].items())
             assert parse_configuration(config, catalog) == result.best_sampled.config
             assert tuple(best["alarms"]) == result.best_sampled.alarms
-            assert best["alarm_count"] == result.best_sampled.alarm_count
+            assert best["alarm_count"] == len(result.best_sampled.alarms)

@@ -23,6 +23,7 @@ from strategy_tuner import (
     SyntheticAnalyzer,
     TimedOut,
     TunerSettings,
+    parse_profile,
     scaling_factor,
     tune,
 )
@@ -35,6 +36,7 @@ from strategy_tuner.trace import (
     result_to_json,
     write_record,
 )
+from test_golden import SCENARIOS, golden_path
 
 MIXED_TRACE = Path(__file__).resolve().parent / "data" / "golden" / "mixed.ndjson"
 
@@ -109,9 +111,6 @@ class TestRoundTrip:
             sampled_configs=(Configuration(("flag", "bits"), (BoolVal(True), BitsVal(1, 1))),),
             outcomes=(Crashed("exit 1"),),
             alarm_universe=(),
-            completed=0,
-            eta_c=0.0,
-            eta=1.0,
             distributions_before=before,
             distributions_after=after,
             elapsed=0.0,
@@ -130,7 +129,7 @@ class TestRoundTrip:
         obj = result_to_json(short_run)
         assert obj["iterations"] == len(short_run.iteration_trace)
         assert set(obj["recommended_config"]) == set(short_run.recommended_config.names)
-        assert obj["best_sampled"]["alarm_count"] == short_run.best_sampled.alarm_count
+        assert obj["best_sampled"]["alarm_count"] == len(short_run.best_sampled.alarms)
 
 
 class TestAlarmOrder:
@@ -141,24 +140,29 @@ class TestAlarmOrder:
                 if isinstance(out, Completed):
                     assert written["alarms"] == sorted(out.alarms)
 
-    def test_universe_missing_an_alarm(self, short_run):
+    def test_universe_holds_exactly_the_reported_alarms(self, short_run):
+        # the universe is the one list of a record's alarm ids: one that
+        # lacks an id is not written, and one that lacks, adds or repeats
+        # an id is not read
         record = dataclasses.replace(
             short_run.iteration_trace[0],
-            outcomes=(Completed(frozenset({"b", "a", "c"}), 1.0),) * 3,
-            alarm_universe=(),
-        )
-        assert record_to_json(record)["outcomes"][0]["alarms"] == ["a", "b", "c"]
-
-    def test_record_whose_universe_lacks_its_alarms(self, short_run):
-        record = dataclasses.replace(
-            short_run.iteration_trace[0],
-            outcomes=(Completed(frozenset({"z", "y"}), 0.5),) * 3,
-            alarm_universe=("y",),
+            outcomes=(Completed(frozenset("zy"), 0.5), TimedOut(1.0), Completed(frozenset(), 2)),
+            alarm_universe=("z", "y"),
         )
         assert record_to_json(record)["outcomes"][0]["alarms"] == ["y", "z"]
+        with pytest.raises(ValueError, match="alarm_universe is not"):
+            record_to_json(dataclasses.replace(record, alarm_universe=("y",)))
+        line = json.dumps(record_to_json(record))
+        for universe in (["y"], ["z", "y", "x"], ["z", "y", "z"]):
+            obj = json.loads(line)
+            obj["alarm_universe"] = universe
+            with pytest.raises(ConfigParseError, match="record 0 is malformed: alarm_universe"):
+                read_trace(json.dumps(obj))
 
     @pytest.mark.parametrize(
-        "universe", [("c", "a", "b"), ("b",)], ids=["universe-holds-all", "universe-lacks-some"]
+        "universe",
+        [("c", "a", "b"), ("b", "a", "c")],
+        ids=["universe-holds-all", "universe-in-another-order"],
     )
     def test_shared_and_copied_alarm_sets_agree(self, short_run, universe):
         # one object per distinct alarm set, or a fresh copy per outcome:
@@ -180,6 +184,34 @@ class TestAlarmOrder:
         assert [o.get("alarms") for o in obj["outcomes"]] == [
             ["a", "c"], ["b"], ["a", "c"], [], ["b"], None
         ]
+
+
+class TestRunState:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_a_prefix_of_the_records_is_the_run_so_far(self, catalog_module, name):
+        # a run stopped after k iterations wrote the full run's first k
+        # records, and its distributions and its budget follow from them
+        # alone: the state a resumed run would start from
+        profile_path, settings = SCENARIOS[name]
+        profile = parse_profile(profile_path.read_text(encoding="utf-8"), catalog_module)
+        lines = golden_path(name).read_text(encoding="utf-8").splitlines(keepends=True)
+        records = read_trace("".join(lines))
+        budget = settings["time_budget"]
+        for k in range(1, len(records) + 1):
+            stream = io.StringIO()
+            result = tune(
+                "synthetic",
+                catalog_module,
+                TunerSettings(**{**settings, "max_iterations": k}),
+                SyntheticAnalyzer(profile),
+                on_record=lambda record: write_record(stream, record),
+            )
+            assert stream.getvalue() == "".join(lines[:k])
+            assert result.final_distributions == records[k - 1].distributions_after
+            remaining = budget
+            for record in records[:k]:
+                remaining -= record.elapsed
+            assert result.wall_time_total == budget - remaining
 
 
 #: Alarm ids that JSON must escape: a quote, a backslash, a tab, a
@@ -231,16 +263,18 @@ class TestWriter:
     @given(
         stx.lists(stx.frozensets(stx.text(), max_size=6), min_size=1, max_size=6),
         stx.lists(stx.integers(0, 5), max_size=6),
+        stx.data(),
     )
-    def test_any_alarm_ids_write_as_json_dumps(self, short_run, sets, repeats):
+    def test_any_alarm_ids_write_as_json_dumps(self, short_run, sets, repeats, data):
         # a set held by two outcomes is one shared object, as the synthetic
-        # analyzer reports it; the universe may lack some of the ids
+        # analyzer reports it; the universe lists every id once, in any order
         outcomes = [Completed(s, 0.5) for s in sets]
         outcomes += [outcomes[i % len(sets)] for i in repeats]
+        universe = data.draw(stx.permutations(sorted(frozenset().union(*sets))))
         record = dataclasses.replace(
             short_run.iteration_trace[0],
             outcomes=(*outcomes, TimedOut(1.0), Crashed('"')),
-            alarm_universe=tuple(sets[0]),
+            alarm_universe=tuple(universe),
         )
         buffer = io.StringIO()
         write_record(buffer, record)
@@ -274,6 +308,37 @@ class TestMalformedTraces:
         write_record(buffer, short_run.iteration_trace[0])
         text = "\n" + buffer.getvalue() + "\n"
         assert len(read_trace(text)) == 1
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda lines: [lines[1], lines[0], *lines[2:]], "record 0 is malformed: index 1"),
+            (lambda lines: lines[:3] + lines[4:], "record 3 is malformed: index 4, not 3"),
+            (lambda lines: lines + lines, "record 12 is malformed: index 0, not 12"),
+            (
+                lambda lines: [lines[0].replace('"index": 0', '"index": -3'), *lines[1:]],
+                "record 0 is malformed: index -3, not 0",
+            ),
+            (lambda lines: [lines[0], "", "{not json}"], "record 1 is malformed"),
+            (
+                lambda lines: [
+                    lines[1].replace('"index": 1,', '"index": 0,'),
+                    lines[0].replace('"index": 0,', '"index": 1,'),
+                    *lines[2:],
+                ],
+                "record 1 is malformed: distributions_before are not",
+            ),
+        ],
+        ids=["swapped", "one-dropped", "concatenated", "negative-index", "after-a-blank-line",
+             "swapped-and-renumbered"],
+    )
+    def test_trace_is_one_run(self, edit, reason):
+        # a trace is the state of one run: record N is its iteration N, and
+        # starts from where record N-1 left the distributions; an error
+        # names the record by its count, not its line
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        with pytest.raises(ConfigParseError, match=f"trace {reason}"):
+            read_trace("\n".join(edit(lines)))
 
     @pytest.mark.parametrize(
         "mutate",
