@@ -140,19 +140,30 @@ class TestAlarmOrder:
                 if isinstance(out, Completed):
                     assert written["alarms"] == sorted(out.alarms)
 
-    def test_universe_holds_exactly_the_reported_alarms(self, short_run):
-        # the universe is the one list of a record's alarm ids: one that
-        # lacks an id is not written, and one that lacks, adds or repeats
-        # an id is not read
+    def test_universe_missing_an_alarm(self, short_run):
+        # the universe is the one list of a record's alarm ids: the writer
+        # sorts by it, and refuses one that lacks an id the outcomes report
+        record = dataclasses.replace(
+            short_run.iteration_trace[0],
+            outcomes=(Completed(frozenset({"b", "a", "c"}), 1.0),) * 3,
+            alarm_universe=("c", "b", "a"),
+        )
+        assert record_to_json(record)["outcomes"][0]["alarms"] == ["a", "b", "c"]
+        for universe in ((), ("b", "a")):
+            with pytest.raises(ValueError, match="alarm_universe is not"):
+                record_to_json(dataclasses.replace(record, alarm_universe=universe))
+
+    def test_record_whose_universe_lacks_its_alarms(self, short_run):
+        # a written record whose universe lacks, adds or repeats an id of
+        # its outcomes is not read
         record = dataclasses.replace(
             short_run.iteration_trace[0],
             outcomes=(Completed(frozenset("zy"), 0.5), TimedOut(1.0), Completed(frozenset(), 2)),
             alarm_universe=("z", "y"),
         )
         assert record_to_json(record)["outcomes"][0]["alarms"] == ["y", "z"]
-        with pytest.raises(ValueError, match="alarm_universe is not"):
-            record_to_json(dataclasses.replace(record, alarm_universe=("y",)))
         line = json.dumps(record_to_json(record))
+        assert read_trace(line)[0].alarm_universe == ("z", "y")
         for universe in (["y"], ["z", "y", "x"], ["z", "y", "z"]):
             obj = json.loads(line)
             obj["alarm_universe"] = universe
