@@ -9,8 +9,8 @@ analysis, one value column per parameter), refines every parameter's
 base in one ``refine_bases`` call (meet-and-join over alarm columns) and
 its delta (completion-rate scaling), and charges its time to the
 budget. The loop stops when the remaining budget drops below a minimum
-slice or an iteration cap is reached. The records hold every outcome, so
-the best sample is taken from them once the loop is done.
+slice or an iteration cap is reached. The records are the run's state:
+the result derives the recommendation and the best sample from them.
 
 Budget policy: every analysis of an iteration gets the same deadline,
 ``remaining * iteration_fraction / waves`` where ``waves`` is the number
@@ -32,7 +32,8 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
 from .distributions import (
@@ -110,7 +111,6 @@ class IterationRecord:
     index: int
     sampled_configs: tuple[Configuration, ...]
     outcomes: tuple[AnalysisOutcome, ...]
-    alarm_universe: tuple[str, ...]
     distributions_before: dict[str, ParamDistribution]
     distributions_after: dict[str, ParamDistribution]
     elapsed: float
@@ -124,41 +124,57 @@ class BestSample:
 
 @dataclass(frozen=True)
 class TuneResult:
-    recommended_config: Configuration
-    best_sampled: BestSample | None
     final_distributions: dict[str, ParamDistribution]
     iteration_trace: tuple[IterationRecord, ...]
     wall_time_total: float
+
+    @cached_property
+    def recommended_config(self) -> Configuration:
+        """The final bases, one per parameter in catalog order."""
+        bases = tuple(dist.base for dist in self.final_distributions.values())
+        return Configuration(tuple(self.final_distributions), bases)
+
+    @cached_property
+    def best_sampled(self) -> BestSample | None:
+        """The first completed sample with the fewest alarms; None if none completed."""
+        samples = (
+            (config, outcome.alarms)
+            for record in self.iteration_trace
+            for config, outcome in zip(record.sampled_configs, record.outcomes)
+            if isinstance(outcome, Completed)
+        )
+        best = min(samples, key=lambda sample: len(sample[1]), default=None)
+        return None if best is None else BestSample(best[0], tuple(sorted(best[1])))
+
+
+def alarm_universe(outcomes: Iterable[AnalysisOutcome]) -> tuple[str, ...]:
+    """Every alarm id the completed outcomes report, once: each distinct alarm
+    set, in first-seen order, adds the ids not listed yet, sorted."""
+    universe: list[str] = []
+    for alarms in dict.fromkeys(o.alarms for o in outcomes if isinstance(o, Completed)):
+        universe += sorted(alarms.difference(universe))
+    return tuple(universe)
 
 
 def build_result_matrix(
     outcomes: list[AnalysisOutcome] | tuple[AnalysisOutcome, ...],
     sampled_configs: list[Configuration] | tuple[Configuration, ...],
 ) -> ResultMatrix:
-    """Matrix over completed analyses only.
-
-    The alarm universe is the union of their alarm sets, ordered by first
-    appearance (then lexicographically within one row's contribution).
-    """
+    """Matrix over completed analyses only, with ``alarm_universe(outcomes)`` as columns."""
     if len(outcomes) != len(sampled_configs):
         raise ValueError("outcomes and sampled_configs must align")
+    universe = alarm_universe(outcomes)
     completed = [
         (i, out.alarms) for i, out in enumerate(outcomes) if isinstance(out, Completed)
     ]
-    # Analyses often report equal alarm sets, and a repeat adds nothing to
-    # the universe: each distinct set is handled once, in first-seen order.
-    distinct = dict.fromkeys(alarms for _, alarms in completed)
-    universe: list[str] = []
-    seen: set[str] = set()
-    for alarms in distinct:
-        new = sorted(alarms - seen)
-        universe.extend(new)
-        seen.update(new)
-    produced = {alarms: tuple(map(alarms.__contains__, universe)) for alarms in distinct}
+    produced = {
+        alarms: tuple(map(alarms.__contains__, universe))
+        for alarms in dict.fromkeys(alarms for _, alarms in completed)
+    }
     names = sampled_configs[0].names if sampled_configs else ()
     row_values = [sampled_configs[i].values for i, _ in completed]
     return ResultMatrix(
-        alarms=tuple(universe),
+        alarms=universe,
         produced=tuple(produced[alarms] for _, alarms in completed),
         values=tuple(zip(*row_values)) if row_values else ((),) * len(names),
     )
@@ -326,7 +342,6 @@ def tune(
                 index=index,
                 sampled_configs=tuple(configs),
                 outcomes=tuple(outcomes),
-                alarm_universe=matrix.alarms,
                 distributions_before=dict(distributions),
                 distributions_after=after,
                 elapsed=elapsed,
@@ -342,19 +357,7 @@ def tune(
         wall_total = settings.time_budget - remaining
     else:
         wall_total = time.monotonic() - started
-    # The first completed sample with the fewest alarms; min keeps the first of equals.
-    samples = (
-        (config, outcome.alarms)
-        for record in records
-        for config, outcome in zip(record.sampled_configs, record.outcomes)
-        if isinstance(outcome, Completed)
-    )
-    best = min(samples, key=lambda sample: len(sample[1]), default=None)
     return TuneResult(
-        recommended_config=Configuration(
-            catalog.names, tuple(distributions[n].base for n in catalog.names)
-        ),
-        best_sampled=None if best is None else BestSample(best[0], tuple(sorted(best[1]))),
         final_distributions=dict(distributions),
         iteration_trace=tuple(records),
         wall_time_total=wall_total,

@@ -4,20 +4,21 @@ One JSON record per iteration, self-describing: every record carries a
 schema version and the full before/after distributions, whose delta kind
 fixes how the lattice literals in the same record parse back. A record
 round-trips losslessly into an IterationRecord without a catalog; its
-``completed``, ``eta_c`` and ``eta`` are derived from its outcomes.
+``alarm_universe``, ``completed``, ``eta_c`` and ``eta`` are derived from
+its outcomes.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, TextIO
+from typing import Any, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
 from .distributions import ParamDistribution, scaling_factor
 from .errors import ConfigParseError
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value
-from .orchestrator import IterationRecord, TuneResult
+from .orchestrator import IterationRecord, TuneResult, alarm_universe
 from .paramspace import Configuration, nonnegative
 
 SCHEMA_VERSION = 1
@@ -119,20 +120,12 @@ def _counts(outcomes: tuple[AnalysisOutcome, ...]) -> tuple[int, float, float]:
     return completed, completed / len(outcomes), scaling_factor(completed, len(outcomes))
 
 
-def _check_universe(universe: tuple[str, ...], sets: Iterable[frozenset[str]]) -> None:
-    """The universe rule: ``universe`` holds exactly the alarms of ``sets``, each once."""
-    reported = set().union(*sets)
-    if len(universe) != len(reported) or set(universe) != reported:
-        raise ValueError("alarm_universe is not the completed outcomes' alarms, each once")
-
-
 def record_to_json(record: IterationRecord) -> dict[str, Any]:
-    # Check the universe, sort it once, and list each distinct alarm set
-    # once, however many outcomes hold it.
+    # Sort the universe once, and list each distinct alarm set once, however many hold it.
+    universe = alarm_universe(record.outcomes)
+    ordered = sorted(universe)
     sets = dict.fromkeys(o.alarms for o in record.outcomes if isinstance(o, Completed))
-    _check_universe(record.alarm_universe, sets)
-    universe = sorted(record.alarm_universe)
-    listed = {alarms: list(filter(alarms.__contains__, universe)) for alarms in sets}
+    listed = {alarms: list(filter(alarms.__contains__, ordered)) for alarms in sets}
     completed, eta_c, eta = _counts(record.outcomes)
     return {
         "schema": SCHEMA_VERSION,
@@ -142,7 +135,7 @@ def record_to_json(record: IterationRecord) -> dict[str, Any]:
             outcome_to_json(o, listed[o.alarms] if isinstance(o, Completed) else None)
             for o in record.outcomes
         ],
-        "alarm_universe": list(record.alarm_universe),
+        "alarm_universe": list(universe),
         "completed": completed,
         "eta_c": eta_c,
         "eta": eta,
@@ -184,17 +177,18 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
     completed, eta_c, eta = _counts(outcomes)
     if obj["completed"] != completed:
         raise ConfigParseError(f"completed is {obj['completed']}, not {completed}")
-    if (obj["eta_c"], obj["eta"]) != (eta_c, eta):
+    rates = (obj["eta_c"], obj["eta"])
+    # A rate is a JSON number, as _number reads one: true is not 1.0.
+    if not all(type(rate) in (int, float) for rate in rates) or rates != (eta_c, eta):
         raise ConfigParseError(
-            f"eta_c and eta are {obj['eta_c']!r} and {obj['eta']!r}, not {eta_c!r} and {eta!r}"
+            f"eta_c and eta are {rates[0]!r} and {rates[1]!r}, not {eta_c!r} and {eta!r}"
         )
-    universe = _strings(obj["alarm_universe"], "alarm_universe")
-    _check_universe(universe, (o.alarms for o in outcomes if isinstance(o, Completed)))
+    if _strings(obj["alarm_universe"], "alarm_universe") != alarm_universe(outcomes):
+        raise ConfigParseError("alarm_universe is not the one its completed outcomes give")
     return IterationRecord(
         index=obj["index"],
         sampled_configs=configs,
         outcomes=outcomes,
-        alarm_universe=universe,
         distributions_before=before,
         distributions_after=after,
         elapsed=nonnegative(_number(obj["elapsed"], "elapsed")),
@@ -214,9 +208,9 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
     so: a parameter named ``alarms`` holds a string or an object, and a
     string's quotes are escaped.
     """
-    obj = record_to_json(record)  # which checks that the universe holds every alarm
+    obj = record_to_json(record)
     completed = [outcome for outcome in obj["outcomes"] if "alarms" in outcome]
-    escaped = {alarm: encode_basestring_ascii(alarm) for alarm in record.alarm_universe}
+    escaped = {alarm: encode_basestring_ascii(alarm) for alarm in obj["alarm_universe"]}
     texts: dict[int, str] = {}  # id of an alarm list -> its items' text
     spliced = []
     for outcome in completed:

@@ -27,6 +27,7 @@ from strategy_tuner import (
     scaling_factor,
     tune,
 )
+from strategy_tuner.orchestrator import alarm_universe
 from strategy_tuner.paramspace import Configuration
 from strategy_tuner.trace import (
     SCHEMA_VERSION,
@@ -110,7 +111,6 @@ class TestRoundTrip:
             index=0,
             sampled_configs=(Configuration(("flag", "bits"), (BoolVal(True), BitsVal(1, 1))),),
             outcomes=(Crashed("exit 1"),),
-            alarm_universe=(),
             distributions_before=before,
             distributions_after=after,
             elapsed=0.0,
@@ -141,47 +141,55 @@ class TestAlarmOrder:
                     assert written["alarms"] == sorted(out.alarms)
 
     def test_universe_missing_an_alarm(self, short_run):
-        # the universe is the one list of a record's alarm ids: the writer
-        # sorts by it, and refuses one that lacks an id the outcomes report
+        # a record carries no universe of its own, so none can lack an
+        # alarm: the writer derives it from the outcomes, each distinct set
+        # in first-seen order adding its new ids sorted
         record = dataclasses.replace(
             short_run.iteration_trace[0],
-            outcomes=(Completed(frozenset({"b", "a", "c"}), 1.0),) * 3,
-            alarm_universe=("c", "b", "a"),
+            outcomes=(
+                Completed(frozenset({"c", "b"}), 1.0),
+                TimedOut(2.0),
+                Completed(frozenset({"b", "a", "c"}), 1.0),
+                Completed(frozenset({"c", "b"}), 1.0),
+            ),
         )
-        assert record_to_json(record)["outcomes"][0]["alarms"] == ["a", "b", "c"]
-        for universe in ((), ("b", "a")):
-            with pytest.raises(ValueError, match="alarm_universe is not"):
-                record_to_json(dataclasses.replace(record, alarm_universe=universe))
+        obj = record_to_json(record)
+        assert obj["outcomes"][2]["alarms"] == ["a", "b", "c"]
+        assert obj["alarm_universe"] == ["b", "c", "a"]
+        assert alarm_universe(record.outcomes) == ("b", "c", "a")
 
     def test_record_whose_universe_lacks_its_alarms(self, short_run):
-        # a written record whose universe lacks, adds or repeats an id of
-        # its outcomes is not read
+        # a written record whose universe lacks, adds, repeats or reorders
+        # an id of its outcomes is not read
         record = dataclasses.replace(
             short_run.iteration_trace[0],
             outcomes=(Completed(frozenset("zy"), 0.5), TimedOut(1.0), Completed(frozenset(), 2)),
-            alarm_universe=("z", "y"),
         )
         assert record_to_json(record)["outcomes"][0]["alarms"] == ["y", "z"]
         line = json.dumps(record_to_json(record))
-        assert read_trace(line)[0].alarm_universe == ("z", "y")
-        for universe in (["y"], ["z", "y", "x"], ["z", "y", "z"]):
+        assert json.loads(line)["alarm_universe"] == ["y", "z"]
+        assert read_trace(line)[0] == record
+        for universe in (["y"], ["y", "z", "x"], ["y", "z", "y"], ["z", "y"]):
             obj = json.loads(line)
             obj["alarm_universe"] = universe
             with pytest.raises(ConfigParseError, match="record 0 is malformed: alarm_universe"):
                 read_trace(json.dumps(obj))
 
     @pytest.mark.parametrize(
-        "universe",
-        [("c", "a", "b"), ("b", "a", "c")],
+        "sets, universe",
+        [
+            ([("c", "a"), ("b",), ("c", "a"), (), ("b",)], ["a", "c", "b"]),
+            ([("b",), ("c", "a"), ("b",), (), ("c", "a")], ["b", "a", "c"]),
+        ],
         ids=["universe-holds-all", "universe-in-another-order"],
     )
-    def test_shared_and_copied_alarm_sets_agree(self, short_run, universe):
+    def test_shared_and_copied_alarm_sets_agree(self, short_run, sets, universe):
         # one object per distinct alarm set, or a fresh copy per outcome:
-        # the record serializes the same either way
-        sets = [("c", "a"), ("b",), ("c", "a"), (), ("b",)]
+        # the record serializes the same either way, and the order in which
+        # the sets first appear orders the universe
         one_each = {s: frozenset(s) for s in sets}
         timed_out = (TimedOut(2.0),)
-        base = dataclasses.replace(short_run.iteration_trace[0], alarm_universe=universe)
+        base = short_run.iteration_trace[0]
         shared = dataclasses.replace(
             base, outcomes=tuple(Completed(one_each[s], 0.5) for s in sets) + timed_out
         )
@@ -192,9 +200,8 @@ class TestAlarmOrder:
         assert copies.outcomes[0].alarms is not copies.outcomes[2].alarms
         obj = record_to_json(shared)
         assert json.dumps(obj) == json.dumps(record_to_json(copies))
-        assert [o.get("alarms") for o in obj["outcomes"]] == [
-            ["a", "c"], ["b"], ["a", "c"], [], ["b"], None
-        ]
+        assert [o.get("alarms") for o in obj["outcomes"]] == [*map(sorted, sets), None]
+        assert obj["alarm_universe"] == universe
 
 
 class TestRunState:
@@ -274,18 +281,15 @@ class TestWriter:
     @given(
         stx.lists(stx.frozensets(stx.text(), max_size=6), min_size=1, max_size=6),
         stx.lists(stx.integers(0, 5), max_size=6),
-        stx.data(),
     )
-    def test_any_alarm_ids_write_as_json_dumps(self, short_run, sets, repeats, data):
+    def test_any_alarm_ids_write_as_json_dumps(self, short_run, sets, repeats):
         # a set held by two outcomes is one shared object, as the synthetic
-        # analyzer reports it; the universe lists every id once, in any order
+        # analyzer reports it
         outcomes = [Completed(s, 0.5) for s in sets]
         outcomes += [outcomes[i % len(sets)] for i in repeats]
-        universe = data.draw(stx.permutations(sorted(frozenset().union(*sets))))
         record = dataclasses.replace(
             short_run.iteration_trace[0],
             outcomes=(*outcomes, TimedOut(1.0), Crashed('"')),
-            alarm_universe=tuple(universe),
         )
         buffer = io.StringIO()
         write_record(buffer, record)
@@ -388,11 +392,15 @@ class TestMalformedTraces:
             (1, lambda r: r.__setitem__("eta_c", -1.0), "eta_c and eta are"),
             (1, lambda r: r.__setitem__("eta_c", "1.0"), "eta_c and eta are"),
             (1, lambda r: r.__setitem__("eta", math.nan), "eta_c and eta are"),
+            # read back before as 1.0: every outcome of record 0 completed,
+            # so its eta_c is 1.0, and one of three completed makes eta 1.0
+            (0, lambda r: r.__setitem__("eta_c", True), "eta_c and eta are"),
+            (0, lambda r: _one_of_three_completed(r).__setitem__("eta", True), "eta_c and eta are"),
         ],
         ids=["after-lacks-a-parameter", "parameters-differ-from-record-0",
              "an-outcome-per-config", "completed-count", "no-outcome", "index-float",
              "index-string", "index-bool", "completed-float", "eta-wrong", "eta_c-negative",
-             "eta_c-string", "eta-nan"],
+             "eta_c-string", "eta-nan", "eta_c-bool", "eta-bool"],
     )
     def test_record_must_agree_with_itself_and_record_0(self, index, mutate, reason):
         # the first four made ``plot`` or ``build_result_matrix`` fail on read-back
@@ -495,10 +503,26 @@ class TestMalformedTraces:
         lines[0] = json.dumps(record)
         assert read_trace("\n".join(lines))[0].distributions_before["slevel"].delta == (20.0,)
 
-    @pytest.mark.parametrize("name", ["mixed.ndjson", "convergence.ndjson"])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS), ids=lambda name: golden_path(name).name)
     def test_golden_traces_read_back(self, name):
-        text = (MIXED_TRACE.parent / name).read_text(encoding="utf-8")
-        assert len(read_trace(text)) == len(text.splitlines())
+        # the records a trace reads back to write it again, byte for byte
+        text = golden_path(name).read_text(encoding="utf-8")
+        records = read_trace(text)
+        assert len(records) == len(text.splitlines())
+        stream = io.StringIO()
+        for record in records:
+            write_record(stream, record)
+        assert stream.getvalue() == text
+
+
+def _one_of_three_completed(record: dict) -> dict:
+    """Keep three analyses, only the first completed, so that eta is exactly 1.0."""
+    del record["sampled_configs"][3:]
+    first, timed_out = record["outcomes"][0], {"status": "timed_out", "wall_time": 1.0}
+    record.update(outcomes=[first, timed_out, timed_out], alarm_universe=first["alarms"])
+    record.update(completed=1, eta_c=1 / 3, eta=scaling_factor(1, 3))
+    assert record["eta"] == 1.0
+    return record
 
 
 def _drop_parameter(record: dict, name: str) -> None:
