@@ -15,9 +15,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import accumulate, compress
 from operator import or_
-from typing import Mapping, Protocol, Union
+from typing import Callable, Mapping, Protocol, Union
 
 from .errors import ConfigParseError, ProfileError
 from .keytree import parse_keytree
@@ -106,103 +106,61 @@ class Twist:
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
-class ThresholdGate:
-    """The alarms an integer or boolean parameter lets through.
+def _compile_rule(profile: SyntheticProfile) -> Callable[[tuple[LatticeValue, ...]], int]:
+    """The alarm rule as one function: values in catalog order -> the mask
+    of the alarms they eliminate, where bit i stands for alarm i.
 
-    ``keys`` holds the distinct required keys above bottom in ascending
-    order. ``released[i]`` is the mask of the alarms the parameter no
-    longer holds back once its key reaches ``keys[i - 1]``; ``released[0]``
-    holds the alarms that need nothing of it.
+    An alarm is eliminated when it is compressible and every parameter it
+    needs above bottom lets it through, unless a twist on it fires. A
+    bottom requirement constrains nothing, so it is dropped here.
     """
-
-    param: str
-    index: int
-    keys: tuple[int | float, ...]
-    released: tuple[int, ...]
-
-    def passes(self, key: int | float) -> int:
-        return self.released[bisect_right(self.keys, key)]
-
-
-@dataclass(frozen=True)
-class MaskGate:
-    """The alarms a bit-vector parameter lets through.
-
-    ``groups`` pairs each required mask above bottom with the alarms that
-    require it; ``free`` holds the alarms that need nothing of the
-    parameter.
-    """
-
-    param: str
-    index: int
-    free: int
-    groups: tuple[tuple[int, int], ...]
-
-    def passes(self, key: int) -> int:
-        passed = self.free
-        for need, alarms in self.groups:
-            if need & ~key == 0:
-                passed |= alarms
-        return passed
-
-
-@dataclass(frozen=True)
-class AlarmGates:
-    """The alarm rule compiled into bitmasks; bit i stands for alarm i.
-
-    An alarm is eliminated when it is compressible and every gate passes
-    it, unless a twist on it fires. A bottom requirement constrains
-    nothing, so it adds to no gate.
-    """
-
-    #: Alarm ids, last alarm first: the digit order of a binary numeral.
-    ids: tuple[str, ...]
-    compressible: int
-    #: One gate per parameter that some alarm needs above bottom.
-    params: tuple[ThresholdGate | MaskGate, ...]
-    #: Per twist: parameter position, threshold and the alarms it poisons.
-    twists: tuple[tuple[int, LatticeValue, int], ...]
-
-    @classmethod
-    def compile(cls, profile: SyntheticProfile) -> AlarmGates:
-        alarms, names = profile.alarms, profile.catalog.names
-        held: dict[int, dict[int | float, int]] = {}  # position -> required key -> alarms
-        mask_params: set[int] = set()
-        compressible = 0
-        for bit, alarm in enumerate(alarms):
-            if alarm.requirement is None:
-                continue
+    alarms, catalog = profile.alarms, profile.catalog
+    held: dict[int, dict[int | float, int]] = {}  # position -> required key -> alarms
+    compressible = 0
+    for bit, alarm in enumerate(alarms):
+        if alarm.requirement is not None:
             compressible |= 1 << bit
             for index, value in enumerate(alarm.requirement.values):
-                key = value.value
-                if key:  # bottom is the only key 0
+                if value.value:  # bottom is the only key 0
                     by_key = held.setdefault(index, {})
-                    by_key[key] = by_key.get(key, 0) | 1 << bit
-                    if isinstance(value, BitsVal):
-                        mask_params.add(index)
-        every = (1 << len(alarms)) - 1
-        gates: list[ThresholdGate | MaskGate] = []
-        for index, by_key in held.items():
-            free = every & ~reduce(or_, by_key.values())
-            if index in mask_params:
-                gates.append(MaskGate(names[index], index, free, tuple(by_key.items())))
-                continue
+                    by_key[value.value] = by_key.get(value.value, 0) | 1 << bit
+    every = (1 << len(alarms)) - 1
+    # An integer or boolean parameter passes the alarms that need nothing
+    # of it (released[0]) and, once its key reaches keys[i - 1], those of
+    # released[i]. A bit vector passes the alarms that need nothing of it
+    # and each group whose required mask its key includes.
+    thresholds, groups = [], []
+    for index, by_key in held.items():
+        free = every & ~reduce(or_, by_key.values())
+        if isinstance(catalog.bottoms[index], BitsVal):
+            groups.append((index, free, tuple(by_key.items())))
+        else:
             keys = sorted(by_key)
-            released = [free]
-            for key in keys:
-                released.append(released[-1] | by_key[key])
-            gates.append(ThresholdGate(names[index], index, tuple(keys), tuple(released)))
-        compiled_twists = tuple(
-            (
-                names.index(twist.param),
-                twist.threshold,
-                sum(1 << bit for bit, a in enumerate(alarms) if a.alarm_id == twist.alarm_id),
-            )
-            for twist in profile.twists
-        )
-        ids = tuple(alarm.alarm_id for alarm in reversed(alarms))
-        return cls(ids, compressible, tuple(gates), compiled_twists)
+            released = [*accumulate(map(by_key.get, keys), or_, initial=free)]
+            thresholds.append((index, keys, released))
+    twists = [
+        (catalog.names.index(twist.param), twist.threshold, sum(
+            1 << bit for bit, alarm in enumerate(alarms) if alarm.alarm_id == twist.alarm_id
+        ))
+        for twist in profile.twists
+    ]
+
+    def eliminated(values: tuple[LatticeValue, ...]) -> int:
+        mask = compressible
+        for index, keys, released in thresholds:
+            mask &= released[bisect_right(keys, values[index].value)]
+        for index, passed, needs in groups:
+            key = values[index].value
+            for need, needers in needs:
+                if need & ~key == 0:
+                    passed |= needers
+            mask &= passed
+        for index, threshold, poisoned in twists:
+            if leq(threshold, values[index]):
+                mask &= ~poisoned
+        return mask
+
+    return eliminated
 
 
 @dataclass(frozen=True)
@@ -211,8 +169,13 @@ class SyntheticProfile:
     alarms: tuple[SyntheticAlarm, ...]
     cost: CostModel = CostModel()
     twists: tuple[Twist, ...] = ()
-    #: The alarm rule, compiled once.
-    gates: AlarmGates = field(init=False, compare=False, repr=False)
+    #: The alarm rule, compiled once: values in catalog order -> the mask
+    #: of the alarms they eliminate (see ``_compile_rule``).
+    eliminated: Callable[[tuple[LatticeValue, ...]], int] = field(
+        init=False, compare=False, repr=False
+    )
+    #: Alarm ids, last alarm first: the digit order of a binary numeral.
+    ids: tuple[str, ...] = field(init=False, compare=False, repr=False)
     #: Each cost weight's parameter position in the catalog, and the weight.
     weighted: tuple[tuple[int, float], ...] = field(init=False, compare=False, repr=False)
 
@@ -229,7 +192,12 @@ class SyntheticProfile:
                 self.values_of(alarm.requirement)
         weighted = tuple((names.index(name), w) for name, w in self.cost.weights.items())
         object.__setattr__(self, "weighted", weighted)
-        object.__setattr__(self, "gates", AlarmGates.compile(self))
+        object.__setattr__(self, "eliminated", _compile_rule(self))
+        object.__setattr__(self, "ids", tuple(alarm.alarm_id for alarm in reversed(self.alarms)))
+
+    def __reduce__(self):
+        # pickle cannot save the compiled rule, a closure: rebuild it from the fields
+        return SyntheticProfile, (self.catalog, self.alarms, self.cost, self.twists)
 
     def values_of(self, config: Configuration) -> tuple[LatticeValue, ...]:
         """The values by catalog position; ValueError if the names differ from the catalog's."""
@@ -253,20 +221,8 @@ def simulated_cost(profile: SyntheticProfile, config: Configuration) -> float:
     return cost
 
 
-def _eliminated(gates: AlarmGates, values: tuple[LatticeValue, ...]) -> int:
-    """The mask of the alarms the values, in catalog order, eliminate."""
-    eliminated = gates.compressible
-    for gate in gates.params:
-        eliminated &= gate.passes(values[gate.index].value)
-    for index, threshold, alarms in gates.twists:
-        if leq(threshold, values[index]):
-            eliminated &= ~alarms
-    return eliminated
-
-
-def _alarm_names(gates: AlarmGates, eliminated: int) -> frozenset[str]:
-    """The ids of the alarms not in the eliminated mask."""
-    ids = gates.ids
+def _alarm_names(ids: tuple[str, ...], eliminated: int) -> frozenset[str]:
+    """The ids, last alarm first, of the alarms not in the eliminated mask."""
     produced = eliminated ^ ((1 << len(ids)) - 1)
     # One 0/1 byte per alarm, last alarm first, to select the ids. A set
     # copied into a frozenset gets a smaller table than one grown from an
@@ -281,7 +237,7 @@ def synthetic_alarms(profile: SyntheticProfile, config: Configuration) -> frozen
     An alarm is suppressed when the configuration dominates its
     requirement, unless a twist on it fires.
     """
-    return _alarm_names(profile.gates, _eliminated(profile.gates, profile.values_of(config)))
+    return _alarm_names(profile.ids, profile.eliminated(profile.values_of(config)))
 
 
 class SyntheticAnalyzer:
@@ -307,11 +263,10 @@ class SyntheticAnalyzer:
         cost = simulated_cost(self.profile, task.config)  # checks the parameter names
         if cost > task.timeout:
             return TimedOut(wall_time=task.timeout)
-        gates = self.profile.gates
-        eliminated = _eliminated(gates, task.config.values)
+        eliminated = self.profile.eliminated(task.config.values)
         alarms = self._alarm_sets.get(eliminated)
         if alarms is None:
-            alarms = self._alarm_sets[eliminated] = _alarm_names(gates, eliminated)
+            alarms = self._alarm_sets[eliminated] = _alarm_names(self.profile.ids, eliminated)
         return Completed(alarms=alarms, wall_time=cost)
 
 

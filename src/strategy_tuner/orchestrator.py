@@ -9,8 +9,12 @@ analysis, one value column per parameter), refines every parameter's
 base in one ``refine_bases`` call (meet-and-join over alarm columns) and
 its delta (completion-rate scaling), and charges its time to the
 budget. The loop stops when the remaining budget drops below a minimum
-slice or an iteration cap is reached. The records are the run's state:
-the result derives the recommendation and the best sample from them.
+slice or an iteration cap is reached. Without a cap it also stops after
+an iteration whose charge leaves the budget unchanged (every analysis of
+a virtual-clock analyzer crashed, or the charge is below half an ulp of
+the budget), since the budget could then never run out. The records are
+the run's state: the result derives the recommendation and the best
+sample from them.
 
 Budget policy: every analysis of an iteration gets the same deadline,
 ``remaining * iteration_fraction / waves`` where ``waves`` is the number
@@ -295,7 +299,8 @@ def tune(
     analyzer: Analyzer,
     on_record: Callable[[IterationRecord], None] | None = None,
 ) -> TuneResult:
-    """Drive iterations until the budget or iteration cap runs out.
+    """Drive iterations until the budget or iteration cap runs out, or,
+    with no cap, until an iteration leaves the budget unchanged.
 
     ``on_record`` is invoked after each iteration (e.g. to append and
     flush a trace file), before the next one starts. All iterations share
@@ -349,9 +354,12 @@ def tune(
             records.append(record)
             del matrix  # an iteration's largest object: free it before the next is built
             distributions = after
+            stalled = remaining - elapsed == remaining
             remaining -= elapsed
             if on_record is not None:
                 on_record(record)
+            if stalled and settings.max_iterations is None:
+                break  # a charge of 0 or below half an ulp: the budget can no longer shrink
 
     if pool is None:
         wall_total = settings.time_budget - remaining

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
-import math
+import pickle
 import random
 import sys
 import time
@@ -176,10 +177,31 @@ class TestCatalogPositions:
             cost=CostModel(weights={"domains": 2.0, "ilevel": 1.0}),
             twists=(Twist("a", "plevel", IntVal(50)),),
         )
-        positions = {gate.param: gate.index for gate in profile.gates.params}
-        assert positions == {"slevel": 4, "domains": 12}
-        assert [twist[0] for twist in profile.gates.twists] == [6]
+        # the rule reads slevel, domains and the twist's plevel at their
+        # catalog positions: lowering either need, or reaching the twist,
+        # at that position alone brings the alarm back
+        assert synthetic_alarms(profile, requirement) == set()
+        changes = {4: IntVal(2), 12: BitsVal.from_string("10100"), 6: IntVal(50)}
+        for index, value in changes.items():
+            values = list(requirement.values)
+            values[index] = value
+            config = Configuration(catalog.names, tuple(values))
+            assert synthetic_alarms(profile, config) == {"a"}
+        assert [catalog.names[index] for index in changes] == ["slevel", "domains", "plevel"]
         assert profile.weighted == ((12, 2.0), (5, 1.0))
+
+    def test_profile_copies_and_pickles(self, catalog, slevel_profile):
+        # the compiled rule is rebuilt from the fields, not copied
+        low = catalog.base_configuration()
+        high = low.replace("slevel", IntVal(104))
+        for rebuilt in (
+            copy.copy(slevel_profile),
+            copy.deepcopy(slevel_profile),
+            pickle.loads(pickle.dumps(slevel_profile)),
+        ):
+            assert rebuilt == slevel_profile
+            assert synthetic_alarms(rebuilt, low) == {"alarm-1"}
+            assert synthetic_alarms(rebuilt, high) == set()
 
 
 _BAD_PROFILES = {
@@ -350,8 +372,9 @@ class TestCompiledRule:
                 assert synthetic_alarms(profile, config) == _plain_alarms(profile, config)
 
     def test_bottom_requirements_are_dropped(self, catalog):
-        # a bottom requirement constrains nothing: only slevel gets a gate,
-        # and an alarm needing nothing above bottom is always eliminated
+        # a bottom requirement constrains nothing: slevel alone holds "a"
+        # back, an alarm needing nothing above bottom is always eliminated,
+        # and only an incompressible alarm survives the top configuration
         requirement = catalog.configuration({"slevel": IntVal(3)}, fill_bottom=True)
         profile = SyntheticProfile(
             catalog=catalog,
@@ -361,10 +384,12 @@ class TestCompiledRule:
                 SyntheticAlarm("free", catalog.bottom_configuration()),
             ),
         )
-        (gate,) = profile.gates.params
-        assert (gate.param, gate.keys) == ("slevel", (3,))
-        assert profile.gates.compressible == 0b101
-        assert synthetic_alarms(profile, catalog.bottom_configuration()) == {"a", "stuck"}
+        low = catalog.bottom_configuration()
+        highest = catalog.configuration({spec.name: top(spec.initial.base) for spec in catalog})
+        assert synthetic_alarms(profile, low) == {"a", "stuck"}
+        assert synthetic_alarms(profile, low.replace("slevel", IntVal(2))) == {"a", "stuck"}
+        assert synthetic_alarms(profile, low.replace("slevel", IntVal(3))) == {"stuck"}
+        assert synthetic_alarms(profile, highest) == {"stuck"}
 
     def test_masks_spanning_several_words(self, catalog):
         rng = random.Random(6174)
@@ -387,7 +412,11 @@ class TestCompiledRule:
                 for spec in [rng.choice(specs)]
             )
             profile = SyntheticProfile(catalog=catalog, alarms=tuple(alarms), twists=twists)
-            assert profile.gates.compressible.bit_length() > 64
+            highest = catalog.configuration({spec.name: top(spec.initial.base) for spec in specs})
+            produced = synthetic_alarms(profile, highest)
+            assert produced == _plain_alarms(profile, highest)
+            # some compressible alarm past the first 64 bits is eliminated
+            assert any(alarm.alarm_id not in produced for alarm in alarms[64:])
             for _ in range(30):
                 config = catalog.configuration(
                     {spec.name: _random_value(spec.initial.base, rng) for spec in specs}
@@ -431,10 +460,19 @@ class TestCompiledRule:
             ),
             twists=(Twist("small", "slevel", IntVal(INFINITY)),),
         )
-        (gate,) = profile.gates.params
-        assert gate.keys == (7, INT_CEILING, math.inf)
         low = catalog.bottom_configuration()
         assert synthetic_alarms(profile, low) == {"unbounded", "ceiling", "small"}
+        # each of the keys 7, INT_CEILING and infinity releases its alarm
+        # at that value and not one below
+        assert synthetic_alarms(profile, low.replace("slevel", IntVal(6))) == {
+            "unbounded", "ceiling", "small"
+        }
+        assert synthetic_alarms(profile, low.replace("slevel", IntVal(7))) == {
+            "unbounded", "ceiling"
+        }
+        assert synthetic_alarms(profile, low.replace("slevel", IntVal(INT_CEILING - 1))) == {
+            "unbounded", "ceiling"
+        }
         assert synthetic_alarms(profile, low.replace("slevel", IntVal(INT_CEILING))) == {
             "unbounded"
         }

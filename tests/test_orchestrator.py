@@ -625,6 +625,57 @@ class TestBudget:
         assert result.iteration_trace[0].elapsed <= 50.0 + 1e-9
 
 
+def _crash(task):
+    raise RuntimeError("kaboom")
+
+
+def _fail_after(limit, seen):
+    """An ``on_record`` that keeps each record and fails once ``limit`` are
+    written, so a run that would never end fails instead of hanging."""
+
+    def on_record(record):
+        seen.append(record)
+        if len(seen) >= limit:
+            raise AssertionError(f"the run wrote {limit} records and went on")
+
+    return on_record
+
+
+class TestStopRule:
+    """Without a cap, a run ends after an iteration that cannot shrink its budget."""
+
+    def test_every_analysis_crashing_ends_an_uncapped_run(self, catalog):
+        seen = []
+        settings = TunerSettings(time_budget=10.0)
+        result = tune("prog", catalog, settings, Returning(_crash), _fail_after(50, seen))
+        assert len(result.iteration_trace) == 1
+        assert seen == list(result.iteration_trace)
+        assert result.iteration_trace[0].elapsed == 0.0
+        assert all(isinstance(o, Crashed) for o in result.iteration_trace[0].outcomes)
+
+    def test_a_capped_run_still_runs_to_its_cap(self, catalog):
+        settings = TunerSettings(time_budget=10.0, max_iterations=3)
+        result = tune("prog", catalog, settings, Returning(_crash), _fail_after(50, []))
+        assert len(result.iteration_trace) == 3
+
+    @pytest.mark.parametrize(
+        "budget",
+        [dict(time_budget=1e17), dict(time_budget=10.0, iteration_fraction=5e-324)],
+        ids=["budget-1e17", "fraction-5e-324"],
+    )
+    def test_a_charge_below_half_an_ulp_ends_an_uncapped_run(
+        self, catalog, convergence_profile, budget
+    ):
+        seen = []
+        settings = TunerSettings(num_process=4, seed=0, **budget)
+        analyzer = SyntheticAnalyzer(convergence_profile)
+        result = tune("synthetic", catalog, settings, analyzer, _fail_after(50, seen))
+        assert len(result.iteration_trace) == 1
+        assert seen == list(result.iteration_trace)
+        assert result.iteration_trace[0].elapsed > 0.0
+        assert result.wall_time_total == 0.0
+
+
 class TestStateEvolution:
     def test_bases_never_regress(self, catalog, convergence_profile):
         settings = TunerSettings(
