@@ -189,7 +189,9 @@ class SyntheticProfile:
                 raise ValueError(f"twist on {twist.param!r} has a threshold of the wrong kind")
         for alarm in self.alarms:
             if alarm.requirement is not None:
-                self.values_of(alarm.requirement)
+                values = self.values_of(alarm.requirement)
+                if not all(map(same_kind, values, self.catalog.bottoms)):
+                    raise ValueError(f"alarm {alarm.alarm_id!r} requires a value of the wrong kind")
         weighted = tuple((names.index(name), w) for name, w in self.cost.weights.items())
         object.__setattr__(self, "weighted", weighted)
         object.__setattr__(self, "eliminated", _compile_rule(self))

@@ -98,6 +98,10 @@ def _read_key(entries: dict[str, Entry], key: str, cast):
         raise ConfigParseError(f"bad value for {key!r}: {raw!r}", line=line)
 
 
+def _int_or_none(raw: str) -> int | None:
+    return None if raw == "none" else int(raw)
+
+
 # Each TunerSettings field a run config may set, the flag that overrides
 # it, and its type; a file's bad values are reported in this order.
 _SETTINGS = (
@@ -109,6 +113,7 @@ _SETTINGS = (
     ("iteration_fraction", None, float),
     ("min_slice", None, float),
     ("refinement", None, str),
+    ("patience", None, _int_or_none),
 )
 
 # Every key a run config may set; any other key is rejected at load time.
@@ -126,11 +131,11 @@ def _load_settings(entries: dict[str, Entry], args) -> TunerSettings:
     for name, flag, cast in _SETTINGS:
         key = f"tuner.{name}"
         value = getattr(args, flag, None) if flag else None
-        if value is None and key in entries:
-            value = _read_key(entries, key, cast)
-            from_file.add(key)
         if value is not None:
             given[name] = value
+        elif key in entries:  # a file's value may be None: `tuner.patience = none`
+            given[name] = _read_key(entries, key, cast)
+            from_file.add(key)
     try:
         return TunerSettings(**given)
     except InvalidSettingsError as exc:
@@ -243,6 +248,7 @@ def _summary(result) -> str:
     lines = [
         f"iterations:      {len(result.iteration_trace)}",
         f"wall time total: {result.wall_time_total:.3f} s",
+        f"stopped by:      {result.stopped_by}",
     ]
     if result.best_sampled is not None:
         lines.append(f"best sampled:    {len(result.best_sampled.alarms)} alarm(s)")

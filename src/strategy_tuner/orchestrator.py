@@ -9,12 +9,15 @@ analysis, one value column per parameter), refines every parameter's
 base in one ``refine_bases`` call (meet-and-join over alarm columns) and
 its delta (completion-rate scaling), and charges its time to the
 budget. The loop stops when the remaining budget drops below a minimum
-slice or an iteration cap is reached. Without a cap it also stops after
+slice or an iteration cap is reached, or after ``patience`` consecutive
+iterations in which no base moved: the bases are what the loop learns,
+so later iterations would only spend budget (the cross-entropy method's
+stop, de Boer et al., Ann. OR 2005). Without a cap it also stops after
 an iteration whose charge leaves the budget unchanged (every analysis of
 a virtual-clock analyzer crashed, or the charge is below half an ulp of
-the budget), since the budget could then never run out. The records are
-the run's state: the result derives the recommendation and the best
-sample from them.
+the budget), since the budget could then never run out. The result says
+which of these rules ended the run. The records are the run's state: the
+result derives the recommendation and the best sample from them.
 
 Budget policy: every analysis of an iteration gets the same deadline,
 ``remaining * iteration_fraction / waves`` where ``waves`` is the number
@@ -67,6 +70,7 @@ class TunerSettings:
     max_iterations: int | None = None
     min_slice: float = 1.0
     refinement: str = "paper"
+    patience: int | None = 3
 
     def __post_init__(self) -> None:
         # A count is an int itself: neither a float with an integral value nor
@@ -102,6 +106,11 @@ class TunerSettings:
                 type(self.refinement) is str and self.refinement in REFINEMENT_RULES,
                 " or ".join(map(repr, REFINEMENT_RULES)),
             ),
+            (
+                "patience",
+                self.patience is None or (type(self.patience) is int and self.patience >= 1),
+                "an int >= 1 or None",
+            ),
         )
         for name, ok, requirement in checks:
             if not ok:
@@ -131,6 +140,8 @@ class TuneResult:
     final_distributions: dict[str, ParamDistribution]
     iteration_trace: tuple[IterationRecord, ...]
     wall_time_total: float
+    #: The rule that ended the run: "budget", "max_iterations", "stalled" or "patience".
+    stopped_by: str
 
     @cached_property
     def recommended_config(self) -> Configuration:
@@ -299,8 +310,9 @@ def tune(
     analyzer: Analyzer,
     on_record: Callable[[IterationRecord], None] | None = None,
 ) -> TuneResult:
-    """Drive iterations until the budget or iteration cap runs out, or,
-    with no cap, until an iteration leaves the budget unchanged.
+    """Drive iterations until the budget or iteration cap runs out, until
+    ``settings.patience`` iterations in a row move no base, or, with no
+    cap, until an iteration leaves the budget unchanged.
 
     ``on_record`` is invoked after each iteration (e.g. to append and
     flush a trace file), before the next one starts. All iterations share
@@ -311,11 +323,16 @@ def tune(
     rng = RandomStream(settings.seed)
     waves = math.ceil(settings.num_sample / settings.num_process)
     records: list[IterationRecord] = []
+    quiet = 0  # consecutive iterations that moved no base
     started = time.monotonic()
 
     with worker_pool(analyzer, settings.num_process) as pool:
         for index in itertools.count():
-            if remaining < settings.min_slice or index == settings.max_iterations:
+            if remaining < settings.min_slice:
+                stopped_by = "budget"
+                break
+            if index == settings.max_iterations:
+                stopped_by = "max_iterations"
                 break
             iteration_started = time.monotonic()
             timeout = remaining * settings.iteration_fraction / waves
@@ -327,9 +344,8 @@ def tune(
             outcomes = run_batch(analyzer, program_ref, configs, timeout, pool)
             matrix = build_result_matrix(outcomes, configs)
             eta = scaling_factor(len(matrix.produced), settings.num_sample)
-            bases = refine_bases(
-                matrix, [distributions[n].base for n in catalog.names], settings.refinement
-            )
+            bases_before = tuple(distributions[n].base for n in catalog.names)
+            bases = refine_bases(matrix, bases_before, settings.refinement)
             after = {
                 name: ParamDistribution(base, refine_delta(distributions[name], eta))
                 for name, base in zip(catalog.names, bases)
@@ -353,13 +369,19 @@ def tune(
             )
             records.append(record)
             del matrix  # an iteration's largest object: free it before the next is built
+            quiet = quiet + 1 if bases == bases_before else 0
             distributions = after
             stalled = remaining - elapsed == remaining
             remaining -= elapsed
             if on_record is not None:
                 on_record(record)
             if stalled and settings.max_iterations is None:
-                break  # a charge of 0 or below half an ulp: the budget can no longer shrink
+                # a charge of 0 or below half an ulp: the budget can no longer shrink
+                stopped_by = "stalled"
+                break
+            if quiet == settings.patience:
+                stopped_by = "patience"
+                break
 
     if pool is None:
         wall_total = settings.time_budget - remaining
@@ -369,4 +391,5 @@ def tune(
         final_distributions=dict(distributions),
         iteration_trace=tuple(records),
         wall_time_total=wall_total,
+        stopped_by=stopped_by,
     )

@@ -273,4 +273,5 @@ def result_to_json(result: TuneResult) -> dict[str, Any]:
         },
         "iterations": len(result.iteration_trace),
         "wall_time_total": result.wall_time_total,
+        "stopped_by": result.stopped_by,
     }

@@ -50,7 +50,7 @@ from test_refine_base import oracle_refine_base
 
 CONVERGENCE_SEED = 9
 CONVERGENCE_SETTINGS = dict(
-    time_budget=1e9, num_sample=4, num_process=4, max_iterations=20
+    time_budget=1e9, num_sample=4, num_process=4, max_iterations=20, patience=None
 )
 
 

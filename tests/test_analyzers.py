@@ -167,6 +167,19 @@ class TestCatalogPositions:
         with pytest.raises(ValueError, match="not the profile's catalog"):
             SyntheticProfile(catalog=catalog, alarms=(SyntheticAlarm("a", reordered),))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("domains", IntVal(3)), ("slevel", BitsVal(3, 5)), ("split-return", IntVal(1))],
+    )
+    def test_requirement_of_the_wrong_kind_rejected(self, catalog, name, value):
+        # IntVal(3) at domains was accepted, and the alarm then counted as
+        # eliminated at domains = 11000
+        base = catalog.base_configuration()
+        values = tuple(value if n == name else v for n, v in zip(base.names, base.values))
+        requirement = Configuration(base.names, values)
+        with pytest.raises(ValueError, match="alarm 'a' requires a value of the wrong kind"):
+            SyntheticProfile(catalog=catalog, alarms=(SyntheticAlarm("a", requirement),))
+
     def test_gates_hold_catalog_positions(self, catalog):
         requirement = catalog.configuration(
             {"slevel": IntVal(3), "domains": BitsVal.from_string("01000")}, fill_bottom=True

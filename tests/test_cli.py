@@ -54,9 +54,15 @@ def write_baselines(directory: Path) -> tuple[Path, Path]:
 
 @pytest.fixture(scope="module")
 def tuned_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("cli-run") / "run"
+    # a run to its cap: the config turns the patience stop off
+    root = tmp_path_factory.mktemp("cli-run")
+    out = root / "run"
+    conf = root / "run.conf"
+    conf.write_text("tuner.patience = none\n", encoding="utf-8")
     status = run_cli(
         "tune",
+        "--config",
+        str(conf),
         "--profile",
         str(PROFILE),
         "--seed",
@@ -103,6 +109,39 @@ class TestTune:
         lines = (tuned_dir / "trace.ndjson").read_text(encoding="utf-8").splitlines()
         result = json.loads((tuned_dir / "result.json").read_text(encoding="utf-8"))
         assert len(lines) == result["iterations"] == 20
+
+    def test_result_and_summary_name_the_rule_that_ended_the_run(self, tuned_dir, tmp_path):
+        result = json.loads((tuned_dir / "result.json").read_text(encoding="utf-8"))
+        assert result["stopped_by"] == "max_iterations"
+        summary = (tuned_dir / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert "stopped by:      max_iterations" in summary
+        # the same run under the default patience ends once its bases stop
+        out = tmp_path / "run"
+        flags = "--seed 1 --budget 1000000000 --samples 4 --processes 4 --max-iterations 20"
+        assert run_cli("tune", "--profile", str(PROFILE), *flags.split(), "--out", str(out)) == 0
+        result = json.loads((out / "result.json").read_text(encoding="utf-8"))
+        assert result["stopped_by"] == "patience"
+        assert result["iterations"] < 20
+        summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert "stopped by:      patience" in summary
+
+    @pytest.mark.parametrize(
+        "budget, rule, records",
+        [("1e13", "patience", 10), ("1e17", "stalled", 1)],
+        ids=["near-hang", "stalled"],
+    )
+    def test_an_uncapped_run_with_a_huge_budget_ends(self, tmp_path, budget, rule, records):
+        # at 1e13 each iteration shrank the budget by a tiny share of
+        # itself, and the run wrote 15,657 records in 10 s; patience ends it
+        profile = SAMPLES / "convergence.profile"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"profile = {profile}\ntuner.time_budget = {budget}\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run_cli("tune", "--config", str(conf), "--out", str(out)) == 0
+        lines = (out / "trace.ndjson").read_text(encoding="utf-8").splitlines()
+        result = json.loads((out / "result.json").read_text(encoding="utf-8"))
+        assert result["stopped_by"] == rule
+        assert 1 <= len(lines) == result["iterations"] <= records
 
     def test_config_file_backend(self, tmp_path):
         out = tmp_path / "run"
@@ -329,6 +368,14 @@ class TestRejectedValues:
         assert err == f"error: line 3: unknown key {key!r}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("raw", ["0", "-1", "2.5", "None", "off", ""])
+    def test_bad_patience(self, tmp_path, capsys, raw):
+        text = f"profile = {PROFILE}\ntuner.max_iterations = 2\ntuner.patience = {raw}\n"
+        assert self._tune_config(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and "patience" in err
+        assert not (tmp_path / "out").exists()
+
     def test_every_setting_is_a_run_config_key(self):
         keys = {f"tuner.{field.name}" for field in dataclasses.fields(TunerSettings)}
         assert keys <= cli.RUN_CONFIG_KEYS
@@ -431,6 +478,12 @@ class TestRunConfigDefaults:
         text = f"profile = {PROFILE}\ntuner.seed = 3\ntuner.min_slice = 2\n"
         run = self._load(tmp_path, text, "--seed", "5")
         assert run.settings == cli.TunerSettings(time_budget=3600.0, seed=5, min_slice=2.0)
+
+    @pytest.mark.parametrize("raw, patience", [("none", None), ("1", 1), ("7", 7)])
+    def test_patience_key(self, tmp_path, raw, patience):
+        # `none` reaches the settings as None, not as the default 3
+        run = self._load(tmp_path, f"tuner.patience = {raw}\n", "--profile", str(PROFILE))
+        assert run.settings.patience == patience
 
 
 class TestDominancy:

@@ -231,6 +231,17 @@ class TestSettingsValidation:
             TunerSettings(time_budget=60.0, refinement=value)
         assert info.value.field == "refinement"
 
+    @pytest.mark.parametrize("value", [0, -1, True, 2.5, "3"])
+    def test_patience_must_be_an_int_of_at_least_one(self, value):
+        with pytest.raises(InvalidSettingsError, match="patience must be an int >= 1") as info:
+            TunerSettings(time_budget=60.0, patience=value)
+        assert info.value.field == "patience"
+
+    def test_patience_defaults_to_three_and_may_be_none(self):
+        assert TunerSettings(time_budget=60.0).patience == 3
+        assert TunerSettings(time_budget=60.0, patience=None).patience is None
+        assert TunerSettings(time_budget=60.0, patience=1).patience == 1
+
     def test_numbers_may_be_ints(self):
         settings = TunerSettings(time_budget=5, iteration_fraction=1, min_slice=2)
         assert (settings.time_budget, settings.iteration_fraction, settings.min_slice) == (5, 1, 2)
@@ -400,7 +411,7 @@ class TestAnalyzerContract:
         from strategy_tuner.trace import read_trace, write_record
 
         buffer = io.StringIO()
-        settings = TunerSettings(time_budget=100.0, max_iterations=5)
+        settings = TunerSettings(time_budget=100.0, max_iterations=5, patience=None)
         write = lambda record: write_record(buffer, record)  # noqa: E731
         result = tune("prog", catalog, settings, Returning(lambda t: None), on_record=write)
         assert len(result.iteration_trace) == 5
@@ -459,7 +470,7 @@ class TestWorkerPool:
     def test_one_pool_for_the_whole_run(self, catalog):
         recorder = ThreadRecorder()
         settings = TunerSettings(
-            time_budget=30.0, num_sample=4, num_process=2, seed=0, max_iterations=5
+            time_budget=30.0, num_sample=4, num_process=2, seed=0, max_iterations=5, patience=None
         )
         result = tune("prog", catalog, settings, recorder)
         assert len(result.iteration_trace) == 5
@@ -674,6 +685,76 @@ class TestStopRule:
         assert seen == list(result.iteration_trace)
         assert result.iteration_trace[0].elapsed > 0.0
         assert result.wall_time_total == 0.0
+
+
+def _moved(record) -> bool:
+    before, after = record.distributions_before, record.distributions_after
+    return any(before[name].base != after[name].base for name in before)
+
+
+class TestPatience:
+    """A run ends after ``patience`` iterations in a row that moved no base."""
+
+    @given(
+        seed=stx.integers(0, 2**16),
+        patience=stx.integers(1, 4),
+        num_sample=stx.sampled_from([3, 6]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_a_patient_run_is_a_prefix_of_the_run_to_its_cap(
+        self, catalog, convergence_profile, seed, patience, num_sample
+    ):
+        # the stop takes no draw: a run it ends wrote the first k records
+        # of the run to the cap, and the last `patience` of them moved no base
+        common = dict(time_budget=1e9, num_sample=num_sample, seed=seed, max_iterations=15)
+        analyzer = SyntheticAnalyzer(convergence_profile)
+        full = tune("synthetic", catalog, TunerSettings(**common, patience=None), analyzer)
+        seen = []
+        result = tune(
+            "synthetic", catalog, TunerSettings(**common, patience=patience), analyzer, seen.append
+        )
+        records = result.iteration_trace
+        k = len(records)
+        assert seen == list(records) == list(full.iteration_trace[:k])
+        assert result.final_distributions == full.iteration_trace[k - 1].distributions_after
+        moves = [_moved(record) for record in full.iteration_trace]
+        if result.stopped_by == "patience":
+            assert k >= patience and not any(moves[k - patience : k])
+            assert k == patience or moves[k - patience - 1]
+        else:
+            assert (result.stopped_by, k) == ("max_iterations", 15)
+            assert full.stopped_by == "max_iterations"
+        # no earlier window of `patience` quiet iterations was passed over
+        for end in range(patience, k):
+            assert any(moves[end - patience : end])
+
+    def test_a_run_that_moves_no_base_stops_after_patience_records(self, catalog):
+        seen = []
+        settings = TunerSettings(time_budget=10.0, max_iterations=20, patience=4)
+        result = tune("prog", catalog, settings, Returning(_crash), seen.append)
+        assert len(result.iteration_trace) == 4
+        assert seen == list(result.iteration_trace)
+        assert result.stopped_by == "patience"
+
+    @pytest.mark.parametrize(
+        "kwargs, rule",
+        [
+            (dict(time_budget=10.0, max_iterations=0), "max_iterations"),
+            (dict(time_budget=0.5), "budget"),
+            (dict(time_budget=10.0), "stalled"),
+            (dict(time_budget=10.0, max_iterations=2), "max_iterations"),
+            (dict(time_budget=10.0, max_iterations=5), "patience"),
+        ],
+    )
+    def test_the_result_names_the_rule_that_ended_the_run(self, catalog, kwargs, rule):
+        result = tune("prog", catalog, TunerSettings(**kwargs), Returning(_crash))
+        assert result.stopped_by == rule
+
+    def test_a_run_out_of_budget_says_so(self, catalog, convergence_profile):
+        settings = TunerSettings(time_budget=60.0, num_process=4, seed=0, patience=None)
+        result = tune("synthetic", catalog, settings, SyntheticAnalyzer(convergence_profile))
+        assert result.stopped_by == "budget"
+        assert settings.time_budget - result.wall_time_total < settings.min_slice
 
 
 class TestStateEvolution:
