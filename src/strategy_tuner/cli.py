@@ -6,20 +6,19 @@ experiments), plot (static charts from a trace), and simulate (one
 synthetic analysis of a given configuration, for profile debugging).
 
 Exit codes: 0 success, 2 configuration error, 3 analyzer unavailable.
-Set STRATEGY_TUNER_LOG=debug|info|warning for logging verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .analyzers import (
     AnalysisTask,
@@ -216,10 +215,29 @@ def _open_run(args) -> RunConfig:
     return run
 
 
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Report an OSError raised in the block as one error line naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigParseError(f"cannot write {path}: {exc}") from None
+
+
+def _write(path: Path, text: str | None) -> None:
+    """Write ``text`` to the output file ``path``; None removes the file."""
+    with _writing(path):
+        if text is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(text, encoding="utf-8")
+
+
 def cmd_tune(args) -> int:
     run = _open_run(args)
     trace_path = run.out_dir / "trace.ndjson"
-    with trace_path.open("w", encoding="utf-8") as stream:
+    # An analyzer's errors become outcomes, so an OSError here is the trace's.
+    with _writing(trace_path), trace_path.open("w", encoding="utf-8") as stream:
         result = tune(
             run.program_ref(),
             run.catalog,
@@ -228,18 +246,12 @@ def cmd_tune(args) -> int:
             on_record=lambda record: write_record(stream, record),
         )
 
-    (run.out_dir / "recommended.conf").write_text(
-        serialize_configuration(result.recommended_config), encoding="utf-8"
-    )
-    best_path = run.out_dir / "best_sampled.conf"
-    if result.best_sampled is not None:
-        best_path.write_text(serialize_configuration(result.best_sampled.config), encoding="utf-8")
-    else:  # an earlier run's file would contradict result.json
-        best_path.unlink(missing_ok=True)
-    (run.out_dir / "result.json").write_text(
-        json.dumps(result_to_json(result), indent=2) + "\n", encoding="utf-8"
-    )
-    (run.out_dir / "summary.txt").write_text(_summary(result), encoding="utf-8")
+    best = result.best_sampled  # with none, an earlier run's file would contradict result.json
+    best_text = None if best is None else serialize_configuration(best.config)
+    _write(run.out_dir / "recommended.conf", serialize_configuration(result.recommended_config))
+    _write(run.out_dir / "best_sampled.conf", best_text)
+    _write(run.out_dir / "result.json", json.dumps(result_to_json(result), indent=2) + "\n")
+    _write(run.out_dir / "summary.txt", _summary(result))
     print(f"wrote {trace_path} ({len(result.iteration_trace)} iterations)")
     return EXIT_OK
 
@@ -270,20 +282,12 @@ def cmd_dominancy(args) -> int:
     high = parse_configuration(_read_text(args.high, "baseline"), run.catalog)
     timeout = args.timeout if args.timeout is not None else run.settings.time_budget
     report = run_dominancy(
-        run.program_ref(),
-        low,
-        high,
-        run.catalog,
-        run.analyzer(),
-        timeout=timeout,
-        num_process=run.settings.num_process,
+        run.program_ref(), low, high, run.catalog, run.analyzer(), timeout, run.settings.num_process
     )
 
     table = report_table(report)
-    (run.out_dir / "dominancy.txt").write_text(table, encoding="utf-8")
-    (run.out_dir / "dominancy.json").write_text(
-        json.dumps(report_to_json(report), indent=2) + "\n", encoding="utf-8"
-    )
+    _write(run.out_dir / "dominancy.txt", table)
+    _write(run.out_dir / "dominancy.json", json.dumps(report_to_json(report), indent=2) + "\n")
     print(table, end="")
     return EXIT_OK
 
@@ -295,10 +299,8 @@ def cmd_plot(args) -> int:
     if not records:
         raise ConfigParseError("trace is empty")
     out_dir = Path(args.out) if args.out else Path(args.trace).parent / "plots"
-    try:
+    with _writing(out_dir):
         written = write_plots(records, out_dir)
-    except OSError as exc:
-        raise ConfigParseError(f"cannot write charts to {out_dir}: {exc}")
     print(f"wrote {len(written)} chart file(s) to {out_dir}")
     return EXIT_OK
 
@@ -365,18 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging() -> None:
+def main(argv: list[str] | None = None) -> int:
     import logging
 
-    level_name = os.environ.get("STRATEGY_TUNER_LOG", "warning").lower()
-    level = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING}.get(
-        level_name, logging.WARNING
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
-def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:  # the one place where an error becomes an exit code
         return args.func(args)

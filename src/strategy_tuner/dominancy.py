@@ -12,6 +12,7 @@ baseline gap; the argmax is the dominant parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .analyzers import AnalysisOutcome, Analyzer, Completed
 from .errors import BaselinesDoNotSeparateError, TunerError
@@ -33,8 +34,6 @@ class ParamScore:
     excluded_config: Configuration
     alarms_selected: int | None
     alarms_excluded: int | None
-    a: int | None
-    b: int | None
     score: float | None  # None when either controlled analysis failed
 
 
@@ -42,13 +41,23 @@ class ParamScore:
 class DominancyReport:
     alarms_low: int
     alarms_high: int
-    scores: tuple[ParamScore, ...]
-    dominant: str | None
-    tie: bool
+    scores: tuple[ParamScore, ...]  # in catalog order
 
     @property
     def d(self) -> int:
         return self.alarms_low - self.alarms_high
+
+    @cached_property
+    def dominant(self) -> str | None:
+        """The first parameter in catalog order with the highest score; None if none has one."""
+        scored = [s for s in self.scores if s.score is not None]
+        return max(scored, key=lambda s: s.score).name if scored else None
+
+    @cached_property
+    def tie(self) -> bool:
+        """Whether another parameter has the dominant parameter's score."""
+        scores = [s.score for s in self.scores if s.score is not None]
+        return scores.count(max(scores, default=None)) > 1
 
 
 def influence_score(
@@ -73,18 +82,8 @@ def influence_score(
     return (0.5 * a + 0.5 * b) / d
 
 
-def _controlled_configs(
-    low: Configuration, high: Configuration, name: str
-) -> tuple[Configuration, Configuration]:
-    selected = low.replace(name, high[name])
-    excluded = high.replace(name, low[name])
-    return selected, excluded
-
-
 def _alarm_count(outcome: AnalysisOutcome) -> int | None:
-    if isinstance(outcome, Completed):
-        return len(outcome.alarms)
-    return None
+    return len(outcome.alarms) if isinstance(outcome, Completed) else None
 
 
 def run_dominancy(
@@ -103,49 +102,35 @@ def run_dominancy(
     batches run on one worker pool.
     """
     with worker_pool(analyzer, max(1, num_process)) as pool:
-        low_outcome, high_outcome = run_batch(
-            analyzer, program_ref, [low_config, high_config], timeout, pool
-        )
-        alarms_low = _alarm_count(low_outcome)
-        alarms_high = _alarm_count(high_outcome)
+        baselines = run_batch(analyzer, program_ref, [low_config, high_config], timeout, pool)
+        alarms_low, alarms_high = map(_alarm_count, baselines)
         if alarms_low is None or alarms_high is None:
             raise TunerError("baseline analysis did not complete within the timeout")
-        if alarms_low <= alarms_high:
+        if alarms_low <= alarms_high:  # checked before the 2 analyses per parameter run
             raise BaselinesDoNotSeparateError(
                 f"baselines do not separate: low={alarms_low}, high={alarms_high}"
             )
-        swaps = [_controlled_configs(low_config, high_config, spec.name) for spec in catalog]
-        jobs = [config for selected, excluded in swaps for config in (selected, excluded)]
-        outcomes = run_batch(analyzer, program_ref, jobs, timeout, pool)
+        swaps = [
+            (low_config.replace(n, high_config[n]), high_config.replace(n, low_config[n]))
+            for n in catalog.names
+        ]
+        jobs = [config for pair in swaps for config in pair]
+        counts = list(map(_alarm_count, run_batch(analyzer, program_ref, jobs, timeout, pool)))
 
     scores: list[ParamScore] = []
-    for i, spec in enumerate(catalog):
-        n_selected = _alarm_count(outcomes[2 * i])
-        n_excluded = _alarm_count(outcomes[2 * i + 1])
-        a = b = score = None
+    for name, pair, n_selected, n_excluded in zip(catalog.names, swaps, counts[::2], counts[1::2]):
+        score = None
         if n_selected is not None and n_excluded is not None:
-            a = alarms_low - n_selected
-            b = n_excluded - alarms_high
             score = influence_score(alarms_low, alarms_high, n_selected, n_excluded)
-        scores.append(ParamScore(spec.name, *swaps[i], n_selected, n_excluded, a, b, score))
+        scores.append(ParamScore(name, *pair, n_selected, n_excluded, score))
+    return DominancyReport(alarms_low, alarms_high, tuple(scores))
 
-    dominant: str | None = None
-    best: float | None = None
-    tie = False
-    for entry in scores:
-        if entry.score is None:
-            continue
-        if best is None or entry.score > best:
-            dominant, best, tie = entry.name, entry.score, False
-        elif entry.score == best:
-            tie = True  # ties broken by catalog order; first argmax kept
-    return DominancyReport(
-        alarms_low=alarms_low,
-        alarms_high=alarms_high,
-        scores=tuple(scores),
-        dominant=dominant,
-        tie=tie,
-    )
+
+def _gains(report: DominancyReport, entry: ParamScore) -> tuple[int | None, int | None]:
+    """The row's a and b, as in :func:`influence_score`; None if the row has no score."""
+    if entry.score is None:
+        return None, None
+    return report.alarms_low - entry.alarms_selected, entry.alarms_excluded - report.alarms_high
 
 
 def report_table(report: DominancyReport) -> str:
@@ -154,21 +139,15 @@ def report_table(report: DominancyReport) -> str:
     lines = [header, "-" * len(header)]
     for entry in report.scores:
         score = "n/a" if entry.score is None else f"{entry.score:.3f}"
-        sel = "n/a" if entry.alarms_selected is None else str(entry.alarms_selected)
-        exc = "n/a" if entry.alarms_excluded is None else str(entry.alarms_excluded)
-        a = "n/a" if entry.a is None else str(entry.a)
-        b = "n/a" if entry.b is None else str(entry.b)
+        counts = (entry.alarms_selected, entry.alarms_excluded, *_gains(report, entry))
+        sel, exc, a, b = ("n/a" if n is None else str(n) for n in counts)
         flag = "  *" if entry.name == report.dominant else ""
         lines.append(
             f"{entry.name:<26} {sel:>8} {exc:>8} {a:>5} {b:>5} {report.d:>5} {score:>8}{flag}"
         )
-    lines.append("")
-    lines.append(f"baselines: low={report.alarms_low} high={report.alarms_high} d={report.d}")
-    if report.dominant is not None:
-        note = " (tie broken by catalog order)" if report.tie else ""
-        lines.append(f"dominant parameter: {report.dominant}{note}")
-    else:
-        lines.append("dominant parameter: unavailable")
+    lines += ["", f"baselines: low={report.alarms_low} high={report.alarms_high} d={report.d}"]
+    note = " (tie broken by catalog order)" if report.tie else ""
+    lines.append(f"dominant parameter: {report.dominant or 'unavailable'}{note}")
     return "\n".join(lines) + "\n"
 
 
@@ -184,8 +163,8 @@ def report_to_json(report: DominancyReport) -> dict:
                 "name": s.name,
                 "alarms_selected": s.alarms_selected,
                 "alarms_excluded": s.alarms_excluded,
-                "a": s.a,
-                "b": s.b,
+                "a": _gains(report, s)[0],
+                "b": _gains(report, s)[1],
                 "score": s.score,
                 "dominant": s.name == report.dominant,
             }

@@ -31,6 +31,20 @@ from .lattice import (
 )
 
 
+def check_param_name(name: str) -> None:
+    """Raise ValueError unless ``name`` can name a parameter.
+
+    A key-value file reads it back as one key: it is nonempty, holds no
+    whitespace and no '=', and does not start with '#'. A chart file is
+    named after it, so it is one path component: no '/' and no NUL.
+    """
+    if name.split() != [name] or name.startswith("#") or any(c in name for c in "=/\0"):
+        raise ValueError(
+            f"parameter name {name!r} must be nonempty, hold no whitespace, '=', '/' or NUL, "
+            "and not start with '#'"
+        )
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """One catalog parameter: its name, its initial distribution, and how
@@ -49,6 +63,7 @@ class ParamSpec:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        check_param_name(self.name)
         base = self.initial.base
         if not self.flag:
             raise ValueError(f"{self.name!r} flag must be nonempty")

@@ -19,7 +19,7 @@ from .distributions import ParamDistribution, scaling_factor
 from .errors import ConfigParseError
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value
 from .orchestrator import IterationRecord, TuneResult, alarm_universe
-from .paramspace import Configuration, nonnegative
+from .paramspace import Configuration, check_param_name, nonnegative
 
 SCHEMA_VERSION = 1
 
@@ -159,6 +159,8 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
         name: distribution_from_json(d) for name, d in obj["distributions_after"].items()
     }
     names = tuple(before)
+    for name in names:
+        check_param_name(name)
     if tuple(after) != names:
         raise ConfigParseError(
             f"distributions_after names {list(after)}, not the record's parameters {list(names)}"

@@ -663,6 +663,11 @@ class TestProfileParsing:
         with pytest.raises(ConfigParseError):
             parse_profile(text, catalog)
 
+    def test_incompressible_takes_true_or_false(self, catalog):
+        with pytest.raises(ConfigParseError, match="expected 'true' or 'false'") as err:
+            parse_profile("alarm.a.incompressible = maybe\n", catalog)
+        assert err.value.line == 1
+
     def test_twist_for_unknown_alarm(self, catalog):
         with pytest.raises(ConfigParseError):
             parse_profile("twist.ghost.slevel = 3\n", catalog)

@@ -41,6 +41,20 @@ def run_cli(*argv: str) -> int:
     return main(list(argv))
 
 
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """A child interpreter with ``argv``, importing this checkout's ``src``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 def write_baselines(directory: Path) -> tuple[Path, Path]:
     """A low and a high baseline that differ in slevel only."""
     low = default_catalog().bottom_configuration()
@@ -201,6 +215,44 @@ class TestTune:
         assert status == 2
         assert "not writable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name",
+        ["trace.ndjson", "recommended.conf", "best_sampled.conf", "result.json", "summary.txt"],
+    )
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, name):
+        # each ended in an OSError traceback with exit 1
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)
+        flags = ("--profile", str(PROFILE), "--max-iterations", "2", "--out", str(out))
+        assert run_cli("tune", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+        if name == "trace.ndjson":  # no analysis ran, so no other file was written
+            assert [path.name for path in out.iterdir()] == [name]
+
+    def test_subprocess_backend_from_config(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            "program = x.c\n"
+            "adapter.command = printf 'w:%s:%s\\n' a b c d\n"
+            "adapter.pattern = ^w:(\\w+):(\\w+)$\n"
+            "adapter.join = ;\n"
+            "adapter.env = HOME\n"
+            "tuner.max_iterations = 2\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "run"
+        assert run_cli("tune", "--config", str(conf), "--out", str(out)) == 0
+        run = cli.load_run_config(cli.build_parser().parse_args(["tune", "--config", str(conf)]))
+        assert (run.adapter.join, run.adapter.env_passthrough) == (";", ("HOME",))
+        assert run.program_ref() == "x.c"
+        lines = (out / "trace.ndjson").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        for record in map(json.loads, lines):
+            assert record["alarm_universe"] == ["a;b", "c;d"]
+            assert {tuple(o["alarms"]) for o in record["outcomes"]} == {("a;b", "c;d")}
+
     @pytest.mark.parametrize("command", ["tune", "dominancy"])
     def test_unknown_adapter_command_exits_3(self, tmp_path, capsys, command):
         conf = tmp_path / "run.conf"
@@ -335,6 +387,13 @@ class TestRejectedValues:
         assert self._tune_config(tmp_path, text) == 2
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "recommended.conf").exists()
+
+    def test_unknown_catalog_override_field(self, tmp_path, capsys):
+        overrides = tmp_path / "catalog.txt"
+        overrides.write_text("slevel.lambda = 7\nslevel.colour = x\n", encoding="utf-8")
+        assert self._tune_config(tmp_path, f"profile = {PROFILE}\ncatalog = {overrides}\n") == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 2: unknown override field 'colour'\n"
 
     def test_infinite_budget_flag(self, tmp_path, capsys):
         status = run_cli(
@@ -544,6 +603,16 @@ class TestDominancy:
         assert "Traceback" not in err
         assert not (tmp_path / "dom").exists()
 
+    @pytest.mark.parametrize("name", ["dominancy.txt", "dominancy.json"])
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, name):
+        low, high = write_baselines(tmp_path)
+        out = tmp_path / "dom"
+        (out / name).mkdir(parents=True)
+        flags = ("--profile", str(PROFILE), "--timeout", "10", "--out", str(out))
+        assert run_cli("dominancy", *flags, str(low), str(high)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: ") and "Traceback" not in err
+
     def test_bad_baseline_file_exit_2(self, tmp_path):
         low, high = write_baselines(tmp_path)
         low.write_text("slevel = banana\n", encoding="utf-8")
@@ -582,7 +651,7 @@ class TestPlot:
         blocker = tmp_path / "occupied"
         blocker.write_text("", encoding="utf-8")
         assert run_cli("plot", str(tuned_dir / "trace.ndjson"), "--out", str(blocker)) == 2
-        assert capsys.readouterr().err.startswith("error: cannot write charts to")
+        assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}: ")
 
     def test_empty_trace_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "empty.ndjson"
@@ -609,6 +678,33 @@ class TestPlot:
         assert run_cli("plot", str(bad), "--out", str(tmp_path / "plots")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: trace record 0 is malformed") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name", ["x\0y", "x/../../escaped", "x y"], ids=["nul", "slash", "space"]
+    )
+    def test_parameter_name_no_catalog_can_use_exit_2(self, tuned_dir, tmp_path, capsys, name):
+        # a NUL crashed plot, and a '/' wrote a chart outside the chart directory
+        def renamed(mapping: dict) -> dict:
+            return {name if key == "slevel" else key: value for key, value in mapping.items()}
+
+        lines = []
+        for line in (tuned_dir / "trace.ndjson").read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            for field in ("distributions_before", "distributions_after"):
+                record[field] = renamed(record[field])
+            record["sampled_configs"] = [renamed(c) for c in record["sampled_configs"]]
+            lines.append(json.dumps(record))
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        charts = tmp_path / "deep" / "plots"
+        (charts / "param-x").mkdir(parents=True)
+        assert run_cli("plot", str(bad), "--out", str(charts)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace record 0 is malformed: parameter name")
+        assert "Traceback" not in err
+        assert sorted(path.name for path in tmp_path.rglob("*")) == [
+            "bad.ndjson", "deep", "param-x", "plots"
+        ]
 
     def test_number_too_large_for_a_float_exit_2(self, tmp_path, capsys):
         # a 401-digit elapsed ended plot in an OverflowError traceback
@@ -657,29 +753,31 @@ class TestSimulate:
 
 
 class TestLogging:
-    def test_verbosity_env_var(self, monkeypatch, capsys):
-        import logging
-
-        monkeypatch.setenv("STRATEGY_TUNER_LOG", "debug")
-        logging.getLogger().handlers.clear()
-        run_cli("simulate", str(PROFILE))
-        assert logging.getLogger().level == logging.DEBUG
+    def test_adapter_warning_is_one_stderr_line(self, tmp_path):
+        # the one record the package logs, as the console script prints it
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            "program = x.c\n"
+            "adapter.command = printf 'w:a:b\\nw:c\\n'\n"
+            "adapter.pattern = ^w:(\\w+)(?::(\\w+))?$\n"
+            "tuner.max_iterations = 1\n"
+            "tuner.num_sample = 1\n",
+            encoding="utf-8",
+        )
+        out = str(tmp_path / "out")
+        proc = run_python("-m", "strategy_tuner.cli", "tune", "--config", str(conf), "--out", out)
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "WARNING strategy_tuner.subprocess_adapter: "
+            "1 output line(s) matched the alarm pattern incompletely\n"
+        )
 
 
 class TestModuleEntry:
     def test_config_error_exits_2(self, tmp_path):
         # runs cli.entrypoint, the function the console script calls
-        env = dict(os.environ)
-        src = str(Path(__file__).parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "strategy_tuner.cli", "tune", "--program", "x.c",
-             "--out", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        out = str(tmp_path / "out")
+        proc = run_python("-m", "strategy_tuner.cli", "tune", "--program", "x.c", "--out", out)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
@@ -718,16 +816,8 @@ print(json.dumps({"loaded": loaded, "served": served}))
 
 
 def test_synthetic_tune_loads_only_what_it_uses(tmp_path):
-    env = dict(os.environ)
-    src = str(Path(__file__).parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SURFACE_CHILD, str(PROFILE), str(tmp_path / "out"),
-         json.dumps(LAZY_NAMES)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    proc = run_python(
+        "-c", SURFACE_CHILD, str(PROFILE), str(tmp_path / "out"), json.dumps(LAZY_NAMES)
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])

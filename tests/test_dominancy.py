@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as stx
 from strategy_tuner import (
     BaselinesDoNotSeparateError,
     CostModel,
+    DominancyReport,
     IntVal,
+    ParamScore,
     SyntheticAlarm,
     SyntheticAnalyzer,
     SyntheticProfile,
@@ -20,6 +23,7 @@ from strategy_tuner import (
     influence_score,
     run_dominancy,
 )
+from strategy_tuner.dominancy import report_table, report_to_json
 
 
 class TestInfluenceScore:
@@ -261,3 +265,63 @@ class TestRunDominancy:
         by_name = {entry.name: entry for entry in report.scores}
         # excluding slevel un-poisons a2, beating the high baseline
         assert by_name["slevel"].score < 0
+
+
+def report_of(catalog, scores, selected=None) -> DominancyReport:
+    """A report over the first len(scores) parameters: alarms 5 low, 2 high."""
+    low = catalog.bottom_configuration()
+    rows = tuple(
+        ParamScore(name, low, low, selected, None if score is None else 2, score)
+        for name, score in zip(catalog.names, scores)
+    )
+    return DominancyReport(alarms_low=5, alarms_high=2, scores=rows)
+
+
+class TestReport:
+    def test_a_report_stores_only_its_counts_and_scores(self):
+        names = [field.name for field in dataclasses.fields(DominancyReport)]
+        assert names == ["alarms_low", "alarms_high", "scores"]
+        names = [field.name for field in dataclasses.fields(ParamScore)]
+        assert names == [
+            "name", "selected_config", "excluded_config", "alarms_selected", "alarms_excluded",
+            "score",
+        ]
+
+    @pytest.mark.parametrize(
+        "scores, dominant, tie",
+        [
+            ([None, 0.5, 0.25, 0.5], "auto-loop-unroll", True),
+            ([-0.5, -0.25, None], "auto-loop-unroll", False),
+            ([0.0], "min-loop-unroll", False),
+            ([None, None], None, False),
+        ],
+    )
+    def test_dominant_is_the_first_highest_score(self, catalog, scores, dominant, tie):
+        report = report_of(catalog, scores)
+        assert (report.dominant, report.tie) == (dominant, tie)
+
+    def test_no_score_means_no_dominant_parameter(self, catalog):
+        report = report_of(catalog, [None] * len(catalog), selected=3)
+        lines = report_table(report).splitlines()
+        assert lines[2] == "min-loop-unroll                   3      n/a   n/a   n/a     3      n/a"
+        assert all(line.endswith("n/a") for line in lines[2 : 2 + len(catalog)])
+        assert lines[-2:] == ["baselines: low=5 high=2 d=3", "dominant parameter: unavailable"]
+        obj = report_to_json(report)
+        assert (obj["dominant"], obj["tie"]) == (None, False)
+        assert obj["scores"][0] == {
+            "name": "min-loop-unroll",
+            "alarms_selected": 3,
+            "alarms_excluded": None,
+            "a": None,
+            "b": None,
+            "score": None,
+            "dominant": False,
+        }
+
+    def test_table_and_json_derive_a_and_b(self, catalog):
+        report = report_of(catalog, [1 / 3], selected=4)
+        assert report_table(report).splitlines()[2] == (
+            "min-loop-unroll                   4        2     1     0     3    0.333  *"
+        )
+        row = report_to_json(report)["scores"][0]
+        assert (row["a"], row["b"], row["dominant"]) == (1, 0, True)

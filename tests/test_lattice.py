@@ -109,6 +109,17 @@ class TestBounds:
         assert bottom(BitsVal(0, 5)) == BitsVal.from_string("00000")
 
 
+class TestRejectedValues:
+    def test_boolean_takes_a_bool_only(self):
+        with pytest.raises(ValueError, match="must be a bool, got 1"):
+            BoolVal(1)
+
+    @pytest.mark.parametrize("text", ["", "012"])
+    def test_bit_literal_is_nonempty_zeros_and_ones(self, text):
+        with pytest.raises(ValueError, match="nonempty string of 0/1"):
+            BitsVal.from_string(text)
+
+
 class TestMismatch:
     def test_variant_mismatch(self):
         with pytest.raises(LatticeMismatchError):

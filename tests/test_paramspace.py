@@ -28,7 +28,13 @@ from strategy_tuner import (
 )
 from strategy_tuner.distributions import LAMBDA_CAP
 from strategy_tuner.lattice import bottom, same_kind
-from strategy_tuner.paramspace import Catalog, apply_catalog_overrides, config_dominates
+from strategy_tuner.keytree import parse_keytree
+from strategy_tuner.paramspace import (
+    Catalog,
+    apply_catalog_overrides,
+    check_param_name,
+    config_dominates,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,6 +100,24 @@ class TestParamSpec:
     def test_malformed_entry_rejected(self, base, delta, flag, labels):
         with pytest.raises(ValueError):
             ParamSpec("x", ParamDistribution(base, delta), flag, labels)
+
+    @pytest.mark.parametrize("name", ["x\0y", "x/../../escaped", "x y", "", "#x", "x=y", "x\u2028"])
+    def test_name_no_catalog_can_use_rejected(self, name):
+        with pytest.raises(ValueError, match="parameter name"):
+            ParamSpec(name, ParamDistribution(IntVal(0), (1.0,)), "-x")
+
+    @given(stx.text(max_size=6))
+    def test_name_rule_is_one_key_and_one_path_component(self, name):
+        try:
+            one_key = list(parse_keytree(f"{name} = 1\n")) == [name]
+        except ConfigParseError:
+            one_key = False
+        try:
+            check_param_name(name)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (one_key and "/" not in name and "\0" not in name)
 
     def test_empty_boolean_word_accepted(self):
         spec = ParamSpec("x", ParamDistribution(BoolVal(False), (0.5,)), "-x", ("", "on"))

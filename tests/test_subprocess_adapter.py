@@ -10,10 +10,12 @@ import time
 import pytest
 
 from strategy_tuner import (
+    INFINITY,
     AdapterConfig,
     AnalysisTask,
     Completed,
     Crashed,
+    IntVal,
     SubprocessAnalyzer,
     TimedOut,
     TunerSettings,
@@ -241,6 +243,15 @@ class TestCrashes:
         outcome = SubprocessAnalyzer(adapter, catalog).run(base_task)
         assert isinstance(outcome, Crashed)
         assert "exit status 1" in outcome.exit_info
+
+    def test_unrenderable_configuration(self, catalog):
+        # a configuration no analyzer can run: nothing is spawned
+        config = catalog.base_configuration().replace("slevel", IntVal(INFINITY))
+        adapter = AdapterConfig(command="definitely-not-a-command-xyz {args}", pattern=r".*")
+        outcome = SubprocessAnalyzer(adapter, catalog).run(AnalysisTask("prog.c", config, 5.0))
+        assert outcome == Crashed(
+            "cannot build command: infinity is not renderable (parameter 'slevel')"
+        )
 
     def test_spawn_failure(self, catalog, base_task):
         adapter = AdapterConfig(command="definitely-not-a-command-xyz", pattern=r".*")

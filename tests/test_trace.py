@@ -31,6 +31,8 @@ from strategy_tuner.orchestrator import alarm_universe
 from strategy_tuner.paramspace import Configuration
 from strategy_tuner.trace import (
     SCHEMA_VERSION,
+    distribution_from_json,
+    outcome_from_json,
     read_trace,
     record_from_json,
     record_to_json,
@@ -297,6 +299,14 @@ class TestWriter:
 
 
 class TestMalformedTraces:
+    def test_unknown_delta_kind(self):
+        with pytest.raises(ConfigParseError, match="unknown delta kind 'gamma'"):
+            distribution_from_json({"base": "0", "delta": {"kind": "gamma", "lambda": 1.0}})
+
+    def test_unknown_outcome_status(self):
+        with pytest.raises(ConfigParseError, match="unknown outcome status 'lost'"):
+            outcome_from_json({"status": "lost", "wall_time": 1.0})
+
     def test_unsupported_schema(self, short_run):
         obj = record_to_json(short_run.iteration_trace[0])
         obj["schema"] = 999
