@@ -41,7 +41,6 @@ from .paramspace import (
     Catalog,
     apply_catalog_overrides,
     default_catalog,
-    nonnegative,
     parse_configuration,
     serialize_configuration,
 )
@@ -109,8 +108,6 @@ _SETTINGS = (
     ("num_sample", "samples", int),
     ("num_process", "processes", int),
     ("seed", "seed", int),
-    ("iteration_fraction", None, float),
-    ("min_slice", None, float),
     ("refinement", None, str),
     ("patience", None, _int_or_none),
 )
@@ -118,7 +115,7 @@ _SETTINGS = (
 # Every key a run config may set; any other key is rejected at load time.
 RUN_CONFIG_KEYS = frozenset(
     """program profile out catalog
-    adapter.command adapter.pattern adapter.join adapter.env adapter.grace""".split()
+    adapter.command adapter.pattern adapter.join adapter.env""".split()
     + [f"tuner.{name}" for name, _, _ in _SETTINGS]
 )
 
@@ -182,8 +179,6 @@ def load_run_config(args) -> RunConfig:
             options["join"] = values["adapter.join"]
         if values.get("adapter.env"):
             options["env_passthrough"] = tuple(v for v in values["adapter.env"].split(",") if v)
-        if "adapter.grace" in entries:
-            options["grace"] = _read_key(entries, "adapter.grace", nonnegative)
         try:
             adapter = AdapterConfig(command=command, pattern=pattern, **options)
         except (ValueError, re.error) as exc:
@@ -224,6 +219,14 @@ def _writing(path: Path) -> Iterator[None]:
         raise ConfigParseError(f"cannot write {path}: {exc}") from None
 
 
+def _claim(out_dir: Path, *names: str) -> None:
+    """Open each output file for writing, so that one that cannot be
+    written ends the command before its first analysis."""
+    for path in (out_dir / name for name in names):
+        with _writing(path):
+            path.open("w", encoding="utf-8").close()
+
+
 def _write(path: Path, text: str | None) -> None:
     """Write ``text`` to the output file ``path``; None removes the file."""
     with _writing(path):
@@ -238,6 +241,7 @@ def cmd_tune(args) -> int:
     trace_path = run.out_dir / "trace.ndjson"
     # An analyzer's errors become outcomes, so an OSError here is the trace's.
     with _writing(trace_path), trace_path.open("w", encoding="utf-8") as stream:
+        _claim(run.out_dir, "recommended.conf", "best_sampled.conf", "result.json", "summary.txt")
         result = tune(
             run.program_ref(),
             run.catalog,
@@ -281,6 +285,7 @@ def cmd_dominancy(args) -> int:
     low = parse_configuration(_read_text(args.low, "baseline"), run.catalog)
     high = parse_configuration(_read_text(args.high, "baseline"), run.catalog)
     timeout = args.timeout if args.timeout is not None else run.settings.time_budget
+    _claim(run.out_dir, "dominancy.txt", "dominancy.json")
     report = run_dominancy(
         run.program_ref(), low, high, run.catalog, run.analyzer(), timeout, run.settings.num_process
     )
@@ -336,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="run config file (key = value lines)")
         p.add_argument("--program", help="target program for the subprocess backend")
         p.add_argument("--profile", help="synthetic profile file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
-        p.add_argument("--samples", type=int, default=None, help="configurations per iteration")
         p.add_argument("--processes", type=int, default=None, help="parallel analyses")
         p.add_argument("--out", default=None, help="output directory")
 
     p_tune = sub.add_parser("tune", help="run the sample-analyze-refine loop")
     add_run_flags(p_tune)
+    p_tune.add_argument("--seed", type=int, default=None)
+    p_tune.add_argument("--budget", type=float, default=None, help="time budget in seconds")
+    p_tune.add_argument("--samples", type=int, default=None, help="configurations per iteration")
     p_tune.add_argument("--max-iterations", type=int, default=None, dest="max_iterations")
     p_tune.set_defaults(func=cmd_tune)
 

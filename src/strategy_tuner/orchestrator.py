@@ -8,8 +8,8 @@ matrix from whatever completed (one row of produced alarms per completed
 analysis, one value column per parameter), refines every parameter's
 base in one ``refine_bases`` call (meet-and-join over alarm columns) and
 its delta (completion-rate scaling), and charges its time to the
-budget. The loop stops when the remaining budget drops below a minimum
-slice or an iteration cap is reached, or after ``patience`` consecutive
+budget. The loop stops when less than ``min_slice`` (1 s) of budget is
+left or an iteration cap is reached, or after ``patience`` consecutive
 iterations in which no base moved: the bases are what the loop learns,
 so later iterations would only spend budget (the cross-entropy method's
 stop, de Boer et al., Ann. OR 2005). Without a cap it also stops after
@@ -40,7 +40,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
 from .distributions import (
@@ -66,40 +66,31 @@ class TunerSettings:
     num_sample: int = 4
     num_process: int = 1
     seed: int = 0
-    iteration_fraction: float = 0.5
     max_iterations: int | None = None
-    min_slice: float = 1.0
     refinement: str = "paper"
     patience: int | None = 3
+    #: The share of the remaining budget one iteration's analyses may take.
+    iteration_fraction: ClassVar[float] = 0.5
+    #: The run stops once less budget than this, in seconds, remains.
+    min_slice: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
         # A count is an int itself: neither a float with an integral value nor
         # a bool. A number is an int or a float; a bool or a string is neither.
-        number = (int, float)
         checks = (
             (
                 "time_budget",
-                type(self.time_budget) in number and 0 < self.time_budget < math.inf,
+                type(self.time_budget) in (int, float) and 0 < self.time_budget < math.inf,
                 "a positive finite number",
             ),
             ("num_sample", type(self.num_sample) is int and self.num_sample >= 1, "an int >= 1"),
             ("num_process", type(self.num_process) is int and self.num_process >= 1, "an int >= 1"),
             ("seed", type(self.seed) is int, "an int"),
             (
-                "iteration_fraction",
-                type(self.iteration_fraction) in number and 0.0 < self.iteration_fraction <= 1.0,
-                "a number in (0, 1]",
-            ),
-            (
                 "max_iterations",
                 self.max_iterations is None
                 or (type(self.max_iterations) is int and self.max_iterations >= 0),
                 "an int >= 0",
-            ),
-            (
-                "min_slice",
-                type(self.min_slice) in number and 0 < self.min_slice < math.inf,
-                "a positive finite number",
             ),
             (
                 "refinement",

@@ -3,14 +3,16 @@
 Splits a command template into words once, fills in each analysis's
 program and rendered configuration arguments word by word, runs it,
 reads its output and reaps it under the wall-clock deadline, kills the
-process group once the deadline passes, and extracts alarm identifiers
-from the output with a line-wise regular expression. Alarm identity is
-the join of the pattern's capture groups, so distinct report lines that
-normalize to the same key are deduplicated.
+process group once the deadline passes (then reaps it within
+``REAP_WAIT``), and extracts alarm identifiers from the output with a
+line-wise regular expression. Alarm identity is the join of the
+pattern's capture groups, so distinct report lines that normalize to
+the same key are deduplicated.
 """
 
 from __future__ import annotations
 
+import contextlib
 import locale
 import logging
 import os
@@ -36,6 +38,9 @@ _PLACEHOLDERS = ("program", "args")
 #: above 2**31 - 1 milliseconds, which a long deadline can exceed.
 _MAX_WAIT = 3600.0
 
+#: How long ``run`` waits, in seconds, to reap a child whose group it killed.
+REAP_WAIT = 2.0
+
 
 @dataclass(frozen=True)
 class AdapterConfig:
@@ -56,7 +61,6 @@ class AdapterConfig:
     pattern: str
     join: str = ":"
     env_passthrough: tuple[str, ...] = ()
-    grace: float = 2.0
     words: tuple[str, ...] = field(init=False, repr=False, compare=False)
     regex: re.Pattern[str] = field(init=False, repr=False, compare=False)
 
@@ -139,10 +143,8 @@ class SubprocessAnalyzer:
             output = _read_until(proc.stdout, deadline)
             if output is None or not _reap(proc, deadline):
                 self._kill_group(proc)
-                try:
-                    proc.wait(timeout=self.adapter.grace)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+                with contextlib.suppress(subprocess.TimeoutExpired):  # stuck in the kernel
+                    proc.wait(timeout=REAP_WAIT)
                 return TimedOut(wall_time=time.monotonic() - start)
         finally:
             proc.stdout.close()

@@ -284,7 +284,6 @@ def test_criterion_08_incrementality_and_dominance(catalog, convergence_run):
             num_process=3,
             seed=1000 + run_index,
             max_iterations=6,
-            min_slice=0.5,
         )
         result = tune("synthetic", catalog, settings, SyntheticAnalyzer(profile))
         assert result.iteration_trace
@@ -321,7 +320,7 @@ def test_criterion_09_byte_identical_traces(catalog, convergence_profile, tmp_pa
 def test_criterion_10_subprocess_fixtures(catalog):
     base_config = catalog.base_configuration()
 
-    sleeper = AdapterConfig(command="sleep 60", pattern=r".*", grace=2.0)
+    sleeper = AdapterConfig(command="sleep 60", pattern=r".*")
     start = time.monotonic()
     outcome = SubprocessAnalyzer(sleeper, catalog).run(
         AnalysisTask("prog.c", base_config, timeout=1.0)

@@ -66,6 +66,20 @@ def write_baselines(directory: Path) -> tuple[Path, Path]:
     return low_path, high_path
 
 
+@pytest.fixture
+def analyses(monkeypatch) -> list:
+    """The tasks of every synthetic analysis the CLI runs from here on."""
+    tasks = []
+
+    class Counting(SyntheticAnalyzer):
+        def run(self, task):
+            tasks.append(task)
+            return super().run(task)
+
+    monkeypatch.setattr(cli, "SyntheticAnalyzer", Counting)
+    return tasks
+
+
 @pytest.fixture(scope="module")
 def tuned_dir(tmp_path_factory):
     # a run to its cap: the config turns the patience stop off
@@ -219,8 +233,9 @@ class TestTune:
         "name",
         ["trace.ndjson", "recommended.conf", "best_sampled.conf", "result.json", "summary.txt"],
     )
-    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, name):
-        # each ended in an OSError traceback with exit 1
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, analyses, name):
+        # each ended in an OSError traceback with exit 1, and all but the
+        # trace only after the whole budget was spent
         out = tmp_path / "run"
         (out / name).mkdir(parents=True)
         flags = ("--profile", str(PROFILE), "--max-iterations", "2", "--out", str(out))
@@ -228,8 +243,11 @@ class TestTune:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out / name}: ") and "Traceback" not in err
         assert err.count("\n") == 1
-        if name == "trace.ndjson":  # no analysis ran, so no other file was written
+        assert analyses == []
+        if name == "trace.ndjson":  # the first file claimed, so no other file was made
             assert [path.name for path in out.iterdir()] == [name]
+        (out / name).rmdir()
+        assert run_cli("tune", *flags) == 0 and analyses
 
     def test_subprocess_backend_from_config(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -372,6 +390,43 @@ class TestReadBack:
                 ) == parse_configuration(from_json, catalog)
 
 
+# A run config for each backend, as its keys and values.
+_BACKENDS = {
+    "synthetic": {"profile": str(PROFILE)},
+    "subprocess": {
+        "program": "x.c",
+        "adapter.command": "true {args} {program}",
+        "adapter.pattern": "warn:(.*)",
+    },
+}
+
+# For each run-config key: the backend it is tried with, and a valid
+# value that differs from what the key's absence gives.
+_NON_DEFAULT = {
+    "program": ("subprocess", "y.c"),
+    "profile": ("synthetic", str(SAMPLES / "convergence.profile")),
+    "out": ("synthetic", "elsewhere"),
+    "catalog": ("synthetic", "{tmp_path}/override.catalog"),
+    "adapter.command": ("subprocess", "false {args} {program}"),
+    "adapter.pattern": ("subprocess", "alarm:(.*)"),
+    "adapter.join": ("subprocess", ";"),
+    "adapter.env": ("subprocess", "HOME"),
+    "tuner.time_budget": ("synthetic", "60"),
+    "tuner.num_sample": ("synthetic", "8"),
+    "tuner.num_process": ("synthetic", "2"),
+    "tuner.seed": ("synthetic", "7"),
+    "tuner.max_iterations": ("synthetic", "5"),
+    "tuner.refinement": ("synthetic", "evidence"),
+    "tuner.patience": ("synthetic", "none"),
+}
+
+
+def _load_entries(tmp_path: Path, entries: dict[str, str]) -> cli.RunConfig:
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()), "utf-8")
+    return cli.load_run_config(cli.build_parser().parse_args(["tune", "--config", str(conf)]))
+
+
 class TestRejectedValues:
     """Unusable values stop ``tune`` with exit 2 before any analysis runs."""
 
@@ -402,6 +457,7 @@ class TestRejectedValues:
         assert status == 2
         assert "time_budget" in capsys.readouterr().err
 
+    # tuner.min_slice is a constant now, so any value of it is an unknown key
     @pytest.mark.parametrize("key", ["tuner.time_budget", "tuner.min_slice"])
     def test_infinite_settings_key(self, tmp_path, capsys, key):
         text = f"profile = {PROFILE}\ntuner.max_iterations = 2\n{key} = inf\n"
@@ -417,7 +473,15 @@ class TestRejectedValues:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "line", ["tuner.num_samples = 8", "tuner.budjet = 5", "adapter.comand = foo"]
+        "line",
+        [
+            "tuner.num_samples = 8",
+            "tuner.budjet = 5",
+            "adapter.comand = foo",
+            "tuner.min_slice = 1",
+            "tuner.iteration_fraction = 0.5",
+            "adapter.grace = 2",
+        ],
     )
     def test_unknown_key(self, tmp_path, capsys, line):
         text = f"profile = {PROFILE}\ntuner.max_iterations = 1\n{line}\n"
@@ -439,6 +503,16 @@ class TestRejectedValues:
         keys = {f"tuner.{field.name}" for field in dataclasses.fields(TunerSettings)}
         assert keys <= cli.RUN_CONFIG_KEYS
 
+    @pytest.mark.parametrize("key", sorted(cli.RUN_CONFIG_KEYS))
+    def test_every_run_config_key_reaches_the_run(self, tmp_path, key):
+        # the converse of test_every_setting_is_a_run_config_key: no key is dead
+        assert key in _NON_DEFAULT, f"no non-default value to try for {key!r}"
+        backend, value = _NON_DEFAULT[key]
+        (tmp_path / "override.catalog").write_text("slevel.lambda = 5\n", encoding="utf-8")
+        base = _BACKENDS[backend]
+        changed = {**base, key: value.replace("{tmp_path}", str(tmp_path))}
+        assert _load_entries(tmp_path, changed) != _load_entries(tmp_path, base)
+
     def test_sample_configs_use_known_keys(self):
         for path in SAMPLES.glob("*.conf"):
             keys = parse_keytree(path.read_text(encoding="utf-8")).keys()
@@ -446,6 +520,7 @@ class TestRejectedValues:
 
     @pytest.mark.parametrize("raw", ["soon", "-1", "inf", "nan"])
     def test_bad_adapter_grace(self, tmp_path, capsys, raw):
+        # the reap wait is a constant now, so any value of the key is rejected
         text = (
             "program = x.c\n"
             "adapter.command = true {args} {program}\n"
@@ -453,9 +528,8 @@ class TestRejectedValues:
             f"adapter.grace = {raw}\n"
         )
         assert self._tune_config(tmp_path, text) == 2
-        err = capsys.readouterr().err
-        assert "line 4" in err and "adapter.grace" in err
-
+        assert capsys.readouterr().err == "error: line 4: unknown key 'adapter.grace'\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, reason",
@@ -534,9 +608,9 @@ class TestRunConfigDefaults:
         assert run.adapter == AdapterConfig(command, pattern)
 
     def test_flag_wins_over_file(self, tmp_path):
-        text = f"profile = {PROFILE}\ntuner.seed = 3\ntuner.min_slice = 2\n"
+        text = f"profile = {PROFILE}\ntuner.seed = 3\ntuner.refinement = evidence\n"
         run = self._load(tmp_path, text, "--seed", "5")
-        assert run.settings == cli.TunerSettings(time_budget=3600.0, seed=5, min_slice=2.0)
+        assert run.settings == cli.TunerSettings(time_budget=3600.0, seed=5, refinement="evidence")
 
     @pytest.mark.parametrize("raw, patience", [("none", None), ("1", 1), ("7", 7)])
     def test_patience_key(self, tmp_path, raw, patience):
@@ -604,7 +678,8 @@ class TestDominancy:
         assert not (tmp_path / "dom").exists()
 
     @pytest.mark.parametrize("name", ["dominancy.txt", "dominancy.json"])
-    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, name):
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, analyses, name):
+        # it ended in an OSError traceback after every analysis had run
         low, high = write_baselines(tmp_path)
         out = tmp_path / "dom"
         (out / name).mkdir(parents=True)
@@ -612,6 +687,29 @@ class TestDominancy:
         assert run_cli("dominancy", *flags, str(low), str(high)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out / name}: ") and "Traceback" not in err
+        assert analyses == []
+        (out / name).rmdir()
+        assert run_cli("dominancy", *flags, str(low), str(high)) == 0 and analyses
+
+    def test_timeout_defaults_to_the_config_budget(self, tmp_path, analyses):
+        low, high = write_baselines(tmp_path)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"profile = {PROFILE}\ntuner.time_budget = 9\n", encoding="utf-8")
+        argv = ["dominancy", "--config", str(conf), "--out", str(tmp_path / "dom")]
+        assert run_cli(*argv, str(low), str(high)) == 0
+        assert analyses and {task.timeout for task in analyses} == {9.0}
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--samples", "4"), ("--budget", "9")])
+    def test_tune_only_flags_rejected(self, tmp_path, capsys, analyses, flag, value):
+        # --seed and --samples were read by nothing, and --budget only set
+        # --timeout's default, which the config's tuner.time_budget still sets
+        low, high = write_baselines(tmp_path)
+        argv = ["dominancy", "--profile", str(PROFILE), "--out", str(tmp_path / "dom")]
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv, str(low), str(high), flag, value)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert analyses == [] and not (tmp_path / "dom").exists()
 
     def test_bad_baseline_file_exit_2(self, tmp_path):
         low, high = write_baselines(tmp_path)

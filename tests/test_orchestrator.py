@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import io
 import json
 import math
@@ -165,13 +166,9 @@ class TestSettingsValidation:
             {"time_budget": 0.0},
             {"time_budget": 60.0, "num_sample": 0},
             {"time_budget": 60.0, "num_process": 0},
-            {"time_budget": 60.0, "iteration_fraction": 0.0},
-            {"time_budget": 60.0, "iteration_fraction": 1.5},
-            {"time_budget": 60.0, "min_slice": 0.0},
             {"time_budget": 60.0, "max_iterations": -1},
             {"time_budget": math.inf},
             {"time_budget": math.nan},
-            {"time_budget": 60.0, "min_slice": math.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -180,8 +177,8 @@ class TestSettingsValidation:
 
     def test_rejection_names_the_field(self):
         with pytest.raises(InvalidSettingsError) as info:
-            TunerSettings(time_budget=60.0, min_slice=math.inf)
-        assert info.value.field == "min_slice"
+            TunerSettings(time_budget=math.inf)
+        assert info.value.field == "time_budget"
 
     @pytest.mark.parametrize(
         "field, value",
@@ -208,10 +205,6 @@ class TestSettingsValidation:
         [
             ("time_budget", "5"),
             ("time_budget", True),
-            ("iteration_fraction", "0.5"),
-            ("iteration_fraction", True),
-            ("min_slice", "1"),
-            ("min_slice", True),
         ],
     )
     def test_numbers_must_be_ints_or_floats(self, field, value):
@@ -243,8 +236,17 @@ class TestSettingsValidation:
         assert TunerSettings(time_budget=60.0, patience=1).patience == 1
 
     def test_numbers_may_be_ints(self):
-        settings = TunerSettings(time_budget=5, iteration_fraction=1, min_slice=2)
-        assert (settings.time_budget, settings.iteration_fraction, settings.min_slice) == (5, 1, 2)
+        assert TunerSettings(time_budget=5).time_budget == 5
+
+    def test_the_iteration_fraction_and_the_minimum_slice_are_constants(self):
+        settings = TunerSettings(time_budget=60.0)
+        assert (settings.iteration_fraction, settings.min_slice) == (0.5, 1.0)
+        assert (TunerSettings.iteration_fraction, TunerSettings.min_slice) == (0.5, 1.0)
+        assert len(dataclasses.fields(TunerSettings)) == 7
+        assert dataclasses.replace(settings, seed=4).min_slice == 1.0
+        for name in ("iteration_fraction", "min_slice"):
+            with pytest.raises(TypeError):
+                TunerSettings(time_budget=1, **{name: 2})
 
 
 class ConcurrencyProbe:
@@ -581,7 +583,7 @@ class TestEtaScaling:
 
 class TestBudget:
     def test_budget_below_min_slice_runs_nothing(self, catalog, incompressible_profile):
-        settings = TunerSettings(time_budget=0.5, min_slice=1.0, seed=0)
+        settings = TunerSettings(time_budget=0.5, seed=0)
         result = tune(
             "synthetic", catalog, settings, SyntheticAnalyzer(incompressible_profile)
         )
@@ -589,7 +591,7 @@ class TestBudget:
         assert result.recommended_config == catalog.base_configuration()
 
     def test_virtual_budget_exact_compliance(self, catalog, incompressible_profile):
-        settings = TunerSettings(time_budget=3.0, min_slice=0.5, seed=3)
+        settings = TunerSettings(time_budget=3.0, seed=3)
         result = tune(
             "synthetic", catalog, settings, SyntheticAnalyzer(incompressible_profile)
         )
@@ -606,9 +608,7 @@ class TestBudget:
                 time.sleep(wait)
                 return Completed(frozenset(), wait)
 
-        settings = TunerSettings(
-            time_budget=0.6, min_slice=0.05, num_sample=2, num_process=2, seed=0
-        )
+        settings = TunerSettings(time_budget=1.6, num_sample=2, num_process=2, seed=0)
         start = time.monotonic()
         result = tune("prog", catalog, settings, Sleeper())
         elapsed = time.monotonic() - start
@@ -626,7 +626,6 @@ class TestBudget:
             time_budget=100.0,
             num_sample=4,
             num_process=1,
-            iteration_fraction=0.5,
             seed=0,
             max_iterations=1,
         )
@@ -671,8 +670,8 @@ class TestStopRule:
 
     @pytest.mark.parametrize(
         "budget",
-        [dict(time_budget=1e17), dict(time_budget=10.0, iteration_fraction=5e-324)],
-        ids=["budget-1e17", "fraction-5e-324"],
+        [dict(time_budget=1e17)],
+        ids=["budget-1e17"],
     )
     def test_a_charge_below_half_an_ulp_ends_an_uncapped_run(
         self, catalog, convergence_profile, budget
@@ -1011,14 +1010,13 @@ class TestAdversarialAnalyzer:
         budget=stx.floats(1.0, 1e4),
         num_sample=stx.integers(1, 6),
         num_process=stx.integers(1, 3),
-        fraction=stx.floats(0.05, 1.0),
         iterations=stx.integers(1, 5),
         seed=stx.integers(0, 2**16),
         rule=stx.sampled_from(["paper", "evidence"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_invariants_and_read_back(
-        self, script, budget, num_sample, num_process, fraction, iterations, seed, rule
+        self, script, budget, num_sample, num_process, iterations, seed, rule
     ):
         from strategy_tuner.trace import (
             distribution_from_json,
@@ -1034,7 +1032,6 @@ class TestAdversarialAnalyzer:
             num_sample=num_sample,
             num_process=num_process,
             seed=seed,
-            iteration_fraction=fraction,
             max_iterations=iterations,
             refinement=rule,
         )

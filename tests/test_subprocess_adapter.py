@@ -202,7 +202,7 @@ class TestOutput:
 
 class TestDeadline:
     def test_sleeping_child_times_out_within_grace(self, catalog):
-        adapter = AdapterConfig(command="sleep 60", pattern=r".*", grace=2.0)
+        adapter = AdapterConfig(command="sleep 60", pattern=r".*")
         task = AnalysisTask("prog.c", catalog.base_configuration(), timeout=1.0)
         start = time.monotonic()
         outcome = SubprocessAnalyzer(adapter, catalog).run(task)
@@ -214,13 +214,13 @@ class TestDeadline:
         # end of output is not the end of the analysis: the exit is awaited
         # under the same deadline
         script = "import os, time; os.close(1); os.close(2); time.sleep(60)"
-        adapter = AdapterConfig(command=f'{sys.executable} -c "{script}"', pattern=r".*", grace=1.0)
+        adapter = AdapterConfig(command=f'{sys.executable} -c "{script}"', pattern=r".*")
         task = AnalysisTask("prog.c", catalog.base_configuration(), timeout=1.0)
         start = time.monotonic()
         outcome = SubprocessAnalyzer(adapter, catalog).run(task)
         elapsed = time.monotonic() - start
         assert isinstance(outcome, TimedOut)
-        assert elapsed <= task.timeout + adapter.grace
+        assert elapsed <= task.timeout + 1.0  # the killed child is reaped at once
 
     def test_deadline_beyond_the_longest_select_wait(self, catalog):
         adapter = AdapterConfig(command="echo warn:x", pattern=r"warn:(.*)")
