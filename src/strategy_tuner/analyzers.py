@@ -21,14 +21,12 @@ from typing import Callable, Mapping, Protocol, Union
 
 from .errors import ConfigParseError, ProfileError
 from .keytree import parse_keytree
-from .lattice import BitsVal, IntVal, LatticeValue, leq, parse_value, reduce_by_fields, same_kind
+from .lattice import BitsVal, IntVal, LatticeValue, leq, parse_value, same_kind
 from .paramspace import Catalog, Configuration, config_join, nonnegative
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisTask:
-    __slots__ = ("program_ref", "config", "timeout")
-    __reduce__ = reduce_by_fields
     program_ref: str
     config: Configuration
     timeout: float
@@ -38,25 +36,19 @@ class AnalysisTask:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Completed:
-    __slots__ = ("alarms", "wall_time")
-    __reduce__ = reduce_by_fields
     alarms: frozenset[str]
     wall_time: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedOut:
-    __slots__ = ("wall_time",)
-    __reduce__ = reduce_by_fields
     wall_time: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crashed:
-    __slots__ = ("exit_info",)
-    __reduce__ = reduce_by_fields
     exit_info: str
 
 

@@ -5,6 +5,10 @@ result, and summary files), dominancy (controlled per-parameter influence
 experiments), plot (static charts from a trace), and simulate (one
 synthetic analysis of a given configuration, for profile debugging).
 
+Of the ``tuner.*`` keys, dominancy reads only ``tuner.time_budget`` (the
+default for ``--timeout``) and ``tuner.num_process``; it still validates
+the others, so one config serves both tune and dominancy.
+
 Exit codes: 0 success, 2 configuration error, 3 analyzer unavailable.
 """
 
@@ -100,6 +104,13 @@ def _int_or_none(raw: str) -> int | None:
     return None if raw == "none" else int(raw)
 
 
+def _env_names(raw: str) -> tuple[str, ...]:
+    names = tuple(filter(None, map(str.strip, raw.split(","))))
+    if not names:
+        raise ValueError("names no variable")
+    return names
+
+
 # Each TunerSettings field a run config may set, the flag that overrides
 # it, and its type; a file's bad values are reported in this order.
 _SETTINGS = (
@@ -177,8 +188,8 @@ def load_run_config(args) -> RunConfig:
         options: dict = {}
         if values.get("adapter.join"):  # empty means the default
             options["join"] = values["adapter.join"]
-        if values.get("adapter.env"):
-            options["env_passthrough"] = tuple(v for v in values["adapter.env"].split(",") if v)
+        if values.get("adapter.env"):  # empty means the whole environment
+            options["env_passthrough"] = _read_key(entries, "adapter.env", _env_names)
         try:
             adapter = AdapterConfig(command=command, pattern=pattern, **options)
         except (ValueError, re.error) as exc:

@@ -35,7 +35,6 @@ from .lattice import (
     BoolVal,
     IntVal,
     LatticeValue,
-    reduce_by_fields,
     top,
 )
 
@@ -48,7 +47,7 @@ LAMBDA_CAP = 100_000.0
 REFINEMENT_RULES = ("paper", "evidence")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamDistribution:
     """Dirac base point plus exploration delta for one parameter.
 
@@ -58,8 +57,6 @@ class ParamDistribution:
     entry i for bit i, for a bit-vector base.
     """
 
-    __slots__ = ("base", "delta")
-    __reduce__ = reduce_by_fields
     base: LatticeValue
     delta: tuple[float, ...]
 

@@ -41,21 +41,10 @@ INT_CEILING = 2**31 - 1
 INFINITY = math.inf
 
 
-def reduce_by_fields(obj) -> tuple:
-    """``__reduce__`` for a frozen dataclass with ``__slots__``: rebuild it from its fields.
-
-    ``copy`` and ``pickle`` would otherwise restore each slot by
-    assignment, which a frozen dataclass refuses.
-    """
-    return type(obj), tuple(map(obj.__getattribute__, obj.__slots__))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntVal:
     """A natural number or INFINITY."""
 
-    __slots__ = ("value",)
-    __reduce__ = reduce_by_fields
     value: "int | float"
 
     def __post_init__(self) -> None:
@@ -68,10 +57,8 @@ class IntVal:
         return self.value == INFINITY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolVal:
-    __slots__ = ("value",)
-    __reduce__ = reduce_by_fields
     value: bool
 
     def __post_init__(self) -> None:
@@ -79,12 +66,10 @@ class BoolVal:
             raise ValueError(f"boolean lattice value must be a bool, got {self.value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitsVal:
     """A fixed-width vector of booleans; bit i of ``value`` is entry i."""
 
-    __slots__ = ("value", "width")
-    __reduce__ = reduce_by_fields
     value: int
     width: int
 

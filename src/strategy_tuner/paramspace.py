@@ -26,7 +26,6 @@ from .lattice import (
     join,
     leq,
     parse_value,
-    reduce_by_fields,
     same_kind,
 )
 
@@ -82,12 +81,10 @@ def _index(names: tuple[str, ...], name: str) -> int:
         raise KeyError(name) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """A concrete value for every catalog parameter: ``values[i]`` for ``names[i]``."""
 
-    __slots__ = ("names", "values")
-    __reduce__ = reduce_by_fields
     names: tuple[str, ...]
     values: tuple[LatticeValue, ...]
 

@@ -41,10 +41,6 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else f"{x:.6g}"
 
 
-def _base_magnitude(record: IterationRecord, name: str) -> float:
-    return precision_contribution(record.distributions_after[name].base)
-
-
 def _delta_summary(record: IterationRecord, name: str) -> tuple[str, float]:
     dist = record.distributions_after[name]
     if isinstance(dist.base, IntVal):
@@ -62,7 +58,7 @@ def write_param_chart(records: list[IterationRecord], name: str, path: Path) -> 
     for record in records:
         base = record.distributions_after[name].base
         _, delta_value = _delta_summary(record, name)
-        bases.append(_base_magnitude(record, name))
+        bases.append(precision_contribution(base))
         deltas.append(delta_value)
         lines.append(f"{record.index:>4}  {format_value(base):>12}  {_fmt(delta_value):>12}")
     lines.append("")

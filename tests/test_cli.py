@@ -551,6 +551,18 @@ class TestRejectedValues:
         assert "not found" not in err
         assert not (tmp_path / "out" / "trace.ndjson").exists()
 
+    def test_adapter_env_naming_no_variable(self, tmp_path, capsys):
+        # it loaded as no names, which forwards the whole environment
+        text = (
+            "program = x.c\n"
+            "adapter.command = true {args} {program}\n"
+            "adapter.pattern = warn:(.*)\n"
+            "adapter.env = ,\n"
+        )
+        assert self._tune_config(tmp_path, text) == 2
+        assert capsys.readouterr().err == "error: line 4: bad value for 'adapter.env': ','\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["tune", "dominancy"])
     def test_malformed_adapter_pattern(self, tmp_path, capsys, command):
         conf = tmp_path / "run.conf"
@@ -606,6 +618,13 @@ class TestRunConfigDefaults:
         text = f"program = x.c\nadapter.command = {command}\nadapter.pattern = {pattern}\n"
         run = self._load(tmp_path, text + extra)
         assert run.adapter == AdapterConfig(command, pattern)
+
+    def test_adapter_env_names_are_stripped(self, tmp_path):
+        # the space kept ' LANG', a name no variable has, so LANG was not forwarded
+        command, pattern = "true {args} {program}", "warn:(.*)"
+        text = f"program = x.c\nadapter.command = {command}\nadapter.pattern = {pattern}\n"
+        run = self._load(tmp_path, text + "adapter.env = HOME, LANG\n")
+        assert run.adapter == AdapterConfig(command, pattern, env_passthrough=("HOME", "LANG"))
 
     def test_flag_wins_over_file(self, tmp_path):
         text = f"profile = {PROFILE}\ntuner.seed = 3\ntuner.refinement = evidence\n"
@@ -698,6 +717,23 @@ class TestDominancy:
         argv = ["dominancy", "--config", str(conf), "--out", str(tmp_path / "dom")]
         assert run_cli(*argv, str(low), str(high)) == 0
         assert analyses and {task.timeout for task in analyses} == {9.0}
+
+    def test_tune_only_keys_change_no_output(self, tmp_path):
+        # one config serves tune and dominancy: dominancy validates these keys and reads none
+        low, high = write_baselines(tmp_path)
+        tune_only = (
+            "tuner.seed = 5\ntuner.num_sample = 9\ntuner.refinement = evidence\n"
+            "tuner.patience = none\ntuner.max_iterations = 0\n"
+        )
+        outputs = []
+        for name, extra in (("plain", ""), ("tune-only", tune_only)):
+            conf = tmp_path / f"{name}.conf"
+            conf.write_text(f"profile = {PROFILE}\ntuner.time_budget = 10\n{extra}", "utf-8")
+            out = tmp_path / name
+            argv = ["dominancy", "--config", str(conf), "--out", str(out), str(low), str(high)]
+            assert run_cli(*argv) == 0
+            outputs.append([(out / f).read_bytes() for f in ("dominancy.txt", "dominancy.json")])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--samples", "4"), ("--budget", "9")])
     def test_tune_only_flags_rejected(self, tmp_path, capsys, analyses, flag, value):
