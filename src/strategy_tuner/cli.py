@@ -2,8 +2,8 @@
 
 Commands: tune (run the sample-analyze-refine loop and write trace,
 result, and summary files), dominancy (controlled per-parameter influence
-experiments), plot (static charts from a trace), and simulate (one
-synthetic analysis of a given configuration, for profile debugging).
+experiments), plot (static charts from a trace), and simulate (the cost
+and alarms a synthetic profile gives one configuration, with no deadline).
 
 Of the ``tuner.*`` keys, dominancy reads only ``tuner.time_budget`` (the
 default for ``--timeout``) and ``tuner.num_process``; it still validates
@@ -25,12 +25,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from .analyzers import (
-    AnalysisTask,
     Analyzer,
-    Completed,
     SyntheticAnalyzer,
     SyntheticProfile,
     parse_profile,
+    simulated_cost,
+    synthetic_alarms,
 )
 from .errors import (
     AnalyzerUnavailableError,
@@ -322,22 +322,17 @@ def cmd_plot(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not args.timeout > 0:
-        raise ConfigParseError(f"--timeout must be positive, got {args.timeout!r}")
     catalog = default_catalog()
     profile = parse_profile(_read_text(args.profile, "profile"), catalog)
     if args.configuration:
         config = parse_configuration(_read_text(args.configuration, "configuration"), catalog)
     else:
         config = catalog.base_configuration()
-    task = AnalysisTask(program_ref="synthetic", config=config, timeout=args.timeout)
-    outcome = SyntheticAnalyzer(profile).run(task)
-    if isinstance(outcome, Completed):
-        print(f"completed in {outcome.wall_time:.3f} s, {len(outcome.alarms)} alarm(s):")
-        for alarm in sorted(outcome.alarms):
-            print(f"  {alarm}")
-    else:
-        print(f"outcome: {outcome}")
+    cost = simulated_cost(profile, config)
+    alarms = synthetic_alarms(profile, config)
+    print(f"completed in {cost:.3f} s, {len(alarms)} alarm(s):")
+    for alarm in sorted(alarms):
+        print(f"  {alarm}")
     return EXIT_OK
 
 
@@ -375,10 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--out", default=None, help="chart output directory")
     p_plot.set_defaults(func=cmd_plot)
 
-    p_sim = sub.add_parser("simulate", help="run one synthetic analysis and print its alarms")
+    p_sim = sub.add_parser("simulate", help="print a configuration's simulated cost and alarms")
     p_sim.add_argument("profile", help="synthetic profile file")
     p_sim.add_argument("--configuration", help="configuration file (defaults to catalog bases)")
-    p_sim.add_argument("--timeout", type=float, default=60.0)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -2,8 +2,8 @@
 
 Each parameter is a pair of random variables combined as base (+) delta:
 the base is a Dirac point holding everything learned so far, the delta is
-the stochastic exploration component (Poisson for integers, Bernoulli for
-booleans, an independent Bernoulli per bit for vectors). Sampling never
+the stochastic exploration component (Poisson for integers, an
+independent Bernoulli per bit for vectors and booleans). Sampling never
 falls below the base, so accumulated knowledge is preserved. A
 distribution is compiled once into a ``Sampler`` (``compile_sampler``)
 that every sample drawn from it reuses.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress
 from operator import and_, ge, not_, or_
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidSettingsError, LatticeMismatchError
 from .lattice import (
@@ -35,6 +35,7 @@ from .lattice import (
     BoolVal,
     IntVal,
     LatticeValue,
+    same_kind,
     top,
 )
 
@@ -80,59 +81,48 @@ class ParamDistribution:
 DrawSource = Callable[[], float]
 
 
-class Sampler(NamedTuple):
-    """One parameter's distribution compiled for repeated sampling.
-
-    Exactly one field is set. ``fixed`` is the sample when the
-    distribution fixes it, so it takes no draw; otherwise ``draw`` maps a
-    draw source to one sample, with the distribution's constants already
-    computed.
-    """
-
-    fixed: LatticeValue | None
-    draw: Callable[[DrawSource], LatticeValue] | None
-
+#: One parameter's distribution compiled for repeated sampling: ``(fixed,
+#: draw)``, exactly one set. ``fixed`` is the sample when the distribution
+#: fixes it, so it takes no draw; otherwise ``draw`` maps a draw source to
+#: one sample, with the distribution's constants already computed.
+Sampler = tuple[LatticeValue | None, Callable[[DrawSource], LatticeValue] | None]
 
 #: Bernoulli parameters whose outcome needs no draw.
-_FIXED_Q = (0.0, 1.0)
+_FIXED_Q = frozenset((0.0, 1.0))
 
-#: The two boolean values, indexed by a bool.
+#: The two boolean values, indexed by their bit.
 _BOOLS = (BoolVal(False), BoolVal(True))
 
 
 def compile_sampler(dist: ParamDistribution) -> Sampler:
-    """Compile base (+) delta: saturating add, or, pointwise or.
+    """Compile base (+) delta: saturating add, or pointwise or.
 
-    Every sample dominates the base. A sample is fixed, and takes no
-    draw, when the base is already top (an integer at the saturation
-    ceiling or above, ``true``, all ones), when the rate is 0, or when
-    every Bernoulli q is 0 or 1: a draw ``u`` lies in [0, 1), so
-    ``u < 1.0`` always holds and ``u < 0.0`` never does. A vector with
-    any other q draws every bit, so bit i always takes draw i.
+    Every sample dominates the base. A boolean samples as the one-bit
+    vector whose key is its bit. A sample is fixed, and takes no draw,
+    when the base is already top (an integer at the saturation ceiling or
+    above, all ones), when the rate is 0, or when every Bernoulli q is 0
+    or 1: a draw ``u`` lies in [0, 1), so ``u < 1.0`` always holds and
+    ``u < 0.0`` never does. Otherwise every bit is drawn, bit i taking
+    draw i.
     """
     base, delta = dist.base, dist.delta
     if isinstance(base, IntVal):
         start, (lam,) = base.value, delta
         if start >= INT_CEILING or lam == 0:
-            return Sampler(base, None)
+            return base, None
         count = _poisson_counter(lam)
-        return Sampler(None, lambda random: IntVal(min(start + count(random), INT_CEILING)))
+        return None, lambda random: IntVal(min(start + count(random), INT_CEILING))
     if isinstance(base, BoolVal):
-        (q,) = delta
-        if base.value or q in _FIXED_Q:
-            return Sampler(_BOOLS[base.value or q == 1.0], None)
-        return Sampler(None, lambda random: _BOOLS[random() < q])
-    assert isinstance(base, BitsVal)
-    mask, width, qs = base.value, base.width, delta
+        mask, width, make = int(base.value), 1, _BOOLS.__getitem__
+    else:
+        mask, width = base.value, base.width
+        make = lambda key: BitsVal(key, width)
     if mask == (1 << width) - 1:
-        return Sampler(base, None)
-    if all(q in _FIXED_Q for q in qs):
-        ones = sum(1 << i for i, q in enumerate(qs) if q == 1.0)
-        return Sampler(BitsVal(mask | ones, width), None)
-    bits = tuple((1 << i, q) for i, q in enumerate(qs))
-    return Sampler(
-        None, lambda random: BitsVal(mask | sum([bit for bit, q in bits if random() < q]), width)
-    )
+        return base, None
+    if _FIXED_Q.issuperset(delta):
+        return make(mask | sum(1 << i for i, q in enumerate(delta) if q == 1.0)), None
+    bits = [(1 << i, q) for i, q in enumerate(delta)]
+    return None, lambda random: make(mask | sum([bit for bit, q in bits if random() < q]))
 
 
 def _poisson_counter(lam: float) -> Callable[[DrawSource], int]:
@@ -258,14 +248,11 @@ def refine_bases(
     evidence = rule == "evidence"
     refined = []
     for p, (base, values) in enumerate(zip(bases, matrix.values)):
-        variant = type(base)
-        bits = variant is BitsVal
-        if any(type(v) is not variant for v in values) or (
-            bits and any(v.width != base.width for v in values)  # type: ignore[union-attr]
-        ):
+        if not all(same_kind(v, base) for v in values):
             raise LatticeMismatchError(
                 f"values of column {p} do not all match the kind of base {base!r}"
             )
+        bits = isinstance(base, BitsVal)
         keys = [v.value for v in values]
         meet_keys = partial(reduce, and_) if bits else min
         join_keys = or_ if bits else max
@@ -283,7 +270,7 @@ def refine_bases(
             elif lowest != top_key:
                 acc = join_keys(acc, lowest)
         if acc != base.value:
-            base = BitsVal(acc, base.width) if bits else variant(acc)  # type: ignore[union-attr]
+            base = BitsVal(acc, base.width) if bits else type(base)(acc)  # type: ignore[union-attr]
         refined.append(base)
     return tuple(refined)
 
@@ -294,12 +281,7 @@ def refine_delta(dist: ParamDistribution, eta: float) -> tuple[float, ...]:
         raise ValueError(f"scaling factor must be positive, got {eta!r}")
     if isinstance(dist.base, IntVal):
         return (min(dist.delta[0] * eta, LAMBDA_CAP),)
-    return tuple(_scale_q(q, eta) for q in dist.delta)
-
-
-def _scale_q(q: float, eta: float) -> float:
-    scaled = 1.0 - (1.0 - q) ** eta
-    return min(max(scaled, 0.0), 1.0)
+    return tuple(1.0 - (1.0 - q) ** eta for q in dist.delta)
 
 
 def scaling_factor(completed: int, num_sample: int) -> float:

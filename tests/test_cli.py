@@ -878,11 +878,24 @@ class TestSimulate:
     def test_missing_profile_exit_2(self, tmp_path):
         assert run_cli("simulate", str(tmp_path / "nope.profile")) == 2
 
-    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_costly_configuration_prints_its_cost_and_alarms(self, tmp_path, capsys):
+        # a profile imposes no deadline: 100.05 s of simulated cost still completes
+        from strategy_tuner import serialize_configuration
+
+        config = default_catalog().base_configuration().replace("slevel", IntVal(10**9))
+        path = tmp_path / "costly.conf"
+        path.write_text(serialize_configuration(config), encoding="utf-8")
+        assert run_cli("simulate", str(PROFILE), "--configuration", str(path)) == 0
+        assert capsys.readouterr().out == "completed in 100.050 s, 1 alarm(s):\n  true-positive\n"
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "5"])
     def test_bad_timeout_exit_2(self, capsys, timeout):
-        assert run_cli("simulate", str(PROFILE), "--timeout", timeout) == 2
+        # simulate has no deadline, so any --timeout fails at argument parsing
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", str(PROFILE), "--timeout", timeout)
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "timeout" in err
+        assert f"unrecognized arguments: --timeout {timeout}" in err
         assert "Traceback" not in err
 
 

@@ -223,6 +223,55 @@ class TestFixedDraws:
         assert ours == _old_sample_param(dist, RandomStream(seed).generator("s"))
 
 
+def _three_branch_sampler(dist: ParamDistribution):
+    """``compile_sampler`` for Bernoulli deltas as it was with a boolean branch of its own."""
+    base, qs = dist.base, dist.delta
+    if isinstance(base, BoolVal):
+        (q,) = qs
+        if base.value or q in (0.0, 1.0):
+            return BoolVal(base.value or q == 1.0), None
+        return None, lambda random: BoolVal(random() < q)
+    mask, width = base.value, base.width
+    if mask == (1 << width) - 1:
+        return base, None
+    if all(q in (0.0, 1.0) for q in qs):
+        return BitsVal(mask | sum(1 << i for i, q in enumerate(qs) if q == 1.0), width), None
+    bits = tuple((1 << i, q) for i, q in enumerate(qs))
+    return None, lambda random: BitsVal(mask | sum(b for b, q in bits if random() < q), width)
+
+
+@stx.composite
+def _bernoulli_distributions(draw):
+    """A boolean, or a vector of 1 to 8 bits at bottom, top or any key; each q 0, 1 or uniform."""
+    if draw(stx.booleans()):
+        base, width = BoolVal(draw(stx.booleans())), 1
+    else:
+        width = draw(stx.integers(1, 8))
+        top_key = (1 << width) - 1
+        key = draw(stx.one_of(stx.sampled_from([0, top_key]), stx.integers(0, top_key)))
+        base = BitsVal(key, width)
+    return ParamDistribution(base, tuple(draw(stx.lists(_QS, min_size=width, max_size=width))))
+
+
+class TestBernoulliBranch:
+    """Booleans sample as one-bit vectors: no fixed value and no draw changes."""
+
+    @given(_bernoulli_distributions(), stx.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_same_samples_as_a_boolean_branch(self, dist, seed):
+        fixed, draw = compile_sampler(dist)
+        ref_fixed, ref_draw = _three_branch_sampler(dist)
+        assert fixed == ref_fixed and type(fixed) is type(ref_fixed)
+        assert (draw is None) == (ref_draw is None)
+        if draw is not None:
+            # every bit takes one draw, so 20 samples take 20 draws per bit
+            stream = RandomStream(seed).generator("s")
+            draws = [stream() for _ in range(20 * len(dist.delta))]
+            ours, theirs = _ScriptedDraws(draws), _ScriptedDraws(draws)
+            assert [draw(ours) for _ in range(20)] == [ref_draw(theirs) for _ in range(20)]
+            assert ours.taken == theirs.taken == len(draws)
+
+
 class TestSaturation:
     """An integer sample is its base plus a Poisson draw, clamped at INT_CEILING."""
 
@@ -515,6 +564,15 @@ class TestRefineDelta:
         lo, hi = sorted((eta1, eta2))
         assert refine_delta(_coin(q), lo)[0] <= refine_delta(_coin(q), hi)[0] + 1e-15
         assert refine_delta(_rate(q * 10), lo) <= refine_delta(_rate(q * 10), hi)
+
+    @given(
+        stx.one_of(stx.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53, 1.0]), stx.floats(0, 1)),
+        stx.floats(0, 3, exclude_min=True),
+    )
+    def test_bernoulli_formula_needs_no_clamp(self, q, eta):
+        (refined,) = refine_delta(_coin(q), eta)
+        assert 0.0 <= refined <= 1.0
+        assert refined == min(max(1.0 - (1.0 - q) ** eta, 0.0), 1.0)
 
     def test_nonpositive_eta_rejected(self):
         with pytest.raises(ValueError):

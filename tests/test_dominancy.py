@@ -124,6 +124,26 @@ class TestRunDominancy:
         run_dominancy("synthetic", low, high, catalog, Counting(), timeout=10.0)
         assert len(calls) == 2 * len(catalog) + 2
 
+    @pytest.mark.parametrize("num_process", [0, -3, 2.5, True])
+    def test_bad_worker_count_rejected_before_any_analysis(
+        self, catalog, slevel_only_profile, num_process
+    ):
+        calls = []
+        inner = SyntheticAnalyzer(slevel_only_profile)
+
+        class RealClock:  # not virtual-clock, so the worker count reaches a pool
+            def run(self, task):
+                calls.append(task)
+                return inner.run(task)
+
+        low = catalog.bottom_configuration()
+        high = low.replace("slevel", IntVal(50))
+        with pytest.raises(ValueError, match="num_process must be an int >= 1"):
+            run_dominancy(
+                "synthetic", low, high, catalog, RealClock(), 10.0, num_process=num_process
+            )
+        assert calls == []
+
     def test_both_batches_share_one_pool(self, catalog, slevel_only_profile):
         inner = SyntheticAnalyzer(slevel_only_profile)
         threads = []
