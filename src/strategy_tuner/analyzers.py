@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Protocol, Union
 
 from .errors import ConfigParseError, ProfileError
 from .keytree import parse_keytree
-from .lattice import BitsVal, IntVal, LatticeValue, leq, parse_value, same_kind
+from .lattice import INFINITY, IntVal, LatticeValue, leq, parse_value, same_kind
 from .paramspace import Catalog, Configuration, config_join, nonnegative
 
 
@@ -117,19 +117,19 @@ def _compile_rule(profile: SyntheticProfile) -> Callable[[tuple[LatticeValue, ..
                     by_key = held.setdefault(index, {})
                     by_key[value.value] = by_key.get(value.value, 0) | 1 << bit
     every = (1 << len(alarms)) - 1
-    # An integer or boolean parameter passes the alarms that need nothing
-    # of it (released[0]) and, once its key reaches keys[i - 1], those of
-    # released[i]. A bit vector passes the alarms that need nothing of it
-    # and each group whose required mask its key includes.
+    # An integer parameter passes the alarms that need nothing of it
+    # (released[0]) and, once its key reaches keys[i - 1], those of
+    # released[i]. A boolean or bit vector passes those that need nothing
+    # of it and each group whose required mask its key includes.
     thresholds, groups = [], []
     for index, by_key in held.items():
         free = every & ~reduce(or_, by_key.values())
-        if isinstance(catalog.bottoms[index], BitsVal):
-            groups.append((index, free, tuple(by_key.items())))
-        else:
+        if isinstance(catalog.bottoms[index], IntVal):
             keys = sorted(by_key)
             released = [*accumulate(map(by_key.get, keys), or_, initial=free)]
             thresholds.append((index, keys, released))
+        else:
+            groups.append((index, free, tuple(by_key.items())))
     twists = [
         (catalog.names.index(twist.param), twist.threshold, sum(
             1 << bit for bit, alarm in enumerate(alarms) if alarm.alarm_id == twist.alarm_id
@@ -201,10 +201,10 @@ class SyntheticProfile:
 
 
 def precision_contribution(value: LatticeValue) -> float:
-    """Cost contribution of one value: magnitude, 0/1, or popcount."""
-    if isinstance(value, BitsVal):
-        return float(value.value.bit_count())
-    return float(value.value)
+    """Cost contribution of one value: an integer's magnitude, otherwise the popcount."""
+    if isinstance(value, IntVal):
+        return float(value.value)
+    return float(value.value.bit_count())
 
 
 def simulated_cost(profile: SyntheticProfile, config: Configuration) -> float:
@@ -278,7 +278,7 @@ def synthetic_oracle_least_config(profile: SyntheticProfile) -> Configuration:
         if alarm.requirement is None:
             continue
         for name, value in zip(alarm.requirement.names, alarm.requirement.values):
-            if isinstance(value, IntVal) and value.is_infinite:
+            if value.value == INFINITY:  # only an integer's key is ever INFINITY
                 raise ProfileError(
                     f"requirement for {alarm.alarm_id!r} is unbounded in {name!r}"
                 )
@@ -303,8 +303,8 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
     base_cost = 0.0
     weights: dict[str, float] = {}
     requirements: dict[str, list[LatticeValue]] = {}  # values in catalog order
-    incompressible: dict[str, bool] = {}
-    twists: list[Twist] = []
+    incompressible: dict[str, int] = {}  # alarm id -> line of its "incompressible = true"
+    twists: dict[Twist, int] = {}  # twist -> line of its key
     literals: dict[tuple[str, str], LatticeValue] = {}
 
     def literal(name: str, raw: str) -> LatticeValue:
@@ -327,21 +327,22 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
             elif len(parts) == 3 and parts[0] == "alarm" and parts[2] == "incompressible":
                 if raw not in ("true", "false"):
                     raise ValueError(f"expected 'true' or 'false', got {raw!r}")
-                incompressible[parts[1]] = raw == "true"
+                if raw == "true":
+                    incompressible[parts[1]] = lineno
             elif len(parts) == 3 and parts[0] == "twist":
-                twists.append(Twist(parts[1], parts[2], literal(parts[2], raw)))
+                twists[Twist(parts[1], parts[2], literal(parts[2], raw))] = lineno
             else:
                 raise ValueError(f"unrecognized profile key {key!r}")
         except ValueError as exc:
             raise ConfigParseError(str(exc), line=lineno)
 
     alarms: list[SyntheticAlarm] = []
-    alarm_ids = sorted(set(requirements) | {a for a, flag in incompressible.items() if flag})
-    for alarm_id in alarm_ids:
-        if incompressible.get(alarm_id):
+    for alarm_id in sorted(set(requirements) | set(incompressible)):
+        if alarm_id in incompressible:
             if alarm_id in requirements:
                 raise ConfigParseError(
-                    f"alarm {alarm_id!r} is both incompressible and has requirements"
+                    f"alarm {alarm_id!r} is both incompressible and has requirements",
+                    line=incompressible[alarm_id],
                 )
             alarms.append(SyntheticAlarm(alarm_id, None))
         else:
@@ -349,9 +350,9 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
             alarms.append(SyntheticAlarm(alarm_id, requirement))
 
     known_alarms = {a.alarm_id for a in alarms}
-    for twist in twists:
+    for twist, lineno in twists.items():
         if twist.alarm_id not in known_alarms:
-            raise ConfigParseError(f"twist references unknown alarm {twist.alarm_id!r}")
+            raise ConfigParseError(f"twist references unknown alarm {twist.alarm_id!r}", lineno)
 
     return SyntheticProfile(
         catalog=catalog,

@@ -9,13 +9,15 @@ Of the ``tuner.*`` keys, dominancy reads only ``tuner.time_budget`` (the
 default for ``--timeout``) and ``tuner.num_process``; it still validates
 the others, so one config serves both tune and dominancy.
 
-Exit codes: 0 success, 2 configuration error, 3 analyzer unavailable.
+Exit codes: 0 success, 1 standard output closed by its reader (nothing
+is printed), 2 configuration error, 3 analyzer unavailable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shutil
 import sys
@@ -56,6 +58,7 @@ if TYPE_CHECKING:
     from .subprocess_adapter import AdapterConfig
 
 EXIT_OK = 0
+EXIT_CLOSED_OUTPUT = 1
 EXIT_CONFIG = 2
 EXIT_ANALYZER_UNAVAILABLE = 3
 
@@ -383,7 +386,12 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:  # the one place where an error becomes an exit code
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here rather than at interpreter exit
+        return status
+    except BrokenPipeError:  # the reader closed stdout: the exit flush goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     except LatticeMismatchError:
         raise  # a programming bug: keep its traceback
     except TunerError as exc:

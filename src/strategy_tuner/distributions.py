@@ -29,15 +29,7 @@ from operator import and_, ge, not_, or_
 from typing import Callable, Sequence
 
 from .errors import InvalidSettingsError, LatticeMismatchError
-from .lattice import (
-    INT_CEILING,
-    BitsVal,
-    BoolVal,
-    IntVal,
-    LatticeValue,
-    same_kind,
-    top,
-)
+from .lattice import INT_CEILING, IntVal, LatticeValue, from_key, same_kind, top
 
 #: Cap applied to Poisson rates during refinement so repeated eta > 1
 #: scaling cannot diverge.
@@ -54,8 +46,8 @@ class ParamDistribution:
 
     The base's lattice names the delta's family, and ``delta`` holds that
     family's parameters: ``(lam,)``, a Poisson rate, for an integer base;
-    ``(q,)``, a Bernoulli parameter, for a boolean base; and one q per bit,
-    entry i for bit i, for a bit-vector base.
+    and one Bernoulli q per bit, entry i for bit i, for a boolean or
+    bit-vector base.
     """
 
     base: LatticeValue
@@ -63,17 +55,16 @@ class ParamDistribution:
 
     def __post_init__(self) -> None:
         base, delta = self.base, self.delta
-        width = base.width if isinstance(base, BitsVal) else 1
+        poisson = isinstance(base, IntVal)
+        width = 1 if poisson else base.width
         if type(delta) is not tuple or len(delta) != width:
             raise ValueError(
                 f"{type(base).__name__} needs a delta tuple of {width} parameters, got {delta!r}"
             )
-        if isinstance(base, IntVal):
+        if poisson:
             if not (0.0 <= delta[0] < math.inf):
                 raise ValueError(f"Poisson rate must be finite and nonnegative, got {delta[0]!r}")
         elif not all(0.0 <= q <= 1.0 for q in delta):
-            if isinstance(base, BoolVal):
-                raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {delta[0]!r}")
             raise ValueError(f"Bernoulli parameters must lie in [0, 1], got {delta!r}")
 
 
@@ -90,20 +81,16 @@ Sampler = tuple[LatticeValue | None, Callable[[DrawSource], LatticeValue] | None
 #: Bernoulli parameters whose outcome needs no draw.
 _FIXED_Q = frozenset((0.0, 1.0))
 
-#: The two boolean values, indexed by their bit.
-_BOOLS = (BoolVal(False), BoolVal(True))
-
 
 def compile_sampler(dist: ParamDistribution) -> Sampler:
     """Compile base (+) delta: saturating add, or pointwise or.
 
-    Every sample dominates the base. A boolean samples as the one-bit
-    vector whose key is its bit. A sample is fixed, and takes no draw,
-    when the base is already top (an integer at the saturation ceiling or
-    above, all ones), when the rate is 0, or when every Bernoulli q is 0
-    or 1: a draw ``u`` lies in [0, 1), so ``u < 1.0`` always holds and
-    ``u < 0.0`` never does. Otherwise every bit is drawn, bit i taking
-    draw i.
+    Every sample dominates the base. A sample is fixed, and takes no
+    draw, when the base is already top (an integer at the saturation
+    ceiling or above, all ones), when the rate is 0, or when every
+    Bernoulli q is 0 or 1: a draw ``u`` lies in [0, 1), so ``u < 1.0``
+    always holds and ``u < 0.0`` never does. Otherwise every bit is
+    drawn, bit i taking draw i.
     """
     base, delta = dist.base, dist.delta
     if isinstance(base, IntVal):
@@ -112,11 +99,7 @@ def compile_sampler(dist: ParamDistribution) -> Sampler:
             return base, None
         count = _poisson_counter(lam)
         return None, lambda random: IntVal(min(start + count(random), INT_CEILING))
-    if isinstance(base, BoolVal):
-        mask, width, make = int(base.value), 1, _BOOLS.__getitem__
-    else:
-        mask, width = base.value, base.width
-        make = lambda key: BitsVal(key, width)
+    mask, width, make = base.value, base.width, partial(from_key, base)
     if mask == (1 << width) - 1:
         return base, None
     if _FIXED_Q.issuperset(delta):
@@ -252,7 +235,7 @@ def refine_bases(
             raise LatticeMismatchError(
                 f"values of column {p} do not all match the kind of base {base!r}"
             )
-        bits = isinstance(base, BitsVal)
+        bits = not isinstance(base, IntVal)  # booleans take the mask order
         keys = [v.value for v in values]
         meet_keys = partial(reduce, and_) if bits else min
         join_keys = or_ if bits else max
@@ -270,7 +253,7 @@ def refine_bases(
             elif lowest != top_key:
                 acc = join_keys(acc, lowest)
         if acc != base.value:
-            base = BitsVal(acc, base.width) if bits else type(base)(acc)  # type: ignore[union-attr]
+            base = from_key(base, acc)
         refined.append(base)
     return tuple(refined)
 

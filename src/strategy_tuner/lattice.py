@@ -11,13 +11,16 @@ Three variants, each a complete lattice:
 Each value stores its own order key in ``value``: a natural, or
 ``INFINITY`` (which is ``math.inf``, above every natural); ``False`` or
 ``True``; or, for a bit vector, an int mask with bit i set when entry i
-is true. The order is then ``a <= b`` on integers and booleans and mask
-inclusion, ``a & ~b == 0``, on bit vectors, and bottom is the only value
-of its lattice whose key is 0.
+is true. In every rule but its text form, a boolean is the one-bit
+vector whose mask is its key (``BoolVal.width`` is 1). The order is
+``a <= b`` on integers and mask inclusion, ``a & ~b == 0``, on masks,
+which on one bit is ``<=``. Bottom is the only value of its lattice
+whose key is 0, and :func:`from_key` turns a key back into a value.
 
 A value stands for its own lattice, its kind: one variant and, for bit
-vectors, one width (:func:`same_kind`). ``top``, ``bottom`` and
-``parse_value`` take any value of the lattice they work in.
+vectors, one width (:func:`same_kind`). ``top``, ``bottom``,
+``from_key`` and ``parse_value`` take any value of the lattice they work
+in.
 
 All values are immutable and freely shareable between threads. Binary
 operations require both operands to be of the same kind; anything else
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Union
+from typing import ClassVar, Union
 
 from .errors import LatticeMismatchError
 
@@ -60,6 +63,7 @@ class IntVal:
 @dataclass(frozen=True, slots=True)
 class BoolVal:
     value: bool
+    width: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, bool):
@@ -133,22 +137,27 @@ def meet(a: LatticeValue, b: LatticeValue) -> LatticeValue:
     return min(a, b, key=_key)
 
 
+#: The two boolean values, indexed by their key.
+_BOOLS = (BoolVal(False), BoolVal(True))
+
+
+def from_key(like: LatticeValue, key: "int | float") -> LatticeValue:
+    """The value of ``like``'s lattice whose order key is ``key``."""
+    if isinstance(like, IntVal):
+        return IntVal(key)
+    if isinstance(like, BoolVal):
+        return _BOOLS[key]  # type: ignore[index]
+    return BitsVal(key, like.width)  # type: ignore[arg-type]
+
+
 def top(like: LatticeValue) -> LatticeValue:
     """Greatest element of the lattice of ``like``: INFINITY / true / all-ones."""
-    if isinstance(like, IntVal):
-        return IntVal(INFINITY)
-    if isinstance(like, BoolVal):
-        return BoolVal(True)
-    return BitsVal((1 << like.width) - 1, like.width)
+    return from_key(like, INFINITY if isinstance(like, IntVal) else (1 << like.width) - 1)
 
 
 def bottom(like: LatticeValue) -> LatticeValue:
     """Least element of the lattice of ``like``: 0 / false / all-zeros."""
-    if isinstance(like, IntVal):
-        return IntVal(0)
-    if isinstance(like, BoolVal):
-        return BoolVal(False)
-    return BitsVal(0, like.width)
+    return from_key(like, 0)
 
 
 def format_value(value: LatticeValue) -> str:
@@ -173,11 +182,9 @@ def parse_value(like: LatticeValue, text: str) -> LatticeValue:
             raise ValueError(f"expected a natural number or 'inf', got {text!r}")
         return IntVal(int(text))
     if isinstance(like, BoolVal):
-        if text == "true":
-            return BoolVal(True)
-        if text == "false":
-            return BoolVal(False)
-        raise ValueError(f"expected 'true' or 'false', got {text!r}")
+        if text not in ("true", "false"):
+            raise ValueError(f"expected 'true' or 'false', got {text!r}")
+        return _BOOLS[text == "true"]
     if len(text) != like.width or any(c not in "01" for c in text):
         raise ValueError(f"expected {like.width} binary digits, got {text!r}")
     return BitsVal.from_string(text)

@@ -236,6 +236,10 @@ class TestCostModel:
         assert precision_contribution(BoolVal(False)) == 0.0
         assert precision_contribution(BitsVal.from_string("10110")) == 3.0
 
+    @pytest.mark.parametrize("b", [False, True])
+    def test_boolean_costs_as_its_one_bit_vector(self, b):
+        assert precision_contribution(BoolVal(b)) == precision_contribution(BitsVal(int(b), 1))
+
     def test_weighted_cost(self, catalog):
         profile = SyntheticProfile(
             catalog=catalog,
@@ -671,6 +675,18 @@ class TestProfileParsing:
     def test_twist_for_unknown_alarm(self, catalog):
         with pytest.raises(ConfigParseError):
             parse_profile("twist.ghost.slevel = 3\n", catalog)
+
+    def test_twist_for_unknown_alarm_names_its_line(self, catalog):
+        text = "alarm.a.requires.slevel = 3\ntwist.b.slevel = 10\n"
+        with pytest.raises(ConfigParseError, match="twist references unknown alarm 'b'") as err:
+            parse_profile(text, catalog)
+        assert err.value.line == 2
+
+    def test_conflicting_alarm_names_the_incompressible_line(self, catalog):
+        text = "alarm.a.incompressible = true\ncost.base = 1\nalarm.a.requires.slevel = 3\n"
+        with pytest.raises(ConfigParseError, match="both incompressible") as err:
+            parse_profile(text, catalog)
+        assert err.value.line == 1
 
     @pytest.mark.parametrize("raw", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("key", ["cost.base", "cost.weight.slevel"])

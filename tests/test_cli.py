@@ -41,14 +41,19 @@ def run_cli(*argv: str) -> int:
     return main(list(argv))
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
-    """A child interpreter with ``argv``, importing this checkout's ``src``."""
+def run_python(*argv: str, stdout: int = subprocess.PIPE) -> subprocess.CompletedProcess:
+    """A child interpreter with ``argv``, importing this checkout's ``src``.
+
+    Its standard error is captured, and so is its standard output unless
+    ``stdout`` names another descriptor.
+    """
     env = dict(os.environ)
     src = str(Path(__file__).parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=60,
@@ -928,6 +933,18 @@ class TestModuleEntry:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_closed_standard_output_exits_1_quietly(self):
+        # standard output is a pipe whose read end is closed before the
+        # child starts, so its first write fails with EPIPE, with no race
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python("-m", "strategy_tuner.cli", "simulate", str(PROFILE), stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
 
 
 # Each name the package serves on first use, and the module it comes from.

@@ -24,7 +24,7 @@ from strategy_tuner import (
     parse_value,
     top,
 )
-from strategy_tuner.lattice import same_kind
+from strategy_tuner.lattice import from_key, same_kind
 
 ints = stx.integers(0, 1000).map(IntVal) | stx.just(IntVal(INFINITY))
 bools = stx.booleans().map(BoolVal)
@@ -209,6 +209,49 @@ class TestOrderKeys:
         a, b = BitsVal.from_string("10000"), BitsVal.from_string("01000")
         assert a.value < b.value
         assert not leq(a, b)
+
+
+class TestBooleanIsOneBitVector:
+    """Outside its text form, a boolean follows the rules of its one-bit twin."""
+
+    @pytest.mark.parametrize("a", [False, True])
+    @pytest.mark.parametrize("b", [False, True])
+    def test_order_join_and_meet(self, a, b):
+        x, y = BoolVal(a), BoolVal(b)
+        u, v = BitsVal(int(a), 1), BitsVal(int(b), 1)
+        assert leq(x, y) == leq(u, v)
+        assert join(x, y).value == join(u, v).value
+        assert meet(x, y).value == meet(u, v).value
+
+    @pytest.mark.parametrize("b", [False, True])
+    def test_bounds(self, b):
+        for bound in (top, bottom):
+            assert bound(BoolVal(b)).value == bound(BitsVal(int(b), 1)).value
+
+
+class TestFromKey:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            IntVal(0),
+            IntVal(104),
+            IntVal(INFINITY),
+            BoolVal(False),
+            BoolVal(True),
+            BitsVal(0, 5),
+            BitsVal(0b10110, 5),
+            BitsVal(0b11111, 5),
+        ],
+    )
+    def test_inverts_the_key(self, value):
+        rebuilt = from_key(value, value.value)
+        assert rebuilt == value
+        assert type(rebuilt.value) is type(value.value)
+
+    @given(same_variant_triples)
+    def test_builds_in_the_lattice_of_like(self, triple):
+        a, b, _ = triple
+        assert from_key(a, b.value) == b
 
 
 class TestProductStructure:

@@ -256,6 +256,23 @@ class TestRandomizedOracleEquivalence:
                     oracle(matrix, p, base) for p, base in enumerate(bases)
                 )
 
+    def test_boolean_refines_as_its_one_bit_vector(self):
+        # a 0/1 column twice, once as booleans and once as one-bit vectors
+        rng = random.Random(0xB001)
+        for _ in range(200):
+            m, n = rng.randint(0, 6), rng.randint(0, 5)
+            produced = tuple(tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(m))
+            bits = [rng.random() < 0.5 for _ in range(m + 1)]
+            values = (
+                tuple(map(BoolVal, bits[1:])),
+                tuple(BitsVal(int(b), 1) for b in bits[1:]),
+            )
+            bases = (BoolVal(bits[0]), BitsVal(int(bits[0]), 1))
+            matrix = ResultMatrix(tuple(f"a{j}" for j in range(n)), produced, values)
+            for rule in ("paper", "evidence"):
+                as_bool, as_bits = refine_bases(matrix, bases, rule)
+                assert type(as_bool) is BoolVal and as_bool.value == as_bits.value
+
     def test_monotone_in_base(self):
         rng = random.Random(77)
         for trial in range(300):
