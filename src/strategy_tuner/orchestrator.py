@@ -54,7 +54,7 @@ from .distributions import (
 )
 from .errors import InvalidSettingsError
 from .paramspace import Catalog, Configuration
-from .rng import RandomStream
+from .rng import RandomStream, encode_labels
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -153,13 +153,35 @@ class TuneResult:
         return None if best is None else BestSample(best[0], tuple(sorted(best[1])))
 
 
+def _universe(outcomes: Iterable[AnalysisOutcome]) -> tuple[str, ...]:
+    universe: list[str] = []
+    seen: set[str] = set()
+    for alarms in dict.fromkeys(o.alarms for o in outcomes if isinstance(o, Completed)):
+        new = alarms - seen
+        universe += sorted(new)
+        seen |= new
+    return tuple(universe)
+
+
+#: The last universe built from a tuple of outcomes, with that tuple. ``tune``
+#: hands one tuple to ``build_result_matrix`` and stores it in the record, so
+#: the trace writer finds the iteration's universe here. Holding the tuple
+#: keeps its id from being reused, and a tuple of outcomes cannot change. The
+#: pair is replaced whole, so concurrent runs at worst build a universe again.
+_last_universe: tuple[tuple[AnalysisOutcome, ...], tuple[str, ...]] = ((), ())
+
+
 def alarm_universe(outcomes: Iterable[AnalysisOutcome]) -> tuple[str, ...]:
     """Every alarm id the completed outcomes report, once: each distinct alarm
     set, in first-seen order, adds the ids not listed yet, sorted."""
-    universe: list[str] = []
-    for alarms in dict.fromkeys(o.alarms for o in outcomes if isinstance(o, Completed)):
-        universe += sorted(alarms.difference(universe))
-    return tuple(universe)
+    global _last_universe
+    last = _last_universe
+    if outcomes is last[0]:
+        return last[1]
+    universe = _universe(outcomes)
+    if type(outcomes) is tuple:
+        _last_universe = (outcomes, universe)
+    return universe
 
 
 def build_result_matrix(
@@ -192,21 +214,27 @@ def _sample_configurations(
     num_sample: int,
     rng: RandomStream,
     iteration: int,
+    param_labels: list[bytes],
 ) -> list[Configuration]:
     """The iteration's ``num_sample`` configurations, from one compiled plan.
 
     Sample i's value of parameter n draws from the stream labelled
     ``iter, iteration, sample, i, param, n``; a parameter whose value the
-    plan fixes takes no generator.
+    plan fixes takes no generator. ``param_labels`` holds
+    ``encode_labels("param", n)`` for each name n of the catalog, in order,
+    which ``tune`` encodes once a run.
     """
     names = catalog.names
-    plan = [(name, *compile_sampler(distributions[name])) for name in names]
+    plan = [
+        (labels, *compile_sampler(distributions[name]))
+        for name, labels in zip(names, param_labels, strict=True)
+    ]
     configs = []
     for i in range(num_sample):
         sample = rng.split("iter", iteration, "sample", i)
         values = tuple(
-            fixed if draw is None else draw(sample.generator("param", name))
-            for name, fixed, draw in plan
+            fixed if draw is None else draw(sample.encoded_generator(labels))
+            for labels, fixed, draw in plan
         )
         configs.append(Configuration(names, values))
     return configs
@@ -312,6 +340,7 @@ def tune(
     distributions = catalog.initial_distributions()
     remaining = settings.time_budget
     rng = RandomStream(settings.seed)
+    param_labels = [encode_labels("param", name) for name in catalog.names]
     waves = math.ceil(settings.num_sample / settings.num_process)
     records: list[IterationRecord] = []
     quiet = 0  # consecutive iterations that moved no base
@@ -330,9 +359,10 @@ def tune(
             # Sampling is serial and precedes dispatch, so completion order
             # cannot perturb the stream.
             configs = _sample_configurations(
-                catalog, distributions, settings.num_sample, rng, index
+                catalog, distributions, settings.num_sample, rng, index, param_labels
             )
-            outcomes = run_batch(analyzer, program_ref, configs, timeout, pool)
+            # one tuple for the matrix and the record: the writer reuses its universe
+            outcomes = tuple(run_batch(analyzer, program_ref, configs, timeout, pool))
             matrix = build_result_matrix(outcomes, configs)
             eta = scaling_factor(len(matrix.produced), settings.num_sample)
             bases_before = tuple(distributions[n].base for n in catalog.names)
@@ -353,7 +383,7 @@ def tune(
             record = IterationRecord(
                 index=index,
                 sampled_configs=tuple(configs),
-                outcomes=tuple(outcomes),
+                outcomes=outcomes,
                 distributions_before=dict(distributions),
                 distributions_after=after,
                 elapsed=elapsed,

@@ -12,11 +12,16 @@ of its UTF-8 text and that text. As the input is a plain concatenation,
 a stream holds just the hash state of its path and ``split`` feeds in
 only the new labels: ``s.split("a", 2).split("b")`` is
 ``s.split("a", 2, "b")``, and ``s.generator("a")`` draws as
-``s.split("a").generator()``. The generator is ``_random.Random``, the C
-type under ``random.Random``: seeded from an int, the two draw the same
-sequence, but the C type skips the Python-level ``__init__`` and
-``seed``. The hash is ``_blake2``'s, which ``hashlib.blake2b`` names,
-because ``import hashlib`` also loads OpenSSL's libcrypto (3.5 MB).
+``s.split("a").generator()``. ``encode_labels(*labels)`` is the labels'
+hash input, and ``s.generator(*labels)`` is
+``s.encoded_generator(encode_labels(*labels))``, so a caller that draws
+under the same labels many times, as the sampler does under
+``("param", name)``, encodes them once. The generator is
+``_random.Random``, the C type under ``random.Random``: seeded from an
+int, the two draw the same sequence, but the C type skips the
+Python-level ``__init__`` and ``seed``. The hash is ``_blake2``'s, which
+``hashlib.blake2b`` names, because ``import hashlib`` also loads
+OpenSSL's libcrypto (3.5 MB).
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ def _encode_label(label: "str | int") -> bytes:
     return b"".join((tag, len(payload).to_bytes(4, "big"), payload))
 
 
+def encode_labels(*labels: "str | int") -> bytes:
+    """The hash input that a path of labels adds to a stream's key."""
+    return b"".join(map(_encode_label, labels))
+
+
 class RandomStream:
     """A named, seedable key that splits into child streams and gives out draws."""
 
@@ -46,18 +56,22 @@ class RandomStream:
     def split(self, *labels: "str | int") -> "RandomStream":
         """Child stream for the given labels; independent of this one."""
         child = RandomStream.__new__(RandomStream)
-        child._hash = _extended(self._hash, labels)
+        child._hash = _extended(self._hash, encode_labels(*labels))
         return child
 
     def generator(self, *labels: "str | int") -> Callable[[], float]:
         """Uniform draws in [0, 1) of ``self.split(*labels)``; with no labels, this stream's own."""
-        return _seeded(_extended(self._hash, labels)).random
+        return self.encoded_generator(encode_labels(*labels))
+
+    def encoded_generator(self, encoded: bytes) -> Callable[[], float]:
+        """``self.generator(*labels)`` for ``encoded = encode_labels(*labels)``."""
+        return _seeded(_extended(self._hash, encoded)).random
 
 
-def _extended(hasher: blake2b, labels: tuple) -> blake2b:
-    """A copy of a stream's hash state with the labels fed in."""
+def _extended(hasher: blake2b, encoded: bytes) -> blake2b:
+    """A copy of a stream's hash state with the encoded labels fed in."""
     hasher = hasher.copy()
-    hasher.update(b"".join(map(_encode_label, labels)))
+    hasher.update(encoded)
     return hasher
 
 

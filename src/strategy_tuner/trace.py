@@ -23,6 +23,10 @@ from .paramspace import Configuration, check_param_name, nonnegative
 
 SCHEMA_VERSION = 1
 
+# json.dumps's encoder without its cycle check: a record's JSON form is a
+# tree that record_to_json has just built, so it holds no cycle.
+_ENCODER = json.JSONEncoder(check_circular=False)
+
 
 def distribution_to_json(dist: ParamDistribution) -> dict[str, Any]:
     """The base's textual form and its delta, whose JSON kind the base's lattice names."""
@@ -205,10 +209,11 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
     hold them all until the line is joined; here each alarm id is escaped
     once per record, and each alarm list (``record_to_json`` shares one
     among the outcomes that hold equal sets) is laid out once. The record
-    is dumped with every outcome's alarms as null, and the lists are
-    spliced in where ``"alarms": null`` stands. Nothing else is written
-    so: a parameter named ``alarms`` holds a string or an object, and a
-    string's quotes are escaped.
+    is dumped with every outcome's alarms as null, by json.dumps's encoder
+    less its cycle check, and the lists are spliced in where
+    ``"alarms": null`` stands. Nothing else is written so: a parameter
+    named ``alarms`` holds a string or an object, and a string's quotes
+    are escaped.
     """
     obj = record_to_json(record)
     completed = [outcome for outcome in obj["outcomes"] if "alarms" in outcome]
@@ -222,7 +227,7 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
         spliced.append(texts[id(alarms)])
     for outcome in completed:
         outcome["alarms"] = None
-    chunks = json.dumps(obj).split('"alarms": null')
+    chunks = _ENCODER.encode(obj).split('"alarms": null')
     parts = [chunks[0]]
     for items, chunk in zip(spliced, chunks[1:], strict=True):
         parts += ('"alarms": [', items, "]", chunk)

@@ -14,10 +14,14 @@ from strategy_tuner import (
     INT_CEILING,
     BitsVal,
     BoolVal,
+    Catalog,
+    Completed,
     IntVal,
     InvalidSettingsError,
     ParamDistribution,
+    ParamSpec,
     RandomStream,
+    TunerSettings,
     default_catalog,
     leq,
     refine_delta,
@@ -303,6 +307,8 @@ class TestSaturation:
 
 
 _CATALOG = default_catalog()
+# the labels ``tune`` encodes once a run, one per parameter in catalog order
+_PARAM_LABELS = [rng_module.encode_labels("param", name) for name in _CATALOG.names]
 
 _RATES = stx.one_of(
     stx.sampled_from([0.0, LAMBDA_CAP]),
@@ -345,7 +351,7 @@ class TestCompiledPlan:
     def test_plan_matches_reference_sampler(self, distributions, seed, iteration, num_sample):
         rng = RandomStream(seed)
         configs = orchestrator._sample_configurations(
-            _CATALOG, distributions, num_sample, rng, iteration
+            _CATALOG, distributions, num_sample, rng, iteration, _PARAM_LABELS
         )
         assert len(configs) == num_sample
         for i, config in enumerate(configs):
@@ -357,6 +363,31 @@ class TestCompiledPlan:
                 random = sample.generator("param", name)
                 assert value == (fixed if draw is None else draw(random))
                 assert value == _old_sample_param(dist, sample.generator("param", name))
+
+    def test_tune_draws_each_name_under_its_labels(self):
+        # tune encodes ("param", name) once a run; every name, a non-ASCII
+        # one too, draws from the stream its labels name
+        catalog = Catalog((
+            ParamSpec("naïve", _rate(4.0), "-naive"),
+            ParamSpec("日本", ParamDistribution(BitsVal(0, 3), (0.5,) * 3), "-j", ("a", "b", "c")),
+            ParamSpec("x", ParamDistribution(BoolVal(False), (0.5,)), "-x", ("", "on")),
+        ))
+
+        class NoAlarms:
+            virtual_clock = True
+
+            def run(self, task):
+                return Completed(frozenset(), 1.0)
+
+        settings = TunerSettings(time_budget=100.0, num_sample=5, seed=3, max_iterations=2)
+        result = orchestrator.tune("prog", catalog, settings, NoAlarms())
+        for record in result.iteration_trace:
+            for i, config in enumerate(record.sampled_configs):
+                sample = RandomStream(3).split("iter", record.index, "sample", i)
+                for name, value in zip(config.names, config.values):
+                    fixed, draw = compile_sampler(record.distributions_before[name])
+                    random = sample.generator("param", name)
+                    assert value == (fixed if draw is None else draw(random))
 
     def test_fixed_parameters_seed_no_generator(self, monkeypatch):
         seeded = []
@@ -375,14 +406,17 @@ class TestCompiledPlan:
             return child
 
         asked = []
-        generator = RandomStream.generator
+        generator = RandomStream.encoded_generator
+        labels_of = {
+            encoded: ("param", name) for encoded, name in zip(_PARAM_LABELS, _CATALOG.names)
+        }
 
-        def recording_generator(self, *labels):
-            asked.append((split_off[id(self)][1], labels))
-            return generator(self, *labels)
+        def recording_generator(self, encoded):
+            asked.append((split_off[id(self)][1], labels_of[encoded]))
+            return generator(self, encoded)
 
         monkeypatch.setattr(RandomStream, "split", recording_split)
-        monkeypatch.setattr(RandomStream, "generator", recording_generator)
+        monkeypatch.setattr(RandomStream, "encoded_generator", recording_generator)
         distributions = _CATALOG.initial_distributions()
         fixed = {
             "min-loop-unroll": ParamDistribution(IntVal(3), (0.0,)),
@@ -395,7 +429,7 @@ class TestCompiledPlan:
         }
         distributions.update(fixed)
         configs = orchestrator._sample_configurations(
-            _CATALOG, distributions, 3, RandomStream(5), 2
+            _CATALOG, distributions, 3, RandomStream(5), 2, _PARAM_LABELS
         )
         drawn = [name for name in _CATALOG.names if name not in fixed]
         assert asked == [

@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from strategy_tuner import RandomStream
+from strategy_tuner.rng import encode_labels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -114,6 +117,21 @@ def test_look_alike_labels_draws_pinned():
         0.025362001099558884,
         0.2999960571901342,
     ]
+
+
+@pytest.mark.parametrize("name", ["slevel", "naïve-précision", "日本", "astral-\U0001F600"])
+def test_encoded_labels_draw_as_the_labels(name):
+    # the sampler encodes ("param", name) once a run and draws through it
+    sample = RandomStream(7).split("iter", 3, "sample", 1)
+    encoded = encode_labels("param", name)
+    draw = sample.encoded_generator(encoded)
+    expected = _draws(RandomStream(7).split("iter", 3, "sample", 1).split("param", name), 5)
+    assert [draw() for _ in range(5)] == expected
+    labelled = sample.generator("param", name)
+    assert [labelled() for _ in range(5)] == expected
+    assert encoded == encode_labels("param") + encode_labels(name)
+    # a name's length prefix counts its UTF-8 bytes, not its characters
+    assert encoded.endswith(len(name.encode("utf-8")).to_bytes(4, "big") + name.encode("utf-8"))
 
 
 def test_chained_splits_equal_one_split():

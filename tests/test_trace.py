@@ -18,6 +18,7 @@ from strategy_tuner import (
     Completed,
     ConfigParseError,
     Crashed,
+    IntVal,
     IterationRecord,
     ParamDistribution,
     SyntheticAnalyzer,
@@ -27,8 +28,9 @@ from strategy_tuner import (
     scaling_factor,
     tune,
 )
+from strategy_tuner import orchestrator
 from strategy_tuner.orchestrator import alarm_universe
-from strategy_tuner.paramspace import Configuration
+from strategy_tuner.paramspace import Catalog, Configuration, ParamSpec
 from strategy_tuner.trace import (
     SCHEMA_VERSION,
     distribution_from_json,
@@ -39,7 +41,7 @@ from strategy_tuner.trace import (
     result_to_json,
     write_record,
 )
-from test_golden import SCENARIOS, golden_path
+from test_golden import SCENARIOS, golden_path, run_scenario
 
 MIXED_TRACE = Path(__file__).resolve().parent / "data" / "golden" / "mixed.ndjson"
 
@@ -279,6 +281,46 @@ class TestWriter:
         lines = buffer.getvalue().splitlines()
         assert lines == [json.dumps(record_to_json(r)) for r in result.iteration_trace]
         assert tuple(read_trace(buffer.getvalue())) == result.iteration_trace
+
+    def test_a_parameter_named_alarms_writes_as_json_dumps(self):
+        # only an outcome's alarms are spliced: a parameter of that name
+        # holds a string in a configuration and an object in a distribution
+        catalog = Catalog((
+            ParamSpec("alarms", ParamDistribution(IntVal(0), (3.0,)), "-alarms"),
+            ParamSpec("x", ParamDistribution(BoolVal(False), (0.5,)), "-x", ("", "on")),
+        ))
+        shared = frozenset(ESCAPED_IDS)
+        analyzer = CyclingAnalyzer([
+            lambda t: Completed(shared, 1.0),
+            lambda t: Completed(frozenset(ESCAPED_IDS), 0.5),
+            lambda t: Completed(frozenset(), 2.0),
+            lambda t: TimedOut(t.timeout),
+            lambda t: Completed(shared, 0.25),
+            lambda t: Completed(frozenset(ESCAPED_IDS[2:]), 0.75),
+        ])
+        settings = TunerSettings(time_budget=100.0, num_sample=6, max_iterations=3)
+        buffer = io.StringIO()
+        result = tune(
+            "prog", catalog, settings, analyzer,
+            on_record=lambda record: write_record(buffer, record),
+        )
+        text = buffer.getvalue()
+        assert text == "".join(json.dumps(record_to_json(r)) + "\n" for r in result.iteration_trace)
+        assert '"alarms": "' in text and '"alarms": {"base"' in text
+        assert tuple(read_trace(text)) == result.iteration_trace
+
+    def test_tune_builds_each_universe_once(self, monkeypatch):
+        # the result matrix and the writer share the iteration's universe
+        built = []
+        universe = orchestrator._universe
+        monkeypatch.setattr(
+            orchestrator, "_universe", lambda outcomes: built.append(outcomes) or universe(outcomes)
+        )
+        result, text = run_scenario("mixed")
+        assert text == golden_path("mixed").read_text(encoding="utf-8")
+        records = result.iteration_trace
+        assert len(built) == len(records) == 12
+        assert all(outcomes is record.outcomes for outcomes, record in zip(built, records))
 
     @given(
         stx.lists(stx.frozensets(stx.text(), max_size=6), min_size=1, max_size=6),
