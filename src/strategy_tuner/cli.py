@@ -129,7 +129,7 @@ _SETTINGS = (
 # Every key a run config may set; any other key is rejected at load time.
 RUN_CONFIG_KEYS = frozenset(
     """program profile out catalog
-    adapter.command adapter.pattern adapter.join adapter.env""".split()
+    adapter.command adapter.pattern adapter.env""".split()
     + [f"tuner.{name}" for name, _, _ in _SETTINGS]
 )
 
@@ -188,13 +188,11 @@ def load_run_config(args) -> RunConfig:
             raise ConfigParseError(
                 "subprocess backend requires 'adapter.command' and 'adapter.pattern'"
             )
-        options: dict = {}
-        if values.get("adapter.join"):  # empty means the default
-            options["join"] = values["adapter.join"]
-        if values.get("adapter.env"):  # empty means the whole environment
-            options["env_passthrough"] = _read_key(entries, "adapter.env", _env_names)
+        env: tuple[str, ...] = ()  # empty means the whole environment
+        if values.get("adapter.env"):
+            env = _read_key(entries, "adapter.env", _env_names)
         try:
-            adapter = AdapterConfig(command=command, pattern=pattern, **options)
+            adapter = AdapterConfig(command=command, pattern=pattern, env_passthrough=env)
         except (ValueError, re.error) as exc:
             key = "adapter.pattern" if isinstance(exc, re.error) else "adapter.command"
             raise ConfigParseError(

@@ -5,7 +5,8 @@ catalog overrides, synthetic profiles, and the run config. Keys are
 dotted paths; a value is the rest of its line, stripped. A line whose
 first non-blank character is '#' is a comment; a duplicate key is
 rejected. Each key's Entry holds its value, its line, and the 1-based
-column where the value starts, so an error can point at the value.
+column where the value starts, so an error can point at the value. A
+line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r`` (``split_lines``).
 """
 
 from __future__ import annotations
@@ -21,10 +22,22 @@ class Entry(NamedTuple):
     column: int
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, each ended by ``\\n``, ``\\r\\n``, a lone ``\\r`` or the end.
+
+    Unlike ``str.splitlines``, no other character ends a line: a form
+    feed, a vertical tab or U+2028 stays inside its line.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a line break, or is empty
+    return lines
+
+
 def parse_keytree(text: str) -> dict[str, Entry]:
     """The file's entries by key, in file order."""
     entries: dict[str, Entry] = {}
-    for line, raw in enumerate(text.splitlines(), start=1):
+    for line, raw in enumerate(split_lines(text), start=1):
         key, sep, tail = raw.partition("=")
         key = key.strip()
         if key.startswith("#") or not (key or sep):

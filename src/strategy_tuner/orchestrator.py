@@ -39,7 +39,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
@@ -153,35 +153,30 @@ class TuneResult:
         return None if best is None else BestSample(best[0], tuple(sorted(best[1])))
 
 
-def _universe(outcomes: Iterable[AnalysisOutcome]) -> tuple[str, ...]:
+@lru_cache(maxsize=1)
+def alarm_sets(
+    outcomes: tuple[AnalysisOutcome, ...],
+) -> tuple[tuple[str, ...], tuple[frozenset[str], ...]]:
+    """The alarm universe of ``outcomes`` and their distinct completed alarm sets.
+
+    The sets come in first-seen order, and each adds the ids not listed
+    yet to the universe, sorted. The last answer is kept by value: ``tune``
+    builds the matrix from the tuple it stores in the record, so the trace
+    writer gets the iteration's answer back.
+    """
+    sets = tuple(dict.fromkeys(o.alarms for o in outcomes if isinstance(o, Completed)))
     universe: list[str] = []
     seen: set[str] = set()
-    for alarms in dict.fromkeys(o.alarms for o in outcomes if isinstance(o, Completed)):
+    for alarms in sets:
         new = alarms - seen
         universe += sorted(new)
         seen |= new
-    return tuple(universe)
-
-
-#: The last universe built from a tuple of outcomes, with that tuple. ``tune``
-#: hands one tuple to ``build_result_matrix`` and stores it in the record, so
-#: the trace writer finds the iteration's universe here. Holding the tuple
-#: keeps its id from being reused, and a tuple of outcomes cannot change. The
-#: pair is replaced whole, so concurrent runs at worst build a universe again.
-_last_universe: tuple[tuple[AnalysisOutcome, ...], tuple[str, ...]] = ((), ())
+    return tuple(universe), sets
 
 
 def alarm_universe(outcomes: Iterable[AnalysisOutcome]) -> tuple[str, ...]:
-    """Every alarm id the completed outcomes report, once: each distinct alarm
-    set, in first-seen order, adds the ids not listed yet, sorted."""
-    global _last_universe
-    last = _last_universe
-    if outcomes is last[0]:
-        return last[1]
-    universe = _universe(outcomes)
-    if type(outcomes) is tuple:
-        _last_universe = (outcomes, universe)
-    return universe
+    """Every alarm id the completed outcomes report, once (see ``alarm_sets``)."""
+    return alarm_sets(tuple(outcomes))[0]
 
 
 def build_result_matrix(
@@ -191,14 +186,11 @@ def build_result_matrix(
     """Matrix over completed analyses only, with ``alarm_universe(outcomes)`` as columns."""
     if len(outcomes) != len(sampled_configs):
         raise ValueError("outcomes and sampled_configs must align")
-    universe = alarm_universe(outcomes)
+    universe, sets = alarm_sets(tuple(outcomes))
     completed = [
         (i, out.alarms) for i, out in enumerate(outcomes) if isinstance(out, Completed)
     ]
-    produced = {
-        alarms: tuple(map(alarms.__contains__, universe))
-        for alarms in dict.fromkeys(alarms for _, alarms in completed)
-    }
+    produced = {alarms: tuple(map(alarms.__contains__, universe)) for alarms in sets}
     names = sampled_configs[0].names if sampled_configs else ()
     row_values = [sampled_configs[i].values for i, _ in completed]
     return ResultMatrix(
@@ -214,20 +206,16 @@ def _sample_configurations(
     num_sample: int,
     rng: RandomStream,
     iteration: int,
-    param_labels: list[bytes],
 ) -> list[Configuration]:
     """The iteration's ``num_sample`` configurations, from one compiled plan.
 
     Sample i's value of parameter n draws from the stream labelled
     ``iter, iteration, sample, i, param, n``; a parameter whose value the
-    plan fixes takes no generator. ``param_labels`` holds
-    ``encode_labels("param", n)`` for each name n of the catalog, in order,
-    which ``tune`` encodes once a run.
+    plan fixes takes no generator.
     """
     names = catalog.names
     plan = [
-        (labels, *compile_sampler(distributions[name]))
-        for name, labels in zip(names, param_labels, strict=True)
+        (encode_labels("param", name), *compile_sampler(distributions[name])) for name in names
     ]
     configs = []
     for i in range(num_sample):
@@ -340,7 +328,6 @@ def tune(
     distributions = catalog.initial_distributions()
     remaining = settings.time_budget
     rng = RandomStream(settings.seed)
-    param_labels = [encode_labels("param", name) for name in catalog.names]
     waves = math.ceil(settings.num_sample / settings.num_process)
     records: list[IterationRecord] = []
     quiet = 0  # consecutive iterations that moved no base
@@ -358,10 +345,8 @@ def tune(
             timeout = remaining * settings.iteration_fraction / waves
             # Sampling is serial and precedes dispatch, so completion order
             # cannot perturb the stream.
-            configs = _sample_configurations(
-                catalog, distributions, settings.num_sample, rng, index, param_labels
-            )
-            # one tuple for the matrix and the record: the writer reuses its universe
+            configs = _sample_configurations(catalog, distributions, settings.num_sample, rng, index)
+            # one tuple for the matrix and the record: the writer hits ``alarm_sets``'s cache
             outcomes = tuple(run_batch(analyzer, program_ref, configs, timeout, pool))
             matrix = build_result_matrix(outcomes, configs)
             eta = scaling_factor(len(matrix.produced), settings.num_sample)

@@ -14,9 +14,9 @@ only the new labels: ``s.split("a", 2).split("b")`` is
 ``s.split("a", 2, "b")``, and ``s.generator("a")`` draws as
 ``s.split("a").generator()``. ``encode_labels(*labels)`` is the labels'
 hash input, and ``s.generator(*labels)`` is
-``s.encoded_generator(encode_labels(*labels))``, so a caller that draws
-under the same labels many times, as the sampler does under
-``("param", name)``, encodes them once. The generator is
+``s.encoded_generator(encode_labels(*labels))``. ``encode_labels`` keeps
+its last 1024 answers, so a path drawn under many times, as the sampler
+draws under ``("param", name)``, is encoded once. The generator is
 ``_random.Random``, the C type under ``random.Random``: seeded from an
 int, the two draw the same sequence, but the C type skips the
 Python-level ``__init__`` and ``seed``. The hash is ``_blake2``'s, which
@@ -34,15 +34,13 @@ from typing import Callable
 
 # typed: True == 1 as a cache key, but the two encode differently
 @lru_cache(maxsize=1024, typed=True)
-def _encode_label(label: "str | int") -> bytes:
-    payload = str(label).encode("utf-8")
-    tag = b"i" if isinstance(label, int) else b"s"
-    return b"".join((tag, len(payload).to_bytes(4, "big"), payload))
-
-
 def encode_labels(*labels: "str | int") -> bytes:
     """The hash input that a path of labels adds to a stream's key."""
-    return b"".join(map(_encode_label, labels))
+    parts = []
+    for label in labels:
+        payload = str(label).encode("utf-8")
+        parts += (b"i" if isinstance(label, int) else b"s", len(payload).to_bytes(4, "big"), payload)
+    return b"".join(parts)
 
 
 class RandomStream:

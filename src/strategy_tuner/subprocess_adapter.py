@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Completed, Crashed, TimedOut
+from .keytree import split_lines
 from .paramspace import Catalog, render_cli_args
 
 log = logging.getLogger(__name__)
@@ -51,7 +52,7 @@ class AdapterConfig:
     malformed template raises ``ValueError`` here. ``pattern`` is
     compiled once into ``regex``, and a malformed one raises
     ``re.error`` here. It is applied to each output line; a match yields
-    one alarm whose id is the capture groups joined by ``join`` (the
+    one alarm whose id is the capture groups joined by ``:`` (the
     whole match if there are no groups). With an empty
     ``env_passthrough`` the child inherits the full environment;
     otherwise only the named variables plus PATH are forwarded.
@@ -59,7 +60,6 @@ class AdapterConfig:
 
     command: str
     pattern: str
-    join: str = ":"
     env_passthrough: tuple[str, ...] = ()
     words: tuple[str, ...] = field(init=False, repr=False, compare=False)
     regex: re.Pattern[str] = field(init=False, repr=False, compare=False)
@@ -166,7 +166,7 @@ class SubprocessAnalyzer:
     def extract_alarms(self, output: str) -> tuple[frozenset[str], int]:
         alarms: set[str] = set()
         anomalies = 0
-        for line in output.splitlines():
+        for line in split_lines(output):
             match = self.adapter.regex.search(line)
             if match is None:
                 continue
@@ -176,7 +176,7 @@ class SubprocessAnalyzer:
             elif any(g is None for g in groups):
                 anomalies += 1
             else:
-                alarms.add(self.adapter.join.join(groups))
+                alarms.add(":".join(groups))
         return frozenset(alarms), anomalies
 
 
@@ -214,7 +214,7 @@ def _reap(proc: subprocess.Popen, deadline: float) -> bool:
 
 
 def _decode(output: bytes) -> str:
-    """Decode in the locale encoding; ``str.splitlines`` ends lines at \\r\\n, \\r and \\n.
+    """Decode in the locale encoding; ``extract_alarms`` ends lines at \\n, \\r\\n and \\r.
 
     A byte the encoding cannot decode becomes a lone surrogate escape, so
     distinct bytes stay distinct alarm ids and one stray byte fails nothing.

@@ -17,8 +17,9 @@ from typing import Any, TextIO
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
 from .distributions import ParamDistribution, scaling_factor
 from .errors import ConfigParseError
+from .keytree import split_lines
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value
-from .orchestrator import IterationRecord, TuneResult, alarm_universe
+from .orchestrator import IterationRecord, TuneResult, alarm_sets, alarm_universe
 from .paramspace import Configuration, check_param_name, nonnegative
 
 SCHEMA_VERSION = 1
@@ -126,9 +127,8 @@ def _counts(outcomes: tuple[AnalysisOutcome, ...]) -> tuple[int, float, float]:
 
 def record_to_json(record: IterationRecord) -> dict[str, Any]:
     # Sort the universe once, and list each distinct alarm set once, however many hold it.
-    universe = alarm_universe(record.outcomes)
+    universe, sets = alarm_sets(tuple(record.outcomes))
     ordered = sorted(universe)
-    sets = dict.fromkeys(o.alarms for o in record.outcomes if isinstance(o, Completed))
     listed = {alarms: list(filter(alarms.__contains__, ordered)) for alarms in sets}
     completed, eta_c, eta = _counts(record.outcomes)
     return {
@@ -243,7 +243,7 @@ def read_trace(text: str) -> list[IterationRecord]:
     record 0 in its order, and record N-1's after as its before.
     """
     records: list[IterationRecord] = []
-    for line in text.splitlines():
+    for line in split_lines(text):
         if not line.strip():
             continue
         # A record or a field of the wrong JSON type fails where it is

@@ -260,7 +260,6 @@ class TestTune:
             "program = x.c\n"
             "adapter.command = printf 'w:%s:%s\\n' a b c d\n"
             "adapter.pattern = ^w:(\\w+):(\\w+)$\n"
-            "adapter.join = ;\n"
             "adapter.env = HOME\n"
             "tuner.max_iterations = 2\n",
             encoding="utf-8",
@@ -268,13 +267,13 @@ class TestTune:
         out = tmp_path / "run"
         assert run_cli("tune", "--config", str(conf), "--out", str(out)) == 0
         run = cli.load_run_config(cli.build_parser().parse_args(["tune", "--config", str(conf)]))
-        assert (run.adapter.join, run.adapter.env_passthrough) == (";", ("HOME",))
+        assert run.adapter.env_passthrough == ("HOME",)
         assert run.program_ref() == "x.c"
         lines = (out / "trace.ndjson").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         for record in map(json.loads, lines):
-            assert record["alarm_universe"] == ["a;b", "c;d"]
-            assert {tuple(o["alarms"]) for o in record["outcomes"]} == {("a;b", "c;d")}
+            assert record["alarm_universe"] == ["a:b", "c:d"]
+            assert {tuple(o["alarms"]) for o in record["outcomes"]} == {("a:b", "c:d")}
 
     @pytest.mark.parametrize("command", ["tune", "dominancy"])
     def test_unknown_adapter_command_exits_3(self, tmp_path, capsys, command):
@@ -414,7 +413,6 @@ _NON_DEFAULT = {
     "catalog": ("synthetic", "{tmp_path}/override.catalog"),
     "adapter.command": ("subprocess", "false {args} {program}"),
     "adapter.pattern": ("subprocess", "alarm:(.*)"),
-    "adapter.join": ("subprocess", ";"),
     "adapter.env": ("subprocess", "HOME"),
     "tuner.time_budget": ("synthetic", "60"),
     "tuner.num_sample": ("synthetic", "8"),
@@ -486,6 +484,7 @@ class TestRejectedValues:
             "tuner.min_slice = 1",
             "tuner.iteration_fraction = 0.5",
             "adapter.grace = 2",
+            "adapter.join = :",
         ],
     )
     def test_unknown_key(self, tmp_path, capsys, line):
@@ -495,6 +494,14 @@ class TestRejectedValues:
         key = line.split(" = ")[0]
         assert err == f"error: line 3: unknown key {key!r}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("other", ["\f", "\v", "\x85", "\u2028"])
+    def test_line_numbers_count_only_newlines_and_carriage_returns(self, tmp_path, capsys, other):
+        # str.splitlines would end a line at the form feed too, and report line 4
+        text = f"profile = {PROFILE}\n{other}\ntuner.max_iterations = x\n"
+        assert self._tune_config(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3: bad value for 'tuner.max_iterations': 'x'\n"
 
     @pytest.mark.parametrize("raw", ["0", "-1", "2.5", "None", "off", ""])
     def test_bad_patience(self, tmp_path, capsys, raw):
@@ -617,7 +624,7 @@ class TestRunConfigDefaults:
         run = self._load(tmp_path, "", "--profile", str(PROFILE))
         assert run.settings == cli.TunerSettings(time_budget=3600.0)
 
-    @pytest.mark.parametrize("extra", ["", "adapter.join =\n", "adapter.env =\n"])
+    @pytest.mark.parametrize("extra", ["", "adapter.env =\n"])
     def test_minimal_adapter(self, tmp_path, extra):
         command, pattern = "true {args} {program}", "warn:(.*)"
         text = f"program = x.c\nadapter.command = {command}\nadapter.pattern = {pattern}\n"

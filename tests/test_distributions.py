@@ -307,8 +307,6 @@ class TestSaturation:
 
 
 _CATALOG = default_catalog()
-# the labels ``tune`` encodes once a run, one per parameter in catalog order
-_PARAM_LABELS = [rng_module.encode_labels("param", name) for name in _CATALOG.names]
 
 _RATES = stx.one_of(
     stx.sampled_from([0.0, LAMBDA_CAP]),
@@ -351,7 +349,7 @@ class TestCompiledPlan:
     def test_plan_matches_reference_sampler(self, distributions, seed, iteration, num_sample):
         rng = RandomStream(seed)
         configs = orchestrator._sample_configurations(
-            _CATALOG, distributions, num_sample, rng, iteration, _PARAM_LABELS
+            _CATALOG, distributions, num_sample, rng, iteration
         )
         assert len(configs) == num_sample
         for i, config in enumerate(configs):
@@ -365,8 +363,8 @@ class TestCompiledPlan:
                 assert value == _old_sample_param(dist, sample.generator("param", name))
 
     def test_tune_draws_each_name_under_its_labels(self):
-        # tune encodes ("param", name) once a run; every name, a non-ASCII
-        # one too, draws from the stream its labels name
+        # the sampler draws under encode_labels("param", name); every name,
+        # a non-ASCII one too, draws from the stream its labels name
         catalog = Catalog((
             ParamSpec("naïve", _rate(4.0), "-naive"),
             ParamSpec("日本", ParamDistribution(BitsVal(0, 3), (0.5,) * 3), "-j", ("a", "b", "c")),
@@ -408,7 +406,7 @@ class TestCompiledPlan:
         asked = []
         generator = RandomStream.encoded_generator
         labels_of = {
-            encoded: ("param", name) for encoded, name in zip(_PARAM_LABELS, _CATALOG.names)
+            rng_module.encode_labels("param", name): ("param", name) for name in _CATALOG.names
         }
 
         def recording_generator(self, encoded):
@@ -429,7 +427,7 @@ class TestCompiledPlan:
         }
         distributions.update(fixed)
         configs = orchestrator._sample_configurations(
-            _CATALOG, distributions, 3, RandomStream(5), 2, _PARAM_LABELS
+            _CATALOG, distributions, 3, RandomStream(5), 2
         )
         drawn = [name for name in _CATALOG.names if name not in fixed]
         assert asked == [

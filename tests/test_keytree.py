@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as stx
 
 from strategy_tuner import ConfigParseError
-from strategy_tuner.keytree import Entry, parse_keytree
+from strategy_tuner.keytree import Entry, parse_keytree, split_lines
 
 blanks = stx.text(" \t", max_size=3)
 keys = stx.text("abz019.-_", min_size=1, max_size=8)
@@ -68,12 +68,39 @@ def test_malformed_line_points_at_column_1(text, message):
     assert (err.value.line, err.value.column) == (2, 1)
 
 
+# The characters at which str.splitlines() ends a line but a file does not.
+OTHER_BREAKS = [
+    c
+    for c in map(chr, range(sys.maxunicode + 1))
+    if c not in "\n\r" and len(f"a{c}b".splitlines()) == 2
+]
+
+
+@given(stx.text("ab \t\n\r"))
+def test_split_lines_is_splitlines_without_other_breaks(text):
+    assert split_lines(text) == text.splitlines()
+
+
+@pytest.mark.parametrize("other", OTHER_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_newline_and_carriage_return_end_a_line(other):
+    # the character stays inside its line, so the line numbers count
+    # only \n, \r\n and \r
+    assert split_lines(f"a{other}b\r\nc\rd\n") == [f"a{other}b", "c", "d"]
+    assert parse_keytree(f"a = x{other}y\n{other}\nb = 2\n") == {
+        "a": Entry(f"x{other}y", 1, 5),
+        "b": Entry("2", 3, 5),
+    }
+    with pytest.raises(ConfigParseError) as err:
+        parse_keytree(f"ok = 1\n{other}\nno equals sign\n")
+    assert err.value.line == 3
+
+
 # Every code point for which str.isspace() holds, the set str.split()
-# splits on, except the line breaks at which str.splitlines() ends a line.
+# splits on, except the line breaks at which a file ends a line.
 SPACES = [
     space
     for space in map(chr, range(sys.maxunicode + 1))
-    if space.isspace() and len(f"a{space}b".splitlines()) == 1
+    if space.isspace() and len(split_lines(f"a{space}b")) == 1
 ]
 
 

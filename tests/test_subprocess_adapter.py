@@ -42,7 +42,6 @@ class TestEchoFixtures:
         adapter = AdapterConfig(
             command=f'{sys.executable} -c "{script}"',
             pattern=r"E (\S+) (\d+) (\S+)",
-            join=":",
         )
         outcome = SubprocessAnalyzer(adapter, catalog).run(base_task)
         assert isinstance(outcome, Completed)
@@ -180,6 +179,14 @@ class TestOutput:
             assert isinstance(outcome, Completed)
             alarms[newline] = outcome.alarms
         assert alarms["\\n"] == alarms["\\r\\n"] == alarms["\\r"] == frozenset({"a", "b"})
+
+    @pytest.mark.parametrize("other", ["\f", "\v", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_only_newline_and_carriage_return_end_an_output_line(self, catalog, other):
+        # str.splitlines would end the line at the form feed and report "a"
+        adapter = AdapterConfig(command="true", pattern=r"^warn:(.*)$")
+        analyzer = SubprocessAnalyzer(adapter, catalog)
+        assert analyzer.extract_alarms(f"warn:a{other}b\n") == (frozenset({f"a{other}b"}), 0)
+        assert analyzer.extract_alarms(f"warn:a\r\nwarn:b\rwarn:c") == (frozenset("abc"), 0)
 
     def test_undecodable_byte_is_kept_as_a_surrogate_escape(self, catalog, base_task, tmp_path):
         # the \351 bytes are Latin-1 e-acute, which UTF-8 cannot decode

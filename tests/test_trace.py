@@ -309,18 +309,32 @@ class TestWriter:
         assert '"alarms": "' in text and '"alarms": {"base"' in text
         assert tuple(read_trace(text)) == result.iteration_trace
 
-    def test_tune_builds_each_universe_once(self, monkeypatch):
-        # the result matrix and the writer share the iteration's universe
-        built = []
-        universe = orchestrator._universe
-        monkeypatch.setattr(
-            orchestrator, "_universe", lambda outcomes: built.append(outcomes) or universe(outcomes)
-        )
+    def test_tune_builds_each_universe_once(self):
+        # the result matrix builds the iteration's universe, and the writer
+        # gets it back from the cache
+        orchestrator.alarm_sets.cache_clear()
         result, text = run_scenario("mixed")
         assert text == golden_path("mixed").read_text(encoding="utf-8")
-        records = result.iteration_trace
-        assert len(built) == len(records) == 12
-        assert all(outcomes is record.outcomes for outcomes, record in zip(built, records))
+        info = orchestrator.alarm_sets.cache_info()
+        assert len(result.iteration_trace) == info.misses == info.hits == 12
+
+    def test_universe_cache_answers_by_value(self):
+        shared = frozenset({"b", "a"})
+        outcomes = (
+            Completed(shared, 1.0),
+            TimedOut(2.0),
+            Completed(frozenset({"c", "a"}), 0.5),
+            Completed(frozenset({"a", "b"}), 0.25),
+            Crashed("x"),
+        )
+        orchestrator.alarm_sets.cache_clear()
+        assert alarm_universe(outcomes) == ("a", "b", "c")
+        # an equal tuple built separately, a list and a generator
+        for equal in (tuple(list(outcomes)), list(outcomes), (o for o in outcomes)):
+            assert alarm_universe(equal) == ("a", "b", "c")
+        info = orchestrator.alarm_sets.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert orchestrator.alarm_sets(outcomes) == (("a", "b", "c"), (shared, frozenset("ac")))
 
     @given(
         stx.lists(stx.frozensets(stx.text(), max_size=6), min_size=1, max_size=6),
@@ -369,6 +383,18 @@ class TestMalformedTraces:
         with pytest.raises(ConfigParseError) as err:
             read_trace(json.dumps(obj) + "\n")
         assert "record 0" in str(err.value)
+
+    @pytest.mark.parametrize("other", ["\x85", "\u2028", "\u2029"])
+    def test_a_line_break_inside_a_json_string_stays_in_its_record(self, short_run, other):
+        # JSON lets a string hold these characters unescaped; str.splitlines
+        # would cut the record there
+        record = dataclasses.replace(
+            short_run.iteration_trace[0],
+            outcomes=(Completed(frozenset({f"a{other}b"}), 0.5), TimedOut(1.0), Crashed("x")),
+        )
+        text = json.dumps(record_to_json(record), ensure_ascii=False) + "\n"
+        assert other in text
+        assert read_trace(text) == [record]
 
     def test_blank_lines_ignored(self, short_run):
         buffer = io.StringIO()
