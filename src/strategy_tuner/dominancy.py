@@ -99,13 +99,13 @@ def run_dominancy(
 
     Failed controlled analyses are recorded as unavailable and excluded
     from the dominance ranking; failed baselines abort the run. Both
-    batches run on one worker pool of ``num_process`` workers, an int >= 1
-    as ``TunerSettings`` requires.
+    batches run through the one ``worker_pool`` map of ``num_process``
+    workers, an int >= 1 as ``TunerSettings`` requires.
     """
     if type(num_process) is not int or num_process < 1:
         raise ValueError(f"num_process must be an int >= 1, got {num_process!r}")
-    with worker_pool(analyzer, num_process) as pool:
-        baselines = run_batch(analyzer, program_ref, [low_config, high_config], timeout, pool)
+    with worker_pool(analyzer, num_process) as dispatch:
+        baselines = run_batch(analyzer, program_ref, [low_config, high_config], timeout, dispatch)
         alarms_low, alarms_high = map(_alarm_count, baselines)
         if alarms_low is None or alarms_high is None:
             raise TunerError("baseline analysis did not complete within the timeout")
@@ -118,7 +118,7 @@ def run_dominancy(
             for n in catalog.names
         ]
         jobs = [config for pair in swaps for config in pair]
-        counts = list(map(_alarm_count, run_batch(analyzer, program_ref, jobs, timeout, pool)))
+        counts = list(map(_alarm_count, run_batch(analyzer, program_ref, jobs, timeout, dispatch)))
 
     scores: list[ParamScore] = []
     for name, pair, n_selected, n_excluded in zip(catalog.names, swaps, counts[::2], counts[1::2]):

@@ -3,7 +3,7 @@
 ``tune`` runs the loop itself and keeps its state (the distributions,
 the remaining budget and the records) in locals. Each iteration
 draws ``num_sample`` configurations from the current distributions,
-dispatches the analyses on the run's worker pool, builds the result
+dispatches the analyses through ``worker_pool``'s map, builds the result
 matrix from whatever completed (one row of produced alarms per completed
 analysis, one value column per parameter), refines every parameter's
 base in one ``refine_bases`` call (meet-and-join over alarm columns) and
@@ -26,10 +26,11 @@ parallelism that is exactly ``remaining * iteration_fraction``, and at
 any parallelism the analyze phase fits in one geometric slice, so the
 total can never overshoot the budget.
 
-Analyzers exposing a true ``virtual_clock`` attribute get no worker pool,
-and a run with no pool is charged simulated time (the makespan of the
-reported wall times on ``num_process`` workers) instead of real time;
-such runs are bit-reproducible from the seed alone.
+Every batch runs through the ``map`` that ``worker_pool`` gives. An
+analyzer exposing a true ``virtual_clock`` attribute gets the builtin
+``map``, on the calling thread, and its run is charged simulated time
+(the makespan of the reported wall times on ``num_process`` workers)
+instead of real time; such runs are bit-reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
 from .distributions import (
@@ -54,10 +55,7 @@ from .distributions import (
 )
 from .errors import InvalidSettingsError
 from .paramspace import Catalog, Configuration
-from .rng import RandomStream, encode_labels
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
+from .rng import RandomStream
 
 
 @dataclass(frozen=True)
@@ -214,36 +212,35 @@ def _sample_configurations(
     plan fixes takes no generator.
     """
     names = catalog.names
-    plan = [
-        (encode_labels("param", name), *compile_sampler(distributions[name])) for name in names
-    ]
+    plan = [(name, *compile_sampler(distributions[name])) for name in names]
     configs = []
     for i in range(num_sample):
         sample = rng.split("iter", iteration, "sample", i)
         values = tuple(
-            fixed if draw is None else draw(sample.encoded_generator(labels))
-            for labels, fixed, draw in plan
+            fixed if draw is None else draw(sample.generator("param", name))
+            for name, fixed, draw in plan
         )
         configs.append(Configuration(names, values))
     return configs
 
 
 @contextmanager
-def worker_pool(analyzer: Analyzer, workers: int) -> Iterator[Executor | None]:
-    """One pool of at most ``workers`` threads for all of a run's batches.
+def worker_pool(analyzer: Analyzer, workers: int) -> Iterator[Callable]:
+    """The ``map`` that runs all of a run's batches.
 
-    The pool is shut down when the block exits, however it exits. A
-    virtual-clock analyzer spends no real time, so it gets no pool
-    (None): its tasks run on the calling thread, and the run charges
-    simulated time.
+    A real-clock analyzer gets ``pool.map`` of one pool of at most
+    ``workers`` threads, shut down when the block exits, however it
+    exits. A virtual-clock analyzer spends no real time, so it gets the
+    builtin ``map``: its tasks run on the calling thread, and the run
+    charges simulated time.
     """
     if getattr(analyzer, "virtual_clock", False):
-        yield None
+        yield map
         return
     from concurrent.futures import ThreadPoolExecutor  # only a real-clock run loads it
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool
+        yield pool.map
 
 
 def run_batch(
@@ -251,15 +248,14 @@ def run_batch(
     program_ref: str,
     configs: list[Configuration],
     timeout: float,
-    pool: Executor | None,
+    dispatch: Callable,
 ) -> list[AnalysisOutcome]:
-    """Analyze each configuration of ``program_ref`` within ``timeout`` on ``pool``.
+    """Analyze each configuration of ``program_ref`` within ``timeout`` through ``dispatch``.
 
-    Outcomes come in configuration order. An analyzer that raises, or
-    returns a malformed outcome, yields a ``Crashed`` outcome; one that
-    reports more time than ``timeout`` yields a ``TimedOut`` at
-    ``timeout``. With no pool the analyses run one after another on the
-    calling thread.
+    ``dispatch`` is a ``map``, such as ``worker_pool`` gives. Outcomes
+    come in configuration order. An analyzer that raises, or returns a
+    malformed outcome, yields a ``Crashed`` outcome; one that reports
+    more time than ``timeout`` yields a ``TimedOut`` at ``timeout``.
     """
     tasks = [AnalysisTask(program_ref=program_ref, config=c, timeout=timeout) for c in configs]
     # The alarm sets found to hold only strings, by identity: an analyzer
@@ -293,9 +289,7 @@ def run_batch(
             return Crashed(exit_info=f"analyzer reported wall time {wall!r}")
         return outcome if wall <= timeout else TimedOut(wall_time=timeout)
 
-    if pool is None:
-        return [guarded(task) for task in tasks]
-    return list(pool.map(guarded, tasks))
+    return list(dispatch(guarded, tasks))
 
 
 def _makespan(durations: list[float], workers: int) -> float:
@@ -333,7 +327,7 @@ def tune(
     quiet = 0  # consecutive iterations that moved no base
     started = time.monotonic()
 
-    with worker_pool(analyzer, settings.num_process) as pool:
+    with worker_pool(analyzer, settings.num_process) as dispatch:
         for index in itertools.count():
             if remaining < settings.min_slice:
                 stopped_by = "budget"
@@ -347,7 +341,7 @@ def tune(
             # cannot perturb the stream.
             configs = _sample_configurations(catalog, distributions, settings.num_sample, rng, index)
             # one tuple for the matrix and the record: the writer hits ``alarm_sets``'s cache
-            outcomes = tuple(run_batch(analyzer, program_ref, configs, timeout, pool))
+            outcomes = tuple(run_batch(analyzer, program_ref, configs, timeout, dispatch))
             matrix = build_result_matrix(outcomes, configs)
             eta = scaling_factor(len(matrix.produced), settings.num_sample)
             bases_before = tuple(distributions[n].base for n in catalog.names)
@@ -356,7 +350,7 @@ def tune(
                 name: ParamDistribution(base, refine_delta(distributions[name], eta))
                 for name, base in zip(catalog.names, bases)
             }
-            if pool is None:
+            if dispatch is map:
                 # charge the simulated makespan of the analyze phase
                 durations = [
                     o.wall_time if isinstance(o, (Completed, TimedOut)) else 0.0 for o in outcomes
@@ -389,7 +383,7 @@ def tune(
                 stopped_by = "patience"
                 break
 
-    if pool is None:
+    if dispatch is map:
         wall_total = settings.time_budget - remaining
     else:
         wall_total = time.monotonic() - started

@@ -13,15 +13,13 @@ a stream holds just the hash state of its path and ``split`` feeds in
 only the new labels: ``s.split("a", 2).split("b")`` is
 ``s.split("a", 2, "b")``, and ``s.generator("a")`` draws as
 ``s.split("a").generator()``. ``encode_labels(*labels)`` is the labels'
-hash input, and ``s.generator(*labels)`` is
-``s.encoded_generator(encode_labels(*labels))``. ``encode_labels`` keeps
-its last 1024 answers, so a path drawn under many times, as the sampler
-draws under ``("param", name)``, is encoded once. The generator is
-``_random.Random``, the C type under ``random.Random``: seeded from an
-int, the two draw the same sequence, but the C type skips the
-Python-level ``__init__`` and ``seed``. The hash is ``_blake2``'s, which
-``hashlib.blake2b`` names, because ``import hashlib`` also loads
-OpenSSL's libcrypto (3.5 MB).
+hash input; it keeps its last 1024 answers, so a path drawn under many
+times, as the sampler draws under ``("param", name)``, is encoded once.
+The generator is ``_random.Random``, the C type under ``random.Random``:
+seeded from an int, the two draw the same sequence, but the C type
+skips the Python-level ``__init__`` and ``seed``. The hash is
+``_blake2``'s, which ``hashlib.blake2b`` names, because ``import
+hashlib`` also loads OpenSSL's libcrypto (3.5 MB).
 """
 
 from __future__ import annotations
@@ -59,11 +57,7 @@ class RandomStream:
 
     def generator(self, *labels: "str | int") -> Callable[[], float]:
         """Uniform draws in [0, 1) of ``self.split(*labels)``; with no labels, this stream's own."""
-        return self.encoded_generator(encode_labels(*labels))
-
-    def encoded_generator(self, encoded: bytes) -> Callable[[], float]:
-        """``self.generator(*labels)`` for ``encoded = encode_labels(*labels)``."""
-        return _seeded(_extended(self._hash, encoded)).random
+        return _seeded(_extended(self._hash, encode_labels(*labels))).random
 
 
 def _extended(hasher: blake2b, encoded: bytes) -> blake2b:

@@ -18,7 +18,7 @@ from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
 from .distributions import ParamDistribution, scaling_factor
 from .errors import ConfigParseError
 from .keytree import split_lines
-from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value
+from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value, same_kind
 from .orchestrator import IterationRecord, TuneResult, alarm_sets, alarm_universe
 from .paramspace import Configuration, check_param_name, nonnegative
 
@@ -169,6 +169,9 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
         raise ConfigParseError(
             f"distributions_after names {list(after)}, not the record's parameters {list(names)}"
         )
+    for name in names:
+        if not same_kind(before[name].base, after[name].base):
+            raise ConfigParseError(f"distributions_after changes the lattice of parameter {name!r}")
     kinds = tuple(dist.base for dist in before.values())
     configs = tuple(_config_from_json(c, names, kinds) for c in obj["sampled_configs"])
     outcomes = tuple(outcome_from_json(o) for o in obj["outcomes"])

@@ -157,7 +157,7 @@ class TestCatalogPositions:
             for read in (simulated_cost, synthetic_alarms):
                 with pytest.raises(ValueError, match="not the profile's catalog"):
                     read(profile, config)
-            (outcome,) = run_batch(SyntheticAnalyzer(profile), "p", [config], 10.0, None)
+            (outcome,) = run_batch(SyntheticAnalyzer(profile), "p", [config], 10.0, map)
             assert isinstance(outcome, Crashed)
             assert "not the profile's catalog" in outcome.exit_info
 

@@ -404,17 +404,14 @@ class TestCompiledPlan:
             return child
 
         asked = []
-        generator = RandomStream.encoded_generator
-        labels_of = {
-            rng_module.encode_labels("param", name): ("param", name) for name in _CATALOG.names
-        }
+        generator = RandomStream.generator
 
-        def recording_generator(self, encoded):
-            asked.append((split_off[id(self)][1], labels_of[encoded]))
-            return generator(self, encoded)
+        def recording_generator(self, *labels):
+            asked.append((split_off[id(self)][1], labels))
+            return generator(self, *labels)
 
         monkeypatch.setattr(RandomStream, "split", recording_split)
-        monkeypatch.setattr(RandomStream, "encoded_generator", recording_generator)
+        monkeypatch.setattr(RandomStream, "generator", recording_generator)
         distributions = _CATALOG.initial_distributions()
         fixed = {
             "min-loop-unroll": ParamDistribution(IntVal(3), (0.0,)),

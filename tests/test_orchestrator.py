@@ -404,7 +404,7 @@ class TestAnalyzerContract:
         configs = [catalog.base_configuration()] * 4
         analyzer = Returning(lambda t: Completed(shared, 1.0))
         for batch in range(1, 3):
-            outcomes = orchestrator.run_batch(analyzer, "prog", configs, 10.0, None)
+            outcomes = orchestrator.run_batch(analyzer, "prog", configs, 10.0, map)
             assert all(o.alarms is shared for o in outcomes)
             assert CountingSet.iterations == batch
 
@@ -523,7 +523,7 @@ class TestWorkerPool:
             recorder = ThreadRecorder()
             configs = [catalog.base_configuration()] * 3
             for _ in range(2):
-                outcomes = orchestrator.run_batch(recorder, "prog", configs, 1.0, pool)
+                outcomes = orchestrator.run_batch(recorder, "prog", configs, 1.0, pool.map)
                 assert all(isinstance(o, Completed) for o in outcomes)
         assert len(recorder.threads) == 6
         assert recorder.distinct() == 1

@@ -474,11 +474,18 @@ class TestMalformedTraces:
             # so its eta_c is 1.0, and one of three completed makes eta 1.0
             (0, lambda r: r.__setitem__("eta_c", True), "eta_c and eta are"),
             (0, lambda r: _one_of_three_completed(r).__setitem__("eta", True), "eta_c and eta are"),
+            # read back before, and plotted: the last record's after is no
+            # later record's before, so a boolean base sat in an integer chart
+            (11, lambda r: r["distributions_after"].update(slevel=_BERNOULLI),
+             "lattice of parameter 'slevel'"),
+            (11, lambda r: r["distributions_after"].update(domains=_THREE_BITS),
+             "lattice of parameter 'domains'"),
         ],
         ids=["after-lacks-a-parameter", "parameters-differ-from-record-0",
              "an-outcome-per-config", "completed-count", "no-outcome", "index-float",
              "index-string", "index-bool", "completed-float", "eta-wrong", "eta_c-negative",
-             "eta_c-string", "eta-nan", "eta_c-bool", "eta-bool"],
+             "eta_c-string", "eta-nan", "eta_c-bool", "eta-bool", "after-changes-a-lattice",
+             "after-narrows-a-vector"],
     )
     def test_record_must_agree_with_itself_and_record_0(self, index, mutate, reason):
         # the first four made ``plot`` or ``build_result_matrix`` fail on read-back
@@ -601,6 +608,11 @@ def _one_of_three_completed(record: dict) -> dict:
     record.update(completed=1, eta_c=1 / 3, eta=scaling_factor(1, 3))
     assert record["eta"] == 1.0
     return record
+
+
+# distributions of another lattice than the mixed trace's slevel and domains
+_BERNOULLI = {"base": "true", "delta": {"kind": "bernoulli", "q": 0.5}}
+_THREE_BITS = {"base": "110", "delta": {"kind": "bernoulli_vector", "qs": [0.5] * 3}}
 
 
 def _drop_parameter(record: dict, name: str) -> None:
