@@ -53,7 +53,7 @@ from .paramspace import (
 from .trace import read_trace, result_to_json, write_record
 
 # Importing this module loads none of dominancy, plots, subprocess_adapter
-# and logging: the command or backend that uses one imports it.
+# and logging: the command or the adapter run that uses one imports it.
 if TYPE_CHECKING:
     from .subprocess_adapter import AdapterConfig
 
@@ -211,10 +211,13 @@ def load_run_config(args) -> RunConfig:
 
 
 def _open_run(args) -> RunConfig:
-    """The run's config, with its analyzer on PATH and then its output directory made."""
+    """The run's config: an adapter's logging set up and command on PATH, then its out_dir made."""
     run = load_run_config(args)
-    if run.adapter is not None and shutil.which(run.adapter.words[0]) is None:
-        raise AnalyzerUnavailableError(f"adapter command not found: {run.adapter.command!r}")
+    if run.adapter is not None:
+        import logging  # for the adapter's logger, the package's only one
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        if shutil.which(run.adapter.words[0]) is None:
+            raise AnalyzerUnavailableError(f"adapter command not found: {run.adapter.command!r}")
     try:
         run.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -379,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import logging
-
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:  # the one place where an error becomes an exit code
         status = args.func(args)

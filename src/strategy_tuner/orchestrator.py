@@ -41,7 +41,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, ClassVar, Iterable, Iterator
+from typing import Callable, ClassVar, Iterator
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
 from .distributions import (
@@ -172,16 +172,11 @@ def alarm_sets(
     return tuple(universe), sets
 
 
-def alarm_universe(outcomes: Iterable[AnalysisOutcome]) -> tuple[str, ...]:
-    """Every alarm id the completed outcomes report, once (see ``alarm_sets``)."""
-    return alarm_sets(tuple(outcomes))[0]
-
-
 def build_result_matrix(
     outcomes: list[AnalysisOutcome] | tuple[AnalysisOutcome, ...],
     sampled_configs: list[Configuration] | tuple[Configuration, ...],
 ) -> ResultMatrix:
-    """Matrix over completed analyses only, with ``alarm_universe(outcomes)`` as columns."""
+    """Matrix over completed analyses only, with ``alarm_sets``'s universe as columns."""
     if len(outcomes) != len(sampled_configs):
         raise ValueError("outcomes and sampled_configs must align")
     universe, sets = alarm_sets(tuple(outcomes))

@@ -19,7 +19,7 @@ from .distributions import ParamDistribution, scaling_factor
 from .errors import ConfigParseError
 from .keytree import split_lines
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value, same_kind
-from .orchestrator import IterationRecord, TuneResult, alarm_sets, alarm_universe
+from .orchestrator import IterationRecord, TuneResult, alarm_sets
 from .paramspace import Configuration, check_param_name, nonnegative
 
 SCHEMA_VERSION = 1
@@ -192,7 +192,7 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
         raise ConfigParseError(
             f"eta_c and eta are {rates[0]!r} and {rates[1]!r}, not {eta_c!r} and {eta!r}"
         )
-    if _strings(obj["alarm_universe"], "alarm_universe") != alarm_universe(outcomes):
+    if _strings(obj["alarm_universe"], "alarm_universe") != alarm_sets(outcomes)[0]:
         raise ConfigParseError("alarm_universe is not the one its completed outcomes give")
     return IterationRecord(
         index=obj["index"],
@@ -210,26 +210,25 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
     The line is ``json.dumps(record_to_json(record))``, byte for byte.
     json.dumps would build one escaped string per alarm occurrence and
     hold them all until the line is joined; here each alarm id is escaped
-    once per record, and each alarm list (``record_to_json`` shares one
-    among the outcomes that hold equal sets) is laid out once. The record
-    is dumped with every outcome's alarms as null, by json.dumps's encoder
-    less its cycle check, and the lists are spliced in where
-    ``"alarms": null`` stands. Nothing else is written so: a parameter
-    named ``alarms`` holds a string or an object, and a string's quotes
-    are escaped.
+    once per record, and each distinct alarm set is laid out once, keyed
+    by the set as ``record_to_json`` keys its lists. In one pass over the
+    outcomes each completed one's text is taken and its written alarms
+    set to null; the record is then dumped by json.dumps's encoder less
+    its cycle check, and the texts are spliced in where ``"alarms": null``
+    stands. Nothing else is written so: a parameter named ``alarms``
+    holds a string or an object, and a string's quotes are escaped.
     """
     obj = record_to_json(record)
-    completed = [outcome for outcome in obj["outcomes"] if "alarms" in outcome]
     escaped = {alarm: encode_basestring_ascii(alarm) for alarm in obj["alarm_universe"]}
-    texts: dict[int, str] = {}  # id of an alarm list -> its items' text
+    texts: dict[frozenset[str], str] = {}  # an alarm set -> its items' text
     spliced = []
-    for outcome in completed:
-        alarms = outcome["alarms"]
-        if id(alarms) not in texts:
-            texts[id(alarms)] = ", ".join(map(escaped.__getitem__, alarms))
-        spliced.append(texts[id(alarms)])
-    for outcome in completed:
-        outcome["alarms"] = None
+    for outcome, written in zip(record.outcomes, obj["outcomes"]):
+        if isinstance(outcome, Completed):
+            text = texts.get(outcome.alarms)
+            if text is None:
+                text = texts[outcome.alarms] = ", ".join(map(escaped.__getitem__, written["alarms"]))
+            spliced.append(text)
+            written["alarms"] = None
     chunks = _ENCODER.encode(obj).split('"alarms": null')
     parts = [chunks[0]]
     for items, chunk in zip(spliced, chunks[1:], strict=True):

@@ -971,8 +971,10 @@ import importlib, json, sys
 from strategy_tuner import cli
 status = cli.main(["tune", "--profile", sys.argv[1], "--max-iterations", "2", "--out", sys.argv[2]])
 assert status == 0, status
+status = cli.main(["simulate", sys.argv[1]])
+assert status == 0, status
 unused = ["strategy_tuner.dominancy", "strategy_tuner.plots",
-          "strategy_tuner.subprocess_adapter", "concurrent.futures"]
+          "strategy_tuner.subprocess_adapter", "concurrent.futures", "logging"]
 loaded = sorted(set(unused) & set(sys.modules))
 import strategy_tuner
 listed = dir(strategy_tuner)
