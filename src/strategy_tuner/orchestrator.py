@@ -8,16 +8,17 @@ matrix from whatever completed (one row of produced alarms per completed
 analysis, one value column per parameter), refines every parameter's
 base in one ``refine_bases`` call (meet-and-join over alarm columns) and
 its delta (completion-rate scaling), and charges its time to the
-budget. The loop stops when less than ``min_slice`` (1 s) of budget is
-left or an iteration cap is reached, or after ``patience`` consecutive
-iterations in which no base moved: the bases are what the loop learns,
-so later iterations would only spend budget (the cross-entropy method's
-stop, de Boer et al., Ann. OR 2005). Without a cap it also stops after
-an iteration whose charge leaves the budget unchanged (every analysis of
-a virtual-clock analyzer crashed, or the charge is below half an ulp of
-the budget), since the budget could then never run out. The result says
-which of these rules ended the run. The records are the run's state: the
-result derives the recommendation and the best sample from them.
+budget. Before each iteration the loop tries four stop rules, in this
+order, and the first that holds ends the run and names it in the result:
+``stalled``, with no cap, once an iteration's charge left the budget
+unchanged (every analysis of a virtual-clock analyzer crashed, or the
+charge is below half an ulp of the budget), since the budget could then
+never run out; ``patience``, after ``patience`` consecutive iterations
+in which no base moved, since the bases are what the loop learns (the
+cross-entropy method's stop, de Boer et al., Ann. OR 2005); ``budget``,
+once less than ``min_slice`` (1 s) is left; ``max_iterations``, at the
+cap. The records are the run's state: the result derives the
+recommendation and the best sample from them.
 
 Budget policy: every analysis of an iteration gets the same deadline,
 ``remaining * iteration_fraction / waves`` where ``waves`` is the number
@@ -129,7 +130,7 @@ class TuneResult:
     final_distributions: dict[str, ParamDistribution]
     iteration_trace: tuple[IterationRecord, ...]
     wall_time_total: float
-    #: The rule that ended the run: "budget", "max_iterations", "stalled" or "patience".
+    #: The rule that ended the run: "stalled", "patience", "budget" or "max_iterations".
     stopped_by: str
 
     @cached_property
@@ -306,9 +307,8 @@ def tune(
     analyzer: Analyzer,
     on_record: Callable[[IterationRecord], None] | None = None,
 ) -> TuneResult:
-    """Drive iterations until the budget or iteration cap runs out, until
-    ``settings.patience`` iterations in a row move no base, or, with no
-    cap, until an iteration leaves the budget unchanged.
+    """Drive iterations until a stop rule holds, trying the rules in the
+    module docstring's order.
 
     ``on_record`` is invoked after each iteration (e.g. to append and
     flush a trace file), before the next one starts. All iterations share
@@ -320,15 +320,19 @@ def tune(
     waves = math.ceil(settings.num_sample / settings.num_process)
     records: list[IterationRecord] = []
     quiet = 0  # consecutive iterations that moved no base
+    stalled = False  # the last charge left the budget unchanged
     started = time.monotonic()
 
     with worker_pool(analyzer, settings.num_process) as dispatch:
         for index in itertools.count():
-            if remaining < settings.min_slice:
-                stopped_by = "budget"
-                break
-            if index == settings.max_iterations:
-                stopped_by = "max_iterations"
+            stopped_by = (
+                "stalled" if stalled and settings.max_iterations is None
+                else "patience" if quiet == settings.patience
+                else "budget" if remaining < settings.min_slice
+                else "max_iterations" if index == settings.max_iterations
+                else None
+            )
+            if stopped_by is not None:
                 break
             iteration_started = time.monotonic()
             timeout = remaining * settings.iteration_fraction / waves
@@ -366,17 +370,10 @@ def tune(
             del matrix  # an iteration's largest object: free it before the next is built
             quiet = quiet + 1 if bases == bases_before else 0
             distributions = after
-            stalled = remaining - elapsed == remaining
+            stalled = remaining - elapsed == remaining  # a charge of 0 or below half an ulp
             remaining -= elapsed
             if on_record is not None:
                 on_record(record)
-            if stalled and settings.max_iterations is None:
-                # a charge of 0 or below half an ulp: the budget can no longer shrink
-                stopped_by = "stalled"
-                break
-            if quiet == settings.patience:
-                stopped_by = "patience"
-                break
 
     if dispatch is map:
         wall_total = settings.time_budget - remaining

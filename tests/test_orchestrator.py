@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as stx
 
 from strategy_tuner import (
@@ -754,6 +754,69 @@ class TestPatience:
         result = tune("synthetic", catalog, settings, SyntheticAnalyzer(convergence_profile))
         assert result.stopped_by == "budget"
         assert settings.time_budget - result.wall_time_total < settings.min_slice
+
+    @given(
+        budget=stx.sampled_from([0.5, 60.0, 1e9, 1e13, 1e17]),
+        cap=stx.none() | stx.integers(0, 15),
+        patience=stx.none() | stx.integers(1, 4),
+        num_sample=stx.integers(1, 6),
+        seed=stx.integers(0, 2**16),
+        crashing=stx.booleans(),
+    )
+    # two rules hold at once: stalled and patience, patience and the cap, budget and the cap
+    @example(budget=60.0, cap=None, patience=1, num_sample=1, seed=0, crashing=True)
+    @example(budget=60.0, cap=2, patience=2, num_sample=1, seed=0, crashing=True)
+    @example(budget=0.5, cap=0, patience=None, num_sample=1, seed=0, crashing=False)
+    @settings(max_examples=60, deadline=None)
+    def test_the_first_rule_to_hold_in_order_ends_the_run(
+        self, catalog, convergence_profile, budget, cap, patience, num_sample, seed, crashing
+    ):
+        # only the budget can end an uncapped, impatient run on the convergence
+        # profile, and at 1e9 or 1e13 it would take billions of iterations
+        assume(crashing or cap is not None or patience is not None or budget < 1e9)
+        settings = TunerSettings(
+            time_budget=budget, num_sample=num_sample, seed=seed, max_iterations=cap,
+            patience=patience,
+        )
+        analyzer = Returning(_crash) if crashing else SyntheticAnalyzer(convergence_profile)
+        result = tune("prog", catalog, settings, analyzer, _fail_after(2000, []))
+
+        def first_rule(index, remaining, quiet, stalled):
+            rules = {
+                "stalled": stalled and cap is None,
+                "patience": quiet == patience,
+                "budget": remaining < settings.min_slice,
+                "max_iterations": index == cap,
+            }
+            return next((rule for rule, holds in rules.items() if holds), None)
+
+        remaining, quiet, stalled = budget, 0, False
+        for record in result.iteration_trace:
+            assert first_rule(record.index, remaining, quiet, stalled) is None
+            quiet = 0 if _moved(record) else quiet + 1
+            stalled = remaining - record.elapsed == remaining
+            remaining -= record.elapsed
+        index = len(result.iteration_trace)
+        assert first_rule(index, remaining, quiet, stalled) == result.stopped_by
+
+    @pytest.mark.parametrize("refinement", ["paper", "evidence"])
+    @pytest.mark.parametrize("num_sample", [6, 16])
+    def test_the_default_stop_recommends_what_the_run_to_the_cap_does(
+        self, catalog, num_sample, refinement
+    ):
+        # Counting patience in analyses (⌈12 / num_sample⌉ quiet iterations)
+        # changes 33 of these 64 outcomes; see ROADMAP "Measured and dropped".
+        profile = parse_profile(CONVERGENCE_PROFILE.read_text(encoding="utf-8"), catalog)
+        analyzer = SyntheticAnalyzer(profile)
+        for seed in range(16):
+            common = dict(
+                time_budget=1e9, num_sample=num_sample, num_process=2, seed=seed,
+                max_iterations=14, refinement=refinement,
+            )
+            default = tune("synthetic", catalog, TunerSettings(**common), analyzer)
+            full = tune("synthetic", catalog, TunerSettings(**common, patience=None), analyzer)
+            assert default.recommended_config == full.recommended_config, seed
+            assert len(default.best_sampled.alarms) == len(full.best_sampled.alarms), seed
 
 
 class TestStateEvolution:
