@@ -167,11 +167,12 @@ def _poisson_counter(lam: float) -> Callable[[DrawSource], int]:
 
 @dataclass(frozen=True)
 class ResultMatrix:
-    """Per-iteration intermediate results over the alarm universe.
+    """Per-iteration intermediate results over the iteration's alarm ids.
 
-    ``produced`` holds one row per completed analysis: which alarms of
-    the universe it produced. ``values`` holds one column per parameter,
-    in catalog order: the value each row's analysis used.
+    ``alarms`` holds the ids (``build_result_matrix`` sorts them).
+    ``produced`` holds one row per completed analysis: which of them it
+    produced. ``values`` holds one column per parameter, in catalog
+    order: the value each row's analysis used.
     """
 
     alarms: tuple[str, ...]

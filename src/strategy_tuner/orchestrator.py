@@ -155,41 +155,43 @@ class TuneResult:
 @lru_cache(maxsize=1)
 def alarm_sets(
     outcomes: tuple[AnalysisOutcome, ...],
-) -> tuple[tuple[str, ...], tuple[frozenset[str], ...]]:
-    """The alarm universe of ``outcomes`` and their distinct completed alarm sets.
+) -> tuple[tuple[str, ...], tuple[str, ...], dict[frozenset[str], tuple[bool, ...]]]:
+    """The one layout of ``outcomes``'s alarm sets: ``(universe, ids, rows)``.
 
-    The sets come in first-seen order, and each adds the ids not listed
-    yet to the universe, sorted. The last answer is kept by value: ``tune``
-    builds the matrix from the tuple it stores in the record, so the trace
-    writer gets the iteration's answer back.
+    ``universe`` is the trace's: each distinct completed set, in first-seen
+    order, adds its ids not listed yet, sorted. ``ids`` is it sorted, and
+    ``rows`` maps each distinct set to its one membership row over ``ids``.
+    The last answer is kept by value, and its callers share it and only
+    read it: ``tune`` builds the matrix from the tuple it stores in the
+    record, so the trace writer gets it back.
     """
-    sets = tuple(dict.fromkeys(o.alarms for o in outcomes if isinstance(o, Completed)))
+    sets = dict.fromkeys(o.alarms for o in outcomes if isinstance(o, Completed))
     universe: list[str] = []
     seen: set[str] = set()
     for alarms in sets:
         new = alarms - seen
         universe += sorted(new)
         seen |= new
-    return tuple(universe), sets
+    ids = tuple(sorted(universe))
+    return tuple(universe), ids, {alarms: tuple(map(alarms.__contains__, ids)) for alarms in sets}
 
 
 def build_result_matrix(
     outcomes: list[AnalysisOutcome] | tuple[AnalysisOutcome, ...],
     sampled_configs: list[Configuration] | tuple[Configuration, ...],
 ) -> ResultMatrix:
-    """Matrix over completed analyses only, with ``alarm_sets``'s universe as columns."""
+    """Matrix over completed analyses only: ``alarm_sets``'s sorted ids and their sets' rows."""
     if len(outcomes) != len(sampled_configs):
         raise ValueError("outcomes and sampled_configs must align")
-    universe, sets = alarm_sets(tuple(outcomes))
+    _, ids, rows = alarm_sets(tuple(outcomes))
     completed = [
         (i, out.alarms) for i, out in enumerate(outcomes) if isinstance(out, Completed)
     ]
-    produced = {alarms: tuple(map(alarms.__contains__, universe)) for alarms in sets}
     names = sampled_configs[0].names if sampled_configs else ()
     row_values = [sampled_configs[i].values for i, _ in completed]
     return ResultMatrix(
-        alarms=universe,
-        produced=tuple(produced[alarms] for _, alarms in completed),
+        alarms=ids,
+        produced=tuple(rows[alarms] for _, alarms in completed),
         values=tuple(zip(*row_values)) if row_values else ((),) * len(names),
     )
 

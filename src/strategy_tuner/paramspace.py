@@ -136,30 +136,20 @@ class Catalog:
     def bottom_configuration(self) -> Configuration:
         return Configuration(self.names, self.bottoms)
 
-    def configuration(
-        self, values: Mapping[str, LatticeValue], fill_bottom: bool = False
-    ) -> Configuration:
-        """Build a validated configuration from a name/value mapping.
+    def configuration(self, values: Mapping[str, LatticeValue]) -> Configuration:
+        """Build a validated configuration from a mapping that covers the whole catalog.
 
-        Unknown names and kind mismatches are rejected. With
-        ``fill_bottom`` missing parameters default to the lattice bottom;
-        otherwise the mapping must cover the whole catalog.
+        Unknown names, missing names and kind mismatches are rejected.
         """
         for name in values:
             if name not in self.names:
                 raise KeyError(f"unknown parameter {name!r}")
-        chosen: list[LatticeValue] = []
         for name, least in zip(self.names, self.bottoms):
-            if name in values:
-                value = values[name]
-                if not same_kind(value, least):
-                    raise ValueError(f"value for {name!r} has the wrong kind")
-            elif fill_bottom:
-                value = least
-            else:
+            if name not in values:
                 raise ValueError(f"missing value for parameter {name!r}")
-            chosen.append(value)
-        return Configuration(self.names, tuple(chosen))
+            if not same_kind(values[name], least):
+                raise ValueError(f"value for {name!r} has the wrong kind")
+        return Configuration(self.names, tuple(map(values.__getitem__, self.names)))
 
 
 def config_dominates(config: Configuration, lower: Configuration) -> bool:

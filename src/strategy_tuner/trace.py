@@ -11,6 +11,7 @@ its outcomes.
 from __future__ import annotations
 
 import json
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Any, TextIO
 
@@ -126,10 +127,9 @@ def _counts(outcomes: tuple[AnalysisOutcome, ...]) -> tuple[int, float, float]:
 
 
 def record_to_json(record: IterationRecord) -> dict[str, Any]:
-    # Sort the universe once, and list each distinct alarm set once, however many hold it.
-    universe, sets = alarm_sets(tuple(record.outcomes))
-    ordered = sorted(universe)
-    listed = {alarms: list(filter(alarms.__contains__, ordered)) for alarms in sets}
+    # List each distinct alarm set once, however many hold it, from its row over the sorted ids.
+    universe, ids, rows = alarm_sets(tuple(record.outcomes))
+    listed = {alarms: list(compress(ids, row)) for alarms, row in rows.items()}
     completed, eta_c, eta = _counts(record.outcomes)
     return {
         "schema": SCHEMA_VERSION,
@@ -154,8 +154,9 @@ def record_to_json(record: IterationRecord) -> dict[str, Any]:
 
 
 def record_from_json(obj: dict[str, Any]) -> IterationRecord:
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise ConfigParseError(f"unsupported trace schema {obj.get('schema')!r}")
+    schema = obj.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 are not 1
+        raise ConfigParseError(f"unsupported trace schema {schema!r}")
     before = {
         name: distribution_from_json(d) for name, d in obj["distributions_before"].items()
     }
@@ -209,25 +210,23 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
 
     The line is ``json.dumps(record_to_json(record))``, byte for byte.
     json.dumps would build one escaped string per alarm occurrence and
-    hold them all until the line is joined; here each alarm id is escaped
-    once per record, and each distinct alarm set is laid out once, keyed
-    by the set as ``record_to_json`` keys its lists. In one pass over the
-    outcomes each completed one's text is taken and its written alarms
-    set to null; the record is then dumped by json.dumps's encoder less
-    its cycle check, and the texts are spliced in where ``"alarms": null``
-    stands. Nothing else is written so: a parameter named ``alarms``
-    holds a string or an object, and a string's quotes are escaped.
+    hold them all until the line is joined; here the sorted ids of
+    ``alarm_sets`` are escaped once per record, in their order, and each
+    distinct alarm set's text is the escaped ids its membership row
+    selects. The completed outcomes' written alarms are set to null, the
+    record is dumped by json.dumps's encoder less its cycle check, and the
+    texts are spliced in where ``"alarms": null`` stands. Nothing else is
+    written so: a parameter named ``alarms`` holds a string or an object,
+    and a string's quotes are escaped.
     """
     obj = record_to_json(record)
-    escaped = {alarm: encode_basestring_ascii(alarm) for alarm in obj["alarm_universe"]}
-    texts: dict[frozenset[str], str] = {}  # an alarm set -> its items' text
+    _, ids, rows = alarm_sets(tuple(record.outcomes))
+    escaped = tuple(map(encode_basestring_ascii, ids))
+    texts = {alarms: ", ".join(compress(escaped, row)) for alarms, row in rows.items()}
     spliced = []
     for outcome, written in zip(record.outcomes, obj["outcomes"]):
         if isinstance(outcome, Completed):
-            text = texts.get(outcome.alarms)
-            if text is None:
-                text = texts[outcome.alarms] = ", ".join(map(escaped.__getitem__, written["alarms"]))
-            spliced.append(text)
+            spliced.append(texts[outcome.alarms])
             written["alarms"] = None
     chunks = _ENCODER.encode(obj).split('"alarms": null')
     parts = [chunks[0]]

@@ -28,11 +28,9 @@ def convergence_profile(catalog):
     Requirements: slevel >= 104, domains containing octagon+equality,
     auto-loop-unroll >= 16. Costs are benign so analyses never time out.
     """
-    req_slevel = catalog.configuration({"slevel": IntVal(104)}, fill_bottom=True)
-    req_domains = catalog.configuration(
-        {"domains": BitsVal.from_string("01100")}, fill_bottom=True
-    )
-    req_unroll = catalog.configuration({"auto-loop-unroll": IntVal(16)}, fill_bottom=True)
+    req_slevel = catalog.bottom_configuration().replace("slevel", IntVal(104))
+    req_domains = catalog.bottom_configuration().replace("domains", BitsVal.from_string("01100"))
+    req_unroll = catalog.bottom_configuration().replace("auto-loop-unroll", IntVal(16))
     return SyntheticProfile(
         catalog=catalog,
         alarms=(

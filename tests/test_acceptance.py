@@ -259,9 +259,8 @@ def _random_profile(catalog, rng: random.Random) -> SyntheticProfile:
                 requirement[spec.name] = BitsVal(
                     sum(1 << i for i in range(width) if rng.random() < 0.4), width
                 )
-        alarms.append(
-            SyntheticAlarm(f"req-{i}", catalog.configuration(requirement, fill_bottom=True))
-        )
+        unset = dict(zip(catalog.names, catalog.bottoms))
+        alarms.append(SyntheticAlarm(f"req-{i}", catalog.configuration(unset | requirement)))
     # occasional slevel weight induces real timeouts in some runs
     weights = {"slevel": 0.4} if rng.random() < 0.4 else {}
     return SyntheticProfile(

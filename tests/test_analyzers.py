@@ -41,7 +41,7 @@ from strategy_tuner.paramspace import Configuration
 
 @pytest.fixture
 def slevel_profile(catalog):
-    requirement = catalog.configuration({"slevel": IntVal(104)}, fill_bottom=True)
+    requirement = catalog.bottom_configuration().replace("slevel", IntVal(104))
     return SyntheticProfile(
         catalog=catalog,
         alarms=(SyntheticAlarm("alarm-1", requirement),),
@@ -107,7 +107,7 @@ class TestRunContract:
         profile = SyntheticProfile(
             catalog=catalog,
             alarms=tuple(
-                SyntheticAlarm(f"a{i}", catalog.configuration({name: value}, fill_bottom=True))
+                SyntheticAlarm(f"a{i}", catalog.bottom_configuration().replace(name, value))
                 for i, (name, value) in enumerate(needs.items())
             )
             + (SyntheticAlarm("stuck", None),),
@@ -144,7 +144,7 @@ class TestCatalogPositions:
 
     def test_configuration_of_other_names_is_a_crash(self, catalog):
         # read by name, a reordered configuration completed as if in order
-        requirement = catalog.configuration({"slevel": IntVal(3)}, fill_bottom=True)
+        requirement = catalog.bottom_configuration().replace("slevel", IntVal(3))
         profile = SyntheticProfile(
             catalog=catalog,
             alarms=(SyntheticAlarm("a", requirement),),
@@ -181,8 +181,10 @@ class TestCatalogPositions:
             SyntheticProfile(catalog=catalog, alarms=(SyntheticAlarm("a", requirement),))
 
     def test_gates_hold_catalog_positions(self, catalog):
-        requirement = catalog.configuration(
-            {"slevel": IntVal(3), "domains": BitsVal.from_string("01000")}, fill_bottom=True
+        requirement = (
+            catalog.bottom_configuration()
+            .replace("slevel", IntVal(3))
+            .replace("domains", BitsVal.from_string("01000"))
         )
         profile = SyntheticProfile(
             catalog=catalog,
@@ -278,12 +280,10 @@ class TestMonotonicity:
     def test_twist_free_profile_is_monotone(self, catalog):
         rng = random.Random(5150)
         reqs = [
-            catalog.configuration({"slevel": IntVal(12)}, fill_bottom=True),
-            catalog.configuration({"ilevel": IntVal(15)}, fill_bottom=True),
-            catalog.configuration(
-                {"domains": BitsVal.from_string("01010")}, fill_bottom=True
-            ),
-            catalog.configuration({"octagon-through-calls": BoolVal(True)}, fill_bottom=True),
+            catalog.bottom_configuration().replace("slevel", IntVal(12)),
+            catalog.bottom_configuration().replace("ilevel", IntVal(15)),
+            catalog.bottom_configuration().replace("domains", BitsVal.from_string("01010")),
+            catalog.bottom_configuration().replace("octagon-through-calls", BoolVal(True)),
         ]
         profile = SyntheticProfile(
             catalog=catalog,
@@ -299,7 +299,7 @@ class TestMonotonicity:
             assert synthetic_alarms(profile, high) <= synthetic_alarms(profile, low)
 
     def test_twist_breaks_monotonicity(self, catalog):
-        requirement = catalog.configuration({"slevel": IntVal(5)}, fill_bottom=True)
+        requirement = catalog.bottom_configuration().replace("slevel", IntVal(5))
         profile = SyntheticProfile(
             catalog=catalog,
             alarms=(SyntheticAlarm("a", requirement),),
@@ -310,6 +310,11 @@ class TestMonotonicity:
         assert config_dominates(poisoned, ok)
         assert synthetic_alarms(profile, ok) == frozenset()
         assert synthetic_alarms(profile, poisoned) == frozenset({"a"})
+
+
+def _bottom_with(catalog, values):
+    """The catalog's bottom configuration with ``values`` set."""
+    return catalog.configuration(dict(zip(catalog.names, catalog.bottoms)) | values)
 
 
 def _random_value(kind, rng: random.Random):
@@ -373,7 +378,7 @@ class TestCompiledRule:
                 needed = rng.sample(specs, rng.randint(0, 4))
                 values = {spec.name: _random_value(spec.initial.base, rng) for spec in needed}
                 alarms.append(
-                    SyntheticAlarm(f"a{i}", catalog.configuration(values, fill_bottom=True))
+                    SyntheticAlarm(f"a{i}", _bottom_with(catalog, values))
                 )
             twists = tuple(
                 Twist(alarm.alarm_id, spec.name, _random_value(spec.initial.base, rng))
@@ -392,7 +397,7 @@ class TestCompiledRule:
         # a bottom requirement constrains nothing: slevel alone holds "a"
         # back, an alarm needing nothing above bottom is always eliminated,
         # and only an incompressible alarm survives the top configuration
-        requirement = catalog.configuration({"slevel": IntVal(3)}, fill_bottom=True)
+        requirement = catalog.bottom_configuration().replace("slevel", IntVal(3))
         profile = SyntheticProfile(
             catalog=catalog,
             alarms=(
@@ -420,7 +425,7 @@ class TestCompiledRule:
                 needed = rng.sample(specs, rng.randint(1, 3))
                 values = {spec.name: _random_value(spec.initial.base, rng) for spec in needed}
                 alarms.append(
-                    SyntheticAlarm(f"a{i}", catalog.configuration(values, fill_bottom=True))
+                    SyntheticAlarm(f"a{i}", _bottom_with(catalog, values))
                 )
             twists = tuple(
                 Twist(alarm.alarm_id, spec.name, _random_value(spec.initial.base, rng))
@@ -447,7 +452,7 @@ class TestCompiledRule:
         for i in range(90):
             needed = rng.sample(specs, rng.randint(1, 3))
             values = {spec.name: _required_value(spec.initial.base, rng) for spec in needed}
-            alarms.append(SyntheticAlarm(f"a{i}", catalog.configuration(values, fill_bottom=True)))
+            alarms.append(SyntheticAlarm(f"a{i}", _bottom_with(catalog, values)))
         profile = SyntheticProfile(catalog=catalog, alarms=tuple(alarms))
         highest = catalog.configuration({spec.name: top(spec.initial.base) for spec in specs})
         for alarm in alarms:
@@ -466,7 +471,7 @@ class TestCompiledRule:
 
     def test_infinite_requirements_and_values(self, catalog):
         def needs(value):
-            return catalog.configuration({"slevel": IntVal(value)}, fill_bottom=True)
+            return catalog.bottom_configuration().replace("slevel", IntVal(value))
 
         profile = SyntheticProfile(
             catalog=catalog,
@@ -503,10 +508,10 @@ class TestOracle:
             catalog=catalog,
             alarms=(
                 SyntheticAlarm(
-                    "a", catalog.configuration({"slevel": IntVal(9)}, fill_bottom=True)
+                    "a", catalog.bottom_configuration().replace("slevel", IntVal(9))
                 ),
                 SyntheticAlarm(
-                    "b", catalog.configuration({"slevel": IntVal(104)}, fill_bottom=True)
+                    "b", catalog.bottom_configuration().replace("slevel", IntVal(104))
                 ),
             ),
         )
@@ -524,15 +529,11 @@ class TestOracle:
             alarms=(
                 SyntheticAlarm(
                     "a",
-                    catalog.configuration(
-                        {"domains": BitsVal.from_string("00100")}, fill_bottom=True
-                    ),
+                    catalog.bottom_configuration().replace("domains", BitsVal.from_string("00100")),
                 ),
                 SyntheticAlarm(
                     "b",
-                    catalog.configuration(
-                        {"domains": BitsVal.from_string("01000")}, fill_bottom=True
-                    ),
+                    catalog.bottom_configuration().replace("domains", BitsVal.from_string("01000")),
                 ),
             ),
         )
@@ -569,17 +570,15 @@ class TestOracle:
             alarms=(
                 SyntheticAlarm(
                     "a",
-                    catalog.configuration(
-                        {"slevel": IntVal(3), "domains": BitsVal.from_string("01000")},
-                        fill_bottom=True,
-                    ),
+                    catalog.bottom_configuration()
+                    .replace("slevel", IntVal(3))
+                    .replace("domains", BitsVal.from_string("01000")),
                 ),
                 SyntheticAlarm(
                     "b",
-                    catalog.configuration(
-                        {"ilevel": IntVal(5), "domains": BitsVal.from_string("00100")},
-                        fill_bottom=True,
-                    ),
+                    catalog.bottom_configuration()
+                    .replace("ilevel", IntVal(5))
+                    .replace("domains", BitsVal.from_string("00100")),
                 ),
                 SyntheticAlarm("stuck", None),
             ),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
+import io
 import json
 import os
 import subprocess
@@ -253,6 +255,17 @@ class TestTune:
             assert [path.name for path in out.iterdir()] == [name]
         (out / name).rmdir()
         assert run_cli("tune", *flags) == 0 and analyses
+
+    @pytest.mark.parametrize("line", ["", "adapter.command = true {args} {program}\n"])
+    def test_program_without_adapter_is_config_error(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text("program = x.c\n" + line, encoding="utf-8")
+        out = tmp_path / "run"
+        assert run_cli("tune", "--config", str(conf), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: subprocess backend requires 'adapter.command' and 'adapter.pattern'\n"
+        )
+        assert not out.exists()
 
     def test_subprocess_backend_from_config(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -953,6 +966,36 @@ class TestModuleEntry:
         assert proc.stderr == ""
         assert proc.returncode == 1
 
+    def test_closed_standard_output_in_process(self, monkeypatch, tmp_path, capsys):
+        # the same branch on this interpreter: standard output fails with
+        # EPIPE, and its descriptor, a file of the test's, is pointed at the
+        # null device so that the exit flush writes nothing
+        class ClosedPipe(io.TextIOBase):
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        path = tmp_path / "stdout"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        try:
+            argv = ["strategy-tuner", "simulate", str(SAMPLES / "convergence.profile")]
+            monkeypatch.setattr(sys, "argv", argv)
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+            with pytest.raises(SystemExit) as stopped:
+                cli.entrypoint()
+            os.write(fd, b"flushed")
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert stopped.value.code == cli.EXIT_CLOSED_OUTPUT == 1
+        assert path.read_bytes() == b""
+        assert capsys.readouterr().err == ""
+
 
 # Each name the package serves on first use, and the module it comes from.
 LAZY_NAMES = {
@@ -986,6 +1029,24 @@ served = {
 }
 print(json.dumps({"loaded": loaded, "served": served}))
 """
+
+# Listing the package's names serves none of them.
+DIR_CHILD = """
+import json, sys
+import strategy_tuner
+listed = dir(strategy_tuner)
+lazy = ["strategy_tuner.dominancy", "strategy_tuner.subprocess_adapter"]
+print(json.dumps({"listed": listed, "loaded": sorted(set(lazy) & set(sys.modules))}))
+"""
+
+
+def test_listing_the_package_loads_no_lazy_module():
+    proc = run_python("-c", DIR_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert set(LAZY_NAMES) | {"tune"} <= set(report["listed"])
+    assert report["listed"] == sorted(report["listed"])
+    assert report["loaded"] == []
 
 
 def test_synthetic_tune_loads_only_what_it_uses(tmp_path):

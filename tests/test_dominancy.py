@@ -76,10 +76,10 @@ def slevel_only_profile(catalog):
         catalog=catalog,
         alarms=(
             SyntheticAlarm(
-                "a1", catalog.configuration({"slevel": IntVal(10)}, fill_bottom=True)
+                "a1", catalog.bottom_configuration().replace("slevel", IntVal(10))
             ),
             SyntheticAlarm(
-                "a2", catalog.configuration({"slevel": IntVal(50)}, fill_bottom=True)
+                "a2", catalog.bottom_configuration().replace("slevel", IntVal(50))
             ),
             SyntheticAlarm("stuck", None),
         ),
@@ -262,13 +262,11 @@ class TestRunDominancy:
             catalog=catalog,
             alarms=(
                 SyntheticAlarm(
-                    "a2", catalog.configuration({"ilevel": IntVal(5)}, fill_bottom=True)
+                    "a2", catalog.bottom_configuration().replace("ilevel", IntVal(5))
                 ),
                 SyntheticAlarm(
                     "a3",
-                    catalog.configuration(
-                        {"octagon-through-calls": BoolVal(True)}, fill_bottom=True
-                    ),
+                    catalog.bottom_configuration().replace("octagon-through-calls", BoolVal(True)),
                 ),
             ),
             twists=(Twist("a2", "slevel", IntVal(30)),),

@@ -90,7 +90,9 @@ class TestBuildResultMatrix:
             Completed(frozenset({"alpha", "beta"}), 1.0),
         ]
         matrix = build_result_matrix(outcomes, configs)
-        assert matrix.alarms == ("beta", "zeta", "alpha")
+        # the trace's universe keeps first-seen order; the matrix's columns are the sorted ids
+        assert orchestrator.alarm_sets(tuple(outcomes))[0] == ("beta", "zeta", "alpha")
+        assert matrix.alarms == ("alpha", "beta", "zeta")
 
     def test_duplicate_alarm_sets_counted_once(self, catalog):
         configs = _configs_with_slevel(catalog, [1, 2])

@@ -253,6 +253,12 @@ class TestConfigurationFiles:
             parse_configuration(text, catalog)
 
 
+def _base_with(catalog, name, value):
+    """The catalog's base values by name, with ``name`` set to ``value``."""
+    base = catalog.base_configuration()
+    return dict(zip(base.names, base.values)) | {name: value}
+
+
 class TestLookupErrors:
     """An unknown name raises KeyError; a missing value or one of the wrong kind, ValueError."""
 
@@ -263,11 +269,11 @@ class TestLookupErrors:
             (lambda c: c.base_configuration().replace("nope", IntVal(1)), KeyError),
             (lambda c: c.base_configuration().replace("slevel", BoolVal(True)), ValueError),
             (lambda c: c.spec("nope"), KeyError),
-            (lambda c: c.configuration({"nope": IntVal(1)}, fill_bottom=True), KeyError),
+            (lambda c: c.configuration({"nope": IntVal(1)}), KeyError),
             (lambda c: c.configuration({"slevel": IntVal(1)}), ValueError),
-            (lambda c: c.configuration({"slevel": BoolVal(True)}, fill_bottom=True), ValueError),
+            (lambda c: c.configuration(_base_with(c, "slevel", BoolVal(True))), ValueError),
             (lambda c: c.base_configuration().replace("domains", BitsVal(1, 4)), ValueError),
-            (lambda c: c.configuration({"domains": BitsVal(1, 4)}, fill_bottom=True), ValueError),
+            (lambda c: c.configuration(_base_with(c, "domains", BitsVal(1, 4))), ValueError),
         ],
         ids=[
             "getitem-unknown",
@@ -290,7 +296,7 @@ def test_unset_parameters_share_the_catalog_bottoms(catalog):
     # lattice values are immutable: one bottom per parameter serves every configuration
     assert catalog.bottoms == tuple(bottom(spec.initial.base) for spec in catalog)
     assert all(map(operator.is_, catalog.bottom_configuration().values, catalog.bottoms))
-    filled = catalog.configuration({"slevel": IntVal(3)}, fill_bottom=True)
+    filled = catalog.bottom_configuration().replace("slevel", IntVal(3))
     slevel = catalog.names.index("slevel")
     assert filled.values[slevel] == IntVal(3)
     unset = filled.values[:slevel] + filled.values[slevel + 1 :]

@@ -27,7 +27,7 @@ def records():
     from strategy_tuner import default_catalog
 
     catalog = default_catalog()
-    requirement = catalog.configuration({"slevel": IntVal(40)}, fill_bottom=True)
+    requirement = catalog.bottom_configuration().replace("slevel", IntVal(40))
     profile = SyntheticProfile(
         catalog=catalog,
         alarms=(SyntheticAlarm("a", requirement), SyntheticAlarm("stuck", None)),

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import logging
+import os
 import shlex
+import signal
 import sys
 import time
 
@@ -242,6 +244,28 @@ class TestDeadline:
         assert isinstance(outcome, Completed)
         assert outcome.alarms == frozenset()
         assert outcome.wall_time <= base_task.timeout + 0.5
+
+    @pytest.mark.parametrize("error", [ProcessLookupError, PermissionError])
+    def test_kill_group_falls_back_to_the_process(self, monkeypatch, error):
+        # a group that is gone, or not ours to signal, leaves the child itself
+        signalled = []
+
+        def killpg(pid, sig):
+            signalled.append((pid, sig))
+            raise error
+
+        class FakeProcess:
+            pid = 4242
+            killed = 0
+
+            def kill(self):
+                self.killed += 1
+
+        monkeypatch.setattr(os, "killpg", killpg)
+        proc = FakeProcess()
+        SubprocessAnalyzer._kill_group(proc)
+        assert signalled == [(4242, signal.SIGKILL)]
+        assert proc.killed == 1
 
 
 class TestCrashes:

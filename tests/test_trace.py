@@ -24,6 +24,7 @@ from strategy_tuner import (
     SyntheticAnalyzer,
     TimedOut,
     TunerSettings,
+    build_result_matrix,
     parse_profile,
     scaling_factor,
     tune,
@@ -64,7 +65,7 @@ def catalog_module():
 def profile_module(catalog_module):
     from strategy_tuner import CostModel, IntVal, SyntheticAlarm, SyntheticProfile
 
-    requirement = catalog_module.configuration({"slevel": IntVal(30)}, fill_bottom=True)
+    requirement = catalog_module.bottom_configuration().replace("slevel", IntVal(30))
     return SyntheticProfile(
         catalog=catalog_module,
         alarms=(SyntheticAlarm("a", requirement), SyntheticAlarm("stuck", None)),
@@ -309,13 +310,48 @@ class TestWriter:
         assert tuple(read_trace(text)) == result.iteration_trace
 
     def test_tune_builds_each_universe_once(self):
-        # the result matrix builds the iteration's universe, and the writer
-        # gets it back from the cache
+        # the result matrix builds the iteration's layout, and the writer
+        # gets it back from the cache twice: for its lists and its texts
         orchestrator.alarm_sets.cache_clear()
         result, text = run_scenario("mixed")
         assert text == golden_path("mixed").read_text(encoding="utf-8")
         info = orchestrator.alarm_sets.cache_info()
-        assert len(result.iteration_trace) == info.misses == info.hits == 12
+        assert len(result.iteration_trace) == info.misses == 12
+        assert info.hits == 24
+
+    def test_each_set_is_tested_against_each_id_once(self, short_run):
+        # the matrix and the writer read one membership row per distinct
+        # set; a copy of a set already seen is never tested
+        class Counted(frozenset):
+            tests = 0
+
+            def __contains__(self, alarm):
+                self.tests += 1
+                return super().__contains__(alarm)
+
+        sets = (Counted("ba"), Counted("c"), Counted())
+        copy = Counted("ab")
+        outcomes = (
+            Completed(sets[0], 0.5),
+            TimedOut(1.0),
+            Completed(sets[1], 0.5),
+            Completed(copy, 0.5),
+            Completed(sets[2], 0.5),
+            Completed(sets[0], 0.5),
+        )
+        config = short_run.iteration_trace[0].sampled_configs[0]
+        record = dataclasses.replace(
+            short_run.iteration_trace[0],
+            sampled_configs=(config,) * len(outcomes),
+            outcomes=outcomes,
+        )
+        orchestrator.alarm_sets.cache_clear()
+        matrix = build_result_matrix(record.outcomes, record.sampled_configs)
+        buffer = io.StringIO()
+        write_record(buffer, record)
+        assert matrix.alarms == ("a", "b", "c")
+        assert [s.tests for s in sets] == [3, 3, 3] and copy.tests == 0
+        assert buffer.getvalue() == json.dumps(record_to_json(record)) + "\n"
 
     def test_universe_cache_answers_by_value(self):
         shared = frozenset({"b", "a"})
@@ -332,7 +368,11 @@ class TestWriter:
         assert orchestrator.alarm_sets(tuple(list(outcomes)))[0] == ("a", "b", "c")
         info = orchestrator.alarm_sets.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert orchestrator.alarm_sets(outcomes) == (("a", "b", "c"), (shared, frozenset("ac")))
+        assert orchestrator.alarm_sets(outcomes) == (
+            ("a", "b", "c"),
+            ("a", "b", "c"),
+            {shared: (True, True, False), frozenset("ac"): (True, False, True)},
+        )
 
     @given(
         stx.lists(stx.frozensets(stx.text(), max_size=6), min_size=1, max_size=6),
@@ -365,6 +405,14 @@ class TestMalformedTraces:
         obj = record_to_json(short_run.iteration_trace[0])
         obj["schema"] = 999
         with pytest.raises(ConfigParseError):
+            record_from_json(obj)
+
+    @pytest.mark.parametrize("schema", [True, 1.0], ids=["true", "float"])
+    def test_schema_must_be_an_integer(self, short_run, schema):
+        # equal to 1, but not the integer 1
+        obj = record_to_json(short_run.iteration_trace[0])
+        obj["schema"] = schema
+        with pytest.raises(ConfigParseError, match=f"unsupported trace schema {schema!r}"):
             record_from_json(obj)
 
     def test_bad_json_names_record_index(self, short_run):
