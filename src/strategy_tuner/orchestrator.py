@@ -153,27 +153,33 @@ class TuneResult:
 
 
 @lru_cache(maxsize=1)
-def alarm_sets(
-    outcomes: tuple[AnalysisOutcome, ...],
-) -> tuple[tuple[str, ...], tuple[str, ...], dict[frozenset[str], tuple[bool, ...]]]:
-    """The one layout of ``outcomes``'s alarm sets: ``(universe, ids, rows)``.
-
-    ``universe`` is the trace's: each distinct completed set, in first-seen
-    order, adds its ids not listed yet, sorted. ``ids`` is it sorted, and
-    ``rows`` maps each distinct set to its one membership row over ``ids``.
-    The last answer is kept by value, and its callers share it and only
-    read it: ``tune`` builds the matrix from the tuple it stores in the
-    record, so the trace writer gets it back.
-    """
-    sets = dict.fromkeys(o.alarms for o in outcomes if isinstance(o, Completed))
+def alarm_universe(outcomes: tuple[AnalysisOutcome, ...]) -> tuple[str, ...]:
+    """The trace's universe: each distinct completed set of ``outcomes``, in first-seen
+    order, adds its ids not listed yet, sorted. The last answer is kept by value."""
     universe: list[str] = []
     seen: set[str] = set()
-    for alarms in sets:
+    for alarms in dict.fromkeys(o.alarms for o in outcomes if isinstance(o, Completed)):
         new = alarms - seen
         universe += sorted(new)
         seen |= new
-    ids = tuple(sorted(universe))
-    return tuple(universe), ids, {alarms: tuple(map(alarms.__contains__, ids)) for alarms in sets}
+    return tuple(universe)
+
+
+@lru_cache(maxsize=1)
+def alarm_sets(
+    outcomes: tuple[AnalysisOutcome, ...],
+) -> tuple[tuple[str, ...], dict[frozenset[str], tuple[bool, ...]]]:
+    """The one layout of ``outcomes``'s alarm sets: ``(ids, rows)``.
+
+    ``ids`` is ``alarm_universe`` sorted, and ``rows`` maps each distinct
+    completed set to its one membership row over ``ids``. The last answer
+    is kept by value, and its callers share it and only read it: ``tune``
+    builds the matrix from the tuple it stores in the record, so the trace
+    writer gets both caches' answers back.
+    """
+    ids = tuple(sorted(alarm_universe(outcomes)))
+    sets = dict.fromkeys(o.alarms for o in outcomes if isinstance(o, Completed))
+    return ids, {alarms: tuple(map(alarms.__contains__, ids)) for alarms in sets}
 
 
 def build_result_matrix(
@@ -183,7 +189,7 @@ def build_result_matrix(
     """Matrix over completed analyses only: ``alarm_sets``'s sorted ids and their sets' rows."""
     if len(outcomes) != len(sampled_configs):
         raise ValueError("outcomes and sampled_configs must align")
-    _, ids, rows = alarm_sets(tuple(outcomes))
+    ids, rows = alarm_sets(tuple(outcomes))
     completed = [
         (i, out.alarms) for i, out in enumerate(outcomes) if isinstance(out, Completed)
     ]
@@ -341,7 +347,7 @@ def tune(
             # Sampling is serial and precedes dispatch, so completion order
             # cannot perturb the stream.
             configs = _sample_configurations(catalog, distributions, settings.num_sample, rng, index)
-            # one tuple for the matrix and the record: the writer hits ``alarm_sets``'s cache
+            # one tuple for the matrix and the record: the writer hits the layout's caches
             outcomes = tuple(run_batch(analyzer, program_ref, configs, timeout, dispatch))
             matrix = build_result_matrix(outcomes, configs)
             eta = scaling_factor(len(matrix.produced), settings.num_sample)

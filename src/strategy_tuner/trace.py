@@ -3,14 +3,16 @@
 One JSON record per iteration, self-describing: every record carries a
 schema version and the full before/after distributions, whose delta kind
 fixes how the lattice literals in the same record parse back. A record
-round-trips losslessly into an IterationRecord without a catalog; its
-``alarm_universe``, ``completed``, ``eta_c`` and ``eta`` are derived from
-its outcomes.
+round-trips losslessly into an IterationRecord without a catalog. Its
+``alarm_universe``, ``completed``, ``eta_c`` and ``eta`` follow from its
+outcomes by one rule, ``_derived``: the writer writes them from it, and the
+reader requires each to equal it, JSON type included.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Any, TextIO
@@ -20,7 +22,7 @@ from .distributions import ParamDistribution, scaling_factor
 from .errors import ConfigParseError
 from .keytree import split_lines
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value, same_kind
-from .orchestrator import IterationRecord, TuneResult, alarm_sets
+from .orchestrator import IterationRecord, TuneResult, alarm_sets, alarm_universe
 from .paramspace import Configuration, check_param_name, nonnegative
 
 SCHEMA_VERSION = 1
@@ -110,6 +112,8 @@ def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
     status = obj.get("status")
     if status == "completed":
         alarms = frozenset(_strings(obj["alarms"], "alarms"))
+        if len(alarms) != len(obj["alarms"]) or sorted(obj["alarms"]) != obj["alarms"]:
+            raise ConfigParseError("alarms must be sorted, each listed once")
         return Completed(alarms=alarms, wall_time=nonnegative(_number(obj["wall_time"], "wall_time")))
     if status == "timed_out":
         return TimedOut(wall_time=nonnegative(_number(obj["wall_time"], "wall_time")))
@@ -120,17 +124,19 @@ def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
     raise ConfigParseError(f"unknown outcome status {status!r}")
 
 
-def _counts(outcomes: tuple[AnalysisOutcome, ...]) -> tuple[int, float, float]:
-    """A record's completed outcomes, their share eta_c, and the delta's scaling factor eta."""
+def _derived(outcomes: tuple[AnalysisOutcome, ...]) -> dict[str, Any]:
+    """A record's fields that follow from its outcomes, in written order, with their JSON types."""
     completed = sum(isinstance(o, Completed) for o in outcomes)
-    return completed, completed / len(outcomes), scaling_factor(completed, len(outcomes))
+    return {
+        "alarm_universe": list(alarm_universe(tuple(outcomes))),
+        "completed": completed,
+        "eta_c": completed / len(outcomes),
+        "eta": scaling_factor(completed, len(outcomes)),
+    }
 
 
-def record_to_json(record: IterationRecord) -> dict[str, Any]:
-    # List each distinct alarm set once, however many hold it, from its row over the sorted ids.
-    universe, ids, rows = alarm_sets(tuple(record.outcomes))
-    listed = {alarms: list(compress(ids, row)) for alarms, row in rows.items()}
-    completed, eta_c, eta = _counts(record.outcomes)
+def _record_object(record: IterationRecord, listed: dict[frozenset[str], Any]) -> dict[str, Any]:
+    """The record's JSON object; ``listed`` gives each distinct completed set's written alarms."""
     return {
         "schema": SCHEMA_VERSION,
         "index": record.index,
@@ -139,10 +145,7 @@ def record_to_json(record: IterationRecord) -> dict[str, Any]:
             outcome_to_json(o, listed[o.alarms] if isinstance(o, Completed) else None)
             for o in record.outcomes
         ],
-        "alarm_universe": list(universe),
-        "completed": completed,
-        "eta_c": eta_c,
-        "eta": eta,
+        **_derived(record.outcomes),
         "distributions_before": {
             name: distribution_to_json(d) for name, d in record.distributions_before.items()
         },
@@ -151,6 +154,12 @@ def record_to_json(record: IterationRecord) -> dict[str, Any]:
         },
         "elapsed": record.elapsed,
     }
+
+
+def record_to_json(record: IterationRecord) -> dict[str, Any]:
+    # List each distinct alarm set once, however many hold it, from its row over the sorted ids.
+    ids, rows = alarm_sets(tuple(record.outcomes))
+    return _record_object(record, {alarms: list(compress(ids, row)) for alarms, row in rows.items()})
 
 
 def record_from_json(obj: dict[str, Any]) -> IterationRecord:
@@ -180,21 +189,12 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
         raise ConfigParseError("a record needs at least one outcome")
     if len(outcomes) != len(configs):
         raise ConfigParseError(f"{len(outcomes)} outcomes for {len(configs)} sampled configs")
-    for name in ("index", "completed"):
-        if type(obj[name]) is not int:
-            raise ConfigParseError(f"{name} must be an integer, got {obj[name]!r}")
-    # The counts follow from the outcomes; a record must agree with them exactly.
-    completed, eta_c, eta = _counts(outcomes)
-    if obj["completed"] != completed:
-        raise ConfigParseError(f"completed is {obj['completed']}, not {completed}")
-    rates = (obj["eta_c"], obj["eta"])
-    # A rate is a JSON number, as _number reads one: true is not 1.0.
-    if not all(type(rate) in (int, float) for rate in rates) or rates != (eta_c, eta):
-        raise ConfigParseError(
-            f"eta_c and eta are {rates[0]!r} and {rates[1]!r}, not {eta_c!r} and {eta!r}"
-        )
-    if _strings(obj["alarm_universe"], "alarm_universe") != alarm_sets(outcomes)[0]:
-        raise ConfigParseError("alarm_universe is not the one its completed outcomes give")
+    if type(obj["index"]) is not int:
+        raise ConfigParseError(f"index must be an integer, got {obj['index']!r}")
+    # A record agrees exactly with what its outcomes give, JSON type too: 1 is not 1.0.
+    for field, derived in _derived(outcomes).items():
+        if type(obj[field]) is not type(derived) or obj[field] != derived:
+            raise ConfigParseError(f"{field} is {reprlib.repr(obj[field])}, not {reprlib.repr(derived)}")
     return IterationRecord(
         index=obj["index"],
         sampled_configs=configs,
@@ -213,22 +213,17 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
     hold them all until the line is joined; here the sorted ids of
     ``alarm_sets`` are escaped once per record, in their order, and each
     distinct alarm set's text is the escaped ids its membership row
-    selects. The completed outcomes' written alarms are set to null, the
-    record is dumped by json.dumps's encoder less its cycle check, and the
-    texts are spliced in where ``"alarms": null`` stands. Nothing else is
+    selects. The record's object is built with each completed outcome's
+    alarms null, dumped by json.dumps's encoder less its cycle check, and
+    the texts are spliced in where ``"alarms": null`` stands. Nothing else is
     written so: a parameter named ``alarms`` holds a string or an object,
     and a string's quotes are escaped.
     """
-    obj = record_to_json(record)
-    _, ids, rows = alarm_sets(tuple(record.outcomes))
+    ids, rows = alarm_sets(tuple(record.outcomes))
     escaped = tuple(map(encode_basestring_ascii, ids))
     texts = {alarms: ", ".join(compress(escaped, row)) for alarms, row in rows.items()}
-    spliced = []
-    for outcome, written in zip(record.outcomes, obj["outcomes"]):
-        if isinstance(outcome, Completed):
-            spliced.append(texts[outcome.alarms])
-            written["alarms"] = None
-    chunks = _ENCODER.encode(obj).split('"alarms": null')
+    spliced = [texts[o.alarms] for o in record.outcomes if isinstance(o, Completed)]
+    chunks = _ENCODER.encode(_record_object(record, dict.fromkeys(rows))).split('"alarms": null')
     parts = [chunks[0]]
     for items, chunk in zip(spliced, chunks[1:], strict=True):
         parts += ('"alarms": [', items, "]", chunk)

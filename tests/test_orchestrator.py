@@ -91,7 +91,7 @@ class TestBuildResultMatrix:
         ]
         matrix = build_result_matrix(outcomes, configs)
         # the trace's universe keeps first-seen order; the matrix's columns are the sorted ids
-        assert orchestrator.alarm_sets(tuple(outcomes))[0] == ("beta", "zeta", "alpha")
+        assert orchestrator.alarm_universe(tuple(outcomes)) == ("beta", "zeta", "alpha")
         assert matrix.alarms == ("alpha", "beta", "zeta")
 
     def test_duplicate_alarm_sets_counted_once(self, catalog):

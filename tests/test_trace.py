@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,8 @@ from strategy_tuner.trace import (
 )
 from test_golden import SCENARIOS, golden_path, run_scenario
 
-MIXED_TRACE = Path(__file__).resolve().parent / "data" / "golden" / "mixed.ndjson"
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+MIXED_TRACE = GOLDEN_DIR / "mixed.ndjson"
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +162,7 @@ class TestAlarmOrder:
         obj = record_to_json(record)
         assert obj["outcomes"][2]["alarms"] == ["a", "b", "c"]
         assert obj["alarm_universe"] == ["b", "c", "a"]
-        assert orchestrator.alarm_sets(record.outcomes)[0] == ("b", "c", "a")
+        assert orchestrator.alarm_universe(record.outcomes) == ("b", "c", "a")
 
     def test_record_whose_universe_lacks_its_alarms(self, short_run):
         # a written record whose universe lacks, adds, repeats or reorders
@@ -310,14 +312,25 @@ class TestWriter:
         assert tuple(read_trace(text)) == result.iteration_trace
 
     def test_tune_builds_each_universe_once(self):
-        # the result matrix builds the iteration's layout, and the writer
-        # gets it back from the cache twice: for its lists and its texts
+        # the result matrix builds the iteration's universe and layout, and
+        # the writer gets each back from its cache once: the universe for
+        # the record's derived fields, the layout for its alarm texts
+        orchestrator.alarm_universe.cache_clear()
         orchestrator.alarm_sets.cache_clear()
         result, text = run_scenario("mixed")
         assert text == golden_path("mixed").read_text(encoding="utf-8")
-        info = orchestrator.alarm_sets.cache_info()
-        assert len(result.iteration_trace) == info.misses == 12
-        assert info.hits == 24
+        assert len(result.iteration_trace) == 12
+        for cache in (orchestrator.alarm_universe, orchestrator.alarm_sets):
+            info = cache.cache_info()
+            assert (info.misses, info.hits) == (12, 12)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.ndjson")), ids=lambda p: p.stem)
+    def test_reading_builds_no_layout(self, path):
+        # the reader checks a record's universe, not its membership rows
+        orchestrator.alarm_sets.cache_clear()
+        records = read_trace(path.read_text(encoding="utf-8"))
+        assert records
+        assert orchestrator.alarm_sets.cache_info().misses == 0
 
     def test_each_set_is_tested_against_each_id_once(self, short_run):
         # the matrix and the writer read one membership row per distinct
@@ -370,9 +383,9 @@ class TestWriter:
         assert (info.misses, info.hits) == (1, 1)
         assert orchestrator.alarm_sets(outcomes) == (
             ("a", "b", "c"),
-            ("a", "b", "c"),
             {shared: (True, True, False), frozenset("ac"): (True, False, True)},
         )
+        assert orchestrator.alarm_universe(outcomes) == ("a", "b", "c")
 
     @given(
         stx.lists(stx.frozensets(stx.text(), max_size=6), min_size=1, max_size=6),
@@ -511,15 +524,20 @@ class TestMalformedTraces:
             (0, lambda r: r.__setitem__("index", 2.5), "index must be an integer"),
             (0, lambda r: r.__setitem__("index", "3"), "index must be an integer"),
             (0, lambda r: r.__setitem__("index", True), "index must be an integer"),
-            (0, lambda r: r.__setitem__("completed", 6.9), "completed must be an integer"),
-            (1, lambda r: r.__setitem__("eta", 99.0), "eta_c and eta are"),
-            (1, lambda r: r.__setitem__("eta_c", -1.0), "eta_c and eta are"),
-            (1, lambda r: r.__setitem__("eta_c", "1.0"), "eta_c and eta are"),
-            (1, lambda r: r.__setitem__("eta", math.nan), "eta_c and eta are"),
+            (0, lambda r: r.__setitem__("completed", 6.9), "completed is 6.9, not 6"),
+            (1, lambda r: r.__setitem__("eta", 99.0), "eta is 99.0, not 2.1666666666666665"),
+            (1, lambda r: r.__setitem__("eta_c", -1.0), "eta_c is -1.0, not 1.0"),
+            (1, lambda r: r.__setitem__("eta_c", "1.0"), "eta_c is '1.0', not 1.0"),
+            (1, lambda r: r.__setitem__("eta", math.nan), "eta is nan, not 2.1666666666666665"),
             # read back before as 1.0: every outcome of record 0 completed,
             # so its eta_c is 1.0, and one of three completed makes eta 1.0
-            (0, lambda r: r.__setitem__("eta_c", True), "eta_c and eta are"),
-            (0, lambda r: _one_of_three_completed(r).__setitem__("eta", True), "eta_c and eta are"),
+            (0, lambda r: r.__setitem__("eta_c", True), "eta_c is True, not 1.0"),
+            (0, lambda r: _one_of_three_completed(r).__setitem__("eta", True),
+             "eta is True, not 1.0"),
+            # equal to what the writer wrote, but of another JSON type: the
+            # first read back before, and plotted
+            (0, lambda r: r.__setitem__("eta_c", 1), "eta_c is 1, not 1.0"),
+            (5, lambda r: r.__setitem__("completed", 4.0), "completed is 4.0, not 4"),
             # read back before, and plotted: the last record's after is no
             # later record's before, so a boolean base sat in an integer chart
             (11, lambda r: r["distributions_after"].update(slevel=_BERNOULLI),
@@ -530,8 +548,8 @@ class TestMalformedTraces:
         ids=["after-lacks-a-parameter", "parameters-differ-from-record-0",
              "an-outcome-per-config", "completed-count", "no-outcome", "index-float",
              "index-string", "index-bool", "completed-float", "eta-wrong", "eta_c-negative",
-             "eta_c-string", "eta-nan", "eta_c-bool", "eta-bool", "after-changes-a-lattice",
-             "after-narrows-a-vector"],
+             "eta_c-string", "eta-nan", "eta_c-bool", "eta-bool", "eta_c-int", "completed-float-equal",
+             "after-changes-a-lattice", "after-narrows-a-vector"],
     )
     def test_record_must_agree_with_itself_and_record_0(self, index, mutate, reason):
         # the first four made ``plot`` or ``build_result_matrix`` fail on read-back
@@ -539,7 +557,9 @@ class TestMalformedTraces:
         record = json.loads(lines[index])
         mutate(record)
         lines[index] = json.dumps(record)
-        with pytest.raises(ConfigParseError, match=f"trace record {index} is malformed: .*{reason}"):
+        with pytest.raises(
+            ConfigParseError, match=f"trace record {index} is malformed: .*{re.escape(reason)}"
+        ):
             read_trace("\n".join(lines))
 
     @pytest.mark.parametrize(
@@ -570,9 +590,14 @@ class TestMalformedTraces:
         [
             (lambda r: r["outcomes"][0].__setitem__("alarms", "abc"), "alarms must be"),
             (lambda r: r["outcomes"][0].__setitem__("alarms", [1, 2]), "alarms must be"),
-            (lambda r: r.__setitem__("alarm_universe", "xyz"), "alarm_universe must be"),
+            # read back before as a set, so rewriting the record changed its bytes
+            (lambda r: r["outcomes"][0]["alarms"].reverse(), "alarms must be sorted, each listed once"),
+            (lambda r: r["outcomes"][0]["alarms"].insert(0, r["outcomes"][0]["alarms"][0]),
+             "alarms must be sorted, each listed once"),
+            (lambda r: r.__setitem__("alarm_universe", "xyz"), "alarm_universe is 'xyz', not \\["),
         ],
-        ids=["alarms-a-string", "alarms-not-strings", "universe-a-string"],
+        ids=["alarms-a-string", "alarms-not-strings", "alarms-unsorted", "alarms-repeated",
+             "universe-a-string"],
     )
     def test_alarm_fields_must_be_arrays_of_strings(self, mutate, reason):
         # read back before: a string spelled one alarm per character, and
