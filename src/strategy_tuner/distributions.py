@@ -22,6 +22,7 @@ Refinement has two halves:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress
@@ -47,7 +48,7 @@ class ParamDistribution:
     The base's lattice names the delta's family, and ``delta`` holds that
     family's parameters: ``(lam,)``, a Poisson rate, for an integer base;
     and one Bernoulli q per bit, entry i for bit i, for a boolean or
-    bit-vector base.
+    bit-vector base. Each is an int or a float, not a bool, stored as a float.
     """
 
     base: LatticeValue
@@ -57,15 +58,16 @@ class ParamDistribution:
         base, delta = self.base, self.delta
         poisson = isinstance(base, IntVal)
         width = 1 if poisson else base.width
-        if type(delta) is not tuple or len(delta) != width:
+        if type(delta) is not tuple or len(delta) != width or {*map(type, delta)} - {int, float}:
             raise ValueError(
-                f"{type(base).__name__} needs a delta tuple of {width} parameters, got {delta!r}"
+                f"{type(base).__name__} needs a delta tuple of {width} numbers, got {delta!r}"
             )
         if poisson:
-            if not (0.0 <= delta[0] < math.inf):
+            if not (0.0 <= delta[0] <= sys.float_info.max):  # finite; an int in a float's range
                 raise ValueError(f"Poisson rate must be finite and nonnegative, got {delta[0]!r}")
         elif not all(0.0 <= q <= 1.0 for q in delta):
             raise ValueError(f"Bernoulli parameters must lie in [0, 1], got {delta!r}")
+        object.__setattr__(self, "delta", tuple(map(float, delta)))
 
 
 #: A source of uniform draws in [0, 1), such as one ``RandomStream.generator`` gives.

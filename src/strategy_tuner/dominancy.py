@@ -99,12 +99,12 @@ def run_dominancy(
 
     Failed controlled analyses are recorded as unavailable and excluded
     from the dominance ranking; failed baselines abort the run. Both
-    batches run through the one ``worker_pool`` map of ``num_process``
-    workers, an int >= 1 as ``TunerSettings`` requires.
+    batches run through the map of one ``worker_pool`` of ``num_process``
+    workers, an int >= 1 as ``TunerSettings`` requires, and no budget is charged.
     """
     if type(num_process) is not int or num_process < 1:
         raise ValueError(f"num_process must be an int >= 1, got {num_process!r}")
-    with worker_pool(analyzer, num_process) as dispatch:
+    with worker_pool(analyzer, num_process) as (dispatch, _):
         baselines = run_batch(analyzer, program_ref, [low_config, high_config], timeout, dispatch)
         alarms_low, alarms_high = map(_alarm_count, baselines)
         if alarms_low is None or alarms_high is None:

@@ -24,14 +24,16 @@ Budget policy: every analysis of an iteration gets the same deadline,
 ``remaining * iteration_fraction / waves`` where ``waves`` is the number
 of sequential batches the pool needs for ``num_sample`` tasks. At full
 parallelism that is exactly ``remaining * iteration_fraction``, and at
-any parallelism the analyze phase fits in one geometric slice, so the
-total can never overshoot the budget.
+any parallelism the analyze phase fits in one geometric slice, so it can
+never overshoot the budget. A real-clock charge also covers sampling,
+refinement and the adapter's ``REAP_WAIT``, which no slice bounds. A
+run's ``wall_time_total`` is the seconds it charged, on either clock.
 
-Every batch runs through the ``map`` that ``worker_pool`` gives. An
-analyzer exposing a true ``virtual_clock`` attribute gets the builtin
-``map``, on the calling thread, and its run is charged simulated time
-(the makespan of the reported wall times on ``num_process`` workers)
-instead of real time; such runs are bit-reproducible from the seed alone.
+Every batch runs through the ``map`` that ``worker_pool`` gives, and its
+``charge`` times each iteration. An analyzer with a true ``virtual_clock``
+attribute gets the builtin ``map``, on the calling thread, and is charged
+the makespan of its wall times on ``num_process`` workers instead of real
+time; such runs are bit-reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, Iterator
 
@@ -229,22 +231,26 @@ def _sample_configurations(
 
 
 @contextmanager
-def worker_pool(analyzer: Analyzer, workers: int) -> Iterator[Callable]:
-    """The ``map`` that runs all of a run's batches.
+def worker_pool(analyzer: Analyzer, workers: int) -> Iterator[tuple[Callable, Callable]]:
+    """``(dispatch, charge)``: the ``map`` for all of a run's batches, and its clock.
 
-    A real-clock analyzer gets ``pool.map`` of one pool of at most
-    ``workers`` threads, shut down when the block exits, however it
-    exits. A virtual-clock analyzer spends no real time, so it gets the
-    builtin ``map``: its tasks run on the calling thread, and the run
-    charges simulated time.
+    ``charge(outcomes, started)`` is an iteration's seconds, given its
+    batch's outcomes and its ``time.monotonic()`` at the start. A real-clock
+    analyzer gets ``pool.map`` of one pool of at most ``workers`` threads,
+    shut down when the block exits, however it exits, and the real time
+    since ``started``. A virtual-clock analyzer gets the builtin ``map``,
+    on the calling thread, and the makespan of the outcomes' wall times on
+    ``workers`` workers, a crash counting 0.
     """
     if getattr(analyzer, "virtual_clock", False):
-        yield map
+        yield map, lambda outcomes, started: _makespan(
+            [0.0 if isinstance(o, Crashed) else o.wall_time for o in outcomes], workers
+        )
         return
     from concurrent.futures import ThreadPoolExecutor  # only a real-clock run loads it
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
+        yield pool.map, lambda outcomes, started: time.monotonic() - started
 
 
 def run_batch(
@@ -291,7 +297,9 @@ def run_batch(
         wall = outcome.wall_time
         if not (type(wall) in (int, float) and 0.0 <= wall < math.inf):  # a bool is no time
             return Crashed(exit_info=f"analyzer reported wall time {wall!r}")
-        return outcome if wall <= timeout else TimedOut(wall_time=timeout)
+        if wall > timeout:
+            return TimedOut(wall_time=timeout)
+        return outcome if type(wall) is float else replace(outcome, wall_time=float(wall))
 
     return list(dispatch(guarded, tasks))
 
@@ -329,9 +337,8 @@ def tune(
     records: list[IterationRecord] = []
     quiet = 0  # consecutive iterations that moved no base
     stalled = False  # the last charge left the budget unchanged
-    started = time.monotonic()
 
-    with worker_pool(analyzer, settings.num_process) as dispatch:
+    with worker_pool(analyzer, settings.num_process) as (dispatch, charge):
         for index in itertools.count():
             stopped_by = (
                 "stalled" if stalled and settings.max_iterations is None
@@ -357,15 +364,7 @@ def tune(
                 name: ParamDistribution(base, refine_delta(distributions[name], eta))
                 for name, base in zip(catalog.names, bases)
             }
-            if dispatch is map:
-                # charge the simulated makespan of the analyze phase
-                durations = [
-                    o.wall_time if isinstance(o, (Completed, TimedOut)) else 0.0 for o in outcomes
-                ]
-                elapsed = _makespan(durations, settings.num_process)
-            else:
-                elapsed = time.monotonic() - iteration_started
-
+            elapsed = charge(outcomes, iteration_started)
             record = IterationRecord(
                 index=index,
                 sampled_configs=tuple(configs),
@@ -383,13 +382,9 @@ def tune(
             if on_record is not None:
                 on_record(record)
 
-    if dispatch is map:
-        wall_total = settings.time_budget - remaining
-    else:
-        wall_total = time.monotonic() - started
     return TuneResult(
         final_distributions=dict(distributions),
         iteration_trace=tuple(records),
-        wall_time_total=wall_total,
+        wall_time_total=settings.time_budget - remaining,
         stopped_by=stopped_by,
     )

@@ -91,11 +91,42 @@ class TestPairing:
         with pytest.raises(ValueError, match="delta tuple"):
             ParamDistribution(base, delta)
 
-    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "lam",
+        [math.inf, math.nan, pytest.param(10**400, id="1e400"), pytest.param(2**1024, id="2^1024")],
+    )
     def test_non_finite_rate_rejected(self, lam):
-        # an infinite rate would hang the first sample
+        # an infinite rate would hang the first sample, and an int past a
+        # float's range is no rate a float can store: ValueError, not OverflowError
         with pytest.raises(ValueError, match="finite and nonnegative"):
             _rate(lam)
+
+    @pytest.mark.parametrize(
+        "base, delta",
+        [
+            (BoolVal(False), (True,)),
+            (BoolVal(False), (False,)),
+            (IntVal(0), (True,)),
+            (BitsVal(0, 2), (0.5, True)),
+            (IntVal(0), ("2",)),
+            (BoolVal(False), (None,)),
+        ],
+        ids=["bool-q-true", "bool-q-false", "int-rate-true", "bits-q-true", "str", "none"],
+    )
+    def test_an_entry_that_is_no_int_or_float_is_rejected(self, base, delta):
+        # a bool q would be written as JSON true, which no trace reader takes
+        with pytest.raises(ValueError, match="delta tuple of .* numbers"):
+            ParamDistribution(base, delta)
+
+    @pytest.mark.parametrize(
+        "base, delta",
+        [(IntVal(0), (20,)), (IntVal(3), (0,)), (BoolVal(False), (1,)), (BitsVal(0, 2), (0, 0.5))],
+        ids=["rate-20", "rate-0", "q-1", "qs-0"],
+    )
+    def test_int_entries_are_stored_as_floats(self, base, delta):
+        stored = ParamDistribution(base, delta).delta
+        assert stored == delta
+        assert [type(entry) for entry in stored] == [float] * len(delta)
 
 
 def _counts(lam, random, n):

@@ -616,10 +616,14 @@ class TestBudget:
         elapsed = time.monotonic() - start
         assert result.iteration_trace
         assert elapsed <= settings.time_budget * 1.1 + 2.0
-        # the run's total is the real time from its start, which covers
-        # every iteration's and lies within the time measured around it
-        iterations = sum(r.elapsed for r in result.iteration_trace)
-        assert iterations <= result.wall_time_total <= elapsed
+        # the run's total is the seconds it charged, on a real clock too: the
+        # budget less each record's elapsed, subtracted in order, and within
+        # the time measured around the run
+        remaining = settings.time_budget
+        for record in result.iteration_trace:
+            remaining -= record.elapsed
+        assert result.wall_time_total == settings.time_budget - remaining
+        assert result.wall_time_total <= elapsed
 
     def test_analyze_phase_fits_one_slice(self, catalog, incompressible_profile):
         # num_process < num_sample: per-analysis deadline shrinks by the
@@ -800,6 +804,11 @@ class TestPatience:
             remaining -= record.elapsed
         index = len(result.iteration_trace)
         assert first_rule(index, remaining, quiet, stalled) == result.stopped_by
+        # whatever rule ended it, the result is what its records give
+        assert result.wall_time_total == budget - remaining
+        records = result.iteration_trace
+        last = records[-1].distributions_after if records else catalog.initial_distributions()
+        assert result.final_distributions == last
 
     @pytest.mark.parametrize("refinement", ["paper", "evidence"])
     @pytest.mark.parametrize("num_sample", [6, 16])

@@ -284,6 +284,50 @@ class TestWriter:
         assert lines == [json.dumps(record_to_json(r)) for r in result.iteration_trace]
         assert tuple(read_trace(buffer.getvalue())) == result.iteration_trace
 
+    def test_integer_wall_times_rewrite_byte_for_byte(self, catalog_module):
+        # an analyzer may report whole seconds: the tuner stores them as
+        # floats, after the deadline cap, so the trace reads back to its bytes
+        analyzer = CyclingAnalyzer([
+            lambda t: Completed(frozenset({"a"}), 1),
+            lambda t: Completed(frozenset(), 3),
+            lambda t: TimedOut(2),
+            lambda t: Completed(frozenset({"b"}), 10**400),
+        ])
+        settings = TunerSettings(time_budget=100.0, num_sample=4, max_iterations=2)
+        buffer = io.StringIO()
+        result = tune(
+            "prog", catalog_module, settings, analyzer,
+            on_record=lambda record: write_record(buffer, record),
+        )
+        outcomes = [o for record in result.iteration_trace for o in record.outcomes]
+        assert {type(o.wall_time) for o in outcomes} == {float}
+        assert TimedOut(12.5) in outcomes  # 10**400 s, capped at the first deadline
+        rewritten = io.StringIO()
+        for record in read_trace(buffer.getvalue()):
+            write_record(rewritten, record)
+        assert rewritten.getvalue() == buffer.getvalue()
+
+    def test_an_integer_rate_rewrites_byte_for_byte(self):
+        # a library catalog may give a rate as an int: it is stored, and so
+        # written in record 0, as the float that the reader gives back
+        catalog = Catalog((
+            ParamSpec("slevel", ParamDistribution(IntVal(0), (20,)), "-slevel"),
+            ParamSpec("x", ParamDistribution(BoolVal(False), (1,)), "-x", ("", "on")),
+        ))
+        analyzer = CyclingAnalyzer([lambda t: Completed(frozenset(), 1.0)])
+        settings = TunerSettings(time_budget=100.0, num_sample=2, max_iterations=2)
+        buffer = io.StringIO()
+        tune(
+            "prog", catalog, settings, analyzer,
+            on_record=lambda record: write_record(buffer, record),
+        )
+        text = buffer.getvalue()
+        assert '"lambda": 20.0' in text and '"q": 1.0' in text
+        rewritten = io.StringIO()
+        for record in read_trace(text):
+            write_record(rewritten, record)
+        assert rewritten.getvalue() == text
+
     def test_a_parameter_named_alarms_writes_as_json_dumps(self):
         # only an outcome's alarms are spliced: a parameter of that name
         # holds a string in a configuration and an object in a distribution
