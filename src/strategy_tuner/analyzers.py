@@ -11,7 +11,6 @@ whole tuning runs finish in milliseconds.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
@@ -19,6 +18,7 @@ from itertools import accumulate, compress
 from operator import or_
 from typing import Callable, Mapping, Protocol, Union
 
+from .distributions import is_amount
 from .errors import ConfigParseError, ProfileError
 from .keytree import parse_keytree
 from .lattice import INFINITY, IntVal, LatticeValue, leq, parse_value, same_kind
@@ -80,8 +80,8 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for cost in (self.base_cost, *self.weights.values()):
-            if not (0.0 <= cost < math.inf):
-                raise ValueError(f"costs must be finite and at least 0, got {cost!r}")
+            if not is_amount(cost):
+                raise ValueError(f"costs must be numbers, finite and at least 0, got {cost!r}")
 
 
 @dataclass(frozen=True)

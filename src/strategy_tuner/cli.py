@@ -34,6 +34,7 @@ from .analyzers import (
     simulated_cost,
     synthetic_alarms,
 )
+from .distributions import is_amount
 from .errors import (
     AnalyzerUnavailableError,
     ConfigParseError,
@@ -294,8 +295,8 @@ def _summary(result) -> str:
 def cmd_dominancy(args) -> int:
     from .dominancy import report_table, report_to_json, run_dominancy
 
-    if args.timeout is not None and not args.timeout > 0:
-        raise ConfigParseError(f"--timeout must be positive, got {args.timeout!r}")
+    if args.timeout is not None and not (is_amount(args.timeout) and args.timeout > 0):
+        raise ConfigParseError(f"--timeout must be a positive finite number, got {args.timeout!r}")
     run = _open_run(args)
     low = parse_configuration(_read_text(args.low, "baseline"), run.catalog)
     high = parse_configuration(_read_text(args.high, "baseline"), run.catalog)

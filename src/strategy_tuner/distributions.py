@@ -41,6 +41,12 @@ LAMBDA_CAP = 100_000.0
 REFINEMENT_RULES = ("paper", "evidence")
 
 
+def is_amount(value: object) -> bool:
+    """Whether ``value`` is an amount, such as a rate, a cost or seconds: an
+    int or a float, not a bool, at least 0 and finite in a float's range."""
+    return type(value) in (int, float) and 0.0 <= value <= sys.float_info.max
+
+
 @dataclass(frozen=True, slots=True)
 class ParamDistribution:
     """Dirac base point plus exploration delta for one parameter.
@@ -48,7 +54,7 @@ class ParamDistribution:
     The base's lattice names the delta's family, and ``delta`` holds that
     family's parameters: ``(lam,)``, a Poisson rate, for an integer base;
     and one Bernoulli q per bit, entry i for bit i, for a boolean or
-    bit-vector base. Each is an int or a float, not a bool, stored as a float.
+    bit-vector base. Each is an amount (``is_amount``), a q at most 1, stored as a float.
     """
 
     base: LatticeValue
@@ -58,15 +64,13 @@ class ParamDistribution:
         base, delta = self.base, self.delta
         poisson = isinstance(base, IntVal)
         width = 1 if poisson else base.width
-        if type(delta) is not tuple or len(delta) != width or {*map(type, delta)} - {int, float}:
+        amounts = type(delta) is tuple and len(delta) == width and all(map(is_amount, delta))
+        if not (amounts and (poisson or max(delta) <= 1.0)):
+            rule = "finite and nonnegative" if poisson else "which must lie in [0, 1]"
             raise ValueError(
-                f"{type(base).__name__} needs a delta tuple of {width} numbers, got {delta!r}"
+                f"{type(base).__name__} needs a delta tuple of {width} numbers, {rule}, "
+                f"got {delta!r}"
             )
-        if poisson:
-            if not (0.0 <= delta[0] <= sys.float_info.max):  # finite; an int in a float's range
-                raise ValueError(f"Poisson rate must be finite and nonnegative, got {delta[0]!r}")
-        elif not all(0.0 <= q <= 1.0 for q in delta):
-            raise ValueError(f"Bernoulli parameters must lie in [0, 1], got {delta!r}")
         object.__setattr__(self, "delta", tuple(map(float, delta)))
 
 

@@ -52,6 +52,7 @@ from .distributions import (
     ParamDistribution,
     ResultMatrix,
     compile_sampler,
+    is_amount,
     refine_bases,
     refine_delta,
     scaling_factor,
@@ -76,12 +77,11 @@ class TunerSettings:
     min_slice: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
-        # A count is an int itself: neither a float with an integral value nor
-        # a bool. A number is an int or a float; a bool or a string is neither.
+        # A count is an int itself: neither a float with an integral value nor a bool.
         checks = (
             (
                 "time_budget",
-                type(self.time_budget) in (int, float) and 0 < self.time_budget < math.inf,
+                is_amount(self.time_budget) and self.time_budget > 0,
                 "a positive finite number",
             ),
             ("num_sample", type(self.num_sample) is int and self.num_sample >= 1, "an int >= 1"),
@@ -295,7 +295,7 @@ def run_batch(
                     return Crashed(exit_info=f"analyzer reported alarm ids as {', '.join(kinds)}")
                 all_strings[id(alarms)] = alarms
         wall = outcome.wall_time
-        if not (type(wall) in (int, float) and 0.0 <= wall < math.inf):  # a bool is no time
+        if not is_amount(wall):
             return Crashed(exit_info=f"analyzer reported wall time {wall!r}")
         if wall > timeout:
             return TimedOut(wall_time=timeout)

@@ -9,11 +9,10 @@ catalog data, overridable from a file, never hardcoded elsewhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Iterator, Mapping
 
-from .distributions import LAMBDA_CAP, ParamDistribution
+from .distributions import LAMBDA_CAP, ParamDistribution, is_amount
 from .errors import ConfigParseError, RenderError
 from .keytree import parse_keytree
 from .lattice import (
@@ -265,10 +264,10 @@ def parse_configuration(text: str, catalog: Catalog) -> Configuration:
         raise ConfigParseError(str(exc))
 
 
-def nonnegative(raw: str | float) -> float:
-    """A finite number, at least 0, such as a number of seconds."""
+def nonnegative(raw: str) -> float:
+    """The amount (``is_amount``) that a text, such as a number of seconds, spells."""
     value = float(raw)
-    if not (0.0 <= value < math.inf):
+    if not is_amount(value):
         raise ValueError(f"expected a finite number at least 0, got {raw!r}")
     return value
 

@@ -18,12 +18,12 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
-from .distributions import ParamDistribution, scaling_factor
+from .distributions import ParamDistribution, is_amount, scaling_factor
 from .errors import ConfigParseError
 from .keytree import split_lines
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value, same_kind
 from .orchestrator import IterationRecord, TuneResult, alarm_sets, alarm_universe
-from .paramspace import Configuration, check_param_name, nonnegative
+from .paramspace import Configuration, check_param_name
 
 SCHEMA_VERSION = 1
 
@@ -45,13 +45,10 @@ def distribution_to_json(dist: ParamDistribution) -> dict[str, Any]:
 
 
 def _number(value: Any, field: str) -> float:
-    """A JSON number as a float; a string, a bool or an integer past a float's range is not one."""
-    if type(value) not in (int, float):
-        raise ConfigParseError(f"{field} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigParseError(f"{field} must fit in a float") from None
+    """A JSON number that is an amount (``is_amount``), as a float."""
+    if not is_amount(value):
+        raise ConfigParseError(f"{field} must be a finite number >= 0, got {reprlib.repr(value)}")
+    return float(value)
 
 
 def distribution_from_json(obj: dict[str, Any]) -> ParamDistribution:
@@ -114,9 +111,9 @@ def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
         alarms = frozenset(_strings(obj["alarms"], "alarms"))
         if len(alarms) != len(obj["alarms"]) or sorted(obj["alarms"]) != obj["alarms"]:
             raise ConfigParseError("alarms must be sorted, each listed once")
-        return Completed(alarms=alarms, wall_time=nonnegative(_number(obj["wall_time"], "wall_time")))
+        return Completed(alarms=alarms, wall_time=_number(obj["wall_time"], "wall_time"))
     if status == "timed_out":
-        return TimedOut(wall_time=nonnegative(_number(obj["wall_time"], "wall_time")))
+        return TimedOut(wall_time=_number(obj["wall_time"], "wall_time"))
     if status == "crashed":
         if type(obj["exit_info"]) is not str:
             raise ConfigParseError("exit_info must be a string")
@@ -201,7 +198,7 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
         outcomes=outcomes,
         distributions_before=before,
         distributions_after=after,
-        elapsed=nonnegative(_number(obj["elapsed"], "elapsed")),
+        elapsed=_number(obj["elapsed"], "elapsed"),
     )
 
 

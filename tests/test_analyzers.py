@@ -224,6 +224,12 @@ _BAD_PROFILES = {
     "nan-base": ({"base_cost": float("nan")}, ()),
     "infinite-base": ({"base_cost": float("inf")}, ()),
     "negative-weight": ({"weights": {"slevel": -1.0}}, ()),
+    "true-base": ({"base_cost": True}, ()),
+    "false-base": ({"base_cost": False}, ()),
+    "string-base": ({"base_cost": "1"}, ()),
+    "none-base": ({"base_cost": None}, ()),
+    "string-weight": ({"weights": {"slevel": "1"}}, ()),
+    "huge-weight": ({"weights": {"slevel": 10**400}}, ()),
     "unknown-weight": ({"weights": {"slevl": 1.0}}, ()),
     "unknown-twist-param": ({}, (Twist("a", "slevl", IntVal(3)),)),
     "twist-of-wrong-kind": ({}, (Twist("a", "slevel", BoolVal(True)),)),
@@ -255,7 +261,9 @@ class TestCostModel:
     @pytest.mark.parametrize("cost,twists", _BAD_PROFILES.values(), ids=list(_BAD_PROFILES))
     def test_bad_profile_rejected_at_construction(self, catalog, cost, twists):
         # accepted, each ran to a negative total time, died mid-run on a
-        # nan timeout, or crashed every analysis
+        # nan timeout, or crashed every analysis (a bool cost as a wall time
+        # of True or False, 10**400 in OverflowError); a string or None
+        # raised TypeError
         with pytest.raises(ValueError):
             SyntheticProfile(catalog, (), CostModel(**cost), twists)
 

@@ -701,8 +701,9 @@ class TestDominancy:
         assert status == 2
         assert "do not separate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e400"])
     def test_bad_timeout_exit_2(self, tmp_path, capsys, timeout):
+        # inf and 1e400 (inf as a float) ran with no deadline
         low, high = write_baselines(tmp_path)
         status = run_cli(
             "dominancy",

@@ -207,11 +207,14 @@ class TestSettingsValidation:
         [
             ("time_budget", "5"),
             ("time_budget", True),
+            pytest.param("time_budget", 10**400, id="time_budget-1e400"),
+            pytest.param("time_budget", 2**1024, id="time_budget-2^1024"),
         ],
     )
     def test_numbers_must_be_ints_or_floats(self, field, value):
         # before: a string raised a bare TypeError out of the range check,
-        # and True passed it as 1
+        # True passed it as 1, and an int past a float's range passed it and
+        # ended tune in OverflowError
         with pytest.raises(InvalidSettingsError, match=f"{field} must be a") as info:
             TunerSettings(**{"time_budget": 60.0, field: value})
         assert info.value.field == field
