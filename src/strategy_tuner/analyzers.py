@@ -11,6 +11,7 @@ whole tuning runs finish in milliseconds.
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
@@ -32,8 +33,9 @@ class AnalysisTask:
     timeout: float
 
     def __post_init__(self) -> None:
-        if not (self.timeout > 0):
-            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
+        if not (is_amount(self.timeout) and self.timeout > 0):
+            got = reprlib.repr(self.timeout)
+            raise ValueError(f"timeout must be a positive finite number, got {got}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +83,8 @@ class CostModel:
     def __post_init__(self) -> None:
         for cost in (self.base_cost, *self.weights.values()):
             if not is_amount(cost):
-                raise ValueError(f"costs must be numbers, finite and at least 0, got {cost!r}")
+                got = reprlib.repr(cost)
+                raise ValueError(f"costs must be numbers, finite and at least 0, got {got}")
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,13 @@
 """The sample-analyze-refine loop.
 
-``tune`` runs the loop itself and keeps its state (the distributions,
-the remaining budget and the records) in locals. Each iteration
-draws ``num_sample`` configurations from the current distributions,
-dispatches the analyses through ``worker_pool``'s map, builds the result
-matrix from whatever completed (one row of produced alarms per completed
-analysis, one value column per parameter), refines every parameter's
-base in one ``refine_bases`` call (meet-and-join over alarm columns) and
-its delta (completion-rate scaling), and charges its time to the
-budget. Before each iteration the loop tries four stop rules, in this
-order, and the first that holds ends the run and names it in the result:
-``stalled``, with no cap, once an iteration's charge left the budget
-unchanged (every analysis of a virtual-clock analyzer crashed, or the
-charge is below half an ulp of the budget), since the budget could then
-never run out; ``patience``, after ``patience`` consecutive iterations
-in which no base moved, since the bases are what the loop learns (the
-cross-entropy method's stop, de Boer et al., Ann. OR 2005); ``budget``,
-once less than ``min_slice`` (1 s) is left; ``max_iterations``, at the
-cap. The records are the run's state: the result derives the
-recommendation and the best sample from them.
+``tune`` runs the loop. Each iteration draws ``num_sample`` configurations
+from the current distributions, analyzes them through ``worker_pool``'s
+map, builds the result matrix from whatever completed (one row of produced
+alarms per completed analysis, one value column per parameter), refines
+each parameter's base in one ``refine_bases`` call (meet-and-join over
+alarm columns) and its delta (completion-rate scaling), and charges its
+time to the budget. The records are the run's only state: ``stop_rule``
+reads them, and ``TuneResult`` derives all it reports from them.
 
 Budget policy: every analysis of an iteration gets the same deadline,
 ``remaining * iteration_fraction / waves`` where ``waves`` is the number
@@ -26,25 +15,23 @@ of sequential batches the pool needs for ``num_sample`` tasks. At full
 parallelism that is exactly ``remaining * iteration_fraction``, and at
 any parallelism the analyze phase fits in one geometric slice, so it can
 never overshoot the budget. A real-clock charge also covers sampling,
-refinement and the adapter's ``REAP_WAIT``, which no slice bounds. A
-run's ``wall_time_total`` is the seconds it charged, on either clock.
-
-Every batch runs through the ``map`` that ``worker_pool`` gives, and its
-``charge`` times each iteration. An analyzer with a true ``virtual_clock``
-attribute gets the builtin ``map``, on the calling thread, and is charged
-the makespan of its wall times on ``num_process`` workers instead of real
-time; such runs are bit-reproducible from the seed alone.
+refinement and the adapter's ``REAP_WAIT``, which no slice bounds. An
+analyzer with a true ``virtual_clock`` attribute is charged the makespan
+of its wall times instead (``worker_pool``), so its runs are
+bit-reproducible from the seed alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import reprlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, ClassVar, Iterator, Sequence
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Analyzer, Completed, Crashed, TimedOut
 from .distributions import (
@@ -78,19 +65,20 @@ class TunerSettings:
 
     def __post_init__(self) -> None:
         # A count is an int itself: neither a float with an integral value nor a bool.
+        def count(value: object, least: int) -> bool:
+            return type(value) is int and value >= least
         checks = (
             (
                 "time_budget",
                 is_amount(self.time_budget) and self.time_budget > 0,
                 "a positive finite number",
             ),
-            ("num_sample", type(self.num_sample) is int and self.num_sample >= 1, "an int >= 1"),
-            ("num_process", type(self.num_process) is int and self.num_process >= 1, "an int >= 1"),
+            ("num_sample", count(self.num_sample, 1), "an int >= 1"),
+            ("num_process", count(self.num_process, 1), "an int >= 1"),
             ("seed", type(self.seed) is int, "an int"),
             (
                 "max_iterations",
-                self.max_iterations is None
-                or (type(self.max_iterations) is int and self.max_iterations >= 0),
+                self.max_iterations is None or count(self.max_iterations, 0),
                 "an int >= 0",
             ),
             (
@@ -98,17 +86,12 @@ class TunerSettings:
                 type(self.refinement) is str and self.refinement in REFINEMENT_RULES,
                 " or ".join(map(repr, REFINEMENT_RULES)),
             ),
-            (
-                "patience",
-                self.patience is None or (type(self.patience) is int and self.patience >= 1),
-                "an int >= 1 or None",
-            ),
+            ("patience", self.patience is None or count(self.patience, 1), "an int >= 1 or None"),
         )
         for name, ok, requirement in checks:
             if not ok:
-                raise InvalidSettingsError(
-                    f"{name} must be {requirement}, got {getattr(self, name)!r}", field=name
-                )
+                got = reprlib.repr(getattr(self, name))
+                raise InvalidSettingsError(f"{name} must be {requirement}, got {got}", field=name)
 
 
 @dataclass(frozen=True)
@@ -129,11 +112,31 @@ class BestSample:
 
 @dataclass(frozen=True)
 class TuneResult:
-    final_distributions: dict[str, ParamDistribution]
+    settings: TunerSettings
+    initial_distributions: dict[str, ParamDistribution]
     iteration_trace: tuple[IterationRecord, ...]
-    wall_time_total: float
-    #: The rule that ended the run: "stalled", "patience", "budget" or "max_iterations".
-    stopped_by: str
+
+    @cached_property
+    def remaining(self) -> tuple[float, ...]:
+        """The budget left before each record, and after the last."""
+        elapsed = (record.elapsed for record in self.iteration_trace)
+        return tuple(itertools.accumulate(elapsed, operator.sub, initial=self.settings.time_budget))
+
+    @cached_property
+    def wall_time_total(self) -> float:
+        """The seconds the run charged, on either clock."""
+        return self.settings.time_budget - self.remaining[-1]
+
+    @cached_property
+    def stopped_by(self) -> str | None:
+        """The rule that ended the run, as ``stop_rule`` names it."""
+        return stop_rule(self.settings, self.iteration_trace, self.remaining)
+
+    @cached_property
+    def final_distributions(self) -> dict[str, ParamDistribution]:
+        """The last record's distributions after, or the initial ones with no record."""
+        trace = self.iteration_trace
+        return dict(trace[-1].distributions_after if trace else self.initial_distributions)
 
     @cached_property
     def recommended_config(self) -> Configuration:
@@ -192,9 +195,7 @@ def build_result_matrix(
     if len(outcomes) != len(sampled_configs):
         raise ValueError("outcomes and sampled_configs must align")
     ids, rows = alarm_sets(tuple(outcomes))
-    completed = [
-        (i, out.alarms) for i, out in enumerate(outcomes) if isinstance(out, Completed)
-    ]
+    completed = [(i, out.alarms) for i, out in enumerate(outcomes) if isinstance(out, Completed)]
     names = sampled_configs[0].names if sampled_configs else ()
     row_values = [sampled_configs[i].values for i, _ in completed]
     return ResultMatrix(
@@ -228,6 +229,31 @@ def _sample_configurations(
         )
         configs.append(Configuration(names, values))
     return configs
+
+
+def stop_rule(
+    settings: TunerSettings, records: Sequence[IterationRecord], remaining: Sequence[float]
+) -> str | None:
+    """The first stop rule to hold after ``records``, or None; ``remaining`` is the
+    budget left before each record and after the last. In order: ``stalled``,
+    with no cap, once the last charge left the budget unchanged (a virtual-clock
+    batch that all crashed, or a charge below half an ulp), as it could then never
+    run out; ``patience``, once the last ``patience`` records moved no base, as the
+    bases are what the loop learns (the cross-entropy method's stop, de Boer et
+    al., Ann. OR 2005); ``budget``, once less than ``min_slice`` is left;
+    ``max_iterations``, at the cap. It reads at most ``patience`` records."""
+    recent = records[-settings.patience :] if settings.patience else ()
+    quiet = len(recent) == settings.patience and all(
+        r.distributions_before[n].base == r.distributions_after[n].base
+        for r in recent for n in r.distributions_after
+    )
+    return (
+        "stalled" if settings.max_iterations is None and remaining[-2:-1] == remaining[-1:]
+        else "patience" if quiet
+        else "budget" if remaining[-1] < settings.min_slice
+        else "max_iterations" if len(records) == settings.max_iterations
+        else None
+    )
 
 
 @contextmanager
@@ -296,7 +322,7 @@ def run_batch(
                 all_strings[id(alarms)] = alarms
         wall = outcome.wall_time
         if not is_amount(wall):
-            return Crashed(exit_info=f"analyzer reported wall time {wall!r}")
+            return Crashed(exit_info=f"analyzer reported wall time {reprlib.repr(wall)}")
         if wall > timeout:
             return TimedOut(wall_time=timeout)
         return outcome if type(wall) is float else replace(outcome, wall_time=float(wall))
@@ -306,8 +332,6 @@ def run_batch(
 
 def _makespan(durations: list[float], workers: int) -> float:
     """Greedy earliest-free-worker schedule, matching pool dispatch order."""
-    if not durations:
-        return 0.0
     # A worker beyond the task count never takes a task.
     free = [0.0] * max(1, min(workers, len(durations)))
     for d in durations:
@@ -323,34 +347,23 @@ def tune(
     analyzer: Analyzer,
     on_record: Callable[[IterationRecord], None] | None = None,
 ) -> TuneResult:
-    """Drive iterations until a stop rule holds, trying the rules in the
-    module docstring's order.
+    """Drive iterations until ``stop_rule`` names a rule.
 
     ``on_record`` is invoked after each iteration (e.g. to append and
     flush a trace file), before the next one starts. All iterations share
     one worker pool, which is shut down before ``tune`` returns or raises.
     """
-    distributions = catalog.initial_distributions()
-    remaining = settings.time_budget
+    initial = distributions = catalog.initial_distributions()
     rng = RandomStream(settings.seed)
     waves = math.ceil(settings.num_sample / settings.num_process)
     records: list[IterationRecord] = []
-    quiet = 0  # consecutive iterations that moved no base
-    stalled = False  # the last charge left the budget unchanged
+    remaining = [settings.time_budget]  # before each record, and after the last
 
     with worker_pool(analyzer, settings.num_process) as (dispatch, charge):
-        for index in itertools.count():
-            stopped_by = (
-                "stalled" if stalled and settings.max_iterations is None
-                else "patience" if quiet == settings.patience
-                else "budget" if remaining < settings.min_slice
-                else "max_iterations" if index == settings.max_iterations
-                else None
-            )
-            if stopped_by is not None:
-                break
+        while stop_rule(settings, records, remaining) is None:
+            index = len(records)
             iteration_started = time.monotonic()
-            timeout = remaining * settings.iteration_fraction / waves
+            timeout = remaining[-1] * settings.iteration_fraction / waves
             # Sampling is serial and precedes dispatch, so completion order
             # cannot perturb the stream.
             configs = _sample_configurations(catalog, distributions, settings.num_sample, rng, index)
@@ -365,26 +378,13 @@ def tune(
                 for name, base in zip(catalog.names, bases)
             }
             elapsed = charge(outcomes, iteration_started)
-            record = IterationRecord(
-                index=index,
-                sampled_configs=tuple(configs),
-                outcomes=outcomes,
-                distributions_before=dict(distributions),
-                distributions_after=after,
-                elapsed=elapsed,
-            )
+            before = dict(distributions)
+            record = IterationRecord(index, tuple(configs), outcomes, before, after, elapsed)
             records.append(record)
+            remaining.append(remaining[-1] - elapsed)
             del matrix  # an iteration's largest object: free it before the next is built
-            quiet = quiet + 1 if bases == bases_before else 0
             distributions = after
-            stalled = remaining - elapsed == remaining  # a charge of 0 or below half an ulp
-            remaining -= elapsed
             if on_record is not None:
                 on_record(record)
 
-    return TuneResult(
-        final_distributions=dict(distributions),
-        iteration_trace=tuple(records),
-        wall_time_total=settings.time_budget - remaining,
-        stopped_by=stopped_by,
-    )
+    return TuneResult(settings, initial, tuple(records))

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stx
 
 from strategy_tuner import (
+    AnalysisTask,
     BoolVal,
     Completed,
     ConfigParseError,
@@ -77,7 +80,7 @@ def _accepts(build, error: type[Exception]) -> bool:
 @given(VALUES)
 @settings(max_examples=300)
 def test_every_site_accepts_exactly_the_amounts(value):
-    # before: True and 10**400 passed CostModel and crashed every analysis,
+    # before: inf and 10**400 passed AnalysisTask, True and 10**400 passed CostModel and crashed every analysis,
     # 10**400 passed TunerSettings and ended tune in OverflowError, "1"
     # raised TypeError from CostModel, and an int wall time past a float's
     # range was a timeout at the deadline
@@ -85,6 +88,8 @@ def test_every_site_accepts_exactly_the_amounts(value):
     assert is_amount(value) is amount
     budget = lambda: TunerSettings(time_budget=value)  # noqa: E731
     assert _accepts(budget, InvalidSettingsError) is (amount and value > 0)
+    task = lambda: AnalysisTask("prog", _CONFIG, value)  # noqa: E731
+    assert _accepts(task, ValueError) is (amount and value > 0)
     assert _accepts(lambda: CostModel(base_cost=value), ValueError) is amount
     assert _accepts(lambda: CostModel(weights={"slevel": value}), ValueError) is amount
     assert _accepts(lambda: ParamDistribution(IntVal(0), (value,)), ValueError) is amount
@@ -102,3 +107,26 @@ def test_every_site_accepts_exactly_the_amounts(value):
     record = json.loads(_RECORD)
     record["elapsed"] = value
     assert _accepts(lambda: record_from_json(record), ConfigParseError) is amount
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: TunerSettings(time_budget=10**400), InvalidSettingsError),
+        (lambda: CostModel(base_cost=10**400), ValueError),
+        (lambda: AnalysisTask("prog", _CONFIG, 10**400), ValueError),
+    ],
+    ids=["TunerSettings", "CostModel", "AnalysisTask"],
+)
+def test_a_huge_int_is_abbreviated_in_the_error(build, error):
+    # before: each text held all 401 digits, over 400 characters
+    with pytest.raises(error) as caught:
+        build()
+    assert reprlib.repr(10**400) in str(caught.value) and len(str(caught.value)) < 100
+
+
+def test_a_huge_wall_time_is_abbreviated_in_the_crash():
+    analyzer = Returning(lambda task: Completed(frozenset(), 10**400))
+    (outcome,) = run_batch(analyzer, "prog", [_CONFIG], 1.0, map)
+    assert outcome == Crashed(f"analyzer reported wall time {reprlib.repr(10**400)}")
+    assert len(outcome.exit_info) < 100

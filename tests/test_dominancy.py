@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 
 import pytest
@@ -142,6 +143,25 @@ class TestRunDominancy:
             run_dominancy(
                 "synthetic", low, high, catalog, RealClock(), 10.0, num_process=num_process
             )
+        assert calls == []
+
+    @pytest.mark.parametrize("timeout", [math.inf, 10**400, 0.0], ids=["inf", "10**400", "0.0"])
+    def test_a_deadline_that_is_no_positive_amount_is_rejected_before_any_analysis(
+        self, catalog, slevel_only_profile, timeout
+    ):
+        # before: an infinite deadline ran every analysis with none
+        calls = []
+        inner = SyntheticAnalyzer(slevel_only_profile)
+
+        class Counting:
+            def run(self, task):
+                calls.append(task)
+                return inner.run(task)
+
+        low = catalog.bottom_configuration()
+        high = low.replace("slevel", IntVal(50))
+        with pytest.raises(ValueError, match="timeout must be a positive finite number"):
+            run_dominancy("synthetic", low, high, catalog, Counting(), timeout=timeout)
         assert calls == []
 
     def test_both_batches_share_one_pool(self, catalog, slevel_only_profile):

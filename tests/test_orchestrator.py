@@ -799,17 +799,23 @@ class TestPatience:
             }
             return next((rule for rule, holds in rules.items() if holds), None)
 
+        # stop_rule, which tune asks before each iteration, agrees with
+        # first_rule on every prefix of the records
+        records = result.iteration_trace
         remaining, quiet, stalled = budget, 0, False
-        for record in result.iteration_trace:
+        lefts = [budget]
+        for record in records:
             assert first_rule(record.index, remaining, quiet, stalled) is None
+            assert orchestrator.stop_rule(settings, records[: record.index], lefts) is None
             quiet = 0 if _moved(record) else quiet + 1
             stalled = remaining - record.elapsed == remaining
             remaining -= record.elapsed
-        index = len(result.iteration_trace)
+            lefts.append(remaining)
+        index = len(records)
         assert first_rule(index, remaining, quiet, stalled) == result.stopped_by
+        assert orchestrator.stop_rule(settings, records, lefts) == result.stopped_by
         # whatever rule ended it, the result is what its records give
         assert result.wall_time_total == budget - remaining
-        records = result.iteration_trace
         last = records[-1].distributions_after if records else catalog.initial_distributions()
         assert result.final_distributions == last
 

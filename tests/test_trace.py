@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import reprlib
 from pathlib import Path
 
 import pytest
@@ -24,13 +25,14 @@ from strategy_tuner import (
     ParamDistribution,
     SyntheticAnalyzer,
     TimedOut,
+    TuneResult,
     TunerSettings,
     build_result_matrix,
     parse_profile,
     scaling_factor,
     tune,
 )
-from strategy_tuner import orchestrator
+from strategy_tuner import cli, orchestrator
 from strategy_tuner.paramspace import Catalog, Configuration, ParamSpec
 from strategy_tuner.trace import (
     SCHEMA_VERSION,
@@ -43,6 +45,7 @@ from strategy_tuner.trace import (
     write_record,
 )
 from test_golden import SCENARIOS, golden_path, run_scenario
+from test_orchestrator import Returning, _crash
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 MIXED_TRACE = GOLDEN_DIR / "mixed.ndjson"
@@ -238,6 +241,41 @@ class TestRunState:
             assert result.wall_time_total == budget - remaining
 
 
+    @pytest.mark.parametrize(
+        "name, overrides, stop",
+        [
+            *((name, {}, "max_iterations") for name in sorted(SCENARIOS)),
+            *(
+                (name, {"patience": TunerSettings.patience}, "patience")
+                for name in sorted(SCENARIOS)
+            ),
+            ("crashing", {"time_budget": 10.0, "max_iterations": 0}, "max_iterations"),
+            ("crashing", {"time_budget": 0.5}, "budget"),
+            ("crashing", {"time_budget": 10.0}, "stalled"),
+        ],
+    )
+    def test_a_result_rebuilds_from_its_trace(self, catalog_module, name, overrides, stop):
+        # a result holds nothing that its settings, its catalog's initial
+        # distributions and its trace do not: result.json and summary.txt
+        # follow from them byte for byte
+        if name == "crashing":
+            settings = TunerSettings(**overrides)
+            stream = io.StringIO()
+            live = tune(
+                "prog", catalog_module, settings, Returning(_crash),
+                on_record=lambda record: write_record(stream, record),
+            )
+            text = stream.getvalue()
+        else:
+            settings = TunerSettings(**{**SCENARIOS[name][1], **overrides})
+            live, text = run_scenario(name, **overrides)
+        initial = catalog_module.initial_distributions()
+        rebuilt = TuneResult(settings, initial, tuple(read_trace(text)))
+        assert live.stopped_by == stop
+        assert json.dumps(result_to_json(rebuilt)) == json.dumps(result_to_json(live))
+        assert cli._summary(rebuilt) == cli._summary(live)
+
+
 #: Alarm ids that JSON must escape: a quote, a backslash, a tab, a
 #: non-ASCII letter, an astral code point, and the empty id.
 ESCAPED_IDS = ('say "hi"', "back\\slash", "tab\there", "naïve", "astral \U0001F600", "", "plain")
@@ -288,7 +326,7 @@ class TestWriter:
         # an analyzer may report whole seconds: the tuner stores them as
         # floats, so the trace reads back to its bytes; an int past a float's
         # range is no time a float holds, so, like inf, it is a crash (it
-        # was a timeout at the deadline)
+        # was a timeout at the deadline), written abbreviated
         analyzer = CyclingAnalyzer([
             lambda t: Completed(frozenset({"a"}), 1),
             lambda t: Completed(frozenset(), 3),
@@ -303,7 +341,7 @@ class TestWriter:
         )
         outcomes = [o for record in result.iteration_trace for o in record.outcomes]
         assert {type(o.wall_time) for o in outcomes if not isinstance(o, Crashed)} == {float}
-        assert Crashed(f"analyzer reported wall time {10**400!r}") in outcomes
+        assert Crashed(f"analyzer reported wall time {reprlib.repr(10**400)}") in outcomes
         rewritten = io.StringIO()
         for record in read_trace(buffer.getvalue()):
             write_record(rewritten, record)
