@@ -11,7 +11,6 @@ whole tuning runs finish in milliseconds.
 
 from __future__ import annotations
 
-import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
@@ -19,10 +18,9 @@ from itertools import accumulate, compress
 from operator import or_
 from typing import Callable, Mapping, Protocol, Union
 
-from .distributions import is_amount
-from .errors import ConfigParseError, ProfileError
+from .errors import ConfigParseError, ProfileError, shown
 from .keytree import parse_keytree
-from .lattice import INFINITY, IntVal, LatticeValue, leq, parse_value, same_kind
+from .lattice import INFINITY, IntVal, LatticeValue, is_amount, leq, parse_value, same_kind
 from .paramspace import Catalog, Configuration, config_join, nonnegative
 
 
@@ -34,7 +32,7 @@ class AnalysisTask:
 
     def __post_init__(self) -> None:
         if not (is_amount(self.timeout) and self.timeout > 0):
-            got = reprlib.repr(self.timeout)
+            got = shown(self.timeout)
             raise ValueError(f"timeout must be a positive finite number, got {got}")
 
 
@@ -83,7 +81,7 @@ class CostModel:
     def __post_init__(self) -> None:
         for cost in (self.base_cost, *self.weights.values()):
             if not is_amount(cost):
-                got = reprlib.repr(cost)
+                got = shown(cost)
                 raise ValueError(f"costs must be numbers, finite and at least 0, got {got}")
 
 

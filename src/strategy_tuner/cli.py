@@ -34,7 +34,6 @@ from .analyzers import (
     simulated_cost,
     synthetic_alarms,
 )
-from .distributions import is_amount
 from .errors import (
     AnalyzerUnavailableError,
     ConfigParseError,
@@ -43,6 +42,7 @@ from .errors import (
     TunerError,
 )
 from .keytree import Entry, parse_keytree
+from .lattice import is_amount
 from .orchestrator import TunerSettings, tune
 from .paramspace import (
     Catalog,

@@ -22,15 +22,15 @@ Refinement has two halves:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress
 from operator import and_, ge, not_, or_
 from typing import Callable, Sequence
 
-from .errors import InvalidSettingsError, LatticeMismatchError
-from .lattice import INT_CEILING, IntVal, LatticeValue, from_key, same_kind, top
+from .errors import InvalidSettingsError, LatticeMismatchError, shown
+from .lattice import INT_CEILING, IntVal, LatticeValue, from_key, is_amount, is_count
+from .lattice import same_kind, top
 
 #: Cap applied to Poisson rates during refinement so repeated eta > 1
 #: scaling cannot diverge.
@@ -39,12 +39,6 @@ LAMBDA_CAP = 100_000.0
 #: The rules by which ``refine_bases`` admits a column's meet: the paper's,
 #: and the contrast rule (``tuner.refinement``).
 REFINEMENT_RULES = ("paper", "evidence")
-
-
-def is_amount(value: object) -> bool:
-    """Whether ``value`` is an amount, such as a rate, a cost or seconds: an
-    int or a float, not a bool, at least 0 and finite in a float's range."""
-    return type(value) in (int, float) and 0.0 <= value <= sys.float_info.max
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +63,7 @@ class ParamDistribution:
             rule = "finite and nonnegative" if poisson else "which must lie in [0, 1]"
             raise ValueError(
                 f"{type(base).__name__} needs a delta tuple of {width} numbers, {rule}, "
-                f"got {delta!r}"
+                f"got {shown(delta)}"
             )
         object.__setattr__(self, "delta", tuple(map(float, delta)))
 
@@ -276,8 +270,8 @@ def refine_delta(dist: ParamDistribution, eta: float) -> tuple[float, ...]:
 
 def scaling_factor(completed: int, num_sample: int) -> float:
     """eta = 2 * completion_rate + 1 / num_sample."""
-    if num_sample < 1:
-        raise InvalidSettingsError(f"num_sample must be positive, got {num_sample}")
+    if not is_count(num_sample, 1):
+        raise InvalidSettingsError(f"num_sample must be positive, got {shown(num_sample)}")
     if not (0 <= completed <= num_sample):
         raise ValueError(f"completed must lie in [0, {num_sample}], got {completed}")
     return 2.0 * (completed / num_sample) + 1.0 / num_sample

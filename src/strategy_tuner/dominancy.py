@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .analyzers import AnalysisOutcome, Analyzer, Completed
-from .errors import BaselinesDoNotSeparateError, TunerError
+from .errors import BaselinesDoNotSeparateError, TunerError, shown
+from .lattice import is_count
 from .orchestrator import run_batch, worker_pool
 from .paramspace import Catalog, Configuration
 
@@ -102,8 +103,8 @@ def run_dominancy(
     batches run through the map of one ``worker_pool`` of ``num_process``
     workers, an int >= 1 as ``TunerSettings`` requires, and no budget is charged.
     """
-    if type(num_process) is not int or num_process < 1:
-        raise ValueError(f"num_process must be an int >= 1, got {num_process!r}")
+    if not is_count(num_process, 1):
+        raise ValueError(f"num_process must be an int >= 1, got {shown(num_process)}")
     with worker_pool(analyzer, num_process) as (dispatch, _):
         baselines = run_batch(analyzer, program_ref, [low_config, high_config], timeout, dispatch)
         alarms_low, alarms_high = map(_alarm_count, baselines)

@@ -2,6 +2,22 @@
 
 from __future__ import annotations
 
+import reprlib
+
+
+class _Shown(reprlib.Repr):
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            repr(x)
+        except ValueError:  # more digits than int's text allows
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+
+#: ``reprlib.repr``, abbreviating a value from outside for an error's text,
+#: but showing an int too long for ``repr`` by its bit length.
+shown = _Shown().repr
+
 
 class TunerError(Exception):
     """Base class for every error raised by this package."""

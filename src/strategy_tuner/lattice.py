@@ -2,8 +2,9 @@
 
 Three variants, each a complete lattice:
 
-* ``IntVal`` - naturals extended with a distinguished ``INFINITY`` top,
-  ordered by ``<=``; join is max, meet is min.
+* ``IntVal`` - the naturals up to a float's range (``is_count``),
+  extended with a distinguished ``INFINITY`` top, ordered by ``<=``;
+  join is max, meet is min.
 * ``BoolVal`` - booleans ordered by implication; join is or, meet is and.
 * ``BitsVal`` - fixed-width boolean vectors ordered pointwise (the subset
   order on a set of labels); join/meet are pointwise or/and.
@@ -30,11 +31,12 @@ raises :class:`LatticeMismatchError`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import ClassVar, Union
 
-from .errors import LatticeMismatchError
+from .errors import LatticeMismatchError, shown
 
 #: Saturation ceiling for finite integer arithmetic. Additions on finite
 #: values clamp here instead of ever producing INFINITY.
@@ -44,16 +46,27 @@ INT_CEILING = 2**31 - 1
 INFINITY = math.inf
 
 
+def is_amount(value: object) -> bool:
+    """Whether ``value`` is an amount, such as a rate, a cost or seconds: an
+    int or a float, not a bool, at least 0 and finite in a float's range."""
+    return type(value) in (int, float) and 0.0 <= value <= sys.float_info.max
+
+
+def is_count(value: object, least: int = 0) -> bool:
+    """Whether ``value`` is a count of at least ``least``: an int, not a bool, that is an amount."""
+    return type(value) is int and least <= value <= sys.float_info.max
+
+
 @dataclass(frozen=True, slots=True)
 class IntVal:
-    """A natural number or INFINITY."""
+    """A count (``is_count``) or INFINITY."""
 
     value: "int | float"
 
     def __post_init__(self) -> None:
         v = self.value
-        if not (type(v) is int and v >= 0 or v == INFINITY):
-            raise ValueError(f"integer lattice value must be a natural number, got {v!r}")
+        if not (is_count(v) or v == INFINITY):
+            raise ValueError(f"integer lattice value must be a natural number, got {shown(v)}")
 
     @property
     def is_infinite(self) -> bool:

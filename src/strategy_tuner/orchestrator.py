@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import reprlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -39,12 +38,12 @@ from .distributions import (
     ParamDistribution,
     ResultMatrix,
     compile_sampler,
-    is_amount,
     refine_bases,
     refine_delta,
     scaling_factor,
 )
-from .errors import InvalidSettingsError
+from .errors import InvalidSettingsError, shown
+from .lattice import is_amount, is_count
 from .paramspace import Catalog, Configuration
 from .rng import RandomStream
 
@@ -64,21 +63,18 @@ class TunerSettings:
     min_slice: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
-        # A count is an int itself: neither a float with an integral value nor a bool.
-        def count(value: object, least: int) -> bool:
-            return type(value) is int and value >= least
         checks = (
             (
                 "time_budget",
                 is_amount(self.time_budget) and self.time_budget > 0,
                 "a positive finite number",
             ),
-            ("num_sample", count(self.num_sample, 1), "an int >= 1"),
-            ("num_process", count(self.num_process, 1), "an int >= 1"),
+            ("num_sample", is_count(self.num_sample, 1), "an int >= 1"),
+            ("num_process", is_count(self.num_process, 1), "an int >= 1"),
             ("seed", type(self.seed) is int, "an int"),
             (
                 "max_iterations",
-                self.max_iterations is None or count(self.max_iterations, 0),
+                self.max_iterations is None or is_count(self.max_iterations),
                 "an int >= 0",
             ),
             (
@@ -86,11 +82,11 @@ class TunerSettings:
                 type(self.refinement) is str and self.refinement in REFINEMENT_RULES,
                 " or ".join(map(repr, REFINEMENT_RULES)),
             ),
-            ("patience", self.patience is None or count(self.patience, 1), "an int >= 1 or None"),
+            ("patience", self.patience is None or is_count(self.patience, 1), "an int >= 1 or None"),
         )
         for name, ok, requirement in checks:
             if not ok:
-                got = reprlib.repr(getattr(self, name))
+                got = shown(getattr(self, name))
                 raise InvalidSettingsError(f"{name} must be {requirement}, got {got}", field=name)
 
 
@@ -322,7 +318,7 @@ def run_batch(
                 all_strings[id(alarms)] = alarms
         wall = outcome.wall_time
         if not is_amount(wall):
-            return Crashed(exit_info=f"analyzer reported wall time {reprlib.repr(wall)}")
+            return Crashed(exit_info=f"analyzer reported wall time {shown(wall)}")
         if wall > timeout:
             return TimedOut(wall_time=timeout)
         return outcome if type(wall) is float else replace(outcome, wall_time=float(wall))
@@ -370,7 +366,7 @@ def tune(
             # one tuple for the matrix and the record: the writer hits the layout's caches
             outcomes = tuple(run_batch(analyzer, program_ref, configs, timeout, dispatch))
             matrix = build_result_matrix(outcomes, configs)
-            eta = scaling_factor(len(matrix.produced), settings.num_sample)
+            eta = scaling_factor(len(matrix.produced), len(outcomes))
             bases_before = tuple(distributions[n].base for n in catalog.names)
             bases = refine_bases(matrix, bases_before, settings.refinement)
             after = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Iterator, Mapping
 
-from .distributions import LAMBDA_CAP, ParamDistribution, is_amount
+from .distributions import LAMBDA_CAP, ParamDistribution
 from .errors import ConfigParseError, RenderError
 from .keytree import parse_keytree
 from .lattice import (
@@ -22,6 +22,7 @@ from .lattice import (
     LatticeValue,
     bottom,
     format_value,
+    is_amount,
     join,
     leq,
     parse_value,

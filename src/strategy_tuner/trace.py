@@ -12,16 +12,16 @@ reader requires each to equal it, JSON type included.
 from __future__ import annotations
 
 import json
-import reprlib
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Any, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
-from .distributions import ParamDistribution, is_amount, scaling_factor
-from .errors import ConfigParseError
+from .distributions import ParamDistribution, scaling_factor
+from .errors import ConfigParseError, shown
 from .keytree import split_lines
-from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, parse_value, same_kind
+from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, is_amount, parse_value
+from .lattice import same_kind
 from .orchestrator import IterationRecord, TuneResult, alarm_sets, alarm_universe
 from .paramspace import Configuration, check_param_name
 
@@ -47,7 +47,7 @@ def distribution_to_json(dist: ParamDistribution) -> dict[str, Any]:
 def _number(value: Any, field: str) -> float:
     """A JSON number that is an amount (``is_amount``), as a float."""
     if not is_amount(value):
-        raise ConfigParseError(f"{field} must be a finite number >= 0, got {reprlib.repr(value)}")
+        raise ConfigParseError(f"{field} must be a finite number >= 0, got {shown(value)}")
     return float(value)
 
 
@@ -66,7 +66,7 @@ def distribution_from_json(obj: dict[str, Any]) -> ParamDistribution:
         params = tuple(_number(q, "qs") for q in delta["qs"])
         like = BitsVal(0, len(params))
     else:
-        raise ConfigParseError(f"unknown delta kind {kind!r}")
+        raise ConfigParseError(f"unknown delta kind {shown(kind)}")
     return ParamDistribution(parse_value(like, obj["base"]), params)
 
 
@@ -118,7 +118,7 @@ def outcome_from_json(obj: dict[str, Any]) -> AnalysisOutcome:
         if type(obj["exit_info"]) is not str:
             raise ConfigParseError("exit_info must be a string")
         return Crashed(exit_info=obj["exit_info"])
-    raise ConfigParseError(f"unknown outcome status {status!r}")
+    raise ConfigParseError(f"unknown outcome status {shown(status)}")
 
 
 def _derived(outcomes: tuple[AnalysisOutcome, ...]) -> dict[str, Any]:
@@ -162,7 +162,7 @@ def record_to_json(record: IterationRecord) -> dict[str, Any]:
 def record_from_json(obj: dict[str, Any]) -> IterationRecord:
     schema = obj.get("schema")
     if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 are not 1
-        raise ConfigParseError(f"unsupported trace schema {schema!r}")
+        raise ConfigParseError(f"unsupported trace schema {shown(schema)}")
     before = {
         name: distribution_from_json(d) for name, d in obj["distributions_before"].items()
     }
@@ -187,11 +187,11 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
     if len(outcomes) != len(configs):
         raise ConfigParseError(f"{len(outcomes)} outcomes for {len(configs)} sampled configs")
     if type(obj["index"]) is not int:
-        raise ConfigParseError(f"index must be an integer, got {obj['index']!r}")
+        raise ConfigParseError(f"index must be an integer, got {shown(obj['index'])}")
     # A record agrees exactly with what its outcomes give, JSON type too: 1 is not 1.0.
     for field, derived in _derived(outcomes).items():
         if type(obj[field]) is not type(derived) or obj[field] != derived:
-            raise ConfigParseError(f"{field} is {reprlib.repr(obj[field])}, not {reprlib.repr(derived)}")
+            raise ConfigParseError(f"{field} is {shown(obj[field])}, not {shown(derived)}")
     return IterationRecord(
         index=obj["index"],
         sampled_configs=configs,
@@ -244,7 +244,7 @@ def read_trace(text: str) -> list[IterationRecord]:
         try:
             record = record_from_json(json.loads(line))
             if record.index != len(records):
-                raise ConfigParseError(f"index {record.index}, not {len(records)}")
+                raise ConfigParseError(f"index {shown(record.index)}, not {len(records)}")
             names = list(record.distributions_before)
             if records and names != list(records[0].distributions_before):
                 raise ConfigParseError(f"parameters {names}, not the first record's")

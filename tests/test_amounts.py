@@ -1,4 +1,4 @@
-"""Every site that takes an amount accepts exactly what one rule accepts."""
+"""Every site that takes an amount or a count accepts exactly what one rule accepts."""
 
 from __future__ import annotations
 
@@ -22,9 +22,13 @@ from strategy_tuner import (
     IntVal,
     InvalidSettingsError,
     ParamDistribution,
+    TunerError,
     TunerSettings,
+    default_catalog,
+    run_dominancy,
+    scaling_factor,
 )
-from strategy_tuner.distributions import is_amount
+from strategy_tuner.lattice import INFINITY, is_amount, is_count
 from strategy_tuner.orchestrator import run_batch
 from strategy_tuner.trace import outcome_from_json, record_from_json
 
@@ -68,6 +72,12 @@ def _rule(value) -> bool:
     return type(value) is int and 0 <= value <= int(sys.float_info.max)
 
 
+def _count_rule(value, least: int) -> bool:
+    """The count rule, stated apart from the package: an int, not a bool,
+    at least ``least`` and in a float's range."""
+    return type(value) is int and least <= value <= int(sys.float_info.max)
+
+
 def _accepts(build, error: type[Exception]) -> bool:
     """Whether ``build()`` returns; it may raise only ``error``."""
     try:
@@ -109,24 +119,85 @@ def test_every_site_accepts_exactly_the_amounts(value):
     assert _accepts(lambda: record_from_json(record), ConfigParseError) is amount
 
 
+def _dominancy(num_process, calls: list):
+    """``run_dominancy`` with ``num_process`` through a virtual-clock fake
+    that records each task in ``calls`` and crashes, so the baselines fail."""
+    low = default_catalog().bottom_configuration()
+    analyzer = Returning(lambda task: calls.append(task) or Crashed("fake"))
+    return run_dominancy("prog", low, low, default_catalog(), analyzer, 1.0, num_process)
+
+
+@given(VALUES)
+@settings(max_examples=300)
+def test_every_site_accepts_exactly_the_counts(value):
+    # before: 10**400 passed every site, TunerSettings's num_process ending
+    # tune in ZeroDivisionError and IntVal's crashing every analysis, and
+    # scaling_factor took a bool or a float for num_sample. No tune runs
+    # here with an accepted count: 10**300 samples would never finish.
+    count = {least: _count_rule(value, least) for least in (0, 1)}
+    for least in (0, 1):
+        assert is_count(value, least) is count[least]
+    fields = {"num_sample": 1, "num_process": 1, "max_iterations": 0, "patience": 1}
+    for field, least in fields.items():
+        build = lambda: TunerSettings(time_budget=1.0, **{field: value})  # noqa: E731
+        optional = field in ("max_iterations", "patience") and value is None
+        assert _accepts(build, InvalidSettingsError) is (optional or count[least])
+    assert _accepts(lambda: IntVal(value), ValueError) is (count[0] or value == INFINITY)
+    assert _accepts(lambda: scaling_factor(0, value), InvalidSettingsError) is count[1]
+    # an accepted num_process reaches the baselines, which crash
+    calls: list = []
+    with pytest.raises(TunerError if count[1] else ValueError):
+        _dominancy(value, calls)
+    assert len(calls) == (2 if count[1] else 0)
+
+
+#: Huge ints and their text in an error: reprlib's abbreviation, or, past
+#: the digits an int's text allows, the bit length.
+HUGE = ((10**400, reprlib.repr(10**400)), (10**5000, "<int of 16610 bits>"))
+
+
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: TunerSettings(time_budget=10**400), InvalidSettingsError),
-        (lambda: CostModel(base_cost=10**400), ValueError),
-        (lambda: AnalysisTask("prog", _CONFIG, 10**400), ValueError),
+        (lambda huge: TunerSettings(time_budget=huge), InvalidSettingsError),
+        (lambda huge: CostModel(base_cost=huge), ValueError),
+        (lambda huge: AnalysisTask("prog", _CONFIG, huge), ValueError),
     ],
     ids=["TunerSettings", "CostModel", "AnalysisTask"],
 )
 def test_a_huge_int_is_abbreviated_in_the_error(build, error):
-    # before: each text held all 401 digits, over 400 characters
-    with pytest.raises(error) as caught:
-        build()
-    assert reprlib.repr(10**400) in str(caught.value) and len(str(caught.value)) < 100
+    # before: each text held all 401 digits, over 400 characters, and 5001
+    # digits raised a bare ValueError from reprlib instead of the site's error
+    for huge, text in HUGE:
+        with pytest.raises(error) as caught:
+            build(huge)
+        assert text in str(caught.value) and len(str(caught.value)) < 100
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda huge: TunerSettings(time_budget=1.0, num_sample=huge), InvalidSettingsError),
+        (lambda huge: IntVal(huge), ValueError),
+        (lambda huge: ParamDistribution(IntVal(0), (huge,)), ValueError),
+        (lambda huge: scaling_factor(0, huge), InvalidSettingsError),
+        (lambda huge: _dominancy(huge, []), ValueError),
+    ],
+    ids=["TunerSettings", "IntVal", "ParamDistribution", "scaling_factor", "run_dominancy"],
+)
+def test_a_huge_count_is_abbreviated_in_the_error(build, error):
+    # before: ParamDistribution's text ran to 473 characters, and the other
+    # sites took 10**400 as a count
+    for huge, text in HUGE:
+        with pytest.raises(error) as caught:
+            build(huge)
+        assert text in str(caught.value) and len(str(caught.value)) < 120
 
 
 def test_a_huge_wall_time_is_abbreviated_in_the_crash():
-    analyzer = Returning(lambda task: Completed(frozenset(), 10**400))
-    (outcome,) = run_batch(analyzer, "prog", [_CONFIG], 1.0, map)
-    assert outcome == Crashed(f"analyzer reported wall time {reprlib.repr(10**400)}")
-    assert len(outcome.exit_info) < 100
+    # before: 5001 digits ended the whole batch in reprlib's ValueError
+    for huge, text in HUGE:
+        analyzer = Returning(lambda task: Completed(frozenset(), huge))
+        (outcome,) = run_batch(analyzer, "prog", [_CONFIG], 1.0, map)
+        assert outcome == Crashed(f"analyzer reported wall time {text}")
+        assert len(outcome.exit_info) < 100

@@ -524,6 +524,63 @@ class TestRejectedValues:
         assert err.startswith("error: line 3: ") and "patience" in err
         assert not (tmp_path / "out").exists()
 
+    # 401 digits: an int past a float's range
+    HUGE = "1" + "0" * 400
+
+    def _one_error_line(self, capsys, start: str) -> None:
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, field", [("--processes", "num_process"), ("--samples", "num_sample")]
+    )
+    def test_huge_count_flag(self, tmp_path, capsys, flag, field):
+        # before: --processes ended tune in ZeroDivisionError and --samples in
+        # OverflowError, each after making the output directory
+        out = tmp_path / "out"
+        assert run_cli("tune", "--profile", str(PROFILE), flag, self.HUGE, "--out", str(out)) == 2
+        self._one_error_line(capsys, f"error: {field} must be an int >= 1, got ")
+        assert not out.exists()
+
+    def test_huge_count_settings_key(self, tmp_path, capsys):
+        text = f"profile = {PROFILE}\ntuner.max_iterations = 1\ntuner.num_process = {self.HUGE}\n"
+        assert self._tune_config(tmp_path, text) == 2
+        self._one_error_line(capsys, "error: line 3: num_process must be an int >= 1, got ")
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_catalog_base(self, tmp_path, capsys):
+        # before: it loaded, and every analysis crashed in OverflowError
+        overrides = tmp_path / "catalog.txt"
+        overrides.write_text(f"slevel.base = {self.HUGE}\n", encoding="utf-8")
+        text = f"profile = {PROFILE}\ncatalog = {overrides}\ntuner.max_iterations = 1\n"
+        assert self._tune_config(tmp_path, text) == 2
+        self._one_error_line(capsys, "error: line 1: integer lattice value must be")
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_profile_requirement(self, tmp_path, capsys):
+        # before: it loaded, and every analysis crashed in OverflowError
+        profile = tmp_path / "huge.profile"
+        profile.write_text(
+            f"alarm.a.requires.slevel = 3\nalarm.b.requires.slevel = {self.HUGE}\n",
+            encoding="utf-8",
+        )
+        text = f"profile = {profile}\ntuner.max_iterations = 1\n"
+        assert self._tune_config(tmp_path, text) == 2
+        self._one_error_line(capsys, "error: line 2: integer lattice value must be")
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_base_in_a_trace(self, tmp_path, capsys):
+        # the record a run with a huge catalog base wrote: before, plot ended
+        # in an OverflowError traceback
+        golden = Path(__file__).parent / "data" / "golden" / "convergence.ndjson"
+        record = json.loads(golden.read_text(encoding="utf-8").splitlines()[0])
+        for field in ("distributions_before", "distributions_after"):
+            record[field]["slevel"]["base"] = self.HUGE
+        bad = tmp_path / "huge.ndjson"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert run_cli("plot", str(bad), "--out", str(tmp_path / "plots")) == 2
+        self._one_error_line(capsys, "error: trace record 0 is malformed: integer lattice value")
+
     def test_every_setting_is_a_run_config_key(self):
         keys = {f"tuner.{field.name}" for field in dataclasses.fields(TunerSettings)}
         assert keys <= cli.RUN_CONFIG_KEYS
