@@ -20,8 +20,8 @@ from typing import Callable, Mapping, Protocol, Union
 
 from .errors import ConfigParseError, ProfileError, shown
 from .keytree import parse_keytree
-from .lattice import INFINITY, IntVal, LatticeValue, is_amount, leq, parse_value, same_kind
-from .paramspace import Catalog, Configuration, config_join, nonnegative
+from .lattice import INFINITY, IntVal, LatticeValue, is_amount, leq, parse_value, read_amount, same_kind
+from .paramspace import Catalog, Configuration, config_join
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,15 +176,15 @@ class SyntheticProfile:
         names = self.catalog.names
         for name in (*self.cost.weights, *(twist.param for twist in self.twists)):
             if name not in names:
-                raise ValueError(f"unknown parameter {name!r}")
+                raise ValueError(f"unknown parameter {shown(name)}")
         for twist in self.twists:
             if not same_kind(twist.threshold, self.catalog.spec(twist.param).initial.base):
-                raise ValueError(f"twist on {twist.param!r} has a threshold of the wrong kind")
+                raise ValueError(f"twist on {shown(twist.param)} has a threshold of the wrong kind")
         for alarm in self.alarms:
             if alarm.requirement is not None:
                 values = self.values_of(alarm.requirement)
                 if not all(map(same_kind, values, self.catalog.bottoms)):
-                    raise ValueError(f"alarm {alarm.alarm_id!r} requires a value of the wrong kind")
+                    raise ValueError(f"alarm {shown(alarm.alarm_id)} requires a value of the wrong kind")
         weighted = tuple((names.index(name), w) for name, w in self.cost.weights.items())
         object.__setattr__(self, "weighted", weighted)
         object.__setattr__(self, "eliminated", _compile_rule(self))
@@ -281,7 +281,7 @@ def synthetic_oracle_least_config(profile: SyntheticProfile) -> Configuration:
         for name, value in zip(alarm.requirement.names, alarm.requirement.values):
             if value.value == INFINITY:  # only an integer's key is ever INFINITY
                 raise ProfileError(
-                    f"requirement for {alarm.alarm_id!r} is unbounded in {name!r}"
+                    f"requirement for {shown(alarm.alarm_id)} is unbounded in {name!r}"
                 )
         acc = config_join(acc, alarm.requirement)
     return acc
@@ -318,22 +318,22 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
         parts = key.split(".")
         try:
             if parts == ["cost", "base"]:
-                base_cost = nonnegative(raw)
+                base_cost = read_amount(raw)
             elif len(parts) == 3 and parts[:2] == ["cost", "weight"]:
-                weights[_known_param(catalog, parts[2])] = nonnegative(raw)
+                weights[_known_param(catalog, parts[2])] = read_amount(raw)
             elif len(parts) == 4 and parts[0] == "alarm" and parts[2] == "requires":
                 value = literal(parts[3], raw)
                 values = requirements.setdefault(parts[1], list(catalog.bottoms))
                 values[catalog.names.index(parts[3])] = value
             elif len(parts) == 3 and parts[0] == "alarm" and parts[2] == "incompressible":
                 if raw not in ("true", "false"):
-                    raise ValueError(f"expected 'true' or 'false', got {raw!r}")
+                    raise ValueError(f"expected 'true' or 'false', got {shown(raw)}")
                 if raw == "true":
                     incompressible[parts[1]] = lineno
             elif len(parts) == 3 and parts[0] == "twist":
                 twists[Twist(parts[1], parts[2], literal(parts[2], raw))] = lineno
             else:
-                raise ValueError(f"unrecognized profile key {key!r}")
+                raise ValueError(f"unrecognized profile key {shown(key)}")
         except ValueError as exc:
             raise ConfigParseError(str(exc), line=lineno)
 
@@ -342,7 +342,7 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
         if alarm_id in incompressible:
             if alarm_id in requirements:
                 raise ConfigParseError(
-                    f"alarm {alarm_id!r} is both incompressible and has requirements",
+                    f"alarm {shown(alarm_id)} is both incompressible and has requirements",
                     line=incompressible[alarm_id],
                 )
             alarms.append(SyntheticAlarm(alarm_id, None))
@@ -353,7 +353,7 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
     known_alarms = {a.alarm_id for a in alarms}
     for twist, lineno in twists.items():
         if twist.alarm_id not in known_alarms:
-            raise ConfigParseError(f"twist references unknown alarm {twist.alarm_id!r}", lineno)
+            raise ConfigParseError(f"twist references unknown alarm {shown(twist.alarm_id)}", lineno)
 
     return SyntheticProfile(
         catalog=catalog,
@@ -365,5 +365,5 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
 
 def _known_param(catalog: Catalog, name: str) -> str:
     if name not in catalog.names:
-        raise ValueError(f"unknown parameter {name!r}")
+        raise ValueError(f"unknown parameter {shown(name)}")
     return name

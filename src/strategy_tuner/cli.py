@@ -40,9 +40,10 @@ from .errors import (
     InvalidSettingsError,
     LatticeMismatchError,
     TunerError,
+    shown,
 )
 from .keytree import Entry, parse_keytree
-from .lattice import is_amount
+from .lattice import read_amount, read_count
 from .orchestrator import TunerSettings, tune
 from .paramspace import (
     Catalog,
@@ -95,17 +96,18 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigParseError(f"cannot read {what} {path!r}: {exc}")
 
 
-def _read_key(entries: dict[str, Entry], key: str, cast):
-    """The file's value for ``key`` through ``cast``; a ValueError names its line."""
-    raw, line, _ = entries[key]
+def _read(cast, raw: str, what: str, line: int | None = None):
+    """``raw`` through ``cast``; a ValueError names ``what``, a key or a flag, and ``line``."""
     try:
         return cast(raw)
     except ValueError:
-        raise ConfigParseError(f"bad value for {key!r}: {raw!r}", line=line)
+        raise ConfigParseError(f"bad value for {what}: {shown(raw)}", line=line) from None
 
 
-def _int_or_none(raw: str) -> int | None:
-    return None if raw == "none" else int(raw)
+def _read_key(entries: dict[str, Entry], key: str, cast):
+    """The file's value for ``key`` through ``cast``; a ValueError names its line."""
+    raw, line, _ = entries[key]
+    return _read(cast, raw, repr(key), line)
 
 
 def _env_names(raw: str) -> tuple[str, ...]:
@@ -116,15 +118,15 @@ def _env_names(raw: str) -> tuple[str, ...]:
 
 
 # Each TunerSettings field a run config may set, the flag that overrides
-# it, and its type; a file's bad values are reported in this order.
+# it, and how its text reads; bad values are reported in this order.
 _SETTINGS = (
-    ("max_iterations", "max_iterations", int),
-    ("time_budget", "budget", float),
-    ("num_sample", "samples", int),
-    ("num_process", "processes", int),
-    ("seed", "seed", int),
+    ("max_iterations", "max_iterations", read_count),
+    ("time_budget", "budget", read_amount),
+    ("num_sample", "samples", read_count),
+    ("num_process", "processes", read_count),
+    ("seed", "seed", lambda raw: -read_count(raw[1:]) if raw[:1] == "-" else read_count(raw)),
     ("refinement", None, str),
-    ("patience", None, _int_or_none),
+    ("patience", None, lambda raw: None if raw == "none" else read_count(raw)),
 )
 
 # Every key a run config may set; any other key is rejected at load time.
@@ -141,9 +143,9 @@ def _load_settings(entries: dict[str, Entry], args) -> TunerSettings:
     from_file: set[str] = set()
     for name, flag, cast in _SETTINGS:
         key = f"tuner.{name}"
-        value = getattr(args, flag, None) if flag else None
-        if value is not None:
-            given[name] = value
+        text = getattr(args, flag, None) if flag else None
+        if text is not None:
+            given[name] = _read(cast, text, "--" + flag.replace("_", "-"))
         elif key in entries:  # a file's value may be None: `tuner.patience = none`
             given[name] = _read_key(entries, key, cast)
             from_file.add(key)
@@ -160,7 +162,7 @@ def load_run_config(args) -> RunConfig:
     entries = parse_keytree(_read_text(args.config, "config file") if args.config else "")
     for key, entry in entries.items():
         if key not in RUN_CONFIG_KEYS:
-            raise ConfigParseError(f"unknown key {key!r}", line=entry.line)
+            raise ConfigParseError(f"unknown key {shown(key)}", line=entry.line)
     values = {key: entry.value for key, entry in entries.items()}
 
     catalog = default_catalog()
@@ -217,8 +219,9 @@ def _open_run(args) -> RunConfig:
     if run.adapter is not None:
         import logging  # for the adapter's logger, the package's only one
         logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-        if shutil.which(run.adapter.words[0]) is None:
-            raise AnalyzerUnavailableError(f"adapter command not found: {run.adapter.command!r}")
+        command = run.adapter.words[0].format(program=run.program, args="")  # as it will run
+        if shutil.which(command) is None:
+            raise AnalyzerUnavailableError(f"adapter command not found: {shown(command)}")
     try:
         run.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -295,12 +298,13 @@ def _summary(result) -> str:
 def cmd_dominancy(args) -> int:
     from .dominancy import report_table, report_to_json, run_dominancy
 
-    if args.timeout is not None and not (is_amount(args.timeout) and args.timeout > 0):
-        raise ConfigParseError(f"--timeout must be a positive finite number, got {args.timeout!r}")
+    timeout = None if args.timeout is None else _read(read_amount, args.timeout, "--timeout")
+    if timeout == 0:
+        raise ConfigParseError("--timeout must be above 0")
     run = _open_run(args)
     low = parse_configuration(_read_text(args.low, "baseline"), run.catalog)
     high = parse_configuration(_read_text(args.high, "baseline"), run.catalog)
-    timeout = args.timeout if args.timeout is not None else run.settings.time_budget
+    timeout = timeout or run.settings.time_budget
     _claim(run.out_dir, "dominancy.txt", "dominancy.json")
     report = run_dominancy(
         run.program_ref(), low, high, run.catalog, run.analyzer(), timeout, run.settings.num_process
@@ -352,22 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="run config file (key = value lines)")
         p.add_argument("--program", help="target program for the subprocess backend")
         p.add_argument("--profile", help="synthetic profile file")
-        p.add_argument("--processes", type=int, default=None, help="parallel analyses")
+        p.add_argument("--processes", help="parallel analyses")
         p.add_argument("--out", default=None, help="output directory")
 
     p_tune = sub.add_parser("tune", help="run the sample-analyze-refine loop")
     add_run_flags(p_tune)
-    p_tune.add_argument("--seed", type=int, default=None)
-    p_tune.add_argument("--budget", type=float, default=None, help="time budget in seconds")
-    p_tune.add_argument("--samples", type=int, default=None, help="configurations per iteration")
-    p_tune.add_argument("--max-iterations", type=int, default=None, dest="max_iterations")
+    p_tune.add_argument("--seed")
+    p_tune.add_argument("--budget", help="time budget in seconds")
+    p_tune.add_argument("--samples", help="configurations per iteration")
+    p_tune.add_argument("--max-iterations", dest="max_iterations")
     p_tune.set_defaults(func=cmd_tune)
 
     p_dom = sub.add_parser("dominancy", help="score per-parameter influence")
     add_run_flags(p_dom)
     p_dom.add_argument("low", help="low-precision baseline configuration file")
     p_dom.add_argument("high", help="high-precision baseline configuration file")
-    p_dom.add_argument("--timeout", type=float, default=None, help="per-analysis timeout")
+    p_dom.add_argument("--timeout", help="per-analysis timeout")
     p_dom.set_defaults(func=cmd_dominancy)
 
     p_plot = sub.add_parser("plot", help="emit evolution charts from a trace")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ConfigParseError
+from .errors import ConfigParseError, shown
 
 
 class Entry(NamedTuple):
@@ -47,10 +47,10 @@ def parse_keytree(text: str) -> dict[str, Entry]:
         if not key:
             raise ConfigParseError("empty key before '='", line=line, column=1)
         if len(key.split()) != 1:
-            raise ConfigParseError(f"key {key!r} must not contain spaces", line=line, column=1)
+            raise ConfigParseError(f"key {shown(key)} must not contain spaces", line=line, column=1)
         if key in entries:
             raise ConfigParseError(
-                f"duplicate key {key!r} (first defined on line {entries[key].line})", line=line
+                f"duplicate key {shown(key)} (first defined on line {entries[key].line})", line=line
             )
         value = tail.lstrip()
         entries[key] = Entry(value.rstrip(), line, len(raw) - len(value) + 1)

@@ -31,6 +31,7 @@ raises :class:`LatticeMismatchError`.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
@@ -55,6 +56,24 @@ def is_amount(value: object) -> bool:
 def is_count(value: object, least: int = 0) -> bool:
     """Whether ``value`` is a count of at least ``least``: an int, not a bool, that is an amount."""
     return type(value) is int and least <= value <= sys.float_info.max
+
+
+#: ``float``'s syntax for a finite number, in ASCII and with no ``_``.
+_DECIMAL = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+
+
+def read_count(text: str) -> int:
+    """The count that ``text`` spells: ASCII digits ``0``-``9``, no more than a count's 309."""
+    if text.isascii() and text.isdigit() and len(text) <= 309 and is_count(int(text)):
+        return int(text)
+    raise ValueError(f"expected a count: ASCII digits 0-9 in a float's range, got {shown(text)}")
+
+
+def read_amount(text: str) -> float:
+    """The amount that ``text`` spells in ``float`` syntax, in ASCII and with no ``_``."""
+    if _DECIMAL.fullmatch(text) and is_amount(value := float(text)):
+        return value
+    raise ValueError(f"expected a finite number at least 0 in ASCII, got {shown(text)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +121,7 @@ class BitsVal:
     def from_string(text: str) -> "BitsVal":
         """The vector whose entry i is ``text[i]``."""
         if not text or any(c not in "01" for c in text):
-            raise ValueError(f"bit vector literal must be a nonempty string of 0/1, got {text!r}")
+            raise ValueError(f"bit vector literal must be a nonempty string of 0/1, got {shown(text)}")
         return BitsVal(int(text[::-1], 2), len(text))
 
 
@@ -189,15 +208,11 @@ def parse_value(like: LatticeValue, text: str) -> LatticeValue:
     """
     text = text.strip()
     if isinstance(like, IntVal):
-        if text == "inf":
-            return IntVal(INFINITY)
-        if not (text.isascii() and text.isdigit()):
-            raise ValueError(f"expected a natural number or 'inf', got {text!r}")
-        return IntVal(int(text))
+        return IntVal(INFINITY if text == "inf" else read_count(text))
     if isinstance(like, BoolVal):
         if text not in ("true", "false"):
-            raise ValueError(f"expected 'true' or 'false', got {text!r}")
+            raise ValueError(f"expected 'true' or 'false', got {shown(text)}")
         return _BOOLS[text == "true"]
     if len(text) != like.width or any(c not in "01" for c in text):
-        raise ValueError(f"expected {like.width} binary digits, got {text!r}")
+        raise ValueError(f"expected {like.width} binary digits, got {shown(text)}")
     return BitsVal.from_string(text)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Iterator, Mapping
 
 from .distributions import LAMBDA_CAP, ParamDistribution
-from .errors import ConfigParseError, RenderError
+from .errors import ConfigParseError, RenderError, shown
 from .keytree import parse_keytree
 from .lattice import (
     BitsVal,
@@ -22,10 +22,10 @@ from .lattice import (
     LatticeValue,
     bottom,
     format_value,
-    is_amount,
     join,
     leq,
     parse_value,
+    read_amount,
     same_kind,
 )
 
@@ -39,7 +39,7 @@ def check_param_name(name: str) -> None:
     """
     if name.split() != [name] or name.startswith("#") or any(c in name for c in "=/\0"):
         raise ValueError(
-            f"parameter name {name!r} must be nonempty, hold no whitespace, '=', '/' or NUL, "
+            f"parameter name {shown(name)} must be nonempty, hold no whitespace, '=', '/' or NUL, "
             "and not start with '#'"
         )
 
@@ -70,7 +70,7 @@ class ParamSpec:
         if len(self.labels) != need:
             raise ValueError(f"{self.name!r} needs {need} labels, got {len(self.labels)}")
         if isinstance(base, BitsVal) and "" in self.labels:
-            raise ValueError(f"{self.name!r} labels must be nonempty, got {self.labels!r}")
+            raise ValueError(f"{self.name!r} labels must be nonempty, got {shown(self.labels)}")
 
 
 def _index(names: tuple[str, ...], name: str) -> int:
@@ -248,7 +248,7 @@ def parse_configuration(text: str, catalog: Catalog) -> Configuration:
         try:
             spec = catalog.spec(key)
         except KeyError:
-            raise ConfigParseError(f"unknown parameter {key!r}", line=lineno, column=1)
+            raise ConfigParseError(f"unknown parameter {shown(key)}", line=lineno, column=1)
         if isinstance(spec.initial.base, IntVal) and raw == "inf":
             raise ConfigParseError(
                 "infinity not allowed in concrete configurations",
@@ -265,14 +265,6 @@ def parse_configuration(text: str, catalog: Catalog) -> Configuration:
         raise ConfigParseError(str(exc))
 
 
-def nonnegative(raw: str) -> float:
-    """The amount (``is_amount``) that a text, such as a number of seconds, spells."""
-    value = float(raw)
-    if not is_amount(value):
-        raise ValueError(f"expected a finite number at least 0, got {raw!r}")
-    return value
-
-
 def apply_catalog_overrides(catalog: Catalog, text: str) -> Catalog:
     """Apply a catalog override file to a base catalog.
 
@@ -287,7 +279,7 @@ def apply_catalog_overrides(catalog: Catalog, text: str) -> Catalog:
     for key, (raw, lineno, _) in parse_keytree(text).items():
         name, _, field = key.rpartition(".")
         if not name or name not in specs:
-            raise ConfigParseError(f"unknown parameter in override key {key!r}", line=lineno)
+            raise ConfigParseError(f"unknown parameter in override key {shown(key)}", line=lineno)
         try:
             specs[name] = _override_field(specs[name], field, raw)
         except ValueError as exc:
@@ -300,7 +292,7 @@ def _override_field(spec: ParamSpec, field: str, raw: str) -> ParamSpec:
         return dc_replace(spec, flag=raw)
     if field in ("false", "true"):
         if not isinstance(spec.initial.base, BoolVal):
-            raise ValueError(f"{spec.name!r} is not boolean, cannot set {field!r}")
+            raise ValueError(f"{spec.name!r} is not boolean, cannot set {shown(field)}")
         pair = (raw, spec.labels[1]) if field == "false" else (spec.labels[0], raw)
         return dc_replace(spec, labels=pair)
     if field == "labels":
@@ -316,17 +308,17 @@ def _override_field(spec: ParamSpec, field: str, raw: str) -> ParamSpec:
     if field == "lambda":
         if not isinstance(spec.initial.base, IntVal):
             raise ValueError(f"{spec.name!r} has no Poisson delta")
-        initial = ParamDistribution(spec.initial.base, (float(raw),))
+        initial = ParamDistribution(spec.initial.base, (read_amount(raw),))
         if initial.delta[0] > LAMBDA_CAP:
-            raise ValueError(f"{spec.name!r} lambda must be at most {LAMBDA_CAP:g}, got {raw}")
+            raise ValueError(f"{spec.name!r} lambda must be at most {LAMBDA_CAP:g}, got {shown(raw)}")
         return dc_replace(spec, initial=initial)
     if field == "q":
         # one comma-separated q per bit of a vector, one q for a boolean
         base, width = spec.initial.base, len(spec.initial.delta)
         if isinstance(base, IntVal):
             raise ValueError(f"{spec.name!r} has no Bernoulli delta")
-        qs = tuple(float(part) for part in raw.split(","))
+        qs = tuple(read_amount(part.strip()) for part in raw.split(","))
         if len(qs) != width:
             raise ValueError(f"{spec.name!r} needs {width} q values, got {len(qs)}")
         return dc_replace(spec, initial=ParamDistribution(base, qs))
-    raise ValueError(f"unknown override field {field!r}")
+    raise ValueError(f"unknown override field {shown(field)}")

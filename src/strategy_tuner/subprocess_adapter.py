@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Completed, Crashed, TimedOut
+from .errors import shown
 from .keytree import split_lines
 from .paramspace import Catalog, render_cli_args
 
@@ -83,12 +84,12 @@ def _split_command(command: str) -> tuple[str, ...]:
         for _, name, _, _ in string.Formatter().parse(word):
             if name is not None and name not in _PLACEHOLDERS:
                 raise ValueError(
-                    f"placeholder {{{name}}} in {word!r} is neither {{program}} nor {{args}}"
+                    f"placeholder {shown(name)} in {shown(word)} is neither {{program}} nor {{args}}"
                 )
         try:
             word.format(program="", args="")
         except (KeyError, IndexError, ValueError) as exc:  # a field in a format spec
-            raise ValueError(f"bad placeholder in {word!r}: {exc}") from None
+            raise ValueError(f"bad placeholder in {shown(word)}: {exc}") from None
     return words
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import reprlib
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,14 @@ from strategy_tuner import (
     TunerError,
     TunerSettings,
     default_catalog,
+    parse_profile,
     run_dominancy,
     scaling_factor,
+    serialize_configuration,
 )
+from strategy_tuner import cli, dominancy
+from strategy_tuner.distributions import LAMBDA_CAP
+from strategy_tuner.paramspace import apply_catalog_overrides
 from strategy_tuner.lattice import INFINITY, is_amount, is_count
 from strategy_tuner.orchestrator import run_batch
 from strategy_tuner.trace import outcome_from_json, record_from_json
@@ -201,3 +207,153 @@ def test_a_huge_wall_time_is_abbreviated_in_the_crash():
         (outcome,) = run_batch(analyzer, "prog", [_CONFIG], 1.0, map)
         assert outcome == Crashed(f"analyzer reported wall time {text}")
         assert len(outcome.exit_info) < 100
+
+
+# The text rule: each site that reads a number's text, from a file or a flag.
+
+SAMPLES = Path(__file__).parent.parent / "samples"
+PROFILE = SAMPLES / "synthetic_slevel.profile"
+_LARGEST = int(sys.float_info.max)  # the largest count, 309 digits
+
+TEXTS = [
+    "3", "03", "3.5", "1e3", "inf", "nan", "-1", "+3", "1_0", "0_5",
+    "４", "٣", "²", "1" + "0" * 309, "1" * 5001, str(_LARGEST), str(_LARGEST + 1),
+]
+
+
+def _count_text(text: str) -> int | None:
+    """The rule for a count's text, stated apart from the package: ASCII
+    digits 0-9, at most 309 of them, spelling a count."""
+    if text and set(text) <= set("0123456789") and len(text) <= 309 and int(text) <= _LARGEST:
+        return int(text)
+    return None
+
+
+def _amount_text(text: str) -> float | None:
+    """The rule for an amount's text, stated apart from the package: an
+    ASCII number in float syntax, with no '_', that is an amount."""
+    if not text or not set(text) <= set("0123456789+-.eE"):
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if 0 <= value < math.inf else None
+
+
+def _at_least(least, rule):
+    return lambda text: None if rule(text) is None or rule(text) < least else rule(text)
+
+
+def _at_most(most, rule):
+    return lambda text: None if rule(text) is None or rule(text) > most else rule(text)
+
+
+def _positive(rule):
+    return lambda text: rule(text) or None
+
+
+def _seed_text(text: str) -> int | None:
+    count = _count_text(text[1:] if text.startswith("-") else text)
+    return None if count is None else -count if text.startswith("-") else count
+
+
+class _Timeout(Exception):
+    """The --timeout that reached run_dominancy."""
+
+
+def _settings(tmp_path, line: str, *flags: str) -> TunerSettings:
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"profile = {PROFILE}\n{line}\n", encoding="utf-8")
+    args = cli.build_parser().parse_args(["tune", "--config", str(conf), *flags])
+    return cli.load_run_config(args).settings
+
+
+def _key(field: str):
+    return lambda text, tmp_path, _: getattr(_settings(tmp_path, f"tuner.{field} = {text}"), field)
+
+
+def _flag(flag: str, field: str):
+    return lambda text, tmp_path, _: getattr(_settings(tmp_path, "", f"{flag}={text}"), field)
+
+
+def _override(name: str, field: str):
+    def read(text, *_):
+        catalog = apply_catalog_overrides(default_catalog(), f"{name}.{field} = {text}")
+        initial = catalog.spec(name).initial
+        return initial.base.value if field == "base" else initial.delta[0]
+
+    return read
+
+
+def _profile(line: str, value):
+    return lambda text, *_: value(parse_profile(line + text, default_catalog()))
+
+
+def _dominancy_timeout(text, tmp_path, monkeypatch):
+    def reached(program, low, high, catalog, analyzer, timeout, num_process):
+        raise _Timeout(timeout)
+
+    monkeypatch.setattr(dominancy, "run_dominancy", reached)
+    low = tmp_path / "low.conf"
+    low.write_text(serialize_configuration(default_catalog().base_configuration()), "utf-8")
+    argv = ["--profile", str(PROFILE), "--out", str(tmp_path / "out"), f"--timeout={text}"]
+    args = cli.build_parser().parse_args(["dominancy", *argv, str(low), str(low)])
+    with pytest.raises(_Timeout) as reached_with:
+        cli.cmd_dominancy(args)  # a rejected text raises ConfigParseError
+    return reached_with.value.args[0]
+
+
+_FLAGS = {
+    "max_iterations": "--max-iterations",
+    "time_budget": "--budget",
+    "num_sample": "--samples",
+    "num_process": "--processes",
+    "seed": "--seed",
+}
+
+_SETTING_RULES = {
+    "max_iterations": _count_text,
+    "time_budget": _positive(_amount_text),
+    "num_sample": _at_least(1, _count_text),
+    "num_process": _at_least(1, _count_text),
+    "seed": _seed_text,
+    "patience": _at_least(1, _count_text),
+    "refinement": lambda text: None,  # no number names a rule
+}
+
+# Each site: how it reads a text, and what the rule says it reads.
+SITES = {
+    "catalog base": (_override("slevel", "base"), _count_text),
+    "catalog lambda": (_override("slevel", "lambda"), _at_most(LAMBDA_CAP, _amount_text)),
+    "catalog q": (_override("split-return", "q"), _at_most(1, _amount_text)),
+    "profile cost": (_profile("cost.base = ", lambda p: p.cost.base_cost), _amount_text),
+    "profile weight": (
+        _profile("cost.weight.slevel = ", lambda p: p.cost.weights["slevel"]),
+        _amount_text,
+    ),
+    "profile requirement": (
+        _profile("alarm.a.requires.slevel = ", lambda p: p.alarms[0].requirement["slevel"].value),
+        lambda text: INFINITY if text == "inf" else _count_text(text),
+    ),
+    **{f"tuner.{field}": (_key(field), rule) for field, rule in _SETTING_RULES.items()},
+    **{flag: (_flag(flag, field), _SETTING_RULES[field]) for field, flag in _FLAGS.items()},
+    "dominancy --timeout": (_dominancy_timeout, _positive(_amount_text)),
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_every_site_reads_exactly_the_numbers_the_text_rule_reads(tmp_path, monkeypatch, site):
+    # before: catalog lambda and q, profile costs and the tuner.* keys and
+    # flags read '0_5' as 5.0, '1_0' as 10 and full-width '４' as 4; counts
+    # took '+3'; and 5001 digits ended in int()'s digit-limit advice
+    read, rule = SITES[site]
+    for text in TEXTS:
+        want = rule(text)
+        try:
+            got = read(text, tmp_path, monkeypatch)
+        except (TunerError, ValueError) as exc:
+            assert want is None, f"{text[:20]!r} rejected: {exc}"
+            assert len(str(exc)) < 300
+        else:
+            assert (type(got), got) == (type(want), want), f"{text[:20]!r} read as {got!r}"

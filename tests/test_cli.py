@@ -304,6 +304,24 @@ class TestTune:
         assert err.startswith("error: adapter command not found") and "Traceback" not in err
         assert not Path(out).exists()
 
+    def test_program_as_the_command_runs(self, tmp_path):
+        # before: the lookup searched PATH for '{program}' itself and exited 3
+        program = tmp_path / "analyzer.sh"
+        program.write_text("#!/bin/sh\necho warn:a\n", encoding="utf-8")
+        program.chmod(0o755)
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            f"program = {program}\n"
+            "adapter.command = {program} {args}\n"
+            "adapter.pattern = warn:(.*)\n"
+            "tuner.max_iterations = 1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run_cli("tune", "--config", str(conf), "--out", str(out)) == 0
+        record = json.loads((out / "trace.ndjson").read_text(encoding="utf-8"))
+        assert record["alarm_universe"] == ["a"]
+
     def test_programming_bug_keeps_its_traceback(self, tmp_path, monkeypatch):
         # a LatticeMismatchError is a bug in the tool, not a bad input:
         # it is not reported as a configuration error
@@ -471,7 +489,7 @@ class TestRejectedValues:
             "tune", "--profile", str(PROFILE), "--budget", "inf", "--out", str(tmp_path)
         )
         assert status == 2
-        assert "time_budget" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: bad value for --budget: 'inf'\n"
 
     # tuner.min_slice is a constant now, so any value of it is an unknown key
     @pytest.mark.parametrize("key", ["tuner.time_budget", "tuner.min_slice"])
@@ -536,16 +554,17 @@ class TestRejectedValues:
     )
     def test_huge_count_flag(self, tmp_path, capsys, flag, field):
         # before: --processes ended tune in ZeroDivisionError and --samples in
-        # OverflowError, each after making the output directory
+        # OverflowError, each after making the output directory; a count's
+        # text has at most 309 digits, so the flag's text is rejected
         out = tmp_path / "out"
         assert run_cli("tune", "--profile", str(PROFILE), flag, self.HUGE, "--out", str(out)) == 2
-        self._one_error_line(capsys, f"error: {field} must be an int >= 1, got ")
+        self._one_error_line(capsys, f"error: bad value for {flag}: '1000")
         assert not out.exists()
 
     def test_huge_count_settings_key(self, tmp_path, capsys):
         text = f"profile = {PROFILE}\ntuner.max_iterations = 1\ntuner.num_process = {self.HUGE}\n"
         assert self._tune_config(tmp_path, text) == 2
-        self._one_error_line(capsys, "error: line 3: num_process must be an int >= 1, got ")
+        self._one_error_line(capsys, "error: line 3: bad value for 'tuner.num_process': '1000")
         assert not (tmp_path / "out").exists()
 
     def test_huge_catalog_base(self, tmp_path, capsys):
@@ -554,7 +573,7 @@ class TestRejectedValues:
         overrides.write_text(f"slevel.base = {self.HUGE}\n", encoding="utf-8")
         text = f"profile = {PROFILE}\ncatalog = {overrides}\ntuner.max_iterations = 1\n"
         assert self._tune_config(tmp_path, text) == 2
-        self._one_error_line(capsys, "error: line 1: integer lattice value must be")
+        self._one_error_line(capsys, "error: line 1: expected a count: ASCII digits")
         assert not (tmp_path / "out").exists()
 
     def test_huge_profile_requirement(self, tmp_path, capsys):
@@ -566,7 +585,7 @@ class TestRejectedValues:
         )
         text = f"profile = {profile}\ntuner.max_iterations = 1\n"
         assert self._tune_config(tmp_path, text) == 2
-        self._one_error_line(capsys, "error: line 2: integer lattice value must be")
+        self._one_error_line(capsys, "error: line 2: expected a count: ASCII digits")
         assert not (tmp_path / "out").exists()
 
     def test_huge_base_in_a_trace(self, tmp_path, capsys):
@@ -579,7 +598,59 @@ class TestRejectedValues:
         bad = tmp_path / "huge.ndjson"
         bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
         assert run_cli("plot", str(bad), "--out", str(tmp_path / "plots")) == 2
-        self._one_error_line(capsys, "error: trace record 0 is malformed: integer lattice value")
+        self._one_error_line(capsys, "error: trace record 0 is malformed: expected a count")
+
+    LONG = "x" * 5000
+    DIGITS = "1" + "0" * 5000  # 5001 digits
+
+    @pytest.mark.parametrize(
+        "config, catalog, profile",
+        [
+            (f"{LONG} = 1", "", ""),
+            (f"a {LONG} = 1", "", ""),
+            (f"tuner.seed = {DIGITS}", "", ""),
+            (f"tuner.num_sample = {LONG}", "", ""),
+            (f"tuner.refinement = {LONG}", "", ""),
+            (f"program = x\nadapter.command = {LONG}\nadapter.pattern = a", "", None),
+            (f"program = x\nadapter.command = {LONG}{{{LONG}}}\nadapter.pattern = a", "", None),
+            ("", f"domains.base = {DIGITS}", ""),
+            ("", f"domains.base = {LONG}", ""),
+            ("", f"slevel.lambda = {DIGITS}", ""),
+            ("", f"slevel.lambda = 2{'0' * 5000}e-4990", ""),
+            ("", f"split-return.q = {LONG}", ""),
+            ("", f"domains.labels = {LONG},,c,d,e", ""),
+            ("", f"{LONG}.flag = x", ""),
+            ("", f"slevel.{LONG} = x", ""),
+            ("", "", f"cost.base = {DIGITS}"),
+            ("", "", f"cost.weight.{LONG} = 1"),
+            ("", "", f"alarm.a.incompressible = {LONG}"),
+            ("", "", f"alarm.a.requires.slevel = {DIGITS}"),
+            ("", "", f"alarm.a.requires.split-return = {LONG}"),
+            ("", "", f"{LONG} = 1"),
+            ("", "", f"alarm.a.requires.slevel = 3\ntwist.{LONG}.slevel = 3"),
+            ("", "", f"alarm.{LONG}.incompressible = true\nalarm.{LONG}.requires.slevel = 3"),
+        ],
+        ids=[
+            "unknown-key", "key-with-space", "seed", "num_sample", "refinement",
+            "adapter-command", "adapter-placeholder", "base-digits", "bits", "lambda",
+            "lambda-above-cap", "q", "labels", "override-parameter", "override-field", "cost",
+            "weight-parameter", "incompressible", "requirement", "boolean", "profile-key",
+            "twist-alarm", "incompressible-and-required",
+        ],
+    )
+    def test_an_error_line_abbreviates_outside_text(self, tmp_path, capsys, config, catalog, profile):
+        # before: each quoted the key or value in full, over 5000 characters
+        if catalog:
+            (tmp_path / "x.catalog").write_text(catalog + "\n", encoding="utf-8")
+            config += f"\ncatalog = {tmp_path / 'x.catalog'}"
+        if profile:
+            (tmp_path / "x.profile").write_text(profile + "\n", encoding="utf-8")
+        if profile is not None:
+            config += f"\nprofile = {tmp_path / 'x.profile' if profile else PROFILE}"
+        assert self._tune_config(tmp_path, config + "\n") in (2, 3)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+        assert "set_int_max_str_digits" not in err
 
     def test_every_setting_is_a_run_config_key(self):
         keys = {f"tuner.{field.name}" for field in dataclasses.fields(TunerSettings)}

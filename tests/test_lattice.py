@@ -114,10 +114,12 @@ class TestRejectedValues:
         with pytest.raises(ValueError, match="must be a bool, got 1"):
             BoolVal(1)
 
-    @pytest.mark.parametrize("text", ["", "012"])
+    @pytest.mark.parametrize("text", ["", "012", pytest.param("2" * 5000, id="5000-characters")])
     def test_bit_literal_is_nonempty_zeros_and_ones(self, text):
-        with pytest.raises(ValueError, match="nonempty string of 0/1"):
+        # before: the message quoted a text of 5000 characters in full
+        with pytest.raises(ValueError, match="nonempty string of 0/1") as caught:
             BitsVal.from_string(text)
+        assert len(str(caught.value)) < 120
 
 
 class TestMismatch:
@@ -289,14 +291,20 @@ class TestTextualForm:
 
     @pytest.mark.parametrize(
         "text",
-        ["\u0663", "\uff10", "\u00b2", "1\u0663"],
-        ids=["arabic-indic-3", "fullwidth-0", "superscript-2", "mixed"],
+        ["\u0663", "\uff10", "\u00b2", "1\u0663", "1_0", "+3", "3.0", "1" * 310, "1" * 5001],
+        ids=[
+            "arabic-indic-3", "fullwidth-0", "superscript-2", "mixed",
+            "underscore", "plus", "decimal-point", "310-digits", "5001-digits",
+        ],
     )
     def test_naturals_are_ascii_digits(self, text):
-        # str.isdigit() is true for these: the first two read as 3 and 0, and
-        # "²" reached int(), whose message did not say what a natural is
-        with pytest.raises(ValueError, match="expected a natural number or 'inf'"):
+        # str.isdigit() is true for the first four: the first two read as 3
+        # and 0, and "²" reached int(), whose message did not say what a
+        # natural is; 5001 digits ended in int()'s digit limit, whose advice
+        # named sys.set_int_max_str_digits
+        with pytest.raises(ValueError, match="expected a count: ASCII digits") as caught:
             parse_value(IntVal(0), text)
+        assert len(str(caught.value)) < 120
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):

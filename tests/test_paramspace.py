@@ -394,7 +394,7 @@ class TestCatalogOverrides:
             ("split-return.q = 0.5,0.5", "needs 1 q values, got 2"),
             ("domains.q = 0.5,0.5", "needs 5 q values, got 2"),
             ("split-return.q = 1.5", "must lie in [0, 1]"),
-            ("domains.q = 0.5,0.5,0.5,0.5,-0.2", "must lie in [0, 1]"),
+            ("domains.q = 0.5,0.5,0.5,0.5,-0.2", "expected a finite number at least 0"),
             ("slevel.q = 0.5", "has no Bernoulli delta"),
             ("split-return.lambda = 5", "has no Poisson delta"),
         ],
