@@ -20,7 +20,8 @@ from typing import Callable, Mapping, Protocol, Union
 
 from .errors import ConfigParseError, ProfileError, shown
 from .keytree import parse_keytree
-from .lattice import INFINITY, IntVal, LatticeValue, is_amount, leq, parse_value, read_amount, same_kind
+from .lattice import INFINITY, BoolVal, IntVal, LatticeValue, is_amount, leq, parse_value
+from .lattice import read_amount, same_kind
 from .paramspace import Catalog, Configuration, config_join
 
 
@@ -326,9 +327,7 @@ def parse_profile(text: str, catalog: Catalog) -> SyntheticProfile:
                 values = requirements.setdefault(parts[1], list(catalog.bottoms))
                 values[catalog.names.index(parts[3])] = value
             elif len(parts) == 3 and parts[0] == "alarm" and parts[2] == "incompressible":
-                if raw not in ("true", "false"):
-                    raise ValueError(f"expected 'true' or 'false', got {shown(raw)}")
-                if raw == "true":
+                if parse_value(BoolVal(False), raw).value:
                     incompressible[parts[1]] = lineno
             elif len(parts) == 3 and parts[0] == "twist":
                 twists[Twist(parts[1], parts[2], literal(parts[2], raw))] = lineno

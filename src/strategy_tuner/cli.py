@@ -42,8 +42,8 @@ from .errors import (
     TunerError,
     shown,
 )
-from .keytree import Entry, parse_keytree
-from .lattice import read_amount, read_count
+from .keytree import Entry, parse_keytree, split_lines
+from .lattice import read_amount, read_count, read_int
 from .orchestrator import TunerSettings, tune
 from .paramspace import (
     Catalog,
@@ -89,11 +89,25 @@ class RunConfig:
         return self.program
 
 
-def _read_text(path: str, what: str) -> str:
+@contextmanager
+def _file(doing: str, path: Path | str) -> Iterator[None]:
+    """Report an OSError or non-UTF-8 text as one line, ``cannot <doing> '<path>': <reason>``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        yield
     except OSError as exc:
-        raise ConfigParseError(f"cannot read {what} {path!r}: {exc}")
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:  # the lines before the bad byte and one in its place
+        reason = f"line {len(split_lines(exc.object[:exc.start].decode() + '.'))} is not UTF-8 text"
+    else:
+        return
+    whole = repr(str(path))  # a path is quoted whole unless it is longer than any a person types
+    where = whole if len(whole) <= 160 else shown(str(path))
+    raise ConfigParseError(f"cannot {doing} {where}: {reason}") from None
+
+
+def _read_text(path: str, what: str) -> str:
+    with _file(f"read {what}", path):
+        return Path(path).read_bytes().decode("utf-8")
 
 
 def _read(cast, raw: str, what: str, line: int | None = None):
@@ -124,7 +138,7 @@ _SETTINGS = (
     ("time_budget", "budget", read_amount),
     ("num_sample", "samples", read_count),
     ("num_process", "processes", read_count),
-    ("seed", "seed", lambda raw: -read_count(raw[1:]) if raw[:1] == "-" else read_count(raw)),
+    ("seed", "seed", read_int),
     ("refinement", None, str),
     ("patience", None, lambda raw: None if raw == "none" else read_count(raw)),
 )
@@ -222,33 +236,20 @@ def _open_run(args) -> RunConfig:
         command = run.adapter.words[0].format(program=run.program, args="")  # as it will run
         if shutil.which(command) is None:
             raise AnalyzerUnavailableError(f"adapter command not found: {shown(command)}")
-    try:
+    with _file("write", run.out_dir):
         run.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigParseError(f"output directory {str(run.out_dir)!r} is not writable: {exc}")
     return run
 
 
-@contextmanager
-def _writing(path: Path) -> Iterator[None]:
-    """Report an OSError raised in the block as one error line naming ``path``."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigParseError(f"cannot write {path}: {exc}") from None
-
-
 def _claim(out_dir: Path, *names: str) -> None:
-    """Open each output file for writing, so that one that cannot be
-    written ends the command before its first analysis."""
-    for path in (out_dir / name for name in names):
-        with _writing(path):
-            path.open("w", encoding="utf-8").close()
+    """Empty each output file: one that cannot be written ends the command before any analysis."""
+    for name in names:
+        _write(out_dir / name, "")
 
 
 def _write(path: Path, text: str | None) -> None:
     """Write ``text`` to the output file ``path``; None removes the file."""
-    with _writing(path):
+    with _file("write", path):
         if text is None:
             path.unlink(missing_ok=True)
         else:
@@ -259,7 +260,7 @@ def cmd_tune(args) -> int:
     run = _open_run(args)
     trace_path = run.out_dir / "trace.ndjson"
     # An analyzer's errors become outcomes, so an OSError here is the trace's.
-    with _writing(trace_path), trace_path.open("w", encoding="utf-8") as stream:
+    with _file("write", trace_path), trace_path.open("w", encoding="utf-8") as stream:
         _claim(run.out_dir, "recommended.conf", "best_sampled.conf", "result.json", "summary.txt")
         result = tune(
             run.program_ref(),
@@ -318,15 +319,18 @@ def cmd_dominancy(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from .plots import write_plots
+    from .plots import charts
 
     records = read_trace(_read_text(args.trace, "trace"))
     if not records:
         raise ConfigParseError("trace is empty")
     out_dir = Path(args.out) if args.out else Path(args.trace).parent / "plots"
-    with _writing(out_dir):
-        written = write_plots(records, out_dir)
-    print(f"wrote {len(written)} chart file(s) to {out_dir}")
+    with _file("write", out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    texts = charts(records)
+    for name, text in texts.items():
+        _write(out_dir / name, text)
+    print(f"wrote {len(texts)} chart file(s) to {out_dir}")
     return EXIT_OK
 
 

@@ -69,6 +69,11 @@ def read_count(text: str) -> int:
     raise ValueError(f"expected a count: ASCII digits 0-9 in a float's range, got {shown(text)}")
 
 
+def read_int(text: str) -> int:
+    """The int that ``text`` spells: an optional ``-`` before a count's digits (``read_count``)."""
+    return -read_count(text[1:]) if text[:1] == "-" else read_count(text)
+
+
 def read_amount(text: str) -> float:
     """The amount that ``text`` spells in ``float`` syntax, in ASCII and with no ``_``."""
     if _DECIMAL.fullmatch(text) and is_amount(value := float(text)):

@@ -1,14 +1,13 @@
 """Static evolution charts from a recorded trace.
 
-Emits one plain-text file per parameter (base point and exploration
-parameter per iteration, with a sparkline) plus an alarm-count chart.
-Output is a pure function of the trace, so replotting is byte-identical.
+The text of one chart per parameter (base point and exploration parameter
+per iteration, with a sparkline) plus an alarm-count chart. Each is a pure
+function of the trace, so replotting is byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from .analyzers import Completed, precision_contribution
 from .lattice import BoolVal, IntVal, format_value
@@ -50,7 +49,7 @@ def _delta_summary(record: IterationRecord, name: str) -> tuple[str, float]:
     return "mean_q", sum(dist.delta) / len(dist.delta)
 
 
-def write_param_chart(records: list[IterationRecord], name: str, path: Path) -> None:
+def param_chart(records: list[IterationRecord], name: str) -> str:
     lines = [f"parameter: {name}", ""]
     delta_label, _ = _delta_summary(records[0], name)
     lines.append(f"{'iter':>4}  {'base':>12}  {delta_label:>12}")
@@ -64,10 +63,10 @@ def write_param_chart(records: list[IterationRecord], name: str, path: Path) -> 
     lines.append("")
     lines.append(f"base:  {sparkline(bases)}")
     lines.append(f"{delta_label}: {sparkline(deltas)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def write_alarm_chart(records: list[IterationRecord], path: Path) -> None:
+def alarm_chart(records: list[IterationRecord]) -> str:
     lines = ["alarms per iteration (best completed analysis)", ""]
     lines.append(f"{'iter':>4}  {'completed':>9}  {'best':>6}")
     series: list[float | None] = []
@@ -79,20 +78,13 @@ def write_alarm_chart(records: list[IterationRecord], path: Path) -> None:
         lines.append(f"{record.index:>4}  {len(counts):>9}  {shown:>6}")
     lines.append("")
     lines.append(f"best: {sparkline(series)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def write_plots(records: list[IterationRecord], out_dir: Path) -> list[Path]:
-    """One chart file per parameter plus the alarm chart."""
+def charts(records: list[IterationRecord]) -> dict[str, str]:
+    """Each chart file's name and text: one per parameter, then the alarm chart."""
     if not records:
         raise ValueError("cannot plot an empty trace")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for name in records[0].distributions_before:
-        path = out_dir / f"param-{name}.txt"
-        write_param_chart(records, name, path)
-        written.append(path)
-    alarm_path = out_dir / "alarms.txt"
-    write_alarm_chart(records, alarm_path)
-    written.append(alarm_path)
-    return written
+    texts = {f"param-{n}.txt": param_chart(records, n) for n in records[0].distributions_before}
+    texts["alarms.txt"] = alarm_chart(records)
+    return texts

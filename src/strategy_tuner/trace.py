@@ -21,7 +21,7 @@ from .distributions import ParamDistribution, scaling_factor
 from .errors import ConfigParseError, shown
 from .keytree import split_lines
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, is_amount, parse_value
-from .lattice import same_kind
+from .lattice import read_int, same_kind
 from .orchestrator import IterationRecord, TuneResult, alarm_sets, alarm_universe
 from .paramspace import Configuration, check_param_name
 
@@ -239,10 +239,9 @@ def read_trace(text: str) -> list[IterationRecord]:
     for line in split_lines(text):
         if not line.strip():
             continue
-        # A record or a field of the wrong JSON type fails where it is
-        # used, with an AttributeError or a TypeError.
+        # A record or field of the wrong JSON type fails where used: AttributeError or TypeError.
         try:
-            record = record_from_json(json.loads(line))
+            record = record_from_json(json.loads(line, parse_int=read_int))
             if record.index != len(records):
                 raise ConfigParseError(f"index {shown(record.index)}, not {len(records)}")
             names = list(record.distributions_before)
@@ -250,7 +249,7 @@ def read_trace(text: str) -> list[IterationRecord]:
                 raise ConfigParseError(f"parameters {names}, not the first record's")
             if records and record.distributions_before != records[-1].distributions_after:
                 raise ConfigParseError("distributions_before are not the previous record's after")
-        except (KeyError, ValueError, TypeError, AttributeError, ConfigParseError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError, RecursionError, ConfigParseError) as exc:
             raise ConfigParseError(f"trace record {len(records)} is malformed: {exc}")
         records.append(record)
     return records

@@ -31,6 +31,7 @@ from strategy_tuner import (
 )
 from strategy_tuner import cli
 from strategy_tuner.cli import main
+from strategy_tuner.errors import shown
 from strategy_tuner.keytree import parse_keytree
 from strategy_tuner.trace import read_trace
 
@@ -234,7 +235,7 @@ class TestTune:
             str(blocker),
         )
         assert status == 2
-        assert "not writable" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: cannot write {str(blocker)!r}: ")
 
     @pytest.mark.parametrize(
         "name",
@@ -248,7 +249,8 @@ class TestTune:
         flags = ("--profile", str(PROFILE), "--max-iterations", "2", "--out", str(out))
         assert run_cli("tune", *flags) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {out / name}: ") and "Traceback" not in err
+        assert err.startswith(f"error: cannot write {str(out / name)!r}: ")
+        assert "Traceback" not in err
         assert err.count("\n") == 1
         assert analyses == []
         if name == "trace.ndjson":  # the first file claimed, so no other file was made
@@ -859,7 +861,8 @@ class TestDominancy:
         flags = ("--profile", str(PROFILE), "--timeout", "10", "--out", str(out))
         assert run_cli("dominancy", *flags, str(low), str(high)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {out / name}: ") and "Traceback" not in err
+        assert err.startswith(f"error: cannot write {str(out / name)!r}: ")
+        assert "Traceback" not in err
         assert analyses == []
         (out / name).rmdir()
         assert run_cli("dominancy", *flags, str(low), str(high)) == 0 and analyses
@@ -939,7 +942,7 @@ class TestPlot:
         blocker = tmp_path / "occupied"
         blocker.write_text("", encoding="utf-8")
         assert run_cli("plot", str(tuned_dir / "trace.ndjson"), "--out", str(blocker)) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}: ")
+        assert capsys.readouterr().err.startswith(f"error: cannot write {str(blocker)!r}: ")
 
     def test_empty_trace_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "empty.ndjson"
@@ -1050,6 +1053,108 @@ class TestSimulate:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: --timeout {timeout}" in err
+        assert "Traceback" not in err
+
+
+class TestFiles:
+    """Every file a command reads or writes fails with one short error line."""
+
+    MIXED_TRACE = Path(__file__).parent / "data" / "golden" / "mixed.ndjson"
+
+    @staticmethod
+    def _reader(site: str, tmp_path: Path, path: Path) -> tuple[list[str], str]:
+        """The command reading ``path`` at ``site``, and what its error calls the file."""
+        out = str(tmp_path / "out")
+        low, high = map(str, write_baselines(tmp_path))
+        if site == "catalog":
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"profile = {PROFILE}\ncatalog = {path}\n", encoding="utf-8")
+            return ["tune", "--config", str(conf), "--out", out], "catalog override"
+        dominancy = ["dominancy", "--profile", str(PROFILE), "--out", out]
+        return {
+            "config": (["tune", "--config", str(path), "--out", out], "config file"),
+            "tune-profile": (["tune", "--profile", str(path), "--out", out], "profile"),
+            "simulate-profile": (["simulate", str(path)], "profile"),
+            "low-baseline": (dominancy + [str(path), high], "baseline"),
+            "high-baseline": (dominancy + [low, str(path)], "baseline"),
+            "configuration": (["simulate", str(PROFILE), "--configuration", str(path)],
+                              "configuration"),
+            "trace": (["plot", str(path), "--out", out], "trace"),
+        }[site]
+
+    READERS = ["config", "catalog", "tune-profile", "simulate-profile", "low-baseline",
+               "high-baseline", "configuration", "trace"]
+
+    @pytest.mark.parametrize("site", READERS)
+    def test_a_file_not_in_utf8_names_its_line(self, tmp_path, capsys, site):
+        # before: each ended in a UnicodeDecodeError traceback with exit 1
+        path = tmp_path / "input"
+        path.write_bytes(b"# a first line\r\nslevel = \xff\n")
+        argv, what = self._reader(site, tmp_path, path)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {what} {str(path)!r}: line 2 is not UTF-8 text\n"
+        )
+
+    @pytest.mark.parametrize("site", READERS)
+    def test_a_long_input_path_gives_a_short_line(self, tmp_path, capsys, site):
+        # before: the path was quoted in full twice, an error line of about 10,100 characters
+        path = tmp_path / ("x" * 5000)
+        argv, what = self._reader(site, tmp_path, path)
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {what} {shown(str(path))}: File name too long\n"
+        assert len(err) < 300
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["160", "161"])
+    def test_a_path_is_quoted_whole_up_to_160_characters(self, tmp_path, capsys, extra):
+        path = str(tmp_path / "missing")
+        path += "x" * (160 + extra - len(repr(path)))
+        assert run_cli("simulate", path) == 2
+        quoted = shown(path) if extra else repr(path)
+        assert len(repr(path)) == 160 + extra and len(quoted) <= 160
+        assert capsys.readouterr().err == (
+            f"error: cannot read profile {quoted}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("tune", "trace.ndjson"), ("dominancy", "dominancy.txt"), ("plot", "param-slevel.txt"),
+    ])
+    @pytest.mark.parametrize("name", ["x" * 5000, "new\nline"], ids=["long", "newline"])
+    def test_an_output_path_gives_one_short_line(self, tmp_path, capsys, command, blocked, name):
+        # before: a long --out was quoted in full twice, about 10,100
+        # characters, and a newline in it split the error line in two
+        out = tmp_path / name
+        argv = {
+            "tune": ["tune", "--profile", str(PROFILE), "--max-iterations", "1"],
+            "dominancy": ["dominancy", "--profile", str(PROFILE), "--timeout", "10",
+                          *map(str, write_baselines(tmp_path))],
+            "plot": ["plot", str(self.MIXED_TRACE)],
+        }[command]
+        quoted = shown(str(out))  # too long to quote whole, or to name a directory
+        if "\n" in name:  # a directory that can be made, holding a file that cannot be written
+            (out / blocked).mkdir(parents=True)
+            quoted = repr(str(out / blocked))
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {quoted}: ")
+        assert err.count("\n") == 1 and len(err) < 300 and "Traceback" not in err
+
+    def test_a_chart_that_cannot_be_written_is_named(self, tmp_path, capsys):
+        # before: the error named the chart directory, not the file
+        (tmp_path / "plots" / "alarms.txt").mkdir(parents=True)
+        assert run_cli("plot", str(self.MIXED_TRACE), "--out", str(tmp_path / "plots")) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {str(tmp_path / 'plots' / 'alarms.txt')!r}: Is a directory\n"
+        )
+
+    def test_a_trace_nested_too_deep_is_malformed(self, tmp_path, capsys):
+        # before: a RecursionError traceback with exit 1
+        path = tmp_path / "deep.ndjson"
+        path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        assert run_cli("plot", str(path), "--out", str(tmp_path / "plots")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace record 0 is malformed: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
 

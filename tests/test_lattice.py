@@ -24,7 +24,7 @@ from strategy_tuner import (
     parse_value,
     top,
 )
-from strategy_tuner.lattice import from_key, same_kind
+from strategy_tuner.lattice import from_key, read_int, same_kind
 
 ints = stx.integers(0, 1000).map(IntVal) | stx.just(IntVal(INFINITY))
 bools = stx.booleans().map(BoolVal)
@@ -304,6 +304,18 @@ class TestTextualForm:
         # named sys.set_int_max_str_digits
         with pytest.raises(ValueError, match="expected a count: ASCII digits") as caught:
             parse_value(IntVal(0), text)
+        assert len(str(caught.value)) < 120
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("-0", 0), ("7", 7), ("-12", -12)])
+    def test_an_int_is_a_count_with_an_optional_minus(self, text, value):
+        assert read_int(text) == value and type(read_int(text)) is int
+
+    @pytest.mark.parametrize(
+        "text", ["", "-", "--1", "+1", "- 1", "1_0", "\uff14", "1.0", "-" + "1" * 5001]
+    )
+    def test_an_int_is_read_by_the_count_rule(self, text):
+        with pytest.raises(ValueError, match="expected a count: ASCII digits") as caught:
+            read_int(text)
         assert len(str(caught.value)) < 120
 
     def test_rejects_wrong_width(self):

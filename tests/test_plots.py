@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from strategy_tuner import (
     TunerSettings,
     tune,
 )
-from strategy_tuner.plots import sparkline, write_plots
+from strategy_tuner.plots import alarm_chart, charts, param_chart, sparkline
 from strategy_tuner.trace import read_trace, record_to_json
 
 MIXED_TRACE = Path(__file__).resolve().parent / "data" / "golden" / "mixed.ndjson"
@@ -67,47 +68,51 @@ class TestSparkline:
 
 
 class TestWritePlots:
-    def test_one_file_per_parameter_plus_alarms(self, records, tmp_path):
-        written = write_plots(records, tmp_path)
-        assert len(written) == 14
-        assert (tmp_path / "alarms.txt").exists()
-        assert (tmp_path / "param-slevel.txt").exists()
+    def test_one_file_per_parameter_plus_alarms(self, records):
+        texts = charts(records)
+        names = [f"param-{name}.txt" for name in records[0].distributions_before]
+        assert len(names) == 13 and list(texts) == names + ["alarms.txt"]
+        assert all(isinstance(text, str) and text.endswith("\n") for text in texts.values())
 
-    def test_deterministic_bytes(self, records, tmp_path):
-        first = tmp_path / "a"
-        second = tmp_path / "b"
-        write_plots(records, first)
-        write_plots(records, second)
-        for path in first.iterdir():
-            assert path.read_bytes() == (second / path.name).read_bytes()
+    def test_deterministic_bytes(self, records):
+        assert charts(records) == charts(records)
+        # each chart of the golden mixed trace, byte for byte as the charts
+        # were first written, in order after its file name
+        texts = charts(read_trace(MIXED_TRACE.read_text(encoding="utf-8")))
+        digest = hashlib.sha256()
+        for name, text in texts.items():
+            digest.update(name.encode() + b"\0" + text.encode("utf-8"))
+        assert digest.hexdigest() == (
+            "331ba0de82a19c2c0e4bb08edca5b6a8af5d94c3d1d765e7438531f22d017b16"
+        )
 
-    def test_chart_contents(self, records, tmp_path):
-        write_plots(records, tmp_path)
-        chart = (tmp_path / "param-slevel.txt").read_text(encoding="utf-8")
+    def test_chart_contents(self, records):
+        chart = charts(records)["param-slevel.txt"]
+        assert chart == param_chart(records, "slevel")
         assert "parameter: slevel" in chart
         assert "lambda" in chart
         assert str(len(records) - 1) in chart
 
-    def test_empty_trace_rejected(self, tmp_path):
+    def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            write_plots([], tmp_path)
+            charts([])
 
-    def test_trace_with_an_infinite_base(self, records, tmp_path):
+    def test_trace_with_an_infinite_base(self, records):
         lines = [json.dumps(record_to_json(r)) for r in records]
         last = json.loads(lines[-1])
         last["distributions_after"]["slevel"]["base"] = "inf"
         lines[-1] = json.dumps(last)
-        write_plots(read_trace("\n".join(lines)), tmp_path)
-        chart = (tmp_path / "param-slevel.txt").read_text(encoding="utf-8").splitlines()
+        chart = charts(read_trace("\n".join(lines)))["param-slevel.txt"].splitlines()
         assert chart[-4].split()[:2] == [str(records[-1].index), "inf"]
         assert chart[-2].startswith("base:  ") and chart[-2].endswith("█")
 
-    def test_alarm_chart_draws_empty_iterations_as_gaps(self, tmp_path):
+    def test_alarm_chart_draws_empty_iterations_as_gaps(self):
         # the golden mixed trace has iterations in which every analysis
         # timed out; its lowest real count is 2 alarms, at iteration 1
         records = read_trace(MIXED_TRACE.read_text(encoding="utf-8"))
-        write_plots(records, tmp_path)
-        last = (tmp_path / "alarms.txt").read_text(encoding="utf-8").splitlines()[-1]
+        chart = charts(records)["alarms.txt"]
+        assert chart == alarm_chart(records)
+        last = chart.splitlines()[-1]
         assert last.startswith("best: ")
         spark = last[len("best: "):]
         assert len(spark) == len(records) == 12

@@ -512,6 +512,41 @@ class TestMalformedTraces:
         with pytest.raises(ConfigParseError, match=f"unsupported trace schema {schema!r}"):
             record_from_json(obj)
 
+    def test_json_nested_too_deep_is_malformed(self):
+        # before: json.loads's RecursionError went through read_trace
+        with pytest.raises(ConfigParseError, match="^trace record 0 is malformed: "):
+            read_trace("[" * 100_000 + "\n")
+
+    @pytest.mark.parametrize("field", ["schema", "index", "completed", "elapsed"])
+    def test_an_integer_is_read_as_a_count(self, field):
+        # before: 5,001 digits ended in int()'s digit limit, whose advice
+        # named sys.set_int_max_str_digits
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record[field] = "DIGITS"
+        lines[0] = json.dumps(record).replace('"DIGITS"', "1" + "0" * 5000)
+        with pytest.raises(ConfigParseError) as caught:
+            read_trace("\n".join(lines))
+        message = str(caught.value)
+        assert message.startswith("trace record 0 is malformed: expected a count: ASCII digits")
+        assert len(message) < 200 and "set_int_max_str_digits" not in message
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("schema", -1, "unsupported trace schema -1"),
+            ("index", -1, "index -1, not 0"),
+            ("elapsed", -3, "elapsed must be a finite number >= 0, got -3"),
+        ],
+    )
+    def test_a_negative_integer_keeps_its_field_message(self, field, value, reason):
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record[field] = value
+        lines[0] = json.dumps(record)
+        with pytest.raises(ConfigParseError, match=f"^trace record 0 is malformed: {reason}$"):
+            read_trace("\n".join(lines))
+
     def test_bad_json_names_record_index(self, short_run):
         buffer = io.StringIO()
         write_record(buffer, short_run.iteration_trace[0])
@@ -728,12 +763,13 @@ class TestMalformedTraces:
     def test_deltas_must_be_json_numbers(self, name, field, value):
         # read back before as 5.0, 1.0, 0.5, 1.0, five 0.5s, five 1.0s and
         # one 0.0 per character: a distribution the run never had; 10**400
-        # raised OverflowError
+        # raised OverflowError, and is now read as a count's text is
         lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[0])
         record["distributions_before"][name]["delta"][field] = value
         lines[0] = json.dumps(record)
-        with pytest.raises(ConfigParseError, match=f"trace record 0 is malformed: {field} must"):
+        reason = "expected a count" if value == 10**400 else f"{field} must"
+        with pytest.raises(ConfigParseError, match=f"trace record 0 is malformed: {reason}"):
             read_trace("\n".join(lines))
 
     def test_integral_delta_reads_back_as_a_float(self):
