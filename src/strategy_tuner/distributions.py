@@ -12,8 +12,9 @@ Refinement has two halves:
 
 * the base moves up the lattice by joining, per alarm, the meet of all
   sampled values whose analysis eliminated that alarm, when the
-  refinement rule admits it (``refine_bases``, every parameter in one
-  call against one shared result matrix);
+  refinement rule admits it: ``admitted_joins`` states the meet and the
+  rules once, and ``refine_bases`` folds its yields, every parameter in
+  one call against one shared result matrix;
 * the delta is scaled by the completion-rate factor eta, growing
   exploration when analyses finish and shrinking it when they time out
   (``refine_delta`` / ``scaling_factor``).
@@ -25,8 +26,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress
-from operator import and_, ge, not_, or_
-from typing import Callable, Sequence
+from operator import and_, ge, not_
+from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidSettingsError, LatticeMismatchError, shown
 from .lattice import INT_CEILING, IntVal, LatticeValue, from_key, is_amount, is_count
@@ -204,15 +205,15 @@ class ResultMatrix:
         )
 
 
-def refine_bases(
+def admitted_joins(
     matrix: ResultMatrix, bases: Sequence[LatticeValue], rule: str = "paper"
-) -> tuple[LatticeValue, ...]:
-    """Move every base point up to cover the alarms eliminated this round.
+) -> Iterator[tuple[int, int, int | float]]:
+    """Yield ``(p, c, key)`` for each meet the rule admits that ``bases[p]`` does not reach.
 
-    ``bases[p]`` is refined against value column ``p``. For each alarm
-    column, take the meet of the sampled values across all rows that did
-    NOT produce the alarm (the least precise setting that still
-    eliminated it), and join it into the base if the rule admits it.
+    ``bases[p]`` is refined against value column ``p``. For each distinct
+    alarm column ``c`` of ``matrix.columns``, take the meet of the sampled
+    values across all rows that did NOT produce the alarm (the least
+    precise setting that still eliminated it), whose order key is ``key``.
     Columns where no row eliminated the alarm contribute nothing.
 
     * ``"paper"``: every meet except one equal to top.
@@ -220,43 +221,43 @@ def refine_bases(
       reach, so that the column contrasts the values that eliminated the
       alarm with one that did not. A column that every row eliminated, or
       whose producers all lie at or above the meet, contributes nothing.
-
-    Columns with the same cells share their meet, so it is taken once per
-    distinct column. Each result dominates its base; with no completed
-    rows the bases are returned unchanged.
     """
     if rule not in REFINEMENT_RULES:
         raise ValueError(f"refinement rule must be one of {REFINEMENT_RULES}, got {rule!r}")
     if len(bases) != len(matrix.values):
         raise ValueError(f"{len(bases)} bases for {len(matrix.values)} value columns")
     evidence = rule == "evidence"
-    refined = []
     for p, (base, values) in enumerate(zip(bases, matrix.values)):
         if not all(same_kind(v, base) for v in values):
             raise LatticeMismatchError(
                 f"values of column {p} do not all match the kind of base {base!r}"
             )
         bits = not isinstance(base, IntVal)  # booleans take the mask order
-        keys = [v.value for v in values]
+        key_of = [v.value for v in values].__getitem__
         meet_keys = partial(reduce, and_) if bits else min
-        join_keys = or_ if bits else max
         at_least = (lambda k, m: k & m == m) if bits else ge
         top_key = top(base).value
-        acc = base.value
-        for eliminators, producers in matrix.columns:
+        for c, (eliminators, producers) in enumerate(matrix.columns):
             if not eliminators:
                 continue
-            lowest = meet_keys(map(keys.__getitem__, eliminators))
+            lowest = meet_keys(map(key_of, eliminators))
             if evidence:
                 # some producer is not >= the meet exactly when the producers' meet is not
-                if producers and not at_least(meet_keys(map(keys.__getitem__, producers)), lowest):
-                    acc = join_keys(acc, lowest)
-            elif lowest != top_key:
-                acc = join_keys(acc, lowest)
-        if acc != base.value:
-            base = from_key(base, acc)
-        refined.append(base)
-    return tuple(refined)
+                admitted = producers and not at_least(meet_keys(map(key_of, producers)), lowest)
+            else:
+                admitted = lowest != top_key
+            if admitted and not at_least(base.value, lowest):
+                yield p, c, lowest
+
+
+def refine_bases(
+    matrix: ResultMatrix, bases: Sequence[LatticeValue], rule: str = "paper"
+) -> tuple[LatticeValue, ...]:
+    """Join into each base every meet ``admitted_joins`` yields for it; unmoved bases are kept."""
+    keys = [base.value for base in bases]
+    for p, _, key in admitted_joins(matrix, bases, rule):
+        keys[p] = max(keys[p], key) if isinstance(bases[p], IntVal) else keys[p] | key
+    return tuple(b if k == b.value else from_key(b, k) for b, k in zip(bases, keys))
 
 
 def refine_delta(dist: ParamDistribution, eta: float) -> tuple[float, ...]:

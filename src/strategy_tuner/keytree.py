@@ -3,10 +3,10 @@
 One grammar serves every file the tool reads: configuration files,
 catalog overrides, synthetic profiles, and the run config. Keys are
 dotted paths; a value is the rest of its line, stripped. A line whose
-first non-blank character is '#' is a comment; a duplicate key is
-rejected. Each key's Entry holds its value, its line, and the 1-based
-column where the value starts, so an error can point at the value. A
-line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r`` (``split_lines``).
+first non-blank character is '#' is a comment; a duplicate key, and a
+NUL anywhere, are rejected. Each key's Entry holds its value, its line,
+and the 1-based column where the value starts, so an error can point at
+the value. A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r`` (``split_lines``).
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ def parse_keytree(text: str) -> dict[str, Entry]:
     """The file's entries by key, in file order."""
     entries: dict[str, Entry] = {}
     for line, raw in enumerate(split_lines(text), start=1):
+        if "\0" in raw:
+            raise ConfigParseError("a NUL character is not allowed", line=line, column=raw.index("\0") + 1)
         key, sep, tail = raw.partition("=")
         key = key.strip()
         if key.startswith("#") or not (key or sep):

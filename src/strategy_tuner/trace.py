@@ -6,18 +6,19 @@ fixes how the lattice literals in the same record parse back. A record
 round-trips losslessly into an IterationRecord without a catalog. Its
 ``alarm_universe``, ``completed``, ``eta_c`` and ``eta`` follow from its
 outcomes by one rule, ``_derived``: the writer writes them from it, and the
-reader requires each to equal it, JSON type included.
+reader requires each to equal it, JSON type included, and each
+``distributions_after`` delta to equal ``refine_delta`` of its before and eta.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import compress
+from itertools import compress, zip_longest
 from json.encoder import encode_basestring_ascii
-from typing import Any, TextIO
+from typing import Any, Iterable, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
-from .distributions import ParamDistribution, scaling_factor
+from .distributions import ParamDistribution, refine_delta, scaling_factor
 from .errors import ConfigParseError, shown
 from .keytree import split_lines
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, is_amount, parse_value
@@ -74,6 +75,14 @@ def _config_to_json(config: Configuration) -> dict[str, str]:
     return dict(zip(config.names, map(format_value, config.values)))
 
 
+def _check_names(found: Iterable[str], names: Iterable[str], what: str, whose: str) -> None:
+    """Reject ``found`` unless it lists ``names`` in order, naming the first place they differ."""
+    for i, pair in enumerate(zip_longest(found, names)):
+        if pair[0] != pair[1]:
+            got, want = ("nothing" if n is None else shown(n) for n in pair)
+            raise ConfigParseError(f"{what} names {got} as parameter {i}, where {whose} is {want}")
+
+
 def _config_from_json(
     obj: dict[str, str], names: tuple[str, ...], kinds: tuple[LatticeValue, ...]
 ) -> Configuration:
@@ -82,10 +91,7 @@ def _config_from_json(
     The tuner reads sampled values by position, so a configuration that
     lacks a parameter or lists them in another order is rejected.
     """
-    if tuple(obj) != names:
-        raise ConfigParseError(
-            f"configuration names {list(obj)}, not the record's parameters {list(names)} in order"
-        )
+    _check_names(obj, names, "configuration", "the record's")
     return Configuration(names, tuple(map(parse_value, kinds, obj.values())))
 
 
@@ -163,22 +169,12 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
     schema = obj.get("schema")
     if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 are not 1
         raise ConfigParseError(f"unsupported trace schema {shown(schema)}")
-    before = {
-        name: distribution_from_json(d) for name, d in obj["distributions_before"].items()
-    }
-    after = {
-        name: distribution_from_json(d) for name, d in obj["distributions_after"].items()
-    }
+    before = {n: distribution_from_json(d) for n, d in obj["distributions_before"].items()}
+    after = {n: distribution_from_json(d) for n, d in obj["distributions_after"].items()}
     names = tuple(before)
     for name in names:
         check_param_name(name)
-    if tuple(after) != names:
-        raise ConfigParseError(
-            f"distributions_after names {list(after)}, not the record's parameters {list(names)}"
-        )
-    for name in names:
-        if not same_kind(before[name].base, after[name].base):
-            raise ConfigParseError(f"distributions_after changes the lattice of parameter {name!r}")
+    _check_names(after, names, "distributions_after", "the record's")
     kinds = tuple(dist.base for dist in before.values())
     configs = tuple(_config_from_json(c, names, kinds) for c in obj["sampled_configs"])
     outcomes = tuple(outcome_from_json(o) for o in obj["outcomes"])
@@ -192,6 +188,15 @@ def record_from_json(obj: dict[str, Any]) -> IterationRecord:
     for field, derived in _derived(outcomes).items():
         if type(obj[field]) is not type(derived) or obj[field] != derived:
             raise ConfigParseError(f"{field} is {shown(obj[field])}, not {shown(derived)}")
+    for name, old in before.items():  # and each delta is refine_delta's, bit for bit
+        new, delta = after[name], refine_delta(old, obj["eta"])
+        if not same_kind(old.base, new.base):
+            raise ConfigParseError(f"distributions_after changes the lattice of parameter {shown(name)}")
+        if new.delta != delta:
+            raise ConfigParseError(
+                f"distributions_after gives parameter {shown(name)} the delta {shown(new.delta)}, "
+                f"not {shown(delta)}"
+            )
     return IterationRecord(
         index=obj["index"],
         sampled_configs=configs,
@@ -244,9 +249,9 @@ def read_trace(text: str) -> list[IterationRecord]:
             record = record_from_json(json.loads(line, parse_int=read_int))
             if record.index != len(records):
                 raise ConfigParseError(f"index {shown(record.index)}, not {len(records)}")
-            names = list(record.distributions_before)
-            if records and names != list(records[0].distributions_before):
-                raise ConfigParseError(f"parameters {names}, not the first record's")
+            if records:
+                first = records[0].distributions_before
+                _check_names(record.distributions_before, first, "record", "the first record's")
             if records and record.distributions_before != records[-1].distributions_after:
                 raise ConfigParseError("distributions_before are not the previous record's after")
         except (KeyError, ValueError, TypeError, AttributeError, RecursionError, ConfigParseError) as exc:

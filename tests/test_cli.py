@@ -654,6 +654,61 @@ class TestRejectedValues:
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
         assert "set_int_max_str_digits" not in err
 
+    @staticmethod
+    def _nul_rejected(capsys, tmp_path, status: int, line: int, column: int, *inputs: str) -> None:
+        """One error line naming the NUL's place, and no output beside ``inputs``."""
+        assert status == 2
+        assert capsys.readouterr().err == (
+            f"error: line {line}, column {column}: a NUL character is not allowed\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == sorted(inputs)
+
+    @pytest.mark.parametrize("key", ["out", "catalog", "profile", "program"])
+    def test_a_nul_in_a_run_config_value(self, tmp_path, capsys, monkeypatch, key):
+        # before: out, catalog and profile ended in a ValueError traceback
+        # (embedded null byte) with exit 1, and with program every analysis
+        # crashed on that ValueError, the run exiting 0
+        monkeypatch.chdir(tmp_path)  # where the default output directory would go
+        value = f"{tmp_path}/a\0b"
+        backend = {
+            "program": "adapter.command = sh {program}\nadapter.pattern = x\n",
+            "profile": "",
+        }.get(key, f"profile = {PROFILE}\n")
+        text = f"tuner.max_iterations = 1\n{key} = {value}\n{backend}"
+        (tmp_path / "run.conf").write_text(text, encoding="utf-8")
+        status = run_cli("tune", "--config", "run.conf")
+        self._nul_rejected(capsys, tmp_path, status, 2, len(f"{key} = {value}") - 1, "run.conf")
+
+    @pytest.mark.parametrize(
+        "site, text, column",
+        [
+            ("catalog", "slevel.lambda = 7\nslevel.flag = -s\0x\n", 17),
+            ("catalog", "slevel.lambda = 7\ndomains.labels = a,b\0,c,d,e\n", 21),
+            ("profile", "alarm.a.requires.slevel = 3\n# a comment\0\n", 12),
+            ("configuration", "slevel = 3\n\0split-return = true\n", 1),
+        ],
+        ids=["catalog-flag", "catalog-label", "profile-comment", "configuration"],
+    )
+    def test_a_nul_in_a_file_names_its_line_and_column(
+        self, tmp_path, capsys, monkeypatch, site, text, column
+    ):
+        # every key-value file goes through one grammar, which rejects a NUL
+        # anywhere: a flag or a label holding one would reach the analyzer's
+        # command line
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "input").write_text(text, encoding="utf-8")
+        if site == "configuration":
+            status = run_cli("simulate", str(PROFILE), "--configuration", "input")
+            self._nul_rejected(capsys, tmp_path, status, 2, column, "input")
+            return
+        profile = "input" if site == "profile" else PROFILE
+        config = f"profile = {profile}\ntuner.max_iterations = 1\n"
+        if site == "catalog":
+            config += "catalog = input\n"
+        (tmp_path / "run.conf").write_text(config, encoding="utf-8")
+        status = run_cli("tune", "--config", "run.conf")
+        self._nul_rejected(capsys, tmp_path, status, 2, column, "input", "run.conf")
+
     def test_every_setting_is_a_run_config_key(self):
         keys = {f"tuner.{field.name}" for field in dataclasses.fields(TunerSettings)}
         assert keys <= cli.RUN_CONFIG_KEYS

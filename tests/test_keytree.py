@@ -68,6 +68,18 @@ def test_malformed_line_points_at_column_1(text, message):
     assert (err.value.line, err.value.column) == (2, 1)
 
 
+@pytest.mark.parametrize(
+    "line, column",
+    [("a = b\0c", 6), ("\0a = b", 1), ("a\0 = b", 2), ("# a comment\0", 12), ("\0", 1)],
+    ids=["value", "key-start", "key", "comment", "alone"],
+)
+def test_a_nul_anywhere_points_at_itself(line, column):
+    # a value holding one ended as a path or an analyzer argument in a ValueError
+    with pytest.raises(ConfigParseError, match="a NUL character is not allowed") as err:
+        parse_keytree("ok = 1\n" + line + "\n")
+    assert (err.value.line, err.value.column) == (2, column)
+
+
 # The characters at which str.splitlines() ends a line but a file does not.
 OTHER_BREAKS = [
     c

@@ -14,12 +14,18 @@ from strategy_tuner import (
     IntVal,
     LatticeMismatchError,
     ResultMatrix,
+    bottom,
+    build_result_matrix,
     join,
     leq,
     meet,
     refine_bases,
     top,
 )
+from strategy_tuner.distributions import REFINEMENT_RULES, admitted_joins
+from strategy_tuner.lattice import from_key
+from strategy_tuner.trace import read_trace
+from test_golden import SCENARIOS, golden_path
 
 
 def refine_base(matrix: ResultMatrix, current_base, rule: str = "paper"):
@@ -229,6 +235,27 @@ def _random_base(rng: random.Random, kind):
 KINDS = (IntVal(0), BoolVal(False), BitsVal(0, 5))
 
 
+ORACLES = {"paper": oracle_refine_base, "evidence": oracle_refine_base_evidence}
+
+
+def _random_columns(rng: random.Random, infinity: float = 0.0) -> tuple[ResultMatrix, tuple]:
+    """A random matrix with one value column per kind, and a base for each.
+
+    An integer value is INFINITY, the top, with probability ``infinity``.
+    """
+    m, n = rng.randint(0, 6), rng.randint(0, 5)
+    produced = tuple(tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(m))
+
+    def value(kind):
+        if isinstance(kind, IntVal) and rng.random() < infinity:
+            return IntVal(INFINITY)
+        return _random_base(rng, kind)
+
+    values = tuple(tuple(value(kind) for _ in range(m)) for kind in KINDS)
+    bases = tuple(_random_base(rng, kind) for kind in KINDS)
+    return ResultMatrix(tuple(f"a{j}" for j in range(n)), produced, values), bases
+
+
 class TestRandomizedOracleEquivalence:
     def test_matches_brute_force(self):
         rng = random.Random(20240901)
@@ -243,18 +270,35 @@ class TestRandomizedOracleEquivalence:
         # own column, as if it were the only one
         rng = random.Random(31)
         for _ in range(100):
-            m, n = rng.randint(0, 6), rng.randint(0, 5)
-            produced = tuple(tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(m))
-            values = tuple(tuple(_random_base(rng, kind) for _ in range(m)) for kind in KINDS)
-            bases = tuple(_random_base(rng, kind) for kind in KINDS)
-            matrix = ResultMatrix(tuple(f"a{j}" for j in range(n)), produced, values)
-            for rule, oracle in (
-                ("paper", oracle_refine_base),
-                ("evidence", oracle_refine_base_evidence),
-            ):
+            matrix, bases = _random_columns(rng)
+            for rule, oracle in ORACLES.items():
                 assert refine_bases(matrix, bases, rule) == tuple(
                     oracle(matrix, p, base) for p, base in enumerate(bases)
                 )
+
+    @pytest.mark.parametrize("rule", REFINEMENT_RULES)
+    def test_admitted_joins_are_the_oracles_moves(self, rule):
+        # each yield is a meet the oracle admits and the base does not
+        # reach, named by its distinct column; every such meet is yielded
+        # once; and joining the yields into the bases is the oracle's result
+        oracle = ORACLES[rule]
+        rng = random.Random(0xAD317)
+        for _ in range(300):
+            matrix, bases = _random_columns(rng, infinity=0.2)
+            yields = list(admitted_joins(matrix, bases, rule))
+            assert len({(p, c) for p, c, _ in yields}) == len(yields)
+            moves, eliminators = set(), [rows for rows, _ in matrix.columns]
+            for j, alarm in enumerate(matrix.alarms):
+                column = tuple((row[j],) for row in matrix.produced)
+                alone = ResultMatrix((alarm,), column, matrix.values)
+                for p, base in enumerate(bases):
+                    if oracle(alone, p, base) != base:  # admitted, and not reached by the base
+                        c = eliminators.index(alone.columns[0][0])
+                        moves.add((p, c, oracle(alone, p, bottom(base)).value))
+            assert set(yields) == moves
+            for p, base in enumerate(bases):
+                folded = reduce(join, (from_key(base, k) for q, _, k in yields if q == p), base)
+                assert folded == oracle(matrix, p, base)
 
     def test_boolean_refines_as_its_one_bit_vector(self):
         # a 0/1 column twice, once as booleans and once as one-bit vectors
@@ -302,6 +346,28 @@ class TestRandomizedOracleEquivalence:
                 values=(tuple(values[i] for i in row_order),),
             )
             assert refine_base(shuffled, base) == expected
+
+
+class TestGoldenMoves:
+    # moved bases per golden trace, counted when the yields were first read from it
+    MOVES = {"convergence": 14, "mixed": 15, "mixed-evidence": 16}
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_each_record_folds_to_its_bases_after(self, name):
+        # a record's own samples and outcomes rebuild its result matrix,
+        # and the run's rule then names a yield for every base that moved
+        rule = SCENARIOS[name][1].get("refinement", "paper")
+        moves = 0
+        for record in read_trace(golden_path(name).read_text(encoding="utf-8")):
+            matrix = build_result_matrix(record.outcomes, record.sampled_configs)
+            names = tuple(record.distributions_before)
+            before = tuple(record.distributions_before[n].base for n in names)
+            after = tuple(record.distributions_after[n].base for n in names)
+            assert refine_bases(matrix, before, rule) == after
+            moved = {p for p in range(len(names)) if after[p] != before[p]}
+            assert moved <= {p for p, _, _ in admitted_joins(matrix, before, rule)}
+            moves += len(moved)
+        assert moves == self.MOVES[name]
 
 
 class TestEvidenceRule:

@@ -29,6 +29,7 @@ from strategy_tuner import (
     TunerSettings,
     build_result_matrix,
     parse_profile,
+    refine_delta,
     scaling_factor,
     tune,
 )
@@ -37,6 +38,7 @@ from strategy_tuner.paramspace import Catalog, Configuration, ParamSpec
 from strategy_tuner.trace import (
     SCHEMA_VERSION,
     distribution_from_json,
+    distribution_to_json,
     outcome_from_json,
     read_trace,
     record_from_json,
@@ -112,9 +114,10 @@ class TestRoundTrip:
             "flag": ParamDistribution(BoolVal(False), (0.25,)),
             "bits": ParamDistribution(BitsVal(0, 1), (0.25,)),
         }
+        eta = scaling_factor(0, 1)  # the one analysis crashed
         after = {
-            "flag": ParamDistribution(BoolVal(True), (0.5,)),
-            "bits": ParamDistribution(BitsVal(1, 1), (0.5,)),
+            "flag": ParamDistribution(BoolVal(True), refine_delta(before["flag"], eta)),
+            "bits": ParamDistribution(BitsVal(1, 1), refine_delta(before["bits"], eta)),
         }
         record = IterationRecord(
             index=0,
@@ -170,9 +173,9 @@ class TestAlarmOrder:
     def test_record_whose_universe_lacks_its_alarms(self, short_run):
         # a written record whose universe lacks, adds, repeats or reorders
         # an id of its outcomes is not read
-        record = dataclasses.replace(
+        record = _with_outcomes(
             short_run.iteration_trace[0],
-            outcomes=(Completed(frozenset("zy"), 0.5), TimedOut(1.0), Completed(frozenset(), 2)),
+            (Completed(frozenset("zy"), 0.5), TimedOut(1.0), Completed(frozenset(), 2)),
         )
         assert record_to_json(record)["outcomes"][0]["alarms"] == ["y", "z"]
         line = json.dumps(record_to_json(record))
@@ -566,9 +569,9 @@ class TestMalformedTraces:
     def test_a_line_break_inside_a_json_string_stays_in_its_record(self, short_run, other):
         # JSON lets a string hold these characters unescaped; str.splitlines
         # would cut the record there
-        record = dataclasses.replace(
+        record = _with_outcomes(
             short_run.iteration_trace[0],
-            outcomes=(Completed(frozenset({f"a{other}b"}), 0.5), TimedOut(1.0), Crashed("x")),
+            (Completed(frozenset({f"a{other}b"}), 0.5), TimedOut(1.0), Crashed("x")),
         )
         text = json.dumps(record_to_json(record), ensure_ascii=False) + "\n"
         assert other in text
@@ -663,12 +666,21 @@ class TestMalformedTraces:
              "lattice of parameter 'slevel'"),
             (11, lambda r: r["distributions_after"].update(domains=_THREE_BITS),
              "lattice of parameter 'domains'"),
+            # read back before: a delta after that is not refine_delta of the
+            # one before and eta, here by one float step
+            (11, lambda r: _next_float(r["distributions_after"]["slevel"]["delta"], "lambda"),
+             "distributions_after gives parameter 'slevel' the delta"),
+            (11, lambda r: _next_float(r["distributions_after"]["split-return"]["delta"], "q"),
+             "distributions_after gives parameter 'split-return' the delta"),
+            (11, lambda r: _next_float(r["distributions_after"]["domains"]["delta"]["qs"], 2),
+             "distributions_after gives parameter 'domains' the delta"),
         ],
         ids=["after-lacks-a-parameter", "parameters-differ-from-record-0",
              "an-outcome-per-config", "completed-count", "no-outcome", "index-float",
              "index-string", "index-bool", "completed-float", "eta-wrong", "eta_c-negative",
              "eta_c-string", "eta-nan", "eta_c-bool", "eta-bool", "eta_c-int", "completed-float-equal",
-             "after-changes-a-lattice", "after-narrows-a-vector"],
+             "after-changes-a-lattice", "after-narrows-a-vector", "after-changes-a-lambda",
+             "after-changes-a-q", "after-changes-a-qs-entry"],
     )
     def test_record_must_agree_with_itself_and_record_0(self, index, mutate, reason):
         # the first four made ``plot`` or ``build_result_matrix`` fail on read-back
@@ -680,6 +692,37 @@ class TestMalformedTraces:
             ConfigParseError, match=f"trace record {index} is malformed: .*{re.escape(reason)}"
         ):
             read_trace("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "index, mutate, reason",
+        [
+            (0, lambda r: _rename(r["sampled_configs"][0], _LONG, "slevel"),
+             "configuration names 'slevel' as parameter 4, where the record's is 'sss"),
+            (0, lambda r: r["distributions_after"].pop(_LONG),
+             "distributions_after names 'ilevel' as parameter 4, where the record's is 'sss"),
+            (1, lambda r: _rename_parameter(r, _LONG, "t" * 5000),
+             "record names 'ttt"),
+            (11, lambda r: r["distributions_after"].__setitem__(_LONG, _BERNOULLI),
+             "distributions_after changes the lattice of parameter 'sss"),
+            (11, lambda r: _next_float(r["distributions_after"][_LONG]["delta"], "lambda"),
+             "distributions_after gives parameter 'sss"),
+        ],
+        ids=["configuration", "distributions_after", "first-record", "lattice", "delta"],
+    )
+    def test_a_long_parameter_name_gives_a_short_message(self, index, mutate, reason):
+        # before: the first three printed both name lists whole and the
+        # fourth the whole name, 5,000 characters and more each
+        text = MIXED_TRACE.read_text(encoding="utf-8").replace('"slevel"', json.dumps(_LONG))
+        lines = text.splitlines()
+        assert len(read_trace(text)) == len(lines)
+        record = json.loads(lines[index])
+        mutate(record)
+        lines[index] = json.dumps(record)
+        with pytest.raises(ConfigParseError) as err:
+            read_trace("\n".join(lines))
+        message = str(err.value)
+        assert message.startswith(f"trace record {index} is malformed: ") and reason in message
+        assert len(message) < 300
 
     @pytest.mark.parametrize(
         "value",
@@ -730,19 +773,21 @@ class TestMalformedTraces:
 
     @pytest.mark.parametrize("exit_info", [None, [1], 3], ids=["null", "array", "number"])
     def test_exit_info_must_be_a_string(self, exit_info):
-        # read back before as Crashed('None'), Crashed('[1]') and Crashed('3')
+        # read back before as Crashed('None'), Crashed('[1]') and Crashed('3');
+        # the last record is edited, since its restated deltas begin no record
         lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
-        record = json.loads(lines[0])
+        record = json.loads(lines[-1])
         if record["outcomes"][0]["status"] == "completed":
             record["completed"] -= 1
         record["outcomes"][0] = {"status": "crashed", "exit_info": "killed"}
         completed, n = record["completed"], len(record["outcomes"])
         record["eta_c"], record["eta"] = completed / n, scaling_factor(completed, n)
-        lines[0] = json.dumps(record)
-        assert read_trace("\n".join(lines))[0].outcomes[0] == Crashed("killed")
+        _restate_deltas(record)
+        lines[-1] = json.dumps(record)
+        assert read_trace("\n".join(lines))[-1].outcomes[0] == Crashed("killed")
         record["outcomes"][0]["exit_info"] = exit_info
-        lines[0] = json.dumps(record)
-        with pytest.raises(ConfigParseError, match="trace record 0 is malformed: exit_info must be"):
+        lines[-1] = json.dumps(record)
+        with pytest.raises(ConfigParseError, match="trace record 11 is malformed: exit_info must be"):
             read_trace("\n".join(lines))
 
     @pytest.mark.parametrize(
@@ -791,6 +836,25 @@ class TestMalformedTraces:
         assert stream.getvalue() == text
 
 
+def _with_outcomes(record: IterationRecord, outcomes: tuple) -> IterationRecord:
+    """``record`` with ``outcomes``, each delta after restated through ``refine_delta``."""
+    eta = scaling_factor(sum(isinstance(o, Completed) for o in outcomes), len(outcomes))
+    after = {
+        name: ParamDistribution(dist.base, refine_delta(record.distributions_before[name], eta))
+        for name, dist in record.distributions_after.items()
+    }
+    return dataclasses.replace(record, outcomes=outcomes, distributions_after=after)
+
+
+def _restate_deltas(record: dict) -> None:
+    """Rewrite a record object's deltas after through ``refine_delta`` of its before and eta."""
+    after = record["distributions_after"]
+    for name, before in record["distributions_before"].items():
+        delta = refine_delta(distribution_from_json(before), record["eta"])
+        base = distribution_from_json(after[name]).base
+        after[name] = distribution_to_json(ParamDistribution(base, delta))
+
+
 def _one_of_three_completed(record: dict) -> dict:
     """Keep three analyses, only the first completed, so that eta is exactly 1.0."""
     del record["sampled_configs"][3:]
@@ -804,6 +868,30 @@ def _one_of_three_completed(record: dict) -> dict:
 # distributions of another lattice than the mixed trace's slevel and domains
 _BERNOULLI = {"base": "true", "delta": {"kind": "bernoulli", "q": 0.5}}
 _THREE_BITS = {"base": "110", "delta": {"kind": "bernoulli_vector", "qs": [0.5] * 3}}
+
+
+#: A parameter name that no error may quote whole.
+_LONG = "s" * 5000
+
+
+def _next_float(values: dict | list, key) -> None:
+    """Move ``values[key]`` to the next float toward 1.0."""
+    values[key] = math.nextafter(values[key], 1.0)
+
+
+def _rename(part: dict, old: str, new: str) -> None:
+    """Rename ``part``'s key ``old`` to ``new`` in place, keeping its position."""
+    items = [(new if key == old else key, value) for key, value in part.items()]
+    part.clear()
+    part.update(items)
+
+
+def _rename_parameter(record: dict, old: str, new: str) -> None:
+    """Rename a parameter in every part of a record, which stays self-consistent."""
+    for part in (record["distributions_before"], record["distributions_after"]):
+        _rename(part, old, new)
+    for config in record["sampled_configs"]:
+        _rename(config, old, new)
 
 
 def _drop_parameter(record: dict, name: str) -> None:
