@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Commands: tune (run the sample-analyze-refine loop and write trace,
-result, and summary files), dominancy (controlled per-parameter influence
+Commands: tune (run the sample-analyze-refine loop and write run.json,
+the trace and the result files), report (the result files again, from
+run.json and the trace), dominancy (controlled per-parameter influence
 experiments), plot (static charts from a trace), and simulate (the cost
 and alarms a synthetic profile gives one configuration, with no deadline).
 
-Of the ``tuner.*`` keys, dominancy reads only ``tuner.time_budget`` (the
-default for ``--timeout``) and ``tuner.num_process``; it still validates
-the others, so one config serves both tune and dominancy.
+A flag wins over the config's key, which is still checked. Of the
+``tuner.*`` keys, dominancy reads only ``tuner.time_budget`` (the default
+for ``--timeout``) and ``tuner.num_process``; it still validates the
+others, so one config serves both tune and dominancy.
 
 Exit codes: 0 success, 1 standard output closed by its reader (nothing
 is printed), 2 configuration error, 3 analyzer unavailable.
@@ -16,6 +18,7 @@ is printed), 2 configuration error, 3 analyzer unavailable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -44,7 +47,7 @@ from .errors import (
 )
 from .keytree import Entry, parse_keytree, split_lines
 from .lattice import read_amount, read_count, read_int
-from .orchestrator import TunerSettings, tune
+from .orchestrator import TuneResult, TunerSettings, tune
 from .paramspace import (
     Catalog,
     apply_catalog_overrides,
@@ -52,7 +55,7 @@ from .paramspace import (
     parse_configuration,
     serialize_configuration,
 )
-from .trace import read_trace, result_to_json, write_record
+from .trace import read_trace, result_to_json, run_from_json, run_to_json, write_record
 
 # Importing this module loads none of dominancy, plots, subprocess_adapter
 # and logging: the command or the adapter run that uses one imports it.
@@ -105,7 +108,7 @@ def _file(doing: str, path: Path | str) -> Iterator[None]:
     raise ConfigParseError(f"cannot {doing} {where}: {reason}") from None
 
 
-def _read_text(path: str, what: str) -> str:
+def _read_text(path: Path | str, what: str) -> str:
     with _file(f"read {what}", path):
         return Path(path).read_bytes().decode("utf-8")
 
@@ -152,24 +155,20 @@ RUN_CONFIG_KEYS = frozenset(
 
 
 def _load_settings(entries: dict[str, Entry], args) -> TunerSettings:
-    """The settings a flag or the file gives, a flag first; the budget defaults to 3600 s."""
+    """Each file setting checked on its line, then each flag over it; the budget defaults to 3600 s."""
     given: dict = {"time_budget": 3600.0}
-    from_file: set[str] = set()
+    flags = {}
     for name, flag, cast in _SETTINGS:
-        key = f"tuner.{name}"
+        if f"tuner.{name}" in entries:  # a file's value may be None: `tuner.patience = none`
+            given[name] = _read_key(entries, f"tuner.{name}", cast)
         text = getattr(args, flag, None) if flag else None
         if text is not None:
-            given[name] = _read(cast, text, "--" + flag.replace("_", "-"))
-        elif key in entries:  # a file's value may be None: `tuner.patience = none`
-            given[name] = _read_key(entries, key, cast)
-            from_file.add(key)
+            flags[name] = _read(cast, text, "--" + flag.replace("_", "-"))
     try:
-        return TunerSettings(**given)
-    except InvalidSettingsError as exc:
-        key = f"tuner.{exc.field}"
-        if key in from_file:
-            raise ConfigParseError(str(exc), line=entries[key].line) from None
-        raise
+        settings = TunerSettings(**given)
+    except InvalidSettingsError as exc:  # a default is valid, so the file gave the field
+        raise ConfigParseError(str(exc), line=entries[f"tuner.{exc.field}"].line) from None
+    return dataclasses.replace(settings, **flags)
 
 
 def load_run_config(args) -> RunConfig:
@@ -217,14 +216,7 @@ def load_run_config(args) -> RunConfig:
             ) from None
 
     out = getattr(args, "out", None) or values.get("out") or "tuner-out"
-    return RunConfig(
-        catalog=catalog,
-        settings=_load_settings(entries, args),
-        out_dir=Path(out),
-        program=program,
-        profile=profile,
-        adapter=adapter,
-    )
+    return RunConfig(catalog, _load_settings(entries, args), Path(out), program, profile, adapter)
 
 
 def _open_run(args) -> RunConfig:
@@ -262,6 +254,8 @@ def cmd_tune(args) -> int:
     # An analyzer's errors become outcomes, so an OSError here is the trace's.
     with _file("write", trace_path), trace_path.open("w", encoding="utf-8") as stream:
         _claim(run.out_dir, "recommended.conf", "best_sampled.conf", "result.json", "summary.txt")
+        run_json = run_to_json(run.settings, run.catalog.initial_distributions())
+        _write(run.out_dir / "run.json", json.dumps(run_json, indent=2) + "\n")
         result = tune(
             run.program_ref(),
             run.catalog,
@@ -269,31 +263,43 @@ def cmd_tune(args) -> int:
             run.analyzer(),
             on_record=lambda record: write_record(stream, record),
         )
-
-    best = result.best_sampled  # with none, an earlier run's file would contradict result.json
-    best_text = None if best is None else serialize_configuration(best.config)
-    _write(run.out_dir / "recommended.conf", serialize_configuration(result.recommended_config))
-    _write(run.out_dir / "best_sampled.conf", best_text)
-    _write(run.out_dir / "result.json", json.dumps(result_to_json(result), indent=2) + "\n")
-    _write(run.out_dir / "summary.txt", _summary(result))
+    _write_results(run.out_dir, result)
     print(f"wrote {trace_path} ({len(result.iteration_trace)} iterations)")
     return EXIT_OK
 
 
+def cmd_report(args) -> int:
+    settings, initial = run_from_json(_read_text(args.out / "run.json", "run file"))
+    records = read_trace(_read_text(args.out / "trace.ndjson", "trace"), initial)
+    _write_results(args.out, TuneResult(settings, initial, tuple(records)))
+    print(f"wrote the result files of {args.out} ({len(records)} iterations)")
+    return EXIT_OK
+
+
+def _write_results(out_dir: Path, result: TuneResult) -> None:
+    """The four result files, each a view of ``result``, as tune and report write them."""
+    best = result.best_sampled  # with none, an earlier run's file would contradict result.json
+    best_text = None if best is None else serialize_configuration(best.config)
+    _write(out_dir / "recommended.conf", serialize_configuration(result.recommended_config))
+    _write(out_dir / "best_sampled.conf", best_text)
+    _write(out_dir / "result.json", json.dumps(result_to_json(result), indent=2) + "\n")
+    _write(out_dir / "summary.txt", _summary(result))
+
+
 def _summary(result) -> str:
-    lines = [
+    best = result.best_sampled
+    best_alarms = "none (no analysis completed)" if best is None else f"{len(best.alarms)} alarm(s)"
+    budget = enumerate(zip(result.remaining, result.deadlines))
+    return "\n".join([
         f"iterations:      {len(result.iteration_trace)}",
         f"wall time total: {result.wall_time_total:.3f} s",
-        f"stopped by:      {result.stopped_by}",
-    ]
-    if result.best_sampled is not None:
-        lines.append(f"best sampled:    {len(result.best_sampled.alarms)} alarm(s)")
-    else:
-        lines.append("best sampled:    none (no analysis completed)")
-    lines.append("")
-    lines.append("recommended configuration:")
-    lines.append(serialize_configuration(result.recommended_config))
-    return "\n".join(lines)
+        f"stopped by:      {result.stopped_by or 'none: no stop rule held, the run was cut short'}",
+        f"best sampled:    {best_alarms}",
+        *(f"{f'iteration {i}:':<17}{left:.3f} s left, deadline {d:.3f} s" for i, (left, d) in budget),
+        "",
+        "recommended configuration:",
+        serialize_configuration(result.recommended_config),
+    ])
 
 
 def cmd_dominancy(args) -> int:
@@ -370,6 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--samples", help="configurations per iteration")
     p_tune.add_argument("--max-iterations", dest="max_iterations")
     p_tune.set_defaults(func=cmd_tune)
+
+    p_report = sub.add_parser("report", help="write a run's result files again from its trace")
+    p_report.add_argument("out", type=Path, help="output directory of a tune run")
+    p_report.set_defaults(func=cmd_report)
 
     p_dom = sub.add_parser("dominancy", help="score per-parameter influence")
     add_run_flags(p_dom)

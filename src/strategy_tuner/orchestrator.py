@@ -18,7 +18,7 @@ never overshoot the budget. A real-clock charge also covers sampling,
 refinement and the adapter's ``REAP_WAIT``, which no slice bounds. An
 analyzer with a true ``virtual_clock`` attribute is charged the makespan
 of its wall times instead (``worker_pool``), so its runs are
-bit-reproducible from the seed alone.
+bit-reproducible from the seed alone. ``deadline`` holds the deadline formula.
 """
 
 from __future__ import annotations
@@ -117,6 +117,11 @@ class TuneResult:
         """The budget left before each record, and after the last."""
         elapsed = (record.elapsed for record in self.iteration_trace)
         return tuple(itertools.accumulate(elapsed, operator.sub, initial=self.settings.time_budget))
+
+    @cached_property
+    def deadlines(self) -> tuple[float, ...]:
+        """Each record's deadline, the one every analysis of its iteration got."""
+        return tuple(deadline(self.settings, left) for left in self.remaining[:-1])
 
     @cached_property
     def wall_time_total(self) -> float:
@@ -225,6 +230,12 @@ def _sample_configurations(
         )
         configs.append(Configuration(names, values))
     return configs
+
+
+def deadline(settings: TunerSettings, remaining: float) -> float:
+    """Each analysis's deadline in an iteration that starts with ``remaining`` seconds left."""
+    waves = math.ceil(settings.num_sample / settings.num_process)
+    return remaining * settings.iteration_fraction / waves
 
 
 def stop_rule(
@@ -351,7 +362,6 @@ def tune(
     """
     initial = distributions = catalog.initial_distributions()
     rng = RandomStream(settings.seed)
-    waves = math.ceil(settings.num_sample / settings.num_process)
     records: list[IterationRecord] = []
     remaining = [settings.time_budget]  # before each record, and after the last
 
@@ -359,7 +369,7 @@ def tune(
         while stop_rule(settings, records, remaining) is None:
             index = len(records)
             iteration_started = time.monotonic()
-            timeout = remaining[-1] * settings.iteration_fraction / waves
+            timeout = deadline(settings, remaining[-1])
             # Sampling is serial and precedes dispatch, so completion order
             # cannot perturb the stream.
             configs = _sample_configurations(catalog, distributions, settings.num_sample, rng, index)

@@ -35,12 +35,15 @@ def check_param_name(name: str) -> None:
 
     A key-value file reads it back as one key: it is nonempty, holds no
     whitespace and no '=', and does not start with '#'. A chart file is
-    named after it, so it is one path component: no '/' and no NUL.
+    named after it, so it is one path component: no '/' and no NUL. Both
+    are UTF-8 text, so it holds no lone surrogate, which a JSON escape gives.
     """
-    if name.split() != [name] or name.startswith("#") or any(c in name for c in "=/\0"):
+    if name.split() != [name] or name.startswith("#") or any(
+        c in "=/\0" or "\ud800" <= c <= "\udfff" for c in name
+    ):
         raise ValueError(
-            f"parameter name {shown(name)} must be nonempty, hold no whitespace, '=', '/' or NUL, "
-            "and not start with '#'"
+            f"parameter name {shown(name)} must be nonempty, hold no whitespace, '=', '/', NUL "
+            "or lone surrogate, and not start with '#'"
         )
 
 

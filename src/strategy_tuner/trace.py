@@ -1,4 +1,4 @@
-"""Newline-delimited trace and result serialization.
+"""Newline-delimited trace, run file and result serialization.
 
 One JSON record per iteration, self-describing: every record carries a
 schema version and the full before/after distributions, whose delta kind
@@ -8,10 +8,12 @@ round-trips losslessly into an IterationRecord without a catalog. Its
 outcomes by one rule, ``_derived``: the writer writes them from it, and the
 reader requires each to equal it, JSON type included, and each
 ``distributions_after`` delta to equal ``refine_delta`` of its before and eta.
+The run file holds a run's settings and initial distributions: with the trace, its result.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from itertools import compress, zip_longest
 from json.encoder import encode_basestring_ascii
@@ -19,11 +21,11 @@ from typing import Any, Iterable, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
 from .distributions import ParamDistribution, refine_delta, scaling_factor
-from .errors import ConfigParseError, shown
+from .errors import ConfigParseError, InvalidSettingsError, shown
 from .keytree import split_lines
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, is_amount, parse_value
 from .lattice import read_int, same_kind
-from .orchestrator import IterationRecord, TuneResult, alarm_sets, alarm_universe
+from .orchestrator import IterationRecord, TuneResult, TunerSettings, alarm_sets, alarm_universe
 from .paramspace import Configuration, check_param_name
 
 SCHEMA_VERSION = 1
@@ -31,6 +33,9 @@ SCHEMA_VERSION = 1
 # json.dumps's encoder without its cycle check: a record's JSON form is a
 # tree that record_to_json has just built, so it holds no cycle.
 _ENCODER = json.JSONEncoder(check_circular=False)
+
+# What a malformed file raises in a reader: a field of the wrong JSON type fails where used.
+_MALFORMED = (KeyError, ValueError, TypeError, AttributeError, RecursionError, ConfigParseError)
 
 
 def distribution_to_json(dist: ParamDistribution) -> dict[str, Any]:
@@ -75,12 +80,14 @@ def _config_to_json(config: Configuration) -> dict[str, str]:
     return dict(zip(config.names, map(format_value, config.values)))
 
 
-def _check_names(found: Iterable[str], names: Iterable[str], what: str, whose: str) -> None:
+def _check_names(
+    found: Iterable[str], names: Iterable[str], what: str, whose: str, item: str = "parameter"
+) -> None:
     """Reject ``found`` unless it lists ``names`` in order, naming the first place they differ."""
     for i, pair in enumerate(zip_longest(found, names)):
         if pair[0] != pair[1]:
             got, want = ("nothing" if n is None else shown(n) for n in pair)
-            raise ConfigParseError(f"{what} names {got} as parameter {i}, where {whose} is {want}")
+            raise ConfigParseError(f"{what} names {got} as {item} {i}, where {whose} is {want}")
 
 
 def _config_from_json(
@@ -234,30 +241,59 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
     stream.flush()
 
 
-def read_trace(text: str) -> list[IterationRecord]:
+def read_trace(text: str, initial: dict[str, ParamDistribution] | None = None) -> list[IterationRecord]:
     """Parse the trace of one run; errors name the first offending record.
 
     Record N (blank lines are not records) has index N, the parameters of
-    record 0 in its order, and record N-1's after as its before.
+    record 0 in its order, and record N-1's after as its before. Given the
+    run's ``initial`` distributions, record 0 has them as its before.
     """
     records: list[IterationRecord] = []
     for line in split_lines(text):
         if not line.strip():
             continue
-        # A record or field of the wrong JSON type fails where used: AttributeError or TypeError.
         try:
             record = record_from_json(json.loads(line, parse_int=read_int))
             if record.index != len(records):
                 raise ConfigParseError(f"index {shown(record.index)}, not {len(records)}")
-            if records:
-                first = records[0].distributions_before
-                _check_names(record.distributions_before, first, "record", "the first record's")
-            if records and record.distributions_before != records[-1].distributions_after:
-                raise ConfigParseError("distributions_before are not the previous record's after")
-        except (KeyError, ValueError, TypeError, AttributeError, RecursionError, ConfigParseError) as exc:
+            previous = records[-1].distributions_after if records else initial
+            if previous is not None:  # record N continues record N-1, and record 0 the run file
+                whose = "the previous record's after" if records else "the run file's"
+                before = record.distributions_before
+                _check_names(before, previous, "record", "the first record's" if records else whose)
+                name = next((n for n in previous if before[n] != previous[n]), None)
+                if name is not None:
+                    raise ConfigParseError(f"distributions_before are not {whose}: {shown(name)} differs")
+        except _MALFORMED as exc:
             raise ConfigParseError(f"trace record {len(records)} is malformed: {exc}")
         records.append(record)
     return records
+
+
+def run_to_json(settings: TunerSettings, initial: dict[str, ParamDistribution]) -> dict[str, Any]:
+    """The run file's object: what a run starts from, its settings and initial distributions."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "settings": dataclasses.asdict(settings),
+        "initial_distributions": {name: distribution_to_json(d) for name, d in initial.items()},
+    }
+
+
+def run_from_json(text: str) -> tuple[TunerSettings, dict[str, ParamDistribution]]:
+    """Inverse of :func:`run_to_json`, from its JSON text; it gives every setting, in order."""
+    try:
+        obj = json.loads(text, parse_int=read_int)
+        schema = obj.get("schema")
+        if type(schema) is not int or schema != SCHEMA_VERSION:
+            raise ConfigParseError(f"unsupported schema {shown(schema)}")
+        fields = (field.name for field in dataclasses.fields(TunerSettings))
+        _check_names(obj["settings"], fields, "settings", "the tuner's", "setting")
+        initial = {n: distribution_from_json(d) for n, d in obj["initial_distributions"].items()}
+        for name in initial:
+            check_param_name(name)
+        return TunerSettings(**obj["settings"]), initial
+    except (*_MALFORMED, InvalidSettingsError) as exc:
+        raise ConfigParseError(f"run file is malformed: {exc}") from None
 
 
 def result_to_json(result: TuneResult) -> dict[str, Any]:

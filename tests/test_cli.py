@@ -12,6 +12,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import shutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stx
@@ -33,7 +35,8 @@ from strategy_tuner import cli
 from strategy_tuner.cli import main
 from strategy_tuner.errors import shown
 from strategy_tuner.keytree import parse_keytree
-from strategy_tuner.trace import read_trace
+from strategy_tuner.trace import read_trace, run_to_json
+from test_golden import GOLDEN, SCENARIOS
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 
@@ -239,7 +242,10 @@ class TestTune:
 
     @pytest.mark.parametrize(
         "name",
-        ["trace.ndjson", "recommended.conf", "best_sampled.conf", "result.json", "summary.txt"],
+        [
+            "trace.ndjson", "run.json", "recommended.conf", "best_sampled.conf", "result.json",
+            "summary.txt",
+        ],
     )
     def test_unwritable_output_file_exit_2(self, tmp_path, capsys, analyses, name):
         # each ended in an OSError traceback with exit 1, and all but the
@@ -377,6 +383,169 @@ class TestTune:
             )
             outs.append((out / "trace.ndjson").read_bytes())
         assert outs[0] == outs[1]
+
+
+RESULT_FILES = ("recommended.conf", "best_sampled.conf", "result.json", "summary.txt")
+
+
+class TestReport:
+    """``report`` writes a run's result files from its run file and trace."""
+
+    # Each run's name and the rule that ends it, and the run's tune flags.
+    RUNS = {
+        ("max_iterations", "max_iterations"): "--profile {profile} --max-iterations 3",
+        ("patience", "patience"): "--profile {profile} --samples 3 --processes 2",
+        ("no-iteration", "max_iterations"): "--profile {profile} --max-iterations 0",
+        ("budget", "budget"): "--config {unpatient} --profile {slow} --budget 10 --processes 4",
+        ("stalled", "stalled"): "--config {huge}",
+    }
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory) -> Path:
+        """Output directories of tune runs that end by each rule; the slow ones complete nothing."""
+        root = tmp_path_factory.mktemp("report")
+        slow, unpatient, huge = root / "slow.profile", root / "unpatient.conf", root / "huge.conf"
+        text = PROFILE.read_text(encoding="utf-8").replace("cost.base = 0.05", "cost.base = 100")
+        slow.write_text(text, encoding="utf-8")
+        unpatient.write_text("tuner.patience = none\n", encoding="utf-8")
+        huge.write_text(
+            f"profile = {SAMPLES / 'convergence.profile'}\ntuner.time_budget = 1e17\n", "utf-8"
+        )
+        for (name, _), flags in self.RUNS.items():
+            argv = flags.format(profile=PROFILE, slow=slow, unpatient=unpatient, huge=huge).split()
+            assert run_cli("tune", *argv, "--out", str(root / name)) == 0
+        return root
+
+    @pytest.mark.parametrize("name, rule", list(RUNS))
+    def test_report_writes_the_result_files_tune_wrote(self, runs, tmp_path, capsys, name, rule):
+        out = tmp_path / name
+        shutil.copytree(runs / name, out)
+        for file in RESULT_FILES:
+            (out / file).unlink(missing_ok=True)
+        capsys.readouterr()
+        assert run_cli("report", str(out)) == 0
+        assert capsys.readouterr().out.startswith(f"wrote the result files of {out} (")
+        written = sorted(path.name for path in (runs / name).iterdir())
+        assert sorted(path.name for path in out.iterdir()) == written
+        for file in written:
+            assert (out / file).read_bytes() == (runs / name / file).read_bytes(), file
+        result = json.loads((out / "result.json").read_text(encoding="utf-8"))
+        assert result["stopped_by"] == rule
+
+    def test_summary_gives_each_iteration_its_budget_and_deadline(self, runs):
+        result = json.loads((runs / "budget" / "result.json").read_text(encoding="utf-8"))
+        lines = (runs / "budget" / "summary.txt").read_text(encoding="utf-8").splitlines()
+        budget = [line for line in lines if line.startswith("iteration ")]
+        assert len(budget) == result["iterations"] >= 2
+        # 4 samples on 4 workers: one wave, so each deadline is half the budget left
+        assert budget[0] == "iteration 0:     10.000 s left, deadline 5.000 s"
+        assert budget[1] == "iteration 1:     5.000 s left, deadline 2.500 s"
+
+    @pytest.mark.parametrize("name", ["convergence", "mixed", "mixed-evidence"])
+    def test_a_cut_trace_names_no_stop_rule(self, tmp_path, capsys, name):
+        # a run stopped early, as by Ctrl-C, wrote a prefix of its trace:
+        # report gives its results so far, and says no stop rule held
+        lines = (GOLDEN / f"{name}.ndjson").read_text(encoding="utf-8").splitlines(keepends=True)
+        initial = default_catalog().initial_distributions()
+        run = run_to_json(TunerSettings(**SCENARIOS[name][1]), initial)
+        (tmp_path / "run.json").write_text(json.dumps(run), encoding="utf-8")
+        for k in range(len(lines)):
+            (tmp_path / "trace.ndjson").write_text("".join(lines[:k]), encoding="utf-8")
+            assert run_cli("report", str(tmp_path)) == 0
+            result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+            assert result["stopped_by"] is None and result["iterations"] == k
+            summary = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
+            assert summary[2] == "stopped by:      none: no stop rule held, the run was cut short"
+        capsys.readouterr()
+
+    @staticmethod
+    def _edit(run: dict, path: str, value) -> dict:
+        """``run`` with the field at the dotted ``path`` set to ``value``, or deleted for None."""
+        *parents, last = path.split(".")
+        obj = run
+        for key in parents:
+            obj = obj[key]
+        if value is None:
+            del obj[last]
+        else:
+            obj[last] = value
+        return run
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("settings.patience", 0, "patience must be an int >= 1 or None, got 0"),
+            ("settings.seed", True, "seed must be an int, got True"),
+            ("settings.time_budget", "60", "time_budget must be a positive finite number, got '60'"),
+            ("settings.refinement", "contrast", "refinement must be 'paper' or 'evidence'"),
+            ("settings.patience", None,
+             "settings names nothing as setting 6, where the tuner's is 'patience'"),
+            ("settings.min_slice", 1.0,
+             "settings names 'min_slice' as setting 7, where the tuner's is nothing"),
+            ("schema", 2, "unsupported schema 2"),
+            ("schema", True, "unsupported schema True"),
+            ("schema", None, "unsupported schema None"),
+            ("settings", None, "'settings'"),
+            ("initial_distributions.slevel.delta.kind", "normal", "unknown delta kind 'normal'"),
+            ("initial_distributions.x/y", {"base": "0", "delta": {"kind": "poisson", "lambda": 1}},
+             "parameter name 'x/y'"),
+        ],
+        ids=[
+            "patience-0", "seed-bool", "budget-string", "refinement", "missing-setting",
+            "extra-setting", "schema-2", "schema-bool", "no-schema", "no-settings", "delta-kind",
+            "parameter-name",
+        ],
+    )
+    def test_a_malformed_run_file_names_its_fault(self, runs, tmp_path, capsys, path, value, message):
+        out = tmp_path / "run"
+        shutil.copytree(runs / "max_iterations", out)
+        run = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        (out / "run.json").write_text(json.dumps(self._edit(run, path, value)), encoding="utf-8")
+        before = (out / "result.json").read_bytes()
+        assert run_cli("report", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: run file is malformed: {message}")
+        assert err.count("\n") == 1 and len(err) < 300
+        assert (out / "result.json").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [('{\n  "schema": 1,\n  "settings": {,\n}\n', 3), ("[" * 100_000, None), ("", 1)],
+        ids=["syntax", "deep", "empty"],
+    )
+    def test_a_run_file_that_is_not_json(self, runs, tmp_path, capsys, text, line):
+        out = tmp_path / "run"
+        shutil.copytree(runs / "max_iterations", out)
+        (out / "run.json").write_text(text, encoding="utf-8")
+        assert run_cli("report", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run file is malformed: ")
+        assert err.count("\n") == 1 and len(err) < 300
+        if line is not None:
+            assert f": line {line} column " in err
+
+    @pytest.mark.parametrize("missing", ["run.json", "trace.ndjson"])
+    def test_a_missing_file(self, runs, tmp_path, capsys, missing):
+        out = tmp_path / "run"
+        shutil.copytree(runs / "max_iterations", out)
+        (out / missing).unlink()
+        assert run_cli("report", str(out)) == 2
+        what = "run file" if missing == "run.json" else "trace"
+        assert capsys.readouterr().err == (
+            f"error: cannot read {what} {str(out / missing)!r}: No such file or directory\n"
+        )
+
+    def test_the_trace_must_start_where_the_run_file_does(self, runs, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(runs / "max_iterations", out)
+        run = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        run["initial_distributions"]["slevel"]["delta"]["lambda"] += 1.0
+        (out / "run.json").write_text(json.dumps(run), encoding="utf-8")
+        assert run_cli("report", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: trace record 0 is malformed: distributions_before are not the run "
+            "file's: 'slevel' differs\n"
+        )
 
 
 # Small profiles over one parameter of each kind: each alarm needs one
@@ -561,6 +730,26 @@ class TestRejectedValues:
         out = tmp_path / "out"
         assert run_cli("tune", "--profile", str(PROFILE), flag, self.HUGE, "--out", str(out)) == 2
         self._one_error_line(capsys, f"error: bad value for {flag}: '1000")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, flag, message",
+        [
+            ("tuner.num_sample = abc", "--samples 4", "bad value for 'tuner.num_sample': 'abc'"),
+            ("tuner.seed = 1.5", "--seed 1", "bad value for 'tuner.seed': '1.5'"),
+            ("tuner.num_process = 0", "--processes 2", "num_process must be an int >= 1, got 0"),
+        ],
+        ids=["samples", "seed", "processes"],
+    )
+    def test_a_file_value_is_checked_when_a_flag_overrides_it(
+        self, tmp_path, capsys, line, flag, message
+    ):
+        # before: the flag's value was used and the file's never read, so each ran and exited 0
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"profile = {PROFILE}\n{line}\ntuner.max_iterations = 1\n", "utf-8")
+        out = tmp_path / "out"
+        assert run_cli("tune", "--config", str(conf), *flag.split(), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
         assert not out.exists()
 
     def test_huge_count_settings_key(self, tmp_path, capsys):

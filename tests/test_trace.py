@@ -44,6 +44,8 @@ from strategy_tuner.trace import (
     record_from_json,
     record_to_json,
     result_to_json,
+    run_from_json,
+    run_to_json,
     write_record,
 )
 from test_golden import SCENARIOS, golden_path, run_scenario
@@ -258,9 +260,9 @@ class TestRunState:
         ],
     )
     def test_a_result_rebuilds_from_its_trace(self, catalog_module, name, overrides, stop):
-        # a result holds nothing that its settings, its catalog's initial
-        # distributions and its trace do not: result.json and summary.txt
-        # follow from them byte for byte
+        # a result holds nothing that its run file (its settings and its
+        # catalog's initial distributions) and its trace do not: result.json
+        # and summary.txt follow from them byte for byte
         if name == "crashing":
             settings = TunerSettings(**overrides)
             stream = io.StringIO()
@@ -272,11 +274,56 @@ class TestRunState:
         else:
             settings = TunerSettings(**{**SCENARIOS[name][1], **overrides})
             live, text = run_scenario(name, **overrides)
-        initial = catalog_module.initial_distributions()
-        rebuilt = TuneResult(settings, initial, tuple(read_trace(text)))
+        run = json.dumps(run_to_json(settings, catalog_module.initial_distributions()))
+        settings, initial = run_from_json(run)
+        rebuilt = TuneResult(settings, initial, tuple(read_trace(text, initial)))
         assert live.stopped_by == stop
         assert json.dumps(result_to_json(rebuilt)) == json.dumps(result_to_json(live))
         assert cli._summary(rebuilt) == cli._summary(live)
+
+    @pytest.mark.parametrize("name", ["mixed", "mixed-evidence"])
+    def test_every_timed_out_analysis_took_its_deadline(self, catalog_module, name):
+        # on the virtual clock an analysis past its deadline is charged the
+        # deadline itself, so every one equals the deadline the result derives
+        settings = TunerSettings(**SCENARIOS[name][1])
+        records = tuple(read_trace(golden_path(name).read_text(encoding="utf-8")))
+        result = TuneResult(settings, catalog_module.initial_distributions(), records)
+        timed_out = [
+            (outcome.wall_time, deadline)
+            for record, deadline in zip(records, result.deadlines, strict=True)
+            for outcome in record.outcomes
+            if isinstance(outcome, TimedOut)
+        ]
+        assert len(timed_out) > 20
+        assert all(wall == deadline for wall, deadline in timed_out)
+
+
+class TestRunFile:
+    def test_round_trip(self, catalog_module):
+        settings = TunerSettings(time_budget=12.5, seed=-3, max_iterations=None, patience=None)
+        initial = catalog_module.initial_distributions()
+        assert run_from_json(json.dumps(run_to_json(settings, initial), indent=2)) == (
+            settings,
+            initial,
+        )
+
+    def test_the_trace_must_start_from_the_run_file(self, catalog_module):
+        # record 0's distributions before are the run's initial distributions
+        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        initial = catalog_module.initial_distributions()
+        assert len(read_trace("\n".join(lines), initial)) == len(lines)
+        assert read_trace("", {}) == []
+        moved = {**initial, "slevel": ParamDistribution(IntVal(1), initial["slevel"].delta)}
+        with pytest.raises(
+            ConfigParseError,
+            match="^trace record 0 is malformed: distributions_before are not the run file's: "
+            "'slevel' differs$",
+        ):
+            read_trace("\n".join(lines), moved)
+        with pytest.raises(
+            ConfigParseError, match="record names nothing as parameter 13, where the run file's is"
+        ):
+            read_trace("\n".join(lines), {**initial, "extra": initial["slevel"]})
 
 
 #: Alarm ids that JSON must escape: a quote, a backslash, a tab, a
