@@ -31,12 +31,9 @@ from .distributions import (
 )
 from .errors import (
     AnalyzerUnavailableError,
-    BaselinesDoNotSeparateError,
     ConfigParseError,
     InvalidSettingsError,
     LatticeMismatchError,
-    ProfileError,
-    RenderError,
     TunerError,
 )
 from .lattice import (

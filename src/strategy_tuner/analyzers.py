@@ -18,7 +18,7 @@ from itertools import accumulate, compress
 from operator import or_
 from typing import Callable, Mapping, Protocol, Union
 
-from .errors import ConfigParseError, ProfileError, shown
+from .errors import ConfigParseError, TunerError, shown
 from .keytree import parse_keytree
 from .lattice import INFINITY, BoolVal, IntVal, LatticeValue, is_amount, leq, parse_value
 from .lattice import read_amount, same_kind
@@ -274,14 +274,14 @@ def synthetic_oracle_least_config(profile: SyntheticProfile) -> Configuration:
     infinite integer requirements (nothing dominates them short of top).
     """
     if profile.twists:
-        raise ProfileError("oracle requires a monotone profile (no twists)")
+        raise TunerError("oracle requires a monotone profile (no twists)")
     acc = profile.catalog.bottom_configuration()
     for alarm in profile.alarms:
         if alarm.requirement is None:
             continue
         for name, value in zip(alarm.requirement.names, alarm.requirement.values):
             if value.value == INFINITY:  # only an integer's key is ever INFINITY
-                raise ProfileError(
+                raise TunerError(
                     f"requirement for {shown(alarm.alarm_id)} is unbounded in {name!r}"
                 )
         acc = config_join(acc, alarm.requirement)

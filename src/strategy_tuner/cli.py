@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -55,7 +56,7 @@ from .paramspace import (
     parse_configuration,
     serialize_configuration,
 )
-from .trace import read_trace, result_to_json, run_from_json, run_to_json, write_record
+from .trace import check_bases, read_trace, result_to_json, run_from_json, run_to_json, write_record
 
 # Importing this module loads none of dominancy, plots, subprocess_adapter
 # and logging: the command or the adapter run that uses one imports it.
@@ -271,6 +272,7 @@ def cmd_tune(args) -> int:
 def cmd_report(args) -> int:
     settings, initial = run_from_json(_read_text(args.out / "run.json", "run file"))
     records = read_trace(_read_text(args.out / "trace.ndjson", "trace"), initial)
+    check_bases(records, settings.refinement)
     _write_results(args.out, TuneResult(settings, initial, tuple(records)))
     print(f"wrote the result files of {args.out} ({len(records)} iterations)")
     return EXIT_OK
@@ -355,6 +357,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves a parser as it was, so every main call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strategy-tuner",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .analyzers import AnalysisOutcome, Analyzer, Completed
-from .errors import BaselinesDoNotSeparateError, TunerError, shown
+from .errors import TunerError, shown
 from .lattice import is_count
 from .orchestrator import run_batch, worker_pool
 from .paramspace import Catalog, Configuration
@@ -75,7 +75,7 @@ def influence_score(
             raise ValueError(f"alarm counts must be nonnegative, got {count}")
     d = alarms_low - alarms_high
     if d <= 0:
-        raise BaselinesDoNotSeparateError(
+        raise TunerError(
             f"baselines do not separate: low={alarms_low}, high={alarms_high}"
         )
     a = alarms_low - alarms_selected
@@ -111,7 +111,7 @@ def run_dominancy(
         if alarms_low is None or alarms_high is None:
             raise TunerError("baseline analysis did not complete within the timeout")
         if alarms_low <= alarms_high:  # checked before the 2 analyses per parameter run
-            raise BaselinesDoNotSeparateError(
+            raise TunerError(
                 f"baselines do not separate: low={alarms_low}, high={alarms_high}"
             )
         swaps = [

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types: every error a command reports is a ``TunerError``, and a subclass
+exists only where some handler tells it apart from the rest, which its docstring names."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ shown = _Shown().repr
 
 
 class TunerError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package: the command line exits 2 on one."""
 
 
 class LatticeMismatchError(TunerError):
@@ -33,25 +34,20 @@ class LatticeMismatchError(TunerError):
 
 
 class ConfigParseError(TunerError):
-    """Malformed configuration, catalog, or profile text."""
+    """Malformed text or file: the trace and run file readers catch one to name what it was in."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.message = message
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if column is not None:
-                where += f", column {column}"
-            where += ": "
-        super().__init__(where + message)
+        at = "" if column is None else f", column {column}"
+        super().__init__(message if line is None else f"line {line}{at}: {message}")
 
 
 class InvalidSettingsError(TunerError):
     """Tuner settings fail validation before any analysis starts.
 
-    ``field`` names the rejected setting when there is one.
+    ``field`` names the rejected setting when there is one: a run config
+    names that setting's line from it.
     """
 
     def __init__(self, message: str, field: str | None = None):
@@ -59,17 +55,5 @@ class InvalidSettingsError(TunerError):
         super().__init__(message)
 
 
-class RenderError(TunerError):
-    """A configuration cannot be rendered to analyzer arguments."""
-
-
-class ProfileError(TunerError):
-    """A synthetic analyzer profile violates an operation's precondition."""
-
-
 class AnalyzerUnavailableError(TunerError):
-    """The analyzer a run needs cannot be started (the command exits 3)."""
-
-
-class BaselinesDoNotSeparateError(TunerError):
-    """Dominancy baselines emit the same alarm count (d <= 0)."""
+    """The analyzer a run needs cannot be started: the command line exits 3 on one."""

@@ -88,6 +88,7 @@ class TunerSettings:
             if not ok:
                 got = shown(getattr(self, name))
                 raise InvalidSettingsError(f"{name} must be {requirement}, got {got}", field=name)
+        object.__setattr__(self, "time_budget", float(self.time_budget))  # so a total is a float
 
 
 @dataclass(frozen=True)
@@ -384,8 +385,7 @@ def tune(
                 for name, base in zip(catalog.names, bases)
             }
             elapsed = charge(outcomes, iteration_started)
-            before = dict(distributions)
-            record = IterationRecord(index, tuple(configs), outcomes, before, after, elapsed)
+            record = IterationRecord(index, tuple(configs), outcomes, distributions, after, elapsed)
             records.append(record)
             remaining.append(remaining[-1] - elapsed)
             del matrix  # an iteration's largest object: free it before the next is built

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Iterator, Mapping
 
 from .distributions import LAMBDA_CAP, ParamDistribution
-from .errors import ConfigParseError, RenderError, shown
+from .errors import ConfigParseError, TunerError, shown
 from .keytree import parse_keytree
 from .lattice import (
     BitsVal,
@@ -223,7 +223,7 @@ def render_cli_args(config: Configuration, catalog: Catalog) -> list[str]:
         value = config[spec.name]
         if isinstance(value, IntVal):
             if value.is_infinite:
-                raise RenderError(f"infinity is not renderable (parameter {spec.name!r})")
+                raise TunerError(f"infinity is not renderable (parameter {spec.name!r})")
             args.extend([spec.flag, str(value.value)])
         elif isinstance(value, BoolVal):
             chosen = spec.labels[value.value]

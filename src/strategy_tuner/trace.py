@@ -20,12 +20,13 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, TextIO
 
 from .analyzers import AnalysisOutcome, Completed, Crashed, TimedOut
-from .distributions import ParamDistribution, refine_delta, scaling_factor
+from .distributions import ParamDistribution, refine_bases, refine_delta, scaling_factor
 from .errors import ConfigParseError, InvalidSettingsError, shown
 from .keytree import split_lines
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, is_amount, parse_value
 from .lattice import read_int, same_kind
 from .orchestrator import IterationRecord, TuneResult, TunerSettings, alarm_sets, alarm_universe
+from .orchestrator import build_result_matrix
 from .paramspace import Configuration, check_param_name
 
 SCHEMA_VERSION = 1
@@ -268,6 +269,20 @@ def read_trace(text: str, initial: dict[str, ParamDistribution] | None = None) -
             raise ConfigParseError(f"trace record {len(records)} is malformed: {exc}")
         records.append(record)
     return records
+
+
+def check_bases(records: Iterable[IterationRecord], rule: str) -> None:
+    """Require each record's after bases to be ``refine_bases`` of its before ones under ``rule``."""
+    for record in records:
+        before, after = record.distributions_before, record.distributions_after
+        matrix = build_result_matrix(record.outcomes, record.sampled_configs)
+        for name, base in zip(after, refine_bases(matrix, [d.base for d in before.values()], rule)):
+            if after[name].base != base:
+                got, want = (shown(format_value(value)) for value in (after[name].base, base))
+                raise ConfigParseError(
+                    f"trace record {record.index} is malformed: distributions_after gives "
+                    f"parameter {shown(name)} the base {got}, not {want} under {shown(rule)}"
+                )
 
 
 def run_to_json(settings: TunerSettings, initial: dict[str, ParamDistribution]) -> dict[str, Any]:

@@ -22,11 +22,11 @@ from strategy_tuner import (
     Crashed,
     IntVal,
     INFINITY,
-    ProfileError,
     SyntheticAlarm,
     SyntheticAnalyzer,
     SyntheticProfile,
     TimedOut,
+    TunerError,
     Twist,
     config_dominates,
     leq,
@@ -560,7 +560,7 @@ class TestOracle:
             alarms=(SyntheticAlarm("stuck", None),),
             twists=(Twist("stuck", "slevel", IntVal(3)),),
         )
-        with pytest.raises(ProfileError):
+        with pytest.raises(TunerError, match=r"^oracle requires a monotone profile \(no twists\)$"):
             synthetic_oracle_least_config(profile)
 
     def test_unbounded_requirement_rejected(self, catalog):
@@ -568,7 +568,7 @@ class TestOracle:
         profile = SyntheticProfile(
             catalog=catalog, alarms=(SyntheticAlarm("a", requirement),)
         )
-        with pytest.raises(ProfileError):
+        with pytest.raises(TunerError, match="^requirement for 'a' is unbounded in 'slevel'$"):
             synthetic_oracle_least_config(profile)
 
     def test_least_by_exhaustive_enumeration(self, catalog):

@@ -441,14 +441,22 @@ class TestReport:
         assert budget[0] == "iteration 0:     10.000 s left, deadline 5.000 s"
         assert budget[1] == "iteration 1:     5.000 s left, deadline 2.500 s"
 
+    @staticmethod
+    def _golden_run(out: Path, name: str, **settings) -> list[dict]:
+        """``out`` made the run directory of golden scenario ``name``; its trace's records."""
+        run = TunerSettings(**{**SCENARIOS[name][1], **settings})
+        run_json = run_to_json(run, default_catalog().initial_distributions())
+        (out / "run.json").write_text(json.dumps(run_json), encoding="utf-8")
+        text = (GOLDEN / f"{name}.ndjson").read_text(encoding="utf-8")
+        (out / "trace.ndjson").write_text(text, encoding="utf-8")
+        return [json.loads(line) for line in text.splitlines()]
+
     @pytest.mark.parametrize("name", ["convergence", "mixed", "mixed-evidence"])
     def test_a_cut_trace_names_no_stop_rule(self, tmp_path, capsys, name):
         # a run stopped early, as by Ctrl-C, wrote a prefix of its trace:
         # report gives its results so far, and says no stop rule held
-        lines = (GOLDEN / f"{name}.ndjson").read_text(encoding="utf-8").splitlines(keepends=True)
-        initial = default_catalog().initial_distributions()
-        run = run_to_json(TunerSettings(**SCENARIOS[name][1]), initial)
-        (tmp_path / "run.json").write_text(json.dumps(run), encoding="utf-8")
+        self._golden_run(tmp_path, name)
+        lines = (tmp_path / "trace.ndjson").read_text(encoding="utf-8").splitlines(keepends=True)
         for k in range(len(lines)):
             (tmp_path / "trace.ndjson").write_text("".join(lines[:k]), encoding="utf-8")
             assert run_cli("report", str(tmp_path)) == 0
@@ -534,6 +542,55 @@ class TestReport:
         assert capsys.readouterr().err == (
             f"error: cannot read {what} {str(out / missing)!r}: No such file or directory\n"
         )
+
+    def test_an_int_budget_in_the_run_file_gives_a_float_total(self, runs, tmp_path):
+        # report wrote "wall_time_total": 0 where tune wrote 0.0
+        out = tmp_path / "run"
+        shutil.copytree(runs / "no-iteration", out)
+        run = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        run["settings"]["time_budget"] = 1_000_000_000
+        (out / "run.json").write_text(json.dumps(run), encoding="utf-8")
+        assert run_cli("report", str(out)) == 0
+        assert '"wall_time_total": 0.0,' in (out / "result.json").read_text(encoding="utf-8")
+
+    @staticmethod
+    def _rejected(out: Path, capsys, message: str) -> None:
+        """report exits 2 with the one line ``message`` and writes no result file."""
+        assert run_cli("report", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(path.name for path in out.iterdir()) == ["run.json", "trace.ndjson"]
+
+    @pytest.mark.parametrize("last", [True, False], ids=["last", "middle"])
+    def test_a_base_the_rule_does_not_give(self, tmp_path, capsys, last):
+        # report took any base the deltas and the chain allowed: slevel = 5000
+        records = self._golden_run(tmp_path, "convergence")
+        index = len(records) - 1 if last else 3
+        after = records[index]["distributions_after"]["slevel"]
+        want, after["base"] = after["base"], "5000"
+        if not last:  # the next record starts from the edited one, so the chain holds
+            records[index + 1]["distributions_before"]["slevel"]["base"] = "5000"
+        lines = "".join(json.dumps(record) + "\n" for record in records)
+        (tmp_path / "trace.ndjson").write_text(lines, encoding="utf-8")
+        self._rejected(tmp_path, capsys, (
+            f"trace record {index} is malformed: distributions_after gives parameter "
+            f"'slevel' the base '5000', not {want!r} under 'paper'"
+        ))
+
+    @pytest.mark.parametrize(
+        "name, rule, parameter, got, want",
+        [
+            ("convergence", "evidence", "auto-loop-unroll", "6", "0"),
+            ("mixed", "evidence", "split-return", "false", "true"),
+            ("mixed-evidence", "paper", "split-return", "true", "false"),
+        ],
+    )
+    def test_a_trace_of_the_other_rule(self, tmp_path, capsys, name, rule, parameter, got, want):
+        # report read a trace refined by one rule as a run of the other
+        self._golden_run(tmp_path, name, refinement=rule)
+        self._rejected(tmp_path, capsys, (
+            f"trace record 0 is malformed: distributions_after gives parameter "
+            f"{parameter!r} the base {got!r}, not {want!r} under {rule!r}"
+        ))
 
     def test_the_trace_must_start_where_the_run_file_does(self, runs, tmp_path, capsys):
         out = tmp_path / "run"
@@ -1030,6 +1087,19 @@ class TestRunConfigDefaults:
         run = self._load(tmp_path, text, "--seed", "5")
         assert run.settings == cli.TunerSettings(time_budget=3600.0, seed=5, refinement="evidence")
 
+    def test_a_second_main_call_takes_nothing_from_the_first(self, tmp_path, capsys):
+        # every main call in a process parses its arguments with one shared parser
+        conf = tmp_path / "run.conf"
+        text = f"profile = {PROFILE}\ntuner.seed = 7\ntuner.max_iterations = 1\nout = {tmp_path / 'B'}\n"
+        conf.write_text(text, encoding="utf-8")
+        assert run_cli("tune", "--config", str(conf), "--seed", "5", "--out", str(tmp_path / "A")) == 0
+        assert run_cli("tune", "--config", str(conf)) == 0
+        runs = [json.loads((tmp_path / out / "run.json").read_text(encoding="utf-8")) for out in "AB"]
+        assert [run["settings"]["seed"] for run in runs] == [5, 7]
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {tmp_path / out / 'trace.ndjson'} (1 iterations)" for out in "AB"
+        ]
+
     @pytest.mark.parametrize("raw, patience", [("none", None), ("1", 1), ("7", 7)])
     def test_patience_key(self, tmp_path, raw, patience):
         # `none` reaches the settings as None, not as the default 3
@@ -1073,7 +1143,7 @@ class TestDominancy:
             str(low),
         )
         assert status == 2
-        assert "do not separate" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: baselines do not separate: low=2, high=2\n"
 
     @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e400"])
     def test_bad_timeout_exit_2(self, tmp_path, capsys, timeout):

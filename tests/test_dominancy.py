@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as stx
 
 from strategy_tuner import (
-    BaselinesDoNotSeparateError,
     CostModel,
     DominancyReport,
     IntVal,
@@ -46,9 +45,9 @@ class TestInfluenceScore:
         assert score < 0
 
     def test_equal_baselines_rejected(self):
-        with pytest.raises(BaselinesDoNotSeparateError):
+        with pytest.raises(TunerError, match="^baselines do not separate: low=5, high=5$"):
             influence_score(5, 5, 5, 5)
-        with pytest.raises(BaselinesDoNotSeparateError):
+        with pytest.raises(TunerError, match="^baselines do not separate: low=3, high=7$"):
             influence_score(3, 7, 3, 3)
 
     def test_negative_counts_rejected(self):
@@ -188,7 +187,7 @@ class TestRunDominancy:
 
     def test_identical_baselines_error(self, catalog, slevel_only_profile):
         low = catalog.bottom_configuration()
-        with pytest.raises(BaselinesDoNotSeparateError):
+        with pytest.raises(TunerError, match="^baselines do not separate: low=(\\d+), high=\\1$"):
             run_dominancy(
                 "synthetic",
                 low,

@@ -29,6 +29,7 @@ from strategy_tuner import (
     SyntheticAnalyzer,
     SyntheticProfile,
     TimedOut,
+    TuneResult,
     TunerSettings,
     build_result_matrix,
     config_dominates,
@@ -242,6 +243,13 @@ class TestSettingsValidation:
 
     def test_numbers_may_be_ints(self):
         assert TunerSettings(time_budget=5).time_budget == 5
+
+    def test_an_int_budget_is_kept_as_a_float(self):
+        # an int budget gave an int total: 0, where the same run's float budget gives 0.0
+        settings = TunerSettings(time_budget=60, max_iterations=0)
+        assert type(settings.time_budget) is float
+        total = TuneResult(settings, {}, ()).wall_time_total
+        assert type(total) is float and total == 0.0
 
     def test_the_iteration_fraction_and_the_minimum_slice_are_constants(self):
         settings = TunerSettings(time_budget=60.0)

@@ -19,7 +19,7 @@ from strategy_tuner import (
     IntVal,
     ParamDistribution,
     ParamSpec,
-    RenderError,
+    TunerError,
     default_catalog,
     format_value,
     parse_configuration,
@@ -168,7 +168,7 @@ class TestRendering:
 
     def test_infinity_rejected(self, catalog):
         config = catalog.base_configuration().replace("slevel", IntVal(INFINITY))
-        with pytest.raises(RenderError):
+        with pytest.raises(TunerError, match=r"^infinity is not renderable \(parameter 'slevel'\)$"):
             render_cli_args(config, catalog)
 
 
