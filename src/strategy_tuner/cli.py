@@ -56,7 +56,7 @@ from .paramspace import (
     parse_configuration,
     serialize_configuration,
 )
-from .trace import check_bases, read_trace, result_to_json, run_from_json, run_to_json, write_record
+from .trace import read_trace, result_to_json, run_from_json, run_to_json, write_record
 
 # Importing this module loads none of dominancy, plots, subprocess_adapter
 # and logging: the command or the adapter run that uses one imports it.
@@ -270,10 +270,9 @@ def cmd_tune(args) -> int:
 
 
 def cmd_report(args) -> int:
-    settings, initial = run_from_json(_read_text(args.out / "run.json", "run file"))
-    records = read_trace(_read_text(args.out / "trace.ndjson", "trace"), initial)
-    check_bases(records, settings.refinement)
-    _write_results(args.out, TuneResult(settings, initial, tuple(records)))
+    run = run_from_json(_read_text(args.out / "run.json", "run file"))
+    records = read_trace(_read_text(args.out / "trace.ndjson", "trace"), run)
+    _write_results(args.out, TuneResult(*run, tuple(records)))
     print(f"wrote the result files of {args.out} ({len(records)} iterations)")
     return EXIT_OK
 

@@ -24,7 +24,6 @@ import string
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import IO
 
 from .analyzers import AnalysisOutcome, AnalysisTask, Completed, Crashed, TimedOut
 from .errors import shown
@@ -140,15 +139,13 @@ class SubprocessAnalyzer:
             )
         except OSError as exc:
             return Crashed(exit_info=f"spawn failed: {exc}")
-        try:
-            output = _read_until(proc.stdout, deadline)
-            if output is None or not _reap(proc, deadline):
+        with proc.stdout:
+            output = _collect(proc, deadline)
+            if output is None:
                 self._kill_group(proc)
                 with contextlib.suppress(subprocess.TimeoutExpired):  # stuck in the kernel
                     proc.wait(timeout=REAP_WAIT)
                 return TimedOut(wall_time=time.monotonic() - start)
-        finally:
-            proc.stdout.close()
         wall = time.monotonic() - start
         if proc.returncode != 0:
             return Crashed(exit_info=f"exit status {proc.returncode}")
@@ -181,37 +178,29 @@ class SubprocessAnalyzer:
         return frozenset(alarms), anomalies
 
 
-def _read_until(stream: IO[bytes], deadline: float) -> bytes | None:
-    """Everything ``stream`` yields up to end of file, or None at the deadline."""
-    chunks = []
-    fd = stream.fileno()
+def _collect(proc: subprocess.Popen, deadline: float) -> bytes | None:
+    """The child's output up to end of file, once it has exited; None at the deadline.
+
+    A child usually exits within microseconds of closing its output, so
+    the polls for its exit start 50 µs apart and back off to at most 50 ms.
+    """
+    chunks: list[bytes] = []
+    fd = proc.stdout.fileno()
+    eof, delay = False, 50e-6
     with selectors.DefaultSelector() as selector:
         selector.register(fd, selectors.EVENT_READ)
-        while True:
+        while not (eof and proc.poll() is not None):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return None
-            if selector.select(min(remaining, _MAX_WAIT)):
+            if eof:
+                time.sleep(min(delay, remaining))
+                delay = min(2 * delay, 0.05)
+            elif selector.select(min(remaining, _MAX_WAIT)):
                 chunk = os.read(fd, 65536)
-                if not chunk:
-                    return b"".join(chunks)
+                eof = not chunk
                 chunks.append(chunk)
-
-
-def _reap(proc: subprocess.Popen, deadline: float) -> bool:
-    """Wait for the child to exit by the deadline; False if it has not.
-
-    A child usually exits within microseconds of closing its output, so
-    the polls start 50 µs apart and back off to at most 50 ms.
-    """
-    delay = 50e-6
-    while proc.poll() is None:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return False
-        time.sleep(min(delay, remaining))
-        delay = min(2 * delay, 0.05)
-    return True
+    return b"".join(chunks)
 
 
 def _decode(output: bytes) -> str:

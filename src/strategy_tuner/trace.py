@@ -26,7 +26,7 @@ from .keytree import split_lines
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, is_amount, parse_value
 from .lattice import read_int, same_kind
 from .orchestrator import IterationRecord, TuneResult, TunerSettings, alarm_sets, alarm_universe
-from .orchestrator import build_result_matrix
+from .orchestrator import build_result_matrix, stop_rule
 from .paramspace import Configuration, check_param_name
 
 SCHEMA_VERSION = 1
@@ -242,14 +242,20 @@ def write_record(stream: TextIO, record: IterationRecord) -> None:
     stream.flush()
 
 
-def read_trace(text: str, initial: dict[str, ParamDistribution] | None = None) -> list[IterationRecord]:
+def read_trace(
+    text: str, run: tuple[TunerSettings, dict[str, ParamDistribution]] | None = None
+) -> list[IterationRecord]:
     """Parse the trace of one run; errors name the first offending record.
 
     Record N (blank lines are not records) has index N, the parameters of
     record 0 in its order, and record N-1's after as its before. Given the
-    run's ``initial`` distributions, record 0 has them as its before.
+    run file's ``(settings, initial)``, record 0 starts from ``initial``,
+    and each record is one those settings write: no stop rule held before
+    it, and it has ``num_sample`` samples and ``settings.refinement``'s bases.
     """
+    settings, initial = (None, None) if run is None else run
     records: list[IterationRecord] = []
+    remaining = [] if settings is None else [settings.time_budget]  # as tune keeps it
     for line in split_lines(text):
         if not line.strip():
             continue
@@ -265,24 +271,29 @@ def read_trace(text: str, initial: dict[str, ParamDistribution] | None = None) -
                 name = next((n for n in previous if before[n] != previous[n]), None)
                 if name is not None:
                     raise ConfigParseError(f"distributions_before are not {whose}: {shown(name)} differs")
+            if settings is not None:
+                stop = stop_rule(settings, records, remaining)
+                if stop is not None:
+                    raise ConfigParseError(f"the run stopped by {stop} before it")
+                if len(record.outcomes) != settings.num_sample:
+                    raise ConfigParseError(
+                        f"{len(record.outcomes)} samples, where num_sample is {settings.num_sample}"
+                    )
+                after = record.distributions_after
+                bases = [d.base for d in record.distributions_before.values()]
+                matrix = build_result_matrix(record.outcomes, record.sampled_configs)
+                for name, base in zip(after, refine_bases(matrix, bases, settings.refinement)):
+                    if after[name].base != base:
+                        got, want = (shown(format_value(v)) for v in (after[name].base, base))
+                        raise ConfigParseError(
+                            f"distributions_after gives parameter {shown(name)} the base {got}, "
+                            f"not {want} under {shown(settings.refinement)}"
+                        )
+                remaining.append(remaining[-1] - record.elapsed)
         except _MALFORMED as exc:
             raise ConfigParseError(f"trace record {len(records)} is malformed: {exc}")
         records.append(record)
     return records
-
-
-def check_bases(records: Iterable[IterationRecord], rule: str) -> None:
-    """Require each record's after bases to be ``refine_bases`` of its before ones under ``rule``."""
-    for record in records:
-        before, after = record.distributions_before, record.distributions_after
-        matrix = build_result_matrix(record.outcomes, record.sampled_configs)
-        for name, base in zip(after, refine_bases(matrix, [d.base for d in before.values()], rule)):
-            if after[name].base != base:
-                got, want = (shown(format_value(value)) for value in (after[name].base, base))
-                raise ConfigParseError(
-                    f"trace record {record.index} is malformed: distributions_after gives "
-                    f"parameter {shown(name)} the base {got}, not {want} under {shown(rule)}"
-                )
 
 
 def run_to_json(settings: TunerSettings, initial: dict[str, ParamDistribution]) -> dict[str, Any]:

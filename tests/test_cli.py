@@ -398,6 +398,7 @@ class TestReport:
         ("no-iteration", "max_iterations"): "--profile {profile} --max-iterations 0",
         ("budget", "budget"): "--config {unpatient} --profile {slow} --budget 10 --processes 4",
         ("stalled", "stalled"): "--config {huge}",
+        ("smoke", "patience"): "--config {smoke}",
     }
 
     @pytest.fixture(scope="class")
@@ -411,8 +412,12 @@ class TestReport:
         huge.write_text(
             f"profile = {SAMPLES / 'convergence.profile'}\ntuner.time_budget = 1e17\n", "utf-8"
         )
+        smoke = root / "smoke.conf"  # samples/tune_synthetic.conf, its profile found from anywhere
+        text = (SAMPLES / "tune_synthetic.conf").read_text(encoding="utf-8")
+        smoke.write_text(text.replace("samples/", f"{SAMPLES}/"), encoding="utf-8")
         for (name, _), flags in self.RUNS.items():
-            argv = flags.format(profile=PROFILE, slow=slow, unpatient=unpatient, huge=huge).split()
+            paths = dict(profile=PROFILE, slow=slow, unpatient=unpatient, huge=huge, smoke=smoke)
+            argv = flags.format(**paths).split()
             assert run_cli("tune", *argv, "--out", str(root / name)) == 0
         return root
 
@@ -573,6 +578,54 @@ class TestReport:
         (tmp_path / "trace.ndjson").write_text(lines, encoding="utf-8")
         self._rejected(tmp_path, capsys, (
             f"trace record {index} is malformed: distributions_after gives parameter "
+            f"'slevel' the base '5000', not {want!r} under 'paper'"
+        ))
+
+    @staticmethod
+    def _smoke(runs: Path, out: Path) -> list[dict]:
+        """``out`` made a copy of the smoke run with no result file; its trace's records."""
+        shutil.copytree(runs / "smoke", out)
+        for file in RESULT_FILES:
+            (out / file).unlink()
+        return [json.loads(line) for line in (out / "trace.ndjson").read_text("utf-8").splitlines()]
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (
+                {"max_iterations": 2, "patience": 1},
+                "1 is malformed: the run stopped by patience before it",
+            ),
+            ({"max_iterations": 1}, "1 is malformed: the run stopped by max_iterations before it"),
+            ({"time_budget": 0.2}, "0 is malformed: the run stopped by budget before it"),
+            ({"num_sample": 3}, "0 is malformed: 4 samples, where num_sample is 3"),
+        ],
+        ids=["patience", "max_iterations", "budget", "num_sample"],
+    )
+    def test_a_trace_its_run_file_could_not_write(self, runs, tmp_path, capsys, settings, message):
+        # report read all 6 records of a run whose settings end it sooner, and
+        # wrote "iterations: 6" or "-0.050 s left" beside "stopped by: patience",
+        # or took 4 configurations a record from a run that samples 3
+        out = tmp_path / "run"
+        self._smoke(runs, out)
+        run = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        run["settings"].update(settings)
+        (out / "run.json").write_text(json.dumps(run), encoding="utf-8")
+        self._rejected(out, capsys, f"trace record {message}")
+
+    def test_the_first_offending_record_is_named(self, runs, tmp_path, capsys):
+        # report checked the bases only after reading every line, so it
+        # named the cut record 5 and not record 1, whose base is wrong
+        out = tmp_path / "run"
+        records = self._smoke(runs, out)
+        after = records[1]["distributions_after"]["slevel"]
+        want, after["base"] = after["base"], "5000"
+        records[2]["distributions_before"]["slevel"]["base"] = "5000"
+        lines = [json.dumps(record) for record in records]
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        (out / "trace.ndjson").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self._rejected(out, capsys, (
+            f"trace record 1 is malformed: distributions_after gives parameter "
             f"'slevel' the base '5000', not {want!r} under 'paper'"
         ))
 

@@ -8,6 +8,7 @@ import shlex
 import signal
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,15 @@ from strategy_tuner.trace import read_trace, write_record
 @pytest.fixture
 def base_task(catalog):
     return AnalysisTask("prog.c", catalog.base_configuration(), timeout=5.0)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited; a zombie has exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestEchoFixtures:
@@ -230,6 +240,24 @@ class TestDeadline:
         elapsed = time.monotonic() - start
         assert isinstance(outcome, TimedOut)
         assert elapsed <= task.timeout + 1.0  # the killed child is reaped at once
+
+    def test_child_exiting_while_a_grandchild_holds_its_output_times_out(self, catalog, tmp_path):
+        # the child exits at once, but its output stays open until the
+        # deadline; the kill then takes the grandchild with the session
+        pid_file = tmp_path / "pid"
+        script = f"sleep 60 & echo $! > {shlex.quote(str(pid_file))}; exit 0"
+        adapter = AdapterConfig(command=f"sh -c {shlex.quote(script)}", pattern=r".*")
+        task = AnalysisTask("prog.c", catalog.base_configuration(), timeout=1.0)
+        start = time.monotonic()
+        outcome = SubprocessAnalyzer(adapter, catalog).run(task)
+        elapsed = time.monotonic() - start
+        assert isinstance(outcome, TimedOut)
+        assert elapsed <= task.timeout + 1.0
+        pid = int(pid_file.read_text())
+        give_up = time.monotonic() + 2.0  # SIGKILL takes effect within moments
+        while _running(pid) and time.monotonic() < give_up:
+            time.sleep(0.01)
+        assert not _running(pid)
 
     def test_deadline_beyond_the_longest_select_wait(self, catalog):
         adapter = AdapterConfig(command="echo warn:x", pattern=r"warn:(.*)")

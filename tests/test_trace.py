@@ -276,7 +276,7 @@ class TestRunState:
             live, text = run_scenario(name, **overrides)
         run = json.dumps(run_to_json(settings, catalog_module.initial_distributions()))
         settings, initial = run_from_json(run)
-        rebuilt = TuneResult(settings, initial, tuple(read_trace(text, initial)))
+        rebuilt = TuneResult(settings, initial, tuple(read_trace(text, (settings, initial))))
         assert live.stopped_by == stop
         assert json.dumps(result_to_json(rebuilt)) == json.dumps(result_to_json(live))
         assert cli._summary(rebuilt) == cli._summary(live)
@@ -310,20 +310,21 @@ class TestRunFile:
     def test_the_trace_must_start_from_the_run_file(self, catalog_module):
         # record 0's distributions before are the run's initial distributions
         lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+        settings = TunerSettings(**SCENARIOS["mixed"][1])
         initial = catalog_module.initial_distributions()
-        assert len(read_trace("\n".join(lines), initial)) == len(lines)
-        assert read_trace("", {}) == []
+        assert len(read_trace("\n".join(lines), (settings, initial))) == len(lines)
+        assert read_trace("", (settings, {})) == []
         moved = {**initial, "slevel": ParamDistribution(IntVal(1), initial["slevel"].delta)}
         with pytest.raises(
             ConfigParseError,
             match="^trace record 0 is malformed: distributions_before are not the run file's: "
             "'slevel' differs$",
         ):
-            read_trace("\n".join(lines), moved)
+            read_trace("\n".join(lines), (settings, moved))
         with pytest.raises(
             ConfigParseError, match="record names nothing as parameter 13, where the run file's is"
         ):
-            read_trace("\n".join(lines), {**initial, "extra": initial["slevel"]})
+            read_trace("\n".join(lines), (settings, {**initial, "extra": initial["slevel"]}))
 
 
 #: Alarm ids that JSON must escape: a quote, a backslash, a tab, a
