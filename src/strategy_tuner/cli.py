@@ -220,9 +220,8 @@ def load_run_config(args) -> RunConfig:
     return RunConfig(catalog, _load_settings(entries, args), Path(out), program, profile, adapter)
 
 
-def _open_run(args) -> RunConfig:
-    """The run's config: an adapter's logging set up and command on PATH, then its out_dir made."""
-    run = load_run_config(args)
+def _open_run(run: RunConfig) -> RunConfig:
+    """``run``, with an adapter's logging set up and command on PATH, then its out_dir made."""
     if run.adapter is not None:
         import logging  # for the adapter's logger, the package's only one
         logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
@@ -250,7 +249,7 @@ def _write(path: Path, text: str | None) -> None:
 
 
 def cmd_tune(args) -> int:
-    run = _open_run(args)
+    run = _open_run(load_run_config(args))
     trace_path = run.out_dir / "trace.ndjson"
     # An analyzer's errors become outcomes, so an OSError here is the trace's.
     with _file("write", trace_path), trace_path.open("w", encoding="utf-8") as stream:
@@ -309,9 +308,10 @@ def cmd_dominancy(args) -> int:
     timeout = None if args.timeout is None else _read(read_amount, args.timeout, "--timeout")
     if timeout == 0:
         raise ConfigParseError("--timeout must be above 0")
-    run = _open_run(args)
+    run = load_run_config(args)  # the baselines are read before the output directory is made
     low = parse_configuration(_read_text(args.low, "baseline"), run.catalog)
     high = parse_configuration(_read_text(args.high, "baseline"), run.catalog)
+    _open_run(run)
     timeout = timeout or run.settings.time_budget
     _claim(run.out_dir, "dominancy.txt", "dominancy.json")
     report = run_dominancy(

@@ -26,7 +26,7 @@ from .keytree import split_lines
 from .lattice import BitsVal, BoolVal, IntVal, LatticeValue, format_value, is_amount, parse_value
 from .lattice import read_int, same_kind
 from .orchestrator import IterationRecord, TuneResult, TunerSettings, alarm_sets, alarm_universe
-from .orchestrator import build_result_matrix, stop_rule
+from .orchestrator import build_result_matrix, deadline, stop_rule
 from .paramspace import Configuration, check_param_name
 
 SCHEMA_VERSION = 1
@@ -251,7 +251,8 @@ def read_trace(
     record 0 in its order, and record N-1's after as its before. Given the
     run file's ``(settings, initial)``, record 0 starts from ``initial``,
     and each record is one those settings write: no stop rule held before
-    it, and it has ``num_sample`` samples and ``settings.refinement``'s bases.
+    it, it has ``num_sample`` samples, no analysis took longer than the
+    deadline, and its bases are ``settings.refinement``'s.
     """
     settings, initial = (None, None) if run is None else run
     records: list[IterationRecord] = []
@@ -279,6 +280,13 @@ def read_trace(
                     raise ConfigParseError(
                         f"{len(record.outcomes)} samples, where num_sample is {settings.num_sample}"
                     )
+                limit = deadline(settings, remaining[-1])  # run_batch ends every analysis there
+                for i, outcome in enumerate(record.outcomes):
+                    if not isinstance(outcome, Crashed) and outcome.wall_time > limit:
+                        raise ConfigParseError(
+                            f"outcome {i} took {outcome.wall_time!r} s, "
+                            f"past the deadline {limit!r} s"
+                        )
                 after = record.distributions_after
                 bases = [d.base for d in record.distributions_before.values()]
                 matrix = build_result_matrix(record.outcomes, record.sampled_configs)

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as stx
 
 from strategy_tuner import (
@@ -94,6 +94,7 @@ def _accepts(build, error: type[Exception]) -> bool:
 
 
 @given(VALUES)
+@example(True)  # a bool is no amount: CostModel(base_cost=True) raises ValueError
 @settings(max_examples=300)
 def test_every_site_accepts_exactly_the_amounts(value):
     # before: inf and 10**400 passed AnalysisTask, True and 10**400 passed CostModel and crashed every analysis,

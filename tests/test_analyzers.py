@@ -33,6 +33,7 @@ from strategy_tuner import (
     parse_profile,
     synthetic_oracle_least_config,
 )
+from strategy_tuner import cli
 from strategy_tuner.analyzers import precision_contribution, simulated_cost, synthetic_alarms
 from strategy_tuner.lattice import INT_CEILING, bottom, top
 from strategy_tuner.orchestrator import run_batch
@@ -683,11 +684,15 @@ class TestProfileParsing:
         with pytest.raises(ConfigParseError):
             parse_profile("twist.ghost.slevel = 3\n", catalog)
 
-    def test_twist_for_unknown_alarm_names_its_line(self, catalog):
+    def test_twist_for_unknown_alarm_names_its_line(self, catalog, tmp_path, capsys):
         text = "alarm.a.requires.slevel = 3\ntwist.b.slevel = 10\n"
         with pytest.raises(ConfigParseError, match="twist references unknown alarm 'b'") as err:
             parse_profile(text, catalog)
         assert err.value.line == 2
+        # simulate reads the profile so, and exits 2 with that one line
+        (tmp_path / "x.profile").write_text(text, encoding="utf-8")
+        assert cli.main(["simulate", str(tmp_path / "x.profile")]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_conflicting_alarm_names_the_incompressible_line(self, catalog):
         text = "alarm.a.incompressible = true\ncost.base = 1\nalarm.a.requires.slevel = 3\n"

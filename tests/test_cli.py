@@ -7,6 +7,7 @@ import errno
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -35,10 +36,11 @@ from strategy_tuner import cli
 from strategy_tuner.cli import main
 from strategy_tuner.errors import shown
 from strategy_tuner.keytree import parse_keytree
-from strategy_tuner.trace import read_trace, run_to_json
+from strategy_tuner.trace import read_trace, run_to_json, write_record
 from test_golden import GOLDEN, SCENARIOS
 
-SAMPLES = Path(__file__).parent.parent / "samples"
+ROOT = Path(__file__).parent.parent
+SAMPLES = ROOT / "samples"
 
 PROFILE = SAMPLES / "synthetic_slevel.profile"
 
@@ -261,6 +263,8 @@ class TestTune:
         assert analyses == []
         if name == "trace.ndjson":  # the first file claimed, so no other file was made
             assert [path.name for path in out.iterdir()] == [name]
+        else:
+            assert (out / "trace.ndjson").read_bytes() == b""
         (out / name).rmdir()
         assert run_cli("tune", *flags) == 0 and analyses
 
@@ -358,7 +362,7 @@ class TestTune:
         assert run_cli("tune", *flags, "--out", str(out)) == 0
         result = json.loads((out / "result.json").read_text(encoding="utf-8"))
         assert result["iterations"] == (0 if rerun == "no-iteration" else 2)
-        assert result["best_sampled"] is None
+        assert result["best_sampled"] is None and result["stopped_by"] == "max_iterations"
         assert not (out / "best_sampled.conf").exists()
 
     def test_reproducible_trace_bytes(self, tmp_path):
@@ -391,33 +395,81 @@ RESULT_FILES = ("recommended.conf", "best_sampled.conf", "result.json", "summary
 class TestReport:
     """``report`` writes a run's result files from its run file and trace."""
 
-    # Each run's name and the rule that ends it, and the run's tune flags.
+    # Each run's name and the rule that ends it, and the run's tune flags;
+    # {root} holds the inputs that the fixture writes.
     RUNS = {
         ("max_iterations", "max_iterations"): "--profile {profile} --max-iterations 3",
         ("patience", "patience"): "--profile {profile} --samples 3 --processes 2",
         ("no-iteration", "max_iterations"): "--profile {profile} --max-iterations 0",
-        ("budget", "budget"): "--config {unpatient} --profile {slow} --budget 10 --processes 4",
-        ("stalled", "stalled"): "--config {huge}",
-        ("smoke", "patience"): "--config {smoke}",
+        ("budget", "budget"): "--config {root}/unpatient.conf --profile {root}/slow.profile "
+            "--budget 10 --processes 4",
+        ("stalled", "stalled"): "--config {root}/huge.conf",
+        ("smoke", "patience"): "--config {root}/smoke.conf",
+        ("evidence", "max_iterations"): "--config {root}/evidence.conf",
+        ("wide", "patience"): "--profile {root}/wide.profile --samples 16 --budget 200000 "
+            "--max-iterations 25",
+        ("wide-none", "max_iterations"): "--config {root}/unpatient.conf "
+            "--profile {root}/wide.profile --samples 16 --budget 200000 --max-iterations 25",
+        ("catalog", "max_iterations"): "--config {root}/catalog.conf --seed 1 --max-iterations 2",
+        ("labels", "max_iterations"): "--config {root}/labels.conf",
+        ("escape", "max_iterations"): "--config {root}/escape.conf",
+        ("latin1", "max_iterations"): "--config {root}/latin1.conf",
+    }
+
+    # Texts that a run's trace holds, as its inputs give them: the catalog's
+    # overrides, a label on the command line, alarm ids that JSON escapes,
+    # and an analysis whose output is not UTF-8 completing.
+    HOLDS = {
+        "catalog": (
+            '"domains": {"base": "11000", "delta": {"kind": "bernoulli_vector", '
+            '"qs": [0.1, 0.2, 0.3, 0.4, 0.5]}}',
+            '"slevel": {"base": "0", "delta": {"kind": "poisson", "lambda": 5.0}}',
+        ),
+        "labels": ('"on"',),
+        "escape": (
+            r'"alarm_universe": ["back\\slash", "na\u00efve", "say \"hi\""]',
+            r'"alarms": ["back\\slash", "na\u00efve", "say \"hi\""]',
+        ),
+        "latin1": ('"status": "completed"',),
     }
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory) -> Path:
         """Output directories of tune runs that end by each rule; the slow ones complete nothing."""
         root = tmp_path_factory.mktemp("report")
-        slow, unpatient, huge = root / "slow.profile", root / "unpatient.conf", root / "huge.conf"
-        text = PROFILE.read_text(encoding="utf-8").replace("cost.base = 0.05", "cost.base = 100")
-        slow.write_text(text, encoding="utf-8")
-        unpatient.write_text("tuner.patience = none\n", encoding="utf-8")
-        huge.write_text(
-            f"profile = {SAMPLES / 'convergence.profile'}\ntuner.time_budget = 1e17\n", "utf-8"
+        adapter = (
+            "program = x.c\ntuner.max_iterations = {}\nadapter.command = {}\nadapter.pattern = {}\n"
         )
-        smoke = root / "smoke.conf"  # samples/tune_synthetic.conf, its profile found from anywhere
-        text = (SAMPLES / "tune_synthetic.conf").read_text(encoding="utf-8")
-        smoke.write_text(text.replace("samples/", f"{SAMPLES}/"), encoding="utf-8")
+        inputs = {
+            "slow.profile": PROFILE.read_text(encoding="utf-8").replace(
+                "cost.base = 0.05", "cost.base = 100"
+            ),
+            "unpatient.conf": "tuner.patience = none\n",
+            "huge.conf": f"profile = {SAMPLES / 'convergence.profile'}\ntuner.time_budget = 1e17\n",
+            # samples/tune_synthetic.conf, its profile found from anywhere
+            "smoke.conf": (SAMPLES / "tune_synthetic.conf").read_text(encoding="utf-8").replace(
+                "samples/", f"{SAMPLES}/"
+            ),
+            "evidence.conf": f"profile = {PROFILE}\ntuner.max_iterations = 5\n"
+            "tuner.refinement = evidence\n",
+            # the bench's 1000-alarm profile, whose module is read and not imported
+            "wide.profile": runpy.run_path(str(ROOT / "bench" / "workloads.py"))["wide_profile"](0),
+            "catalog.conf": f"profile = {PROFILE}\ncatalog = {root / 'override.catalog'}\n",
+            "override.catalog": "domains.base = 11000\nslevel.lambda = 5\nsplit-return.q = 0.9\n"
+            "domains.q = 0.1,0.2,0.3,0.4,0.5\n",
+            "labels.conf": f"catalog = {root / 'labels.catalog'}\n"
+            + adapter.format(3, 'printf "%s\\n" {args}', "^(a[,a-e]*|on)$"),
+            "labels.catalog": "domains.labels = a,b,c,d,e\nsplit-return.true = on\n",
+            "escape.conf": adapter.format(
+                2, "printf '%s\\n' 'say \"hi\"' 'back\\slash' 'naïve'", "^(say .*|back.*|na.*)$"
+            ),
+            # \351 is Latin-1 e-acute, which UTF-8 cannot decode
+            "latin1.conf": adapter.format(2, "printf 'caf\\351\\nwarn:x\\351\\n'", "warn:(.*)"),
+        }
+        for name, text in inputs.items():
+            (root / name).write_text(text, encoding="utf-8")
         for (name, _), flags in self.RUNS.items():
-            paths = dict(profile=PROFILE, slow=slow, unpatient=unpatient, huge=huge, smoke=smoke)
-            argv = flags.format(**paths).split()
+            argv = flags.format(root=root, profile=PROFILE).split()
             assert run_cli("tune", *argv, "--out", str(root / name)) == 0
         return root
 
@@ -436,6 +488,26 @@ class TestReport:
             assert (out / file).read_bytes() == (runs / name / file).read_bytes(), file
         result = json.loads((out / "result.json").read_text(encoding="utf-8"))
         assert result["stopped_by"] == rule
+        assert f"stopped by:      {rule}" in (out / "summary.txt").read_text("utf-8").splitlines()
+        # the trace's records write it again, byte for byte
+        trace = (out / "trace.ndjson").read_text(encoding="utf-8")
+        rewritten = io.StringIO()
+        for record in read_trace(trace):
+            write_record(rewritten, record)
+        assert rewritten.getvalue() == trace
+        for text in self.HOLDS.get(name, ()):
+            assert text in trace
+
+    def test_the_default_stop_recommends_what_the_wide_run_to_its_cap_does(self, runs, capsys):
+        # on the bench's 1000-alarm profile patience ends the run before its
+        # cap, and both runs recommend and sample the same best configuration
+        for file in ("recommended.conf", "best_sampled.conf"):
+            assert (runs / "wide" / file).read_bytes() == (runs / "wide-none" / file).read_bytes()
+        # a profile imposes no deadline: the bases and the best sample complete
+        capsys.readouterr()
+        for configuration in ((), ("--configuration", str(runs / "wide" / "best_sampled.conf"))):
+            assert run_cli("simulate", str(runs / "wide.profile"), *configuration) == 0
+            assert capsys.readouterr().out.startswith("completed in ")
 
     def test_summary_gives_each_iteration_its_budget_and_deadline(self, runs):
         result = json.loads((runs / "budget" / "result.json").read_text(encoding="utf-8"))
@@ -643,6 +715,16 @@ class TestReport:
         self._rejected(tmp_path, capsys, (
             f"trace record 0 is malformed: distributions_after gives parameter "
             f"{parameter!r} the base {got!r}, not {want!r} under {rule!r}"
+        ))
+
+    def test_an_analysis_past_its_deadline(self, tmp_path, capsys):
+        # one worker in place of two halves each deadline: report wrote
+        # "iteration 3:     1128.600 s left, deadline 94.050 s" beside an
+        # analysis that completed in 123.7 s, which run_batch would have timed out
+        self._golden_run(tmp_path, "mixed", num_process=1)
+        self._rejected(tmp_path, capsys, (
+            "trace record 3 is malformed: outcome 0 took 123.7 s, past the deadline "
+            "94.05000000000001 s"
         ))
 
     def test_the_trace_must_start_where_the_run_file_does(self, runs, tmp_path, capsys):
@@ -930,13 +1012,17 @@ class TestRejectedValues:
             ("", "", f"{LONG} = 1"),
             ("", "", f"alarm.a.requires.slevel = 3\ntwist.{LONG}.slevel = 3"),
             ("", "", f"alarm.{LONG}.incompressible = true\nalarm.{LONG}.requires.slevel = 3"),
+            ("tuner.num_sample = \uff14", "", ""),
+            ("", "slevel.lambda = 0_5", ""),
+            ("", f"slevel.base = {DIGITS}", ""),
         ],
         ids=[
             "unknown-key", "key-with-space", "seed", "num_sample", "refinement",
             "adapter-command", "adapter-placeholder", "base-digits", "bits", "lambda",
             "lambda-above-cap", "q", "labels", "override-parameter", "override-field", "cost",
             "weight-parameter", "incompressible", "requirement", "boolean", "profile-key",
-            "twist-alarm", "incompressible-and-required",
+            "twist-alarm", "incompressible-and-required", "full-width-digit", "underscore",
+            "count-digits",
         ],
     )
     def test_an_error_line_abbreviates_outside_text(self, tmp_path, capsys, config, catalog, profile):
@@ -948,10 +1034,13 @@ class TestRejectedValues:
             (tmp_path / "x.profile").write_text(profile + "\n", encoding="utf-8")
         if profile is not None:
             config += f"\nprofile = {tmp_path / 'x.profile' if profile else PROFILE}"
-        assert self._tune_config(tmp_path, config + "\n") in (2, 3)
+        status = self._tune_config(tmp_path, config + "\n")
+        # only a command that no PATH entry holds leaves the analyzer unavailable
+        assert status == (3 if f"adapter.command = {self.LONG}\n" in config else 2)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
         assert "set_int_max_str_digits" not in err
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def _nul_rejected(capsys, tmp_path, status: int, line: int, column: int, *inputs: str) -> None:
@@ -1271,19 +1360,17 @@ class TestDominancy:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert analyses == [] and not (tmp_path / "dom").exists()
 
-    def test_bad_baseline_file_exit_2(self, tmp_path):
+    def test_bad_baseline_file_exit_2(self, tmp_path, capsys):
+        # each baseline is read before the output directory is made: before,
+        # a bad one left the directory behind, empty
         low, high = write_baselines(tmp_path)
-        low.write_text("slevel = banana\n", encoding="utf-8")
-        status = run_cli(
-            "dominancy",
-            "--profile",
-            str(PROFILE),
-            "--out",
-            str(tmp_path / "dom"),
-            str(low),
-            str(high),
-        )
-        assert status == 2
+        bad = tmp_path / "bad.conf"
+        bad.write_text("slevel = banana\n", encoding="utf-8")
+        argv = ["dominancy", "--profile", str(PROFILE), "--out", str(tmp_path / "dom")]
+        for pair in ((bad, high), (low, bad), (low, tmp_path / "missing.conf")):
+            assert run_cli(*argv, *map(str, pair)) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not (tmp_path / "dom").exists()
 
 
 class TestPlot:
@@ -1609,9 +1696,15 @@ LAZY_NAMES = {
 }
 
 # pytest loads concurrent.futures itself, so only a fresh interpreter can
-# show what a run loads.
+# show what a run loads. The child first runs README's library example, as
+# written under its "Library use" heading, from the checkout's root.
 SURFACE_CHILD = """
-import importlib, json, sys
+import importlib, json, os, re, sys
+readme = sys.argv[4]
+os.chdir(os.path.dirname(readme))
+section = open(readme, encoding="utf-8").read().split("\\n## Library use\\n", 1)[1]
+code = re.match(r"\\s*```python\\n(.*?)\\n```\\n", section, re.S).group(1)
+exec(compile(code, "README.md (Library use)", "exec"), {})
 from strategy_tuner import cli
 status = cli.main(["tune", "--profile", sys.argv[1], "--max-iterations", "2", "--out", sys.argv[2]])
 assert status == 0, status
@@ -1651,8 +1744,9 @@ def test_listing_the_package_loads_no_lazy_module():
 
 
 def test_synthetic_tune_loads_only_what_it_uses(tmp_path):
+    readme = str(ROOT / "README.md")
     proc = run_python(
-        "-c", SURFACE_CHILD, str(PROFILE), str(tmp_path / "out"), json.dumps(LAZY_NAMES)
+        "-c", SURFACE_CHILD, str(PROFILE), str(tmp_path / "out"), json.dumps(LAZY_NAMES), readme
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])

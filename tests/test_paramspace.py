@@ -26,6 +26,7 @@ from strategy_tuner import (
     render_cli_args,
     serialize_configuration,
 )
+from strategy_tuner import cli
 from strategy_tuner.distributions import LAMBDA_CAP
 from strategy_tuner.lattice import bottom, same_kind
 from strategy_tuner.keytree import parse_keytree
@@ -346,23 +347,25 @@ class TestCatalogOverrides:
             apply_catalog_overrides(catalog, "domains.labels = a,b\n")
 
     @pytest.mark.parametrize("line", ["slevel.flag =", "domains.labels = a,b,,d,e"])
-    def test_empty_flag_or_label_rejected_with_line(self, catalog, line):
+    def test_empty_flag_or_label_rejected_with_line(self, catalog, line, tmp_path, capsys):
         # an empty flag renders as an empty argument word, an empty label
         # as an empty item of the label list
         with pytest.raises(ConfigParseError) as info:
             apply_catalog_overrides(catalog, f"slevel.base = 5\n{line}\n")
         assert info.value.line == 2
+        _tune_rejects(tmp_path, capsys, f"slevel.base = 5\n{line}\n", info.value)
 
     @pytest.mark.parametrize(
         "line",
         ["slevel.true = x", "slevel.labels = a", "split-return.labels = a,b", "domains.false = x"],
     )
-    def test_field_of_another_kind_rejected_with_line(self, catalog, line):
+    def test_field_of_another_kind_rejected_with_line(self, catalog, line, tmp_path, capsys):
         # a boolean's pair and a bit vector's labels are both ``labels``:
         # the field must match the parameter's kind
         with pytest.raises(ConfigParseError) as info:
             apply_catalog_overrides(catalog, f"slevel.base = 5\n{line}\n")
         assert info.value.line == 2
+        _tune_rejects(tmp_path, capsys, f"slevel.base = 5\n{line}\n", info.value)
 
     @pytest.mark.parametrize("raw", ["inf", "nan", "1e6"])
     def test_unusable_lambda_rejected_with_line(self, catalog, raw):
@@ -399,10 +402,23 @@ class TestCatalogOverrides:
             ("split-return.lambda = 5", "has no Poisson delta"),
         ],
     )
-    def test_unusable_delta_rejected_with_line(self, catalog, line, message):
+    def test_unusable_delta_rejected_with_line(self, catalog, line, message, tmp_path, capsys):
         with pytest.raises(ConfigParseError, match=re.escape(message)) as info:
             apply_catalog_overrides(catalog, f"slevel.base = 5\n{line}\n")
         assert info.value.line == 2
+        _tune_rejects(tmp_path, capsys, f"slevel.base = 5\n{line}\n", info.value)
+
+
+def _tune_rejects(tmp_path: Path, capsys, overrides: str, error) -> None:
+    """``tune`` with the catalog ``overrides`` exits 2 with ``error`` as its one line, and
+    makes no output directory."""
+    (tmp_path / "x.catalog").write_text(overrides, encoding="utf-8")
+    profile = Path(__file__).parent.parent / "samples" / "synthetic_slevel.profile"
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"profile = {profile}\ncatalog = {tmp_path / 'x.catalog'}\n", encoding="utf-8")
+    assert cli.main(["tune", "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @given(stx.integers(0, 2**31 - 1))

@@ -172,7 +172,7 @@ class TestAlarmOrder:
         assert obj["alarm_universe"] == ["b", "c", "a"]
         assert orchestrator.alarm_universe(record.outcomes) == ("b", "c", "a")
 
-    def test_record_whose_universe_lacks_its_alarms(self, short_run):
+    def test_record_whose_universe_lacks_its_alarms(self, short_run, tmp_path, capsys):
         # a written record whose universe lacks, adds, repeats or reorders
         # an id of its outcomes is not read
         record = _with_outcomes(
@@ -186,8 +186,10 @@ class TestAlarmOrder:
         for universe in (["y"], ["y", "z", "x"], ["y", "z", "y"], ["z", "y"]):
             obj = json.loads(line)
             obj["alarm_universe"] = universe
-            with pytest.raises(ConfigParseError, match="record 0 is malformed: alarm_universe"):
-                read_trace(json.dumps(obj))
+            text = json.dumps(obj)
+            with pytest.raises(ConfigParseError, match="record 0 is malformed: alarm_universe") as e:
+                read_trace(text)
+            _plot_rejects(tmp_path, capsys, text, e.value)
 
     @pytest.mark.parametrize(
         "sets, universe",
@@ -654,13 +656,14 @@ class TestMalformedTraces:
         ids=["swapped", "one-dropped", "concatenated", "negative-index", "after-a-blank-line",
              "swapped-and-renumbered"],
     )
-    def test_trace_is_one_run(self, edit, reason):
+    def test_trace_is_one_run(self, edit, reason, tmp_path, capsys):
         # a trace is the state of one run: record N is its iteration N, and
         # starts from where record N-1 left the distributions; an error
         # names the record by its count, not its line
-        lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
-        with pytest.raises(ConfigParseError, match=f"trace {reason}"):
-            read_trace("\n".join(edit(lines)))
+        text = "\n".join(edit(MIXED_TRACE.read_text(encoding="utf-8").splitlines()))
+        with pytest.raises(ConfigParseError, match=f"trace {reason}") as err:
+            read_trace(text)
+        _plot_rejects(tmp_path, capsys, text, err.value)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -730,7 +733,9 @@ class TestMalformedTraces:
              "after-changes-a-lattice", "after-narrows-a-vector", "after-changes-a-lambda",
              "after-changes-a-q", "after-changes-a-qs-entry"],
     )
-    def test_record_must_agree_with_itself_and_record_0(self, index, mutate, reason):
+    def test_record_must_agree_with_itself_and_record_0(
+        self, index, mutate, reason, tmp_path, capsys
+    ):
         # the first four made ``plot`` or ``build_result_matrix`` fail on read-back
         lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[index])
@@ -738,8 +743,9 @@ class TestMalformedTraces:
         lines[index] = json.dumps(record)
         with pytest.raises(
             ConfigParseError, match=f"trace record {index} is malformed: .*{re.escape(reason)}"
-        ):
+        ) as err:
             read_trace("\n".join(lines))
+        _plot_rejects(tmp_path, capsys, "\n".join(lines), err.value)
 
     @pytest.mark.parametrize(
         "index, mutate, reason",
@@ -757,7 +763,9 @@ class TestMalformedTraces:
         ],
         ids=["configuration", "distributions_after", "first-record", "lattice", "delta"],
     )
-    def test_a_long_parameter_name_gives_a_short_message(self, index, mutate, reason):
+    def test_a_long_parameter_name_gives_a_short_message(
+        self, index, mutate, reason, tmp_path, capsys
+    ):
         # before: the first three printed both name lists whole and the
         # fourth the whole name, 5,000 characters and more each
         text = MIXED_TRACE.read_text(encoding="utf-8").replace('"slevel"', json.dumps(_LONG))
@@ -771,6 +779,7 @@ class TestMalformedTraces:
         message = str(err.value)
         assert message.startswith(f"trace record {index} is malformed: ") and reason in message
         assert len(message) < 300
+        _plot_rejects(tmp_path, capsys, "\n".join(lines), message)
 
     @pytest.mark.parametrize(
         "value",
@@ -809,15 +818,16 @@ class TestMalformedTraces:
         ids=["alarms-a-string", "alarms-not-strings", "alarms-unsorted", "alarms-repeated",
              "universe-a-string"],
     )
-    def test_alarm_fields_must_be_arrays_of_strings(self, mutate, reason):
+    def test_alarm_fields_must_be_arrays_of_strings(self, mutate, reason, tmp_path, capsys):
         # read back before: a string spelled one alarm per character, and
         # ints became alarms no analyzer reports
         lines = MIXED_TRACE.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[0])
         mutate(record)
         lines[0] = json.dumps(record)
-        with pytest.raises(ConfigParseError, match=f"trace record 0 is malformed: {reason}"):
+        with pytest.raises(ConfigParseError, match=f"trace record 0 is malformed: {reason}") as err:
             read_trace("\n".join(lines))
+        _plot_rejects(tmp_path, capsys, "\n".join(lines), err.value)
 
     @pytest.mark.parametrize("exit_info", [None, [1], 3], ids=["null", "array", "number"])
     def test_exit_info_must_be_a_string(self, exit_info):
@@ -882,6 +892,15 @@ class TestMalformedTraces:
         for record in records:
             write_record(stream, record)
         assert stream.getvalue() == text
+
+
+def _plot_rejects(tmp_path: Path, capsys, text: str, error) -> None:
+    """``plot`` of the trace ``text`` exits 2 with ``error`` as its one line, and draws no chart."""
+    path = tmp_path / "trace.ndjson"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "plots").exists()
 
 
 def _with_outcomes(record: IterationRecord, outcomes: tuple) -> IterationRecord:
